@@ -37,10 +37,9 @@ from .hamiltonian import (SphereFunction, hamiltonian_field, poisson,
 from .lie import (LieAlgebraTable, MultilinearCochain, cartan_cocycle,
                   ce_differential, cochain_derivative, derivation_residual)
 from .quadrature import IntegralResult, QuadratureSpec
-from .simplices import (GeodesicSimplex, ParametrizedMap, PrismChain,
-                        build_simplex, chart_join, distinct_hopf, face,
-                        in_open_hemisphere, is_chart_small, prism_chain,
-                        slerp_join, straighten)
+from .simplices import (GeodesicSimplex, ParametrizedMap, build_simplex,
+                        chart_join, distinct_hopf, face, in_open_hemisphere,
+                        is_chart_small, prism_chain, slerp_join, straighten)
 from .suites import SuiteReport, list_suites, parse_config, run_suite
 
 __version__ = "0.1.0"

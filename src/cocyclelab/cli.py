@@ -2,15 +2,14 @@
 [--json]``.
 
 ``verify list`` prints the available suites, ``verify all`` runs every
-suite (optionally concurrently with ``--parallel``).  The process exits 0
-exactly when every executed check passed.
+suite in turn.  The process exits 0 exactly when every executed check
+passed.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import ConfigParse, UnknownSuite
@@ -33,8 +32,6 @@ def _build_parser():
                         help="write the JSON report to this path")
     parser.add_argument("--json", action="store_true",
                         help="print the JSON report to stdout")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run suites concurrently (only with 'all')")
     return parser
 
 
@@ -74,12 +71,7 @@ def main(argv=None) -> int:
         else [args.suite]
 
     try:
-        if args.suite == "all" and args.parallel:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                reports = list(pool.map(
-                    lambda n: run_suite(n, cfg), names))
-        else:
-            reports = [run_suite(n, cfg) for n in names]
+        reports = [run_suite(n, cfg) for n in names]
     except UnknownSuite as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

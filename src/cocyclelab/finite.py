@@ -19,7 +19,7 @@ from .errors import (KernelObstruction, NoCommonApex, NotWellConfigured,
                      PredicateNotFaceClosed)
 from .groups import UnitQuaternion, cyclic_embed, hopf
 from .simplices import all_faces
-from .snf import SmithSolver, rank, rational_rank
+from .snf import SmithSolver, rational_rank
 
 PREDICATES = ("all-tuples", "conf-distinct", "distinct-hopf")
 
@@ -288,8 +288,8 @@ def cone_fill(complex_: ConfiguredComplex, cycle: HomogeneousChain,
     return out
 
 
-def _tuple_rank(group: FiniteGroupTable, n):
-    """Mixed-radix index of a tuple in the full complex of degree n."""
+def _tuple_rank(group: FiniteGroupTable):
+    """Mixed-radix index of a tuple in the full tuple complex."""
     def idx(t):
         out = 0
         for g in t:
@@ -325,6 +325,7 @@ def build_retraction(complex_: ConfiguredComplex, q: int | None = None):
         if not hn.is_trivial():
             raise NotWellConfigured(f"H_{n} = {hn}, expected 0")
 
+    idx_full = _tuple_rank(group)
     mats = []
     # degree 0: every 1-tuple is admissible, r_0 = id
     size0 = len(complex_.generators[0])
@@ -334,10 +335,8 @@ def build_retraction(complex_: ConfiguredComplex, q: int | None = None):
     for n in range(1, q + 1):
         rows = len(complex_.generators[n])
         cols = group.order ** (n + 1)
-        idx_full = _tuple_rank(group, n)
         mat = [[0] * cols for _ in range(rows)]
         prev = mats[n - 1]
-        idx_prev_full = _tuple_rank(group, n - 1)
         normalized_cols = {}
         for rest in product(group.elements, repeat=n):
             t = (group.identity,) + rest
@@ -347,7 +346,7 @@ def build_retraction(complex_: ConfiguredComplex, q: int | None = None):
             else:
                 z = [0] * len(complex_.generators[n - 1])
                 for sign, ft in all_faces(t):
-                    j = idx_prev_full(ft)
+                    j = idx_full(ft)
                     for i in range(len(z)):
                         if prev[i][j]:
                             z[i] += sign * prev[i][j]
@@ -378,8 +377,8 @@ def build_retraction(complex_: ConfiguredComplex, q: int | None = None):
 
 def _verify_retraction(complex_, mats, q):
     group = complex_.group
+    idx_full = _tuple_rank(group)
     for n in range(1, q + 1):
-        idx_full = _tuple_rank(group, n)
         # identity on admissible tuples
         for i, t in enumerate(complex_.generators[n]):
             j = idx_full(t)
@@ -391,7 +390,6 @@ def _verify_retraction(complex_, mats, q):
         # chain map: boundary . r_n == r_{n-1} . boundary (checked on the
         # full complex generators)
         bd = complex_.boundaries[n]
-        idx_prev_full = _tuple_rank(group, n - 1)
         for full in product(group.elements, repeat=n + 1):
             j = idx_full(full)
             lhs = [0] * len(complex_.generators[n - 1])
@@ -403,7 +401,7 @@ def _verify_retraction(complex_, mats, q):
                             lhs[k] += bd[k][i] * c
             rhs = [0] * len(complex_.generators[n - 1])
             for sign, ft in all_faces(full):
-                jf = idx_prev_full(ft)
+                jf = idx_full(ft)
                 for k in range(len(complex_.generators[n - 1])):
                     if mats[n - 1][k][jf]:
                         rhs[k] += sign * mats[n - 1][k][jf]
@@ -433,7 +431,7 @@ def extend_cocycle(complex_: ConfiguredComplex, values, retraction=None
                 f"cochain does not vanish on the kernel vector {kvec}")
     mats = build_retraction(complex_, q) if retraction is None else retraction
     group = complex_.group
-    idx_full = _tuple_rank(group, q)
+    idx_full = _tuple_rank(group)
 
     def evaluator(t):
         j = idx_full(t)

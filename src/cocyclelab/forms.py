@@ -3,8 +3,8 @@
 Forms are alternating evaluators ``(points, tangents) -> values`` acting on
 batches.  Pullback integration differentiates the simplex parametrization
 by central differences (step ``fd_step``), projects the tangents onto the
-sphere, and feeds them through a Grundmann-Moller rule with uniform
-refinement and a two-level error estimate.
+sphere, and integrates in iterated-cone cube coordinates with a tensor
+Gauss-Legendre rule, estimating the error from two rule orders.
 
 Whole-sphere integrals use fixed atlases: the 16 orthant tetrahedra for
 S^3, and the 20 icosahedral triangles for S^2 (scaled by 1/2 for the
@@ -13,21 +13,13 @@ projective-line model).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import numpy as np
 
-from .groups import _qconj, _qmul
-from .quadrature import (IntegralResult, QuadratureSpec, cube_to_bary,
-                         integrate_on_cube)
+from .groups import _PERM_SIGNS, _qconj, _qmul
+from .quadrature import IntegralResult, QuadratureSpec, integrate_on_cube
 from .simplices import GeodesicSimplex, ParametrizedMap
-
-def _perm_sign(p):
-    return (-1) ** sum(1 for i in range(len(p)) for j in range(i + 1, len(p))
-                       if p[i] > p[j])
-
-
-_PERMS3 = [(p, _perm_sign(p)) for p in permutations(range(3))]
 
 
 class DifferentialForm:
@@ -87,6 +79,13 @@ def vol_form(sphere: str, total: float) -> DifferentialForm:
     raise ValueError(f"unknown sphere {sphere!r}")
 
 
+def symplectic_form_value(points, a, b):
+    """The 2*pi-normalized symplectic form on tangent pairs at radius-1/2
+    points: 4 <p, a x b>."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    return 4.0 * np.einsum("ni,ni->n", p, np.cross(a, b))
+
+
 def fubini_study_form() -> DifferentialForm:
     """Symplectic 2-form on the radius-1/2 sphere model of the projective
     line, normalized to total integral 2*pi.
@@ -96,7 +95,7 @@ def fubini_study_form() -> DifferentialForm:
     """
 
     def ev(p, t):
-        return 4.0 * np.einsum("ni,ni->n", p, np.cross(t[:, 0], t[:, 1]))
+        return symplectic_form_value(p, t[:, 0], t[:, 1])
 
     return DifferentialForm(2, "CP1", ev)
 
@@ -109,7 +108,7 @@ def mc3_form() -> DifferentialForm:
     def ev(p, t):
         xi = [_qmul(_qconj(p), t[:, k]) for k in range(3)]
         total = np.zeros(p.shape[0])
-        for perm, sgn in _PERMS3:
+        for perm, sgn in _PERM_SIGNS[3]:
             prod3 = _qmul(_qmul(xi[perm[0]], xi[perm[1]]), xi[perm[2]])
             total += sgn * 2.0 * prod3[:, 0]  # trace of the 2-dim rep
         return total / (24.0 * np.pi ** 2)
@@ -136,28 +135,22 @@ def _project_tangent(x, t):
     return t - np.einsum("ni,ni->n", xhat, t)[:, None] * xhat
 
 
-def _cube_evaluator(simplex):
-    ev = getattr(simplex, "evaluate_cube", None)
-    if ev is not None:
-        return ev
-    return lambda s: simplex.evaluate(cube_to_bary(s))
-
-
 def pullback_integral(form: DifferentialForm, simplex,
                       quad: QuadratureSpec | None = None) -> IntegralResult:
     """Integral of the form over a parametrized simplex.
 
-    ``simplex`` is anything with ``degree`` and batch ``evaluate``; the
-    integral runs in iterated-cone cube coordinates, with tangent
-    pushforwards by central differences of step ``quad.fd_step`` projected
-    to the sphere."""
+    ``simplex`` is anything with ``degree`` and a batch ``evaluate_cube``
+    taking iterated-cone cube coordinates (N, degree) to points (N, d), as
+    ``GeodesicSimplex`` and ``ParametrizedMap`` provide.  The integral
+    runs in cube coordinates, with tangent pushforwards by central
+    differences of step ``quad.fd_step`` projected to the sphere."""
     quad = quad or QuadratureSpec()
     n = simplex.degree
     if form.degree != n:
         raise ValueError(
             f"form degree {form.degree} != simplex degree {n}")
     h = quad.fd_step
-    evalc = _cube_evaluator(simplex)
+    evalc = simplex.evaluate_cube
 
     def integrand(s):
         x = evalc(s)

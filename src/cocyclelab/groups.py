@@ -10,11 +10,23 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 
-from .errors import AntipodalChart, BadOrder
+from .errors import AntipodalChart, BadOrder, DegenerateConfig
 
 CHART_RADIUS = 0.5  # default convexity radius (radians) for chart-based joins
+_ANTIPODE_TOL = 1e-12
+
+# (permutation, sign) pairs of range(n) for n = 1..4; itertools order fixes
+# the summation order of every alternating sum built from it
+_PERM_SIGNS = {
+    n: [(p, (-1) ** sum(1 for i in range(n) for j in range(i + 1, n)
+                        if p[i] > p[j]))
+        for p in permutations(range(n))]
+    for n in range(1, 5)
+}
 
 _SU2_BASIS = ("i", "j", "k")
 
@@ -33,6 +45,49 @@ def _qmul(a, b):
 
 def _qconj(a):
     return a * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _qlog_batch(q):
+    w = np.clip(q[..., 0], -1.0, 1.0)
+    v = q[..., 1:]
+    sv = np.linalg.norm(v, axis=-1)
+    th = np.arctan2(sv, w)
+    if np.any(th >= np.pi - 1e-8):
+        raise DegenerateConfig("chart join hit the antipodal locus")
+    scale = np.where(sv < 1e-300, 0.0, th / np.where(sv == 0.0, 1.0, sv))
+    return scale[..., None] * v
+
+
+def _qexp_batch(v):
+    th = np.linalg.norm(v, axis=-1)
+    sinc = np.where(th < 1e-300, 1.0, np.sin(th) / np.where(th == 0, 1.0, th))
+    return np.concatenate([np.cos(th)[..., None], sinc[..., None] * v],
+                          axis=-1)
+
+
+def _slerp_batch(x, y, s):
+    """Batched slerp; analytic in s, so slight excursions outside [0, 1]
+    (used by finite differencing) are fine."""
+    dot = np.clip(np.sum(x * y, axis=-1, keepdims=True), -1.0, 1.0)
+    if np.any(dot <= -1.0 + _ANTIPODE_TOL):
+        raise DegenerateConfig("join hit an antipodal pair of points")
+    th = np.arccos(dot)
+    small = th[..., 0] < 1e-9
+    sinth = np.sin(th)
+    sinth[small] = 1.0
+    s = np.asarray(s, dtype=float)[..., None]
+    out = (np.sin((1.0 - s) * th) * x + np.sin(s * th) * y) / sinth
+    if np.any(small):
+        lin = (1.0 - s) * x + s * y
+        nrm = np.linalg.norm(lin, axis=-1, keepdims=True)
+        lin = lin / np.where(nrm == 0.0, 1.0, nrm)
+        out[small] = lin[small]
+    return out
+
+
+def _chart_join_batch(x, y, s):
+    z = _qlog_batch(_qmul(_qconj(x), y))
+    return _qmul(x, _qexp_batch(s[..., None] * z))
 
 
 def _normalize(v):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import DifferentialForm, sphere_integral
+from .forms import DifferentialForm, sphere_integral, symplectic_form_value
 from .quadrature import QuadratureSpec
 
 SPHERE_RADIUS = 0.5
@@ -131,21 +131,13 @@ def poisson(f: SphereFunction, g: SphereFunction) -> SphereFunction:
             + z * (fx * gy - fy * gx))
 
 
-def symplectic_form_value(points, a, b):
-    """The 2*pi-normalized symplectic form on tangent pairs at radius-1/2
-    points: 4 <p, a x b>."""
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    return 4.0 * np.einsum("ni,ni->n", p, np.cross(a, b))
-
-
 def function_integral(f: SphereFunction,
                       quad: QuadratureSpec | None = None):
     """Integral of f against the symplectic area 2-form, with estimate."""
     quad = quad or QuadratureSpec(order=8, tol=1e-6)
 
     def ev(p, t):
-        return f.evaluate(p) * 4.0 * np.einsum(
-            "ni,ni->n", p, np.cross(t[:, 0], t[:, 1]))
+        return f.evaluate(p) * symplectic_form_value(p, t[:, 0], t[:, 1])
 
     return sphere_integral(DifferentialForm(2, "CP1", ev), "CP1", quad)
 

@@ -8,7 +8,7 @@ coordinates) is floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from math import factorial
 
 import numpy as np
@@ -17,15 +17,9 @@ from scipy.linalg import expm
 from .cochains import HomogeneousCochain, integrated_cochain
 from .errors import DomainGuard, StepTooLarge
 from .forms import DifferentialForm
-from .groups import LieVector, Rotation, UnitQuaternion, quat_exp
+from .groups import (_PERM_SIGNS, LieVector, Rotation, UnitQuaternion,
+                     quat_exp)
 from .quadrature import QuadratureSpec
-
-_PERM_SIGNS = {
-    n: [(p, (-1) ** sum(1 for i in range(n) for j in range(i + 1, n)
-                        if p[i] > p[j]))
-        for p in permutations(range(n))]
-    for n in range(1, 5)
-}
 
 
 class LieAlgebraTable:

@@ -76,6 +76,27 @@ def cube_to_bary(s):
     return bary
 
 
+def bary_to_cube(bary):
+    """Inverse of ``cube_to_bary``, batched: (N, n+1) -> (N, n).
+
+    Peels the cone off from the top: s_n = b_n and the lower coordinates
+    are divided by 1 - s_n.  Where |1 - s_k| < 1e-14 (at the apex e_k) the
+    lower coordinates are taken to be e_0, so every corner e_k maps to
+    s_k = 1 with all lower coordinates 0.
+    """
+    bary = np.atleast_2d(np.asarray(bary, dtype=float))
+    n = bary.shape[1] - 1
+    s = np.empty((bary.shape[0], n))
+    for k in range(n, 0, -1):
+        s[:, k - 1] = bary[:, k]
+        denom = 1.0 - bary[:, k]
+        at_top = np.abs(denom) < 1e-14
+        bary = bary[:, :k] / np.where(at_top, 1.0, denom)[:, None]
+        if np.any(at_top):
+            bary[at_top] = np.eye(k)[0]
+    return s
+
+
 @lru_cache(maxsize=None)
 def _panel_rule(n: int, order: int, depth: int):
     """Tensor Gauss-Legendre nodes/weights on the unit n-cube with

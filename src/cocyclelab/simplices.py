@@ -15,9 +15,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import (AntipodalJoin, ChartExceeded, DegenerateConfig, IndexOut)
-from .groups import CHART_RADIUS, UnitQuaternion, _qconj, _qmul
-
-_ANTIPODE_TOL = 1e-12
+from .groups import (_ANTIPODE_TOL, CHART_RADIUS, UnitQuaternion,
+                     _chart_join_batch, _qconj, _qmul, _slerp_batch)
+from .quadrature import bary_to_cube, cube_to_bary
 
 
 def face(i, vertices):
@@ -88,26 +88,6 @@ def slerp_join(x, y, s):
     return _slerp_batch(x[None, :], y[None, :], np.array([float(s)]))[0]
 
 
-def _slerp_batch(x, y, s):
-    """Batched slerp; analytic in s, so slight excursions outside [0, 1]
-    (used by finite differencing) are fine."""
-    dot = np.clip(np.sum(x * y, axis=-1, keepdims=True), -1.0, 1.0)
-    if np.any(dot <= -1.0 + _ANTIPODE_TOL):
-        raise DegenerateConfig("join hit an antipodal pair of points")
-    th = np.arccos(dot)
-    small = th[..., 0] < 1e-9
-    sinth = np.sin(th)
-    sinth[small] = 1.0
-    s = np.asarray(s, dtype=float)[..., None]
-    out = (np.sin((1.0 - s) * th) * x + np.sin(s * th) * y) / sinth
-    if np.any(small):
-        lin = (1.0 - s) * x + s * y
-        nrm = np.linalg.norm(lin, axis=-1, keepdims=True)
-        lin = lin / np.where(nrm == 0.0, 1.0, nrm)
-        out[small] = lin[small]
-    return out
-
-
 def chart_join(x: UnitQuaternion, y: UnitQuaternion, s) -> UnitQuaternion:
     """Left-equivariant chart arc x * exp(s * log(x^{-1} y)) in SU(2)."""
     d = _qmul(_qconj(x.vec), y.vec)
@@ -118,36 +98,15 @@ def chart_join(x: UnitQuaternion, y: UnitQuaternion, s) -> UnitQuaternion:
     return UnitQuaternion(out)
 
 
-def _qlog_batch(q):
-    w = np.clip(q[..., 0], -1.0, 1.0)
-    v = q[..., 1:]
-    sv = np.linalg.norm(v, axis=-1)
-    th = np.arctan2(sv, w)
-    if np.any(th >= np.pi - 1e-8):
-        raise DegenerateConfig("chart join hit the antipodal locus")
-    scale = np.where(sv < 1e-300, 0.0, th / np.where(sv == 0.0, 1.0, sv))
-    return scale[..., None] * v
-
-
-def _qexp_batch(v):
-    th = np.linalg.norm(v, axis=-1)
-    sinc = np.where(th < 1e-300, 1.0, np.sin(th) / np.where(th == 0, 1.0, th))
-    return np.concatenate([np.cos(th)[..., None], sinc[..., None] * v],
-                          axis=-1)
-
-
-def _chart_join_batch(x, y, s):
-    z = _qlog_batch(_qmul(_qconj(x), y))
-    return _qmul(x, _qexp_batch(s[..., None] * z))
-
-
 class ParametrizedMap:
     """A smooth map from the standard n-simplex, evaluated in batches.
 
-    ``fn`` receives barycentric coordinates (N, n+1) and returns points
-    (N, d).  Geodesic simplices implement the same protocol.  ``cube_fn``
-    optionally evaluates directly in iterated-cone cube coordinates; when
-    absent the barycentric evaluator is composed with the cone map.
+    It implements the simplex protocol that ``pullback_integral`` needs,
+    as ``GeodesicSimplex`` does: ``degree`` plus a batch ``evaluate_cube``
+    taking iterated-cone cube coordinates (N, n) to points (N, d).
+    ``fn`` receives barycentric coordinates (N, n+1).  ``cube_fn``
+    optionally evaluates directly in cube coordinates; when absent,
+    ``evaluate_cube`` composes ``fn`` with the cone map ``cube_to_bary``.
     """
 
     def __init__(self, degree, fn, codomain="S3", cube_fn=None):
@@ -161,7 +120,6 @@ class ParametrizedMap:
         return self._fn(bary)
 
     def evaluate_cube(self, s):
-        from .quadrature import cube_to_bary
         if self._cube_fn is not None:
             return self._cube_fn(np.atleast_2d(np.asarray(s, dtype=float)))
         return self.evaluate(cube_to_bary(s))
@@ -220,13 +178,14 @@ class GeodesicSimplex:
         if bary.shape[1] != self.degree + 1:
             raise ValueError(
                 f"expected {self.degree + 1} barycentric coordinates")
-        return self._recurse(self.degree, bary)
+        return self.evaluate_cube(bary_to_cube(bary))
 
     def evaluate_cube(self, s):
         """Evaluate in iterated-cone cube coordinates (N, degree).
 
-        Equivalent to composing ``evaluate`` with the cone map, but free
-        of the cone division, hence smooth up to the cube boundary.
+        This is the one evaluator: ``evaluate`` maps barycentric input
+        through ``bary_to_cube`` first.  In cube coordinates there is no
+        cone division, hence the map is smooth up to the cube boundary.
         """
         s = np.atleast_2d(np.asarray(s, dtype=float))
         if s.shape[1] != self.degree:
@@ -240,24 +199,6 @@ class GeodesicSimplex:
             else:
                 out = _chart_join_batch(out, tip, s[:, k - 1])
         return out
-
-    def _recurse(self, n, bary):
-        if n == 0:
-            return np.broadcast_to(self._varr[0],
-                                   (bary.shape[0], self._varr.shape[1])).copy()
-        s = bary[:, n]
-        rest = bary[:, :n]
-        denom = 1.0 - s
-        at_top = np.abs(denom) < 1e-14
-        denom = np.where(at_top, 1.0, denom)
-        inner = rest / denom[:, None]
-        if np.any(at_top):
-            inner[at_top] = np.eye(n)[0]
-        base = self._recurse(n - 1, inner)
-        tip = np.broadcast_to(self._varr[n], base.shape)
-        if self.kind == "spherical":
-            return _slerp_batch(base, tip, s)
-        return _chart_join_batch(base, tip, s)
 
     def face(self, i):
         return GeodesicSimplex(face(i, self.vertices), self.kind,
@@ -280,22 +221,9 @@ def straighten(f, radius=CHART_RADIUS) -> GeodesicSimplex:
     return GeodesicSimplex(verts, "chart", radius=radius)
 
 
-class PrismChain:
-    """Signed (n+1)-simplices triangulating the homotopy from f to its
-    straightening; exactly n+1 terms for a degree-n input."""
-
-    def __init__(self, terms):
-        self.terms = list(terms)
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-
-def prism_chain(f, radius=CHART_RADIUS) -> PrismChain:
-    """Triangulated join homotopy between f and straighten(f).
+def prism_chain(f, radius=CHART_RADIUS) -> list:
+    """Triangulated join homotopy between f and straighten(f), as a list
+    of n+1 signed (n+1)-simplices for a degree-n input.
 
     Term j (sign (-1)^j) is the (n+1)-simplex with prism vertices
     (v_0,0)...(v_j,0),(v_j,1)...(v_n,1), evaluated through the pointwise
@@ -324,4 +252,4 @@ def prism_chain(f, radius=CHART_RADIUS) -> PrismChain:
             return homotopy(u, t)
 
         terms.append(((-1) ** j, ParametrizedMap(n + 1, fn)))
-    return PrismChain(terms)
+    return terms

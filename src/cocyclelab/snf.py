@@ -14,22 +14,6 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            f = ai[k]
-            if f:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += f * bk[j]
-    return out
-
-
 def smith_normal_form(mat):
     """Return (U, S, V) with U @ mat @ V = S diagonal, U and V unimodular,
     and the diagonal entries nonnegative with each dividing the next."""

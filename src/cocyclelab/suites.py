@@ -24,8 +24,9 @@ from .errors import ConfigParse, UnknownSuite
 from .finite import (FiniteGroupTable, brute_force_free_rank, build_complex,
                      build_retraction, extend_cocycle, homology)
 from .forms import DifferentialForm, mc3_form, pullback_integral, vol_form
-from .groups import (QUAT_ONE, LieVector, _qconj, _qmul, apply_rotation,
-                     cyclic_embed, hopf_arr, hopf_jacobian, quat_exp, so4_of)
+from .groups import (QUAT_ONE, LieVector, _qconj, _qexp_batch, _qmul,
+                     apply_rotation, cyclic_embed, hopf_arr, hopf_jacobian,
+                     quat_exp, so4_of)
 from .hamiltonian import (SphereFunction, pairing_integral, poisson,
                           symplectic_cocycle)
 from .lie import derivation_residual
@@ -427,12 +428,6 @@ def _suite_transfer(cfg) -> SuiteReport:
     return SuiteReport("transfer", rec.checks)
 
 
-def _exp_batch(v):
-    th = np.linalg.norm(v, axis=-1, keepdims=True)
-    sinc = np.where(th < 1e-300, 1.0, np.sin(th) / np.where(th == 0, 1, th))
-    return np.concatenate([np.cos(th), sinc * v], axis=-1)
-
-
 def _wiggled_simplex(rng, eps=0.08):
     u = rng.normal(size=(4, 3))
     u *= 0.18 / np.linalg.norm(u, axis=1, keepdims=True)
@@ -442,7 +437,7 @@ def _wiggled_simplex(rng, eps=0.08):
                + bary[:, 3:4] * u[2]
                + eps * np.sin(np.pi * bary[:, 1:2])
                * np.sin(np.pi * bary[:, 2:3]) * u[3])
-        return _exp_batch(vec)
+        return _qexp_batch(vec)
 
     return ParametrizedMap(3, fn)
 

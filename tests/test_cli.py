@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cocyclelab
 from cocyclelab.cli import main
 from cocyclelab.errors import ConfigParse, UnknownSuite
 from cocyclelab.suites import list_suites, parse_config, run_suite
@@ -74,8 +77,14 @@ def test_configured_homology_report_entries():
 
 
 def _run_cli(*args):
+    # the child imports the package this process imported, also when pytest
+    # put ``src`` on sys.path instead of PYTHONPATH
+    src = str(Path(cocyclelab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "cocyclelab.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def test_cli_list():

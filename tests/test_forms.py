@@ -207,6 +207,28 @@ def test_prism_of_a_straight_simplex_carries_no_volume():
     assert abs(total) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["spherical", "chart"])
+def test_barycentric_map_integrates_like_its_simplex(kind):
+    # a ParametrizedMap without cube_fn goes through cube_to_bary and the
+    # barycentric evaluator; it must agree with the simplex's own cube path
+    from cocyclelab.groups import LieVector, quat_exp
+    if kind == "spherical":
+        verts = [v / np.linalg.norm(v) for v in
+                 np.eye(4) + 0.3 * rng.normal(size=(4, 4))]
+    else:
+        verts = []
+        for _ in range(4):
+            v = rng.normal(size=3)
+            v *= rng.uniform(0.05, 0.12) / np.linalg.norm(v)
+            verts.append(quat_exp(LieVector("su2", v)))
+    sx = GeodesicSimplex(verts, kind)
+    form = vol_form("S3", 1.0)
+    direct = pullback_integral(form, sx, QUAD).value
+    bary = pullback_integral(form, ParametrizedMap(3, sx.evaluate), QUAD).value
+    assert direct != 0.0
+    assert abs(bary - direct) < 1e-12
+
+
 def test_degree_mismatch_rejected():
     sx = GeodesicSimplex(list(np.eye(4)), "spherical")
     with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ import pytest
 
 from cocyclelab.errors import QuadratureDiverged
 from cocyclelab.quadrature import (IntegralResult, QuadratureSpec,
-                                   cube_to_bary, gauss_legendre_circle,
-                                   integrate_on_cube)
+                                   bary_to_cube, cube_to_bary,
+                                   gauss_legendre_circle, integrate_on_cube)
 
 rng = np.random.default_rng(2)
 
@@ -19,6 +19,24 @@ def test_cube_to_bary_is_barycentric():
     assert np.allclose(bary.sum(axis=1), 1.0)
     # corners: s = (1, ..) hits the last vertex regardless of the rest
     assert np.allclose(cube_to_bary([[0.3, 0.7, 1.0]])[0], [0, 0, 0, 1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bary_to_cube_inverts_cube_to_bary(n):
+    s = rng.uniform(0.02, 0.98, size=(50, n))
+    assert np.abs(bary_to_cube(cube_to_bary(s)) - s).max() < 1e-12
+    bary = rng.dirichlet(np.ones(n + 1), size=50)
+    assert np.abs(cube_to_bary(bary_to_cube(bary)) - bary).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bary_to_cube_corners(n):
+    cube = bary_to_cube(np.eye(n + 1))
+    assert cube.shape == (n + 1, n)
+    for k in range(1, n + 1):
+        assert cube[k, k - 1] == 1.0
+        assert np.all(cube[k, :k - 1] == 0.0)
+    assert np.all(cube[0] == 0.0)
 
 
 def test_cube_quadrature_exactness_on_polynomials():

@@ -176,6 +176,24 @@ def test_cube_and_barycentric_evaluations_agree():
                   - sx.evaluate(cube_to_bary(s))).max() < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["spherical", "chart"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_evaluate_is_evaluate_cube_after_bary_to_cube(kind, n):
+    from cocyclelab.quadrature import bary_to_cube
+    if kind == "spherical":
+        verts = [v / np.linalg.norm(v) for v in
+                 np.eye(n + 1, 4) + 0.2 * rng.normal(size=(n + 1, 4))]
+    else:
+        verts = [small_quat() for _ in range(n + 1)]
+    sx = build_simplex(verts, kind)
+    pts = rng.dirichlet(np.ones(n + 1), size=20)
+    faces = [np.insert(rng.dirichlet(np.ones(n), size=5), i, 0.0, axis=1)
+             for i in range(n + 1)]
+    bary = np.concatenate([pts, np.eye(n + 1)] + faces)
+    assert np.array_equal(sx.evaluate(bary),
+                          sx.evaluate_cube(bary_to_cube(bary)))
+
+
 def test_build_simplex_guards():
     x = np.eye(4)[0]
     sx = build_simplex([x, -x, np.eye(4)[1], np.eye(4)[2]], "spherical")
