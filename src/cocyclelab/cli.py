@@ -3,7 +3,8 @@
 
 ``verify list`` prints the available suites, ``verify all`` runs every
 suite in turn.  The process exits 0 exactly when every executed check
-passed.
+passed, 1 when a check failed, and 2 on an unknown suite or on a
+configuration key or value that ``DEFAULT_CONFIG`` does not admit.
 """
 from __future__ import annotations
 
@@ -58,20 +59,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        if args.suite == "list":
+            for name, describes in list_suites():
+                print(f"{name:22s} {describes}")
+            return 0
+        names = [name for name, _ in list_suites()] \
+            if args.suite == "all" else [args.suite]
+        reports = [run_suite(n, cfg) for n in names]
     except ConfigParse as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-    if args.suite == "list":
-        for name, describes in list_suites():
-            print(f"{name:22s} {describes}")
-        return 0
-
-    names = [name for name, _ in list_suites()] if args.suite == "all" \
-        else [args.suite]
-
-    try:
-        reports = [run_suite(n, cfg) for n in names]
     except UnknownSuite as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

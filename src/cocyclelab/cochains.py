@@ -101,8 +101,8 @@ def generic_rotation(seed=0x5EED) -> Rotation:
 
 def integrated_cochain(form: DifferentialForm, kind: str, lattice,
                        base_point: UnitQuaternion = QUAT_ONE,
-                       quad: QuadratureSpec | None = None,
-                       radius=None) -> HomogeneousCochain:
+                       quad: QuadratureSpec | None = None
+                       ) -> HomogeneousCochain:
     """Cochain t -> integral of the form over the simplex filled on t.
 
     ``kind`` is "spherical" (tuples of 4x4 rotations, projected to the
@@ -125,14 +125,10 @@ def integrated_cochain(form: DifferentialForm, kind: str, lattice,
 
         label = "spherical"
     elif kind == "chart":
-        from .groups import CHART_RADIUS
-        rad = CHART_RADIUS if radius is None else radius
-
-        def guard(t):
-            return is_chart_small(t, rad)
+        guard = is_chart_small
 
         def evaluator(t):
-            simplex = GeodesicSimplex(t, "chart", radius=rad)
+            simplex = GeodesicSimplex(t, "chart")
             res = pullback_integral(form, simplex, quad)
             return res.value, res.error_estimate
 
@@ -181,13 +177,6 @@ class HomogeneousChain:
         for t, c in self.terms.items():
             for sign, face_t in all_faces(t):
                 out.add(sign * c, face_t)
-        return out
-
-    def translated(self, shift, op):
-        """Apply ``op(shift, entry)`` to every entry of every tuple."""
-        out = HomogeneousChain()
-        for t, c in self.terms.items():
-            out.add(c, tuple(op(shift, g) for g in t))
         return out
 
 

@@ -2,7 +2,7 @@
 
 Forms are alternating evaluators ``(points, tangents) -> values`` acting on
 batches.  Pullback integration differentiates the simplex parametrization
-by central differences (step ``fd_step``), projects the tangents onto the
+by central differences (step ``FD_STEP``), projects the tangents onto the
 sphere, and integrates in iterated-cone cube coordinates with a tensor
 Gauss-Legendre rule, estimating the error from two rule orders.
 
@@ -20,6 +20,8 @@ import numpy as np
 from .groups import _PERM_SIGNS, _qconj, _qmul
 from .quadrature import IntegralResult, QuadratureSpec, integrate_on_cube
 from .simplices import GeodesicSimplex, ParametrizedMap
+
+FD_STEP = 1e-4  # central-difference step for tangent pushforwards
 
 
 class DifferentialForm:
@@ -143,13 +145,13 @@ def pullback_integral(form: DifferentialForm, simplex,
     taking iterated-cone cube coordinates (N, degree) to points (N, d), as
     ``GeodesicSimplex`` and ``ParametrizedMap`` provide.  The integral
     runs in cube coordinates, with tangent pushforwards by central
-    differences of step ``quad.fd_step`` projected to the sphere."""
+    differences of step ``FD_STEP`` projected to the sphere."""
     quad = quad or QuadratureSpec()
     n = simplex.degree
     if form.degree != n:
         raise ValueError(
             f"form degree {form.degree} != simplex degree {n}")
-    h = quad.fd_step
+    h = FD_STEP
     evalc = simplex.evaluate_cube
 
     def integrand(s):
@@ -165,9 +167,9 @@ def pullback_integral(form: DifferentialForm, simplex,
         return form.evaluate(x, tangents)
 
     res = integrate_on_cube(integrand, n, quad)
-    # differencing roundoff (~eps/h per tangent) is invisible to the
-    # order comparison; fold a floor for it into the estimate
-    floor = n * 2e-12 / (h / 1e-4) * (1.0 + abs(res.value))
+    # differencing roundoff (~eps/h per tangent, 2e-12 at FD_STEP) is
+    # invisible to the order comparison; fold a floor for it into the estimate
+    floor = n * 2e-12 * (1.0 + abs(res.value))
     return IntegralResult(res.value, max(res.error_estimate, floor))
 
 
@@ -218,7 +220,6 @@ def sphere_atlas(sphere: str):
             if sphere == "CP1":
                 cell = ParametrizedMap(
                     2, lambda b, _s=simplex: 0.5 * _s.evaluate(b),
-                    codomain="CP1",
                     cube_fn=lambda s, _s=simplex: 0.5 * _s.evaluate_cube(s))
             else:
                 cell = simplex

@@ -30,14 +30,13 @@ class QuadratureSpec:
     """Rule order / panel depth / tolerance bundle for one integral.
 
     ``order`` is the number of Gauss-Legendre points per axis, ``depth``
-    splits every axis into 2**depth equal panels, ``fd_step`` is the
-    central-difference step for tangent pushforwards.
+    splits every axis into 2**depth equal panels, and ``integrate_on_cube``
+    raises when its two rule orders differ by more than 10 * ``tol``.
     """
 
     order: int = 8
     depth: int = 0
     tol: float = 1e-6
-    fd_step: float = 1e-4
 
     def __post_init__(self):
         if self.order < 2:

@@ -109,11 +109,10 @@ class ParametrizedMap:
     ``evaluate_cube`` composes ``fn`` with the cone map ``cube_to_bary``.
     """
 
-    def __init__(self, degree, fn, codomain="S3", cube_fn=None):
+    def __init__(self, degree, fn, cube_fn=None):
         self.degree = degree
         self._fn = fn
         self._cube_fn = cube_fn
-        self.codomain = codomain
 
     def evaluate(self, bary):
         bary = np.atleast_2d(np.asarray(bary, dtype=float))
@@ -137,7 +136,7 @@ class ParametrizedMap:
         def fn(bary, _i=i):
             return self.evaluate(np.insert(bary, _i, 0.0, axis=1))
 
-        return ParametrizedMap(deg, fn, codomain=self.codomain)
+        return ParametrizedMap(deg, fn)
 
 
 class GeodesicSimplex:
@@ -149,20 +148,18 @@ class GeodesicSimplex:
     evaluation points.
     """
 
-    def __init__(self, vertices, kind, radius=CHART_RADIUS):
+    def __init__(self, vertices, kind):
         if kind not in ("spherical", "chart"):
             raise ValueError(f"unknown simplex kind {kind!r}")
         self.kind = kind
-        self.radius = radius
         self.vertices = tuple(vertices)
         self.degree = len(self.vertices) - 1
         if kind == "chart":
             if not all(isinstance(v, UnitQuaternion) for v in self.vertices):
                 raise TypeError("chart simplices take UnitQuaternion vertices")
-            if not is_chart_small(self.vertices, radius):
+            if not is_chart_small(self.vertices):
                 raise DegenerateConfig(
-                    "vertex tuple exceeds the chart radius "
-                    f"{radius}")
+                    f"vertex tuple exceeds the chart radius {CHART_RADIUS}")
             self._varr = np.array([v.vec for v in self.vertices])
         else:
             arr = []
@@ -171,7 +168,6 @@ class GeodesicSimplex:
                     np.asarray(v, dtype=float)
                 arr.append(vec / np.linalg.norm(vec))
             self._varr = np.array(arr)
-        self.codomain = "S3" if self._varr.shape[1] == 4 else "S2"
 
     def evaluate(self, bary):
         bary = np.atleast_2d(np.asarray(bary, dtype=float))
@@ -201,27 +197,26 @@ class GeodesicSimplex:
         return out
 
     def face(self, i):
-        return GeodesicSimplex(face(i, self.vertices), self.kind,
-                               radius=self.radius)
+        return GeodesicSimplex(face(i, self.vertices), self.kind)
 
     def corner_vertices(self):
         return self.vertices
 
 
-def build_simplex(vertices, kind, radius=CHART_RADIUS) -> GeodesicSimplex:
+def build_simplex(vertices, kind) -> GeodesicSimplex:
     """Construct the iterated-join simplex on the given vertex tuple."""
-    return GeodesicSimplex(vertices, kind, radius=radius)
+    return GeodesicSimplex(vertices, kind)
 
 
-def straighten(f, radius=CHART_RADIUS) -> GeodesicSimplex:
+def straighten(f) -> GeodesicSimplex:
     """Replace a parametrized simplex by the chart simplex on its vertices."""
     verts = f.corner_vertices()
-    if not is_chart_small(verts, radius):
+    if not is_chart_small(verts):
         raise DegenerateConfig("vertex tuple of f is not chart-small")
-    return GeodesicSimplex(verts, "chart", radius=radius)
+    return GeodesicSimplex(verts, "chart")
 
 
-def prism_chain(f, radius=CHART_RADIUS) -> list:
+def prism_chain(f) -> list:
     """Triangulated join homotopy between f and straighten(f), as a list
     of n+1 signed (n+1)-simplices for a degree-n input.
 
@@ -230,7 +225,7 @@ def prism_chain(f, radius=CHART_RADIUS) -> list:
     chart join from f to its straightening.
     """
     n = f.degree
-    strf = straighten(f, radius=radius)
+    strf = straighten(f)
 
     def homotopy(u, t):
         a = f.evaluate(u)

@@ -112,9 +112,24 @@ def parse_config(text: str) -> dict:
 
 
 def _merged(config):
+    """DEFAULT_CONFIG overridden by ``config``; raises ConfigParse on a key
+    that is not in DEFAULT_CONFIG, a value of the wrong type (an int where
+    the default is an int, a number where it is a float) or order < 2."""
     cfg = dict(DEFAULT_CONFIG)
-    if config:
-        cfg.update(config)
+    for key, value in (config or {}).items():
+        if key not in DEFAULT_CONFIG:
+            raise ConfigParse(f"unknown config key {key!r}; known keys: "
+                              f"{', '.join(DEFAULT_CONFIG)}")
+        number = isinstance(DEFAULT_CONFIG[key], float)
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if number else int):
+            raise ConfigParse(f"config key {key!r} takes "
+                              f"{'a number' if number else 'an integer'}, "
+                              f"got {value!r}")
+        cfg[key] = value
+    if cfg["order"] < 2:
+        raise ConfigParse("config key 'order' must be >= 2, "
+                          f"got {cfg['order']}")
     return cfg
 
 
@@ -141,7 +156,7 @@ def _suite_cs_pairing(cfg) -> SuiteReport:
 
 def _suite_lemma44(cfg) -> SuiteReport:
     rec = _Recorder()
-    quad = QuadratureSpec(order=cfg["order"], tol=1e-3)
+    quad = QuadratureSpec(order=cfg["order"], tol=1e-4)
     t0 = time.perf_counter()
     d1 = degree_of_map(conjugate_point_map(QUAT_ONE), quad)
     rec.add("degree-c1", 0.0, d1, 1e-2, t0)
@@ -171,8 +186,7 @@ def _suite_cocycle_defect(cfg) -> SuiteReport:
         quad=QuadratureSpec(order=6, tol=1e-3))
     t0 = time.perf_counter()
     worst = 0.0
-    n = int(cfg["defect_tuples"])
-    for _ in range(n):
+    for _ in range(cfg["defect_tuples"]):
         t = _random_hemispherical_tuple(rng, QUAT_ONE)
         value, est = cocycle_defect(cochain, t, with_error=True)
         bound = max(5.0 * est, 1e-4)
@@ -246,7 +260,7 @@ def _suite_symplectic(cfg) -> SuiteReport:
 
     t0 = time.perf_counter()
     worst = 0.0
-    for _ in range(int(cfg["adinv_triples"])):
+    for _ in range(cfg["adinv_triples"]):
         f, g, h = (_random_polynomial(rng) for _ in range(3))
         lhs = pairing_integral(poisson(f, g), h, quad) \
             + pairing_integral(g, poisson(f, h), quad)
@@ -294,7 +308,7 @@ def _suite_contact(cfg) -> SuiteReport:
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg["seed"])
-    n = int(cfg["contact_samples"])
+    n = cfg["contact_samples"]
     q = rng.normal(size=(n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     u = rng.normal(size=(n, 4))
@@ -449,7 +463,7 @@ def _suite_prism(cfg) -> SuiteReport:
     quad = QuadratureSpec(order=cfg["order"], depth=1, tol=1e-3)
     t0 = time.perf_counter()
     worst = 0.0
-    for _ in range(int(cfg["prism_simplices"])):
+    for _ in range(cfg["prism_simplices"]):
         f = _wiggled_simplex(rng)
         res_straight = pullback_integral(form, straighten(f), quad)
         res_f = pullback_integral(form, f, quad)
@@ -502,7 +516,10 @@ def list_suites():
 
 
 def run_suite(name: str, config: dict | None = None) -> SuiteReport:
-    """Run one named suite with optional configuration overrides."""
+    """Run one named suite with optional configuration overrides.
+
+    Raises UnknownSuite for a name not in ``list_suites()`` and ConfigParse
+    for an override that ``DEFAULT_CONFIG`` does not admit."""
     if name not in _SUITES:
         raise UnknownSuite(
             f"unknown suite {name!r}; available: {', '.join(_SUITES)}")

@@ -1,297 +1,98 @@
 """Acceptance criteria, one test per criterion, at the pinned tolerances.
 
-Each test prints a single PASS/FAIL line (run with ``pytest -v -s`` to see
-them).  Criterion 1 is known to fail: the cyclic subgroup driving the
-torsion pairing rotates a single coordinate plane, so the orbit of every
-base point lies on a planar circle inside a totally geodesic 2-sphere and
-the straight-join simplices carry no volume; the computed pairing is 0
-mod 1 instead of the targeted 4/m.  See notes in the repository README.
+Each criterion runs its ``verify`` suite through ``run_suite``, so the CLI
+and these tests share one implementation of every checked identity.  A test
+pins the expected value and tolerance of each check it asserts, and gates
+the time of the suite call (criterion 1: of each pairing, by its ``ms``).
 """
 import time
-from fractions import Fraction
-from itertools import product
 from math import pi
 
-import numpy as np
-import pytest
+from cocyclelab.suites import run_suite
 
-from cocyclelab.cochains import (HomogeneousCochain, circle_distance,
-                                 coboundary, cocycle_defect,
-                                 conjugate_point_map, cyclic_cycle,
-                                 degree_of_map, generic_rotation,
-                                 integrated_cochain, kronecker_pair,
-                                 transfer, twisted_square_map)
-from cocyclelab.contact import contact_cocycle, fiber_period, pullback
-from cocyclelab.finite import (FiniteGroupTable, brute_force_free_rank,
-                               build_complex, build_retraction,
-                               extend_cocycle, homology)
-from cocyclelab.forms import DifferentialForm, mc3_form, pullback_integral, \
-    vol_form
-from cocyclelab.groups import (QUAT_ONE, LieVector, apply_rotation,
-                               cyclic_embed, hopf_arr, hopf_jacobian,
-                               quat_exp, so4_of, _qconj, _qmul)
-from cocyclelab.hamiltonian import SphereFunction, pairing_integral, \
-    poisson, symplectic_cocycle
-from cocyclelab.lie import derivation_residual
-from cocyclelab.quadrature import QuadratureSpec
-from cocyclelab.simplices import (ParametrizedMap, all_faces,
-                                  in_open_hemisphere, prism_chain,
-                                  straighten)
-from cocyclelab.suites import _dalpha_fd, _wiggled_simplex
-
-SEED = 0x5EED
+ZERO = (0.0, 0.0)  # (expected, tol) of an exact check
+RATIO = (0.0, 1.0)  # (expected, tol) of an error-to-estimate ratio
 
 
-def report(name, passed, detail=""):
-    print(f"criterion {name}: {'PASS' if passed else 'FAIL'}  {detail}")
+def criterion(name, suite, pins, gate, each=False, **config):
+    """Run ``suite`` and assert, for each check named in ``pins``, its
+    pinned (expected, tol) and its verdict, and then the time gate: of the
+    call, or with ``each`` of every check by its ``ms``.  Prints one
+    PASS/FAIL line first (see it with ``pytest -s``)."""
+    start = time.perf_counter()
+    checks = {c.id: c for c in run_suite(suite, config).checks}
+    elapsed = time.perf_counter() - start
+    for cid, pin in pins.items():
+        assert (checks[cid].expected, checks[cid].tol) == pin, cid
+    checks = [checks[cid] for cid in pins]
+    slowest = max(c.ms / 1000.0 for c in checks) if each else elapsed
+    bad = [(c.id, c.computed) for c in checks if not c.passed]
+    values = " ".join(f"{c.id}={c.computed:.6g}" for c in checks)
+    verdict = "PASS" if not bad and slowest <= gate else "FAIL"
+    print(f"criterion {name}: {verdict}  {values} t={elapsed:.1f}s")
+    assert not bad, bad
+    assert slowest <= gate
 
 
 def test_criterion_01_cs_torsion_pairing():
-    base = apply_rotation(generic_rotation(SEED), QUAT_ONE)
-    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
-                                 base_point=base,
-                                 quad=QuadratureSpec(order=8, tol=1e-3))
-    failures = []
-    for m in (3, 5, 6, 8):
-        start = time.perf_counter()
-
-        def embed(a, _m=m):
-            return so4_of(cyclic_embed(_m, a), cyclic_embed(_m, -a))
-
-        value = kronecker_pair(cochain, cyclic_cycle(m), embed=embed)
-        elapsed = time.perf_counter() - start
-        dist = min(circle_distance(value, 4.0 / m),
-                   circle_distance(value, -4.0 / m))
-        if not (dist <= 2e-3 and elapsed <= 20.0):
-            failures.append((m, value, dist))
-    report("1 cs-pairing", not failures, f"failures={failures}")
-    assert not failures, (
-        "pairing with the cyclic cycles differs from +-4/m: the paired "
-        f"rotations fix a plane, so all straight simplex volumes vanish; "
-        f"got {failures}")
+    # known red: a pairing passes within 2e-3 of +-4/m on the circle, but
+    # the paired rotations fix a plane, so every straight simplex volume
+    # vanishes and the pairing is 0 mod 1; see the README
+    criterion("1 cs-pairing", "cs-pairing", {
+        f"pairing-m{m}": ((4.0 / m) % 1.0, 2e-3) for m in (3, 5, 6, 8)},
+        20.0, each=True)
 
 
 def test_criterion_02_mapping_degrees():
-    start = time.perf_counter()
-    quad = QuadratureSpec(order=10, tol=1e-4)
-    d1 = degree_of_map(conjugate_point_map(QUAT_ONE), quad)
-    d2 = degree_of_map(twisted_square_map(QUAT_ONE), quad)
-    elapsed = time.perf_counter() - start
-    ok = abs(d1) <= 1e-2 and abs(d2 - 2.0) <= 1e-2 and elapsed <= 30.0
-    report("2 mapping-degrees", ok, f"c1={d1:.3e} c2={d2:.6f} "
-                                    f"t={elapsed:.1f}s")
-    assert abs(d1) <= 1e-2
-    assert abs(d2 - 2.0) <= 1e-2
-    assert elapsed <= 30.0
+    criterion("2 mapping-degrees", "lemma44", {
+        "degree-c1": (0.0, 1e-2), "degree-c2": (2.0, 1e-2)}, 30.0, order=10)
 
 
 def test_criterion_03_cocycle_defect():
-    rng = np.random.default_rng(SEED)
-    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
-                                 quad=QuadratureSpec(order=6, tol=1e-3))
-    start = time.perf_counter()
-    worst = 0.0
-    for _ in range(100):
-        while True:
-            t = []
-            for _ in range(5):
-                v1 = LieVector("su2", rng.normal(size=3) * 0.25)
-                v2 = LieVector("su2", rng.normal(size=3) * 0.25)
-                t.append(so4_of(quat_exp(v1), quat_exp(v2)))
-            pts = [apply_rotation(g, QUAT_ONE).vec for g in t]
-            if in_open_hemisphere(pts):
-                break
-        value, est = cocycle_defect(cochain, tuple(t), with_error=True)
-        bound = max(5.0 * est, 1e-4)
-        worst = max(worst, circle_distance(value, 0.0) / bound)
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1.0 and elapsed <= 60.0
-    report("3 cocycle-defect", ok, f"worst ratio={worst:.2e} "
-                                   f"t={elapsed:.1f}s")
-    assert worst <= 1.0
-    assert elapsed <= 60.0
+    criterion("3 cocycle-defect", "cocycle-defect", {
+        "spherical-defect-ratio-max": RATIO, "chart-defect-ratio-max": RATIO},
+        60.0)
 
 
 def test_criterion_04_derivation_identity():
-    start = time.perf_counter()
-    r3 = derivation_residual(mc3_form(), 3, step=5e-2,
-                             quad=QuadratureSpec(order=4, tol=1e-2))
-
-    def covector(p, t):
-        return _qmul(_qconj(p), t[:, 0])[:, 1]
-
-    r1 = derivation_residual(DifferentialForm(1, "SU2", covector), 1,
-                             step=1e-3,
-                             quad=QuadratureSpec(order=8, tol=1e-2))
-    elapsed = time.perf_counter() - start
-    ok = r3 <= 5e-2 and r1 <= 1e-4 and elapsed <= 60.0
-    report("4 derivation", ok, f"deg3={r3:.2e} deg1={r1:.2e} "
-                               f"t={elapsed:.1f}s")
-    assert r3 <= 5e-2
-    assert r1 <= 1e-4
-    assert elapsed <= 60.0
+    criterion("4 derivation", "gf-derivation", {
+        "mc3-degree3-residual": (0.0, 5e-2),
+        "covector-degree1-residual": (0.0, 1e-4)}, 60.0)
 
 
 def test_criterion_05_symplectic_cocycle():
-    rng = np.random.default_rng(SEED)
-    x, y, z = (SphereFunction.coordinate(n) for n in "xyz")
-    start = time.perf_counter()
-    quad = QuadratureSpec(order=8, tol=1e-6)
-    beta = symplectic_cocycle(x, y, z, quad)
-    assert abs(beta - 1.0 / (2.0 * pi ** 2)) <= 1e-8
-
-    pts = rng.normal(size=(200, 3))
-    pts = 0.5 * pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    for f, g, target in ((x, y, z), (y, z, x), (z, x, y)):
-        assert np.abs(poisson(f, g).evaluate(pts)
-                      - target.evaluate(pts)).max() <= 1e-9
-
-    worst = 0.0
-    for _ in range(20):
-        f, g, h = (_random_poly(rng) for _ in range(3))
-        lhs = pairing_integral(poisson(f, g), h, quad) \
-            + pairing_integral(g, poisson(f, h), quad)
-        worst = max(worst, abs(lhs))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-7 and elapsed <= 10.0
-    report("5 symplectic", ok, f"beta={beta:.10f} adinv={worst:.2e} "
-                               f"t={elapsed:.1f}s")
-    assert worst <= 1e-7
-    assert elapsed <= 10.0
-
-
-def _random_poly(rng, max_degree=3):
-    coeffs = {}
-    for key in product(range(max_degree + 1), repeat=3):
-        if 0 < sum(key) <= max_degree and rng.random() < 0.4:
-            coeffs[key] = Fraction(int(rng.integers(-3, 4)))
-    coeffs.setdefault((1, 0, 0), Fraction(1))
-    return SphereFunction(coeffs)
+    criterion("5 symplectic", "symplectic", {
+        "beta-xyz": (1.0 / (2.0 * pi ** 2), 1e-8),
+        "poisson-relations": (0.0, 1e-9), "ad-invariance": (0.0, 1e-7)}, 10.0)
 
 
 def test_criterion_06_contact_suite():
-    rng = np.random.default_rng(SEED)
-    start = time.perf_counter()
-    period = fiber_period(seed=SEED)
-    assert abs(period - 2.0 * pi) <= 1e-9
-
-    q = rng.normal(size=(50, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    u = rng.normal(size=(50, 4))
-    u -= np.einsum("ni,ni->n", u, q)[:, None] * q
-    v = rng.normal(size=(50, 4))
-    v -= np.einsum("ni,ni->n", v, q)[:, None] * q
-    jac = hopf_jacobian(q)
-    du = np.einsum("nkj,nj->nk", jac, u)
-    dv = np.einsum("nkj,nj->nk", jac, v)
-    pulled = 4.0 * np.einsum("ni,ni->n", hopf_arr(q), np.cross(du, dv))
-    fd = _dalpha_fd(q, u, v)
-    dalpha_err = float(np.abs(fd - pulled).max())
-    assert dalpha_err <= 1e-6
-
-    x, y, z = (SphereFunction.coordinate(n) for n in "xyz")
-    b3 = contact_cocycle(pullback(x), pullback(y), pullback(z),
-                         QuadratureSpec(order=8, tol=1e-4))
-    b2 = symplectic_cocycle(x, y, z, QuadratureSpec(order=8, tol=1e-6))
-    hopf_err = abs(b3 - 2.0 * pi * b2)
-    elapsed = time.perf_counter() - start
-    ok = hopf_err <= 1e-4 and elapsed <= 60.0
-    report("6 contact", ok, f"period={period:.12f} dalpha={dalpha_err:.2e} "
-                            f"hopf={hopf_err:.2e} t={elapsed:.1f}s")
-    assert hopf_err <= 1e-4
-    assert elapsed <= 60.0
+    criterion("6 contact", "contact", {
+        "fiber-period": (2.0 * pi, 1e-9), "dalpha-pullback": (0.0, 1e-6),
+        "hopf-reduction": (0.0, 1e-4),
+        "contact-ad-invariance": (0.0, 1e-6)}, 60.0)
 
 
 def test_criterion_07_configured_homology():
-    start = time.perf_counter()
-    conf = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
-    h0, h1, h2 = (homology(conf, n) for n in (0, 1, 2))
-    assert (h0.free_rank, h0.torsion) == (1, ())
-    assert h1.is_trivial() and h2.is_trivial()
-    for n in (0, 1, 2):
-        assert homology(conf, n).free_rank == brute_force_free_rank(conf, n)
-    for m in (2, 3):
-        full = build_complex(FiniteGroupTable.cyclic(m), "all-tuples", 3)
-        assert homology(full, 1).is_trivial()
-        assert homology(full, 2).is_trivial()
-    elapsed = time.perf_counter() - start
-    ok = elapsed <= 10.0
-    report("7 configured-homology", ok, f"t={elapsed:.1f}s")
-    assert elapsed <= 10.0
+    pins = {f"conf-z5-H{n}-{part}": ZERO for n in (0, 1, 2)
+            for part in ("rank", "torsion-count")}
+    pins.update({"conf-z5-H0-rank": (1.0, 0.0),
+                 "conf-z5-rational-crosscheck": ZERO,
+                 "all-tuples-z2-acyclic": ZERO, "all-tuples-z3-acyclic": ZERO})
+    criterion("7 configured-homology", "configured-homology", pins, 10.0)
 
 
 def test_criterion_08_retraction_extension():
-    start = time.perf_counter()
-    conf = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
-    mats = build_retraction(conf)  # identity/chain-map equations verified
-    rng = np.random.default_rng(SEED)
-    g_vals = [int(rng.integers(-3, 4)) for _ in conf.generators[2]]
-    bd3 = conf.boundaries[3]
-    f_vals = [sum(g_vals[i] * bd3[i][j] for i in range(len(g_vals)))
-              for j in range(len(conf.generators[3]))]
-    cocycle = extend_cocycle(conf, f_vals, retraction=mats)
-    bad = sum(1 for t in product(range(5), repeat=5)
-              if sum(s * cocycle(ft) for s, ft in all_faces(t)) != 0)
-    elapsed = time.perf_counter() - start
-    ok = bad == 0 and elapsed <= 10.0
-    report("8 retraction-extension", ok, f"bad={bad} t={elapsed:.1f}s")
-    assert bad == 0
-    assert elapsed <= 10.0
+    criterion("8 retraction-extension", "configured-homology", {
+        "conf-z5-retraction-identities": (1.0, 0.0),
+        "conf-z5-extension-coboundary": ZERO}, 10.0)
 
 
 def test_criterion_09_transfer():
-    start = time.perf_counter()
-    z6 = FiniteGroupTable.cyclic(6)
-    phi = HomogeneousCochain(1, 1,
-                             lambda t: Fraction((t[1] - t[0]) % 6, 6))
-    tr = transfer(phi, z6, [0, 2, 4], [0, 1])
-    for a in (0, 2, 4):
-        for b in (0, 2, 4):
-            assert (tr((a, b)) - 2 * phi((a, b))) % 1 == 0
-
-    z4 = FiniteGroupTable.cyclic(4)
-
-    def carry(t):
-        a, b, c = ((t[1] - t[0]) // 2 % 2, (t[2] - t[1]) // 2 % 2,
-                   (t[3] - t[2]) // 2 % 2)
-        return Fraction(a * ((b + c) // 2), 2)
-
-    phi3 = HomogeneousCochain(3, 1, carry)
-    tr3 = transfer(phi3, z4, [0, 2], [0, 1])
-    for t in product([0, 2], repeat=4):
-        assert (tr3(t) - 2 * phi3(t)) % 1 == 0
-
-    lhs = coboundary(transfer(phi, z6, [0, 2, 4], [0, 1]))
-    rhs = transfer(coboundary(phi), z6, [0, 2, 4], [0, 1])
-    for t in product(range(6), repeat=3):
-        assert (lhs(t) - rhs(t)) % 1 == 0
-    elapsed = time.perf_counter() - start
-    ok = elapsed <= 5.0
-    report("9 transfer", ok, f"t={elapsed:.1f}s")
-    assert elapsed <= 5.0
+    criterion("9 transfer", "transfer", {
+        "z3-in-z6-restriction": ZERO, "chain-map": ZERO,
+        "z2-in-z4-threecocycle-restriction": ZERO}, 5.0)
 
 
 def test_criterion_10_prism_identity():
-    rng = np.random.default_rng(SEED)
-    form = vol_form("S3", 1.0)
-    quad = QuadratureSpec(order=6, depth=1, tol=1e-3)
-    start = time.perf_counter()
-    worst = 0.0
-    for _ in range(10):
-        f = _wiggled_simplex(rng)
-        res_straight = pullback_integral(form, straighten(f), quad)
-        res_f = pullback_integral(form, f, quad)
-        est = res_straight.error_estimate + res_f.error_estimate
-        rhs = 0.0
-        for i in range(4):
-            for sign_j, term in prism_chain(f.face(i)):
-                r = pullback_integral(form, term, quad)
-                rhs += (-1) ** i * sign_j * r.value
-                est += r.error_estimate
-        lhs = res_straight.value - res_f.value
-        worst = max(worst, abs(lhs - rhs) / (2.0 * est))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1.0 and elapsed <= 60.0
-    report("10 prism", ok, f"worst ratio={worst:.2e} t={elapsed:.1f}s")
-    assert worst <= 1.0
-    assert elapsed <= 60.0
+    criterion("10 prism", "prism", {"stokes-ratio-max": RATIO}, 60.0, order=6)

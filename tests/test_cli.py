@@ -132,3 +132,16 @@ def test_cli_bad_config_exits_two(tmp_path):
     cfg.write_text("nonsense without equals\n")
     proc = _run_cli("transfer", "--config", str(cfg))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("suite, override", [
+    ("transfer", "ordr=3"),         # unknown key
+    ("cs-pairing", "seed=abc"),     # string for an int key
+    ("lemma44", "order=6.5"),       # float for an int key
+    ("lemma44", "order=1"),         # below the smallest rule order
+])
+def test_cli_invalid_config_exits_two(suite, override):
+    proc = _run_cli(suite, "--set", override)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("configuration error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
