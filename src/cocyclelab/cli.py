@@ -3,14 +3,18 @@
 
 ``verify list`` prints the available suites, ``verify all`` runs every
 suite in turn.  The process exits 0 exactly when every executed check
-passed, 1 when a check failed, and 2 on an unknown suite or on a
-configuration key or value that ``DEFAULT_CONFIG`` does not admit.
+passed, 1 when a check failed, 2 on an unknown suite or on a
+configuration key or value that ``DEFAULT_CONFIG`` does not admit, and 3,
+with the traceback on standard error, when a suite raises anything but a
+package error.  A package error raised inside a check fails that check
+only; the remaining checks and suites still run.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .errors import ConfigParse, UnknownSuite
@@ -50,9 +54,10 @@ def _print_human(report):
           f"{'PASS' if report.passed else 'FAIL'}")
     for c in report.checks:
         status = "ok  " if c.passed else "FAIL"
+        outcome = f"error {c.error}" if c.error is not None \
+            else f"computed {c.computed:.9g}"
         print(f"  [{status}] {c.id}: expected {c.expected:.9g}, "
-              f"computed {c.computed:.9g}, tol {c.tol:.3g} "
-              f"({c.ms:.0f} ms)")
+              f"{outcome}, tol {c.tol:.3g} ({c.ms:.0f} ms)")
 
 
 def main(argv=None) -> int:
@@ -72,6 +77,9 @@ def main(argv=None) -> int:
     except UnknownSuite as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a fault of the program, not of its input
+        traceback.print_exc()
+        return 3
 
     for report in reports:
         _print_human(report)

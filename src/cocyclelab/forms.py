@@ -1,10 +1,12 @@
 """Invariant differential forms and integration of their pullbacks.
 
 Forms are alternating evaluators ``(points, tangents) -> values`` acting on
-batches.  Pullback integration differentiates the simplex parametrization
-by central differences (step ``FD_STEP``), projects the tangents onto the
-sphere, and integrates in iterated-cone cube coordinates with a tensor
-Gauss-Legendre rule, estimating the error from two rule orders.
+batches.  Pullback integration takes a simplex's points from
+``evaluate_cube`` and its exact tangents from ``evaluate_cube_jet``;
+finite differences (step ``FD_STEP``) are the fallback for a map that has
+no jet.  It projects the tangents onto the sphere and integrates in
+iterated-cone cube coordinates with a tensor Gauss-Legendre rule,
+estimating the error from two rule orders.
 
 Whole-sphere integrals use fixed atlases: the 16 orthant tetrahedra for
 S^3, and the 20 icosahedral triangles for S^2 (scaled by 1/2 for the
@@ -12,7 +14,7 @@ projective-line model).
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 
 import numpy as np
@@ -133,8 +135,27 @@ def contact_form_alpha() -> DifferentialForm:
 
 
 def _project_tangent(x, t):
+    """Tangents t (N, k, d) at points x (N, d), projected to the sphere."""
     xhat = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    return t - np.einsum("ni,ni->n", xhat, t)[:, None] * xhat
+    return t - np.einsum("nki,ni->nk", t, xhat)[..., None] * xhat[:, None]
+
+
+def _five_point_jet(evaluate_cube, s):
+    """Points and tangents (N, n, d) of a map without a jet, by five-point
+    central differences of step ``FD_STEP``."""
+    h = FD_STEP
+    x = evaluate_cube(s)
+    n = s.shape[1]
+    tangents = np.empty((x.shape[0], n, x.shape[1]))
+    for k in range(n):
+        step = np.zeros(n)
+        step[k] = h
+        # five-point central stencil, O(h^4) truncation
+        tangents[:, k] = (-evaluate_cube(s + 2 * step)
+                          + 8.0 * evaluate_cube(s + step)
+                          - 8.0 * evaluate_cube(s - step)
+                          + evaluate_cube(s - 2 * step)) / (12.0 * h)
+    return x, tangents
 
 
 def pullback_integral(form: DifferentialForm, simplex,
@@ -143,30 +164,30 @@ def pullback_integral(form: DifferentialForm, simplex,
 
     ``simplex`` is anything with ``degree`` and a batch ``evaluate_cube``
     taking iterated-cone cube coordinates (N, degree) to points (N, d), as
-    ``GeodesicSimplex`` and ``ParametrizedMap`` provide.  The integral
-    runs in cube coordinates, with tangent pushforwards by central
-    differences of step ``FD_STEP`` projected to the sphere."""
+    ``GeodesicSimplex`` and ``ParametrizedMap`` provide, and optionally an
+    ``evaluate_cube_jet`` returning the points with their tangents
+    (N, degree, d).  The integral runs in cube coordinates with the
+    tangents projected to the sphere.  With a jet the tangents are exact
+    and the error estimate is the rule-order difference alone; without one
+    they come from five-point central differences of step ``FD_STEP``, and
+    the estimate gains a floor for the differencing roundoff."""
     quad = quad or QuadratureSpec()
     n = simplex.degree
     if form.degree != n:
         raise ValueError(
             f"form degree {form.degree} != simplex degree {n}")
-    h = FD_STEP
-    evalc = simplex.evaluate_cube
+    jet = getattr(simplex, "evaluate_cube_jet", None)
+    exact = jet is not None
+    if not exact:
+        jet = partial(_five_point_jet, simplex.evaluate_cube)
 
     def integrand(s):
-        x = evalc(s)
-        tangents = np.empty((x.shape[0], n, x.shape[1]))
-        for k in range(n):
-            step = np.zeros(n)
-            step[k] = h
-            # five-point central stencil, O(h^4) truncation
-            d = (-evalc(s + 2 * step) + 8.0 * evalc(s + step)
-                 - 8.0 * evalc(s - step) + evalc(s - 2 * step)) / (12.0 * h)
-            tangents[:, k] = _project_tangent(x, d)
-        return form.evaluate(x, tangents)
+        x, tangents = jet(s)
+        return form.evaluate(x, _project_tangent(x, tangents))
 
     res = integrate_on_cube(integrand, n, quad)
+    if exact:
+        return res
     # differencing roundoff (~eps/h per tangent, 2e-12 at FD_STEP) is
     # invisible to the order comparison; fold a floor for it into the estimate
     floor = n * 2e-12 * (1.0 + abs(res.value))
@@ -220,7 +241,9 @@ def sphere_atlas(sphere: str):
             if sphere == "CP1":
                 cell = ParametrizedMap(
                     2, lambda b, _s=simplex: 0.5 * _s.evaluate(b),
-                    cube_fn=lambda s, _s=simplex: 0.5 * _s.evaluate_cube(s))
+                    cube_fn=lambda s, _s=simplex: 0.5 * _s.evaluate_cube(s),
+                    cube_jet_fn=lambda s, _s=simplex: tuple(
+                        0.5 * a for a in _s.evaluate_cube_jet(s)))
             else:
                 cell = simplex
             cells.append((1, cell))

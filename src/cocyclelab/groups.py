@@ -47,7 +47,9 @@ def _qconj(a):
     return a * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def _qlog_batch(q):
+def _qlog_jet(q, dq):
+    """Principal log of quaternions (..., 4) -> (..., 3), with the images
+    (..., m, 3) of tangents ``dq`` (..., m, 4); ``dq=None`` skips them."""
     w = np.clip(q[..., 0], -1.0, 1.0)
     v = q[..., 1:]
     sv = np.linalg.norm(v, axis=-1)
@@ -55,19 +57,63 @@ def _qlog_batch(q):
     if np.any(th >= np.pi - 1e-8):
         raise DegenerateConfig("chart join hit the antipodal locus")
     scale = np.where(sv < 1e-300, 0.0, th / np.where(sv == 0.0, 1.0, sv))
-    return scale[..., None] * v
+    z = scale[..., None] * v
+    if dq is None:
+        return z, None
+    # z = (th / sv) v with th = atan2(sv, w); the difference dth - scale dsv
+    # is O(sv^2) dsv, so dividing it by sv loses no accuracy at small sv
+    tiny = sv < 1e-300
+    safe = np.where(tiny, 1.0, sv)[..., None]
+    dw, dv = dq[..., 0], dq[..., 1:]
+    dsv = np.einsum("...i,...ki->...k", v, dv) / safe
+    dth = (w[..., None] * dsv - sv[..., None] * dw) \
+        / (w * w + sv * sv)[..., None]
+    # at v = 0 the scale's limit th / sv -> 1 / w takes over
+    scale = np.where(tiny, 1.0 / np.where(w == 0.0, 1.0, w), scale)
+    dscale = np.where(tiny[..., None], 0.0,
+                      (dth - scale[..., None] * dsv) / safe)
+    return z, (scale[..., None, None] * dv
+               + dscale[..., None] * v[..., None, :])
 
 
 def _qexp_batch(v):
+    return _qexp_jet(v, None)[0]
+
+
+def _qexp_jet(v, dv):
+    """Exponential (..., 3) -> unit quaternions (..., 4), with the images
+    (..., m, 4) of tangents ``dv`` (..., m, 3); ``dv=None`` skips them."""
     th = np.linalg.norm(v, axis=-1)
     sinc = np.where(th < 1e-300, 1.0, np.sin(th) / np.where(th == 0, 1.0, th))
-    return np.concatenate([np.cos(th)[..., None], sinc[..., None] * v],
-                          axis=-1)
+    e = np.concatenate([np.cos(th)[..., None], sinc[..., None] * v],
+                       axis=-1)
+    if dv is None:
+        return e, None
+    vdv = np.einsum("...i,...ki->...k", v, dv)
+    # dsinc = c <v, dv> with c = (cos th - sinc) / th^2 = -1/3 + th^2/30 ...
+    th2 = th * th
+    c = np.where(th < 1e-4, -1.0 / 3.0 + th2 / 30.0,
+                 (np.cos(th) - sinc) / np.where(th < 1e-4, 1.0, th2))
+    de0 = -sinc[..., None] * vdv
+    dvec = sinc[..., None, None] * dv \
+        + (c[..., None] * vdv)[..., None] * v[..., None, :]
+    return e, np.concatenate([de0[..., None], dvec], axis=-1)
 
 
 def _slerp_batch(x, y, s):
     """Batched slerp; analytic in s, so slight excursions outside [0, 1]
     (used by finite differencing) are fine."""
+    return _slerp_jet(x, None, y, s)[0]
+
+
+def _slerp_jet(x, dx, y, s):
+    """Slerp of rows x (N, d) towards y (N, d) at s (N,), with tangents.
+
+    ``dx`` (N, m, d) holds the derivatives of x along m parameters; the
+    second result (N, m+1, d) holds the derivatives of the arc point along
+    those parameters and then along s.  ``dx=None`` skips the tangents and
+    returns None in their place.  The points are computed by the same
+    expressions with or without tangents."""
     dot = np.clip(np.sum(x * y, axis=-1, keepdims=True), -1.0, 1.0)
     if np.any(dot <= -1.0 + _ANTIPODE_TOL):
         raise DegenerateConfig("join hit an antipodal pair of points")
@@ -76,18 +122,54 @@ def _slerp_batch(x, y, s):
     sinth = np.sin(th)
     sinth[small] = 1.0
     s = np.asarray(s, dtype=float)[..., None]
-    out = (np.sin((1.0 - s) * th) * x + np.sin(s * th) * y) / sinth
+    sin_a = np.sin((1.0 - s) * th)
+    sin_b = np.sin(s * th)
+    out = (sin_a * x + sin_b * y) / sinth
     if np.any(small):
         lin = (1.0 - s) * x + s * y
         nrm = np.linalg.norm(lin, axis=-1, keepdims=True)
         lin = lin / np.where(nrm == 0.0, 1.0, nrm)
         out[small] = lin[small]
-    return out
+    if dx is None:
+        return out, None
+    # out = A x + B y with A = sin((1-s) th) / sin th, B = sin(s th) / sin th
+    # and th = arccos <x, y>, so dth = -<dx, y> / sin th
+    a, b = sin_a / sinth, sin_b / sinth
+    cos_a, cos_b, costh = np.cos((1.0 - s) * th), np.cos(s * th), np.cos(th)
+    da = ((1.0 - s) * cos_a - a * costh) / sinth
+    db = (s * cos_b - b * costh) / sinth
+    dth = -np.einsum("nki,ni->nk", dx, y) / sinth
+    d_along = a[:, None] * dx \
+        + dth[..., None] * (da * x + db * y)[:, None]
+    d_s = th * (cos_b * y - cos_a * x) / sinth
+    if np.any(small):
+        # the normalized chord: d(l / |l|) = (dl - <l/|l|, dl> l/|l|) / |l|
+        def unchord(dl):
+            return (dl - np.einsum("n...i,ni->n...", dl, lin)[..., None]
+                    * lin[:, None]) / nrm[:, None]
+        d_along[small] = unchord((1.0 - s)[:, None] * dx)[small]
+        d_s[small] = unchord((y - x)[:, None])[small, 0]
+    return out, np.concatenate([d_along, d_s[:, None]], axis=1)
 
 
 def _chart_join_batch(x, y, s):
-    z = _qlog_batch(_qmul(_qconj(x), y))
-    return _qmul(x, _qexp_batch(s[..., None] * z))
+    return _chart_join_jet(x, None, y, s)[0]
+
+
+def _chart_join_jet(x, dx, y, s):
+    """Chart arc x * exp(s * log(x^{-1} y)) of rows x, y (N, 4) at s (N,),
+    with tangents laid out as in ``_slerp_jet``."""
+    dd = None if dx is None else _qmul(_qconj(dx), y[:, None])
+    z, dz = _qlog_jet(_qmul(_qconj(x), y), dd)
+    dv = None if dx is None else np.concatenate(
+        [s[:, None, None] * dz, z[:, None]], axis=1)
+    e, de = _qexp_jet(s[..., None] * z, dv)
+    out = _qmul(x, e)
+    if dx is None:
+        return out, None
+    dout = _qmul(x[:, None], de)
+    dout[:, :-1] += _qmul(dx, e[:, None])
+    return out, dout
 
 
 def _normalize(v):

@@ -7,7 +7,9 @@ therefore agree exactly with the simplices of the face tuples, and the
 construction commutes with the left group action.
 
 Two join flavours are provided: great-circle arcs on a unit sphere, and
-chart arcs ``x * exp(s * log(x^{-1} y))`` in SU(2).
+chart arcs ``x * exp(s * log(x^{-1} y))`` in SU(2).  Both join kernels
+also push tangents forward, so a simplex yields its exact derivatives
+along the cube coordinates together with its points.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from scipy.optimize import linprog
 
 from .errors import (AntipodalJoin, ChartExceeded, DegenerateConfig, IndexOut)
 from .groups import (_ANTIPODE_TOL, CHART_RADIUS, UnitQuaternion,
-                     _chart_join_batch, _qconj, _qmul, _slerp_batch)
+                     _chart_join_batch, _chart_join_jet, _qconj, _qmul,
+                     _slerp_batch, _slerp_jet)
 from .quadrature import bary_to_cube, cube_to_bary
 
 
@@ -103,16 +106,22 @@ class ParametrizedMap:
 
     It implements the simplex protocol that ``pullback_integral`` needs,
     as ``GeodesicSimplex`` does: ``degree`` plus a batch ``evaluate_cube``
-    taking iterated-cone cube coordinates (N, n) to points (N, d).
+    taking iterated-cone cube coordinates (N, n) to points (N, d), and the
+    optional ``evaluate_cube_jet`` returning points (N, d) with their
+    tangents (N, n, d) along the cube coordinates.
     ``fn`` receives barycentric coordinates (N, n+1).  ``cube_fn``
     optionally evaluates directly in cube coordinates; when absent,
     ``evaluate_cube`` composes ``fn`` with the cone map ``cube_to_bary``.
+    ``cube_jet_fn`` optionally gives the jet; when absent,
+    ``evaluate_cube_jet`` is None and ``pullback_integral`` differentiates
+    by finite differences.
     """
 
-    def __init__(self, degree, fn, cube_fn=None):
+    def __init__(self, degree, fn, cube_fn=None, cube_jet_fn=None):
         self.degree = degree
         self._fn = fn
         self._cube_fn = cube_fn
+        self.evaluate_cube_jet = cube_jet_fn
 
     def evaluate(self, bary):
         bary = np.atleast_2d(np.asarray(bary, dtype=float))
@@ -183,18 +192,30 @@ class GeodesicSimplex:
         through ``bary_to_cube`` first.  In cube coordinates there is no
         cone division, hence the map is smooth up to the cube boundary.
         """
+        return self._joins(s, jet=False)[0]
+
+    def evaluate_cube_jet(self, s):
+        """Points (N, d) and exact tangents (N, degree, d) at cube
+        coordinates (N, degree); ``tangents[:, k]`` is d/ds_{k+1}.
+
+        Each join pushes the tangents of the face point forward and adds
+        its own derivative along its parameter (forward-mode
+        differentiation); the points are bitwise those of
+        ``evaluate_cube``."""
+        return self._joins(s, jet=True)
+
+    def _joins(self, s, jet):
         s = np.atleast_2d(np.asarray(s, dtype=float))
         if s.shape[1] != self.degree:
             raise ValueError(f"expected {self.degree} cube coordinates")
-        out = np.broadcast_to(self._varr[0],
-                              (s.shape[0], self._varr.shape[1])).copy()
+        shape = (s.shape[0], self._varr.shape[1])
+        out = np.broadcast_to(self._varr[0], shape).copy()
+        dout = np.zeros((shape[0], 0, shape[1])) if jet else None
+        join = _slerp_jet if self.kind == "spherical" else _chart_join_jet
         for k in range(1, self.degree + 1):
-            tip = np.broadcast_to(self._varr[k], out.shape)
-            if self.kind == "spherical":
-                out = _slerp_batch(out, tip, s[:, k - 1])
-            else:
-                out = _chart_join_batch(out, tip, s[:, k - 1])
-        return out
+            tip = np.broadcast_to(self._varr[k], shape)
+            out, dout = join(out, dout, tip, s[:, k - 1])
+        return out, dout
 
     def face(self, i):
         return GeodesicSimplex(face(i, self.vertices), self.kind)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import cocyclelab
+from cocyclelab import cli
 from cocyclelab.cli import main
 from cocyclelab.errors import ConfigParse, UnknownSuite
 from cocyclelab.suites import list_suites, parse_config, run_suite
@@ -63,6 +64,8 @@ def test_cs_pairing_report_entries():
     for c, m in zip(report.checks, (3, 5, 6, 8)):
         assert c.expected == pytest.approx((4.0 / m) % 1.0)
         assert c.tol == 2e-3
+        # a circle value is reported as its representative in [-1/2, 1/2)
+        assert -0.5 <= c.computed < 0.5
     # the straight-volume pairing of these flat orbits is 0, not 4/m;
     # the suite reports that honestly
     assert not report.passed
@@ -139,9 +142,59 @@ def test_cli_bad_config_exits_two(tmp_path):
     ("cs-pairing", "seed=abc"),     # string for an int key
     ("lemma44", "order=6.5"),       # float for an int key
     ("lemma44", "order=1"),         # below the smallest rule order
+    ("prism", "prism_simplices=0"),  # a count below 1
+    ("cocycle-defect", "defect_tuples=-3"),
+    ("symplectic", "adinv_triples=0"),
+    ("contact", "contact_samples=0"),
+    ("gf-derivation", "derivation_step=0"),  # a step that is not > 0
+    ("gf-derivation", "derivation_step=-0.05"),
 ])
 def test_cli_invalid_config_exits_two(suite, override):
     proc = _run_cli(suite, "--set", override)
     assert proc.returncode == 2
     assert proc.stderr.startswith("configuration error:")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("suite, override, failed, error", [
+    ("gf-derivation", "derivation_step=1", "mc3-degree3-residual",
+     "StepTooLarge"),
+    ("lemma44", "order=3", "degree-c2", "QuadratureDiverged"),
+])
+def test_cli_check_that_raises_is_a_failed_check(suite, override, failed,
+                                                  error):
+    proc = _run_cli(suite, "--set", override, "--json")
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    payload = json.loads(proc.stdout[proc.stdout.index("{"):])
+    checks = {c["id"]: c for c in payload["checks"]}
+    assert len(checks) == 2  # the other check still ran
+    bad = checks.pop(failed)
+    assert bad["pass"] is False and bad["computed"] is None
+    assert bad["error"].startswith(f"{error}: ")
+    (other,) = checks.values()
+    assert "error" not in other and other["pass"] is True
+
+
+def test_cli_check_that_raises_leaves_later_suites_running(monkeypatch,
+                                                          capsys):
+    monkeypatch.setattr(cli, "list_suites",
+                        lambda: [("gf-derivation", ""), ("transfer", "")])
+    code = main(["all", "--set", "derivation_step=1", "--json"])
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{"):])
+    assert code == 1
+    assert [r["suite"] for r in payload["suites"]] == ["gf-derivation",
+                                                       "transfer"]
+    assert payload["suites"][1]["pass"] is True
+
+
+def test_cli_internal_error_exits_three(monkeypatch, capsys):
+    def broken(name, config):
+        raise RuntimeError("not a package error")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    assert main(["transfer"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert "RuntimeError: not a package error" in err

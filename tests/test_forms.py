@@ -229,6 +229,42 @@ def test_barycentric_map_integrates_like_its_simplex(kind):
     assert abs(bary - direct) < 1e-12
 
 
+def test_cp1_cells_carry_half_their_simplex_jet():
+    for _, cell in sphere_atlas("CP1")[:5]:
+        s = rng.uniform(0.01, 0.99, size=(40, 2))
+        x, t = cell.evaluate_cube_jet(s)
+        assert np.array_equal(x, cell.evaluate_cube(s))
+        h = 1e-4
+        for k in range(2):
+            step = h * np.eye(2)[k]
+            fd = (-cell.evaluate_cube(s + 2 * step)
+                  + 8.0 * cell.evaluate_cube(s + step)
+                  - 8.0 * cell.evaluate_cube(s - step)
+                  + cell.evaluate_cube(s - 2 * step)) / (12.0 * h)
+            assert np.abs(t[:, k] - fd).max() < 1e-8
+
+
+def test_jet_error_estimate_is_the_order_difference():
+    # with a jet the estimate is |fine - coarse| and nothing else: the
+    # value at spec order k is the order-(k+2) rule, so spec order 6 gives
+    # the coarse value of spec order 8
+    orthant = GeodesicSimplex(list(np.eye(4)), "spherical")
+    cases = [(vol_form("S3", 1.0), orthant),
+             (fubini_study_form(), sphere_atlas("CP1")[0][1]),
+             (mc3_form(), sphere_atlas("S3")[3][1])]
+    for form, cell in cases:
+        fine = pullback_integral(form, cell, QuadratureSpec(order=8, tol=1))
+        coarse = pullback_integral(form, cell, QuadratureSpec(order=6, tol=1))
+        assert fine.error_estimate == abs(fine.value - coarse.value)
+    # the orthant cell converges below the finite-difference floor, which a
+    # map without a jet still carries
+    form = vol_form("S3", 1.0)
+    quad = QuadratureSpec(order=8, tol=1)
+    assert pullback_integral(form, orthant, quad).error_estimate < 3 * 2e-12
+    res = pullback_integral(form, ParametrizedMap(3, orthant.evaluate), quad)
+    assert res.error_estimate >= 3 * 2e-12 * (1.0 + abs(res.value))
+
+
 def test_degree_mismatch_rejected():
     sx = GeodesicSimplex(list(np.eye(4)), "spherical")
     with pytest.raises(ValueError):

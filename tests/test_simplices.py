@@ -194,6 +194,65 @@ def test_evaluate_is_evaluate_cube_after_bary_to_cube(kind, n):
                           sx.evaluate_cube(bary_to_cube(bary)))
 
 
+def five_point_tangents(evaluate_cube, s, h=1e-4):
+    """The fallback tangents of ``pullback_integral``: five-point central
+    differences of the points, (N, n, d)."""
+    n = s.shape[1]
+    out = []
+    for k in range(n):
+        step = h * np.eye(n)[k]
+        out.append((-evaluate_cube(s + 2 * step) + 8.0 * evaluate_cube(s + step)
+                    - 8.0 * evaluate_cube(s - step)
+                    + evaluate_cube(s - 2 * step)) / (12.0 * h))
+    return np.stack(out, axis=1)
+
+
+def projected(x, t):
+    xhat = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    return t - np.einsum("nki,ni->nk", t, xhat)[..., None] * xhat[:, None]
+
+
+@pytest.mark.parametrize("kind", ["spherical", "chart"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_jet_matches_five_point_tangents(kind, n):
+    jet_rng = np.random.default_rng(100 + n)
+    for _ in range(5):
+        if kind == "spherical":
+            v = jet_rng.normal(size=(n + 1, 4))
+            verts = list(v / np.linalg.norm(v, axis=1, keepdims=True))
+        else:
+            verts = []
+            for _ in range(n + 1):
+                v = jet_rng.normal(size=3)
+                v *= jet_rng.uniform(0.02, 0.12) / np.linalg.norm(v)
+                verts.append(quat_exp(LieVector("su2", v)))
+        sx = build_simplex(verts, kind)
+        s = jet_rng.uniform(0.01, 0.99, size=(50, n))
+        x, t = sx.evaluate_cube_jet(s)
+        assert t.shape == (50, n, x.shape[1])
+        assert np.array_equal(x, sx.evaluate_cube(s))
+        fd = five_point_tangents(sx.evaluate_cube, s)
+        assert np.abs(projected(x, t) - projected(x, fd)).max() < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["spherical", "chart"])
+def test_jet_of_repeated_vertices(kind):
+    # a repeated vertex joins a point to itself: the small-angle branch of
+    # slerp and the log at the identity carry their own jets
+    far = quat_exp(LieVector("su2", [0.03, -0.05, 0.08]))
+    first = QUAT_ONE if kind == "chart" else np.eye(4)[0]
+    s = np.random.default_rng(5).uniform(0.01, 0.99, size=(30, 2))
+    sx = build_simplex([first, first, far], kind)
+    x, t = sx.evaluate_cube_jet(s)
+    assert np.array_equal(x, sx.evaluate_cube(s))
+    assert np.abs(t[:, 0]).max() == 0.0
+    fd = five_point_tangents(sx.evaluate_cube, s)
+    assert np.abs(projected(x, t) - projected(x, fd)).max() < 1e-8
+    const = build_simplex([first] * 3, kind)
+    x, t = const.evaluate_cube_jet(s)
+    assert np.abs(t).max() == 0.0
+
+
 def test_build_simplex_guards():
     x = np.eye(4)[0]
     sx = build_simplex([x, -x, np.eye(4)[1], np.eye(4)[2]], "spherical")
