@@ -12,7 +12,7 @@ import numpy as np
 from .errors import BadOrder, BadReps, DomainGuard, NotNormal
 from .forms import DifferentialForm, pullback_integral, sphere_integral, \
     vol_form
-from .groups import (QUAT_ONE, Rotation, UnitQuaternion, _qmul,
+from .groups import (QUAT_ONE, Rotation, UnitQuaternion, _qconj, _qmul,
                      apply_rotation)
 from .quadrature import QuadratureSpec
 from .simplices import (GeodesicSimplex, all_faces, in_open_hemisphere,
@@ -275,29 +275,47 @@ def transfer(phi: HomogeneousCochain, gamma, subgroup, reps
 
 
 def conjugate_point_map(base: UnitQuaternion = QUAT_ONE):
-    """Self-map of S^3 sending q to q * base * q^{-1} (null-homotopic)."""
+    """Self-map of S^3 sending q to q * base * q^{-1} (null-homotopic),
+    as a jet ``(x, dx) -> (y, dy)`` on batches (see ``sphere_integral``)."""
     b = base.vec
 
-    def fn(x):
-        return _qmul(_qmul(x, np.broadcast_to(b, x.shape)),
-                     x * np.array([1.0, -1.0, -1.0, -1.0]))
+    def jet(x, dx):
+        conj = _qconj(x)
+        y = _qmul(_qmul(x, np.broadcast_to(b, x.shape)), conj)
+        if dx is None:
+            return y, None
+        # dy = dx b x^{-1} + x b dx^{-1}, the second term written as
+        # conj(dx b^{-1} x^{-1}): for a real base the two products agree
+        # and dy stays exactly real, as y does
+        left = _qmul(dx, _qmul(np.broadcast_to(b, x.shape), conj)[:, None])
+        right = _qmul(dx, _qmul(np.broadcast_to(_qconj(b), x.shape),
+                                conj)[:, None])
+        return y, left + _qconj(right)
 
-    return fn
+    return jet
 
 
 def twisted_square_map(base: UnitQuaternion = QUAT_ONE):
-    """Self-map of S^3 sending q to q * base * q (mapping degree 2)."""
+    """Self-map of S^3 sending q to q * base * q (mapping degree 2), as a
+    jet ``(x, dx) -> (y, dy)`` on batches (see ``sphere_integral``)."""
     b = base.vec
 
-    def fn(x):
-        return _qmul(_qmul(x, np.broadcast_to(b, x.shape)), x)
+    def jet(x, dx):
+        xb = _qmul(x, np.broadcast_to(b, x.shape))
+        y = _qmul(xb, x)
+        if dx is None:
+            return y, None
+        # dy = dx (b x) + (x b) dx
+        bx = _qmul(np.broadcast_to(b, x.shape), x)
+        return y, _qmul(dx, bx[:, None]) + _qmul(xb[:, None], dx)
 
-    return fn
+    return jet
 
 
 def degree_of_map(map_fn, quad: QuadratureSpec | None = None):
-    """Mapping degree of a smooth map SU(2) -> S^3, as the integral of the
-    pulled-back normalized volume form."""
+    """Mapping degree of a smooth map SU(2) -> S^3, given as a jet
+    ``(x, dx) -> (y, dy)``, as the integral of the pulled-back normalized
+    volume form."""
     quad = quad or QuadratureSpec(order=10, tol=1e-4)
     res = sphere_integral(vol_form("S3", 1.0), "S3", quad, compose=map_fn)
     return res.value

@@ -1,12 +1,11 @@
 """Invariant differential forms and integration of their pullbacks.
 
 Forms are alternating evaluators ``(points, tangents) -> values`` acting on
-batches.  Pullback integration takes a simplex's points from
-``evaluate_cube`` and its exact tangents from ``evaluate_cube_jet``;
-finite differences (step ``FD_STEP``) are the fallback for a map that has
-no jet.  It projects the tangents onto the sphere and integrates in
-iterated-cone cube coordinates with a tensor Gauss-Legendre rule,
-estimating the error from two rule orders.
+batches.  Pullback integration takes a simplex's points and exact
+tangents from its ``evaluate_cube_jet``, in chunks of nodes; a map without
+a jet is refused.  It projects the tangents onto the sphere and integrates
+in iterated-cone cube coordinates with a tensor Gauss-Legendre rule,
+estimating the error from two rule orders and the rounding of the sum.
 
 Whole-sphere integrals use fixed atlases: the 16 orthant tetrahedra for
 S^3, and the 20 icosahedral triangles for S^2 (scaled by 1/2 for the
@@ -14,7 +13,7 @@ projective-line model).
 """
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -23,7 +22,10 @@ from .groups import _PERM_SIGNS, _qconj, _qmul
 from .quadrature import IntegralResult, QuadratureSpec, integrate_on_cube
 from .simplices import GeodesicSimplex, ParametrizedMap
 
-FD_STEP = 1e-4  # central-difference step for tangent pushforwards
+# quadrature nodes per jet evaluation: the (N, n, d) tangents and the join
+# kernels' temporaries scale with it, and one batch of 8000 nodes costs
+# several MB of peak memory
+_JET_CHUNK = 2048
 
 
 class DifferentialForm:
@@ -140,58 +142,38 @@ def _project_tangent(x, t):
     return t - np.einsum("nki,ni->nk", t, xhat)[..., None] * xhat[:, None]
 
 
-def _five_point_jet(evaluate_cube, s):
-    """Points and tangents (N, n, d) of a map without a jet, by five-point
-    central differences of step ``FD_STEP``."""
-    h = FD_STEP
-    x = evaluate_cube(s)
-    n = s.shape[1]
-    tangents = np.empty((x.shape[0], n, x.shape[1]))
-    for k in range(n):
-        step = np.zeros(n)
-        step[k] = h
-        # five-point central stencil, O(h^4) truncation
-        tangents[:, k] = (-evaluate_cube(s + 2 * step)
-                          + 8.0 * evaluate_cube(s + step)
-                          - 8.0 * evaluate_cube(s - step)
-                          + evaluate_cube(s - 2 * step)) / (12.0 * h)
-    return x, tangents
-
-
 def pullback_integral(form: DifferentialForm, simplex,
                       quad: QuadratureSpec | None = None) -> IntegralResult:
     """Integral of the form over a parametrized simplex.
 
-    ``simplex`` is anything with ``degree`` and a batch ``evaluate_cube``
-    taking iterated-cone cube coordinates (N, degree) to points (N, d), as
-    ``GeodesicSimplex`` and ``ParametrizedMap`` provide, and optionally an
-    ``evaluate_cube_jet`` returning the points with their tangents
-    (N, degree, d).  The integral runs in cube coordinates with the
-    tangents projected to the sphere.  With a jet the tangents are exact
-    and the error estimate is the rule-order difference alone; without one
-    they come from five-point central differences of step ``FD_STEP``, and
-    the estimate gains a floor for the differencing roundoff."""
+    ``simplex`` is anything with ``degree`` and a batch
+    ``evaluate_cube_jet`` taking iterated-cone cube coordinates
+    (N, degree) to points (N, d) with their exact tangents (N, degree, d),
+    as ``GeodesicSimplex`` and ``ParametrizedMap`` provide; a simplex whose
+    ``evaluate_cube_jet`` is missing or None raises TypeError.  The jet is
+    evaluated in chunks of ``_JET_CHUNK`` nodes, and the integral runs in
+    cube coordinates with the tangents projected to the sphere.  The error
+    estimate is the rule-order difference plus the rounding bound of the
+    quadrature sum (``integrate_on_cube``)."""
     quad = quad or QuadratureSpec()
     n = simplex.degree
     if form.degree != n:
         raise ValueError(
             f"form degree {form.degree} != simplex degree {n}")
     jet = getattr(simplex, "evaluate_cube_jet", None)
-    exact = jet is not None
-    if not exact:
-        jet = partial(_five_point_jet, simplex.evaluate_cube)
+    if jet is None:
+        raise TypeError(f"{type(simplex).__name__} has no jet; "
+                        "pullback_integral needs exact tangents")
 
     def integrand(s):
-        x, tangents = jet(s)
-        return form.evaluate(x, _project_tangent(x, tangents))
+        out = np.empty(s.shape[0])
+        for lo in range(0, s.shape[0], _JET_CHUNK):
+            x, tangents = jet(s[lo:lo + _JET_CHUNK])
+            out[lo:lo + _JET_CHUNK] = form.evaluate(
+                x, _project_tangent(x, tangents))
+        return out
 
-    res = integrate_on_cube(integrand, n, quad)
-    if exact:
-        return res
-    # differencing roundoff (~eps/h per tangent, 2e-12 at FD_STEP) is
-    # invisible to the order comparison; fold a floor for it into the estimate
-    floor = n * 2e-12 * (1.0 + abs(res.value))
-    return IntegralResult(res.value, max(res.error_estimate, floor))
+    return integrate_on_cube(integrand, n, quad)
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +223,6 @@ def sphere_atlas(sphere: str):
             if sphere == "CP1":
                 cell = ParametrizedMap(
                     2, lambda b, _s=simplex: 0.5 * _s.evaluate(b),
-                    cube_fn=lambda s, _s=simplex: 0.5 * _s.evaluate_cube(s),
                     cube_jet_fn=lambda s, _s=simplex: tuple(
                         0.5 * a for a in _s.evaluate_cube_jet(s)))
             else:
@@ -256,9 +237,11 @@ def sphere_integral(form: DifferentialForm, sphere: str,
                     compose=None) -> IntegralResult:
     """Integral over the whole sphere via the fixed simplex atlas.
 
-    ``compose`` optionally post-composes every atlas cell with a map given
-    on coordinate batches, e.g. to integrate the pullback of the form
-    under a self-map of the sphere."""
+    ``compose`` optionally post-composes every atlas cell with a self-map
+    of the sphere given as a jet on coordinate batches: ``compose(x, dx)``
+    returns the image points (N, d) and the images (N, m, d) of tangents
+    ``dx`` (N, m, d); ``compose(x, None)`` returns the points and None.  The
+    integral is then that of the form's pullback under the map."""
     quad = quad or QuadratureSpec()
     total = 0.0
     est = 0.0
@@ -266,8 +249,9 @@ def sphere_integral(form: DifferentialForm, sphere: str,
         if compose is not None:
             target = ParametrizedMap(
                 cell.degree,
-                lambda b, _c=cell: compose(_c.evaluate(b)),
-                cube_fn=lambda s, _c=cell: compose(_c.evaluate_cube(s)))
+                lambda b, _c=cell: compose(_c.evaluate(b), None)[0],
+                cube_jet_fn=lambda s, _c=cell: compose(
+                    *_c.evaluate_cube_jet(s)))
         else:
             target = cell
         res = pullback_integral(form, target, quad)

@@ -102,7 +102,7 @@ def _qexp_jet(v, dv):
 
 def _slerp_batch(x, y, s):
     """Batched slerp; analytic in s, so slight excursions outside [0, 1]
-    (used by finite differencing) are fine."""
+    are fine."""
     return _slerp_jet(x, None, y, s)[0]
 
 
@@ -156,19 +156,32 @@ def _chart_join_batch(x, y, s):
     return _chart_join_jet(x, None, y, s)[0]
 
 
-def _chart_join_jet(x, dx, y, s):
+def _chart_join_jet(x, dx, y, s, dy=None, ds=None):
     """Chart arc x * exp(s * log(x^{-1} y)) of rows x, y (N, 4) at s (N,),
-    with tangents laid out as in ``_slerp_jet``."""
-    dd = None if dx is None else _qmul(_qconj(dx), y[:, None])
+    with tangents laid out as in ``_slerp_jet``.
+
+    ``dy`` (N, m, 4) and ``ds`` (N, m) optionally move the tip and the
+    parameter along the same m parameters as ``dx``; given ``ds``, the
+    derivative along s is part of those m and no column is appended."""
+    dd = None
+    if dx is not None:
+        # d(x^{-1} y) = dx^{-1} y + x^{-1} dy
+        dd = _qmul(_qconj(dx), y[:, None])
+        if dy is not None:
+            dd += _qmul(_qconj(x)[:, None], dy)
     z, dz = _qlog_jet(_qmul(_qconj(x), y), dd)
-    dv = None if dx is None else np.concatenate(
-        [s[:, None, None] * dz, z[:, None]], axis=1)
+    dv = None
+    if dx is not None:
+        # d(s z) = ds z + s dz
+        dv = s[:, None, None] * dz
+        dv = np.concatenate([dv, z[:, None]], axis=1) if ds is None \
+            else dv + ds[..., None] * z[:, None]
     e, de = _qexp_jet(s[..., None] * z, dv)
     out = _qmul(x, e)
     if dx is None:
         return out, None
     dout = _qmul(x[:, None], de)
-    dout[:, :-1] += _qmul(dx, e[:, None])
+    dout[:, :dx.shape[1]] += _qmul(dx, e[:, None])
     return out, dout
 
 

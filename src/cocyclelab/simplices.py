@@ -9,7 +9,10 @@ construction commutes with the left group action.
 Two join flavours are provided: great-circle arcs on a unit sphere, and
 chart arcs ``x * exp(s * log(x^{-1} y))`` in SU(2).  Both join kernels
 also push tangents forward, so a simplex yields its exact derivatives
-along the cube coordinates together with its points.
+along the cube coordinates together with its points.  A simplex's
+barycentric jet goes through ``bary_to_cube_jet``, and the prism homotopy
+pushes tangents of the base point, the tip and the time through the chart
+join.
 """
 from __future__ import annotations
 
@@ -20,7 +23,8 @@ from .errors import (AntipodalJoin, ChartExceeded, DegenerateConfig, IndexOut)
 from .groups import (_ANTIPODE_TOL, CHART_RADIUS, UnitQuaternion,
                      _chart_join_batch, _chart_join_jet, _qconj, _qmul,
                      _slerp_batch, _slerp_jet)
-from .quadrature import bary_to_cube, cube_to_bary
+from .quadrature import (bary_to_cube, bary_to_cube_jet, cube_to_bary,
+                         cube_to_bary_jet)
 
 
 def face(i, vertices):
@@ -105,32 +109,45 @@ class ParametrizedMap:
     """A smooth map from the standard n-simplex, evaluated in batches.
 
     It implements the simplex protocol that ``pullback_integral`` needs,
-    as ``GeodesicSimplex`` does: ``degree`` plus a batch ``evaluate_cube``
-    taking iterated-cone cube coordinates (N, n) to points (N, d), and the
-    optional ``evaluate_cube_jet`` returning points (N, d) with their
-    tangents (N, n, d) along the cube coordinates.
-    ``fn`` receives barycentric coordinates (N, n+1).  ``cube_fn``
-    optionally evaluates directly in cube coordinates; when absent,
-    ``evaluate_cube`` composes ``fn`` with the cone map ``cube_to_bary``.
-    ``cube_jet_fn`` optionally gives the jet; when absent,
-    ``evaluate_cube_jet`` is None and ``pullback_integral`` differentiates
-    by finite differences.
+    as ``GeodesicSimplex`` does: ``degree``, a batch ``evaluate_cube``
+    taking iterated-cone cube coordinates (N, n) to points (N, d), and
+    ``evaluate_cube_jet`` returning points (N, d) with their tangents
+    (N, n, d) along the cube coordinates.
+    ``fn`` receives barycentric coordinates (N, n+1).  ``jet(bary, dbary)``
+    returns the points with their tangents (N, m, d) when the barycentric
+    coordinates move with tangents ``dbary`` (N, m, n+1); it is kept as
+    ``evaluate_jet``, and ``evaluate_cube_jet`` composes it with
+    ``cube_to_bary_jet``, as ``evaluate_cube`` composes ``fn`` with
+    ``cube_to_bary``.  ``cube_jet_fn`` optionally gives the cube jet
+    directly; ``evaluate_cube`` then returns its points.  A map given
+    neither ``jet`` nor ``cube_jet_fn`` has ``evaluate_cube_jet`` None,
+    and ``pullback_integral`` refuses it.
     """
 
-    def __init__(self, degree, fn, cube_fn=None, cube_jet_fn=None):
+    def __init__(self, degree, fn, jet=None, cube_jet_fn=None):
         self.degree = degree
         self._fn = fn
-        self._cube_fn = cube_fn
+        self._cube_jet_fn = cube_jet_fn
+        self.evaluate_jet = jet
         self.evaluate_cube_jet = cube_jet_fn
+        if cube_jet_fn is None and jet is not None:
+            self.evaluate_cube_jet = self._cube_jet_through_bary
 
     def evaluate(self, bary):
         bary = np.atleast_2d(np.asarray(bary, dtype=float))
         return self._fn(bary)
 
     def evaluate_cube(self, s):
-        if self._cube_fn is not None:
-            return self._cube_fn(np.atleast_2d(np.asarray(s, dtype=float)))
+        if self._cube_jet_fn is not None:
+            return self._cube_jet_fn(np.atleast_2d(
+                np.asarray(s, dtype=float)))[0]
         return self.evaluate(cube_to_bary(s))
+
+    def _cube_jet_through_bary(self, s):
+        s = np.atleast_2d(np.asarray(s, dtype=float))
+        eye = np.broadcast_to(np.eye(self.degree),
+                              (s.shape[0], self.degree, self.degree))
+        return self.evaluate_jet(*cube_to_bary_jet(s, eye))
 
     def corner_vertices(self):
         """Images of the barycentric corners, as quaternions."""
@@ -140,12 +157,16 @@ class ParametrizedMap:
     def face(self, i):
         if not 0 <= i <= self.degree:
             raise IndexOut(f"face index {i} out of range")
-        deg = self.degree - 1
 
-        def fn(bary, _i=i):
-            return self.evaluate(np.insert(bary, _i, 0.0, axis=1))
+        def fn(bary):
+            return self.evaluate(np.insert(bary, i, 0.0, axis=1))
 
-        return ParametrizedMap(deg, fn)
+        def jet(bary, dbary):
+            return self.evaluate_jet(np.insert(bary, i, 0.0, axis=1),
+                                     np.insert(dbary, i, 0.0, axis=2))
+
+        return ParametrizedMap(self.degree - 1, fn,
+                               None if self.evaluate_jet is None else jet)
 
 
 class GeodesicSimplex:
@@ -193,6 +214,19 @@ class GeodesicSimplex:
         cone division, hence the map is smooth up to the cube boundary.
         """
         return self._joins(s, jet=False)[0]
+
+    def evaluate_jet(self, bary, dbary):
+        """Points (N, d) and tangents (N, m, d) at barycentric coordinates
+        (N, degree+1) that move with tangents ``dbary`` (N, m, degree+1):
+        the cube jet composed with ``bary_to_cube_jet``.  The points are
+        bitwise those of ``evaluate``."""
+        bary = np.atleast_2d(np.asarray(bary, dtype=float))
+        if bary.shape[1] != self.degree + 1:
+            raise ValueError(
+                f"expected {self.degree + 1} barycentric coordinates")
+        s, ds = bary_to_cube_jet(bary, dbary)
+        x, dx = self.evaluate_cube_jet(s)
+        return x, np.einsum("nmk,nkd->nmd", ds, dx)
 
     def evaluate_cube_jet(self, s):
         """Points (N, d) and exact tangents (N, degree, d) at cube
@@ -243,15 +277,14 @@ def prism_chain(f) -> list:
 
     Term j (sign (-1)^j) is the (n+1)-simplex with prism vertices
     (v_0,0)...(v_j,0),(v_j,1)...(v_n,1), evaluated through the pointwise
-    chart join from f to its straightening.
+    chart join from f to its straightening.  Its jet pushes the base point
+    u and the time t, both linear in the term's barycentric coordinates,
+    through the jets of f, of straighten(f) and of the chart join; a term
+    carries a jet when f does.
     """
     n = f.degree
     strf = straighten(f)
-
-    def homotopy(u, t):
-        a = f.evaluate(u)
-        b = strf.evaluate(u)
-        return _chart_join_batch(a, b, t)
+    has_jet = getattr(f, "evaluate_jet", None) is not None
 
     terms = []
     for j in range(n + 1):
@@ -264,8 +297,16 @@ def prism_chain(f) -> list:
 
         def fn(bary, _vmat=vmat, _tvec=tvec):
             u = bary @ _vmat
-            t = bary @ _tvec
-            return homotopy(u, t)
+            return _chart_join_batch(f.evaluate(u), strf.evaluate(u),
+                                     bary @ _tvec)
 
-        terms.append(((-1) ** j, ParametrizedMap(n + 1, fn)))
+        def jet(bary, dbary, _vmat=vmat, _tvec=tvec):
+            u, du = bary @ _vmat, dbary @ _vmat
+            a, da = f.evaluate_jet(u, du)
+            b, db = strf.evaluate_jet(u, du)
+            return _chart_join_jet(a, da, b, bary @ _tvec,
+                                   dy=db, ds=dbary @ _tvec)
+
+        terms.append(((-1) ** j, ParametrizedMap(
+            n + 1, fn, jet if has_jet else None)))
     return terms

@@ -79,6 +79,26 @@ def test_configured_homology_report_entries():
     assert report.passed
 
 
+@pytest.mark.parametrize("straight_value, ratio",
+                         [(0.0, 0.0), (1e-3, float("inf"))])
+def test_prism_ratio_at_a_zero_estimate(monkeypatch, straight_value, ratio):
+    # with every error estimate 0, equal sides give ratio 0 (a pass) and
+    # unequal sides give inf (a fail), where the division would raise
+    from cocyclelab import suites
+    from cocyclelab.quadrature import IntegralResult
+    from cocyclelab.simplices import GeodesicSimplex
+
+    def exact(form, simplex, quad):
+        straight = isinstance(simplex, GeodesicSimplex)
+        return IntegralResult(straight_value if straight else 0.0, 0.0)
+
+    monkeypatch.setattr(suites, "pullback_integral", exact)
+    (check,) = run_suite("prism", {"prism_simplices": 1}).checks
+    assert check.error is None
+    assert check.computed == ratio
+    assert check.passed == (ratio <= 1.0)
+
+
 def _run_cli(*args):
     # the child imports the package this process imported, also when pytest
     # put ``src`` on sys.path instead of PYTHONPATH

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from cocyclelab.forms import (contact_form_alpha, fubini_study_form,
-                              mc3_form, pullback_integral, sphere_atlas,
-                              sphere_integral, vol_form)
+from cocyclelab import forms
+from cocyclelab.forms import (_project_tangent, contact_form_alpha,
+                              fubini_study_form, mc3_form, pullback_integral,
+                              sphere_atlas, sphere_integral, vol_form)
 from cocyclelab.groups import _qmul
-from cocyclelab.quadrature import QuadratureSpec
+from cocyclelab.quadrature import QuadratureSpec, _panel_rule
 from cocyclelab.simplices import GeodesicSimplex, ParametrizedMap
 
 rng = np.random.default_rng(11)
@@ -72,6 +73,13 @@ def test_fubini_study_normalizations():
         assert np.allclose((pts ** 2).sum(axis=1), 0.25, atol=1e-12)
 
 
+def half_scale(sx):
+    """The radius-1/2 image of a spherical 2-simplex, with its jet."""
+    return ParametrizedMap(
+        2, lambda b: 0.5 * sx.evaluate(b),
+        lambda b, db: tuple(0.5 * a for a in sx.evaluate_jet(b, db)))
+
+
 def test_fubini_study_rotation_invariance_on_caps():
     # integrals over a small cell agree after rotating the cell
     form = fubini_study_form()
@@ -79,12 +87,12 @@ def test_fubini_study_rotation_invariance_on_caps():
     while not np.linalg.det(verts) > 0.1:
         verts = [random_unit(3) for _ in range(3)]
     base = GeodesicSimplex(verts, "spherical")
-    cell = ParametrizedMap(2, lambda b: 0.5 * base.evaluate(b))
+    cell = half_scale(base)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     rot = GeodesicSimplex([q @ v for v in verts], "spherical")
-    cell_rot = ParametrizedMap(2, lambda b: 0.5 * rot.evaluate(b))
+    cell_rot = half_scale(rot)
     a = pullback_integral(form, cell, QUAD).value
     b = pullback_integral(form, cell_rot, QUAD).value
     assert abs(a - b) < 1e-8
@@ -174,7 +182,9 @@ def test_additivity_under_domain_subdivision():
     total, est = 0.0, whole.error_estimate
     for cell in cells:
         cmat = np.stack(cell)
-        sub = ParametrizedMap(3, lambda b, _c=cmat: sx.evaluate(b @ _c))
+        sub = ParametrizedMap(
+            3, lambda b, _c=cmat: sx.evaluate(b @ _c),
+            lambda b, db, _c=cmat: sx.evaluate_jet(b @ _c, db @ _c))
         res = pullback_integral(form, sub, QUAD)
         total += res.value
         est += res.error_estimate
@@ -182,8 +192,11 @@ def test_additivity_under_domain_subdivision():
 
 
 def test_constant_map_integrates_to_zero():
+    def point(b):
+        return np.broadcast_to(np.eye(4)[0], (b.shape[0], 4)).copy()
+
     const = ParametrizedMap(
-        3, lambda b: np.broadcast_to(np.eye(4)[0], (b.shape[0], 4)).copy())
+        3, point, lambda b, db: (point(b), np.zeros(db.shape[:2] + (4,))))
     res = pullback_integral(vol_form("S3", 1.0), const, QUAD)
     assert res.value == 0.0
 
@@ -209,8 +222,8 @@ def test_prism_of_a_straight_simplex_carries_no_volume():
 
 @pytest.mark.parametrize("kind", ["spherical", "chart"])
 def test_barycentric_map_integrates_like_its_simplex(kind):
-    # a ParametrizedMap without cube_fn goes through cube_to_bary and the
-    # barycentric evaluator; it must agree with the simplex's own cube path
+    # a ParametrizedMap without cube functions goes through cube_to_bary_jet
+    # and the barycentric jet; it must agree with the simplex's own cube path
     from cocyclelab.groups import LieVector, quat_exp
     if kind == "spherical":
         verts = [v / np.linalg.norm(v) for v in
@@ -224,7 +237,8 @@ def test_barycentric_map_integrates_like_its_simplex(kind):
     sx = GeodesicSimplex(verts, kind)
     form = vol_form("S3", 1.0)
     direct = pullback_integral(form, sx, QUAD).value
-    bary = pullback_integral(form, ParametrizedMap(3, sx.evaluate), QUAD).value
+    bary = pullback_integral(
+        form, ParametrizedMap(3, sx.evaluate, sx.evaluate_jet), QUAD).value
     assert direct != 0.0
     assert abs(bary - direct) < 1e-12
 
@@ -245,24 +259,51 @@ def test_cp1_cells_carry_half_their_simplex_jet():
 
 
 def test_jet_error_estimate_is_the_order_difference():
-    # with a jet the estimate is |fine - coarse| and nothing else: the
-    # value at spec order k is the order-(k+2) rule, so spec order 6 gives
-    # the coarse value of spec order 8
+    # the estimate is |fine - coarse| plus gamma_N sum |w_i f_i|, the
+    # rounding bound of the fine sum over its N nodes: the value at spec
+    # order k is the order-(k+2) rule, so spec order 6 gives the coarse
+    # value of spec order 8
     orthant = GeodesicSimplex(list(np.eye(4)), "spherical")
     cases = [(vol_form("S3", 1.0), orthant),
              (fubini_study_form(), sphere_atlas("CP1")[0][1]),
              (mc3_form(), sphere_atlas("S3")[3][1])]
+    u = np.finfo(float).eps / 2
     for form, cell in cases:
         fine = pullback_integral(form, cell, QuadratureSpec(order=8, tol=1))
         coarse = pullback_integral(form, cell, QuadratureSpec(order=6, tol=1))
-        assert fine.error_estimate == abs(fine.value - coarse.value)
-    # the orthant cell converges below the finite-difference floor, which a
-    # map without a jet still carries
+        pts, wts = _panel_rule(cell.degree, 10, 0)
+        x, t = cell.evaluate_cube_jet(pts)
+        f = form.evaluate(x, _project_tangent(x, t))
+        nu = len(wts) * u
+        rounding = nu / (1 - nu) * np.dot(wts, np.abs(f))
+        assert rounding > 0.0
+        assert abs(fine.error_estimate - abs(fine.value - coarse.value)
+                   - rounding) <= 1e-3 * rounding
+    # the orthant cell converges below the old finite-difference floor,
+    # and a map without a jet is refused
     form = vol_form("S3", 1.0)
     quad = QuadratureSpec(order=8, tol=1)
     assert pullback_integral(form, orthant, quad).error_estimate < 3 * 2e-12
-    res = pullback_integral(form, ParametrizedMap(3, orthant.evaluate), quad)
-    assert res.error_estimate >= 3 * 2e-12 * (1.0 + abs(res.value))
+    with pytest.raises(TypeError):
+        pullback_integral(form, ParametrizedMap(3, orthant.evaluate), quad)
+
+
+def test_chunked_integrand_equals_one_batch(monkeypatch):
+    # a degree-3 integral at fine order 10 and depth 1 has 8000 nodes, more
+    # than one chunk; one batch of all of them gives the same integral
+    sx = GeodesicSimplex(
+        [v / np.linalg.norm(v) for v in
+         np.eye(4) + 0.3 * rng.normal(size=(4, 4))], "spherical")
+    form = vol_form("S3", 1.0)
+    quad = QuadratureSpec(order=8, depth=1, tol=1)
+    assert 8000 > forms._JET_CHUNK
+    chunked = pullback_integral(form, sx, quad)
+    monkeypatch.setattr(forms, "_JET_CHUNK", 10 ** 6)
+    batch = pullback_integral(form, sx, quad)
+    assert chunked.value != 0.0
+    assert abs(chunked.value - batch.value) <= 1e-15 * abs(batch.value)
+    assert abs(chunked.error_estimate - batch.error_estimate) \
+        <= 1e-15 * batch.error_estimate
 
 
 def test_degree_mismatch_rejected():

@@ -5,7 +5,8 @@ import pytest
 
 from cocyclelab.errors import QuadratureDiverged
 from cocyclelab.quadrature import (IntegralResult, QuadratureSpec,
-                                   bary_to_cube, cube_to_bary,
+                                   bary_to_cube, bary_to_cube_jet,
+                                   cube_to_bary, cube_to_bary_jet,
                                    gauss_legendre_circle, integrate_on_cube)
 
 rng = np.random.default_rng(2)
@@ -27,6 +28,43 @@ def test_bary_to_cube_inverts_cube_to_bary(n):
     assert np.abs(bary_to_cube(cube_to_bary(s)) - s).max() < 1e-12
     bary = rng.dirichlet(np.ones(n + 1), size=50)
     assert np.abs(cube_to_bary(bary_to_cube(bary)) - bary).max() < 1e-12
+
+
+def exact_cube_to_bary_derivative(s):
+    """d bary_j / d s_k for bary_j = s_j prod_{i > j} (1 - s_i), s_0 = 1."""
+    n = s.shape[1]
+    lead = np.concatenate([np.ones((s.shape[0], 1)), s], axis=1)
+    out = np.zeros((s.shape[0], n, n + 1))
+    for j in range(n + 1):
+        for k in range(max(j, 1), n + 1):
+            rest = np.prod([1.0 - lead[:, i] for i in range(j + 1, n + 1)
+                            if i != k], axis=0)
+            out[:, k - 1, j] = rest if k == j else -lead[:, j] * rest
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cube_to_bary_jet_is_the_exact_derivative(n):
+    s = rng.uniform(0, 1, size=(30, n))
+    eye = np.broadcast_to(np.eye(n), (30, n, n))
+    bary, dbary = cube_to_bary_jet(s, eye)
+    assert np.array_equal(bary, cube_to_bary(s))
+    assert np.abs(dbary - exact_cube_to_bary_derivative(s)).max() < 1e-15
+    # tangents along other parameters go through the chain rule
+    ds = rng.normal(size=(30, 2, n))
+    assert np.abs(cube_to_bary_jet(s, ds)[1] - np.einsum(
+        "nmk,nkj->nmj", ds, dbary)).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bary_to_cube_jet_inverts_the_cube_jet(n):
+    s = rng.uniform(0.02, 0.98, size=(30, n))
+    eye = np.broadcast_to(np.eye(n), (30, n, n))
+    bary, dbary = cube_to_bary_jet(s, eye)
+    back, dback = bary_to_cube_jet(bary, dbary)
+    assert np.array_equal(back, bary_to_cube(bary))
+    assert np.abs(dback - eye).max() < 1e-12
+    assert bary_to_cube_jet(bary, None)[1] is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -77,6 +115,19 @@ def test_two_order_error_estimate():
     res = integrate_on_cube(wavy, 2, QuadratureSpec(order=6, tol=1e-3))
     assert isinstance(res, IntegralResult)
     assert abs(res.value - exact) <= max(res.error_estimate, 1e-12)
+
+
+def test_error_estimate_carries_the_rounding_of_the_sum():
+    # both orders integrate an affine function exactly, so only rounding
+    # is left; the estimate covers it through gamma_N * sum |w_i f_i| of
+    # the fine sum, and sum |w_i f_i| is the integral 1.25 of f > 0
+    def affine(s):
+        return 1.0 + s[:, 0] - 0.5 * s[:, 2]
+
+    res = integrate_on_cube(affine, 3, QuadratureSpec(order=4, depth=2))
+    nu = (4 * 6) ** 3 * np.finfo(float).eps / 2
+    assert res.error_estimate >= 0.99 * nu / (1 - nu) * 1.25
+    assert abs(res.value - 1.25) <= res.error_estimate
 
 
 def test_divergence_guard():

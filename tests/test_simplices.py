@@ -195,8 +195,8 @@ def test_evaluate_is_evaluate_cube_after_bary_to_cube(kind, n):
 
 
 def five_point_tangents(evaluate_cube, s, h=1e-4):
-    """The fallback tangents of ``pullback_integral``: five-point central
-    differences of the points, (N, n, d)."""
+    """The oracle for every jet: five-point central differences of the
+    points, (N, n, d), with O(h^4) truncation."""
     n = s.shape[1]
     out = []
     for k in range(n):
@@ -253,6 +253,83 @@ def test_jet_of_repeated_vertices(kind):
     assert np.abs(t).max() == 0.0
 
 
+def assert_jet_matches_five_point(cube_jet, evaluate_cube, s):
+    x, t = cube_jet(s)
+    assert t.shape == (s.shape[0], s.shape[1], x.shape[1])
+    assert np.array_equal(x, evaluate_cube(s))
+    fd = five_point_tangents(evaluate_cube, s)
+    assert np.abs(projected(x, t) - projected(x, fd)).max() < 1e-8
+
+
+def test_barycentric_jet_matches_five_point_tangents():
+    # GeodesicSimplex.evaluate_jet through bary_to_cube_jet, seen through a
+    # barycentric ParametrizedMap on a sub-simplex
+    for kind in ("spherical", "chart"):
+        verts = [small_quat() for _ in range(4)]
+        sx = build_simplex(verts, kind)
+        cmat = rng.dirichlet(np.ones(4), size=4)
+        sub = ParametrizedMap(3, lambda b: sx.evaluate(b @ cmat),
+                              lambda b, db: sx.evaluate_jet(b @ cmat,
+                                                            db @ cmat))
+        assert_jet_matches_five_point(sub.evaluate_cube_jet, sub.evaluate_cube,
+                                      rng.uniform(0.01, 0.99, size=(50, 3)))
+
+
+def test_wiggled_simplex_and_its_prism_terms_carry_exact_jets():
+    from cocyclelab.suites import _wiggled_simplex
+    jet_rng = np.random.default_rng(0x5EED)
+    for _ in range(2):
+        f = _wiggled_simplex(jet_rng)
+        assert_jet_matches_five_point(
+            f.evaluate_cube_jet, f.evaluate_cube,
+            jet_rng.uniform(0.01, 0.99, size=(50, 3)))
+        for i in range(4):
+            for _, term in prism_chain(f.face(i)):
+                assert_jet_matches_five_point(
+                    term.evaluate_cube_jet, term.evaluate_cube,
+                    jet_rng.uniform(0.01, 0.99, size=(50, 3)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_prism_terms_of_chart_simplices_carry_exact_jets(n):
+    jet_rng = np.random.default_rng(200 + n)
+    for _ in range(3):
+        verts = []
+        for _ in range(n + 1):
+            v = jet_rng.normal(size=3)
+            v *= jet_rng.uniform(0.02, 0.12) / np.linalg.norm(v)
+            verts.append(quat_exp(LieVector("su2", v)))
+        for _, term in prism_chain(build_simplex(verts, "chart")):
+            assert_jet_matches_five_point(
+                term.evaluate_cube_jet, term.evaluate_cube,
+                jet_rng.uniform(0.01, 0.99, size=(40, n + 1)))
+
+
+def test_prism_term_without_a_jet_has_none():
+    sx = build_simplex([small_quat() for _ in range(3)], "chart")
+    opaque = ParametrizedMap(2, sx.evaluate)
+    for _, term in prism_chain(opaque):
+        assert term.evaluate_cube_jet is None
+    assert opaque.face(0).evaluate_cube_jet is None
+
+
+@pytest.mark.parametrize("name", ["conjugate", "twisted-square"])
+def test_compose_maps_carry_exact_jets_on_atlas_cells(name):
+    from cocyclelab.cochains import conjugate_point_map, twisted_square_map
+    from cocyclelab.forms import sphere_atlas
+    make = conjugate_point_map if name == "conjugate" else twisted_square_map
+    jet_rng = np.random.default_rng(300)
+    for base in (QUAT_ONE, random_quat()):
+        jet = make(base)
+        for _, cell in sphere_atlas("S3")[::5]:
+            # the cell's cube jet composed with the map's, as in
+            # sphere_integral(compose=...)
+            assert_jet_matches_five_point(
+                lambda s, _c=cell: jet(*_c.evaluate_cube_jet(s)),
+                lambda s, _c=cell: jet(_c.evaluate_cube(s), None)[0],
+                jet_rng.uniform(0.01, 0.99, size=(40, 3)))
+
+
 def test_build_simplex_guards():
     x = np.eye(4)[0]
     sx = build_simplex([x, -x, np.eye(4)[1], np.eye(4)[2]], "spherical")
@@ -270,14 +347,19 @@ def test_straighten_idempotent_and_vertex_preserving():
     pts = rng.dirichlet(np.ones(3), size=30)
     assert np.abs(sx.evaluate(pts) - again.evaluate(pts)).max() < 1e-12
 
-    wig = ParametrizedMap(2, lambda b: sx.evaluate(b))
+    wig = ParametrizedMap(2, lambda b: sx.evaluate(b),
+                          lambda b, db: sx.evaluate_jet(b, db))
     st = straighten(wig)
     for i, v in enumerate(verts):
         assert np.allclose(st.evaluate(corner(2, i))[0], v.vec, atol=1e-12)
 
     g = small_quat()
+
+    def point(b):
+        return np.broadcast_to(g.vec, (b.shape[0], 4)).copy()
+
     const = ParametrizedMap(
-        2, lambda b: np.broadcast_to(g.vec, (b.shape[0], 4)).copy())
+        2, point, lambda b, db: (point(b), np.zeros(db.shape[:2] + (4,))))
     st_const = straighten(const)
     assert np.abs(st_const.evaluate(pts) - g.vec).max() < 1e-12
 
