@@ -20,9 +20,8 @@ from .errors import (AntipodalChart, AntipodalJoin, BadOrder, BadReps,
                      ChartExceeded, CocycleLabError, ConfigParse,
                      DegenerateConfig, DomainGuard, IndexOut,
                      KernelObstruction, NoCommonApex, NotNormal,
-                     NotReebInvariant, NotWellConfigured,
-                     PredicateNotFaceClosed, QuadratureDiverged,
-                     StepTooLarge, UnknownSuite)
+                     NotWellConfigured, PredicateNotFaceClosed,
+                     QuadratureDiverged, StepTooLarge, UnknownSuite)
 from .finite import (ConfiguredComplex, FiniteGroupTable, HomologySummary,
                      brute_force_free_rank, build_complex, build_retraction,
                      cone_fill, extend_cocycle, homology, homology_report,

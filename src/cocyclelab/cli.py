@@ -3,8 +3,9 @@
 
 ``verify list`` prints the available suites, ``verify all`` runs every
 suite in turn.  The process exits 0 exactly when every executed check
-passed, 1 when a check failed, 2 on an unknown suite or on a
-configuration key or value that ``DEFAULT_CONFIG`` does not admit, and 3,
+passed, 1 when a check failed, 2 on an unknown suite, on a configuration
+file that cannot be read as UTF-8 text or on a configuration key or value
+that ``DEFAULT_CONFIG`` does not admit, and 3,
 with the traceback on standard error, when a suite raises anything but a
 package error.  A package error raised inside a check fails that check
 only; the remaining checks and suites still run.
@@ -43,7 +44,11 @@ def _build_parser():
 def _load_config(args) -> dict:
     cfg = {}
     if args.config is not None:
-        cfg.update(parse_config(args.config.read_text()))
+        try:
+            text = args.config.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigParse(f"cannot read {args.config}: {exc}") from exc
+        cfg.update(parse_config(text))
     if args.set:
         cfg.update(parse_config("\n".join(args.set)))
     return cfg

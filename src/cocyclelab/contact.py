@@ -6,13 +6,13 @@ pullback of the symplectic form on the quotient sphere.  Functions pulled
 back through the Hopf map have contact Hamiltonian fields equal to the
 horizontal lift of the downstairs field plus the function times the Reeb
 field; both ingredients are analytic here because the Hopf differential
-is an explicit coisometry.
+is an explicit coisometry.  Every contact function is such a pullback of a
+polynomial, so fields and brackets need no finite differences.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotReebInvariant
 from .forms import DifferentialForm, sphere_integral
 from .groups import _qmul, hopf_arr, hopf_jacobian
 from .hamiltonian import SphereFunction, hamiltonian_field, poisson
@@ -55,74 +55,18 @@ def volume_density(points, t1, t2, t3):
 
 
 class ContactFunction:
-    """Reeb-invariant function on S^3, stored as a function on the
-    quotient sphere pulled back through the Hopf map."""
+    """Reeb-invariant function on S^3, stored as a polynomial
+    ``SphereFunction`` on the quotient sphere pulled back through the Hopf
+    map; its contact field and brackets are therefore exact."""
 
     def __init__(self, base: SphereFunction):
         self.base = base
-
-    @classmethod
-    def from_callable(cls, fn, samples=64, seed=11, tol=1e-8):
-        """Wrap a raw function on S^3 after checking Reeb invariance.
-
-        The function must be constant on Hopf fibers; a seeded sample of
-        fiber pairs is compared and NotReebInvariant raised on failure.
-        The descended function is tabulated through an explicit section,
-        with finite-difference gradients.
-        """
-        rng = np.random.default_rng(seed)
-        q = rng.normal(size=(samples, 4))
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        th = rng.uniform(0.0, 2.0 * np.pi, size=samples)
-        u = np.stack([np.cos(th), np.sin(th), np.zeros(samples),
-                      np.zeros(samples)], axis=1)
-        moved = _qmul(u, q)
-        if np.abs(fn(q) - fn(moved)).max() > tol:
-            raise NotReebInvariant("function varies along a Hopf fiber")
-        return cls(_NumericBase(fn))
 
     def evaluate(self, points):
         return self.base.evaluate(hopf_arr(points))
 
     def __repr__(self):
         return f"ContactFunction({self.base!r})"
-
-
-class _NumericBase:
-    """Function on the radius-1/2 sphere obtained from a fiber-invariant
-    function upstairs, with finite-difference gradients."""
-
-    def __init__(self, fn, h=1e-6):
-        self._fn = fn
-        self._h = h
-
-    def evaluate(self, points):
-        return self._fn(_section(points))
-
-    def gradient(self, points):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros_like(p)
-        for k in range(3):
-            dp = np.zeros(3)
-            dp[k] = self._h
-            # degree-0 homogeneous extension keeps the gradient tangential
-            out[:, k] = (self._radial(p + dp) - self._radial(p - dp)) \
-                / (2.0 * self._h)
-        return out
-
-    def _radial(self, points):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        scaled = 0.5 * p / np.linalg.norm(p, axis=1, keepdims=True)
-        return self.evaluate(scaled)
-
-
-def _section(points):
-    """A right inverse of the Hopf map away from the south pole."""
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    x, y, z = p[:, 0], p[:, 1], p[:, 2]
-    r1 = np.sqrt(np.clip(0.5 + z, 1e-15, None))
-    # z1 = r1 (real), z2 = (x + i y) / r1, with q = z1 + z2 j
-    return np.stack([r1, np.zeros_like(r1), x / r1, y / r1], axis=1)
 
 
 def pullback(f: SphereFunction) -> ContactFunction:
@@ -139,12 +83,8 @@ def contact_field(f: ContactFunction):
     def field(points):
         q = np.atleast_2d(np.asarray(points, dtype=float))
         p = hopf_arr(q)
-        jac = hopf_jacobian(q)
-        if isinstance(base, SphereFunction):
-            downstairs = hamiltonian_field(base)(p)
-        else:
-            downstairs = np.cross(p, base.gradient(p))
-        lift = np.einsum("nkj,nk->nj", jac, downstairs)
+        lift = np.einsum("nkj,nk->nj", hopf_jacobian(q),
+                         hamiltonian_field(base)(p))
         iq = _qmul(np.broadcast_to(_I, q.shape), q)
         return lift + base.evaluate(p)[:, None] * iq
 
@@ -153,18 +93,9 @@ def contact_field(f: ContactFunction):
 
 def contact_bracket(f: ContactFunction, g: ContactFunction
                     ) -> ContactFunction:
-    """{f, g} = d(alpha)(X_f, X_g); for pulled-back functions this is the
-    pullback of the downstairs Poisson bracket."""
-    if isinstance(f.base, SphereFunction) and isinstance(g.base,
-                                                         SphereFunction):
-        return ContactFunction(poisson(f.base, g.base))
-
-    xf, xg = contact_field(f), contact_field(g)
-
-    def fn(points):
-        return dalpha_value(xf(points), xg(points))
-
-    return ContactFunction.from_callable(fn)
+    """{f, g} = d(alpha)(X_f, X_g), which for pulled-back functions is the
+    pullback of the downstairs Poisson bracket, computed exactly."""
+    return ContactFunction(poisson(f.base, g.base))
 
 
 def fiber_period(seed=5) -> float:

@@ -65,10 +65,6 @@ class StepTooLarge(CocycleLabError):
     """Finite-difference step left the domain of a cochain."""
 
 
-class NotReebInvariant(CocycleLabError):
-    """Function on the contact sphere is not constant along Reeb orbits."""
-
-
 class UnknownSuite(CocycleLabError):
     """Verification suite name not recognised."""
 

@@ -17,8 +17,8 @@ from itertools import product
 from .cochains import HomogeneousChain, HomogeneousCochain
 from .errors import (KernelObstruction, NoCommonApex, NotWellConfigured,
                      PredicateNotFaceClosed)
-from .groups import UnitQuaternion, cyclic_embed, hopf
-from .simplices import all_faces
+from .groups import UnitQuaternion, cyclic_embed
+from .simplices import all_faces, distinct_hopf
 from .snf import SmithSolver, rational_rank
 
 PREDICATES = ("all-tuples", "conf-distinct", "distinct-hopf")
@@ -126,17 +126,8 @@ def _predicate_fn(group: FiniteGroupTable, predicate, hopf_tol=1e-9):
         if group.embedding is None:
             raise ValueError(
                 "distinct-hopf needs a quaternion realization of the group")
-        images = [hopf(q) for q in group.embedding]
-
-        def ok(t):
-            for i in range(len(t)):
-                for j in range(i + 1, len(t)):
-                    d = images[t[i]] - images[t[j]]
-                    if float((d * d).sum()) <= hopf_tol ** 2:
-                        return False
-            return True
-
-        return ok
+        return lambda t: distinct_hopf([group.embedding[g] for g in t],
+                                       hopf_tol)
     raise ValueError(f"unknown predicate {predicate!r}; "
                      f"choose one of {PREDICATES}")
 

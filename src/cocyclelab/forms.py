@@ -2,10 +2,10 @@
 
 Forms are alternating evaluators ``(points, tangents) -> values`` acting on
 batches.  Pullback integration takes a simplex's points and exact
-tangents from its ``evaluate_cube_jet``, in chunks of nodes; a map without
-a jet is refused.  It projects the tangents onto the sphere and integrates
-in iterated-cone cube coordinates with a tensor Gauss-Legendre rule,
-estimating the error from two rule orders and the rounding of the sum.
+tangents from its ``evaluate_cube_jet``, in chunks of nodes.  It projects
+the tangents onto the sphere and integrates in iterated-cone cube
+coordinates with a tensor Gauss-Legendre rule, estimating the error from
+two rule orders and the rounding of the sum.
 
 Whole-sphere integrals use fixed atlases: the 16 orthant tetrahedra for
 S^3, and the 20 icosahedral triangles for S^2 (scaled by 1/2 for the
@@ -149,8 +149,7 @@ def pullback_integral(form: DifferentialForm, simplex,
     ``simplex`` is anything with ``degree`` and a batch
     ``evaluate_cube_jet`` taking iterated-cone cube coordinates
     (N, degree) to points (N, d) with their exact tangents (N, degree, d),
-    as ``GeodesicSimplex`` and ``ParametrizedMap`` provide; a simplex whose
-    ``evaluate_cube_jet`` is missing or None raises TypeError.  The jet is
+    as ``GeodesicSimplex`` and ``ParametrizedMap`` provide.  The jet is
     evaluated in chunks of ``_JET_CHUNK`` nodes, and the integral runs in
     cube coordinates with the tangents projected to the sphere.  The error
     estimate is the rule-order difference plus the rounding bound of the
@@ -160,10 +159,7 @@ def pullback_integral(form: DifferentialForm, simplex,
     if form.degree != n:
         raise ValueError(
             f"form degree {form.degree} != simplex degree {n}")
-    jet = getattr(simplex, "evaluate_cube_jet", None)
-    if jet is None:
-        raise TypeError(f"{type(simplex).__name__} has no jet; "
-                        "pullback_integral needs exact tangents")
+    jet = simplex.evaluate_cube_jet
 
     def integrand(s):
         out = np.empty(s.shape[0])
@@ -221,10 +217,8 @@ def sphere_atlas(sphere: str):
         for tri in faces:
             simplex = GeodesicSimplex([verts[t] for t in tri], "spherical")
             if sphere == "CP1":
-                cell = ParametrizedMap(
-                    2, lambda b, _s=simplex: 0.5 * _s.evaluate(b),
-                    cube_jet_fn=lambda s, _s=simplex: tuple(
-                        0.5 * a for a in _s.evaluate_cube_jet(s)))
+                cell = ParametrizedMap(2, cube_jet=lambda s, _s=simplex: tuple(
+                    0.5 * a for a in _s.evaluate_cube_jet(s)))
             else:
                 cell = simplex
             cells.append((1, cell))
@@ -246,14 +240,9 @@ def sphere_integral(form: DifferentialForm, sphere: str,
     total = 0.0
     est = 0.0
     for sign, cell in sphere_atlas(sphere):
-        if compose is not None:
-            target = ParametrizedMap(
-                cell.degree,
-                lambda b, _c=cell: compose(_c.evaluate(b), None)[0],
-                cube_jet_fn=lambda s, _c=cell: compose(
-                    *_c.evaluate_cube_jet(s)))
-        else:
-            target = cell
+        target = cell if compose is None else ParametrizedMap(
+            cell.degree,
+            cube_jet=lambda s, _c=cell: compose(*_c.evaluate_cube_jet(s)))
         res = pullback_integral(form, target, quad)
         total += sign * res.value
         est += res.error_estimate

@@ -76,10 +76,6 @@ def _qlog_jet(q, dq):
                + dscale[..., None] * v[..., None, :])
 
 
-def _qexp_batch(v):
-    return _qexp_jet(v, None)[0]
-
-
 def _qexp_jet(v, dv):
     """Exponential (..., 3) -> unit quaternions (..., 4), with the images
     (..., m, 4) of tangents ``dv`` (..., m, 3); ``dv=None`` skips them."""
@@ -98,12 +94,6 @@ def _qexp_jet(v, dv):
     dvec = sinc[..., None, None] * dv \
         + (c[..., None] * vdv)[..., None] * v[..., None, :]
     return e, np.concatenate([de0[..., None], dvec], axis=-1)
-
-
-def _slerp_batch(x, y, s):
-    """Batched slerp; analytic in s, so slight excursions outside [0, 1]
-    are fine."""
-    return _slerp_jet(x, None, y, s)[0]
 
 
 def _slerp_jet(x, dx, y, s):
@@ -150,10 +140,6 @@ def _slerp_jet(x, dx, y, s):
         d_along[small] = unchord((1.0 - s)[:, None] * dx)[small]
         d_s[small] = unchord((y - x)[:, None])[small, 0]
     return out, np.concatenate([d_along, d_s[:, None]], axis=1)
-
-
-def _chart_join_batch(x, y, s):
-    return _chart_join_jet(x, None, y, s)[0]
 
 
 def _chart_join_jet(x, dx, y, s, dy=None, ds=None):

@@ -12,13 +12,11 @@ from itertools import product
 from math import factorial
 
 import numpy as np
-from scipy.linalg import expm
 
 from .cochains import HomogeneousCochain, integrated_cochain
 from .errors import DomainGuard, StepTooLarge
 from .forms import DifferentialForm
-from .groups import (_PERM_SIGNS, LieVector, Rotation, UnitQuaternion,
-                     quat_exp)
+from .groups import _PERM_SIGNS, LieVector, UnitQuaternion, quat_exp
 from .quadrature import QuadratureSpec
 
 
@@ -110,31 +108,13 @@ class LieAlgebraTable:
                             structure[i][j][k] += delta * sign
         return cls("so4", structure, _id_matrix(6))
 
-    def basis_matrix(self, i):
-        """Basis element as a matrix (so3/so4) for the exponential map."""
-        if self.tag == "so3":
-            eps = _epsilon3()
-            m = np.zeros((3, 3))
-            for a in range(3):
-                for b in range(3):
-                    m[a, b] = -float(eps[i][a][b])
-            return m
-        if self.tag == "so4":
-            pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-            a, b = pairs[i]
-            m = np.zeros((4, 4))
-            m[a, b] = 1.0
-            m[b, a] = -1.0
-            return m
-        raise ValueError("su2 uses quaternions, not matrices")
-
     def exp(self, coeffs):
-        """Group element exp(sum_i coeffs_i X_i)."""
-        if self.tag == "su2":
-            return quat_exp(LieVector("su2", coeffs))
-        m = sum(float(c) * self.basis_matrix(i)
-                for i, c in enumerate(coeffs))
-        return Rotation(expm(m))
+        """Group element exp(sum_i coeffs_i X_i) of SU(2); the so(3) and
+        so(4) tables carry no exponential and raise ValueError."""
+        if self.tag != "su2":
+            raise ValueError(f"no exponential for {self.tag}; only su2 "
+                             "tables exponentiate")
+        return quat_exp(LieVector("su2", coeffs))
 
 
 def _epsilon3():
@@ -241,14 +221,9 @@ def cartan_cocycle(algebra: LieAlgebraTable) -> MultilinearCochain:
 
 def _group_tuple(algebra: LieAlgebraTable, steps):
     """(e, exp(Y_1), exp(Y_1)exp(Y_2), ...) for algebra elements Y_i."""
-    if algebra.tag == "su2":
-        out = [UnitQuaternion.IDENTITY]
-        for y in steps:
-            out.append(out[-1] * algebra.exp(y))
-    else:
-        out = [Rotation.identity(3 if algebra.tag == "so3" else 4)]
-        for y in steps:
-            out.append(out[-1] @ algebra.exp(y))
+    out = [UnitQuaternion.IDENTITY]
+    for y in steps:
+        out.append(out[-1] * algebra.exp(y))
     return tuple(out)
 
 

@@ -21,8 +21,7 @@ from scipy.optimize import linprog
 
 from .errors import (AntipodalJoin, ChartExceeded, DegenerateConfig, IndexOut)
 from .groups import (_ANTIPODE_TOL, CHART_RADIUS, UnitQuaternion,
-                     _chart_join_batch, _chart_join_jet, _qconj, _qmul,
-                     _slerp_batch, _slerp_jet)
+                     _chart_join_jet, _qconj, _qmul, _slerp_jet, hopf_arr)
 from .quadrature import (bary_to_cube, bary_to_cube_jet, cube_to_bary,
                          cube_to_bary_jet)
 
@@ -76,7 +75,6 @@ def in_open_hemisphere(points):
 
 def distinct_hopf(vertices, tol=1e-9):
     """True when the Hopf images of the quaternions pairwise differ."""
-    from .groups import hopf_arr
     pts = hopf_arr(np.array([g.vec for g in vertices]))
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
@@ -92,7 +90,8 @@ def slerp_join(x, y, s):
     dot = float(np.clip(np.dot(x, y), -1.0, 1.0))
     if dot <= -1.0 + _ANTIPODE_TOL:
         raise AntipodalJoin("no unique arc between antipodal points")
-    return _slerp_batch(x[None, :], y[None, :], np.array([float(s)]))[0]
+    return _slerp_jet(x[None, :], None, y[None, :],
+                      np.array([float(s)]))[0][0]
 
 
 def chart_join(x: UnitQuaternion, y: UnitQuaternion, s) -> UnitQuaternion:
@@ -100,54 +99,64 @@ def chart_join(x: UnitQuaternion, y: UnitQuaternion, s) -> UnitQuaternion:
     d = _qmul(_qconj(x.vec), y.vec)
     if d[0] <= -1.0 + _ANTIPODE_TOL and np.linalg.norm(d[1:]) < 1e-6:
         raise ChartExceeded("x^{-1} y is antipodal to the identity")
-    out = _chart_join_batch(x.vec[None, :], y.vec[None, :],
-                            np.array([float(s)]))[0]
-    return UnitQuaternion(out)
+    out = _chart_join_jet(x.vec[None, :], None, y.vec[None, :],
+                          np.array([float(s)]))[0]
+    return UnitQuaternion(out[0])
 
 
 class ParametrizedMap:
-    """A smooth map from the standard n-simplex, evaluated in batches.
+    """A smooth map from the standard n-simplex, given by one jet.
 
     It implements the simplex protocol that ``pullback_integral`` needs,
     as ``GeodesicSimplex`` does: ``degree``, a batch ``evaluate_cube``
     taking iterated-cone cube coordinates (N, n) to points (N, d), and
     ``evaluate_cube_jet`` returning points (N, d) with their tangents
-    (N, n, d) along the cube coordinates.
-    ``fn`` receives barycentric coordinates (N, n+1).  ``jet(bary, dbary)``
-    returns the points with their tangents (N, m, d) when the barycentric
-    coordinates move with tangents ``dbary`` (N, m, n+1); it is kept as
-    ``evaluate_jet``, and ``evaluate_cube_jet`` composes it with
-    ``cube_to_bary_jet``, as ``evaluate_cube`` composes ``fn`` with
-    ``cube_to_bary``.  ``cube_jet_fn`` optionally gives the cube jet
-    directly; ``evaluate_cube`` then returns its points.  A map given
-    neither ``jet`` nor ``cube_jet_fn`` has ``evaluate_cube_jet`` None,
-    and ``pullback_integral`` refuses it.
+    (N, n, d) along the cube coordinates.  The map is given by exactly one
+    of two jets, and anything else raises TypeError:
+
+    * ``jet(bary, dbary)`` takes barycentric coordinates (N, n+1) that
+      move with tangents ``dbary`` (N, m, n+1) and returns the points with
+      their tangents (N, m, d), or the points and None when ``dbary`` is
+      None.  ``evaluate_cube_jet`` composes it with ``cube_to_bary_jet``.
+    * ``cube_jet(s)`` takes cube coordinates (N, n) and returns the points
+      with their tangents (N, n, d); ``evaluate_jet`` composes it with
+      ``bary_to_cube_jet``.
+
+    ``evaluate`` and ``evaluate_cube`` return the jet's points.
     """
 
-    def __init__(self, degree, fn, jet=None, cube_jet_fn=None):
+    def __init__(self, degree, jet=None, cube_jet=None):
+        if (jet is None) == (cube_jet is None):
+            raise TypeError("ParametrizedMap takes exactly one of jet and "
+                            "cube_jet")
         self.degree = degree
-        self._fn = fn
-        self._cube_jet_fn = cube_jet_fn
-        self.evaluate_jet = jet
-        self.evaluate_cube_jet = cube_jet_fn
-        if cube_jet_fn is None and jet is not None:
-            self.evaluate_cube_jet = self._cube_jet_through_bary
+        self._jet = jet
+        self._cube_jet = cube_jet
 
     def evaluate(self, bary):
-        bary = np.atleast_2d(np.asarray(bary, dtype=float))
-        return self._fn(bary)
+        return self.evaluate_jet(bary, None)[0]
 
     def evaluate_cube(self, s):
-        if self._cube_jet_fn is not None:
-            return self._cube_jet_fn(np.atleast_2d(
-                np.asarray(s, dtype=float)))[0]
+        s = np.atleast_2d(np.asarray(s, dtype=float))
+        if self._cube_jet is not None:
+            return self._cube_jet(s)[0]
         return self.evaluate(cube_to_bary(s))
 
-    def _cube_jet_through_bary(self, s):
+    def evaluate_jet(self, bary, dbary):
+        bary = np.atleast_2d(np.asarray(bary, dtype=float))
+        if self._jet is not None:
+            return self._jet(bary, dbary)
+        s, ds = bary_to_cube_jet(bary, dbary)
+        x, dx = self._cube_jet(s)
+        return x, None if ds is None else np.einsum("nmk,nkd->nmd", ds, dx)
+
+    def evaluate_cube_jet(self, s):
         s = np.atleast_2d(np.asarray(s, dtype=float))
+        if self._cube_jet is not None:
+            return self._cube_jet(s)
         eye = np.broadcast_to(np.eye(self.degree),
                               (s.shape[0], self.degree, self.degree))
-        return self.evaluate_jet(*cube_to_bary_jet(s, eye))
+        return self._jet(*cube_to_bary_jet(s, eye))
 
     def corner_vertices(self):
         """Images of the barycentric corners, as quaternions."""
@@ -158,15 +167,12 @@ class ParametrizedMap:
         if not 0 <= i <= self.degree:
             raise IndexOut(f"face index {i} out of range")
 
-        def fn(bary):
-            return self.evaluate(np.insert(bary, i, 0.0, axis=1))
-
         def jet(bary, dbary):
-            return self.evaluate_jet(np.insert(bary, i, 0.0, axis=1),
-                                     np.insert(dbary, i, 0.0, axis=2))
+            return self.evaluate_jet(
+                np.insert(bary, i, 0.0, axis=1),
+                None if dbary is None else np.insert(dbary, i, 0.0, axis=2))
 
-        return ParametrizedMap(self.degree - 1, fn,
-                               None if self.evaluate_jet is None else jet)
+        return ParametrizedMap(self.degree - 1, jet)
 
 
 class GeodesicSimplex:
@@ -218,13 +224,15 @@ class GeodesicSimplex:
     def evaluate_jet(self, bary, dbary):
         """Points (N, d) and tangents (N, m, d) at barycentric coordinates
         (N, degree+1) that move with tangents ``dbary`` (N, m, degree+1):
-        the cube jet composed with ``bary_to_cube_jet``.  The points are
-        bitwise those of ``evaluate``."""
+        the cube jet composed with ``bary_to_cube_jet``.  With ``dbary``
+        None it returns the points of ``evaluate`` and None."""
         bary = np.atleast_2d(np.asarray(bary, dtype=float))
         if bary.shape[1] != self.degree + 1:
             raise ValueError(
                 f"expected {self.degree + 1} barycentric coordinates")
         s, ds = bary_to_cube_jet(bary, dbary)
+        if ds is None:
+            return self._joins(s, jet=False)
         x, dx = self.evaluate_cube_jet(s)
         return x, np.einsum("nmk,nkd->nmd", ds, dx)
 
@@ -277,14 +285,13 @@ def prism_chain(f) -> list:
 
     Term j (sign (-1)^j) is the (n+1)-simplex with prism vertices
     (v_0,0)...(v_j,0),(v_j,1)...(v_n,1), evaluated through the pointwise
-    chart join from f to its straightening.  Its jet pushes the base point
-    u and the time t, both linear in the term's barycentric coordinates,
-    through the jets of f, of straighten(f) and of the chart join; a term
-    carries a jet when f does.
+    chart join from f to its straightening.  Each term is a
+    ``ParametrizedMap`` whose jet pushes the base point u and the time t,
+    both linear in the term's barycentric coordinates, through
+    ``f.evaluate_jet``, the jet of straighten(f) and that of the chart join.
     """
     n = f.degree
     strf = straighten(f)
-    has_jet = getattr(f, "evaluate_jet", None) is not None
 
     terms = []
     for j in range(n + 1):
@@ -295,18 +302,13 @@ def prism_chain(f) -> list:
             vmat[k, k if k <= j else k - 1] = 1.0
             tvec[k] = 0.0 if k <= j else 1.0
 
-        def fn(bary, _vmat=vmat, _tvec=tvec):
-            u = bary @ _vmat
-            return _chart_join_batch(f.evaluate(u), strf.evaluate(u),
-                                     bary @ _tvec)
-
         def jet(bary, dbary, _vmat=vmat, _tvec=tvec):
-            u, du = bary @ _vmat, dbary @ _vmat
+            du, dt = (None, None) if dbary is None else \
+                (dbary @ _vmat, dbary @ _tvec)
+            u = bary @ _vmat
             a, da = f.evaluate_jet(u, du)
             b, db = strf.evaluate_jet(u, du)
-            return _chart_join_jet(a, da, b, bary @ _tvec,
-                                   dy=db, ds=dbary @ _tvec)
+            return _chart_join_jet(a, da, b, bary @ _tvec, dy=db, ds=dt)
 
-        terms.append(((-1) ** j, ParametrizedMap(
-            n + 1, fn, jet if has_jet else None)))
+        terms.append(((-1) ** j, ParametrizedMap(n + 1, jet)))
     return terms

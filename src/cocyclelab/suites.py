@@ -9,6 +9,7 @@ check.
 """
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -27,9 +28,9 @@ from .errors import CocycleLabError, ConfigParse, UnknownSuite
 from .finite import (FiniteGroupTable, brute_force_free_rank, build_complex,
                      build_retraction, extend_cocycle, homology)
 from .forms import DifferentialForm, mc3_form, pullback_integral, vol_form
-from .groups import (QUAT_ONE, LieVector, _qconj, _qexp_batch, _qexp_jet,
-                     _qmul, apply_rotation, cyclic_embed, hopf_arr,
-                     hopf_jacobian, quat_exp, so4_of)
+from .groups import (QUAT_ONE, LieVector, _qconj, _qexp_jet, _qmul,
+                     apply_rotation, cyclic_embed, hopf_arr, hopf_jacobian,
+                     quat_exp, so4_of)
 from .hamiltonian import (SphereFunction, pairing_integral, poisson,
                           symplectic_cocycle)
 from .lie import derivation_residual
@@ -139,21 +140,23 @@ def parse_config(text: str) -> dict:
 def _merged(config):
     """DEFAULT_CONFIG overridden by ``config``; raises ConfigParse on a key
     that is not in DEFAULT_CONFIG, a value of the wrong type (an int where
-    the default is an int, a number where it is a float), order < 2, a
-    count key below 1 or derivation_step <= 0."""
+    the default is an int, a finite number where it is a float), order < 2,
+    seed < 0, a count key below 1 or derivation_step <= 0."""
     cfg = dict(DEFAULT_CONFIG)
     for key, value in (config or {}).items():
         if key not in DEFAULT_CONFIG:
             raise ConfigParse(f"unknown config key {key!r}; known keys: "
                               f"{', '.join(DEFAULT_CONFIG)}")
         number = isinstance(DEFAULT_CONFIG[key], float)
+        kind = "a finite number" if number else "an integer"
         if isinstance(value, bool) or not isinstance(
-                value, (int, float) if number else int):
-            raise ConfigParse(f"config key {key!r} takes "
-                              f"{'a number' if number else 'an integer'}, "
+                value, (int, float) if number else int) or (
+                isinstance(value, float) and not math.isfinite(value)):
+            raise ConfigParse(f"config key {key!r} takes {kind}, "
                               f"got {value!r}")
         cfg[key] = value
-    for key, least in [("order", 2)] + [(k, 1) for k in _COUNT_KEYS]:
+    for key, least in [("order", 2), ("seed", 0)] + [
+            (k, 1) for k in _COUNT_KEYS]:
         if cfg[key] < least:
             raise ConfigParse(f"config key {key!r} must be >= {least}, "
                               f"got {cfg[key]}")
@@ -465,23 +468,18 @@ def _wiggled_simplex(rng, eps=0.08):
     u = rng.normal(size=(4, 3))
     u *= 0.18 / np.linalg.norm(u, axis=1, keepdims=True)
 
-    def lie_vector(bary):
-        return (bary[:, 1:2] * u[0] + bary[:, 2:3] * u[1]
-                + bary[:, 3:4] * u[2]
-                + eps * np.sin(np.pi * bary[:, 1:2])
-                * np.sin(np.pi * bary[:, 2:3]) * u[3])
-
-    def fn(bary):
-        return _qexp_batch(lie_vector(bary))
-
     def jet(bary, dbary):
         a, b = np.pi * bary[:, 1:2], np.pi * bary[:, 2:3]
+        vec = (bary[:, 1:2] * u[0] + bary[:, 2:3] * u[1]
+               + bary[:, 3:4] * u[2] + eps * np.sin(a) * np.sin(b) * u[3])
+        if dbary is None:
+            return _qexp_jet(vec, None)
         dwiggle = eps * np.pi * (np.cos(a) * np.sin(b) * dbary[..., 1]
                                  + np.sin(a) * np.cos(b) * dbary[..., 2])
-        dvec = dbary[..., 1:] @ u[:3] + dwiggle[..., None] * u[3]
-        return _qexp_jet(lie_vector(bary), dvec)
+        return _qexp_jet(vec, dbary[..., 1:] @ u[:3]
+                         + dwiggle[..., None] * u[3])
 
-    return ParametrizedMap(3, fn, jet)
+    return ParametrizedMap(3, jet)
 
 
 def _suite_prism(cfg) -> SuiteReport:

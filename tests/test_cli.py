@@ -168,9 +168,20 @@ def test_cli_bad_config_exits_two(tmp_path):
     ("contact", "contact_samples=0"),
     ("gf-derivation", "derivation_step=0"),  # a step that is not > 0
     ("gf-derivation", "derivation_step=-0.05"),
+    ("cs-pairing", "seed=-1"),      # a seed below 0
+    ("gf-derivation", "derivation_step=nan"),  # a step that is not finite
+    ("gf-derivation", "derivation_step=inf"),
+    ("transfer", "file:missing"),   # --config files that cannot be read
+    ("transfer", "file:directory"),
+    ("transfer", "file:latin-1"),
 ])
-def test_cli_invalid_config_exits_two(suite, override):
-    proc = _run_cli(suite, "--set", override)
+def test_cli_invalid_config_exits_two(tmp_path, suite, override):
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("seed = 7  # caf\u00e9\n".encode("latin-1"))
+    files = {"file:missing": tmp_path / "missing.cfg",
+             "file:directory": tmp_path, "file:latin-1": latin1}
+    proc = _run_cli(suite, *(("--config", str(files[override]))
+                             if override in files else ("--set", override)))
     assert proc.returncode == 2
     assert proc.stderr.startswith("configuration error:")
     assert len(proc.stderr.strip().splitlines()) == 1

@@ -3,12 +3,11 @@ from math import pi
 import numpy as np
 import pytest
 
-from cocyclelab.contact import (ContactFunction, alpha_value, contact_bracket,
+from cocyclelab.contact import (alpha_value, contact_bracket,
                                 contact_cocycle, contact_field,
                                 contact_pairing, dalpha_value, fiber_period,
                                 pullback, reeb_derivative, reeb_field,
                                 volume_density)
-from cocyclelab.errors import NotReebInvariant
 from cocyclelab.forms import DifferentialForm, sphere_integral
 from cocyclelab.groups import _qmul, hopf_arr, hopf_jacobian
 from cocyclelab.hamiltonian import (SphereFunction, hamiltonian_field,
@@ -132,18 +131,6 @@ def test_fiber_integration_identity():
         downstairs = function_integral(f, QuadratureSpec(order=10,
                                                          tol=1e-6)).value
         assert abs(upstairs - 2.0 * pi * downstairs) < 1e-5
-
-
-def test_from_callable_guard_and_agreement():
-    with pytest.raises(NotReebInvariant):
-        ContactFunction.from_callable(lambda pts: pts[:, 0])
-    numeric = ContactFunction.from_callable(
-        lambda pts: hopf_arr(pts)[:, 2] ** 2)
-    poly = pullback(Z * Z)
-    q = random_sphere_points()
-    assert np.abs(numeric.evaluate(q) - poly.evaluate(q)).max() < 1e-10
-    assert np.abs(contact_field(numeric)(q)
-                  - contact_field(poly)(q)).max() < 1e-6
 
 
 def test_dalpha_is_pullback_of_symplectic_form():

@@ -128,6 +128,16 @@ def test_derivative_of_zero_and_linearity():
     assert np.abs(dc - (2.0 * da - 3.0 * db)).max() < 1e-8
 
 
+def test_derivative_needs_the_su2_exponential():
+    # so(3) and so(4) tables carry structure constants but no exponential
+    f = HomogeneousCochain(1, 0, lambda t: 0.0)
+    for table in (LieAlgebraTable.so3(), LieAlgebraTable.so4()):
+        with pytest.raises(ValueError):
+            table.exp([0.0] * table.dim)
+        with pytest.raises(ValueError):
+            cochain_derivative(f, table, 1)
+
+
 def test_derivative_of_coordinate_cochain():
     su2 = LieAlgebraTable.su2()
     f = HomogeneousCochain(

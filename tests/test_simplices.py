@@ -268,9 +268,8 @@ def test_barycentric_jet_matches_five_point_tangents():
         verts = [small_quat() for _ in range(4)]
         sx = build_simplex(verts, kind)
         cmat = rng.dirichlet(np.ones(4), size=4)
-        sub = ParametrizedMap(3, lambda b: sx.evaluate(b @ cmat),
-                              lambda b, db: sx.evaluate_jet(b @ cmat,
-                                                            db @ cmat))
+        sub = ParametrizedMap(3, lambda b, db: sx.evaluate_jet(
+            b @ cmat, None if db is None else db @ cmat))
         assert_jet_matches_five_point(sub.evaluate_cube_jet, sub.evaluate_cube,
                                       rng.uniform(0.01, 0.99, size=(50, 3)))
 
@@ -305,12 +304,44 @@ def test_prism_terms_of_chart_simplices_carry_exact_jets(n):
                 jet_rng.uniform(0.01, 0.99, size=(40, n + 1)))
 
 
-def test_prism_term_without_a_jet_has_none():
-    sx = build_simplex([small_quat() for _ in range(3)], "chart")
-    opaque = ParametrizedMap(2, sx.evaluate)
-    for _, term in prism_chain(opaque):
-        assert term.evaluate_cube_jet is None
-    assert opaque.face(0).evaluate_cube_jet is None
+def test_parametrized_map_takes_exactly_one_jet():
+    sx = build_simplex([np.eye(4)[k] for k in range(3)], "spherical")
+    with pytest.raises(TypeError):
+        ParametrizedMap(2)
+    with pytest.raises(TypeError):
+        ParametrizedMap(2, sx.evaluate_jet, sx.evaluate_cube_jet)
+    b = np.random.default_rng(5).dirichlet(np.ones(3), size=20)
+    for m in (ParametrizedMap(2, sx.evaluate_jet),
+              ParametrizedMap(2, cube_jet=sx.evaluate_cube_jet)):
+        assert np.array_equal(m.evaluate(b), sx.evaluate(b))
+
+
+def assert_jet_without_tangents_is_points(f, jet_rng):
+    # jet(b, None) gives (points, None), and the points are bitwise those of
+    # the call with tangents and of evaluate
+    b = jet_rng.dirichlet(np.ones(f.degree + 1), size=30)
+    db = jet_rng.normal(size=(30, 2, f.degree + 1))
+    x, none = f.evaluate_jet(b, None)
+    assert none is None
+    assert np.array_equal(x, f.evaluate_jet(b, db)[0])
+    assert np.array_equal(x, f.evaluate(b))
+
+
+def test_jet_without_tangents_gives_the_points_alone():
+    from cocyclelab.forms import sphere_atlas
+    from cocyclelab.suites import _wiggled_simplex
+    jet_rng = np.random.default_rng(0xBEEF)
+    for kind in ("spherical", "chart"):
+        verts = [quat_exp(LieVector("su2", 0.1 * jet_rng.normal(size=3)))
+                 for _ in range(4)]
+        assert_jet_without_tangents_is_points(build_simplex(verts, kind),
+                                              jet_rng)
+    f = _wiggled_simplex(jet_rng)
+    maps = [f] + [f.face(i) for i in range(4)]
+    maps += [term for _, term in prism_chain(f.face(0))]
+    maps += [cell for _, cell in sphere_atlas("CP1")[:2]]
+    for m in maps:
+        assert_jet_without_tangents_is_points(m, jet_rng)
 
 
 @pytest.mark.parametrize("name", ["conjugate", "twisted-square"])
@@ -347,8 +378,7 @@ def test_straighten_idempotent_and_vertex_preserving():
     pts = rng.dirichlet(np.ones(3), size=30)
     assert np.abs(sx.evaluate(pts) - again.evaluate(pts)).max() < 1e-12
 
-    wig = ParametrizedMap(2, lambda b: sx.evaluate(b),
-                          lambda b, db: sx.evaluate_jet(b, db))
+    wig = ParametrizedMap(2, sx.evaluate_jet)
     st = straighten(wig)
     for i, v in enumerate(verts):
         assert np.allclose(st.evaluate(corner(2, i))[0], v.vec, atol=1e-12)
@@ -358,8 +388,8 @@ def test_straighten_idempotent_and_vertex_preserving():
     def point(b):
         return np.broadcast_to(g.vec, (b.shape[0], 4)).copy()
 
-    const = ParametrizedMap(
-        2, point, lambda b, db: (point(b), np.zeros(db.shape[:2] + (4,))))
+    const = ParametrizedMap(2, lambda b, db: (
+        point(b), None if db is None else np.zeros(db.shape[:2] + (4,))))
     st_const = straighten(const)
     assert np.abs(st_const.evaluate(pts) - g.vec).max() < 1e-12
 
