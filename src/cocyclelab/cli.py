@@ -3,9 +3,9 @@
 
 ``verify list`` prints the available suites, ``verify all`` runs every
 suite in turn.  The process exits 0 exactly when every executed check
-passed, 1 when a check failed, 2 on an unknown suite, on a configuration
-file that cannot be read as UTF-8 text or on a configuration key or value
-that ``DEFAULT_CONFIG`` does not admit, and 3,
+passed, 1 when a check failed, 2 on an unknown suite, a configuration
+file that cannot be read as UTF-8 text, a configuration key or value
+that ``DEFAULT_CONFIG`` does not admit or an unwritable ``--out``, and 3,
 with the traceback on standard error, when a suite raises anything but a
 package error.  A package error raised inside a check fails that check
 only; the remaining checks and suites still run.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -67,6 +68,11 @@ def _print_human(report):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.out is not None and (os.path.isdir(args.out)
+                                 or not os.path.isdir(args.out.parent)):
+        print(f"error: cannot write {args.out}: not a file in an existing "
+              "directory", file=sys.stderr)
+        return 2
     try:
         cfg = _load_config(args)
         if args.suite == "list":
@@ -94,10 +100,14 @@ def main(argv=None) -> int:
         "pass": all(r.passed for r in reports),
     }
     text = json.dumps(payload, indent=2)
-    if args.out is not None:
-        args.out.write_text(text + "\n")
     if args.json:
         print(text)
+    if args.out is not None:
+        try:
+            args.out.write_text(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -118,15 +118,7 @@ def contact_cocycle(f: ContactFunction, g: ContactFunction,
                     h: ContactFunction,
                     quad: QuadratureSpec | None = None) -> float:
     """(3/pi^3) * integral over S^3 of f {g, h} against alpha ^ d(alpha)."""
-    quad = quad or QuadratureSpec(order=8, tol=1e-4)
-    bracket = contact_bracket(g, h)
-
-    def ev(p, t):
-        return f.evaluate(p) * bracket.evaluate(p) * \
-            volume_density(p, t[:, 0], t[:, 1], t[:, 2])
-
-    res = sphere_integral(DifferentialForm(3, "S3", ev), "S3", quad)
-    return 3.0 / np.pi ** 3 * res.value
+    return 3.0 / np.pi ** 3 * contact_pairing(f, contact_bracket(g, h), quad)
 
 
 def contact_pairing(f: ContactFunction, g: ContactFunction,

@@ -196,12 +196,6 @@ class ConfiguredComplex:
                 vec[self.index[n - 1][ft]] += sign * c
         return vec
 
-    def chain_vector(self, chain: HomogeneousChain, n) -> list:
-        vec = [0] * len(self.generators[n])
-        for t, c in chain.terms.items():
-            vec[self.index[n][t]] += c
-        return vec
-
 
 def build_complex(group: FiniteGroupTable, predicate,
                   q: int) -> ConfiguredComplex:

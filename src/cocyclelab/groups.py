@@ -228,11 +228,6 @@ class UnitQuaternion:
     def isclose(self, other, tol=1e-10):
         return bool(np.linalg.norm(self.vec - other.vec) <= tol)
 
-    def distance_to(self, other):
-        """Geodesic distance on the unit sphere S^3."""
-        dot = float(np.clip(np.dot(self.vec, other.vec), -1.0, 1.0))
-        return float(np.arccos(dot))
-
     def __repr__(self):
         return "UnitQuaternion({:+.6f}, {:+.6f}, {:+.6f}, {:+.6f})".format(
             *self.vec)

@@ -156,5 +156,4 @@ def symplectic_cocycle(f: SphereFunction, g: SphereFunction,
     On the coordinate functions this evaluates to 1/(2 pi^2), the
     normalization that makes the associated cocycle integral against the
     fundamental class an integer multiple."""
-    value = function_integral(f * poisson(g, h), quad).value
-    return 3.0 / np.pi ** 3 * value
+    return 3.0 / np.pi ** 3 * pairing_integral(f, poisson(g, h), quad)

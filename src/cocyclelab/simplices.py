@@ -16,14 +16,17 @@ join.
 """
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (AntipodalJoin, ChartExceeded, DegenerateConfig, IndexOut)
 from .groups import (_ANTIPODE_TOL, CHART_RADIUS, UnitQuaternion,
                      _chart_join_jet, _qconj, _qmul, _slerp_jet, hopf_arr)
 from .quadrature import (bary_to_cube, bary_to_cube_jet, cube_to_bary,
                          cube_to_bary_jet)
+
+_HULL_TOL = 1e-9  # residual and weight tolerance of in_open_hemisphere
 
 
 def face(i, vertices):
@@ -59,18 +62,26 @@ def is_chart_small(vertices, radius=CHART_RADIUS):
 
 def in_open_hemisphere(points):
     """True when some u has <u, x_i> > 0 for every point, i.e. when the
-    origin lies outside the convex hull (small feasibility LP)."""
+    origin lies outside the convex hull; a zero vector answers False.  By
+    Caratheodory's theorem the origin lies inside exactly when, for some
+    subset S of at most d+1 normalized points, [S^T; 1] lam = e_{d+1} is
+    solved by lam >= 0 within ``_HULL_TOL``.  Independent S have unique
+    weights, and a dependent S is covered by its independent subsets."""
     pts = np.array([np.asarray(p, dtype=float) for p in points])
     if pts.ndim != 2:
         raise ValueError("expected a list of coordinate vectors")
     m, d = pts.shape
-    if m == 1:
-        return True
-    a_eq = np.vstack([pts.T, np.ones(m)])
-    b_eq = np.concatenate([np.zeros(d), [1.0]])
-    res = linprog(np.zeros(m), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * m, method="highs")
-    return not res.success
+    norms = np.linalg.norm(pts, axis=1, keepdims=True)
+    unit = np.divide(pts, norms, out=np.zeros_like(pts), where=norms > 0)
+    aug = np.hstack([unit, np.ones((m, 1))])  # rows [x_i, 1]
+    rhs = np.eye(d + 1)[d]
+    for k in range(1, min(m, d + 1) + 1):
+        a = aug[np.array(list(combinations(range(m), k)))].transpose(0, 2, 1)
+        lam = np.linalg.pinv(a) @ rhs
+        resid = np.linalg.norm((a @ lam[..., None])[..., 0] - rhs, axis=1)
+        if np.any((resid <= _HULL_TOL) & (lam.min(axis=1) >= -_HULL_TOL)):
+            return False
+    return True
 
 
 def distinct_hopf(vertices, tol=1e-9):

@@ -99,15 +99,28 @@ def test_prism_ratio_at_a_zero_estimate(monkeypatch, straight_value, ratio):
     assert check.passed == (ratio <= 1.0)
 
 
-def _run_cli(*args):
+def _run_python(*args):
     # the child imports the package this process imported, also when pytest
     # put ``src`` on sys.path instead of PYTHONPATH
     src = str(Path(cocyclelab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "cocyclelab.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env)
+
+
+def _run_cli(*args):
+    return _run_python("-m", "cocyclelab.cli", *args)
+
+
+def test_import_loads_no_scipy():
+    proc = _run_python("-c", "import sys, cocyclelab; "
+                             "print(sorted({m.split('.')[0] "
+                             "for m in sys.modules}))")
+    assert proc.returncode == 0, proc.stderr
+    assert "'numpy'" in proc.stdout
+    assert "'scipy'" not in proc.stdout
 
 
 def test_cli_list():
@@ -229,3 +242,28 @@ def test_cli_internal_error_exits_three(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("Traceback")
     assert "RuntimeError: not a package error" in err
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_cli_unwritable_out_exits_two_before_any_suite(tmp_path, monkeypatch,
+                                                       capsys, where):
+    ran = []
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda name, config: ran.append(name))
+    out = {"missing-directory": tmp_path / "nonexistent" / "r.json",
+           "directory": tmp_path}[where]
+    assert main(["transfer", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert ran == []
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_cli_failed_out_write_exits_two(tmp_path, capsys):
+    out = tmp_path / ("r" * 300)  # a file name longer than NAME_MAX
+    assert main(["transfer", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("suite transfer: PASS")
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert len(captured.err.strip().splitlines()) == 1

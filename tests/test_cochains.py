@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cocyclelab import cochains
 from cocyclelab.cochains import (HomogeneousChain, HomogeneousCochain,
                                  circle_distance, coboundary, cocycle_defect,
                                  conjugate_point_map, cyclic_cycle,
@@ -243,3 +244,29 @@ def test_transfer_is_a_chain_map():
     from itertools import product
     for t in product(range(6), repeat=3):
         assert (lhs(t) - rhs(t)) % 1 == 0
+
+
+def test_coboundary_checks_each_face_once(monkeypatch):
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return in_open_hemisphere(points)
+
+    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+                                 quad=QUAD)
+    t = hemispherical_tuple(5)
+    monkeypatch.setattr(cochains, "in_open_hemisphere", counted)
+    cocycle_defect(cochain, t)
+    assert calls == [4] * 5
+
+
+def test_coboundary_inadmissible_face_raises():
+    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+                                 quad=QUAD)
+    flip = so4_of(QUAT_I, QUAT_I.inverse())  # sends 1 to i*1*i = -1
+    with pytest.raises(DomainGuard):
+        cocycle_defect(cochain, (Rotation.identity(4), flip,
+                                 so4_of(QUAT_J, QUAT_ONE),
+                                 so4_of(QUAT_K, QUAT_ONE),
+                                 so4_of(QUAT_ONE, QUAT_J)))

@@ -64,6 +64,38 @@ def test_open_hemisphere():
     pts = [v / np.linalg.norm(v) for v in rng.normal(size=(4, 4))]
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     assert in_open_hemisphere(pts) == in_open_hemisphere([q @ p for p in pts])
+    # hull cases, drawn from their own generator so that the draws of the
+    # tests below stay as they were
+    local = np.random.default_rng(8)
+    e = np.eye(4)
+    x, y = (v / np.linalg.norm(v) for v in local.normal(size=(2, 4)))
+    # a zero vector puts the origin in the hull
+    assert not in_open_hemisphere([np.zeros(4)])
+    assert not in_open_hemisphere([np.zeros(4), e[0]])
+    # a duplicated point changes nothing
+    for pts in (list(e), [x, -x, y], [e[0], e[1], -e[0] - e[1]]):
+        assert in_open_hemisphere(pts + [pts[1]]) == in_open_hemisphere(pts)
+    # the origin on an edge, and strictly inside
+    assert not in_open_hemisphere([x, -x, y])
+    assert not in_open_hemisphere(list(e) + [-e.sum(axis=0) / 2])
+    # only directions matter
+    for pts in (list(e), [x, y, -x - y], list(local.normal(size=(5, 4)))):
+        scaled = [p * s for p, s in zip(pts, local.uniform(1e-3, 1e3, 5))]
+        assert in_open_hemisphere(scaled) == in_open_hemisphere(pts)
+    # seven points in a small cap around their mean direction, then the
+    # negated cap centre
+    centre = local.normal(size=4)
+    centre /= np.linalg.norm(centre)
+    offsets = local.normal(size=(7, 4))
+    cap = [centre + 0.2 * v for v in offsets - offsets.mean(axis=0)]
+    assert in_open_hemisphere(cap)
+    assert not in_open_hemisphere(cap + [-centre])
+    # three points at 120 degrees in the plane; any two of them
+    tri = [np.array([np.cos(a), np.sin(a)])
+           for a in 2 * np.pi / 3 * np.arange(3)]
+    assert not in_open_hemisphere(tri)
+    for i in range(3):
+        assert in_open_hemisphere(tri[:i] + tri[i + 1:])
 
 
 def test_distinct_hopf():
