@@ -188,14 +188,6 @@ class ConfiguredComplex:
             self._solvers[n] = SmithSolver(self.boundaries[n])
         return self._solvers[n]
 
-    def boundary_of(self, chain: HomogeneousChain, n) -> list:
-        """Coefficient vector of the boundary of a degree-n chain."""
-        vec = [0] * len(self.generators[n - 1])
-        for t, c in chain.terms.items():
-            for sign, ft in all_faces(t):
-                vec[self.index[n - 1][ft]] += sign * c
-        return vec
-
 
 def build_complex(group: FiniteGroupTable, predicate,
                   q: int) -> ConfiguredComplex:
@@ -242,8 +234,8 @@ def cone_fill(complex_: ConfiguredComplex, cycle: HomogeneousChain,
               y) -> HomogeneousChain:
     """Fill a cycle by coning every generator to the apex y.
 
-    Requires each extended tuple to stay admissible; the boundary identity
-    is re-verified exactly before returning.
+    Requires each extended tuple to stay admissible; the returned chain's
+    boundary is compared with the cycle exactly before returning.
     """
     if not cycle.terms:
         return HomogeneousChain()
@@ -252,7 +244,7 @@ def cone_fill(complex_: ConfiguredComplex, cycle: HomogeneousChain,
         raise ValueError("mixed-degree chain")
     n = degrees.pop()
     if n >= 1:
-        if any(v != 0 for v in complex_.boundary_of(cycle, n)):
+        if cycle.boundary().terms:
             raise ValueError("input chain is not a cycle")
     elif sum(cycle.terms.values()) != 0:
         raise ValueError("degree-0 input must have augmentation zero")
@@ -263,24 +255,9 @@ def cone_fill(complex_: ConfiguredComplex, cycle: HomogeneousChain,
         if ext not in complex_.index[n + 1]:
             raise NoCommonApex(f"apex {y} fails the predicate on {t}")
         out.add(sign * c, ext)
-    bd = out.boundary()
-    for t, c in cycle.terms.items():
-        if bd.terms.get(t, 0) != c:
-            raise AssertionError("cone boundary mismatch")  # pragma: no cover
-    for t, c in bd.terms.items():
-        if cycle.terms.get(t, 0) != c:
-            raise AssertionError("cone boundary mismatch")  # pragma: no cover
+    if out.boundary().terms != cycle.terms:
+        raise AssertionError("cone boundary mismatch")  # pragma: no cover
     return out
-
-
-def _tuple_rank(group: FiniteGroupTable):
-    """Mixed-radix index of a tuple in the full tuple complex."""
-    def idx(t):
-        out = 0
-        for g in t:
-            out = out * group.order + g
-        return out
-    return idx
 
 
 def _normalize(group: FiniteGroupTable, t):
@@ -288,13 +265,24 @@ def _normalize(group: FiniteGroupTable, t):
     return tuple(group.mul(g0inv, x) for x in t)
 
 
+def _image_of_boundary(r_prev, t) -> HomogeneousChain:
+    """sum_i (-1)^i r(d_i t) for the degree-(n-1) images ``r_prev``."""
+    out = HomogeneousChain()
+    for sign, ft in all_faces(t):
+        for s, c in r_prev[ft].terms.items():
+            out.add(sign * c, s)
+    return out
+
+
 def build_retraction(complex_: ConfiguredComplex, q: int | None = None):
     """Chain map from the full tuple complex onto the configured one.
 
-    Returns integer matrices r_0..r_q with r restricted to admissible
-    tuples the identity and with boundary * r = r * boundary exactly.
-    The construction solves integer systems for normalized generators
-    (first entry the identity) and extends along the diagonal action.
+    Returns r_0..r_q, where r_n is a dict from every (n+1)-tuple of group
+    elements to its image, a HomogeneousChain of admissible (n+1)-tuples.
+    The image of an admissible tuple is the tuple itself, and the boundary
+    of every image is the image of the boundary, both checked exactly.
+    The construction solves integer systems for normalized tuples (first
+    entry the identity) and translates their images by the first entry.
     Raises NotWellConfigured when the configured complex is not exact in
     the degrees the induction needs.
     """
@@ -310,87 +298,47 @@ def build_retraction(complex_: ConfiguredComplex, q: int | None = None):
         if not hn.is_trivial():
             raise NotWellConfigured(f"H_{n} = {hn}, expected 0")
 
-    idx_full = _tuple_rank(group)
-    mats = []
     # degree 0: every 1-tuple is admissible, r_0 = id
-    size0 = len(complex_.generators[0])
-    mats.append([[1 if i == j else 0 for j in range(size0)]
-                 for i in range(size0)])
-
+    r = [{(g,): HomogeneousChain([(1, (g,))]) for g in group.elements}]
     for n in range(1, q + 1):
-        rows = len(complex_.generators[n])
-        cols = group.order ** (n + 1)
-        mat = [[0] * cols for _ in range(rows)]
-        prev = mats[n - 1]
-        normalized_cols = {}
+        normalized = {}
         for rest in product(group.elements, repeat=n):
             t = (group.identity,) + rest
             if t in complex_.index[n]:
-                col = [0] * rows
-                col[complex_.index[n][t]] = 1
-            else:
-                z = [0] * len(complex_.generators[n - 1])
-                for sign, ft in all_faces(t):
-                    j = idx_full(ft)
-                    for i in range(len(z)):
-                        if prev[i][j]:
-                            z[i] += sign * prev[i][j]
-                if n == 1 and sum(z) != 0:
-                    # boundaries of pairs land in augmentation-zero chains
-                    raise NotWellConfigured(
-                        "augmentation obstruction in degree 0")
-                col = complex_.solver(n).solve(z)
-                if col is None:
-                    raise NotWellConfigured(
-                        f"no integral filling for the boundary of {t}")
-            normalized_cols[t] = col
-        for full in product(group.elements, repeat=n + 1):
-            t0 = full[0]
-            norm = _normalize(group, full)
-            col = normalized_cols[norm]
-            j = idx_full(full)
-            # translate the normalized column by t0
-            for i, c in enumerate(col):
-                if c:
-                    gen = complex_.generators[n][i]
-                    shifted = tuple(group.mul(t0, x) for x in gen)
-                    mat[complex_.index[n][shifted]][j] += c
-        mats.append(mat)
-    _verify_retraction(complex_, mats, q)
-    return mats
+                normalized[t] = HomogeneousChain([(1, t)])
+                continue
+            z = _image_of_boundary(r[n - 1], t)
+            if n == 1 and sum(z.terms.values()) != 0:
+                # boundaries of pairs land in augmentation-zero chains
+                raise NotWellConfigured("augmentation obstruction in degree 0")
+            col = complex_.solver(n).solve(
+                [z.terms.get(s, 0) for s in complex_.generators[n - 1]])
+            if col is None:
+                raise NotWellConfigured(
+                    f"no integral filling for the boundary of {t}")
+            normalized[t] = HomogeneousChain(zip(col, complex_.generators[n]))
+        r.append({
+            full: HomogeneousChain(
+                (c, tuple(group.mul(full[0], x) for x in s))
+                for s, c in normalized[_normalize(group, full)].terms.items())
+            for full in product(group.elements, repeat=n + 1)})
+    _verify_retraction(complex_, r, q)
+    return r
 
 
-def _verify_retraction(complex_, mats, q):
-    group = complex_.group
-    idx_full = _tuple_rank(group)
+def _verify_retraction(complex_, r, q):
     for n in range(1, q + 1):
-        # identity on admissible tuples
-        for i, t in enumerate(complex_.generators[n]):
-            j = idx_full(t)
-            for k in range(len(complex_.generators[n])):
-                expected = 1 if k == i else 0
-                if mats[n][k][j] != expected:
-                    raise AssertionError(
-                        "retraction is not the identity on admissible tuples")
-        # chain map: boundary . r_n == r_{n-1} . boundary (checked on the
-        # full complex generators)
-        bd = complex_.boundaries[n]
-        for full in product(group.elements, repeat=n + 1):
-            j = idx_full(full)
-            lhs = [0] * len(complex_.generators[n - 1])
-            for i in range(len(complex_.generators[n])):
-                c = mats[n][i][j]
-                if c:
-                    for k in range(len(complex_.generators[n - 1])):
-                        if bd[k][i]:
-                            lhs[k] += bd[k][i] * c
-            rhs = [0] * len(complex_.generators[n - 1])
-            for sign, ft in all_faces(full):
-                jf = idx_full(ft)
-                for k in range(len(complex_.generators[n - 1])):
-                    if mats[n - 1][k][jf]:
-                        rhs[k] += sign * mats[n - 1][k][jf]
-            if lhs != rhs:
+        for t in complex_.generators[n]:
+            if r[n][t].terms != {t: 1}:
+                raise AssertionError(
+                    "retraction is not the identity on admissible tuples")
+        # chain map: boundary . r_n == r_{n-1} . boundary on every tuple
+        for t, image in r[n].items():
+            if any(s not in complex_.index[n] for s in image.terms):
+                raise AssertionError(
+                    "retraction leaves the configured complex")
+            if image.boundary().terms != \
+                    _image_of_boundary(r[n - 1], t).terms:
                 raise AssertionError("retraction is not a chain map")
 
 
@@ -401,7 +349,9 @@ def extend_cocycle(complex_: ConfiguredComplex, values, retraction=None
     ``values`` assigns a number to every degree-q generator.  The cochain
     must vanish on the kernel of the top boundary map (checked against an
     exact kernel basis); the result is defined on all (q+1)-tuples and has
-    identically vanishing coboundary.
+    identically vanishing coboundary.  ``retraction`` is the list of
+    images returned by ``build_retraction(complex_)``, which is called
+    when it is None.
     """
     q = complex_.q
     gens = complex_.generators[q]
@@ -414,14 +364,11 @@ def extend_cocycle(complex_: ConfiguredComplex, values, retraction=None
         if pairing != 0:
             raise KernelObstruction(
                 f"cochain does not vanish on the kernel vector {kvec}")
-    mats = build_retraction(complex_, q) if retraction is None else retraction
-    group = complex_.group
-    idx_full = _tuple_rank(group)
+    r = build_retraction(complex_, q) if retraction is None else retraction
+    index = complex_.index[q]
 
     def evaluator(t):
-        j = idx_full(t)
-        return sum(mats[q][i][j] * vals[i]
-                   for i in range(len(gens)) if mats[q][i][j])
+        return sum(c * vals[index[s]] for s, c in r[q][t].terms.items())
 
     return HomogeneousCochain(q, 0, evaluator,
                               label=f"extended({complex_.predicate})")

@@ -18,7 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .groups import _PERM_SIGNS, _qconj, _qmul
+from .groups import _perm_signs, _qconj, _qmul
 from .quadrature import IntegralResult, QuadratureSpec, integrate_on_cube
 from .simplices import GeodesicSimplex, ParametrizedMap
 
@@ -114,7 +114,7 @@ def mc3_form() -> DifferentialForm:
     def ev(p, t):
         xi = [_qmul(_qconj(p), t[:, k]) for k in range(3)]
         total = np.zeros(p.shape[0])
-        for perm, sgn in _PERM_SIGNS[3]:
+        for perm, sgn in _perm_signs(3):
             prod3 = _qmul(_qmul(xi[perm[0]], xi[perm[1]]), xi[perm[2]])
             total += sgn * 2.0 * prod3[:, 0]  # trace of the 2-dim rep
         return total / (24.0 * np.pi ** 2)

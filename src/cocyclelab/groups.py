@@ -10,6 +10,7 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -19,14 +20,16 @@ from .errors import AntipodalChart, BadOrder, DegenerateConfig
 CHART_RADIUS = 0.5  # default convexity radius (radians) for chart-based joins
 _ANTIPODE_TOL = 1e-12
 
-# (permutation, sign) pairs of range(n) for n = 1..4; itertools order fixes
-# the summation order of every alternating sum built from it
-_PERM_SIGNS = {
-    n: [(p, (-1) ** sum(1 for i in range(n) for j in range(i + 1, n)
-                        if p[i] > p[j]))
-        for p in permutations(range(n))]
-    for n in range(1, 5)
-}
+
+@lru_cache(maxsize=None)
+def _perm_signs(n):
+    """(permutation, sign) pairs of range(n) for any n >= 0; itertools
+    order fixes the summation order of every alternating sum built from
+    it."""
+    return tuple((p, (-1) ** sum(1 for i in range(n) for j in range(i + 1, n)
+                                 if p[i] > p[j]))
+                 for p in permutations(range(n)))
+
 
 _SU2_BASIS = ("i", "j", "k")
 

@@ -53,20 +53,8 @@ class SphereFunction:
         return out
 
     def gradient(self, points):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros((p.shape[0], 3))
-        for (a, b, c), coeff in self.coeffs.items():
-            f = float(coeff)
-            if a:
-                out[:, 0] += f * a * p[:, 0] ** (a - 1) * p[:, 1] ** b \
-                    * p[:, 2] ** c
-            if b:
-                out[:, 1] += f * b * p[:, 0] ** a * p[:, 1] ** (b - 1) \
-                    * p[:, 2] ** c
-            if c:
-                out[:, 2] += f * c * p[:, 0] ** a * p[:, 1] ** b \
-                    * p[:, 2] ** (c - 1)
-        return out
+        return np.stack([self.partial(axis).evaluate(points)
+                         for axis in range(3)], axis=1)
 
     def __add__(self, other):
         out = dict(self.coeffs)

@@ -16,7 +16,7 @@ import numpy as np
 from .cochains import HomogeneousCochain, integrated_cochain
 from .errors import DomainGuard, StepTooLarge
 from .forms import DifferentialForm
-from .groups import _PERM_SIGNS, LieVector, UnitQuaternion, quat_exp
+from .groups import LieVector, UnitQuaternion, _perm_signs, quat_exp
 from .quadrature import QuadratureSpec
 
 
@@ -142,7 +142,7 @@ class MultilinearCochain:
                              f"degree {degree} over dimension {dim}")
         self.tensor = arr
         for idx in product(range(dim), repeat=degree):
-            for perm, sign in _PERM_SIGNS.get(degree, [((), 1)]):
+            for perm, sign in _perm_signs(degree):
                 pidx = tuple(idx[p] for p in perm)
                 if not _entries_equal(arr[idx] * sign, arr[pidx]):
                     raise ValueError("tensor is not alternating")
@@ -170,7 +170,7 @@ def alternation(tensor, degree):
         else 1.0 / factorial(degree)
     for idx in product(range(dim), repeat=degree):
         total = 0
-        for perm, sign in _PERM_SIGNS[degree]:
+        for perm, sign in _perm_signs(degree):
             total = total + sign * arr[tuple(idx[p] for p in perm)]
         out[idx] = total * fac
     return out
@@ -232,15 +232,18 @@ def cochain_derivative(f: HomogeneousCochain, algebra: LieAlgebraTable,
     """Alternated mixed partial derivatives of a group cochain at the
     identity along exponential coordinates.
 
-    The degree-n derivative evaluates f on tuples
-    (e, exp(t_1 X_1), exp(t_1 X_1) exp(t_2 X_2), ...) over the corner
-    signs t_i = +-step and divides by (2 step)^n, then antisymmetrizes.
+    The degree-n derivative evaluates f, for n distinct basis vectors
+    X_1..X_n, on tuples (e, exp(t_1 X_1), exp(t_1 X_1) exp(t_2 X_2), ...)
+    over the corner signs t_i = +-step and divides by (2 step)^n, then
+    antisymmetrizes; entries with a repeated basis vector are 0.
     """
     if f.degree != n:
         raise ValueError("cochain degree must match the derivative order")
     dim = algebra.dim
     raw = np.zeros((dim,) * n)
     for idx in product(range(dim), repeat=n):
+        if len(set(idx)) < n:
+            continue  # cancels in the alternation
         acc = 0.0
         for signs in product((-1.0, 1.0), repeat=n):
             steps = []

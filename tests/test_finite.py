@@ -142,13 +142,13 @@ def test_retraction_identities():
     c = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
     mats = build_retraction(c)  # verification happens inside
     assert len(mats) == 4
+    # every tuple of the full complex has an image
+    assert [len(r) for r in mats] == [5, 25, 125, 625]
     # r_0 is the identity
-    assert mats[0] == [[int(i == j) for j in range(5)] for i in range(5)]
-    # spot check: the identity columns of r_3 on admissible tuples
-    idx = {t: j for j, t in enumerate(product(range(5), repeat=4))}
-    for i, t in enumerate(c.generators[3][:10]):
-        col = [mats[3][k][idx[t]] for k in range(len(c.generators[3]))]
-        assert col == [int(k == i) for k in range(len(c.generators[3]))]
+    assert all(mats[0][(g,)].terms == {(g,): 1} for g in range(5))
+    # spot check: r_3 is the identity on admissible tuples
+    for t in c.generators[3][:10]:
+        assert mats[3][t].terms == {t: 1}
 
 
 def test_extension_has_vanishing_coboundary():
@@ -184,16 +184,33 @@ def test_extension_of_a_pulled_back_coboundary():
     f_vals = [sum(g_vals[i] * bd3[i][j] for i in range(len(g_vals)))
               for j in range(len(c.generators[3]))]
     cocycle = extend_cocycle(c, f_vals, retraction=mats)
-    idx2 = {t: j for j, t in enumerate(product(range(5), repeat=3))}
 
     def g_through_r(t):
-        col = idx2[t]
-        return sum(mats[2][i][col] * g_vals[i]
-                   for i in range(len(g_vals)))
+        return sum(k * g_vals[c.index[2][s]]
+                   for s, k in mats[2][t].terms.items())
 
     for t in list(product(range(5), repeat=4))[::7]:
         expected = sum(s * g_through_r(ft) for s, ft in all_faces(t))
         assert cocycle(t) == expected
+
+
+def test_extension_is_invariant_under_the_diagonal_action():
+    # an invariant input extends to a homogeneous cocycle: translating
+    # every entry of a tuple by the same group element keeps its value
+    c = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
+    orbit_vals = {}
+    g_vals = [orbit_vals.setdefault(tuple((x - t[0]) % 5 for x in t),
+                                    int(rng.integers(-3, 4)))
+              for t in c.generators[2]]
+    bd3 = c.boundaries[3]
+    f_vals = [sum(g_vals[i] * bd3[i][j] for i in range(len(g_vals)))
+              for j in range(len(c.generators[3]))]
+    cocycle = extend_cocycle(c, f_vals)
+    tuples = rng.integers(0, 5, size=(40, 4)).tolist()
+    assert any(cocycle(t) != 0 for t in tuples)
+    for t in tuples:
+        for g in range(5):
+            assert cocycle([(g + x) % 5 for x in t]) == cocycle(t)
 
 
 def test_extension_kernel_obstruction():

@@ -155,6 +155,37 @@ def test_step_too_large():
         cochain_derivative(cochain, su2, 3, step=0.5)
 
 
+def test_derivative_evaluates_distinct_indices_only():
+    # entries with a repeated basis index cancel in the alternation, so a
+    # degree-3 derivative over su2 needs 3! index tuples x 8 sign corners
+    su2 = LieAlgebraTable.su2()
+    calls = []
+
+    def smooth(t):
+        calls.append(t)
+        v = [quat_log(t[0].inverse() * g).coeffs for g in t[1:]]
+        return float(v[0][0] * v[1][1] * v[2][2] + v[0][1] ** 2 * v[2][0])
+
+    d = cochain_derivative(HomogeneousCochain(3, 0, smooth), su2, 3,
+                           step=1e-2)
+    assert len(calls) == 48
+    assert d.norm_max() > 0.0
+    for idx in product(range(3), repeat=3):
+        if len(set(idx)) < 3:
+            assert d.tensor[idx] == 0.0
+
+
+def test_differential_beyond_degree_four():
+    su2 = LieAlgebraTable.su2()
+    d = ce_differential(MultilinearCochain(4, 3, np.zeros((3,) * 4)), su2)
+    assert d.degree == 5 and d.tensor.shape == (3,) * 5
+    assert d.norm_max() == 0.0
+    bad = np.zeros((3,) * 5)
+    bad[0, 1, 2, 0, 1] = 1.0
+    with pytest.raises(ValueError):
+        MultilinearCochain(5, 3, bad)
+
+
 def test_basis_permutation_symmetry():
     # permuting the input basis indices permutes the tensor with sign
     su2 = LieAlgebraTable.su2()
