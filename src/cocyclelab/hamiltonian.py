@@ -10,6 +10,7 @@ Integrals run over the icosahedral atlas.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -22,15 +23,15 @@ SPHERE_RADIUS = 0.5
 class SphereFunction:
     """Polynomial in the ambient coordinates (x, y, z), restricted to the
     radius-1/2 sphere.  Coefficients are exact Fractions keyed by exponent
-    triples."""
+    triples; a key that is not three non-negative integers raises
+    ValueError."""
 
     def __init__(self, coeffs=None):
         self.coeffs = {}
         for key, c in (coeffs or {}).items():
-            c = Fraction(c)
+            key, c = _exponent_key(key), Fraction(c)
             if c != 0:
-                self.coeffs[tuple(int(k) for k in key)] = \
-                    self.coeffs.get(tuple(key), 0) + c
+                self.coeffs[key] = self.coeffs.get(key, 0) + c
         self.coeffs = {k: v for k, v in self.coeffs.items() if v != 0}
 
     @classmethod
@@ -45,12 +46,24 @@ class SphereFunction:
     def degree(self):
         return max((sum(k) for k in self.coeffs), default=0)
 
+    @cached_property
+    def _compiled(self):
+        """Exponent rows (T, 3) and float coefficients (T,) in dict order."""
+        return (np.array(list(self.coeffs), dtype=int).reshape(-1, 3),
+                np.array([float(c) for c in self.coeffs.values()]))
+
     def evaluate(self, points):
+        """Sum over terms, in dict order, of c * x^a * y^b * z^c, with each
+        power read from a table of ``p[:, axis] ** k``."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(p.shape[0])
-        for (a, b, c), coeff in self.coeffs.items():
-            out += float(coeff) * p[:, 0] ** a * p[:, 1] ** b * p[:, 2] ** c
-        return out
+        exps, coeffs = self._compiled
+        terms = np.repeat(coeffs[:, None], len(p), axis=1)
+        for axis in range(3):
+            k = exps[:, axis]
+            powers = np.stack([p[:, axis] ** e
+                               for e in range(k.max(initial=0) + 1)])
+            terms *= powers[k]
+        return np.add.reduce(terms, axis=0, initial=0.0)
 
     def gradient(self, points):
         return np.stack([self.partial(axis).evaluate(points)
@@ -94,6 +107,20 @@ class SphereFunction:
 
     def __repr__(self):
         return f"SphereFunction({self.coeffs})"
+
+
+def _exponent_key(key):
+    """``key`` as a tuple of three non-negative Python ints."""
+    try:
+        key = tuple(key)
+        out = tuple(int(k) for k in key)
+        ok = len(out) == 3 and min(out) >= 0 and out == key
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"exponent key {key!r} is not three non-negative "
+                         "integers")
+    return out
 
 
 def hamiltonian_field(f: SphereFunction):

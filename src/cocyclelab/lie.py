@@ -8,7 +8,7 @@ coordinates) is floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 import numpy as np
@@ -23,90 +23,57 @@ from .quadrature import QuadratureSpec
 class LieAlgebraTable:
     """Basis, structure constants and invariant pairing of a Lie algebra.
 
-    ``structure[i][j][k]`` is the coefficient of basis vector k in
-    [X_i, X_j]; everything is stored as Fractions and the Jacobi identity
-    is verified exactly at construction.
+    ``structure[i, j, k]`` is the coefficient of basis vector k in
+    [X_i, X_j]; everything is stored as Fraction arrays and the Jacobi
+    identity is verified exactly at construction.
     """
 
     def __init__(self, tag, structure, pairing):
         self.tag = tag
         self.dim = len(structure)
-        self.structure = [[[Fraction(c) for c in row] for row in plane]
-                          for plane in structure]
-        self.pairing = [[Fraction(c) for c in row] for row in pairing]
-        self._validate()
-
-    def _validate(self):
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    if self.structure[i][j][k] != -self.structure[j][i][k]:
-                        raise ValueError("structure constants not "
-                                         "antisymmetric")
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for l in range(d):
-                        total = Fraction(0)
-                        for m in range(d):
-                            total += (
-                                self.structure[i][j][m] * self.structure[m][k][l]
-                                + self.structure[j][k][m] * self.structure[m][i][l]
-                                + self.structure[k][i][m] * self.structure[m][j][l])
-                        if total != 0:
-                            raise ValueError("Jacobi identity fails")
+        to_fractions = np.frompyfunc(Fraction, 1, 1)
+        self.structure = to_fractions(np.asarray(structure, dtype=object))
+        self.pairing = to_fractions(np.asarray(pairing, dtype=object))
+        c = self.structure
+        if (c != -c.transpose(1, 0, 2)).any():
+            raise ValueError("structure constants not antisymmetric")
+        # cc[i, j, k, l] = sum_m c[i, j, m] c[m, k, l]; Jacobi is its sum
+        # over the cyclic shifts of (i, j, k)
+        cc = np.tensordot(c, c, ([2], [0]))
+        if (cc + cc.transpose(1, 2, 0, 3) + cc.transpose(2, 0, 1, 3)
+                != 0).any():
+            raise ValueError("Jacobi identity fails")
 
     def bracket_coeffs(self, i, j):
-        return self.structure[i][j]
+        return self.structure[i, j].tolist()
 
     def pair(self, i, j):
-        return self.pairing[i][j]
+        return self.pairing[i, j]
 
     @classmethod
     def su2(cls):
         """Quaternion basis (i, j, k): [e_i, e_j] = 2 e_k cyclic; pairing
         is the dot product (-Tr(AB)/2 in the defining representation)."""
-        eps = _epsilon3()
-        structure = [[[2 * eps[i][j][k] for k in range(3)]
-                      for j in range(3)] for i in range(3)]
-        return cls("su2", structure, _id_matrix(3))
+        return cls("su2", 2 * _epsilon3(), np.eye(3, dtype=int))
 
     @classmethod
     def so3(cls):
         """Standard rotation generators: [e_1, e_2] = e_3 cyclic; pairing
         Tr(A^T B)/2."""
-        eps = _epsilon3()
-        return cls("so3", eps, _id_matrix(3))
+        return cls("so3", _epsilon3(), np.eye(3, dtype=int))
 
     @classmethod
     def so4(cls):
-        """Elementary antisymmetric matrices E_ab (a < b); pairing
-        Tr(A^T B)/2."""
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        index = {p: i for i, p in enumerate(pairs)}
-
-        def e_coeff(a, b):
-            # E_ab with a > b is -E_ba
-            if a == b:
-                return None, 0
-            if a < b:
-                return index[(a, b)], 1
-            return index[(b, a)], -1
-
-        structure = [[[0] * 6 for _ in range(6)] for _ in range(6)]
-        for i, (a, b) in enumerate(pairs):
-            for j, (c, d) in enumerate(pairs):
-                # [E_ab, E_cd] = d_bc E_ad - d_ac E_bd - d_bd E_ac + d_ad E_bc
-                for delta, (x, y) in [(int(b == c), (a, d)),
-                                      (-int(a == c), (b, d)),
-                                      (-int(b == d), (a, c)),
-                                      (int(a == d), (b, c))]:
-                    if delta:
-                        k, sign = e_coeff(x, y)
-                        if k is not None:
-                            structure[i][j][k] += delta * sign
-        return cls("so4", structure, _id_matrix(6))
+        """Elementary antisymmetric matrices E_ab = e_a e_b^T - e_b e_a^T
+        (a < b); pairing Tr(A^T B)/2."""
+        rows, cols = zip(*combinations(range(4), 2))
+        basis = np.zeros((6, 4, 4), dtype=int)
+        basis[range(6), rows, cols] = 1
+        basis[range(6), cols, rows] = -1
+        prod = basis[:, None] @ basis[None]
+        # E_ab has coordinate m[a, b] in a combination m of the basis
+        structure = (prod - prod.transpose(1, 0, 2, 3))[:, :, rows, cols]
+        return cls("so4", structure, np.eye(6, dtype=int))
 
     def exp(self, coeffs):
         """Group element exp(sum_i coeffs_i X_i) of SU(2); the so(3) and
@@ -118,15 +85,10 @@ class LieAlgebraTable:
 
 
 def _epsilon3():
-    eps = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    for i, j, k, s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                       (1, 0, 2, -1), (2, 1, 0, -1), (0, 2, 1, -1)]:
-        eps[i][j][k] = s
+    eps = np.zeros((3, 3, 3), dtype=int)
+    for perm, sign in _perm_signs(3):
+        eps[perm] = sign
     return eps
-
-
-def _id_matrix(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 class MultilinearCochain:
@@ -141,82 +103,65 @@ class MultilinearCochain:
             raise ValueError(f"tensor shape {arr.shape} does not match "
                              f"degree {degree} over dimension {dim}")
         self.tensor = arr
-        for idx in product(range(dim), repeat=degree):
-            for perm, sign in _perm_signs(degree):
-                pidx = tuple(idx[p] for p in perm)
-                if not _entries_equal(arr[idx] * sign, arr[pidx]):
-                    raise ValueError("tensor is not alternating")
+        # adjacent transpositions generate S_n; object entries compare
+        # exactly, float entries must be finite and agree to 1e-9 (1 + |a|)
+        a = arr if arr.dtype == object else arr.astype(float)
+        ok = a.dtype == object or np.isfinite(a).all()
+        for k in range(degree - 1):
+            s = np.swapaxes(a, k, k + 1)
+            ok = ok and (s == -a if a.dtype == object else
+                         np.abs(a + s) <= 1e-9 * (1.0 + np.abs(a))).all()
+        if not ok:
+            raise ValueError("tensor is not alternating")
 
     def __call__(self, *indices):
         return self.tensor[tuple(indices)]
 
     def norm_max(self):
-        return max(abs(float(v)) for v in self.tensor.flat) \
-            if self.tensor.size else 0.0
-
-
-def _entries_equal(a, b):
-    if isinstance(a, (Fraction, int)) and isinstance(b, (Fraction, int)):
-        return a == b
-    return abs(float(a) - float(b)) <= 1e-9 * (1.0 + abs(float(a)))
+        return float(np.abs(self.tensor.astype(float)).max(initial=0.0))
 
 
 def alternation(tensor, degree):
     """Antisymmetrize a tensor exactly (Fractions) or in floats."""
     arr = np.asarray(tensor)
-    dim = arr.shape[0]
-    out = np.empty_like(arr)
     fac = Fraction(1, factorial(degree)) if arr.dtype == object \
         else 1.0 / factorial(degree)
-    for idx in product(range(dim), repeat=degree):
-        total = 0
-        for perm, sign in _perm_signs(degree):
-            total = total + sign * arr[tuple(idx[p] for p in perm)]
-        out[idx] = total * fac
-    return out
+    # entry idx of the permutation's term is arr[idx[perm[0]], ...], so the
+    # axes are those of the inverse permutation
+    total = 0
+    for perm, sign in _perm_signs(degree):
+        total = total + sign * np.transpose(arr, np.argsort(perm))
+    return np.asarray(total * fac)
 
 
 def ce_differential(omega: MultilinearCochain,
                     algebra: LieAlgebraTable) -> MultilinearCochain:
-    """Chevalley-Eilenberg differential via the bracket-insertion sum."""
-    n = omega.degree
-    dim = algebra.dim
-    use_fractions = omega.tensor.dtype == object
-    out = np.empty((dim,) * (n + 1), dtype=omega.tensor.dtype)
-    for idx in product(range(dim), repeat=n + 1):
-        total = Fraction(0) if use_fractions else 0.0
-        for a in range(n + 1):
-            for b in range(a + 1, n + 1):
-                rest = tuple(idx[c] for c in range(n + 1)
-                             if c != a and c != b)
-                coeffs = algebra.bracket_coeffs(idx[a], idx[b])
-                for m, cm in enumerate(coeffs):
-                    if cm:
-                        term = omega.tensor[(m,) + rest] * cm
-                        total = total + ((-1) ** (a + b)) * term
-        out[idx] = total
+    """Chevalley-Eilenberg differential via the bracket-insertion sum
+    (d w)(x_0..x_n) = sum_{a<b} (-1)^(a+b) w([x_a, x_b], x_0..^a..^b..x_n).
+    """
+    n, dim = omega.degree, algebra.dim
+    exact = omega.tensor.dtype == object
+    c = algebra.structure if exact else algebra.structure.astype(float)
+    if n == 0:  # constants: the insertion sum is empty
+        out = np.full(dim, Fraction(0) if exact else 0.0, dtype=c.dtype)
+    else:
+        # t[p, q, rest] = w([X_p, X_q], rest), moved to slots a and b
+        t = np.tensordot(c, omega.tensor, ([2], [0]))
+        out = sum((-1) ** (a + b) * np.moveaxis(t, (0, 1), (a, b))
+                  for a, b in combinations(range(n + 1), 2))
     return MultilinearCochain(n + 1, dim, out, tag=algebra.tag)
 
 
 def cartan_cocycle(algebra: LieAlgebraTable) -> MultilinearCochain:
     """Invariant trilinear cocycle <x, [y, z]> of a quadratic algebra."""
-    dim = algebra.dim
-    # ad-invariance of the pairing is required for the cocycle property
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                lhs = sum(algebra.structure[i][j][m] * algebra.pair(m, k)
-                          for m in range(dim))
-                rhs = sum(algebra.structure[i][k][m] * algebra.pair(j, m)
-                          for m in range(dim))
-                if lhs + rhs != 0:
-                    raise ValueError("pairing is not ad-invariant")
-    out = np.empty((dim,) * 3, dtype=object)
-    for i, j, k in product(range(dim), repeat=3):
-        out[i, j, k] = sum(
-            algebra.structure[j][k][m] * algebra.pair(i, m)
-            for m in range(dim))
-    return MultilinearCochain(3, dim, out, tag=algebra.tag)
+    c, b = algebra.structure, algebra.pairing
+    # ad-invariance of the pairing is required for the cocycle property:
+    # <[X_i, X_j], X_k> + <X_j, [X_i, X_k]> = 0
+    if (np.tensordot(c, b, ([2], [0]))
+            + np.tensordot(c, b, ([2], [1])).transpose(0, 2, 1) != 0).any():
+        raise ValueError("pairing is not ad-invariant")
+    return MultilinearCochain(3, algebra.dim,
+                              np.tensordot(b, c, ([1], [2])), tag=algebra.tag)
 
 
 def _group_tuple(algebra: LieAlgebraTable, steps):
@@ -265,12 +210,9 @@ def form_at_identity(form: DifferentialForm, degree: int) -> np.ndarray:
     """Coefficient tensor of a form on SU(2) at the identity, in the
     quaternion basis (i, j, k)."""
     basis = np.eye(4)[1:]
-    point = np.array([[1.0, 0.0, 0.0, 0.0]])
-    out = np.zeros((3,) * degree)
-    for idx in product(range(3), repeat=degree):
-        tangents = np.stack([basis[i] for i in idx])[None]
-        out[idx] = form.evaluate(point, tangents)[0]
-    return out
+    idx = np.indices((3,) * degree).reshape(degree, 3 ** degree).T
+    points = np.repeat([[1.0, 0.0, 0.0, 0.0]], len(idx), axis=0)
+    return form.evaluate(points, basis[idx]).reshape((3,) * degree)
 
 
 def derivation_residual(form: DifferentialForm, degree: int,
@@ -290,8 +232,4 @@ def derivation_residual(form: DifferentialForm, degree: int,
     scale = np.abs(target).max()
     if scale == 0.0:
         return factorial(degree) * deriv.norm_max()
-    worst = 0.0
-    for idx in product(range(3), repeat=degree):
-        got = factorial(degree) * float(deriv.tensor[idx])
-        worst = max(worst, abs(got - target[idx]))
-    return worst / scale
+    return np.abs(factorial(degree) * deriv.tensor - target).max() / scale

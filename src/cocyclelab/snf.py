@@ -119,12 +119,6 @@ def diagonal(s):
             if s[i][i] != 0]
 
 
-def rank(mat):
-    if not mat or not mat[0]:
-        return 0
-    return len(diagonal(smith_normal_form(mat)[1]))
-
-
 class SmithSolver:
     """Reusable exact solver for A x = b over the integers."""
 

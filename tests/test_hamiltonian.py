@@ -153,3 +153,29 @@ def test_polynomial_algebra():
     assert f.degree() == 2
     assert (f - f).coeffs == {}
     assert (X * X).partial(0) == 2 * X
+
+
+def test_evaluate_matches_the_per_term_sum():
+    local = np.random.default_rng(29)
+    for _ in range(4):
+        f, g, h = (random_polynomial() for _ in range(3))
+        fgh = f * poisson(g, h)
+        for p in (random_points(150), local.normal(size=(40, 3)),
+                  np.zeros((0, 3))):
+            expected = np.zeros(p.shape[0])
+            for (a, b, c), coeff in fgh.coeffs.items():
+                expected += float(coeff) * p[:, 0] ** a * p[:, 1] ** b \
+                    * p[:, 2] ** c
+            assert fgh.evaluate(p).tobytes() == expected.tobytes()
+    assert SphereFunction().evaluate(random_points(3)).tolist() == [0.0] * 3
+
+
+def test_exponent_keys_must_be_three_nonnegative_integers():
+    for coeffs in ({(1.5, 0, 0): 1}, {(1, 0, 0): 1, (1.5, 0, 0): 2},
+                   {(-1, 0, 0): 1}, {(1, 0): 1}, {(1, 0, 0, 0): 1},
+                   {"abc": 1}, {(float("nan"), 0, 0): 1}):
+        with pytest.raises(ValueError):
+            SphereFunction(coeffs)
+    # integral values of any numeric type are accepted
+    assert SphereFunction({(1.0, 0, 0): 2}) == 2 * X
+    assert SphereFunction({(np.int64(1), 0, Fraction(2)): 1}) == X * Z * Z

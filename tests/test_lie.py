@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
+from math import factorial
 
 import numpy as np
 import pytest
@@ -22,6 +23,23 @@ def random_alternating(dim, degree):
     for idx in product(range(dim), repeat=degree):
         raw[idx] = Fraction(int(rng.integers(-5, 6)))
     return MultilinearCochain(degree, dim, alternation(raw, degree))
+
+
+def per_entry_alternation(tensor, degree):
+    # the definition: entry idx is (1/n!) sum_perm sign * tensor[idx o perm]
+    arr = np.asarray(tensor)
+    out = np.empty_like(arr)
+    fac = Fraction(1, factorial(degree)) if arr.dtype == object \
+        else 1.0 / factorial(degree)
+    for idx in product(range(arr.shape[0] if degree else 0),
+                       repeat=degree):
+        total = 0
+        for perm in permutations(range(degree)):
+            sign = (-1) ** sum(perm[i] > perm[j] for i in range(degree)
+                               for j in range(i + 1, degree))
+            total = total + sign * arr[tuple(idx[p] for p in perm)]
+        out[idx] = total * fac
+    return out
 
 
 def brute_force_ce(omega, algebra):
@@ -53,6 +71,44 @@ def test_tables_have_exact_jacobi():
         LieAlgebraTable("bad", bad, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
+def test_so4_brackets_match_the_delta_formula():
+    # [E_ab, E_cd] = d_bc E_ad - d_ac E_bd - d_bd E_ac + d_ad E_bc, with
+    # E_ba = -E_ab and E_aa = 0
+    pairs = list(combinations(range(4), 2))
+
+    def e(a, b):
+        out = [0] * 6
+        if a != b:
+            out[pairs.index((min(a, b), max(a, b)))] = 1 if a < b else -1
+        return out
+
+    so4 = LieAlgebraTable.so4()
+    for i, (a, b) in enumerate(pairs):
+        for j, (c, d) in enumerate(pairs):
+            terms = [((b == c), e(a, d)), (-(a == c), e(b, d)),
+                     (-(b == d), e(a, c)), ((a == d), e(b, c))]
+            expected = [sum(int(k) * v[m] for k, v in terms)
+                        for m in range(6)]
+            assert so4.bracket_coeffs(i, j) == expected
+
+
+def test_alternation_matches_the_per_entry_sum():
+    local = np.random.default_rng(23)
+    for degree in range(5):
+        floats = local.normal(size=(3,) * degree)
+        got = alternation(floats, degree)
+        expected = per_entry_alternation(floats, degree)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        exact = np.empty((3,) * degree, dtype=object)
+        for idx in product(range(3), repeat=degree):
+            exact[idx] = Fraction(int(local.integers(-9, 10)),
+                                  int(local.integers(1, 5)))
+        got = alternation(exact, degree)
+        assert got.shape == exact.shape
+        assert got.tolist() == per_entry_alternation(exact, degree).tolist()
+
+
 def test_su2_brackets_match_quaternions():
     su2 = LieAlgebraTable.su2()
     # [i, j] = 2k in the quaternion algebra
@@ -74,6 +130,13 @@ def test_ce_squares_to_zero():
     so3 = LieAlgebraTable.so3()
     omega = random_alternating(3, 1)
     dd = ce_differential(ce_differential(omega, so3), so3)
+    assert all(v == 0 for v in dd.tensor.flat)
+    # so(4) from degree 3 through 4 to 5
+    so4 = LieAlgebraTable.so4()
+    d = ce_differential(random_alternating(6, 3), so4)
+    assert d.norm_max() > 0
+    dd = ce_differential(d, so4)
+    assert dd.tensor.shape == (6,) * 5
     assert all(v == 0 for v in dd.tensor.flat)
 
 
@@ -180,6 +243,10 @@ def test_differential_beyond_degree_four():
     d = ce_differential(MultilinearCochain(4, 3, np.zeros((3,) * 4)), su2)
     assert d.degree == 5 and d.tensor.shape == (3,) * 5
     assert d.norm_max() == 0.0
+    so4 = LieAlgebraTable.so4()
+    d = ce_differential(MultilinearCochain(4, 6, np.zeros((6,) * 4)), so4)
+    assert d.degree == 5 and d.norm_max() == 0.0
+    assert MultilinearCochain(5, 6, np.zeros((6,) * 5)).degree == 5
     bad = np.zeros((3,) * 5)
     bad[0, 1, 2, 0, 1] = 1.0
     with pytest.raises(ValueError):
