@@ -10,22 +10,37 @@ two rule orders and the rounding of the sum.
 Whole-sphere integrals use fixed atlases: the 16 orthant tetrahedra for
 S^3, and the 20 icosahedral triangles for S^2 (scaled by 1/2 for the
 projective-line model).
+
+A factored form ``base.times(fn)`` is a function times a fixed form; its
+whole-sphere integrals evaluate each atlas cell's jet once per rule level
+and process, not once per integral.  ``sphere_integral`` keeps, per
+(sphere, base, rule order, depth), the density of ``base`` at every node
+of every cell and the nodes' points, and multiplies by ``fn`` at those
+points.  The values and estimates are bitwise those of integrating the
+factored form cell by cell with ``pullback_integral``.
 """
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
 from .groups import _perm_signs, _qconj, _qmul
-from .quadrature import IntegralResult, QuadratureSpec, integrate_on_cube
+from .quadrature import (IntegralResult, QuadratureSpec, _panel_rule,
+                         integrate_on_cube)
 from .simplices import GeodesicSimplex, ParametrizedMap
 
 # quadrature nodes per jet evaluation: the (N, n, d) tangents and the join
 # kernels' temporaries scale with it, and one batch of 8000 nodes costs
 # several MB of peak memory
 _JET_CHUNK = 2048
+
+# base form -> {(sphere, rule order, depth): (table, cells)}, filled by
+# ``_atlas_density``; weak keys, so the entries of a base that is no
+# longer referenced go with it
+_DENSITY_CACHE = weakref.WeakKeyDictionary()
 
 
 class DifferentialForm:
@@ -39,6 +54,19 @@ class DifferentialForm:
         self.degree = degree
         self.ambient = ambient
         self._evaluator = evaluator
+        self.factors = None
+
+    def times(self, fn):
+        """The form ``fn(p) * self(p, t)`` for a function ``fn`` of points
+        (N, d) -> (N,), evaluated in that order.  It keeps
+        ``factors = (fn, self)``, so ``sphere_integral`` can read the
+        density of ``self`` from its cache; ``self`` should then be one
+        object per process, such as ``fubini_study_form()``."""
+        base = self._evaluator
+        out = DifferentialForm(self.degree, self.ambient,
+                               lambda p, t: fn(p) * base(p, t))
+        out.factors = (fn, self)
+        return out
 
     def evaluate(self, points, tangents):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -92,9 +120,11 @@ def symplectic_form_value(points, a, b):
     return 4.0 * np.einsum("ni,ni->n", p, np.cross(a, b))
 
 
+@lru_cache(maxsize=None)
 def fubini_study_form() -> DifferentialForm:
     """Symplectic 2-form on the radius-1/2 sphere model of the projective
-    line, normalized to total integral 2*pi.
+    line, normalized to total integral 2*pi; one object per process, the
+    base of ``function_integral``'s factored forms.
 
     With this scaling the coordinate brackets come out as {x,y} = z etc.,
     and points satisfy x^2 + y^2 + z^2 = 1/4.
@@ -226,6 +256,74 @@ def sphere_atlas(sphere: str):
     raise ValueError(f"unknown sphere {sphere!r}")
 
 
+def _atlas_density(sphere, base, order, depth):
+    """``(table, cells)`` at the nodes of one rule level of the atlas.
+
+    ``cells`` holds, per atlas cell, ``(signs, points, density)``:
+    ``density`` (N,) is ``base`` on the cell's jet with the tangents
+    projected, computed in chunks of ``_JET_CHUNK`` nodes as
+    ``pullback_integral`` does.  On CP1 ``points`` (N, 3) are the cell's
+    and ``table`` is None.  On S^3 ``points`` is None: the points of the
+    orthant cell with vertex signs ``signs`` are ``signs * table``, bitwise,
+    where ``table`` holds those of the positive orthant, so one table
+    serves all 16 cells.  Built once per (sphere, base, order, depth) and
+    kept in ``_DENSITY_CACHE``; the arrays are read-only, because every
+    later integral reads them."""
+    levels = _DENSITY_CACHE.setdefault(base, {})
+    key = (sphere, order, depth)
+    if key in levels:
+        return levels[key]
+    table, cells = None, []
+    for _, cell in sphere_atlas(sphere):
+        s = _panel_rule(cell.degree, order, depth)[0]
+        density = np.empty(s.shape[0])
+        points = []
+        for lo in range(0, s.shape[0], _JET_CHUNK):
+            x, tangents = cell.evaluate_cube_jet(s[lo:lo + _JET_CHUNK])
+            density[lo:lo + _JET_CHUNK] = base.evaluate(
+                x, _project_tangent(x, tangents))
+            points.append(x)
+        points = np.concatenate(points)
+        points.setflags(write=False)
+        density.setflags(write=False)
+        signs = None
+        if sphere == "S3":
+            signs = np.sum(cell.vertices, axis=0)
+            if np.all(signs > 0):
+                table = points
+            points = None
+        cells.append((signs, points, density))
+    levels[key] = (table, tuple(cells))
+    return levels[key]
+
+
+def _cached_integrands(fn, base, sphere, quad):
+    """``integrand(i)``: the cube integrand of ``base.times(fn)`` on atlas
+    cell i, reading the points and the density of ``base`` from
+    ``_atlas_density`` and evaluating ``fn`` over the same chunks of nodes
+    as ``pullback_integral``."""
+    # integrate_on_cube calls an integrand once per rule level, and the
+    # two levels differ in their node counts
+    levels = {}
+    for order in quad.orders:
+        table, cells = _atlas_density(sphere, base, order, quad.depth)
+        levels[cells[0][2].shape[0]] = table, cells
+
+    def integrand(i):
+        def values(s):
+            table, cells = levels[s.shape[0]]
+            signs, points, density = cells[i]
+            out = np.empty(s.shape[0])
+            for lo in range(0, s.shape[0], _JET_CHUNK):
+                hi = lo + _JET_CHUNK
+                x = points[lo:hi] if table is None else signs * table[lo:hi]
+                out[lo:hi] = fn(x) * density[lo:hi]
+            return out
+        return values
+
+    return integrand
+
+
 def sphere_integral(form: DifferentialForm, sphere: str,
                     quad: QuadratureSpec | None = None,
                     compose=None) -> IntegralResult:
@@ -235,15 +333,27 @@ def sphere_integral(form: DifferentialForm, sphere: str,
     of the sphere given as a jet on coordinate batches: ``compose(x, dx)``
     returns the image points (N, d) and the images (N, m, d) of tangents
     ``dx`` (N, m, d); ``compose(x, None)`` returns the points and None.  The
-    integral is then that of the form's pullback under the map."""
+    integral is then that of the form's pullback under the map.
+
+    Without ``compose``, a factored form (``base.times(fn)``) reads the
+    atlas points and the density of its base from a per-process cache
+    (see ``_atlas_density``); the result is bitwise the one computed cell
+    by cell.  A composed map changes with every call, so its cells are
+    evaluated afresh."""
     quad = quad or QuadratureSpec()
+    cached = None
+    if compose is None and form.factors is not None:
+        cached = _cached_integrands(*form.factors, sphere, quad)
     total = 0.0
     est = 0.0
-    for sign, cell in sphere_atlas(sphere):
-        target = cell if compose is None else ParametrizedMap(
-            cell.degree,
-            cube_jet=lambda s, _c=cell: compose(*_c.evaluate_cube_jet(s)))
-        res = pullback_integral(form, target, quad)
+    for i, (sign, cell) in enumerate(sphere_atlas(sphere)):
+        if cached is not None:
+            res = integrate_on_cube(cached(i), cell.degree, quad)
+        else:
+            target = cell if compose is None else ParametrizedMap(
+                cell.degree,
+                cube_jet=lambda s, _c=cell: compose(*_c.evaluate_cube_jet(s)))
+            res = pullback_integral(form, target, quad)
         total += sign * res.value
         est += res.error_estimate
     return IntegralResult(value=total, error_estimate=est)

@@ -14,7 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .forms import DifferentialForm, sphere_integral, symplectic_form_value
+# symplectic_form_value stays importable from here with the rest of the
+# calculus on the projective line
+from .forms import (fubini_study_form, sphere_integral,
+                    symplectic_form_value)
 from .quadrature import QuadratureSpec
 
 SPHERE_RADIUS = 0.5
@@ -148,13 +151,12 @@ def poisson(f: SphereFunction, g: SphereFunction) -> SphereFunction:
 
 def function_integral(f: SphereFunction,
                       quad: QuadratureSpec | None = None):
-    """Integral of f against the symplectic area 2-form, with estimate."""
+    """Integral of f against the symplectic area 2-form, with estimate;
+    the form's density over the atlas comes from ``sphere_integral``'s
+    cache."""
     quad = quad or QuadratureSpec(order=8, tol=1e-6)
-
-    def ev(p, t):
-        return f.evaluate(p) * symplectic_form_value(p, t[:, 0], t[:, 1])
-
-    return sphere_integral(DifferentialForm(2, "CP1", ev), "CP1", quad)
+    return sphere_integral(fubini_study_form().times(f.evaluate), "CP1",
+                           quad)
 
 
 def pairing_integral(f: SphereFunction, g: SphereFunction,

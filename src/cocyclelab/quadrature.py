@@ -49,6 +49,12 @@ class QuadratureSpec:
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
 
+    @property
+    def orders(self):
+        """The two rule orders of ``integrate_on_cube``: the coarse one,
+        then the fine one whose sum is the value."""
+        return self.order, self.order + 2
+
 
 @dataclass(frozen=True)
 class IntegralResult:
@@ -180,8 +186,9 @@ def integrate_on_cube(integrand, n, spec: QuadratureSpec) -> IntegralResult:
     rounding bound of its own sum.  Raises QuadratureDiverged when the two
     orders disagree by more than 10x tolerance.
     """
-    coarse, _ = _level_value(integrand, n, spec.order, spec.depth)
-    fine, rounding = _level_value(integrand, n, spec.order + 2, spec.depth)
+    coarse_order, fine_order = spec.orders
+    coarse, _ = _level_value(integrand, n, coarse_order, spec.depth)
+    fine, rounding = _level_value(integrand, n, fine_order, spec.depth)
     diff = abs(fine - coarse)
     if diff > 10.0 * spec.tol:
         raise QuadratureDiverged(

@@ -13,6 +13,7 @@ from cocyclelab.groups import _qmul, hopf_arr, hopf_jacobian
 from cocyclelab.hamiltonian import (SphereFunction, hamiltonian_field,
                                     poisson, symplectic_cocycle)
 from cocyclelab.quadrature import QuadratureSpec
+from test_hamiltonian import degree_at_most_4, monomial_form_integral
 
 rng = np.random.default_rng(23)
 X, Y, Z = (SphereFunction.coordinate(n) for n in "xyz")
@@ -131,6 +132,16 @@ def test_fiber_integration_identity():
         downstairs = function_integral(f, QuadratureSpec(order=10,
                                                          tol=1e-6)).value
         assert abs(upstairs - 2.0 * pi * downstairs) < 1e-5
+
+
+def test_pairings_of_monomials_match_the_exact_integrals():
+    # fibre integration: the pairing of a pulled-back monomial with 1 is
+    # 2*pi times its integral against the symplectic form downstairs
+    one = pullback(SphereFunction.constant(1))
+    quad = QuadratureSpec(order=12, tol=1e-4)
+    for key in degree_at_most_4():
+        got = contact_pairing(pullback(SphereFunction({key: 1})), one, quad)
+        assert abs(got - 2.0 * pi * monomial_form_integral(*key)) < 1e-12
 
 
 def test_dalpha_is_pullback_of_symplectic_form():

@@ -1,13 +1,18 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from cocyclelab import forms
+from cocyclelab.contact import contact_volume_form
 from cocyclelab.forms import (_project_tangent, contact_form_alpha,
                               fubini_study_form, mc3_form, pullback_integral,
                               sphere_atlas, sphere_integral, vol_form)
 from cocyclelab.groups import _qmul
-from cocyclelab.quadrature import QuadratureSpec, _panel_rule
+from cocyclelab.hamiltonian import SphereFunction
+from cocyclelab.quadrature import IntegralResult, QuadratureSpec, _panel_rule
 from cocyclelab.simplices import GeodesicSimplex, ParametrizedMap
+from cocyclelab.suites import run_suite
 
 rng = np.random.default_rng(11)
 QUAD = QuadratureSpec(order=8, tol=1e-5)
@@ -316,3 +321,74 @@ def test_vol_form_validation():
         vol_form("S3", -1.0)
     with pytest.raises(ValueError):
         vol_form("S7", 1.0)
+
+
+def cell_by_cell(form, sphere, quad):
+    """The uncached whole-sphere integral: ``pullback_integral`` of the
+    form over every atlas cell, summed in atlas order."""
+    total, est = 0.0, 0.0
+    for sign, cell in sphere_atlas(sphere):
+        res = pullback_integral(form, cell, quad)
+        total += sign * res.value
+        est += res.error_estimate
+    return IntegralResult(value=total, error_estimate=est)
+
+
+def bits(res):
+    return res.value.hex(), res.error_estimate.hex()
+
+
+@pytest.mark.parametrize("sphere, order, depth", [
+    ("CP1", 8, 0), ("CP1", 8, 1), ("S3", 8, 0), ("S3", 8, 1),
+    ("S3", 12, 0), ("S3", 12, 1)])
+def test_factored_sphere_integral_is_bitwise_the_cell_sum(
+        monkeypatch, sphere, order, depth):
+    monkeypatch.setattr(forms, "_DENSITY_CACHE", weakref.WeakKeyDictionary())
+    if sphere == "CP1":
+        poly = SphereFunction({(2, 1, 0): 3, (0, 0, 3): -2, (1, 0, 0): 1,
+                               (0, 0, 0): 0.25})
+        form = fubini_study_form().times(poly.evaluate)
+    else:
+        form = contact_volume_form().times(
+            lambda p: 1.0 + p[:, 0] * p[:, 1] ** 2 - 3.0 * p[:, 3] ** 3)
+    quad = QuadratureSpec(order=order, depth=depth, tol=1)
+    expected = cell_by_cell(form, sphere, quad)
+    first = sphere_integral(form, sphere, quad)
+    assert bits(first) == bits(expected)
+    # the second call reads every cell from the cache: no jet is evaluated
+    def no_jet(*args):
+        raise AssertionError("atlas jet evaluated on a cache hit")
+
+    monkeypatch.setattr(GeodesicSimplex, "evaluate_cube_jet", no_jet)
+    second = sphere_integral(form, sphere, quad)
+    assert bits(second) == bits(first)
+
+
+def test_s3_orthant_points_are_signed_copies_of_the_positive_cell():
+    # the density cache keeps one point table for all 16 S^3 cells
+    atlas = [cell for _, cell in sphere_atlas("S3")]
+    signs = [np.sum(cell.vertices, axis=0) for cell in atlas]
+    positive = next(c for c, sg in zip(atlas, signs) if np.all(sg > 0))
+    for order in range(8, 15):
+        for depth in (0, 1):
+            s = _panel_rule(3, order, depth)[0]
+            table = positive.evaluate_cube(s)
+            for cell, sg in zip(atlas, signs):
+                assert cell.evaluate_cube(s).tobytes() == \
+                    (sg * table).tobytes()
+
+
+def test_density_cache_stays_small_after_the_sphere_suites(monkeypatch):
+    # 1.06 MB: per level the S^3 density of every cell and one point
+    # table, and the CP1 density and points of every cell; per-cell S^3
+    # points or cached tangents would go over the bound
+    monkeypatch.setattr(forms, "_DENSITY_CACHE", weakref.WeakKeyDictionary())
+    for suite in ("symplectic", "contact"):
+        assert run_suite(suite).passed
+    arrays = {}
+    for levels in forms._DENSITY_CACHE.values():
+        for table, cells in levels.values():
+            for a in (table, *(a for cell in cells for a in cell)):
+                if a is not None:
+                    arrays[id(a)] = a
+    assert 0 < sum(a.nbytes for a in arrays.values()) <= 1.2e6

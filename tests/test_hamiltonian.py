@@ -25,13 +25,21 @@ def double_factorial(n):
 
 def monomial_form_integral(a, b, c, radius=0.5):
     """Oracle: integral of x^a y^b z^c against the 2*pi-normalized form,
-    which weighs the round area element by a factor of two."""
+    which weighs the round area element by a factor of two (Folland, "How
+    to integrate a polynomial over a sphere", Amer. Math. Monthly 108,
+    2001)."""
     if a % 2 or b % 2 or c % 2:
         return 0.0
     area = 4.0 * pi * radius ** 2
     frac = (double_factorial(a - 1) * double_factorial(b - 1)
             * double_factorial(c - 1)) / double_factorial(a + b + c + 1)
     return 2.0 * area * radius ** (a + b + c) * frac
+
+
+def degree_at_most_4():
+    """The 35 exponent triples of the monomials of degree <= 4."""
+    return [(a, b, c) for a in range(5) for b in range(5) for c in range(5)
+            if a + b + c <= 4]
 
 
 def random_points(n=200):
@@ -55,6 +63,15 @@ def test_monomial_integral_oracle_matches_quadrature():
         f = SphereFunction({(a, b, c): 1})
         got = function_integral(f, QUAD).value
         assert abs(got - monomial_form_integral(a, b, c)) < 1e-10
+
+
+def test_every_low_degree_monomial_matches_the_exact_integral():
+    # Folland's closed form, at function_integral's default order 8
+    keys = degree_at_most_4()
+    assert len(keys) == 35
+    for key in keys:
+        got = function_integral(SphereFunction({key: 1})).value
+        assert abs(got - monomial_form_integral(*key)) < 1e-12
 
 
 def test_total_form_mass_is_two_pi():
