@@ -4,14 +4,20 @@ A homogeneous cochain assigns a number mod a lattice to (n+1)-tuples of
 group elements, subject to a domain guard.  The geometric cochains
 integrate an invariant form over the iterated-join simplex attached to a
 tuple; finite-group cochains carry exact Fraction values.
+
+Coboundaries and pairings evaluate their tuples together through
+``HomogeneousCochain.with_errors``: every guard runs first, in order, and
+an integrated cochain then integrates all the simplices in one stacked
+join pass (``forms.stacked_pullback_integral``).  Each tuple's value and
+estimate are bitwise those of integrating its simplex on its own.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import BadOrder, BadReps, DomainGuard, NotNormal
-from .forms import DifferentialForm, pullback_integral, sphere_integral, \
-    vol_form
+from .forms import DifferentialForm, sphere_integral, \
+    stacked_pullback_integral, vol_form
 from .groups import (QUAT_ONE, Rotation, UnitQuaternion, _qconj, _qmul,
                      apply_rotation)
 from .quadrature import QuadratureSpec
@@ -38,21 +44,26 @@ class HomogeneousCochain:
     """Function on (n+1)-tuples of group elements, valued in R mod lattice.
 
     ``evaluator(t)`` may return a number or a (value, error_estimate)
-    pair; ``guard(t)`` decides which tuples are admissible.
+    pair; ``guard(t)`` decides which tuples are admissible.  With
+    ``stacked`` true, ``evaluator`` takes a list of admissible tuples at
+    once and returns a (value, error_estimate) pair per tuple.
     """
 
-    def __init__(self, degree, lattice, evaluator, guard=None, label=""):
+    def __init__(self, degree, lattice, evaluator, guard=None, label="",
+                 stacked=False):
         self.degree = degree
         self.lattice = lattice
         self._evaluator = evaluator
         self._guard = guard
+        self._stacked = stacked
         self.label = label
 
     def admissible(self, t):
         return True if self._guard is None else bool(self._guard(tuple(t)))
 
-    def with_error(self, t):
-        """Reduced value together with an accumulated error estimate."""
+    def _checked(self, t):
+        """``t`` as a tuple; raises unless it has the cochain's length and
+        passes its guard."""
         t = tuple(t)
         if len(t) != self.degree + 1:
             raise ValueError(
@@ -60,11 +71,31 @@ class HomogeneousCochain:
         if not self.admissible(t):
             raise DomainGuard(
                 f"tuple outside the domain of cochain {self.label!r}")
-        out = self._evaluator(t)
-        if isinstance(out, tuple):
-            value, est = out
-        else:
-            value, est = out, 0.0
+        return t
+
+    def _values(self, tuples):
+        """Unreduced (value, error_estimate) of each checked tuple.  A
+        stacked evaluator takes them all in one call, which an empty list
+        does not reach."""
+        if self._stacked and tuples:
+            return self._evaluator(tuples)
+        return [self._value(t) for t in tuples]
+
+    def _value(self, t):
+        out = self._evaluator([t])[0] if self._stacked else self._evaluator(t)
+        return out if isinstance(out, tuple) else (out, 0.0)
+
+    def with_errors(self, tuples):
+        """``with_error`` of each tuple.  Every tuple is checked first, in
+        order, so the first inadmissible one raises DomainGuard before any
+        is evaluated; a stacked evaluator then takes them all at once."""
+        tuples = [self._checked(t) for t in tuples]
+        return [(reduce_mod(value, self.lattice), est)
+                for value, est in self._values(tuples)]
+
+    def with_error(self, t):
+        """Reduced value together with an accumulated error estimate."""
+        value, est = self._value(self._checked(t))
         return reduce_mod(value, self.lattice), est
 
     def __call__(self, t):
@@ -72,13 +103,15 @@ class HomogeneousCochain:
 
 
 def coboundary(f: HomogeneousCochain) -> HomogeneousCochain:
-    """Alternating face sum: (df)(t) = sum_i (-1)^i f(d_i t); each face
-    passes f's guard once, which raises DomainGuard outside f's domain."""
+    """Alternating face sum: (df)(t) = sum_i (-1)^i f(d_i t).  Each face
+    passes f's guard once, which raises DomainGuard outside f's domain, and
+    the faces are evaluated together by ``f.with_errors``."""
 
     def evaluator(t):
+        faces = all_faces(t)
         total, est = 0, 0.0  # int start keeps Fraction values exact
-        for sign, face_t in all_faces(t):
-            v, e = f.with_error(face_t)
+        for (sign, _), (v, e) in zip(
+                faces, f.with_errors([face_t for _, face_t in faces])):
             total = total + sign * v
             est += e
         return total, est
@@ -108,33 +141,39 @@ def integrated_cochain(form: DifferentialForm, kind: str, lattice,
     "chart" (tuples in SU(2), guarded by chart-smallness).
     """
     quad = quad or QuadratureSpec()
+
+    def integrals(simplices):
+        return [(res.value, res.error_estimate) for res in
+                stacked_pullback_integral(form, simplices, quad)]
+
     if kind == "spherical":
 
-        def project(t):
-            return [apply_rotation(g, base_point) for g in t]
-
         def guard(t):
-            return in_open_hemisphere([p.vec for p in project(t)])
+            return in_open_hemisphere(
+                [apply_rotation(g, base_point).vec for g in t])
 
-        def evaluator(t):
-            simplex = GeodesicSimplex(project(t), "spherical")
-            res = pullback_integral(form, simplex, quad)
-            return res.value, res.error_estimate
+        def evaluator(tuples):
+            points = {}  # each distinct element is projected once
+            for g in (g for t in tuples for g in t):
+                key = g.matrix.tobytes()
+                if key not in points:
+                    points[key] = apply_rotation(g, base_point)
+            return integrals([GeodesicSimplex(
+                [points[g.matrix.tobytes()] for g in t], "spherical")
+                for t in tuples])
 
         label = "spherical"
     elif kind == "chart":
         guard = is_chart_small
 
-        def evaluator(t):
-            simplex = GeodesicSimplex(t, "chart")
-            res = pullback_integral(form, simplex, quad)
-            return res.value, res.error_estimate
+        def evaluator(tuples):
+            return integrals([GeodesicSimplex(t, "chart") for t in tuples])
 
         label = "chart"
     else:
         raise ValueError(f"unknown cochain kind {kind!r}")
     return HomogeneousCochain(form.degree, lattice, evaluator, guard=guard,
-                              label=f"{label}({form.ambient})")
+                              label=f"{label}({form.ambient})", stacked=True)
 
 
 def cocycle_defect(f: HomogeneousCochain, t, with_error=False):
@@ -209,18 +248,23 @@ def kronecker_pair(f: HomogeneousCochain, chain, embed=None,
     """Evaluation pairing sum_t coeff(t) * f(embed(t)).
 
     ``chain`` is a HomogeneousChain or CyclicCycle; ``embed`` maps a tuple
-    entry to a group element in the domain of f.
+    entry to a group element in the domain of f.  Every term passes f's
+    guard before any is evaluated, and the first that fails raises
+    DomainGuard naming it; the terms are then evaluated together, like
+    the faces of a coboundary, and summed in order.
     """
     terms = chain.chain.items() if isinstance(chain, CyclicCycle) \
         else chain.items()
-    total, est = 0, 0.0
-    for t, coeff in terms:
+    checked = []
+    for t, _ in terms:
         emb = t if embed is None else tuple(embed(a) for a in t)
         try:
-            v, e = f.with_error(emb)
+            checked.append(f._checked(emb))
         except DomainGuard as exc:
             raise DomainGuard(f"inadmissible tuple {t} in pairing") from exc
-        total = total + coeff * v
+    total, est = 0, 0.0
+    for (_, coeff), (v, e) in zip(terms, f._values(checked)):
+        total = total + coeff * reduce_mod(v, f.lattice)
         est += abs(coeff) * e
     total = reduce_mod(total, f.lattice)
     return (total, est) if with_error else total

@@ -392,8 +392,8 @@ def so3_of(q: UnitQuaternion) -> Rotation:
 
 def so4_of(q1: UnitQuaternion, q2: UnitQuaternion) -> Rotation:
     """Double covering SU(2) x SU(2) -> SO(4): matrix of x -> q1 x q2^{-1}."""
-    cols = [_qmul(_qmul(q1.vec, e), _qconj(q2.vec)) for e in np.eye(4)]
-    return Rotation(np.stack(cols, axis=1))
+    # row i of the product is the image of the basis vector e_i
+    return Rotation(_qmul(_qmul(q1.vec, np.eye(4)), _qconj(q2.vec)).T)
 
 
 def cyclic_embed(m: int, a: int) -> UnitQuaternion:

@@ -167,34 +167,47 @@ def _panel_rule(n: int, order: int, depth: int):
     return pts, wts
 
 
-def _level_value(integrand, n, order, depth):
-    """The rule's sum, with the bound gamma_N * sum |w_i f_i| on its
+def _level_values(integrand, n, order, depth):
+    """Per row of ``integrand``'s values (F, N), the rule's sum
+    ``np.dot(wts, row)`` with the bound gamma_N * sum |w_i f_i| on its
     rounding error for N nodes (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., SIAM 2002, ch. 3 and 4)."""
+    Numerical Algorithms, 2nd ed., SIAM 2002, ch. 3 and 4).  Each row is
+    reduced on its own: a matrix-vector product would sum in another
+    order."""
     pts, wts = _panel_rule(n, order, depth)
-    values = integrand(pts)
     nu = len(wts) * _UNIT_ROUNDOFF
-    return (float(np.dot(wts, values)),
-            nu / (1.0 - nu) * float(np.dot(wts, np.abs(values))))
+    return [(float(np.dot(wts, values)),
+             nu / (1.0 - nu) * float(np.dot(wts, np.abs(values))))
+            for values in integrand(pts)]
+
+
+def integrate_stack_on_cube(integrand, n, spec: QuadratureSpec):
+    """Two-order integrals over the unit n-cube of the F rows of
+    ``integrand(s) -> (F, N)``, as a list of F results.
+
+    Each value is taken at ``spec.order + 2`` points per axis.  Its
+    estimate is its difference from the ``spec.order`` run plus the
+    rounding bound of its own sum.  Raises QuadratureDiverged for the
+    first row whose two orders disagree by more than 10x tolerance.
+    """
+    coarse_order, fine_order = spec.orders
+    coarse = _level_values(integrand, n, coarse_order, spec.depth)
+    fine = _level_values(integrand, n, fine_order, spec.depth)
+    out = []
+    for (low, _), (value, rounding) in zip(coarse, fine):
+        diff = abs(value - low)
+        if diff > 10.0 * spec.tol:
+            raise QuadratureDiverged(
+                f"rule orders disagree by {diff:.3e} > 10 * tol = "
+                f"{10 * spec.tol:.3e}")
+        out.append(IntegralResult(value=value, error_estimate=diff + rounding))
+    return out
 
 
 def integrate_on_cube(integrand, n, spec: QuadratureSpec) -> IntegralResult:
-    """Two-order integral of ``integrand(s) -> (N,)`` over the unit n-cube.
-
-    The value is taken at ``spec.order + 2`` points per axis.  The
-    estimate is its difference from the ``spec.order`` run plus the
-    rounding bound of its own sum.  Raises QuadratureDiverged when the two
-    orders disagree by more than 10x tolerance.
-    """
-    coarse_order, fine_order = spec.orders
-    coarse, _ = _level_value(integrand, n, coarse_order, spec.depth)
-    fine, rounding = _level_value(integrand, n, fine_order, spec.depth)
-    diff = abs(fine - coarse)
-    if diff > 10.0 * spec.tol:
-        raise QuadratureDiverged(
-            f"rule orders disagree by {diff:.3e} > 10 * tol = "
-            f"{10 * spec.tol:.3e}")
-    return IntegralResult(value=fine, error_estimate=diff + rounding)
+    """Two-order integral of ``integrand(s) -> (N,)`` over the unit n-cube:
+    the one-row case of ``integrate_stack_on_cube``."""
+    return integrate_stack_on_cube(lambda s: integrand(s)[None], n, spec)[0]
 
 
 def gauss_legendre_circle(f, n_points=64):

@@ -13,6 +13,13 @@ along the cube coordinates together with its points.  A simplex's
 barycentric jet goes through ``bary_to_cube_jet``, and the prism homotopy
 pushes tangents of the base point, the tip and the time through the chart
 join.
+
+``join_rows`` is the one simplex evaluator.  It takes one vertex tuple per
+row, so a simplex repeats its own tuple on every row, and a stack of
+simplices (the faces of a coboundary) is evaluated in one pass.
+
+``in_open_hemisphere`` decides well-conditioned sets of at most d+1
+points by one linear solve, and every other set by an exact subset loop.
 """
 from __future__ import annotations
 
@@ -27,6 +34,13 @@ from .quadrature import (bary_to_cube, bary_to_cube_jet, cube_to_bary,
                          cube_to_bary_jet)
 
 _HULL_TOL = 1e-9  # residual and weight tolerance of in_open_hemisphere
+# in_open_hemisphere decides at most d+1 points by one test when the
+# smallest singular value of their matrix exceeds this.  It is far above
+# _HULL_TOL: no subset of up to d such points comes within _HULL_TOL of
+# holding the origin, and for d+1 points the subset loop could only
+# disagree where the origin lies within about _HULL_TOL / _RANK_TOL of
+# the hull's boundary
+_RANK_TOL = 1e-6
 
 
 def face(i, vertices):
@@ -62,11 +76,16 @@ def is_chart_small(vertices, radius=CHART_RADIUS):
 
 def in_open_hemisphere(points):
     """True when some u has <u, x_i> > 0 for every point, i.e. when the
-    origin lies outside the convex hull; a zero vector answers False.  By
-    Caratheodory's theorem the origin lies inside exactly when, for some
-    subset S of at most d+1 normalized points, [S^T; 1] lam = e_{d+1} is
-    solved by lam >= 0 within ``_HULL_TOL``.  Independent S have unique
-    weights, and a dependent S is covered by its independent subsets."""
+    origin lies outside the convex hull; a zero vector answers False.
+
+    At most d+1 nonzero points whose matrix has its smallest singular value
+    above ``_RANK_TOL`` are decided by one test (Gordan's alternative:
+    either some u has <u, x_i> > 0 for all i, or the origin is a convex
+    combination of the x_i).  Up to d linearly independent points always
+    pass; d+1 points with an invertible system [x_i, 1]^T lam = e_{d+1} pass
+    unless its one solution has lam >= -``_HULL_TOL``.  Every other set (a
+    zero vector, a rank-deficient set, more than d+1 points) goes through
+    ``_origin_in_hull``'s exact subset loop."""
     pts = np.array([np.asarray(p, dtype=float) for p in points])
     if pts.ndim != 2:
         raise ValueError("expected a list of coordinate vectors")
@@ -74,14 +93,33 @@ def in_open_hemisphere(points):
     norms = np.linalg.norm(pts, axis=1, keepdims=True)
     unit = np.divide(pts, norms, out=np.zeros_like(pts), where=norms > 0)
     aug = np.hstack([unit, np.ones((m, 1))])  # rows [x_i, 1]
+    if m <= d + 1 and np.all(norms > 0):
+        square = m == d + 1
+        if np.linalg.svd(aug if square else unit,
+                         compute_uv=False)[-1] > _RANK_TOL:
+            if not square:
+                return True
+            lam = np.linalg.solve(aug.T, np.eye(d + 1)[d])
+            return not lam.min() >= -_HULL_TOL
+    return not _origin_in_hull(aug)
+
+
+def _origin_in_hull(aug):
+    """The subset loop: by Caratheodory's theorem the origin lies in the
+    convex hull of the normalized points x_i, given as rows [x_i, 1] of
+    ``aug``, exactly when for some subset S of at most d+1 of them
+    [S^T; 1] lam = e_{d+1} is solved by lam >= 0 within ``_HULL_TOL``.
+    Independent S have unique weights, and a dependent S is covered by its
+    independent subsets."""
+    m, d = aug.shape[0], aug.shape[1] - 1
     rhs = np.eye(d + 1)[d]
     for k in range(1, min(m, d + 1) + 1):
         a = aug[np.array(list(combinations(range(m), k)))].transpose(0, 2, 1)
         lam = np.linalg.pinv(a) @ rhs
         resid = np.linalg.norm((a @ lam[..., None])[..., 0] - rhs, axis=1)
         if np.any((resid <= _HULL_TOL) & (lam.min(axis=1) >= -_HULL_TOL)):
-            return False
-    return True
+            return True
+    return False
 
 
 def distinct_hopf(vertices, tol=1e-9):
@@ -113,6 +151,25 @@ def chart_join(x: UnitQuaternion, y: UnitQuaternion, s) -> UnitQuaternion:
     out = _chart_join_jet(x.vec[None, :], None, y.vec[None, :],
                           np.array([float(s)]))[0]
     return UnitQuaternion(out[0])
+
+
+def join_rows(kind, vertices, s, jet):
+    """The iterated joins of one vertex tuple per row: ``vertices``
+    (N, n+1, d) at cube coordinates ``s`` (N, n) give the points (N, d) and,
+    when ``jet`` is true, their tangents (N, n, d), else None.
+
+    This is the one simplex evaluator.  A ``GeodesicSimplex`` passes its
+    own vertices on every row; a stack of simplices passes each row the
+    vertices of its own simplex (see ``forms.stacked_pullback_integral``).
+    Every join acts row by row, so a row's values do not depend on the
+    other rows."""
+    n, d = vertices.shape[1] - 1, vertices.shape[2]
+    out = vertices[:, 0].copy()
+    dout = np.zeros((s.shape[0], 0, d)) if jet else None
+    join = _slerp_jet if kind == "spherical" else _chart_join_jet
+    for k in range(1, n + 1):
+        out, dout = join(out, dout, vertices[:, k], s[:, k - 1])
+    return out, dout
 
 
 class ParametrizedMap:
@@ -192,7 +249,8 @@ class GeodesicSimplex:
     ``kind`` is "spherical" (vertices are points of a unit sphere, joins
     are great-circle arcs) or "chart" (vertices are SU(2) elements, joins
     run through the log chart).  Degeneracy is detected lazily at
-    evaluation points.
+    evaluation points.  ``varr`` (n+1, d) holds the vertex coordinates the
+    joins start from: normalized for a spherical simplex.
     """
 
     def __init__(self, vertices, kind):
@@ -207,14 +265,14 @@ class GeodesicSimplex:
             if not is_chart_small(self.vertices):
                 raise DegenerateConfig(
                     f"vertex tuple exceeds the chart radius {CHART_RADIUS}")
-            self._varr = np.array([v.vec for v in self.vertices])
+            self.varr = np.array([v.vec for v in self.vertices])
         else:
             arr = []
             for v in self.vertices:
                 vec = v.vec if isinstance(v, UnitQuaternion) else \
                     np.asarray(v, dtype=float)
                 arr.append(vec / np.linalg.norm(vec))
-            self._varr = np.array(arr)
+            self.varr = np.array(arr)
 
     def evaluate(self, bary):
         bary = np.atleast_2d(np.asarray(bary, dtype=float))
@@ -261,14 +319,8 @@ class GeodesicSimplex:
         s = np.atleast_2d(np.asarray(s, dtype=float))
         if s.shape[1] != self.degree:
             raise ValueError(f"expected {self.degree} cube coordinates")
-        shape = (s.shape[0], self._varr.shape[1])
-        out = np.broadcast_to(self._varr[0], shape).copy()
-        dout = np.zeros((shape[0], 0, shape[1])) if jet else None
-        join = _slerp_jet if self.kind == "spherical" else _chart_join_jet
-        for k in range(1, self.degree + 1):
-            tip = np.broadcast_to(self._varr[k], shape)
-            out, dout = join(out, dout, tip, s[:, k - 1])
-        return out, dout
+        rows = np.broadcast_to(self.varr, (s.shape[0],) + self.varr.shape)
+        return join_rows(self.kind, rows, s, jet)
 
     def face(self, i):
         return GeodesicSimplex(face(i, self.vertices), self.kind)

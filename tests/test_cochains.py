@@ -10,14 +10,16 @@ from cocyclelab.cochains import (HomogeneousChain, HomogeneousCochain,
                                  degree_of_map, generic_rotation,
                                  integrated_cochain, kronecker_pair,
                                  transfer, twisted_square_map)
-from cocyclelab.errors import BadOrder, BadReps, DomainGuard, NotNormal
+from cocyclelab.errors import (BadOrder, BadReps, DomainGuard, NotNormal,
+                               QuadratureDiverged)
 from cocyclelab.finite import FiniteGroupTable
-from cocyclelab.forms import mc3_form, vol_form
+from cocyclelab.forms import (mc3_form, pullback_integral,
+                              stacked_pullback_integral, vol_form)
 from cocyclelab.groups import (QUAT_I, QUAT_J, QUAT_K, QUAT_ONE, LieVector,
                                Rotation, UnitQuaternion, apply_rotation,
                                cyclic_embed, quat_exp, so4_of)
 from cocyclelab.quadrature import QuadratureSpec
-from cocyclelab.simplices import in_open_hemisphere
+from cocyclelab.simplices import GeodesicSimplex, all_faces, in_open_hemisphere
 
 rng = np.random.default_rng(99)
 QUAD = QuadratureSpec(order=6, tol=1e-4)
@@ -270,3 +272,123 @@ def test_coboundary_inadmissible_face_raises():
                                  so4_of(QUAT_J, QUAT_ONE),
                                  so4_of(QUAT_K, QUAT_ONE),
                                  so4_of(QUAT_ONE, QUAT_J)))
+
+
+def face_simplices(kind, t):
+    """The GeodesicSimplex of every face of t, as integrated_cochain builds
+    them with the base point 1."""
+    return [GeodesicSimplex([apply_rotation(g, QUAT_ONE) for g in face_t]
+                            if kind == "spherical" else face_t, kind)
+            for _, face_t in all_faces(t)]
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("order", [6, 8])
+@pytest.mark.parametrize("kind", ["spherical", "chart"])
+def test_stacked_coboundary_is_bitwise_the_face_sum(kind, order, depth):
+    # the faces of a coboundary go through one stacked join pass; each
+    # face is still reduced on its own, so the value and the estimate are
+    # bitwise those of one pullback_integral per face
+    quad = QuadratureSpec(order=order, depth=depth, tol=1e-3)
+    if kind == "spherical":
+        form, lattice = vol_form("S3", 1.0), 1.0
+        a, b, c, d, e = hemispherical_tuple(5)
+    else:
+        form, lattice = mc3_form(), 0
+        a, b, c, d, e = (quat_exp(LieVector("su2", rng.normal(size=3) * 0.05))
+                         for _ in range(5))
+    cochain = integrated_cochain(form, kind, lattice, quad=quad)
+    for t in ((a, b, c, d, e), (a, a, b, c, d)):
+        simplices = face_simplices(kind, t)
+        per_face = [pullback_integral(form, sx, quad) for sx in simplices]
+        assert stacked_pullback_integral(form, simplices, quad) == per_face
+        total, est = 0, 0.0
+        for (sign, _), res in zip(all_faces(t), per_face):
+            total = total + sign * cochains.reduce_mod(res.value, lattice)
+            est += res.error_estimate
+        assert cocycle_defect(cochain, t, with_error=True) == \
+            (cochains.reduce_mod(total, lattice), est)
+
+
+def test_stacked_faces_raise_for_the_first_diverging_face():
+    form = vol_form("S3", 1.0)
+    simplices = face_simplices("spherical", hemispherical_tuple(5))
+    loose = QuadratureSpec(order=2, tol=1.0)
+    est = [pullback_integral(form, sx, loose).error_estimate
+           for sx in simplices]
+    worst = int(np.argmax(est))
+    # ten times this tolerance lies between the worst face's rule-order
+    # difference and every other face's
+    quad = QuadratureSpec(order=2, tol=(max(est) + sorted(est)[-2]) / 20)
+    for i, sx in enumerate(simplices):
+        if i != worst:
+            pullback_integral(form, sx, quad)
+    with pytest.raises(QuadratureDiverged) as alone:
+        pullback_integral(form, simplices[worst], quad)
+    with pytest.raises(QuadratureDiverged) as stacked:
+        stacked_pullback_integral(form, simplices, quad)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_coboundary_stacks_its_faces_and_projects_each_vertex_once(
+        monkeypatch):
+    projected, stacks = [], []
+
+    def counted_rotation(g, point):
+        projected.append(g)
+        return apply_rotation(g, point)
+
+    def counted_stack(form, simplices, quad):
+        stacks.append(len(simplices))
+        return stacked_pullback_integral(form, simplices, quad)
+
+    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+                                 quad=QUAD)
+    t = hemispherical_tuple(5)
+    monkeypatch.setattr(cochains, "apply_rotation", counted_rotation)
+    monkeypatch.setattr(cochains, "stacked_pullback_integral", counted_stack)
+    cocycle_defect(cochain, t)
+    # the five guards project their four vertices each; the one stacked
+    # evaluation projects each of the five vertices once
+    assert stacks == [5]
+    assert len(projected) == 5 * 4 + 5
+    assert all(any(g is h for h in projected[20:]) for g in t)
+
+
+def test_pairing_checks_every_term_before_evaluating(monkeypatch):
+    stacks = []
+
+    def counted_stack(form, simplices, quad):
+        stacks.append(len(simplices))
+        return stacked_pullback_integral(form, simplices, quad)
+
+    monkeypatch.setattr(cochains, "stacked_pullback_integral", counted_stack)
+    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+                                 quad=QUAD)
+    flip = so4_of(QUAT_I, QUAT_I.inverse())  # sends 1 to -1
+    group = [Rotation.identity(4), so4_of(QUAT_J, QUAT_ONE), flip,
+             so4_of(QUAT_K, QUAT_ONE), so4_of(QUAT_ONE, QUAT_I)]
+    # the terms of the 4-cycle in order: (0, 1, 0, 1) is admissible and
+    # (0, 1, 1, 2) is the first to meet the antipode of 1
+    with pytest.raises(DomainGuard,
+                       match=r"inadmissible tuple \(0, 1, 1, 2\) in pairing"):
+        kronecker_pair(cochain, cyclic_cycle(4), embed=lambda a: group[a])
+    assert stacks == []
+    # an admissible chain is evaluated in one stack, and its pairing is the
+    # term-by-term sum of the reduced values, bitwise
+    chain = HomogeneousChain([(1, (0, 1, 3, 4)), (-2, (1, 0, 4, 3)),
+                              (3, (0, 0, 1, 3))])
+    value, est = kronecker_pair(cochain, chain, embed=lambda a: group[a],
+                                with_error=True)
+    assert stacks == [3]
+    total, total_est = 0, 0.0
+    for t, coeff in chain.items():
+        v, e = cochain.with_error(tuple(group[a] for a in t))
+        total = total + coeff * v
+        total_est += abs(coeff) * e
+    assert (value, est) == (cochains.reduce_mod(total, 1.0), total_est)
+    # an empty chain pairs to 0 without evaluating anything
+    stacks.clear()
+    assert kronecker_pair(cochain, HomogeneousChain(), with_error=True) == \
+        (0, 0.0)
+    assert stacks == []

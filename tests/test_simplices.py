@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from cocyclelab import cochains, simplices, suites
 from cocyclelab.errors import (AntipodalJoin, ChartExceeded, DegenerateConfig,
                                IndexOut)
 from cocyclelab.groups import (QUAT_I, QUAT_ONE, LieVector, UnitQuaternion,
@@ -442,3 +445,111 @@ def test_all_faces_signs():
     t = ("a", "b", "c")
     assert all_faces(t) == [(1, ("b", "c")), (-1, ("a", "c")),
                             (1, ("a", "b"))]
+
+
+def origin_in_hull_by_subsets(points):
+    """Reference copy of the exact subset loop that in_open_hemisphere
+    falls back to: by Caratheodory's theorem the origin lies in the hull
+    exactly when some subset S of at most d+1 normalized points solves
+    [S^T; 1] lam = e_{d+1} with lam >= 0, within the hull tolerance."""
+    tol = 1e-9
+    pts = np.array([np.asarray(p, dtype=float) for p in points])
+    m, d = pts.shape
+    norms = np.linalg.norm(pts, axis=1, keepdims=True)
+    unit = np.divide(pts, norms, out=np.zeros_like(pts), where=norms > 0)
+    aug = np.hstack([unit, np.ones((m, 1))])
+    rhs = np.eye(d + 1)[d]
+    for k in range(1, min(m, d + 1) + 1):
+        a = aug[np.array(list(combinations(range(m), k)))].transpose(0, 2, 1)
+        lam = np.linalg.pinv(a) @ rhs
+        resid = np.linalg.norm((a @ lam[..., None])[..., 0] - rhs, axis=1)
+        if np.any((resid <= tol) & (lam.min(axis=1) >= -tol)):
+            return True
+    return False
+
+
+def hemisphere_cases():
+    local = np.random.default_rng(12)
+    e = np.eye(4)
+    x, y, z = (v / np.linalg.norm(v) for v in local.normal(size=(3, 4)))
+    cases = []
+    # rank-deficient sets: points in a plane or a 3-space of R^4
+    cases += [[x, y, x + y], [x, y, -x - y], [x, y, x + y, x - y],
+              [x, y, z, x + y + z], [x, y, z, -x - y - z, x - z],
+              [e[0], e[1], e[2], -e[0] - e[1] - e[2]], [x, x, y, z]]
+    # near-antipodal pairs, alone and with more points
+    for eps in 10.0 ** -np.arange(1, 13):
+        near = -x + eps * y
+        cases += [[x, near], [x, near, z], [x, near, y, z],
+                  [x, near, e[0], e[1], e[2]]]
+    # zero vectors
+    zero = np.zeros(4)
+    cases += [[zero], [zero, e[0]], [e[0], e[1], zero, e[2]],
+              [e[0], e[1], e[2], e[3], zero], [x, y, z, e[0], zero, e[1]]]
+    # six points in R^4: in a cap, spread out, and with the cap's antipode
+    centre = local.normal(size=4)
+    for spread in (0.1, 0.5, 1.0, 3.0):
+        for _ in range(10):
+            cases.append(list(centre + spread * local.normal(size=(6, 4))))
+    cases.append(list(centre + 0.2 * local.normal(size=(5, 4))) + [-centre])
+    # at most d+1 points in general position
+    for m in range(1, 6):
+        for spread in (0.1, 1.0, 3.0):
+            for _ in range(10):
+                cases.append(list(centre + spread
+                                  * local.normal(size=(m, 4))))
+    return cases
+
+
+def test_hemisphere_test_agrees_with_the_subset_loop():
+    for pts in hemisphere_cases():
+        assert in_open_hemisphere(pts) == \
+            (not origin_in_hull_by_subsets(pts)), pts
+
+
+def test_hemisphere_decides_well_conditioned_sets_in_one_test(monkeypatch):
+    calls = []
+
+    def counted(aug):
+        calls.append(len(aug))
+        return simplices_loop(aug)
+
+    simplices_loop = simplices._origin_in_hull
+    monkeypatch.setattr(simplices, "_origin_in_hull", counted)
+    e = np.eye(4)
+    assert in_open_hemisphere(list(e))
+    assert in_open_hemisphere(list(e) + [e.sum(axis=0)])
+    assert not in_open_hemisphere(list(e) + [-e.sum(axis=0)])
+    assert in_open_hemisphere([e[0], e[0] + e[1], e[2] - e[0]])
+    assert calls == []
+    # rank-deficient, zero and more than d+1 points take the subset loop
+    assert in_open_hemisphere([e[0], e[1], e[0] + e[1]])
+    assert not in_open_hemisphere([e[0], np.zeros(4)])
+    assert in_open_hemisphere(list(e) + [e[0] + e[1], e[2] + e[3]])
+    assert calls == [3, 2, 6]
+
+
+@pytest.mark.parametrize("seed", [0x5EED, 1, 2, 3, 4])
+def test_hemisphere_test_agrees_on_every_suite_tuple(monkeypatch, seed):
+    # every point set that cocycle-defect and cs-pairing test: the drawn
+    # 5-tuples, the faces of each coboundary and the terms of each pairing
+    sets = []
+
+    def recorded(points):
+        sets.append([np.array(p) for p in points])
+        return in_open_hemisphere(points)
+
+    def guards_only(cochain, t, with_error=False):
+        for _, face_t in all_faces(t):
+            cochain.admissible(face_t)
+        return 0.0, 1.0
+
+    monkeypatch.setattr(suites, "in_open_hemisphere", recorded)
+    monkeypatch.setattr(cochains, "in_open_hemisphere", recorded)
+    monkeypatch.setattr(suites, "cocycle_defect", guards_only)
+    suites.run_suite("cocycle-defect", {"seed": seed})
+    suites.run_suite("cs-pairing", {"seed": seed})
+    assert len(sets) > 600
+    assert sum(len(pts) == 5 for pts in sets) >= 100
+    for pts in sets:
+        assert in_open_hemisphere(pts) == (not origin_in_hull_by_subsets(pts))
