@@ -231,13 +231,6 @@ class CyclicCycle:
         self.chain = HomogeneousChain(
             (1, (0, 1, i % m, (i + 1) % m)) for i in range(1, m + 1))
 
-    def boundary_coinvariant(self) -> HomogeneousChain:
-        out = HomogeneousChain()
-        m = self.m
-        for t, c in self.chain.boundary().terms.items():
-            out.add(c, tuple((g - t[0]) % m for g in t))
-        return out
-
 
 def cyclic_cycle(m: int) -> CyclicCycle:
     return CyclicCycle(m)

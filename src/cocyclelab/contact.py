@@ -7,7 +7,10 @@ back through the Hopf map have contact Hamiltonian fields equal to the
 horizontal lift of the downstairs field plus the function times the Reeb
 field; both ingredients are analytic here because the Hopf differential
 is an explicit coisometry.  Every contact function is such a pullback of a
-polynomial, so fields and brackets need no finite differences.
+polynomial, so fields and brackets need no finite differences.  The
+``contact`` suite checks the field's defining identities: alpha(X_f) = f,
+X_f is tangent to the sphere, and the field of the constant 1 is the Reeb
+field.
 """
 from __future__ import annotations
 
@@ -143,11 +146,3 @@ def contact_pairing(f: ContactFunction, g: ContactFunction,
         lambda p: f.evaluate(p) * g.evaluate(p))
     return sphere_integral(form, "S3", quad).value
 
-
-def reeb_derivative(fn, points, h=1e-5):
-    """Directional derivative along the Reeb field, by central differences
-    along the fiber flow (which stays on the sphere)."""
-    q = np.atleast_2d(np.asarray(points, dtype=float))
-    up = np.broadcast_to(np.array([np.cos(h), np.sin(h), 0.0, 0.0]), q.shape)
-    dn = np.broadcast_to(np.array([np.cos(h), -np.sin(h), 0.0, 0.0]), q.shape)
-    return (fn(_qmul(up, q)) - fn(_qmul(dn, q))) / (2.0 * h)

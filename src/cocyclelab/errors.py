@@ -5,24 +5,12 @@ class CocycleLabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class AntipodalChart(CocycleLabError):
-    """Logarithm chart evaluated at the antipode of the identity."""
-
-
 class BadOrder(CocycleLabError):
     """Cyclic order parameter below 2."""
 
 
 class IndexOut(CocycleLabError, IndexError):
     """Face index outside the valid range of a tuple."""
-
-
-class AntipodalJoin(CocycleLabError):
-    """Great-circle join requested between antipodal points."""
-
-
-class ChartExceeded(CocycleLabError):
-    """Chart-based join requested outside the chart domain."""
 
 
 class DegenerateConfig(CocycleLabError):
@@ -47,10 +35,6 @@ class BadReps(CocycleLabError):
 
 class PredicateNotFaceClosed(CocycleLabError):
     """A tuple predicate admits a tuple but rejects one of its faces."""
-
-
-class NoCommonApex(CocycleLabError):
-    """Cone filling failed: the apex violates the predicate for a generator."""
 
 
 class NotWellConfigured(CocycleLabError):

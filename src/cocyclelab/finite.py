@@ -5,34 +5,33 @@ the boundary is the alternating face sum.  Homology is computed from
 exact integer Smith normal forms, and the comparison chain map back from
 the full tuple complex (identity on admissible tuples) is constructed
 degree by degree through integer solves, mirroring the acyclicity
-induction.
+induction.  The predicates are "all-tuples", "conf-distinct" (pairwise
+distinct entries) and any face-closed, translation-invariant callable.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .cochains import HomogeneousChain, HomogeneousCochain
-from .errors import (KernelObstruction, NoCommonApex, NotWellConfigured,
+from .errors import (KernelObstruction, NotWellConfigured,
                      PredicateNotFaceClosed)
-from .groups import UnitQuaternion, cyclic_embed
-from .simplices import all_faces, distinct_hopf
+from .groups import UnitQuaternion
+from .simplices import all_faces
 from .snf import SmithSolver, rational_rank
 
-PREDICATES = ("all-tuples", "conf-distinct", "distinct-hopf")
+PREDICATES = ("all-tuples", "conf-distinct")
 
 
 class FiniteGroupTable:
-    """Multiplication table of a finite group, with optional realization
-    of the elements as unit quaternions (for geometric predicates)."""
+    """Multiplication table of a finite group, with labels for its
+    elements."""
 
-    def __init__(self, table, labels=None, embedding=None):
+    def __init__(self, table, labels=None):
         self.table = [list(map(int, row)) for row in table]
         self.order = len(self.table)
         self.labels = list(labels) if labels else list(range(self.order))
-        self.embedding = embedding
         self.elements = tuple(range(self.order))
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
@@ -74,8 +73,7 @@ class FiniteGroupTable:
     @classmethod
     def cyclic(cls, m: int) -> "FiniteGroupTable":
         table = [[(a + b) % m for b in range(m)] for a in range(m)]
-        embedding = [cyclic_embed(m, a) for a in range(m)]
-        return cls(table, labels=list(range(m)), embedding=embedding)
+        return cls(table, labels=list(range(m)))
 
     @classmethod
     def quaternion8(cls) -> "FiniteGroupTable":
@@ -92,7 +90,7 @@ class FiniteGroupTable:
 
         table = [[index_of(a * b) for b in units] for a in units]
         labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-        return cls(table, labels=labels, embedding=units)
+        return cls(table, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -111,23 +109,14 @@ class HomologySummary:
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
 
-    def as_dict(self):
-        return {"rank": self.free_rank, "torsion": list(self.torsion)}
 
-
-def _predicate_fn(group: FiniteGroupTable, predicate, hopf_tol=1e-9):
+def _predicate_fn(predicate):
     if callable(predicate):
         return predicate
     if predicate == "all-tuples":
         return lambda t: True
     if predicate == "conf-distinct":
         return lambda t: len(set(t)) == len(t)
-    if predicate == "distinct-hopf":
-        if group.embedding is None:
-            raise ValueError(
-                "distinct-hopf needs a quaternion realization of the group")
-        return lambda t: distinct_hopf([group.embedding[g] for g in t],
-                                       hopf_tol)
     raise ValueError(f"unknown predicate {predicate!r}; "
                      f"choose one of {PREDICATES}")
 
@@ -142,7 +131,7 @@ class ConfiguredComplex:
         self.group = group
         self.predicate = predicate if isinstance(predicate, str) else "custom"
         self.q = q
-        self._admit = _predicate_fn(group, predicate)
+        self._admit = _predicate_fn(predicate)
         if not all(self._admit((g,)) for g in group.elements):
             raise PredicateNotFaceClosed(
                 "every single-element tuple must be admissible")
@@ -180,9 +169,6 @@ class ConfiguredComplex:
                 mat[self.index[n - 1][ft]][j] += sign
         return mat
 
-    def generator_counts(self):
-        return [len(g) for g in self.generators]
-
     def solver(self, n) -> SmithSolver:
         if n not in self._solvers:
             self._solvers[n] = SmithSolver(self.boundaries[n])
@@ -211,53 +197,6 @@ def homology(complex_: ConfiguredComplex, n: int) -> HomologySummary:
     torsion = tuple(d for d in complex_.solver(n + 1).diag if d not in (0, 1))
     return HomologySummary(degree=n, free_rank=cycle_rank - rank_in,
                            torsion=torsion)
-
-
-def homology_report(complex_: ConfiguredComplex) -> dict:
-    """JSON-ready summary: degree -> {rank, torsion}."""
-    report = {
-        "group_order": complex_.group.order,
-        "predicate": complex_.predicate,
-        "max_degree": complex_.q,
-        "generators": complex_.generator_counts(),
-        "homology": {str(n): homology(complex_, n).as_dict()
-                     for n in range(complex_.q)},
-    }
-    return report
-
-
-def homology_report_json(complex_: ConfiguredComplex) -> str:
-    return json.dumps(homology_report(complex_), indent=2, sort_keys=True)
-
-
-def cone_fill(complex_: ConfiguredComplex, cycle: HomogeneousChain,
-              y) -> HomogeneousChain:
-    """Fill a cycle by coning every generator to the apex y.
-
-    Requires each extended tuple to stay admissible; the returned chain's
-    boundary is compared with the cycle exactly before returning.
-    """
-    if not cycle.terms:
-        return HomogeneousChain()
-    degrees = {len(t) - 1 for t in cycle.terms}
-    if len(degrees) != 1:
-        raise ValueError("mixed-degree chain")
-    n = degrees.pop()
-    if n >= 1:
-        if cycle.boundary().terms:
-            raise ValueError("input chain is not a cycle")
-    elif sum(cycle.terms.values()) != 0:
-        raise ValueError("degree-0 input must have augmentation zero")
-    sign = (-1) ** (n + 1)
-    out = HomogeneousChain()
-    for t, c in cycle.terms.items():
-        ext = t + (y,)
-        if ext not in complex_.index[n + 1]:
-            raise NoCommonApex(f"apex {y} fails the predicate on {t}")
-        out.add(sign * c, ext)
-    if out.boundary().terms != cycle.terms:
-        raise AssertionError("cone boundary mismatch")  # pragma: no cover
-    return out
 
 
 def _normalize(group: FiniteGroupTable, t):

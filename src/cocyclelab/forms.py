@@ -90,12 +90,6 @@ class DifferentialForm:
                 "tangent vectors")
         return self._evaluator(points, tangents)
 
-    def __rmul__(self, scalar):
-        s = float(scalar)
-        return DifferentialForm(
-            self.degree, self.ambient,
-            lambda p, t: s * self._evaluator(p, t))
-
 
 def _det_rows(*rows):
     return np.linalg.det(np.stack(rows, axis=-2))
@@ -161,20 +155,6 @@ def mc3_form() -> DifferentialForm:
         return total / (24.0 * np.pi ** 2)
 
     return DifferentialForm(3, "SU2", ev)
-
-
-def contact_form_alpha() -> DifferentialForm:
-    """Standard contact 1-form on S^3: alpha_q(v) = <i q, v>.
-
-    The Reeb field i*q has alpha = 1, fibers of the Hopf map have period
-    2*pi, and d(alpha) equals the pullback of the Fubini-Study form.
-    """
-
-    def ev(p, t):
-        iq = _qmul(np.broadcast_to([0.0, 1.0, 0.0, 0.0], p.shape), p)
-        return np.einsum("ni,ni->n", iq, t[:, 0])
-
-    return DifferentialForm(1, "S3", ev)
 
 
 def _project_tangent(x, t):

@@ -15,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import AntipodalChart, BadOrder, DegenerateConfig
+from .errors import BadOrder, DegenerateConfig
 
 CHART_RADIUS = 0.5  # default convexity radius (radians) for chart-based joins
 _ANTIPODE_TOL = 1e-12
@@ -172,10 +172,6 @@ def _chart_join_jet(x, dx, y, s, dy=None, ds=None):
     dout = _qmul(x[:, None], de)
     dout[:, :dx.shape[1]] += _qmul(dx, e[:, None])
     return out, dout
-
-
-def _normalize(v):
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 class UnitQuaternion:
@@ -337,31 +333,14 @@ def quat_exp(X: LieVector) -> UnitQuaternion:
     return UnitQuaternion(np.concatenate([[np.cos(th)], np.sin(th) * u]))
 
 
-def quat_log(q: UnitQuaternion) -> LieVector:
-    """Principal logarithm SU(2) -> su(2); undefined at the antipode -1."""
-    w = float(np.clip(q.w, -1.0, 1.0))
-    v = q.vec[1:]
-    s = np.linalg.norm(v)
-    if w < -1.0 + 1e-12 and s < 1e-6:
-        raise AntipodalChart("log is undefined at the antipode of the identity")
-    th = np.arctan2(s, w)
-    if s < 1e-300:
-        return LieVector("su2", np.zeros(3))
-    return LieVector("su2", (th / s) * v)
-
-
-def hopf(q: UnitQuaternion) -> np.ndarray:
-    """Hopf projection onto the radius-1/2 sphere model of CP^1.
+def hopf_arr(q):
+    """Hopf projection of quaternions (..., 4) onto the radius-1/2 sphere
+    model of CP^1.
 
     Constant on left circle fibers exp(i*t)*q; with this normalization the
     differential of the standard contact form equals the pullback of the
     symplectic area form (see the contact module).
     """
-    return hopf_arr(q.vec)
-
-
-def hopf_arr(q):
-    """Vectorized Hopf projection for arrays of shape (..., 4)."""
     w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
     return np.stack([
         w * y + x * z,
@@ -378,16 +357,6 @@ def hopf_jacobian(q):
         np.stack([z, -y, -x, w], axis=-1),
         np.stack([w, x, -y, -z], axis=-1),
     ], axis=-2)
-
-
-def so3_of(q: UnitQuaternion) -> Rotation:
-    """Double covering SU(2) -> SO(3): the matrix of v -> q v q^{-1}."""
-    w, x, y, z = q.vec
-    return Rotation(np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ]))
 
 
 def so4_of(q1: UnitQuaternion, q2: UnitQuaternion) -> Rotation:

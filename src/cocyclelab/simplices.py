@@ -27,9 +27,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (AntipodalJoin, ChartExceeded, DegenerateConfig, IndexOut)
-from .groups import (_ANTIPODE_TOL, CHART_RADIUS, UnitQuaternion,
-                     _chart_join_jet, _qconj, _qmul, _slerp_jet, hopf_arr)
+from .errors import DegenerateConfig, IndexOut
+from .groups import (CHART_RADIUS, UnitQuaternion, _chart_join_jet, _qconj,
+                     _qmul, _slerp_jet)
 from .quadrature import (bary_to_cube, bary_to_cube_jet, cube_to_bary,
                          cube_to_bary_jet)
 
@@ -120,37 +120,6 @@ def _origin_in_hull(aug):
         if np.any((resid <= _HULL_TOL) & (lam.min(axis=1) >= -_HULL_TOL)):
             return True
     return False
-
-
-def distinct_hopf(vertices, tol=1e-9):
-    """True when the Hopf images of the quaternions pairwise differ."""
-    pts = hopf_arr(np.array([g.vec for g in vertices]))
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if np.linalg.norm(pts[i] - pts[j]) <= tol:
-                return False
-    return True
-
-
-def slerp_join(x, y, s):
-    """Constant-speed great-circle arc from x (s=0) to y (s=1)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dot = float(np.clip(np.dot(x, y), -1.0, 1.0))
-    if dot <= -1.0 + _ANTIPODE_TOL:
-        raise AntipodalJoin("no unique arc between antipodal points")
-    return _slerp_jet(x[None, :], None, y[None, :],
-                      np.array([float(s)]))[0][0]
-
-
-def chart_join(x: UnitQuaternion, y: UnitQuaternion, s) -> UnitQuaternion:
-    """Left-equivariant chart arc x * exp(s * log(x^{-1} y)) in SU(2)."""
-    d = _qmul(_qconj(x.vec), y.vec)
-    if d[0] <= -1.0 + _ANTIPODE_TOL and np.linalg.norm(d[1:]) < 1e-6:
-        raise ChartExceeded("x^{-1} y is antipodal to the identity")
-    out = _chart_join_jet(x.vec[None, :], None, y.vec[None, :],
-                          np.array([float(s)]))[0]
-    return UnitQuaternion(out[0])
 
 
 def join_rows(kind, vertices, s, jet):
@@ -327,11 +296,6 @@ class GeodesicSimplex:
 
     def corner_vertices(self):
         return self.vertices
-
-
-def build_simplex(vertices, kind) -> GeodesicSimplex:
-    """Construct the iterated-join simplex on the given vertex tuple."""
-    return GeodesicSimplex(vertices, kind)
 
 
 def straighten(f) -> GeodesicSimplex:

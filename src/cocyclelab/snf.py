@@ -114,11 +114,6 @@ def smith_normal_form(mat):
     return u, s, v
 
 
-def diagonal(s):
-    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))
-            if s[i][i] != 0]
-
-
 class SmithSolver:
     """Reusable exact solver for A x = b over the integers."""
 

@@ -23,7 +23,8 @@ from .cochains import (HomogeneousCochain, circle_distance, coboundary,
                        degree_of_map, generic_rotation, integrated_cochain,
                        kronecker_pair, transfer, twisted_square_map)
 from .contact import (alpha_value, contact_bracket, contact_cocycle,
-                      contact_pairing, fiber_period, pullback)
+                      contact_field, contact_pairing, fiber_period, pullback,
+                      reeb_field)
 from .errors import CocycleLabError, ConfigParse, UnknownSuite
 from .finite import (FiniteGroupTable, brute_force_free_rank, build_complex,
                      build_retraction, extend_cocycle, homology)
@@ -33,7 +34,8 @@ from .groups import (QUAT_ONE, LieVector, _qconj, _qexp_jet, _qmul,
                      quat_exp, so4_of)
 from .hamiltonian import (SphereFunction, pairing_integral, poisson,
                           symplectic_cocycle)
-from .lie import derivation_residual
+from .lie import (LieAlgebraTable, cartan_cocycle, ce_differential,
+                  derivation_residual, form_at_identity)
 from .quadrature import QuadratureSpec
 from .simplices import (ParametrizedMap, all_faces, in_open_hemisphere,
                         prism_chain, straighten)
@@ -253,6 +255,21 @@ def _suite_gf_derivation(cfg) -> SuiteReport:
     with rec.check("covector-degree1-residual", 0.0, 1e-4) as record:
         record(derivation_residual(cov, 1, step=1e-3,
                                    quad=QuadratureSpec(order=8, tol=1e-2)))
+
+    # the last link of the chain: the form at the identity is the Cartan
+    # cocycle <x, [y, z]> of su(2), up to -1/(4 pi^2), and closed
+    with rec.check("mc3-is-cartan", 0.0, 1e-14) as record:
+        su2 = LieAlgebraTable.su2()
+        cartan = cartan_cocycle(su2)
+        target = -cartan.tensor.astype(float) / (4.0 * np.pi ** 2)
+        dev = np.abs(form_at_identity(mc3_form(), 3) - target).max() \
+            / np.abs(target).max()
+        closed = ce_differential(cartan, su2).norm_max() == 0.0
+        record(dev, passed=dev <= 1e-14 and closed)
+
+    with rec.check("cartan-closed-so4", 0.0, 0.0) as record:
+        so4 = LieAlgebraTable.so4()
+        record(ce_differential(cartan_cocycle(so4), so4).norm_max())
     return SuiteReport("gf-derivation", rec.checks)
 
 
@@ -365,6 +382,20 @@ def _suite_contact(cfg) -> SuiteReport:
                 + contact_pairing(G, contact_bracket(F, H), quad_fine)
             worst = max(worst, abs(lhs))
         record(worst)
+
+    # last, on its own generator, so the checks above draw what they drew
+    # before it was added
+    rng = np.random.default_rng(cfg["seed"])
+    with rec.check("contact-field", 0.0, 1e-12) as record:
+        f = pullback(_random_polynomial(rng))
+        q = rng.normal(size=(cfg["contact_samples"], 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        xf = contact_field(f)(q)
+        one = pullback(SphereFunction.constant(1))
+        record(max(
+            float(np.abs(alpha_value(q, xf) - f.evaluate(q)).max()),
+            float(np.abs(np.einsum("ni,ni->n", xf, q)).max()),
+            float(np.abs(contact_field(one)(q) - reeb_field()(q)).max())))
     return SuiteReport("contact", rec.checks)
 
 

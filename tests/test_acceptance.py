@@ -57,7 +57,8 @@ def test_criterion_03_cocycle_defect():
 def test_criterion_04_derivation_identity():
     criterion("4 derivation", "gf-derivation", {
         "mc3-degree3-residual": (0.0, 5e-2),
-        "covector-degree1-residual": (0.0, 1e-4)}, 60.0)
+        "covector-degree1-residual": (0.0, 1e-4),
+        "mc3-is-cartan": (0.0, 1e-14), "cartan-closed-so4": ZERO}, 60.0)
 
 
 def test_criterion_05_symplectic_cocycle():
@@ -70,7 +71,8 @@ def test_criterion_06_contact_suite():
     criterion("6 contact", "contact", {
         "fiber-period": (2.0 * pi, 1e-9), "dalpha-pullback": (0.0, 1e-6),
         "hopf-reduction": (0.0, 1e-4),
-        "contact-ad-invariance": (0.0, 1e-6)}, 60.0)
+        "contact-ad-invariance": (0.0, 1e-6),
+        "contact-field": (0.0, 1e-12)}, 60.0)
 
 
 def test_criterion_07_configured_homology():

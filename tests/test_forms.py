@@ -5,9 +5,9 @@ import pytest
 
 from cocyclelab import forms
 from cocyclelab.contact import contact_volume_form
-from cocyclelab.forms import (_project_tangent, contact_form_alpha,
-                              fubini_study_form, mc3_form, pullback_integral,
-                              sphere_atlas, sphere_integral, vol_form)
+from cocyclelab.forms import (_project_tangent, fubini_study_form, mc3_form,
+                              pullback_integral, sphere_atlas,
+                              sphere_integral, vol_form)
 from cocyclelab.groups import _qmul
 from cocyclelab.hamiltonian import SphereFunction
 from cocyclelab.quadrature import IntegralResult, QuadratureSpec, _panel_rule
@@ -123,14 +123,6 @@ def test_mc3_alternation_and_invariance():
 def test_mc3_total_integral_is_unit():
     res = sphere_integral(mc3_form(), "S3", QUAD)
     assert abs(abs(res.value) - 1.0) < 1e-4
-
-
-def test_contact_form_anchors():
-    form = contact_form_alpha()
-    for _ in range(20):
-        q = random_unit(4)
-        iq = _qmul(np.array([0.0, 1.0, 0.0, 0.0]), q)
-        assert abs(form.evaluate(q[None], iq[None, None])[0] - 1.0) < 1e-12
 
 
 def test_form_multilinearity():

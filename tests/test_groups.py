@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from cocyclelab.errors import AntipodalChart, BadOrder
+from cocyclelab.errors import BadOrder, DegenerateConfig
 from cocyclelab.groups import (QUAT_I, QUAT_J, QUAT_ONE, LieVector, Rotation,
-                               UnitQuaternion, apply_rotation, cyclic_embed,
-                               hopf, quat_exp, quat_log, so3_of, so4_of)
+                               UnitQuaternion, _qlog_jet, _qmul,
+                               apply_rotation, cyclic_embed, hopf_arr,
+                               quat_exp, so4_of)
 
 rng = np.random.default_rng(20240813)
 
@@ -12,6 +13,14 @@ rng = np.random.default_rng(20240813)
 def random_quat():
     v = rng.normal(size=4)
     return UnitQuaternion(v / np.linalg.norm(v))
+
+
+def log_of(q):
+    return _qlog_jet(q.vec, None)[0]
+
+
+def hopf(q):
+    return hopf_arr(q.vec)
 
 
 def test_unit_norm_maintained_after_products():
@@ -28,19 +37,19 @@ def test_exp_identity_and_closed_forms():
 
 
 def test_log_inverts_exp_inside_ball():
-    assert np.allclose(quat_log(QUAT_ONE).coeffs, 0.0)
-    assert np.allclose(quat_log(QUAT_I).coeffs, [np.pi / 2, 0, 0])
+    assert np.allclose(log_of(QUAT_ONE), 0.0)
+    assert np.allclose(log_of(QUAT_I), [np.pi / 2, 0, 0])
     for _ in range(50):
         v = rng.normal(size=3)
         v *= rng.uniform(0, np.pi - 0.1) / np.linalg.norm(v)
-        back = quat_log(quat_exp(LieVector("su2", v)))
-        assert np.linalg.norm(back.coeffs - v) < 1e-10
-        assert back.norm() < np.pi
+        back = log_of(quat_exp(LieVector("su2", v)))
+        assert np.linalg.norm(back - v) < 1e-10
+        assert np.linalg.norm(back) < np.pi
 
 
 def test_log_rejects_antipode():
-    with pytest.raises(AntipodalChart):
-        quat_log(-QUAT_ONE)
+    with pytest.raises(DegenerateConfig):
+        log_of(-QUAT_ONE)
 
 
 def test_hopf_poles():
@@ -64,24 +73,19 @@ def test_hopf_constant_on_left_circle_fibers():
 
 def test_hopf_right_translation_equivariance():
     # right translation by g moves Hopf images by a fixed rotation
-    # conjugate to so3_of(g^{-1}); the conjugator swaps the x- and z-axes
+    # conjugate to v -> g^{-1} v g; the conjugator swaps the x- and z-axes
     # and flips y
     a = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
+
+    def conjugation(g):
+        # columns: the images of the imaginary units under v -> g v g^{-1}
+        units = np.eye(4)[1:]
+        return _qmul(_qmul(g.vec, units), g.inverse().vec)[:, 1:].T
+
     for _ in range(10):
         q, g = random_quat(), random_quat()
-        expected = a @ so3_of(g.inverse()).matrix @ a.T @ hopf(q)
+        expected = a @ conjugation(g.inverse()) @ a.T @ hopf(q)
         assert np.linalg.norm(hopf(q * g) - expected) < 1e-10
-
-
-def test_so3_kernel_and_homomorphism():
-    assert so3_of(QUAT_ONE).isclose(Rotation.identity(3))
-    assert so3_of(-QUAT_ONE).isclose(Rotation.identity(3))
-    q = quat_exp(LieVector("su2", [np.pi / 2, 0, 0]))
-    # rotation by pi about the x-axis
-    assert so3_of(q).isclose(Rotation(np.diag([1.0, -1.0, -1.0])))
-    for _ in range(20):
-        a, b = random_quat(), random_quat()
-        assert (so3_of(a) @ so3_of(b)).isclose(so3_of(a * b), tol=1e-12)
 
 
 def test_so4_kernel_homomorphism_and_action():

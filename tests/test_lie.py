@@ -5,17 +5,22 @@ from math import factorial
 import numpy as np
 import pytest
 
-from cocyclelab.cochains import HomogeneousCochain
-from cocyclelab.errors import StepTooLarge
+from cocyclelab.cochains import HomogeneousCochain, integrated_cochain
+from cocyclelab.errors import DomainGuard, StepTooLarge
 from cocyclelab.forms import DifferentialForm, mc3_form
-from cocyclelab.groups import _qconj, _qmul, quat_log
-from cocyclelab.lie import (LieAlgebraTable, MultilinearCochain, alternation,
-                            cartan_cocycle, ce_differential,
-                            cochain_derivative, derivation_residual,
-                            form_at_identity)
+from cocyclelab.groups import _qconj, _qlog_jet, _qmul
+from cocyclelab.lie import (LieAlgebraTable, MultilinearCochain,
+                            _group_tuple, alternation, cartan_cocycle,
+                            ce_differential, cochain_derivative,
+                            derivation_residual, form_at_identity)
 from cocyclelab.quadrature import QuadratureSpec
 
 rng = np.random.default_rng(17)
+
+
+def log_of(q):
+    # principal log of a UnitQuaternion, as su(2) coefficients
+    return _qlog_jet(q.vec, None)[0]
 
 
 def random_alternating(dim, degree):
@@ -52,7 +57,7 @@ def brute_force_ce(omega, algebra):
         for a in range(n + 1):
             for b in range(a + 1, n + 1):
                 rest = [idx[c] for c in range(n + 1) if c not in (a, b)]
-                bracket = algebra.bracket_coeffs(idx[a], idx[b])
+                bracket = algebra.structure[idx[a], idx[b]]
                 val = sum(bracket[m] * omega.tensor[tuple([m] + rest)]
                           for m in range(dim))
                 total += (-1) ** (a + b) * val
@@ -61,8 +66,7 @@ def brute_force_ce(omega, algebra):
 
 
 def test_tables_have_exact_jacobi():
-    for maker in (LieAlgebraTable.su2, LieAlgebraTable.so3,
-                  LieAlgebraTable.so4):
+    for maker in (LieAlgebraTable.su2, LieAlgebraTable.so4):
         maker()  # construction validates antisymmetry and Jacobi
     with pytest.raises(ValueError):
         bad = [[[0, 0, 1], [0, 0, 0], [0, 0, 0]],
@@ -89,7 +93,7 @@ def test_so4_brackets_match_the_delta_formula():
                      (-(b == d), e(a, c)), ((a == d), e(b, c))]
             expected = [sum(int(k) * v[m] for k, v in terms)
                         for m in range(6)]
-            assert so4.bracket_coeffs(i, j) == expected
+            assert so4.structure[i, j].tolist() == expected
 
 
 def test_alternation_matches_the_per_entry_sum():
@@ -112,24 +116,24 @@ def test_alternation_matches_the_per_entry_sum():
 def test_su2_brackets_match_quaternions():
     su2 = LieAlgebraTable.su2()
     # [i, j] = 2k in the quaternion algebra
-    assert su2.bracket_coeffs(0, 1) == [0, 0, 2]
-    assert su2.bracket_coeffs(1, 2) == [2, 0, 0]
+    assert su2.structure[0, 1].tolist() == [0, 0, 2]
+    assert su2.structure[1, 2].tolist() == [2, 0, 0]
 
 
 def test_ce_differential_matches_brute_force():
-    so3 = LieAlgebraTable.so3()
+    su2 = LieAlgebraTable.su2()
     for degree in (1, 2):
         omega = random_alternating(3, degree)
-        expected = brute_force_ce(omega, so3)
-        got = ce_differential(omega, so3)
+        expected = brute_force_ce(omega, su2)
+        got = ce_differential(omega, su2)
         assert all(got.tensor[idx] == expected[idx]
                    for idx in product(range(3), repeat=degree + 1))
 
 
 def test_ce_squares_to_zero():
-    so3 = LieAlgebraTable.so3()
+    su2 = LieAlgebraTable.su2()
     omega = random_alternating(3, 1)
-    dd = ce_differential(ce_differential(omega, so3), so3)
+    dd = ce_differential(ce_differential(omega, su2), su2)
     assert all(v == 0 for v in dd.tensor.flat)
     # so(4) from degree 3 through 4 to 5
     so4 = LieAlgebraTable.so4()
@@ -141,32 +145,31 @@ def test_ce_squares_to_zero():
 
 
 def test_degree_zero_differential():
-    so3 = LieAlgebraTable.so3()
+    su2 = LieAlgebraTable.su2()
     omega = MultilinearCochain(0, 3, np.array(Fraction(3), dtype=object))
     # degree-0 cochains are constants; the insertion sum is empty
-    d = ce_differential(omega, so3)
+    d = ce_differential(omega, su2)
     assert all(v == 0 for v in d.tensor.flat)
 
 
 def test_cartan_cocycle_values_and_closedness():
-    so3 = LieAlgebraTable.so3()
-    phi = cartan_cocycle(so3)
-    assert phi(0, 1, 2) == 1
-    assert phi(1, 0, 2) == -1
-    d = ce_differential(phi, so3)
+    # su(2) has structure constants 2 epsilon: <e_0, [e_1, e_2]> = 2
+    su2 = LieAlgebraTable.su2()
+    phi = cartan_cocycle(su2)
+    assert phi.tensor[0, 1, 2] == 2
+    assert phi.tensor[1, 0, 2] == -2
+    d = ce_differential(phi, su2)
     assert all(v == 0 for v in d.tensor.flat)
     # scaling the pairing scales the cocycle
-    scaled = LieAlgebraTable(
-        "so3", so3.structure,
-        [[3 * so3.pair(i, j) for j in range(3)] for i in range(3)])
-    assert cartan_cocycle(scaled)(0, 1, 2) == 3
+    scaled = LieAlgebraTable("su2", su2.structure, 3 * su2.pairing)
+    assert cartan_cocycle(scaled).tensor[0, 1, 2] == 6
 
 
 def test_cartan_requires_ad_invariance():
-    so3 = LieAlgebraTable.so3()
+    su2 = LieAlgebraTable.su2()
     lopsided = [[1, 0, 0], [0, 2, 0], [0, 0, 5]]
     with pytest.raises(ValueError):
-        cartan_cocycle(LieAlgebraTable("so3", so3.structure, lopsided))
+        cartan_cocycle(LieAlgebraTable("su2", su2.structure, lopsided))
 
 
 def test_derivative_of_zero_and_linearity():
@@ -175,10 +178,10 @@ def test_derivative_of_zero_and_linearity():
     assert cochain_derivative(zero, su2, 1).norm_max() == 0.0
 
     def smooth_a(t):
-        return float(np.sin(quat_log(t[0].inverse() * t[1]).coeffs[0]))
+        return float(np.sin(log_of(t[0].inverse() * t[1])[0]))
 
     def smooth_b(t):
-        v = quat_log(t[0].inverse() * t[1]).coeffs
+        v = log_of(t[0].inverse() * t[1])
         return float(v[1] + 0.5 * v[2] ** 2)
 
     fa = HomogeneousCochain(1, 0, smooth_a)
@@ -192,26 +195,25 @@ def test_derivative_of_zero_and_linearity():
 
 
 def test_derivative_needs_the_su2_exponential():
-    # so(3) and so(4) tables carry structure constants but no exponential
+    # the so(4) table carries structure constants but no exponential
     f = HomogeneousCochain(1, 0, lambda t: 0.0)
-    for table in (LieAlgebraTable.so3(), LieAlgebraTable.so4()):
-        with pytest.raises(ValueError):
-            table.exp([0.0] * table.dim)
-        with pytest.raises(ValueError):
-            cochain_derivative(f, table, 1)
+    so4 = LieAlgebraTable.so4()
+    with pytest.raises(ValueError):
+        so4.exp([0.0] * so4.dim)
+    with pytest.raises(ValueError):
+        cochain_derivative(f, so4, 1)
 
 
 def test_derivative_of_coordinate_cochain():
     su2 = LieAlgebraTable.su2()
     f = HomogeneousCochain(
-        1, 0, lambda t: quat_log(t[0].inverse() * t[1]).coeffs[0])
+        1, 0, lambda t: log_of(t[0].inverse() * t[1])[0])
     d = cochain_derivative(f, su2, 1, step=1e-3)
     assert np.abs(d.tensor - np.array([1.0, 0.0, 0.0])).max() < 1e-7
 
 
 def test_step_too_large():
     su2 = LieAlgebraTable.su2()
-    from cocyclelab.cochains import integrated_cochain
     cochain = integrated_cochain(mc3_form(), "chart", 0,
                                  quad=QuadratureSpec(order=3, tol=1e-2))
     with pytest.raises(StepTooLarge):
@@ -226,7 +228,7 @@ def test_derivative_evaluates_distinct_indices_only():
 
     def smooth(t):
         calls.append(t)
-        v = [quat_log(t[0].inverse() * g).coeffs for g in t[1:]]
+        v = [log_of(t[0].inverse() * g) for g in t[1:]]
         return float(v[0][0] * v[1][1] * v[2][2] + v[0][1] ** 2 * v[2][0])
 
     d = cochain_derivative(HomogeneousCochain(3, 0, smooth), su2, 3,
@@ -256,7 +258,6 @@ def test_differential_beyond_degree_four():
 def test_basis_permutation_symmetry():
     # permuting the input basis indices permutes the tensor with sign
     su2 = LieAlgebraTable.su2()
-    from cocyclelab.cochains import integrated_cochain
     cochain = integrated_cochain(mc3_form(), "chart", 0,
                                  quad=QuadratureSpec(order=3, tol=1e-2))
     d = cochain_derivative(cochain, su2, 3, step=5e-2)
@@ -264,10 +265,12 @@ def test_basis_permutation_symmetry():
     assert abs(d.tensor[0, 1, 2] - d.tensor[1, 2, 0]) < 1e-9
 
 
-def test_derivation_recovers_invariant_covector():
-    def covector(p, t):
-        return _qmul(_qconj(p), t[:, 0])[:, 1]
+def covector(p, t):
+    # the left-invariant 1-form dual to i
+    return _qmul(_qconj(p), t[:, 0])[:, 1]
 
+
+def test_derivation_recovers_invariant_covector():
     cov = DifferentialForm(1, "SU2", covector)
     res = derivation_residual(cov, 1, step=1e-3,
                               quad=QuadratureSpec(order=8, tol=1e-2))
@@ -291,3 +294,58 @@ def test_form_at_identity_mc3():
     tensor = form_at_identity(mc3_form(), 3)
     assert abs(tensor[0, 1, 2] + 1.0 / (2.0 * np.pi ** 2)) < 1e-12
     assert abs(tensor[1, 0, 2] - 1.0 / (2.0 * np.pi ** 2)) < 1e-12
+
+
+def per_tuple_derivative(f, algebra, n, step):
+    # reference: the raw derivative with every tuple evaluated on its own,
+    # in the order of cochain_derivative, then alternated
+    dim = algebra.dim
+    raw = np.zeros((dim,) * n)
+    for idx in product(range(dim), repeat=n):
+        if len(set(idx)) < n:
+            continue
+        acc = 0.0
+        for signs in product((-1.0, 1.0), repeat=n):
+            steps = []
+            for s, i in zip(signs, idx):
+                coeffs = [0.0] * dim
+                coeffs[i] = s * step
+                steps.append(coeffs)
+            acc += np.prod(signs) * float(f(_group_tuple(algebra, steps)))
+        raw[idx] = acc / (2.0 * step) ** n
+    return alternation(raw, n)
+
+
+@pytest.mark.parametrize("which", ["mc3", "covector"])
+def test_one_call_derivative_is_bitwise_the_per_tuple_loop(which):
+    # the cochains, orders and steps of the gf-derivation suite
+    su2 = LieAlgebraTable.su2()
+    form, n, step, order = {
+        "mc3": (mc3_form(), 3, 5e-2, 4),
+        "covector": (DifferentialForm(1, "SU2", covector), 1, 1e-3, 8),
+    }[which]
+    cochain = integrated_cochain(form, "chart", 0,
+                                 quad=QuadratureSpec(order=order, tol=1e-2))
+    got = cochain_derivative(cochain, su2, n, step).tensor
+    assert got.tobytes() == \
+        per_tuple_derivative(cochain, su2, n, step).tobytes()
+
+
+def test_derivative_checks_every_guard_before_evaluating():
+    # the guard admits steps along the first basis vector only, so the
+    # two tuples along it pass and the third tuple fails
+    su2 = LieAlgebraTable.su2()
+    calls = []
+
+    def value(t):
+        calls.append(t)
+        return 0.0
+
+    def guard(t):
+        return not log_of(t[1])[1:].any()
+
+    f = HomogeneousCochain(1, 0, value, guard=guard)
+    with pytest.raises(StepTooLarge) as info:
+        cochain_derivative(f, su2, 1, step=1e-2)
+    assert isinstance(info.value.__cause__, DomainGuard)
+    assert calls == []
