@@ -25,13 +25,12 @@ PREDICATES = ("all-tuples", "conf-distinct")
 
 
 class FiniteGroupTable:
-    """Multiplication table of a finite group, with labels for its
-    elements."""
+    """Multiplication table of a finite group on the elements
+    0..order-1."""
 
-    def __init__(self, table, labels=None):
+    def __init__(self, table):
         self.table = [list(map(int, row)) for row in table]
         self.order = len(self.table)
-        self.labels = list(labels) if labels else list(range(self.order))
         self.elements = tuple(range(self.order))
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
@@ -73,11 +72,12 @@ class FiniteGroupTable:
     @classmethod
     def cyclic(cls, m: int) -> "FiniteGroupTable":
         table = [[(a + b) % m for b in range(m)] for a in range(m)]
-        return cls(table, labels=list(range(m)))
+        return cls(table)
 
     @classmethod
     def quaternion8(cls) -> "FiniteGroupTable":
-        """The eight unit quaternions {+-1, +-i, +-j, +-k}."""
+        """The eight unit quaternions, numbered 1, -1, i, -i, j, -j, k,
+        -k."""
         units = [UnitQuaternion(*v) for v in
                  [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
                   (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]]
@@ -88,9 +88,7 @@ class FiniteGroupTable:
                     return i
             raise ValueError("product left the subgroup")
 
-        table = [[index_of(a * b) for b in units] for a in units]
-        labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-        return cls(table, labels=labels)
+        return cls([[index_of(a * b) for b in units] for a in units])
 
 
 @dataclass(frozen=True)
@@ -288,9 +286,10 @@ def extend_cocycle(complex_: ConfiguredComplex, values, retraction=None
     ``values`` assigns a number to every degree-q generator.  The cochain
     must vanish on the kernel of the top boundary map (checked against an
     exact kernel basis); the result is defined on all (q+1)-tuples and has
-    identically vanishing coboundary.  ``retraction`` is the list of
-    images returned by ``build_retraction(complex_)``, which is called
-    when it is None.
+    identically vanishing coboundary.  Its value on each tuple is summed
+    once, from the tuple's image, into a table.  ``retraction`` is the
+    list of images returned by ``build_retraction(complex_)``, which is
+    called when it is None.
     """
     q = complex_.q
     gens = complex_.generators[q]
@@ -305,11 +304,9 @@ def extend_cocycle(complex_: ConfiguredComplex, values, retraction=None
                 f"cochain does not vanish on the kernel vector {kvec}")
     r = build_retraction(complex_, q) if retraction is None else retraction
     index = complex_.index[q]
-
-    def evaluator(t):
-        return sum(c * vals[index[s]] for s, c in r[q][t].terms.items())
-
-    return HomogeneousCochain(q, 0, evaluator,
+    table = {t: sum(c * vals[index[s]] for s, c in image.terms.items())
+             for t, image in r[q].items()}
+    return HomogeneousCochain(q, 0, table.__getitem__,
                               label=f"extended({complex_.predicate})")
 
 

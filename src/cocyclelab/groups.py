@@ -293,11 +293,11 @@ def _gram_schmidt(m):
 
 
 class LieVector:
-    """Element of su(2), so(3) or so(4) in a fixed ordered basis."""
+    """Element of su(2) or so(4) in a fixed ordered basis."""
 
     __slots__ = ("algebra", "coeffs")
 
-    _DIMS = {"su2": 3, "so3": 3, "so4": 6}
+    _DIMS = {"su2": 3, "so4": 6}
 
     def __init__(self, algebra, coeffs):
         if algebra not in self._DIMS:

@@ -2,12 +2,16 @@
 transforms, integer linear solves, kernels, and a rational-rank oracle.
 
 Everything runs over Python integers (arbitrary precision), so ranks and
-torsion are exact.  Matrices are small here (hundreds of rows), so the
-classical pivoting algorithm is plenty.
+torsion are exact.  The Smith normal form is the classical dense pivoting
+algorithm.  Its transforms U and V are sparse for boundary matrices
+(every entry of a tuple boundary is +-1), so a solver keeps each row of U
+and V as the list of its nonzeros and a solve sums over those only.  The
+rank oracle is Bareiss's fraction-free elimination, whose every division
+is exact, and shares no code with the Smith normal form.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 
 
 def _identity(n):
@@ -123,26 +127,27 @@ class SmithSolver:
         self.u, self.s, self.v = smith_normal_form(mat)
         self.diag = [self.s[i][i] for i in range(min(self.m, self.n))]
         self.rank = sum(1 for d in self.diag if d)
+        # the nonzeros (j, c) of each row of U, and of each row of V in
+        # its first rank columns, the only entries of x = S^-1 U b that
+        # can be nonzero
+        self._u_rows = [[(j, c) for j, c in enumerate(row) if c]
+                        for row in self.u]
+        self._v_rows = [[(j, c) for j, c in enumerate(row[:self.rank]) if c]
+                        for row in self.v]
 
     def solve(self, b):
-        """An integer solution of A x = b, or None when none exists."""
-        if self.m == 0:
-            return [0] * self.n
-        y = [sum(self.u[i][j] * b[j] for j in range(self.m))
-             for i in range(self.m)]
-        x = [0] * self.n
-        for i in range(self.m):
-            d = self.diag[i] if i < len(self.diag) else 0
-            if d == 0:
-                if y[i] != 0:
-                    return None
-            else:
-                if y[i] % d != 0:
-                    return None
-                if i < self.n:
-                    x[i] = y[i] // d
-        return [sum(self.v[i][j] * x[j] for j in range(self.n))
-                for i in range(self.n)]
+        """An integer solution of A x = b, or None when none exists: V x
+        with x_i = (U b)_i / d_i, where U b vanishes past the rank."""
+        y = [sum(c * b[j] for j, c in row) for row in self._u_rows]
+        if any(y[self.rank:]):
+            return None
+        x = []
+        for yi, d in zip(y, self.diag[:self.rank]):
+            xi, rem = divmod(yi, d)
+            if rem:
+                return None
+            x.append(xi)
+        return [sum(c * x[j] for j, c in row) for row in self._v_rows]
 
     def kernel_basis(self):
         """Integer basis of the kernel: trailing columns of V."""
@@ -151,23 +156,26 @@ class SmithSolver:
 
 
 def rational_rank(mat):
-    """Rank over Q by fraction-exact Gaussian elimination (an independent
-    cross-check for the Smith-normal-form pipeline)."""
-    a = [[Fraction(x) for x in row] for row in mat]
+    """Rank over Q by fraction-free (Bareiss) elimination over the
+    integers, an independent cross-check for the Smith-normal-form
+    pipeline.  By Sylvester's identity every entry below the pivots is a
+    minor of ``mat``, so each division by the previous pivot is exact.
+    Entries must be integers."""
+    a = [list(map(operator.index, row)) for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
     r = 0
+    prev = 1
     for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
+        piv = next((i for i in range(r, m) if a[i][col]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        p = a[r][col]
+        for i in range(r + 1, m):
+            f = a[i][col]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[r])]
+        prev = p
         r += 1
         if r == m:
             break

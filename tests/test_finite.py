@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -43,6 +44,86 @@ def test_snf_solver_roundtrip_and_kernel():
         for k in solver.kernel_basis():
             assert all(sum(a[i][j] * k[j] for j in range(n)) == 0
                        for i in range(m))
+
+
+def fraction_rank(mat):
+    """Reference rank: Gauss-Jordan elimination over Fractions."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    r = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+def test_rational_rank_of_rank_deficient_products():
+    for _ in range(200):
+        m, n = rng.integers(2, 9, size=2)
+        k = int(rng.integers(0, min(m, n)))
+        a = rng.integers(-3, 4, size=(m, k)) @ rng.integers(-3, 4,
+                                                            size=(k, n))
+        # zero rows and columns in random places
+        a[rng.random(m) < 0.2, :] = 0
+        a[:, rng.random(n) < 0.2] = 0
+        mat = a.tolist()
+        assert rational_rank(mat) == fraction_rank(mat) <= k
+    assert rational_rank([[0, 0], [0, 0]]) == 0
+    assert rational_rank([]) == 0
+
+
+def test_rational_rank_of_boundary_matrices():
+    conf = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
+    full = build_complex(FiniteGroupTable.cyclic(3), "all-tuples", 3)
+    for c in (conf, full):
+        for n in (1, 2, 3):
+            assert rational_rank(c.boundaries[n]) == \
+                fraction_rank(c.boundaries[n]) == c.solver(n).rank
+
+
+def dense_solve(solver, b):
+    """Reference solve: x = V y / diag with y = U b, in dense loops."""
+    m, n = solver.m, solver.n
+    y = [sum(solver.u[i][j] * b[j] for j in range(m)) for i in range(m)]
+    x = [0] * n
+    for i in range(m):
+        d = solver.diag[i] if i < len(solver.diag) else 0
+        if d == 0:
+            if y[i] != 0:
+                return None
+        elif y[i] % d != 0:
+            return None
+        else:
+            x[i] = y[i] // d
+    return [sum(solver.v[i][j] * x[j] for j in range(n)) for i in range(n)]
+
+
+def test_sparse_solve_matches_dense_transforms():
+    c = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
+    for n in (1, 2, 3):
+        a = c.boundaries[n]
+        solver = c.solver(n)
+        for _ in range(4):
+            x = rng.integers(-3, 4, size=solver.n).tolist()
+            b = [sum(aij * xj for aij, xj in zip(row, x)) for row in a]
+            sol = solver.solve(b)
+            assert sol == dense_solve(solver, b)
+            assert [sum(aij * xj for aij, xj in zip(row, sol))
+                    for row in a] == b
+            # a random right-hand side: both agree, None included
+            b = rng.integers(-2, 3, size=solver.m).tolist()
+            assert solver.solve(b) == dense_solve(solver, b)
+    # a 0-chain of nonzero augmentation is no boundary of 1-chains
+    b = [1] + [0] * (len(c.generators[0]) - 1)
+    assert c.solver(1).solve(b) is None
+    assert dense_solve(c.solver(1), b) is None
 
 
 def test_group_table_validation():
@@ -140,6 +221,33 @@ def test_extension_has_vanishing_coboundary():
         assert cocycle(t) == f_vals[j]
     for t in product(range(5), repeat=5):
         assert sum(s * cocycle(ft) for s, ft in all_faces(t)) == 0
+
+
+def test_extension_table_matches_image_sums():
+    c = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
+    mats = build_retraction(c)
+    g_vals = [int(rng.integers(-3, 4)) for _ in c.generators[2]]
+    bd3 = c.boundaries[3]
+    f_vals = [sum(g_vals[i] * bd3[i][j] for i in range(len(g_vals)))
+              for j in range(len(c.generators[3]))]
+    for vals in ([Fraction(v, 7) for v in f_vals], [v / 8 for v in f_vals]):
+        cocycle = extend_cocycle(c, vals, retraction=mats)
+        for t in product(range(5), repeat=4):
+            expected = sum(k * vals[c.index[3][s]]
+                           for s, k in mats[3][t].terms.items())
+            value = cocycle(t)
+            assert type(value) is type(expected) and value == expected
+        with pytest.raises(ValueError):
+            cocycle((0, 1, 2))
+
+
+def test_z7_conf_distinct_retraction():
+    # the top boundary has 7 * 6 * 5 * 4 = 840 columns, so V is 840 by 840
+    c = build_complex(FiniteGroupTable.cyclic(7), "conf-distinct", 3)
+    assert [(homology(c, n).free_rank, homology(c, n).torsion)
+            for n in (0, 1, 2)] == [(1, ()), (0, ()), (0, ())]
+    mats = build_retraction(c)  # raises unless both identities hold
+    assert [len(r) for r in mats] == [7, 49, 343, 2401]
 
 
 def test_extension_zero_cochain():
