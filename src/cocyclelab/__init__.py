@@ -10,7 +10,7 @@ normalizations and the contact Hamiltonian field on the 2- and 3-sphere.
 The ``verify`` command line exposes each battery of checks as a suite.
 """
 
-from .cochains import (CyclicCycle, HomogeneousChain, HomogeneousCochain,
+from .cochains import (HomogeneousChain, HomogeneousCochain,
                        circle_distance, coboundary, cocycle_defect,
                        conjugate_point_map, cyclic_cycle, degree_of_map,
                        generic_rotation, integrated_cochain, kronecker_pair,

@@ -153,13 +153,8 @@ def integrated_cochain(form: DifferentialForm, kind: str, lattice,
                 [apply_rotation(g, base_point).vec for g in t])
 
         def evaluator(tuples):
-            points = {}  # each distinct element is projected once
-            for g in (g for t in tuples for g in t):
-                key = g.matrix.tobytes()
-                if key not in points:
-                    points[key] = apply_rotation(g, base_point)
             return integrals([GeodesicSimplex(
-                [points[g.matrix.tobytes()] for g in t], "spherical")
+                [apply_rotation(g, base_point) for g in t], "spherical")
                 for t in tuples])
 
         label = "spherical"
@@ -217,37 +212,29 @@ class HomogeneousChain:
         return out
 
 
-class CyclicCycle:
+def cyclic_cycle(m: int) -> HomogeneousChain:
     """The degree-3 chain sum_{i=1..m} (0, 1, i, i+1) with entries mod m.
 
     Its boundary vanishes after normalizing each face tuple to start at 0
     (the coinvariant reduction for the additive group Z/m).
     """
-
-    def __init__(self, m: int):
-        if m < 2:
-            raise BadOrder(f"cyclic order must be >= 2, got {m}")
-        self.m = m
-        self.chain = HomogeneousChain(
-            (1, (0, 1, i % m, (i + 1) % m)) for i in range(1, m + 1))
-
-
-def cyclic_cycle(m: int) -> CyclicCycle:
-    return CyclicCycle(m)
+    if m < 2:
+        raise BadOrder(f"cyclic order must be >= 2, got {m}")
+    return HomogeneousChain(
+        (1, (0, 1, i % m, (i + 1) % m)) for i in range(1, m + 1))
 
 
 def kronecker_pair(f: HomogeneousCochain, chain, embed=None,
                    with_error=False):
     """Evaluation pairing sum_t coeff(t) * f(embed(t)).
 
-    ``chain`` is a HomogeneousChain or CyclicCycle; ``embed`` maps a tuple
-    entry to a group element in the domain of f.  Every term passes f's
-    guard before any is evaluated, and the first that fails raises
-    DomainGuard naming it; the terms are then evaluated together, like
-    the faces of a coboundary, and summed in order.
+    ``chain`` is a HomogeneousChain; ``embed`` maps a tuple entry to a
+    group element in the domain of f.  Every term passes f's guard before
+    any is evaluated, and the first that fails raises DomainGuard naming
+    it; the terms are then evaluated together, like the faces of a
+    coboundary, and summed in order.
     """
-    terms = chain.chain.items() if isinstance(chain, CyclicCycle) \
-        else chain.items()
+    terms = chain.items()
     checked = []
     for t, _ in terms:
         emb = t if embed is None else tuple(embed(a) for a in t)

@@ -185,15 +185,10 @@ def homology(complex_: ConfiguredComplex, n: int) -> HomologySummary:
     if not 0 <= n <= complex_.q - 1:
         raise ValueError(f"need 0 <= n <= {complex_.q - 1}")
     n_gens = len(complex_.generators[n])
-    if n == 0:
-        rank_in = complex_.solver(1).rank
-        cycle_rank = n_gens
-    else:
-        rank_out = complex_.solver(n).rank
-        cycle_rank = n_gens - rank_out
-        rank_in = complex_.solver(n + 1).rank
+    rank_out = 0 if n == 0 else complex_.solver(n).rank
+    rank_in = complex_.solver(n + 1).rank
     torsion = tuple(d for d in complex_.solver(n + 1).diag if d not in (0, 1))
-    return HomologySummary(degree=n, free_rank=cycle_rank - rank_in,
+    return HomologySummary(degree=n, free_rank=n_gens - rank_out - rank_in,
                            torsion=torsion)
 
 

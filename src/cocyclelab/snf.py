@@ -2,120 +2,89 @@
 transforms, integer linear solves, kernels, and a rational-rank oracle.
 
 Everything runs over Python integers (arbitrary precision), so ranks and
-torsion are exact.  The Smith normal form is the classical dense pivoting
-algorithm.  Its transforms U and V are sparse for boundary matrices
-(every entry of a tuple boundary is +-1), so a solver keeps each row of U
-and V as the list of its nonzeros and a solve sums over those only.  The
-rank oracle is Bareiss's fraction-free elimination, whose every division
-is exact, and shares no code with the Smith normal form.
+torsion are exact.  The Smith normal form is one pivot loop (Cohen, A
+Course in Computational Algebraic Number Theory, GTM 138, section 2.4) on
+the block matrix [[A, I_m], [I_n, 0]]: a row operation on its first m
+rows carries U along with S, and a column operation on its first n
+columns carries V.  Each step pivots on the first nonzero entry of least
+magnitude, clears its column and then its row by quotient operations,
+and runs again while a remainder is left or while a later row is not
+divisible by the pivot.  U and V are sparse for boundary matrices (every
+entry of a tuple boundary is +-1), so a solver keeps each of their rows
+as the list of its nonzeros and a solve sums over those only.  The rank
+oracle is Bareiss's fraction-free elimination, whose every division is
+exact, and shares no code with the Smith normal form.
 """
 from __future__ import annotations
 
 import operator
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _pivot(b, k, m, n):
+    """Row-major position of the first nonzero entry of least magnitude
+    in rows k..m-1 and columns k..n-1 of b, or None when all are zero.  A
+    unit ends the search: no later entry is smaller."""
+    best, least = None, 0
+    for i in range(k, m):
+        row = b[i]
+        for j in range(k, n):
+            a = abs(row[j])
+            if a and (best is None or a < least):
+                best, least = (i, j), a
+                if a == 1:
+                    return best
+    return best
 
 
 def smith_normal_form(mat):
     """Return (U, S, V) with U @ mat @ V = S diagonal, U and V unimodular,
     and the diagonal entries nonnegative with each dividing the next."""
-    s = [row[:] for row in mat]
-    m = len(s)
-    n = len(s[0]) if m else 0
-    u = _identity(m)
-    v = _identity(n)
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    # b = [[S, U], [V, 0]], from S = A, U = I_m and V = I_n
+    b = [list(row) + [int(i == r) for i in range(m)]
+         for r, row in enumerate(mat)]
+    b += [[int(i == r) for i in range(n)] + [0] * m for r in range(n)]
 
     def add_row(src, dst, f):
-        s[dst] = [a + f * b for a, b in zip(s[dst], s[src])]
-        u[dst] = [a + f * b for a, b in zip(u[dst], u[src])]
+        b[dst] = [x + f * y for x, y in zip(b[dst], b[src])]
 
     def add_col(src, dst, f):
-        for row in s:
+        for row in b:
             row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
-
-    def negate_row(i):
-        s[i] = [-a for a in s[i]]
-        u[i] = [-a for a in u[i]]
 
     k = 0
     while k < min(m, n):
-        # find a nonzero pivot of least magnitude
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                a = s[i][j]
-                if a and (best is None or abs(a) < abs(best[0])):
-                    best = (a, i, j)
-        if best is None:
+        pivot = _pivot(b, k, m, n)
+        if pivot is None:
             break
-        _, pi, pj = best
-        if pi != k:
-            swap_rows(pi, k)
+        pi, pj = pivot
+        b[pi], b[k] = b[k], b[pi]
         if pj != k:
-            swap_cols(pj, k)
-        if s[k][k] < 0:
-            negate_row(k)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(k + 1, m):
-                if s[i][k]:
-                    q = s[i][k] // s[k][k]
-                    add_row(k, i, -q)
-                    if s[i][k]:
-                        swap_rows(i, k)
-                        if s[k][k] < 0:
-                            negate_row(k)
-                        dirty = True
-            for j in range(k + 1, n):
-                if s[k][j]:
-                    q = s[k][j] // s[k][k]
-                    add_col(k, j, -q)
-                    if s[k][j]:
-                        swap_cols(j, k)
-                        dirty = True
-        k += 1
-
-    # enforce the divisibility chain d_i | d_{i+1}
-    r = k
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            a, b = s[i][i], s[i + 1][i + 1]
-            if b % a != 0:
-                add_col(i + 1, i, 1)
-                # re-clear the 2x2 block
-                while s[i + 1][i]:
-                    q = s[i + 1][i] // s[i][i] if abs(s[i][i]) <= abs(
-                        s[i + 1][i]) else 0
-                    if abs(s[i][i]) > abs(s[i + 1][i]) and s[i + 1][i]:
-                        swap_rows(i, i + 1)
-                    else:
-                        add_row(i, i + 1, -q)
-                if s[i][i] < 0:
-                    negate_row(i)
-                if s[i][i + 1]:
-                    q = s[i][i + 1] // s[i][i]
-                    add_col(i, i + 1, -q)
-                if s[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-    return u, s, v
+            for row in b:
+                row[pj], row[k] = row[k], row[pj]
+        if b[k][k] < 0:
+            b[k] = [-x for x in b[k]]
+        p = b[k][k]
+        below = range(k + 1, m)
+        for i in below:
+            if b[i][k]:
+                add_row(k, i, -(b[i][k] // p))
+        for j in range(k + 1, n):
+            if b[k][j]:
+                add_col(k, j, -(b[k][j] // p))
+        if any(b[i][k] for i in below) or any(b[k][k + 1:n]):
+            continue  # a remainder below p is left: the step runs again
+        # p must divide every later entry; a row where it does not is
+        # added to row k, whose next pass leaves a remainder
+        bad = next((i for i in below
+                    if p > 1 and any(x % p for x in b[i][k + 1:n])), None)
+        if bad is None:
+            k += 1
+        else:
+            add_row(bad, k, 1)
+    return ([row[n:] for row in b[:m]], [row[:n] for row in b[:m]],
+            [row[:n] for row in b[m:]])
 
 
 class SmithSolver:

@@ -470,8 +470,8 @@ def _suite_transfer(cfg) -> SuiteReport:
         worst = 0.0
         for a in sub:
             for b in sub:
-                diff = (tr((a, b)) - 2 * phi((a, b))) % 1
-                worst = max(worst, float(min(diff, 1 - diff)))
+                worst = max(worst, float(circle_distance(
+                    tr((a, b)), 2 * phi((a, b)), 1)))
         record(worst)
 
     z4 = FiniteGroupTable.cyclic(4)
@@ -480,8 +480,8 @@ def _suite_transfer(cfg) -> SuiteReport:
         tr3 = transfer(phi3, z4, [0, 2], [0, 1])
         worst = 0.0
         for t in product([0, 2], repeat=4):
-            diff = (tr3(t) - 2 * phi3(t)) % 1
-            worst = max(worst, float(min(diff, 1 - diff)))
+            worst = max(worst,
+                        float(circle_distance(tr3(t), 2 * phi3(t), 1)))
         record(worst)
 
     with rec.check("chain-map", 0.0, 0.0) as record:
@@ -489,8 +489,7 @@ def _suite_transfer(cfg) -> SuiteReport:
         for t in product(range(6), repeat=3):
             a = coboundary(tr)(t)
             b = transfer(coboundary(phi), z6, sub, reps)(t)
-            diff = (a - b) % 1
-            worst = max(worst, float(min(diff, 1 - diff)))
+            worst = max(worst, float(circle_distance(a, b, 1)))
         record(worst)
     return SuiteReport("transfer", rec.checks)
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -44,6 +45,73 @@ def test_snf_solver_roundtrip_and_kernel():
         for k in solver.kernel_basis():
             assert all(sum(a[i][j] * k[j] for j in range(n)) == 0
                        for i in range(m))
+
+
+def det(a):
+    """Reference determinant: Laplace expansion along the first row."""
+    if not a:
+        return 1
+    return sum((-1) ** j * x * det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j, x in enumerate(a[0]) if x)
+
+
+def invariant_factors(a):
+    """Reference: d_k = D_k / D_(k-1), where the determinantal divisor D_k
+    is the gcd of the k by k minors of a."""
+    out, prev = [], 1
+    for k in range(1, min(len(a), len(a[0])) + 1):
+        dk = 0
+        for rows in combinations(range(len(a)), k):
+            for cols in combinations(range(len(a[0])), k):
+                dk = gcd(dk, det([[a[i][j] for j in cols] for i in rows]))
+        if dk == 0:
+            break
+        out.append(dk // prev)
+        prev = dk
+    return out
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def unimodular(n):
+    """A random product of elementary integer row operations."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.choice(n, size=2, replace=False)
+        f = int(rng.integers(-2, 3))
+        p[i] = [x + f * y for x, y in zip(p[i], p[j])]
+    return p
+
+
+def test_snf_diagonal_is_the_invariant_factors():
+    # no base matrix has a unit entry, and the diagonal ones need the
+    # divisibility step: diag(2, 3) has invariant factors (1, 6).  Their
+    # unimodular conjugates, also padded by a zero row or column, have
+    # the same invariant factors
+    cases = {((2, 0), (0, 3)): [1, 6], ((4, 0), (0, 6)): [2, 12],
+             ((6, 0, 0), (0, 4, 0), (0, 0, 10)): [2, 2, 60],
+             ((2, 4), (6, 8)): [2, 4]}
+    for mat, factors in cases.items():
+        k = len(mat)
+        wide = [list(row) + [0] for row in mat]
+        tall = [list(row) for row in mat] + [[0] * k]
+        conjugates = [matmul(matmul(unimodular(k), mat), unimodular(k))
+                      for _ in range(4)]
+        conjugates += [matmul(matmul(unimodular(k), wide), unimodular(k + 1)),
+                       matmul(matmul(unimodular(k + 1), tall), unimodular(k))]
+        for a in [[list(row) for row in mat]] + conjugates:
+            assert invariant_factors(a) == factors
+            u, s, v = smith_normal_form(a)
+            assert matmul(matmul(u, a), v) == s
+            assert abs(det(u)) == abs(det(v)) == 1
+            assert all(s[i][j] == 0 for i in range(len(s))
+                       for j in range(len(s[0])) if i != j)
+            assert [s[i][i] for i in range(len(factors))] == factors
+            assert all(s[i][i] == 0 for i in range(len(factors),
+                                                   min(len(s), len(s[0]))))
 
 
 def fraction_rank(mat):
@@ -248,6 +316,25 @@ def test_z7_conf_distinct_retraction():
             for n in (0, 1, 2)] == [(1, ()), (0, ()), (0, ())]
     mats = build_retraction(c)  # raises unless both identities hold
     assert [len(r) for r in mats] == [7, 49, 343, 2401]
+
+
+def test_q8_conf_distinct_retraction_and_extension():
+    # Q8 is the one nonabelian group here: normalizing a tuple on one side
+    # and translating its image back on the other breaks the retraction
+    # on Q8 and on no cyclic group
+    c = build_complex(FiniteGroupTable.quaternion8(), "conf-distinct", 2)
+    assert [(homology(c, n).free_rank, homology(c, n).torsion)
+            for n in (0, 1)] == [(1, ()), (0, ())]
+    mats = build_retraction(c)  # raises unless both identities hold
+    assert [len(r) for r in mats] == [8, 64, 512]
+    g_vals = [int(rng.integers(-3, 4)) for _ in c.generators[1]]
+    bd2 = c.boundaries[2]
+    f_vals = [sum(g_vals[i] * bd2[i][j] for i in range(len(g_vals)))
+              for j in range(len(c.generators[2]))]
+    assert any(f_vals)
+    cocycle = extend_cocycle(c, f_vals, retraction=mats)
+    for t in product(range(8), repeat=4):
+        assert sum(s * cocycle(ft) for s, ft in all_faces(t)) == 0
 
 
 def test_extension_zero_cochain():
