@@ -36,7 +36,7 @@ from .lie import (LieAlgebraTable, MultilinearCochain, cartan_cocycle,
                   ce_differential, cochain_derivative, derivation_residual)
 from .quadrature import IntegralResult, QuadratureSpec
 from .simplices import (GeodesicSimplex, ParametrizedMap, face,
-                        in_open_hemisphere, is_chart_small, prism_chain,
+                        in_open_hemisphere, is_chart_small, prism_cell,
                         straighten)
 from .suites import SuiteReport, list_suites, parse_config, run_suite
 

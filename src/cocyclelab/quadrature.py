@@ -107,38 +107,16 @@ def bary_to_cube(bary):
     lower coordinates are taken to be e_0, so every corner e_k maps to
     s_k = 1 with all lower coordinates 0.
     """
-    return bary_to_cube_jet(bary, None)[0]
-
-
-def bary_to_cube_jet(bary, dbary):
-    """``bary_to_cube`` with the images (N, m, n) of tangents ``dbary``
-    (N, m, n+1); ``dbary=None`` skips them.
-
-    The divisions by 1 - s_k are safe away from the apexes, which Gauss
-    nodes never reach; at an apex the inverse is not differentiable, and
-    the tangents of the lower coordinates are taken to be 0 there.
-    """
     bary = np.atleast_2d(np.asarray(bary, dtype=float))
     n = bary.shape[1] - 1
     s = np.empty((bary.shape[0], n))
-    ds = None if dbary is None else \
-        np.empty((bary.shape[0], dbary.shape[1], n))
     for k in range(n, 0, -1):
         s[:, k - 1] = bary[:, k]
         denom = 1.0 - bary[:, k]
         at_top = np.abs(denom) < 1e-14
-        denom = np.where(at_top, 1.0, denom)
-        bary = bary[:, :k] / denom[:, None]
-        if dbary is not None:
-            ds[:, :, k - 1] = dbary[:, :, k]
-            # quotient rule: d(b / (1 - s)) = (db + (b / (1 - s)) ds) / (1 - s)
-            dbary = (dbary[:, :, :k] + bary[:, None] * dbary[:, :, k:k + 1]) \
-                / denom[:, None, None]
-        if np.any(at_top):
-            bary[at_top] = np.eye(k)[0]
-            if dbary is not None:
-                dbary[at_top] = 0.0
-    return s, ds
+        bary = bary[:, :k] / np.where(at_top, 1.0, denom)[:, None]
+        bary[at_top] = np.eye(k)[0]
+    return s
 
 
 @lru_cache(maxsize=None)

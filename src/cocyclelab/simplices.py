@@ -9,10 +9,10 @@ construction commutes with the left group action.
 Two join flavours are provided: great-circle arcs on a unit sphere, and
 chart arcs ``x * exp(s * log(x^{-1} y))`` in SU(2).  Both join kernels
 also push tangents forward, so a simplex yields its exact derivatives
-along the cube coordinates together with its points.  A simplex's
-barycentric jet goes through ``bary_to_cube_jet``, and the prism homotopy
-pushes tangents of the base point, the tip and the time through the chart
-join.
+along the cube coordinates together with its points.  The prism homotopy
+is one product cell: the chart join, at the cell's last coordinate, of a
+map and its straightening, whose cube jets are taken at the same
+coordinates.
 
 ``join_rows`` is the one simplex evaluator.  It takes one vertex tuple per
 row, so a simplex repeats its own tuple on every row, and a stack of
@@ -30,8 +30,7 @@ import numpy as np
 from .errors import DegenerateConfig, IndexOut
 from .groups import (CHART_RADIUS, UnitQuaternion, _chart_join_jet, _qconj,
                      _qmul, _slerp_jet)
-from .quadrature import (bary_to_cube, bary_to_cube_jet, cube_to_bary,
-                         cube_to_bary_jet)
+from .quadrature import bary_to_cube, cube_to_bary, cube_to_bary_jet
 
 _HULL_TOL = 1e-9  # residual and weight tolerance of in_open_hemisphere
 # in_open_hemisphere decides at most d+1 points by one test when the
@@ -156,8 +155,9 @@ class ParametrizedMap:
       their tangents (N, m, d), or the points and None when ``dbary`` is
       None.  ``evaluate_cube_jet`` composes it with ``cube_to_bary_jet``.
     * ``cube_jet(s)`` takes cube coordinates (N, n) and returns the points
-      with their tangents (N, n, d); ``evaluate_jet`` composes it with
-      ``bary_to_cube_jet``.
+      with their tangents (N, n, d).  Its ``evaluate_jet`` maps
+      barycentric coordinates through ``bary_to_cube`` and returns points
+      only: it raises TypeError when asked for tangents.
 
     ``evaluate`` and ``evaluate_cube`` return the jet's points.
     """
@@ -183,9 +183,10 @@ class ParametrizedMap:
         bary = np.atleast_2d(np.asarray(bary, dtype=float))
         if self._jet is not None:
             return self._jet(bary, dbary)
-        s, ds = bary_to_cube_jet(bary, dbary)
-        x, dx = self._cube_jet(s)
-        return x, None if ds is None else np.einsum("nmk,nkd->nmd", ds, dx)
+        if dbary is not None:
+            raise TypeError("a map given by its cube jet has no barycentric "
+                            "tangents")
+        return self._cube_jet(bary_to_cube(bary))[0], None
 
     def evaluate_cube_jet(self, s):
         s = np.atleast_2d(np.asarray(s, dtype=float))
@@ -259,21 +260,6 @@ class GeodesicSimplex:
         """
         return self._joins(s, jet=False)[0]
 
-    def evaluate_jet(self, bary, dbary):
-        """Points (N, d) and tangents (N, m, d) at barycentric coordinates
-        (N, degree+1) that move with tangents ``dbary`` (N, m, degree+1):
-        the cube jet composed with ``bary_to_cube_jet``.  With ``dbary``
-        None it returns the points of ``evaluate`` and None."""
-        bary = np.atleast_2d(np.asarray(bary, dtype=float))
-        if bary.shape[1] != self.degree + 1:
-            raise ValueError(
-                f"expected {self.degree + 1} barycentric coordinates")
-        s, ds = bary_to_cube_jet(bary, dbary)
-        if ds is None:
-            return self._joins(s, jet=False)
-        x, dx = self.evaluate_cube_jet(s)
-        return x, np.einsum("nmk,nkd->nmd", ds, dx)
-
     def evaluate_cube_jet(self, s):
         """Points (N, d) and exact tangents (N, degree, d) at cube
         coordinates (N, degree); ``tangents[:, k]`` is d/ds_{k+1}.
@@ -306,36 +292,23 @@ def straighten(f) -> GeodesicSimplex:
     return GeodesicSimplex(verts, "chart")
 
 
-def prism_chain(f) -> list:
-    """Triangulated join homotopy between f and straighten(f), as a list
-    of n+1 signed (n+1)-simplices for a degree-n input.
+def prism_cell(f) -> ParametrizedMap:
+    """The join homotopy from f to straighten(f) as one (n+1)-map on the
+    product cell Delta^n x [0, 1], for a degree-n input.
 
-    Term j (sign (-1)^j) is the (n+1)-simplex with prism vertices
-    (v_0,0)...(v_j,0),(v_j,1)...(v_n,1), evaluated through the pointwise
-    chart join from f to its straightening.  Each term is a
-    ``ParametrizedMap`` whose jet pushes the base point u and the time t,
-    both linear in the term's barycentric coordinates, through
-    ``f.evaluate_jet``, the jet of straighten(f) and that of the chart join.
+    At cube coordinates (u, t), with u the first n, the point is the chart
+    join at t from f(u) to straighten(f)(u), both cube jets taken at the
+    same u; the join appends the tangent along t as the last column.  The
+    cell carries the orientation of the triangulated prism
+    sum_j (-1)^j [(v_0,0)...(v_j,0),(v_j,1)...(v_n,1)], whose n+1
+    simplices it integrates as one.
     """
-    n = f.degree
     strf = straighten(f)
 
-    terms = []
-    for j in range(n + 1):
-        # rows: prism vertex k -> (base simplex vertex, time)
-        vmat = np.zeros((n + 2, n + 1))
-        tvec = np.zeros(n + 2)
-        for k in range(n + 2):
-            vmat[k, k if k <= j else k - 1] = 1.0
-            tvec[k] = 0.0 if k <= j else 1.0
+    def cube_jet(s):
+        u = s[:, :-1]
+        a, da = f.evaluate_cube_jet(u)
+        b, db = strf.evaluate_cube_jet(u)
+        return _chart_join_jet(a, da, b, s[:, -1], dy=db)
 
-        def jet(bary, dbary, _vmat=vmat, _tvec=tvec):
-            du, dt = (None, None) if dbary is None else \
-                (dbary @ _vmat, dbary @ _tvec)
-            u = bary @ _vmat
-            a, da = f.evaluate_jet(u, du)
-            b, db = strf.evaluate_jet(u, du)
-            return _chart_join_jet(a, da, b, bary @ _tvec, dy=db, ds=dt)
-
-        terms.append(((-1) ** j, ParametrizedMap(n + 1, jet)))
-    return terms
+    return ParametrizedMap(f.degree + 1, cube_jet=cube_jet)

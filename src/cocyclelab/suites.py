@@ -38,7 +38,7 @@ from .lie import (LieAlgebraTable, cartan_cocycle, ce_differential,
                   derivation_residual, form_at_identity)
 from .quadrature import QuadratureSpec
 from .simplices import (ParametrizedMap, all_faces, in_open_hemisphere,
-                        prism_chain, straighten)
+                        prism_cell, straighten)
 
 DEFAULT_CONFIG = {
     "seed": 0x5EED,
@@ -526,10 +526,9 @@ def _suite_prism(cfg) -> SuiteReport:
             est = res_straight.error_estimate + res_f.error_estimate
             rhs = 0.0
             for i in range(4):
-                for sign_j, term in prism_chain(f.face(i)):
-                    r = pullback_integral(form, term, quad)
-                    rhs += (-1) ** i * sign_j * r.value
-                    est += r.error_estimate
+                r = pullback_integral(form, prism_cell(f.face(i)), quad)
+                rhs += (-1) ** i * r.value
+                est += r.error_estimate
             lhs = res_straight.value - res_f.value
             if est > 0.0:
                 ratio = abs(lhs - rhs) / (2.0 * est)

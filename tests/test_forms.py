@@ -13,6 +13,7 @@ from cocyclelab.hamiltonian import SphereFunction
 from cocyclelab.quadrature import IntegralResult, QuadratureSpec, _panel_rule
 from cocyclelab.simplices import GeodesicSimplex, ParametrizedMap
 from cocyclelab.suites import run_suite
+from test_quadrature import barycentric_jet
 
 rng = np.random.default_rng(11)
 QUAD = QuadratureSpec(order=8, tol=1e-5)
@@ -81,8 +82,10 @@ def test_fubini_study_normalizations():
 def half_scale(sx):
     """The radius-1/2 image of a spherical 2-simplex, with its jet."""
 
+    sx_jet = barycentric_jet(sx)
+
     def jet(b, db):
-        x, dx = sx.evaluate_jet(b, db)
+        x, dx = sx_jet(b, db)
         return 0.5 * x, None if dx is None else 0.5 * dx
 
     return ParametrizedMap(2, jet)
@@ -159,6 +162,7 @@ def test_additivity_under_domain_subdivision():
     while not abs(np.linalg.det(verts)) > 0.3:
         verts = [random_unit(4) for _ in range(4)]
     sx = GeodesicSimplex(verts, "spherical")
+    sx_jet = barycentric_jet(sx)
     form = vol_form("S3", 1.0)
     whole = pullback_integral(form, sx, QUAD)
 
@@ -182,7 +186,7 @@ def test_additivity_under_domain_subdivision():
     total, est = 0.0, whole.error_estimate
     for cell in cells:
         cmat = np.stack(cell)
-        sub = ParametrizedMap(3, lambda b, db, _c=cmat: sx.evaluate_jet(
+        sub = ParametrizedMap(3, lambda b, db, _c=cmat: sx_jet(
             b @ _c, None if db is None else db @ _c))
         res = pullback_integral(form, sub, QUAD)
         total += res.value
@@ -202,27 +206,26 @@ def test_constant_map_integrates_to_zero():
 
 def test_prism_of_a_straight_simplex_carries_no_volume():
     # when the input is already straight the homotopy is constant in time
-    # and every prism simplex is rank-deficient
+    # and the prism cell is rank-deficient
     from cocyclelab.groups import LieVector, quat_exp
-    from cocyclelab.simplices import GeodesicSimplex, prism_chain
+    from cocyclelab.simplices import prism_cell
     verts = []
     for _ in range(3):
         v = rng.normal(size=3)
         v *= rng.uniform(0, 0.12) / np.linalg.norm(v)
         verts.append(quat_exp(LieVector("su2", v)))
-    sx = GeodesicSimplex(verts, "chart")
-    total = 0.0
-    for sign, term in prism_chain(sx):
-        total += sign * pullback_integral(vol_form("S3", 1.0), term,
-                                          QuadratureSpec(order=6,
-                                                         tol=1e-3)).value
-    assert abs(total) < 1e-12
+    cell = prism_cell(GeodesicSimplex(verts, "chart"))
+    res = pullback_integral(vol_form("S3", 1.0), cell,
+                            QuadratureSpec(order=6, tol=1e-3))
+    assert abs(res.value) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["spherical", "chart"])
 def test_barycentric_map_integrates_like_its_simplex(kind):
     # a ParametrizedMap given a barycentric jet goes through cube_to_bary_jet
-    # and the barycentric jet; it must agree with the simplex's own cube path
+    # and the barycentric jet, here the simplex's cube jet through the
+    # reference bary_to_cube_jet; it must agree with the simplex's own cube
+    # path
     from cocyclelab.groups import LieVector, quat_exp
     if kind == "spherical":
         verts = [v / np.linalg.norm(v) for v in
@@ -237,7 +240,7 @@ def test_barycentric_map_integrates_like_its_simplex(kind):
     form = vol_form("S3", 1.0)
     direct = pullback_integral(form, sx, QUAD).value
     bary = pullback_integral(
-        form, ParametrizedMap(3, sx.evaluate_jet), QUAD).value
+        form, ParametrizedMap(3, barycentric_jet(sx)), QUAD).value
     assert direct != 0.0
     assert abs(bary - direct) < 1e-12
 

@@ -5,11 +5,58 @@ import pytest
 
 from cocyclelab.errors import QuadratureDiverged
 from cocyclelab.quadrature import (IntegralResult, QuadratureSpec,
-                                   bary_to_cube, bary_to_cube_jet,
-                                   cube_to_bary, cube_to_bary_jet,
-                                   gauss_legendre_circle, integrate_on_cube)
+                                   bary_to_cube, cube_to_bary,
+                                   cube_to_bary_jet, gauss_legendre_circle,
+                                   integrate_on_cube)
 
 rng = np.random.default_rng(2)
+
+
+def bary_to_cube_jet(bary, dbary):
+    """Reference copy of ``bary_to_cube`` that also carries tangents: the
+    images (N, m, n) of ``dbary`` (N, m, n+1), or None when ``dbary`` is
+    None.  The tests build barycentric jets of simplices from it.
+
+    The divisions by 1 - s_k are safe away from the apexes, which Gauss
+    nodes never reach; at an apex the inverse is not differentiable, and
+    the tangents of the lower coordinates are taken to be 0 there."""
+    bary = np.atleast_2d(np.asarray(bary, dtype=float))
+    n = bary.shape[1] - 1
+    s = np.empty((bary.shape[0], n))
+    ds = None if dbary is None else \
+        np.empty((bary.shape[0], dbary.shape[1], n))
+    for k in range(n, 0, -1):
+        s[:, k - 1] = bary[:, k]
+        denom = 1.0 - bary[:, k]
+        at_top = np.abs(denom) < 1e-14
+        denom = np.where(at_top, 1.0, denom)
+        bary = bary[:, :k] / denom[:, None]
+        if dbary is not None:
+            ds[:, :, k - 1] = dbary[:, :, k]
+            # quotient rule: d(b / (1 - s)) = (db + (b / (1 - s)) ds) / (1 - s)
+            dbary = (dbary[:, :, :k] + bary[:, None] * dbary[:, :, k:k + 1]) \
+                / denom[:, None, None]
+        if np.any(at_top):
+            bary[at_top] = np.eye(k)[0]
+            if dbary is not None:
+                dbary[at_top] = 0.0
+    return s, ds
+
+
+def barycentric_jet(sx):
+    """The jet ``(bary, dbary) -> (points, tangents)`` of a simplex given
+    by its cube jet: ``sx.evaluate_cube_jet`` composed with the reference
+    ``bary_to_cube_jet``.  With ``dbary`` None it gives the points and
+    None."""
+
+    def jet(bary, dbary):
+        s, ds = bary_to_cube_jet(bary, dbary)
+        if ds is None:
+            return sx.evaluate_cube(s), None
+        x, dx = sx.evaluate_cube_jet(s)
+        return x, np.einsum("nmk,nkd->nmd", ds, dx)
+
+    return jet
 
 
 def test_cube_to_bary_is_barycentric():

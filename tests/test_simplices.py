@@ -10,7 +10,8 @@ from cocyclelab.groups import (QUAT_I, QUAT_ONE, LieVector, UnitQuaternion,
                                quat_exp)
 from cocyclelab.simplices import (GeodesicSimplex, ParametrizedMap, all_faces,
                                   face, in_open_hemisphere, is_chart_small,
-                                  prism_chain, straighten)
+                                  prism_cell, straighten)
+from test_quadrature import barycentric_jet
 
 rng = np.random.default_rng(7)
 
@@ -300,19 +301,20 @@ def assert_jet_matches_five_point(cube_jet, evaluate_cube, s):
 
 
 def test_barycentric_jet_matches_five_point_tangents():
-    # GeodesicSimplex.evaluate_jet through bary_to_cube_jet, seen through a
-    # barycentric ParametrizedMap on a sub-simplex
+    # a simplex's cube jet through the reference bary_to_cube_jet, seen
+    # through a barycentric ParametrizedMap on a sub-simplex
     for kind in ("spherical", "chart"):
         verts = [small_quat() for _ in range(4)]
-        sx = GeodesicSimplex(verts, kind)
+        jet = barycentric_jet(GeodesicSimplex(verts, kind))
         cmat = rng.dirichlet(np.ones(4), size=4)
-        sub = ParametrizedMap(3, lambda b, db: sx.evaluate_jet(
+        sub = ParametrizedMap(3, lambda b, db: jet(
             b @ cmat, None if db is None else db @ cmat))
         assert_jet_matches_five_point(sub.evaluate_cube_jet, sub.evaluate_cube,
                                       rng.uniform(0.01, 0.99, size=(50, 3)))
 
 
 def test_wiggled_simplex_and_its_prism_terms_carry_exact_jets():
+    # the prism term of each face is its one product cell
     from cocyclelab.suites import _wiggled_simplex
     jet_rng = np.random.default_rng(0x5EED)
     for _ in range(2):
@@ -321,10 +323,10 @@ def test_wiggled_simplex_and_its_prism_terms_carry_exact_jets():
             f.evaluate_cube_jet, f.evaluate_cube,
             jet_rng.uniform(0.01, 0.99, size=(50, 3)))
         for i in range(4):
-            for _, term in prism_chain(f.face(i)):
-                assert_jet_matches_five_point(
-                    term.evaluate_cube_jet, term.evaluate_cube,
-                    jet_rng.uniform(0.01, 0.99, size=(50, 3)))
+            cell = prism_cell(f.face(i))
+            assert_jet_matches_five_point(
+                cell.evaluate_cube_jet, cell.evaluate_cube,
+                jet_rng.uniform(0.01, 0.99, size=(50, 3)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -336,10 +338,11 @@ def test_prism_terms_of_chart_simplices_carry_exact_jets(n):
             v = jet_rng.normal(size=3)
             v *= jet_rng.uniform(0.02, 0.12) / np.linalg.norm(v)
             verts.append(quat_exp(LieVector("su2", v)))
-        for _, term in prism_chain(GeodesicSimplex(verts, "chart")):
-            assert_jet_matches_five_point(
-                term.evaluate_cube_jet, term.evaluate_cube,
-                jet_rng.uniform(0.01, 0.99, size=(40, n + 1)))
+        cell = prism_cell(GeodesicSimplex(verts, "chart"))
+        assert cell.degree == n + 1
+        assert_jet_matches_five_point(
+            cell.evaluate_cube_jet, cell.evaluate_cube,
+            jet_rng.uniform(0.01, 0.99, size=(40, n + 1)))
 
 
 def test_parametrized_map_takes_exactly_one_jet():
@@ -347,9 +350,9 @@ def test_parametrized_map_takes_exactly_one_jet():
     with pytest.raises(TypeError):
         ParametrizedMap(2)
     with pytest.raises(TypeError):
-        ParametrizedMap(2, sx.evaluate_jet, sx.evaluate_cube_jet)
+        ParametrizedMap(2, barycentric_jet(sx), sx.evaluate_cube_jet)
     b = np.random.default_rng(5).dirichlet(np.ones(3), size=20)
-    for m in (ParametrizedMap(2, sx.evaluate_jet),
+    for m in (ParametrizedMap(2, barycentric_jet(sx)),
               ParametrizedMap(2, cube_jet=sx.evaluate_cube_jet)):
         assert np.array_equal(m.evaluate(b), sx.evaluate(b))
 
@@ -367,19 +370,30 @@ def assert_jet_without_tangents_is_points(f, jet_rng):
 
 def test_jet_without_tangents_gives_the_points_alone():
     from cocyclelab.forms import sphere_atlas
+    from cocyclelab.quadrature import bary_to_cube
     from cocyclelab.suites import _wiggled_simplex
     jet_rng = np.random.default_rng(0xBEEF)
     for kind in ("spherical", "chart"):
         verts = [quat_exp(LieVector("su2", 0.1 * jet_rng.normal(size=3)))
                  for _ in range(4)]
-        assert_jet_without_tangents_is_points(GeodesicSimplex(verts, kind),
-                                              jet_rng)
-    f = _wiggled_simplex(jet_rng)
-    maps = [f] + [f.face(i) for i in range(4)]
-    maps += [term for _, term in prism_chain(f.face(0))]
-    maps += [cell for _, cell in sphere_atlas("CP1")[:2]]
-    for m in maps:
+        sx = GeodesicSimplex(verts, kind)
+        m = ParametrizedMap(3, barycentric_jet(sx))
         assert_jet_without_tangents_is_points(m, jet_rng)
+        b = jet_rng.dirichlet(np.ones(4), size=30)
+        assert np.array_equal(m.evaluate(b), sx.evaluate(b))
+    f = _wiggled_simplex(jet_rng)
+    for m in [f] + [f.face(i) for i in range(4)]:
+        assert_jet_without_tangents_is_points(m, jet_rng)
+    # a map given by its cube jet has points only at barycentric coordinates
+    for m in [prism_cell(f.face(0))] + [cell for _, cell in
+                                        sphere_atlas("CP1")[:2]]:
+        b = jet_rng.dirichlet(np.ones(m.degree + 1), size=30)
+        x, none = m.evaluate_jet(b, None)
+        assert none is None
+        assert np.array_equal(x, m.evaluate(b))
+        assert np.array_equal(x, m.evaluate_cube(bary_to_cube(b)))
+        with pytest.raises(TypeError):
+            m.evaluate_jet(b, jet_rng.normal(size=(30, 2, m.degree + 1)))
 
 
 @pytest.mark.parametrize("name", ["conjugate", "twisted-square"])
@@ -416,7 +430,7 @@ def test_straighten_idempotent_and_vertex_preserving():
     pts = rng.dirichlet(np.ones(3), size=30)
     assert np.abs(sx.evaluate(pts) - again.evaluate(pts)).max() < 1e-12
 
-    wig = ParametrizedMap(2, sx.evaluate_jet)
+    wig = ParametrizedMap(2, barycentric_jet(sx))
     st = straighten(wig)
     for i, v in enumerate(verts):
         assert np.allclose(st.evaluate(corner(2, i))[0], v.vec, atol=1e-12)
@@ -432,6 +446,44 @@ def test_straighten_idempotent_and_vertex_preserving():
     assert np.abs(st_const.evaluate(pts) - g.vec).max() < 1e-12
 
 
+def prism_chain(f) -> list:
+    """Reference copy of the triangulated join homotopy between f and
+    straighten(f): n+1 signed (n+1)-simplices for a degree-n input, whose
+    signed sum ``prism_cell`` integrates as one cell.
+
+    Term j (sign (-1)^j) is the (n+1)-simplex with prism vertices
+    (v_0,0)...(v_j,0),(v_j,1)...(v_n,1), evaluated through the pointwise
+    chart join from f to its straightening.  Each term is a
+    ``ParametrizedMap`` whose jet pushes the base point u and the time t,
+    both linear in the term's barycentric coordinates, through the
+    barycentric jets of f and of straighten(f) and that of the chart
+    join."""
+    n = f.degree
+    f_jet = f.evaluate_jet if isinstance(f, ParametrizedMap) \
+        else barycentric_jet(f)
+    str_jet = barycentric_jet(straighten(f))
+
+    terms = []
+    for j in range(n + 1):
+        # rows: prism vertex k -> (base simplex vertex, time)
+        vmat = np.zeros((n + 2, n + 1))
+        tvec = np.zeros(n + 2)
+        for k in range(n + 2):
+            vmat[k, k if k <= j else k - 1] = 1.0
+            tvec[k] = 0.0 if k <= j else 1.0
+
+        def jet(bary, dbary, _vmat=vmat, _tvec=tvec):
+            du, dt = (None, None) if dbary is None else \
+                (dbary @ _vmat, dbary @ _tvec)
+            u = bary @ _vmat
+            a, da = f_jet(u, du)
+            b, db = str_jet(u, du)
+            return _chart_join_jet(a, da, b, bary @ _tvec, dy=db, ds=dt)
+
+        terms.append(((-1) ** j, ParametrizedMap(n + 1, jet)))
+    return terms
+
+
 def test_prism_term_count_and_signs():
     for n in (1, 2, 3):
         verts = [small_quat() for _ in range(n + 1)]
@@ -442,6 +494,34 @@ def test_prism_term_count_and_signs():
         assert signs == [(-1) ** j for j in range(n + 1)]
         for _, term in chain:
             assert term.degree == n + 1
+
+
+@pytest.mark.parametrize("order", [6, 8])
+def test_prism_cell_integrates_as_the_triangulated_prism(order):
+    # on every face of the prism suite's wiggled simplices, the one cell
+    # and the signed sum of the reference chain agree within the sum of
+    # their estimates; where the sum stands clear of its estimate, the two
+    # have the same sign, so the cell has the chain's orientation
+    from cocyclelab.forms import pullback_integral, vol_form
+    from cocyclelab.quadrature import QuadratureSpec
+    from cocyclelab.suites import _wiggled_simplex
+    form = vol_form("S3", 1.0)
+    quad = QuadratureSpec(order=order, depth=1, tol=1e-3)
+    prism_rng = np.random.default_rng(0x5EED)
+    signed = 0
+    for _ in range(2):
+        f = _wiggled_simplex(prism_rng)
+        for i in range(4):
+            cell = pullback_integral(form, prism_cell(f.face(i)), quad)
+            chain = [(sign, pullback_integral(form, term, quad))
+                     for sign, term in prism_chain(f.face(i))]
+            total = sum(sign * r.value for sign, r in chain)
+            est = sum(r.error_estimate for _, r in chain)
+            assert abs(cell.value - total) <= cell.error_estimate + est
+            if abs(total) > est:
+                assert np.sign(cell.value) == np.sign(total)
+                signed += 1
+    assert signed >= 4
 
 
 def test_all_faces_signs():
