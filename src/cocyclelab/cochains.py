@@ -3,7 +3,8 @@
 A homogeneous cochain assigns a number mod a lattice to (n+1)-tuples of
 group elements, subject to a domain guard.  The geometric cochains
 integrate an invariant form over the iterated-join simplex attached to a
-tuple; finite-group cochains carry exact Fraction values.
+tuple; finite-group cochains carry exact values, Python ints where they
+are integral and Fractions only where a denominator is not 1 (``exact``).
 
 Coboundaries and pairings evaluate their tuples together through
 ``HomogeneousCochain.with_errors``: every guard runs first, in order, and
@@ -12,6 +13,8 @@ join pass (``forms.stacked_pullback_integral``).  Each tuple's value and
 estimate are bitwise those of integrating its simplex on its own.
 """
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,6 +26,15 @@ from .groups import (QUAT_ONE, Rotation, UnitQuaternion, _qconj, _qmul,
 from .quadrature import QuadratureSpec
 from .simplices import (GeodesicSimplex, all_faces, in_open_hemisphere,
                         is_chart_small)
+
+
+def exact(value):
+    """``value`` as an exact rational: ``Fraction(value)``, returned as
+    its numerator, a Python int, when its denominator is 1."""
+    if type(value) is int:
+        return value
+    f = Fraction(value)
+    return int(f.numerator) if f.denominator == 1 else f
 
 
 def reduce_mod(value, lattice):
@@ -109,7 +121,7 @@ def coboundary(f: HomogeneousCochain) -> HomogeneousCochain:
 
     def evaluator(t):
         faces = all_faces(t)
-        total, est = 0, 0.0  # int start keeps Fraction values exact
+        total, est = 0, 0.0  # int start keeps int and Fraction values exact
         for (sign, _), (v, e) in zip(
                 faces, f.with_errors([face_t for _, face_t in faces])):
             total = total + sign * v

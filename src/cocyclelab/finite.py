@@ -7,6 +7,8 @@ the full tuple complex (identity on admissible tuples) is constructed
 degree by degree through integer solves, mirroring the acyclicity
 induction.  The predicates are "all-tuples", "conf-distinct" (pairwise
 distinct entries) and any face-closed, translation-invariant callable.
+An extended cochain is exact: integer values stay Python ints, and a
+Fraction appears only where a value has a denominator other than 1.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .cochains import HomogeneousChain, HomogeneousCochain
+from .cochains import HomogeneousChain, HomogeneousCochain, exact
 from .errors import (KernelObstruction, NotWellConfigured,
                      PredicateNotFaceClosed)
 from .groups import UnitQuaternion
@@ -278,7 +280,9 @@ def extend_cocycle(complex_: ConfiguredComplex, values, retraction=None
                    ) -> HomogeneousCochain:
     """Extend a top-degree cochain through the comparison chain map.
 
-    ``values`` assigns a number to every degree-q generator.  The cochain
+    ``values`` assigns a number to every degree-q generator; an int,
+    Fraction or float is kept as given and any other number becomes
+    ``exact(value)``, so integer values sum as Python ints.  The cochain
     must vanish on the kernel of the top boundary map (checked against an
     exact kernel basis); the result is defined on all (q+1)-tuples and has
     identically vanishing coboundary.  Its value on each tuple is summed
@@ -290,7 +294,8 @@ def extend_cocycle(complex_: ConfiguredComplex, values, retraction=None
     gens = complex_.generators[q]
     if len(values) != len(gens):
         raise ValueError(f"expected {len(gens)} values")
-    vals = [Fraction(v) if not isinstance(v, float) else v for v in values]
+    vals = [v if isinstance(v, (int, Fraction, float)) else exact(v)
+            for v in values]
     solver = complex_.solver(q)
     for kvec in solver.kernel_basis():
         pairing = sum(c * v for c, v in zip(kvec, vals) if c)

@@ -36,8 +36,8 @@ _SU2_BASIS = ("i", "j", "k")
 
 def _qmul(a, b):
     """Hamilton product on trailing axes of shape (..., 4)."""
-    w1, x1, y1, z1 = np.moveaxis(a, -1, 0)
-    w2, x2, y2, z2 = np.moveaxis(b, -1, 0)
+    w1, x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    w2, x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     return np.stack([
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
@@ -46,8 +46,11 @@ def _qmul(a, b):
     ], axis=-1)
 
 
+_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
+
 def _qconj(a):
-    return a * np.array([1.0, -1.0, -1.0, -1.0])
+    return a * _CONJ_SIGNS
 
 
 def _qlog_jet(q, dq):

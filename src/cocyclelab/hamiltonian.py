@@ -1,19 +1,21 @@
 """Hamiltonian calculus on the radius-1/2 sphere model of the projective
 line.
 
-Functions are ambient polynomials with exact rational coefficients; their
-gradients are analytic, so Hamiltonian fields and Poisson brackets have
-closed forms (the bracket of two polynomials is again a polynomial, via
-the ambient determinant identity {f,g} = det[p, grad f, grad g]).
+Functions are ambient polynomials with exact rational coefficients (Python
+ints where they are integral, Fractions only where a denominator is not
+1); their gradients are analytic, so Hamiltonian fields and Poisson
+brackets have closed forms (the bracket of two polynomials is again a
+polynomial, via the ambient determinant identity
+{f,g} = det[p, grad f, grad g]).
 Integrals run over the icosahedral atlas.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
+from .cochains import exact
 # symplectic_form_value stays importable from here with the rest of the
 # calculus on the projective line
 from .forms import (fubini_study_form, sphere_integral,
@@ -25,14 +27,14 @@ SPHERE_RADIUS = 0.5
 
 class SphereFunction:
     """Polynomial in the ambient coordinates (x, y, z), restricted to the
-    radius-1/2 sphere.  Coefficients are exact Fractions keyed by exponent
-    triples; a key that is not three non-negative integers raises
-    ValueError."""
+    radius-1/2 sphere.  Coefficients are exact rationals (``exact``: ints,
+    or Fractions where a denominator is not 1) keyed by exponent triples; a
+    key that is not three non-negative integers raises ValueError."""
 
     def __init__(self, coeffs=None):
         self.coeffs = {}
         for key, c in (coeffs or {}).items():
-            key, c = _exponent_key(key), Fraction(c)
+            key, c = _exponent_key(key), exact(c)
             if c != 0:
                 self.coeffs[key] = self.coeffs.get(key, 0) + c
         self.coeffs = {k: v for k, v in self.coeffs.items() if v != 0}
@@ -82,7 +84,7 @@ class SphereFunction:
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        return SphereFunction({k: Fraction(scalar) * v
+        return SphereFunction({k: exact(scalar) * v
                                for k, v in self.coeffs.items()})
 
     def __mul__(self, other):

@@ -1,14 +1,15 @@
 """Alternating Lie-algebra cochains and the derivation map from group
 cochains.
 
-Structure constants are exact rationals, and so are the Chevalley-Eilenberg
-differential and the invariant trilinear (Cartan) cocycle <x, [y, z]>; only
-the derivation map (mixed central differences of a locally smooth group
-cochain along exponential coordinates) is floating point.  The
-``gf-derivation`` suite runs the whole chain: the derivative of the
-integrated cochain of a form is the form at the identity, and for the
-Maurer-Cartan 3-form that is a multiple of the Cartan cocycle of su(2),
-which the differential sends to zero.
+Structure constants are exact rationals (Python ints where they are
+integral, Fractions only where a denominator is not 1), and so are the
+Chevalley-Eilenberg differential and the invariant trilinear (Cartan)
+cocycle <x, [y, z]>; only the derivation map (mixed central differences
+of a locally smooth group cochain along exponential coordinates) is
+floating point.  The ``gf-derivation`` suite runs the whole chain: the
+derivative of the integrated cochain of a form is the form at the
+identity, and for the Maurer-Cartan 3-form that is a multiple of the
+Cartan cocycle of su(2), which the differential sends to zero.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from math import factorial
 
 import numpy as np
 
-from .cochains import HomogeneousCochain, integrated_cochain
+from .cochains import HomogeneousCochain, exact, integrated_cochain
 from .errors import DomainGuard, StepTooLarge
 from .forms import DifferentialForm
 from .groups import LieVector, UnitQuaternion, _perm_signs, quat_exp
@@ -29,16 +30,17 @@ class LieAlgebraTable:
     """Basis, structure constants and invariant pairing of a Lie algebra.
 
     ``structure[i, j, k]`` is the coefficient of basis vector k in
-    [X_i, X_j]; everything is stored as Fraction arrays and the Jacobi
+    [X_i, X_j]; both are stored as object arrays of exact values (``exact``:
+    ints, or Fractions where a denominator is not 1), and the Jacobi
     identity is verified exactly at construction.
     """
 
     def __init__(self, tag, structure, pairing):
         self.tag = tag
         self.dim = len(structure)
-        to_fractions = np.frompyfunc(Fraction, 1, 1)
-        self.structure = to_fractions(np.asarray(structure, dtype=object))
-        self.pairing = to_fractions(np.asarray(pairing, dtype=object))
+        to_exact = np.frompyfunc(exact, 1, 1)
+        self.structure = to_exact(np.asarray(structure, dtype=object))
+        self.pairing = to_exact(np.asarray(pairing, dtype=object))
         c = self.structure
         if (c != -c.transpose(1, 0, 2)).any():
             raise ValueError("structure constants not antisymmetric")
@@ -112,7 +114,8 @@ class MultilinearCochain:
 
 
 def alternation(tensor, degree):
-    """Antisymmetrize a tensor exactly (Fractions) or in floats."""
+    """Antisymmetrize a tensor exactly (object arrays, whose factor 1/n! is
+    a Fraction, never an int division) or in floats."""
     arr = np.asarray(tensor)
     fac = Fraction(1, factorial(degree)) if arr.dtype == object \
         else 1.0 / factorial(degree)
@@ -130,10 +133,10 @@ def ce_differential(omega: MultilinearCochain,
     (d w)(x_0..x_n) = sum_{a<b} (-1)^(a+b) w([x_a, x_b], x_0..^a..^b..x_n).
     """
     n, dim = omega.degree, algebra.dim
-    exact = omega.tensor.dtype == object
-    c = algebra.structure if exact else algebra.structure.astype(float)
+    is_exact = omega.tensor.dtype == object
+    c = algebra.structure if is_exact else algebra.structure.astype(float)
     if n == 0:  # constants: the insertion sum is empty
-        out = np.full(dim, Fraction(0) if exact else 0.0, dtype=c.dtype)
+        out = np.full(dim, 0 if is_exact else 0.0, dtype=c.dtype)
     else:
         # t[p, q, rest] = w([X_p, X_q], rest), moved to slots a and b
         t = np.tensordot(c, omega.tensor, ([2], [0]))

@@ -6,14 +6,15 @@ torsion are exact.  The Smith normal form is one pivot loop (Cohen, A
 Course in Computational Algebraic Number Theory, GTM 138, section 2.4) on
 the block matrix [[A, I_m], [I_n, 0]]: a row operation on its first m
 rows carries U along with S, and a column operation on its first n
-columns carries V.  Each step pivots on the first nonzero entry of least
-magnitude, clears its column and then its row by quotient operations,
-and runs again while a remainder is left or while a later row is not
-divisible by the pivot.  U and V are sparse for boundary matrices (every
-entry of a tuple boundary is +-1), so a solver keeps each of their rows
-as the list of its nonzeros and a solve sums over those only.  The rank
-oracle is Bareiss's fraction-free elimination, whose every division is
-exact, and shares no code with the Smith normal form.
+columns carries V; a column operation adds only into the rows where its
+source column is nonzero.  Each step pivots on the first nonzero entry
+of least magnitude, clears its column and then its row by quotient
+operations, and runs again while a remainder is left or while a later
+row is not divisible by the pivot.  U and V are sparse for boundary
+matrices (every entry of a tuple boundary is +-1), so a solver keeps each
+of their rows as the list of its nonzeros and a solve sums over those
+only.  The rank oracle is Bareiss's fraction-free elimination, whose
+every division is exact, and shares no code with the Smith normal form.
 """
 from __future__ import annotations
 
@@ -51,7 +52,8 @@ def smith_normal_form(mat):
 
     def add_col(src, dst, f):
         for row in b:
-            row[dst] += f * row[src]
+            if row[src]:
+                row[dst] += f * row[src]
 
     k = 0
     while k < min(m, n):

@@ -277,9 +277,9 @@ def _random_polynomial(rng, max_degree=3):
     coeffs = {}
     for key in product(range(max_degree + 1), repeat=3):
         if 0 < sum(key) <= max_degree and rng.random() < 0.4:
-            coeffs[key] = Fraction(int(rng.integers(-3, 4)))
+            coeffs[key] = int(rng.integers(-3, 4))
     if not coeffs:
-        coeffs[(1, 0, 0)] = Fraction(1)
+        coeffs[(1, 0, 0)] = 1
     return SphereFunction(coeffs)
 
 

@@ -7,7 +7,7 @@ from cocyclelab import cochains
 from cocyclelab.cochains import (HomogeneousChain, HomogeneousCochain,
                                  circle_distance, coboundary, cocycle_defect,
                                  conjugate_point_map, cyclic_cycle,
-                                 degree_of_map, generic_rotation,
+                                 degree_of_map, exact, generic_rotation,
                                  integrated_cochain, kronecker_pair,
                                  transfer, twisted_square_map)
 from cocyclelab.errors import (BadOrder, BadReps, DomainGuard, NotNormal,
@@ -42,6 +42,20 @@ def hemispherical_tuple(size):
         pts = [apply_rotation(g, QUAT_ONE).vec for g in t]
         if in_open_hemisphere(pts):
             return t
+
+
+def test_exact_is_an_int_unless_a_denominator_is_not_1():
+    for value, expected in ((3, 3), (Fraction(6, 2), 3), (np.int64(-4), -4),
+                            (2.0, 2), (True, 1)):
+        got = exact(value)
+        assert type(got) is int and got == expected
+    for value, expected in ((Fraction(3, 6), Fraction(1, 2)),
+                            (0.75, Fraction(3, 4)),
+                            (np.float64(-0.5), Fraction(-1, 2))):
+        got = exact(value)
+        assert type(got) is Fraction and got == expected
+    with pytest.raises((TypeError, ValueError)):
+        exact(float("nan"))
 
 
 def test_circle_valued_slope_is_a_cocycle():

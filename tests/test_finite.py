@@ -11,7 +11,8 @@ from cocyclelab.finite import (FiniteGroupTable, brute_force_free_rank,
                                build_complex, build_retraction,
                                extend_cocycle, homology)
 from cocyclelab.simplices import all_faces
-from cocyclelab.snf import SmithSolver, rational_rank, smith_normal_form
+from cocyclelab.snf import (SmithSolver, _pivot, rational_rank,
+                            smith_normal_form)
 
 rng = np.random.default_rng(31)
 
@@ -112,6 +113,71 @@ def test_snf_diagonal_is_the_invariant_factors():
             assert [s[i][i] for i in range(len(factors))] == factors
             assert all(s[i][i] == 0 for i in range(len(factors),
                                                    min(len(s), len(s[0]))))
+
+
+def reference_smith_normal_form(mat):
+    """Reference copy of the pivot loop whose column add walks every row
+    of the block matrix, zero entries of the source column included."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    b = [list(row) + [int(i == r) for i in range(m)]
+         for r, row in enumerate(mat)]
+    b += [[int(i == r) for i in range(n)] + [0] * m for r in range(n)]
+
+    def add_row(src, dst, f):
+        b[dst] = [x + f * y for x, y in zip(b[dst], b[src])]
+
+    def add_col(src, dst, f):
+        for row in b:
+            row[dst] += f * row[src]
+
+    k = 0
+    while k < min(m, n):
+        pivot = _pivot(b, k, m, n)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        b[pi], b[k] = b[k], b[pi]
+        if pj != k:
+            for row in b:
+                row[pj], row[k] = row[k], row[pj]
+        if b[k][k] < 0:
+            b[k] = [-x for x in b[k]]
+        p = b[k][k]
+        below = range(k + 1, m)
+        for i in below:
+            if b[i][k]:
+                add_row(k, i, -(b[i][k] // p))
+        for j in range(k + 1, n):
+            if b[k][j]:
+                add_col(k, j, -(b[k][j] // p))
+        if any(b[i][k] for i in below) or any(b[k][k + 1:n]):
+            continue
+        bad = next((i for i in below
+                    if p > 1 and any(x % p for x in b[i][k + 1:n])), None)
+        if bad is None:
+            k += 1
+        else:
+            add_row(bad, k, 1)
+    return ([row[n:] for row in b[:m]], [row[:n] for row in b[:m]],
+            [row[:n] for row in b[m:]])
+
+
+def test_column_add_over_nonzero_rows_is_the_full_loop():
+    # skipping the rows where the source column is 0 adds only zeros, so
+    # (U, S, V) is the reference's on tuple boundaries and random matrices
+    for m in (5, 6, 7):
+        c = build_complex(FiniteGroupTable.cyclic(m), "conf-distinct", 3)
+        for n in (1, 2, 3):
+            a = c.boundaries[n]
+            assert smith_normal_form(a) == reference_smith_normal_form(a)
+    local = np.random.default_rng(37)
+    for _ in range(100):
+        m, n = local.integers(1, 8, size=2)
+        a = local.integers(-6, 7, size=(m, n))
+        a[:, local.random(n) < 0.3] = 0
+        a = a.tolist()
+        assert smith_normal_form(a) == reference_smith_normal_form(a)
 
 
 def fraction_rank(mat):
@@ -298,7 +364,9 @@ def test_extension_table_matches_image_sums():
     bd3 = c.boundaries[3]
     f_vals = [sum(g_vals[i] * bd3[i][j] for i in range(len(g_vals)))
               for j in range(len(c.generators[3]))]
-    for vals in ([Fraction(v, 7) for v in f_vals], [v / 8 for v in f_vals]):
+    # Python ints stay ints, Fractions stay Fractions, floats stay floats
+    for vals in (list(f_vals), [Fraction(v, 7) for v in f_vals],
+                 [v / 8 for v in f_vals]):
         cocycle = extend_cocycle(c, vals, retraction=mats)
         for t in product(range(5), repeat=4):
             expected = sum(k * vals[c.index[3][s]]

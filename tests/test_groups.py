@@ -3,7 +3,7 @@ import pytest
 
 from cocyclelab.errors import BadOrder, DegenerateConfig
 from cocyclelab.groups import (QUAT_I, QUAT_J, QUAT_ONE, LieVector, Rotation,
-                               UnitQuaternion, _qlog_jet, _qmul,
+                               UnitQuaternion, _qconj, _qlog_jet, _qmul,
                                apply_rotation, cyclic_embed, hopf_arr,
                                quat_exp, so4_of)
 
@@ -126,6 +126,36 @@ def test_apply_rotation_matches_quaternion_product():
         g = so4_of(cyclic_embed(m, 1), cyclic_embed(m, -1))
         expected = cyclic_embed(m, 1) * QUAT_ONE * cyclic_embed(m, 1)
         assert apply_rotation(g, QUAT_ONE).isclose(expected, tol=1e-12)
+
+
+def moveaxis_qmul(a, b):
+    # reference: components unpacked by moving the trailing axis to the
+    # front, the same expressions as _qmul
+    w1, x1, y1, z1 = np.moveaxis(a, -1, 0)
+    w2, x2, y2, z2 = np.moveaxis(b, -1, 0)
+    return np.stack([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ], axis=-1)
+
+
+@pytest.mark.parametrize("shape_a,shape_b", [
+    ((4,), (4,)), ((4,), (4, 4)), ((7, 4), (4,)), ((7, 4), (7, 4)),
+    ((7, 1, 4), (3, 4)), ((7, 3, 4), (7, 1, 4)), ((2, 7, 3, 4), (3, 4))])
+def test_qmul_and_qconj_are_bitwise_the_reference(shape_a, shape_b):
+    local = np.random.default_rng(41)
+    a = local.normal(size=shape_a)
+    b = local.normal(size=shape_b)
+    # a broadcast view and a strided slice as well as a fresh array
+    for x, y in ((a, b), (a, np.broadcast_to(b, np.broadcast_shapes(
+            shape_a, shape_b))), (a[..., ::-1], b)):
+        got, ref = _qmul(x, y), moveaxis_qmul(x, y)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+        ref = x * np.array([1.0, -1.0, -1.0, -1.0])
+        assert _qconj(x).tobytes() == ref.tobytes()
 
 
 def test_associativity_spot_check():

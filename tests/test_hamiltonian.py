@@ -196,3 +196,68 @@ def test_exponent_keys_must_be_three_nonnegative_integers():
     # integral values of any numeric type are accepted
     assert SphereFunction({(1.0, 0, 0): 2}) == 2 * X
     assert SphereFunction({(np.int64(1), 0, Fraction(2)): 1}) == X * Z * Z
+
+
+def fraction_mul(a, b):
+    # reference product of coefficient dicts, every value a Fraction
+    out = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            key = tuple(x + y for x, y in zip(k1, k2))
+            out[key] = out.get(key, Fraction(0)) + Fraction(v1) * Fraction(v2)
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def fraction_add(a, b, sign=1):
+    out = {k: Fraction(v) for k, v in a.items()}
+    for k, v in b.items():
+        out[k] = out.get(k, Fraction(0)) + sign * Fraction(v)
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def fraction_partial(a, axis):
+    out = {}
+    for key, v in a.items():
+        if key[axis]:
+            k = tuple(e - (i == axis) for i, e in enumerate(key))
+            out[k] = out.get(k, Fraction(0)) + Fraction(v) * key[axis]
+    return out
+
+
+def fraction_poisson(f, g):
+    # det[p, grad f, grad g] expanded along p, in Fractions
+    df = [fraction_partial(f, i) for i in range(3)]
+    dg = [fraction_partial(g, i) for i in range(3)]
+    out = {}
+    for i, key in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        minor = fraction_add(fraction_mul(df[j], dg[k]),
+                             fraction_mul(df[k], dg[j]), sign=-1)
+        out = fraction_add(out, fraction_mul({key: 1}, minor))
+    return out
+
+
+def half_integer_polynomial(local, max_degree=3):
+    coeffs = {}
+    for key in [(i, j, k) for i in range(4) for j in range(4)
+                for k in range(4)]:
+        if sum(key) <= max_degree and local.random() < 0.5:
+            coeffs[key] = Fraction(int(local.integers(-7, 8)), 2)
+    return coeffs
+
+
+def test_half_integer_products_and_brackets_match_fractions():
+    # exact results stay exact: every coefficient is an int, or a Fraction
+    # whose denominator is not 1, and equals the all-Fraction reference
+    local = np.random.default_rng(43)
+    for _ in range(10):
+        a, b = (half_integer_polynomial(local) for _ in range(2))
+        f, g = SphereFunction(a), SphereFunction(b)
+        half = {(0, 0, 0): Fraction(1, 2)}
+        for got, expected in ((f * g, fraction_mul(a, b)),
+                              (poisson(f, g), fraction_poisson(a, b)),
+                              (Fraction(1, 2) * f, fraction_mul(half, a))):
+            assert got.coeffs == expected
+            assert all(type(v) is int if v.denominator == 1
+                       else type(v) is Fraction for v in got.coeffs.values())
+    assert any(type(v) is Fraction for v in (f * g).coeffs.values())

@@ -165,6 +165,61 @@ def test_cartan_cocycle_values_and_closedness():
     assert cartan_cocycle(scaled).tensor[0, 1, 2] == 6
 
 
+def is_exact(values):
+    # exact means never a float: a Python int or a Fraction
+    return all(type(v) in (int, Fraction) for v in values)
+
+
+def test_exact_results_stay_exact():
+    for algebra in (LieAlgebraTable.su2(), LieAlgebraTable.so4()):
+        assert is_exact(algebra.structure.flat)
+        assert is_exact(algebra.pairing.flat)
+        cartan = cartan_cocycle(algebra)
+        assert is_exact(cartan.tensor.flat)
+        assert is_exact(ce_differential(cartan, algebra).tensor.flat)
+    # integral values are ints, so the integer tables give int cochains
+    so4 = LieAlgebraTable.so4()
+    for values in (so4.structure.flat, so4.pairing.flat,
+                   cartan_cocycle(so4).tensor.flat):
+        assert all(type(v) is int for v in values)
+    # a table given Fractions of denominator 1 stores ints
+    su2 = LieAlgebraTable("su2", [[[Fraction(x) for x in row] for row in m]
+                                  for m in LieAlgebraTable.su2().structure],
+                          np.eye(3, dtype=int))
+    assert all(type(v) is int for v in su2.structure.flat)
+    zero = ce_differential(
+        MultilinearCochain(0, 3, np.array(Fraction(3), dtype=object)), su2)
+    assert is_exact(zero.tensor.flat)
+
+
+def random_so4_cochain(local, degree):
+    # an alternating so(4) tensor whose entries are ints and Fractions of
+    # denominators 2 and 3, antisymmetrized by hand
+    out = np.zeros((6,) * degree, dtype=object)
+    for idx in combinations(range(6), degree):
+        v = Fraction(int(local.integers(-6, 7)), int(local.choice([1, 2, 3])))
+        v = v.numerator if v.denominator == 1 else v
+        for perm in permutations(range(degree)):
+            sign = (-1) ** sum(perm[i] > perm[j] for i in range(degree)
+                               for j in range(i + 1, degree))
+            out[tuple(idx[p] for p in perm)] = sign * v
+    return MultilinearCochain(degree, 6, out)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_so4_differential_with_denominators_matches_brute_force(degree):
+    so4 = LieAlgebraTable.so4()
+    omega = random_so4_cochain(np.random.default_rng(degree), degree)
+    dens = {v.denominator for v in omega.tensor.flat
+            if type(v) is Fraction}
+    assert dens == {2, 3}
+    got = ce_differential(omega, so4).tensor
+    expected = brute_force_ce(omega, so4)
+    assert got.shape == expected.shape
+    assert all(g == e for g, e in zip(got.flat, expected.flat))
+    assert is_exact(got.flat)
+
+
 def test_cartan_requires_ad_invariance():
     su2 = LieAlgebraTable.su2()
     lopsided = [[1, 0, 0], [0, 2, 0], [0, 0, 5]]
