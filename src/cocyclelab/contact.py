@@ -140,9 +140,13 @@ def contact_cocycle(f: ContactFunction, g: ContactFunction,
 def contact_pairing(f: ContactFunction, g: ContactFunction,
                     quad: QuadratureSpec | None = None) -> float:
     """<f, g> = integral of f*g against alpha ^ d(alpha); the form's
-    density over the atlas comes from ``sphere_integral``'s cache."""
+    density over the atlas comes from ``sphere_integral``'s cache.  Both
+    functions are pulled back from one Hopf image of the nodes."""
     quad = quad or QuadratureSpec(order=8, tol=1e-4)
-    form = contact_volume_form().times(
-        lambda p: f.evaluate(p) * g.evaluate(p))
-    return sphere_integral(form, "S3", quad).value
+
+    def fg(p):
+        h = hopf_arr(p)
+        return f.base.evaluate(h) * g.base.evaluate(h)
+
+    return sphere_integral(contact_volume_form().times(fg), "S3", quad).value
 

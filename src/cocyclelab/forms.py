@@ -15,13 +15,15 @@ Whole-sphere integrals use fixed atlases: the 16 orthant tetrahedra for
 S^3, and the 20 icosahedral triangles for S^2 (scaled by 1/2 for the
 projective-line model).
 
-A factored form ``base.times(fn)`` is a function times a fixed form; its
-whole-sphere integrals evaluate each atlas cell's jet once per rule level
-and process, not once per integral.  ``sphere_integral`` keeps, per
-(sphere, base, rule order, depth), the density of ``base`` at every node
-of every cell and the nodes' points, and multiplies by ``fn`` at those
-points.  The values and estimates are bitwise those of integrating the
-factored form cell by cell with ``pullback_integral``.
+The 16 orthant cells are the positive orthant reflected by their vertex
+signs, so one join pass per chunk of nodes gives every cell's jet.  A
+factored form ``base.times(fn)`` is a function times a fixed form; its
+whole-sphere integrals evaluate the atlas jets once per rule level and
+process, not once per integral.  ``sphere_integral`` keeps, per (sphere,
+base, rule order, depth), the density of ``base`` at every node of every
+cell and the nodes' points, and multiplies by ``fn`` at those points.  The
+values and estimates are bitwise those of integrating the form cell by
+cell with ``pullback_integral``.
 """
 from __future__ import annotations
 
@@ -283,72 +285,99 @@ def sphere_atlas(sphere: str):
     raise ValueError(f"unknown sphere {sphere!r}")
 
 
+@lru_cache(maxsize=None)
+def _orthant_signs():
+    """The vertex signs (16, 4) of the S^3 atlas cells, in atlas order, and
+    the index of the positive orthant: the cell with signs ``sg`` is
+    diag(sg) applied to it."""
+    signs = np.array([np.sum(cell.vertices, axis=0)
+                      for _, cell in sphere_atlas("S3")])
+    signs.setflags(write=False)
+    return signs, int(np.flatnonzero(np.all(signs > 0, axis=1))[0])
+
+
+def _atlas_jets(sphere, s):
+    """Each atlas cell's points (N, d) and tangents (N, n, d) at cube nodes
+    ``s`` (N, n), one cell at a time in atlas order.
+
+    On S^3 the positive orthant's jet is evaluated once, and the cell with
+    vertex signs ``sg``, diag(sg) applied to that orthant, gets ``sg *``
+    it.  The joins treat every coordinate alike, so these are the cell's
+    own points, bitwise, and its own tangents up to the sign of zero
+    entries (a join's 0 - 0 is +0.0 whatever the signs); the forms of this
+    package give bitwise the densities of the cell's own jet.  The CP1 and
+    S2 cells have no bitwise symmetry, and each is evaluated on its
+    own."""
+    if sphere != "S3":
+        for _, cell in sphere_atlas(sphere):
+            yield cell.evaluate_cube_jet(s)
+        return
+    signs, positive = _orthant_signs()
+    x, dx = sphere_atlas("S3")[positive][1].evaluate_cube_jet(s)
+    for sg in signs:
+        yield sg * x, sg * dx
+
+
 def _atlas_density(sphere, base, order, depth):
     """``(table, cells)`` at the nodes of one rule level of the atlas.
 
     ``cells`` holds, per atlas cell, ``(signs, points, density)``:
-    ``density`` (N,) is ``base`` on the cell's jet with the tangents
-    projected, computed in chunks of ``_JET_CHUNK`` nodes as
-    ``pullback_integral`` does.  On CP1 ``points`` (N, 3) are the cell's
+    ``density`` (N,) is ``base`` on the cell's jet from ``_atlas_jets``
+    with the tangents projected, in chunks of ``_JET_CHUNK`` nodes, every
+    cell's chunk from one call.  On CP1 ``points`` (N, 3) are the cell's
     and ``table`` is None.  On S^3 ``points`` is None: the points of the
-    orthant cell with vertex signs ``signs`` are ``signs * table``, bitwise,
-    where ``table`` holds those of the positive orthant, so one table
-    serves all 16 cells.  Built once per (sphere, base, order, depth) and
-    kept in ``_DENSITY_CACHE``; the arrays are read-only, because every
-    later integral reads them."""
+    orthant cell with vertex signs ``signs`` are ``signs * table``,
+    bitwise, where ``table`` holds those of the positive orthant, so one
+    table serves all 16 cells.  Built once per (sphere, base, order,
+    depth) and kept in ``_DENSITY_CACHE``; the arrays are read-only,
+    because every later integral reads them."""
     levels = _DENSITY_CACHE.setdefault(base, {})
     key = (sphere, order, depth)
     if key in levels:
         return levels[key]
-    table, cells = None, []
-    for _, cell in sphere_atlas(sphere):
-        s = _panel_rule(cell.degree, order, depth)[0]
-        density = np.empty(s.shape[0])
-        points = []
-        for lo in range(0, s.shape[0], _JET_CHUNK):
-            x, tangents = cell.evaluate_cube_jet(s[lo:lo + _JET_CHUNK])
-            density[lo:lo + _JET_CHUNK] = base.evaluate(
+    atlas = sphere_atlas(sphere)
+    s = _panel_rule(atlas[0][1].degree, order, depth)[0]
+    signs, positive = (None,) * len(atlas), None
+    if sphere == "S3":
+        signs, positive = _orthant_signs()
+    density = np.empty((len(atlas), s.shape[0]))
+    kept = [[] for _ in atlas]
+    for lo in range(0, s.shape[0], _JET_CHUNK):
+        jets = _atlas_jets(sphere, s[lo:lo + _JET_CHUNK])
+        for i, (x, tangents) in enumerate(jets):
+            density[i, lo:lo + _JET_CHUNK] = base.evaluate(
                 x, _project_tangent(x, tangents))
-            points.append(x)
-        points = np.concatenate(points)
-        points.setflags(write=False)
-        density.setflags(write=False)
-        signs = None
-        if sphere == "S3":
-            signs = np.sum(cell.vertices, axis=0)
-            if np.all(signs > 0):
-                table = points
-            points = None
-        cells.append((signs, points, density))
-    levels[key] = (table, tuple(cells))
+            if positive in (None, i):
+                kept[i].append(x)
+    points = [np.concatenate(chunks) if chunks else None for chunks in kept]
+    for a in points + [density]:
+        if a is not None:
+            a.setflags(write=False)
+    table = None
+    if positive is not None:
+        table, points = points[positive], (None,) * len(atlas)
+    levels[key] = (table, tuple(zip(signs, points, density)))
     return levels[key]
 
 
-def _cached_integrands(fn, base, sphere, quad):
-    """``integrand(i)``: the cube integrand of ``base.times(fn)`` on atlas
-    cell i, reading the points and the density of ``base`` from
-    ``_atlas_density`` and evaluating ``fn`` over the same chunks of nodes
-    as ``pullback_integral``."""
-    # integrate_on_cube calls an integrand once per rule level, and the
-    # two levels differ in their node counts
+def _cached_values(fn, base, sphere, quad):
+    """``values(s, lo, hi)``: for each atlas cell in turn, the integrand of
+    ``base.times(fn)`` at nodes ``lo:hi`` of the rule level of ``s``,
+    reading the points and the density of ``base`` from
+    ``_atlas_density``."""
+    # the two rule levels differ in their node counts
     levels = {}
     for order in quad.orders:
         table, cells = _atlas_density(sphere, base, order, quad.depth)
         levels[cells[0][2].shape[0]] = table, cells
 
-    def integrand(i):
-        def values(s):
-            table, cells = levels[s.shape[0]]
-            signs, points, density = cells[i]
-            out = np.empty(s.shape[0])
-            for lo in range(0, s.shape[0], _JET_CHUNK):
-                hi = lo + _JET_CHUNK
-                x = points[lo:hi] if table is None else signs * table[lo:hi]
-                out[lo:hi] = fn(x) * density[lo:hi]
-            return out
-        return values
+    def values(s, lo, hi):
+        table, cells = levels[s.shape[0]]
+        for signs, points, density in cells:
+            x = points[lo:hi] if table is None else signs * table[lo:hi]
+            yield fn(x) * density[lo:hi]
 
-    return integrand
+    return values
 
 
 def sphere_integral(form: DifferentialForm, sphere: str,
@@ -362,25 +391,37 @@ def sphere_integral(form: DifferentialForm, sphere: str,
     ``dx`` (N, m, d); ``compose(x, None)`` returns the points and None.  The
     integral is then that of the form's pullback under the map.
 
-    Without ``compose``, a factored form (``base.times(fn)``) reads the
-    atlas points and the density of its base from a per-process cache
-    (see ``_atlas_density``); the result is bitwise the one computed cell
-    by cell.  A composed map changes with every call, so its cells are
-    evaluated afresh."""
+    The atlas cells are the rows of one ``integrate_stack_on_cube``.  Its
+    integrand runs in chunks of ``_JET_CHUNK`` nodes and, per chunk, calls
+    the form (and ``compose``) once per cell.  Without ``compose``, a
+    factored form (``base.times(fn)``) reads the atlas points and the
+    density of its base from a per-process cache (see ``_atlas_density``);
+    otherwise the cells' jets come from ``_atlas_jets``, which on S^3
+    reflects one join pass into all 16 cells.  Each cell is summed on its
+    own, so the value, the estimate and ``QuadratureDiverged`` are bitwise
+    those of ``pullback_integral`` cell by cell, summed in atlas order."""
     quad = quad or QuadratureSpec()
-    cached = None
+    atlas = sphere_atlas(sphere)
     if compose is None and form.factors is not None:
-        cached = _cached_integrands(*form.factors, sphere, quad)
+        values = _cached_values(*form.factors, sphere, quad)
+    else:
+        def values(s, lo, hi):
+            for x, tangents in _atlas_jets(sphere, s[lo:hi]):
+                if compose is not None:
+                    x, tangents = compose(x, tangents)
+                yield form.evaluate(x, _project_tangent(x, tangents))
+
+    def integrand(s):
+        out = np.empty((len(atlas), s.shape[0]))
+        for lo in range(0, s.shape[0], _JET_CHUNK):
+            for row, cell in zip(out, values(s, lo, lo + _JET_CHUNK)):
+                row[lo:lo + _JET_CHUNK] = cell
+        return out
+
     total = 0.0
     est = 0.0
-    for i, (sign, cell) in enumerate(sphere_atlas(sphere)):
-        if cached is not None:
-            res = integrate_on_cube(cached(i), cell.degree, quad)
-        else:
-            target = cell if compose is None else ParametrizedMap(
-                cell.degree,
-                cube_jet=lambda s, _c=cell: compose(*_c.evaluate_cube_jet(s)))
-            res = pullback_integral(form, target, quad)
+    results = integrate_stack_on_cube(integrand, atlas[0][1].degree, quad)
+    for (sign, _), res in zip(atlas, results):
         total += sign * res.value
         est += res.error_estimate
     return IntegralResult(value=total, error_estimate=est)

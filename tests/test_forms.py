@@ -1,17 +1,21 @@
 import weakref
+from itertools import product
 
 import numpy as np
 import pytest
 
-from cocyclelab import forms
+from cocyclelab import forms, simplices
+from cocyclelab.cochains import (conjugate_point_map, degree_of_map,
+                                 twisted_square_map)
 from cocyclelab.contact import contact_volume_form
+from cocyclelab.errors import QuadratureDiverged
 from cocyclelab.forms import (_project_tangent, fubini_study_form, mc3_form,
                               pullback_integral, sphere_atlas,
                               sphere_integral, vol_form)
-from cocyclelab.groups import _qmul
+from cocyclelab.groups import QUAT_ONE, _qmul
 from cocyclelab.hamiltonian import SphereFunction
 from cocyclelab.quadrature import IntegralResult, QuadratureSpec, _panel_rule
-from cocyclelab.simplices import GeodesicSimplex, ParametrizedMap
+from cocyclelab.simplices import GeodesicSimplex, ParametrizedMap, join_rows
 from cocyclelab.suites import run_suite
 from test_quadrature import barycentric_jet
 
@@ -318,11 +322,24 @@ def test_vol_form_validation():
         vol_form("S7", 1.0)
 
 
-def cell_by_cell(form, sphere, quad):
-    """The uncached whole-sphere integral: ``pullback_integral`` of the
-    form over every atlas cell, summed in atlas order."""
+def orthant_atlas():
+    """The 16 orthant cells of S^3 with their orientation signs, built here
+    from the vertex signs rather than read from ``sphere_atlas``."""
+    return [(int(np.prod(signs)),
+             GeodesicSimplex([s * e for s, e in zip(signs, np.eye(4))],
+                             "spherical"))
+            for signs in sorted(product((1.0, -1.0), repeat=4))]
+
+
+def cell_by_cell(form, atlas, quad, compose=None):
+    """The whole-sphere integral as ``pullback_integral`` of the form over
+    every cell of ``atlas``, post-composed with the jet ``compose`` if one
+    is given, summed in atlas order."""
     total, est = 0.0, 0.0
-    for sign, cell in sphere_atlas(sphere):
+    for sign, cell in atlas:
+        if compose is not None:
+            cell = ParametrizedMap(cell.degree, cube_jet=lambda s, _c=cell:
+                                   compose(*_c.evaluate_cube_jet(s)))
         res = pullback_integral(form, cell, quad)
         total += sign * res.value
         est += res.error_estimate
@@ -347,7 +364,7 @@ def test_factored_sphere_integral_is_bitwise_the_cell_sum(
         form = contact_volume_form().times(
             lambda p: 1.0 + p[:, 0] * p[:, 1] ** 2 - 3.0 * p[:, 3] ** 3)
     quad = QuadratureSpec(order=order, depth=depth, tol=1)
-    expected = cell_by_cell(form, sphere, quad)
+    expected = cell_by_cell(form, sphere_atlas(sphere), quad)
     first = sphere_integral(form, sphere, quad)
     assert bits(first) == bits(expected)
     # the second call reads every cell from the cache: no jet is evaluated
@@ -359,18 +376,84 @@ def test_factored_sphere_integral_is_bitwise_the_cell_sum(
     assert bits(second) == bits(first)
 
 
-def test_s3_orthant_points_are_signed_copies_of_the_positive_cell():
-    # the density cache keeps one point table for all 16 S^3 cells
+@pytest.mark.parametrize("compose", [
+    None, conjugate_point_map(QUAT_ONE), twisted_square_map(QUAT_ONE)])
+@pytest.mark.parametrize("order, depth", [(8, 0), (10, 0), (8, 1)])
+def test_uncached_s3_integral_is_bitwise_the_cell_sum(
+        monkeypatch, compose, order, depth):
+    # the composed maps of lemma44 and an unfactored form, against the 16
+    # orthant cells integrated one by one
+    form = vol_form("S3", 1.0)
+    quad = QuadratureSpec(order=order, depth=depth, tol=1e-4)
+    expected = cell_by_cell(form, orthant_atlas(), quad, compose)
+    nodes = []
+
+    def spy(kind, vertices, s, jet):
+        nodes.append(s.shape[0])
+        return join_rows(kind, vertices, s, jet)
+
+    monkeypatch.setattr(simplices, "join_rows", spy)
+    if compose is not None and depth == 0:
+        assert degree_of_map(compose, quad) == expected.value
+        nodes.clear()
+    assert bits(sphere_integral(form, "S3", quad, compose)) == \
+        bits(expected)
+    # one join pass per chunk of nodes per rule level, not one per cell
+    chunks = [min(forms._JET_CHUNK, len(s) - lo)
+              for s, _ in (_panel_rule(3, o, depth) for o in quad.orders)
+              for lo in range(0, len(s), forms._JET_CHUNK)]
+    assert nodes == chunks
+
+
+@pytest.mark.parametrize("compose", [None, twisted_square_map(QUAT_ONE)])
+def test_uncached_s3_integral_diverges_as_the_cell_sum(compose):
+    quad = QuadratureSpec(order=8, tol=1e-18)
+    with pytest.raises(QuadratureDiverged) as expected:
+        cell_by_cell(vol_form("S3", 1.0), orthant_atlas(), quad, compose)
+    with pytest.raises(QuadratureDiverged) as got:
+        sphere_integral(vol_form("S3", 1.0), "S3", quad, compose)
+    assert str(got.value) == str(expected.value)
+
+
+def unsigned_zeros(a):
+    """The bytes of ``a`` with every -0.0 read as +0.0 (x + 0.0 changes no
+    other value)."""
+    return (a + 0.0).tobytes()
+
+
+def test_s3_orthant_points_are_signed_copies_of_the_positive_cell(
+        monkeypatch):
+    # every S^3 cell's points are its vertex signs times the positive
+    # orthant's, bitwise, and so are its tangents and projected tangents
+    # but for the sign of zero entries (0 - 0 is +0.0 whatever the signs).
+    # The cached densities, computed from the reflected jets, are bitwise
+    # those of each cell's own jet, and one point table serves all 16 cells
+    monkeypatch.setattr(forms, "_DENSITY_CACHE", weakref.WeakKeyDictionary())
     atlas = [cell for _, cell in sphere_atlas("S3")]
     signs = [np.sum(cell.vertices, axis=0) for cell in atlas]
     positive = next(c for c, sg in zip(atlas, signs) if np.all(sg > 0))
+    bases = (contact_volume_form(), vol_form("S3", 1.0), mc3_form())
     for order in range(8, 15):
         for depth in (0, 1):
             s = _panel_rule(3, order, depth)[0]
-            table = positive.evaluate_cube(s)
-            for cell, sg in zip(atlas, signs):
-                assert cell.evaluate_cube(s).tobytes() == \
-                    (sg * table).tobytes()
+            x, dx = positive.evaluate_cube_jet(s)
+            projected = _project_tangent(x, dx)
+            # densities at the levels the suites integrate at (even orders
+            # at depth 0) and at one level of depth 1
+            dense = order % 2 == 0 and (depth == 0 or order == 8)
+            cached = [forms._atlas_density("S3", base, order, depth)
+                      for base in bases] if dense else []
+            for i, (cell, sg) in enumerate(zip(atlas, signs)):
+                own_x, own_dx = cell.evaluate_cube_jet(s)
+                assert own_x.tobytes() == (sg * x).tobytes()
+                assert unsigned_zeros(own_dx) == unsigned_zeros(sg * dx)
+                own = _project_tangent(own_x, own_dx)
+                assert unsigned_zeros(own) == unsigned_zeros(sg * projected)
+                for base, (table, cells) in zip(bases, cached):
+                    assert table.tobytes() == x.tobytes()
+                    assert cells[i][1] is None
+                    assert cells[i][2].tobytes() == \
+                        base.evaluate(own_x, own).tobytes()
 
 
 def test_density_cache_stays_small_after_the_sphere_suites(monkeypatch):
