@@ -11,10 +11,10 @@ The ``verify`` command line exposes each battery of checks as a suite.
 """
 
 from .cochains import (HomogeneousChain, HomogeneousCochain,
-                       circle_distance, coboundary, cocycle_defect,
-                       conjugate_point_map, cyclic_cycle, degree_of_map,
-                       generic_rotation, integrated_cochain, kronecker_pair,
-                       transfer, twisted_square_map)
+                       circle_distance, coboundary, conjugate_point_map,
+                       cyclic_cycle, degree_of_map, generic_rotation,
+                       integrated_cochain, kronecker_pair, transfer,
+                       twisted_square_map)
 from .contact import (ContactFunction, contact_bracket, contact_cocycle,
                       contact_field, fiber_period, pullback, reeb_field)
 from .errors import (BadOrder, BadReps, CocycleLabError, ConfigParse,

@@ -9,8 +9,11 @@ are integral and Fractions only where a denominator is not 1 (``exact``).
 Coboundaries and pairings evaluate their tuples together through
 ``HomogeneousCochain.with_errors``: every guard runs first, in order, and
 an integrated cochain then integrates all the simplices in one stacked
-join pass (``forms.stacked_pullback_integral``).  Each tuple's value and
-estimate are bitwise those of integrating its simplex on its own.
+join pass (``forms.stacked_pullback_integral``).  A coboundary is a
+stacked cochain itself: its ``with_errors`` hands the faces of all its
+tuples, a whole cocycle-defect batch, to one ``with_errors`` call of the
+cochain, and then sums each tuple's faces in order.  Every value and
+estimate is bitwise that of integrating each simplex on its own.
 """
 from __future__ import annotations
 
@@ -115,21 +118,27 @@ class HomogeneousCochain:
 
 
 def coboundary(f: HomogeneousCochain) -> HomogeneousCochain:
-    """Alternating face sum: (df)(t) = sum_i (-1)^i f(d_i t).  Each face
-    passes f's guard once, which raises DomainGuard outside f's domain, and
-    the faces are evaluated together by ``f.with_errors``."""
+    """Alternating face sum: (df)(t) = sum_i (-1)^i f(d_i t), a stacked
+    cochain.  The faces of all the tuples it is given go to one
+    ``f.with_errors`` call, so each passes f's guard once, in order, and
+    the first outside f's domain raises DomainGuard before any is
+    evaluated; each tuple's faces are then summed in order."""
 
-    def evaluator(t):
-        faces = all_faces(t)
-        total, est = 0, 0.0  # int start keeps int and Fraction values exact
-        for (sign, _), (v, e) in zip(
-                faces, f.with_errors([face_t for _, face_t in faces])):
-            total = total + sign * v
-            est += e
-        return total, est
+    def evaluator(tuples):
+        faces = [all_faces(t) for t in tuples]
+        values = iter(f.with_errors(
+            [face_t for signed in faces for _, face_t in signed]))
+        out = []
+        for signed in faces:
+            total, est = 0, 0.0  # int start keeps int and Fraction exact
+            for (sign, _), (v, e) in zip(signed, values):
+                total = total + sign * v
+                est += e
+            out.append((total, est))
+        return out
 
     return HomogeneousCochain(f.degree + 1, f.lattice, evaluator,
-                              label=f"d({f.label})")
+                              label=f"d({f.label})", stacked=True)
 
 
 def generic_rotation(seed=0x5EED) -> Rotation:
@@ -181,16 +190,6 @@ def integrated_cochain(form: DifferentialForm, kind: str, lattice,
         raise ValueError(f"unknown cochain kind {kind!r}")
     return HomogeneousCochain(form.degree, lattice, evaluator, guard=guard,
                               label=f"{label}({form.ambient})", stacked=True)
-
-
-def cocycle_defect(f: HomogeneousCochain, t, with_error=False):
-    """Value of the coboundary of a degree-3 cochain on a 5-tuple."""
-    if f.degree != 3:
-        raise ValueError("cocycle_defect expects a degree-3 cochain")
-    if len(tuple(t)) != 5:
-        raise ValueError("cocycle_defect expects a 5-tuple")
-    value, est = coboundary(f).with_error(t)
-    return (value, est) if with_error else value
 
 
 class HomogeneousChain:

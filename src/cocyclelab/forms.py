@@ -8,8 +8,10 @@ coordinates with a tensor Gauss-Legendre rule, estimating the error from
 two rule orders and the rounding of the sum.
 
 ``stacked_pullback_integral`` integrates one form over several geodesic
-simplices of one kind in one join pass, the faces of a coboundary or the
-terms of a pairing, and sums each simplex on its own.
+simplices of one kind in one join pass, the faces of a batch of
+coboundaries or the terms of a pairing, and sums each simplex on its own.
+It gives ``join_rows`` one tensor grid per simplex and quadrature panel,
+so each join runs once per distinct prefix of cube coordinates.
 
 Whole-sphere integrals use fixed atlases: the 16 orthant tetrahedra for
 S^3, and the 20 icosahedral triangles for S^2 (scaled by 1/2 for the
@@ -43,11 +45,13 @@ from .simplices import GeodesicSimplex, ParametrizedMap, join_rows
 # several MB of peak memory
 _JET_CHUNK = 2048
 
-# rows (simplices times nodes) per join pass of stacked_pullback_integral.
-# The five faces of a coboundary at order 6 have 1080 and 2560 rows per
-# rule level.  Against one face at a time, a cap of 1024 rows raises the
-# peak memory of cocycle-defect by 0.8 MB and one pass over all rows by
-# 2.0 MB; a cap of 512 rows makes it a quarter slower than 1024
+# rows per block of stacked_pullback_integral: a chunk of grids has at
+# most this many rows at its next-to-last join, and the last join and the
+# form run in blocks of at most this many.  A face at order 6 has 36 and
+# 64 rows per grid at its second join and 216 and 512 at its last, per
+# rule level.  In process, cocycle-defect at 24 tuples and then cs-pairing
+# peak at 38.9 MB with 512 rows, 39.2 MB with 1024, 40.1 MB with 2048 and
+# 76.4 MB with no cap
 _STACK_ROWS = 1024
 
 # base form -> {(sphere, rule order, depth): (table, cells)}, filled by
@@ -200,14 +204,18 @@ def stacked_pullback_integral(form: DifferentialForm, simplices,
     """``pullback_integral`` of one form over each of several
     ``GeodesicSimplex`` of one kind and degree, in one join pass.
 
-    The rows of the pass are face-major: row r is simplex r // N at cube
-    node r % N of the N nodes of a rule level.  They are evaluated by
-    ``join_rows`` and the form in chunks of ``_STACK_ROWS`` rows, and each
-    simplex's values are then summed on their own
-    (``integrate_stack_on_cube``).  The joins act row by row, so for a form
-    that does too, as every form of this module does, each result is
-    bitwise the one ``pullback_integral`` gives for that simplex.  Raises
-    QuadratureDiverged for the first simplex whose rule orders disagree."""
+    Each simplex meets each panel of a rule level as one tensor grid of
+    ``join_rows``, so join k runs once per distinct prefix of k cube
+    coordinates.  The grids are simplex-major, so the rows of the pass are
+    too: row r is simplex r // N at cube node r % N of the N nodes of a
+    rule level.  A chunk of grids has at most ``_STACK_ROWS`` rows at the
+    next-to-last join, and the last join and the form run in blocks of at
+    most ``_STACK_ROWS`` rows.  Each simplex's values are then summed on
+    their own (``integrate_stack_on_cube``).  The joins act row by row, so
+    for a form that does too, as every form of this module does, each
+    result is bitwise the one ``pullback_integral`` gives for that
+    simplex.  Raises QuadratureDiverged for the first simplex whose rule
+    orders disagree."""
     quad = quad or QuadratureSpec()
     kind, n = simplices[0].kind, simplices[0].degree
     if any(sx.kind != kind or sx.degree != n for sx in simplices):
@@ -217,16 +225,20 @@ def stacked_pullback_integral(form: DifferentialForm, simplices,
             f"form degree {form.degree} != simplex degree {n}")
     varr = np.stack([sx.varr for sx in simplices])
 
-    def integrand(s):
-        nodes = s.shape[0]
-        out = np.empty(len(varr) * nodes)
-        for lo in range(0, out.shape[0], _STACK_ROWS):
-            rows = np.arange(lo, min(lo + _STACK_ROWS, out.shape[0]))
-            x, tangents = join_rows(kind, varr[rows // nodes],
-                                    s[rows % nodes], jet=True)
-            out[lo:lo + _STACK_ROWS] = form.evaluate(
-                x, _project_tangent(x, tangents))
-        return out.reshape(len(varr), nodes)
+    def integrand(s, axes):
+        panels, _, m = axes.shape
+        grids = len(varr) * panels
+        chunk = max(_STACK_ROWS // m ** (n - 1), 1)
+        out = np.empty(len(varr) * s.shape[0])
+        lo = 0
+        for first in range(0, grids, chunk):
+            g = np.arange(first, min(first + chunk, grids))
+            for x, tangents in join_rows(kind, varr[g // panels],
+                                         axes[g % panels], True, _STACK_ROWS):
+                out[lo:lo + len(x)] = form.evaluate(
+                    x, _project_tangent(x, tangents))
+                lo += len(x)
+        return out.reshape(len(varr), s.shape[0])
 
     return integrate_stack_on_cube(integrand, n, quad)
 
@@ -411,7 +423,7 @@ def sphere_integral(form: DifferentialForm, sphere: str,
                     x, tangents = compose(x, tangents)
                 yield form.evaluate(x, _project_tangent(x, tangents))
 
-    def integrand(s):
+    def integrand(s, _):
         out = np.empty((len(atlas), s.shape[0]))
         for lo in range(0, s.shape[0], _JET_CHUNK):
             for row, cell in zip(out, values(s, lo, lo + _JET_CHUNK)):

@@ -115,7 +115,14 @@ class SphereFunction:
 
 
 def _exponent_key(key):
-    """``key`` as a tuple of three non-negative Python ints."""
+    """``key`` as a tuple of three non-negative Python ints.  Such a
+    tuple, as every product, partial or sum builds, is returned at once;
+    any other key is converted, bools and numpy ints to ints."""
+    if type(key) is tuple and len(key) == 3:
+        a, b, c = key
+        if type(a) is type(b) is type(c) is int and \
+                a >= 0 and b >= 0 and c >= 0:
+            return key
     try:
         key = tuple(key)
         out = tuple(int(k) for k in key)

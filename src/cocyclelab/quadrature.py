@@ -120,21 +120,31 @@ def bary_to_cube(bary):
 
 
 @lru_cache(maxsize=None)
+def _panel_axes(n: int, order: int, depth: int):
+    """The per-panel axes (P, n, order) of ``_panel_rule``'s level: the
+    nodes of panel p are the product of the n axes ``axes[p]``,
+    lexicographic with the last axis fastest, and the P = 2**(depth n)
+    panels come in ``_panel_rule``'s order."""
+    x = (np.polynomial.legendre.leggauss(order)[0] + 1.0) / 2.0
+    width = 1.0 / 2 ** depth
+    axes = np.array([[(x + off) * width for off in offsets]
+                     for offsets in product(range(2 ** depth), repeat=n)])
+    axes.setflags(write=False)
+    return axes
+
+
+@lru_cache(maxsize=None)
 def _panel_rule(n: int, order: int, depth: int):
     """Tensor Gauss-Legendre nodes/weights on the unit n-cube with
-    2**depth panels per axis, in fixed lexicographic panel order."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x = (x + 1.0) / 2.0
-    w = w / 2.0
-    panels = 2 ** depth
-    width = 1.0 / panels
+    2**depth panels per axis, in fixed lexicographic panel order: the
+    nodes of each panel mesh its axes from ``_panel_axes``."""
+    w = np.polynomial.legendre.leggauss(order)[1] / 2.0
     wt_cell = np.ones(1)
     for _ in range(n):
         wt_cell = np.outer(wt_cell, w).ravel()
-    wt_cell = wt_cell * width ** n
+    wt_cell = wt_cell * (1.0 / 2 ** depth) ** n
     xs, ws = [], []
-    for offsets in product(range(panels), repeat=n):
-        grids = [(x + off) * width for off in offsets]
+    for grids in _panel_axes(n, order, depth):
         mesh = np.meshgrid(*grids, indexing="ij")
         xs.append(np.stack([m.ravel() for m in mesh], axis=-1))
         ws.append(wt_cell)
@@ -156,12 +166,14 @@ def _level_values(integrand, n, order, depth):
     nu = len(wts) * _UNIT_ROUNDOFF
     return [(float(np.dot(wts, values)),
              nu / (1.0 - nu) * float(np.dot(wts, np.abs(values))))
-            for values in integrand(pts)]
+            for values in integrand(pts, _panel_axes(n, order, depth))]
 
 
 def integrate_stack_on_cube(integrand, n, spec: QuadratureSpec):
     """Two-order integrals over the unit n-cube of the F rows of
-    ``integrand(s) -> (F, N)``, as a list of F results.
+    ``integrand(s, axes) -> (F, N)``, as a list of F results.  A rule
+    level passes its N nodes ``s`` (N, n) and their per-panel axes
+    ``axes`` (P, n, m) from ``_panel_axes``, the same grid twice.
 
     Each value is taken at ``spec.order + 2`` points per axis.  Its
     estimate is its difference from the ``spec.order`` run plus the
@@ -185,7 +197,8 @@ def integrate_stack_on_cube(integrand, n, spec: QuadratureSpec):
 def integrate_on_cube(integrand, n, spec: QuadratureSpec) -> IntegralResult:
     """Two-order integral of ``integrand(s) -> (N,)`` over the unit n-cube:
     the one-row case of ``integrate_stack_on_cube``."""
-    return integrate_stack_on_cube(lambda s: integrand(s)[None], n, spec)[0]
+    return integrate_stack_on_cube(lambda s, _: integrand(s)[None], n,
+                                   spec)[0]
 
 
 def gauss_legendre_circle(f, n_points=64):

@@ -15,8 +15,14 @@ map and its straightening, whose cube jets are taken at the same
 coordinates.
 
 ``join_rows`` is the one simplex evaluator.  It takes one vertex tuple per
-row, so a simplex repeats its own tuple on every row, and a stack of
-simplices (the faces of a coboundary) is evaluated in one pass.
+tensor grid of cube coordinates.  Join k reads only the first k
+coordinates, so it runs once per distinct prefix of them: the
+sum-factorization of tensor-product spectral methods in collapsed
+coordinates (Orszag, J. Comput. Phys. 37, 1980; Karniadakis and Sherwin,
+Spectral/hp Element Methods for CFD, 2nd ed., OUP 2005, ch. 3-4).  A
+simplex on its own is the case of one node per axis per row, its tuple
+repeated on every row; a stack of simplices (the faces of a batch of
+coboundaries) passes one grid per simplex and quadrature panel.
 
 ``in_open_hemisphere`` decides well-conditioned sets of at most d+1
 points by one linear solve, and every other set by an exact subset loop.
@@ -121,23 +127,58 @@ def _origin_in_hull(aug):
     return False
 
 
-def join_rows(kind, vertices, s, jet):
-    """The iterated joins of one vertex tuple per row: ``vertices``
-    (N, n+1, d) at cube coordinates ``s`` (N, n) give the points (N, d) and,
-    when ``jet`` is true, their tangents (N, n, d), else None.
+def _repeat(a, m):
+    """Each row of ``a`` m times in a row (bitwise copies); None stays
+    None."""
+    return a if a is None or m == 1 else np.repeat(a, m, axis=0)
+
+
+def _fan_out(vertices, axes, k, lo, out, dout):
+    """The arguments of join k on the m rows each that the rows lo,
+    lo + 1, ... of join k-1, points ``out`` and tangents ``dout``, fan out
+    to.  Join k-1 has m^(k-1) rows per grid, and the i-th copy of a row
+    takes node i of its grid's axis k.  With one node per axis every
+    argument is a view."""
+    m = axes.shape[2]
+    per_grid = m ** (k - 1)
+    # the grids first..end-1 hold the rows, the first of them at ``skip``
+    first, end = lo // per_grid, -(-(lo + len(out)) // per_grid)
+    skip = lo - first * per_grid
+    tips = _repeat(vertices[first:end, k], per_grid)[skip:skip + len(out)]
+    s = _repeat(axes[first:end, k - 1], per_grid)[skip:skip + len(out)]
+    return _repeat(out, m), _repeat(dout, m), _repeat(tips, m), s.reshape(-1)
+
+
+def join_rows(kind, vertices, axes, jet, block):
+    """The iterated joins of one vertex tuple per tensor grid of cube
+    coordinates, in blocks of rows.
+
+    ``vertices`` (R, n+1, d) holds the tuple of each of R grids and
+    ``axes`` (R, n, m) the m nodes of each of its n cube axes; grid r's
+    nodes are the product of ``axes[r]``, lexicographic with the last axis
+    fastest, and its rows follow grid r - 1's.  Join k reads only the
+    first k coordinates, so it runs once per distinct prefix, on R m^k
+    rows, and ``np.repeat`` copies each of its rows m times for join k+1.
+    The last join runs in blocks of at most ``block`` rows (at least m):
+    the generator yields each block's points (B, d) and, when ``jet`` is
+    true, their tangents (B, n, d), else None.
 
     This is the one simplex evaluator.  A ``GeodesicSimplex`` passes its
-    own vertices on every row; a stack of simplices passes each row the
-    vertices of its own simplex (see ``forms.stacked_pullback_integral``).
-    Every join acts row by row, so a row's values do not depend on the
-    other rows."""
-    n, d = vertices.shape[1] - 1, vertices.shape[2]
-    out = vertices[:, 0].copy()
-    dout = np.zeros((s.shape[0], 0, d)) if jet else None
+    own vertices with one node per axis per row (m = 1, one block); a
+    stack of simplices passes a grid per simplex and quadrature panel (see
+    ``forms.stacked_pullback_integral``).  Every join acts row by row, so
+    a row's values do not depend on the other rows, and a node's values
+    are bitwise the same on a grid as on a row of its own."""
+    n, m = axes.shape[1:]
     join = _slerp_jet if kind == "spherical" else _chart_join_jet
-    for k in range(1, n + 1):
-        out, dout = join(out, dout, vertices[:, k], s[:, k - 1])
-    return out, dout
+    out = vertices[:, 0]
+    dout = np.zeros((len(vertices), 0, vertices.shape[2])) if jet else None
+    for k in range(1, n):
+        out, dout = join(*_fan_out(vertices, axes, k, 0, out, dout))
+    step = max(block // m, 1)
+    for lo in range(0, len(out) or 1, step):
+        yield join(*_fan_out(vertices, axes, n, lo, out[lo:lo + step],
+                             None if dout is None else dout[lo:lo + step]))
 
 
 class ParametrizedMap:
@@ -275,7 +316,7 @@ class GeodesicSimplex:
         if s.shape[1] != self.degree:
             raise ValueError(f"expected {self.degree} cube coordinates")
         rows = np.broadcast_to(self.varr, (s.shape[0],) + self.varr.shape)
-        return join_rows(self.kind, rows, s, jet)
+        return next(join_rows(self.kind, rows, s[:, :, None], jet, len(s)))
 
     def face(self, i):
         return GeodesicSimplex(face(i, self.vertices), self.kind)

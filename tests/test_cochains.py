@@ -5,7 +5,7 @@ import pytest
 
 from cocyclelab import cochains
 from cocyclelab.cochains import (HomogeneousChain, HomogeneousCochain,
-                                 circle_distance, coboundary, cocycle_defect,
+                                 circle_distance, coboundary,
                                  conjugate_point_map, cyclic_cycle,
                                  degree_of_map, exact, generic_rotation,
                                  integrated_cochain, kronecker_pair,
@@ -20,6 +20,7 @@ from cocyclelab.groups import (QUAT_I, QUAT_J, QUAT_K, QUAT_ONE, LieVector,
                                cyclic_embed, quat_exp, so4_of)
 from cocyclelab.quadrature import QuadratureSpec
 from cocyclelab.simplices import GeodesicSimplex, all_faces, in_open_hemisphere
+from cocyclelab.suites import _random_hemispherical_tuple
 
 rng = np.random.default_rng(99)
 QUAD = QuadratureSpec(order=6, tol=1e-4)
@@ -123,22 +124,20 @@ def test_integrated_cochain_domain_guard():
 def test_cocycle_defect_spherical():
     cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
                                  quad=QUAD)
-    for _ in range(5):
-        t = hemispherical_tuple(5)
-        value, est = cocycle_defect(cochain, t, with_error=True)
+    tuples = [hemispherical_tuple(5) for _ in range(5)]
+    for value, est in coboundary(cochain).with_errors(tuples):
         assert circle_distance(value, 0.0) <= max(5 * est, 1e-4)
     # repeated element: two faces cancel, the rest are degenerate
     a, b, c, d = (small_so4() for _ in range(4))
-    value = cocycle_defect(cochain, (a, a, b, c, d))
+    [(value, _)] = coboundary(cochain).with_errors([(a, a, b, c, d)])
     assert circle_distance(value, 0.0) < 1e-9
 
 
 def test_cocycle_defect_chart():
     cochain = integrated_cochain(mc3_form(), "chart", 0, quad=QUAD)
-    for _ in range(3):
-        t = tuple(quat_exp(LieVector("su2", rng.normal(size=3) * 0.05))
-                  for _ in range(5))
-        value, est = cocycle_defect(cochain, t, with_error=True)
+    tuples = [tuple(quat_exp(LieVector("su2", rng.normal(size=3) * 0.05))
+                    for _ in range(5)) for _ in range(3)]
+    for value, est in coboundary(cochain).with_errors(tuples):
         assert abs(value) <= max(5 * est, 1e-9)
 
 
@@ -277,7 +276,7 @@ def test_coboundary_checks_each_face_once(monkeypatch):
                                  quad=QUAD)
     t = hemispherical_tuple(5)
     monkeypatch.setattr(cochains, "in_open_hemisphere", counted)
-    cocycle_defect(cochain, t)
+    coboundary(cochain).with_errors([t])
     assert calls == [4] * 5
 
 
@@ -286,10 +285,10 @@ def test_coboundary_inadmissible_face_raises():
                                  quad=QUAD)
     flip = so4_of(QUAT_I, QUAT_I.inverse())  # sends 1 to i*1*i = -1
     with pytest.raises(DomainGuard):
-        cocycle_defect(cochain, (Rotation.identity(4), flip,
-                                 so4_of(QUAT_J, QUAT_ONE),
-                                 so4_of(QUAT_K, QUAT_ONE),
-                                 so4_of(QUAT_ONE, QUAT_J)))
+        coboundary(cochain).with_errors([(Rotation.identity(4), flip,
+                                          so4_of(QUAT_J, QUAT_ONE),
+                                          so4_of(QUAT_K, QUAT_ONE),
+                                          so4_of(QUAT_ONE, QUAT_J))])
 
 
 def face_simplices(kind, t):
@@ -324,8 +323,8 @@ def test_stacked_coboundary_is_bitwise_the_face_sum(kind, order, depth):
         for (sign, _), res in zip(all_faces(t), per_face):
             total = total + sign * cochains.reduce_mod(res.value, lattice)
             est += res.error_estimate
-        assert cocycle_defect(cochain, t, with_error=True) == \
-            (cochains.reduce_mod(total, lattice), est)
+        assert coboundary(cochain).with_errors([t]) == \
+            [(cochains.reduce_mod(total, lattice), est)]
 
 
 def test_stacked_faces_raise_for_the_first_diverging_face():
@@ -365,13 +364,114 @@ def test_coboundary_stacks_its_faces_and_projects_their_vertices(
     t = hemispherical_tuple(5)
     monkeypatch.setattr(cochains, "apply_rotation", counted_rotation)
     monkeypatch.setattr(cochains, "stacked_pullback_integral", counted_stack)
-    cocycle_defect(cochain, t)
+    coboundary(cochain).with_errors([t])
     # the five guards project their four vertices each, and so does the
     # one stacked evaluation of the five faces
     assert stacks == [5]
     assert len(projected) == 5 * 4 + 5 * 4
     assert [id(g) for g in projected[20:]] == \
         [id(g) for _, face_t in all_faces(t) for g in face_t]
+
+
+def defect_batches(seed):
+    """24 spherical and 10 chart 5-tuples drawn as cocycle-defect draws
+    them, with the suite's cochains."""
+    local = np.random.default_rng(seed)
+    quad = QuadratureSpec(order=6, tol=1e-3)
+    spherical = [_random_hemispherical_tuple(local, QUAT_ONE)
+                 for _ in range(24)]
+    chart = [tuple(quat_exp(LieVector("su2", local.normal(size=3) * 0.05))
+                   for _ in range(5)) for _ in range(10)]
+    return [(integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+                                quad=quad), spherical),
+            (integrated_cochain(mc3_form(), "chart", 0, quad=quad), chart)]
+
+
+def hex_pairs(pairs):
+    return [(float(v).hex(), float(e).hex()) for v, e in pairs]
+
+
+def test_batched_coboundary_is_bitwise_each_tuple_alone(monkeypatch):
+    stacks = []
+
+    def counted_stack(form, simplices, quad):
+        stacks.append(len(simplices))
+        return stacked_pullback_integral(form, simplices, quad)
+
+    monkeypatch.setattr(cochains, "stacked_pullback_integral", counted_stack)
+    for cochain, tuples in defect_batches(3):
+        df = coboundary(cochain)
+        stacks.clear()
+        batch = df.with_errors(tuples)
+        # the faces of every tuple in one stack
+        assert stacks == [5 * len(tuples)]
+        assert hex_pairs(batch) == hex_pairs(df.with_error(t) for t in tuples)
+
+
+def test_batched_coboundary_guards_every_face_before_integrating(
+        monkeypatch):
+    stacks = []
+
+    def counted_stack(form, simplices, quad):
+        stacks.append(len(simplices))
+        return stacked_pullback_integral(form, simplices, quad)
+
+    monkeypatch.setattr(cochains, "stacked_pullback_integral", counted_stack)
+    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+                                 quad=QUAD)
+    # the last four points hold the origin in their convex hull and any
+    # four of the five span R^4, so face 0 alone leaves the domain
+    e = np.eye(4)
+    points = [e[3], e[0], e[1], e[2], -(e[0] + e[1] + e[2])]
+    bad = tuple(so4_of(UnitQuaternion(p / np.linalg.norm(p)), QUAT_ONE)
+                for p in points)
+    assert [cochain.admissible(face_t) for _, face_t in all_faces(bad)] == \
+        [False, True, True, True, True]
+    good = [hemispherical_tuple(5) for _ in range(3)]
+    for k in range(3):
+        with pytest.raises(DomainGuard):
+            coboundary(cochain).with_errors(good[:k] + [bad] + good[k:])
+    assert stacks == []
+
+
+def test_batched_coboundary_diverges_as_the_diverging_tuple_alone():
+    cochain, tuples = defect_batches(4)[0]
+    tuples = tuples[:4]
+    form = vol_form("S3", 1.0)
+    loose = QuadratureSpec(order=2, tol=1.0)
+    est = [pullback_integral(form, sx, loose).error_estimate
+           for t in tuples for sx in face_simplices("spherical", t)]
+    worst = int(np.argmax(est))
+    # ten times this tolerance lies between the worst face's rule-order
+    # difference and every other face's
+    quad = QuadratureSpec(order=2, tol=(max(est) + sorted(est)[-2]) / 20)
+    df = coboundary(integrated_cochain(form, "spherical", 1.0, quad=quad))
+    for k, t in enumerate(tuples):
+        if k != worst // 5:
+            df.with_error(t)
+    with pytest.raises(QuadratureDiverged) as alone:
+        df.with_error(tuples[worst // 5])
+    with pytest.raises(QuadratureDiverged) as batched:
+        df.with_errors(tuples)
+    assert str(batched.value) == str(alone.value)
+
+
+def test_batched_coboundary_of_an_exact_cochain_stays_exact():
+    z6 = FiniteGroupTable.cyclic(6)
+
+    def ev(t):
+        # an int on every tuple of the subgroup but (2, 4), a third there
+        return Fraction(1, 3) if t == (2, 4) else t[0] * t[1] % 5
+
+    df = coboundary(transfer(HomogeneousCochain(1, 0, ev), z6, [0, 2, 4],
+                             [0, 1]))
+    from itertools import product
+    tuples = list(product(range(6), repeat=3))
+    batch = [(type(v), v, e) for v, e in df.with_errors(tuples)]
+    assert batch == [(type(v), v, e) for v, e in map(df.with_error, tuples)]
+    # the sums start from the int 0, so no value turns into a float
+    assert {kind for kind, _, _ in batch} == {int, Fraction}
+    assert {e for _, _, e in batch} == {0.0}
 
 
 def test_pairing_checks_every_term_before_evaluating(monkeypatch):

@@ -388,9 +388,9 @@ def test_uncached_s3_integral_is_bitwise_the_cell_sum(
     expected = cell_by_cell(form, orthant_atlas(), quad, compose)
     nodes = []
 
-    def spy(kind, vertices, s, jet):
-        nodes.append(s.shape[0])
-        return join_rows(kind, vertices, s, jet)
+    def spy(kind, vertices, axes, jet, block):
+        nodes.append(axes.shape[0])
+        return join_rows(kind, vertices, axes, jet, block)
 
     monkeypatch.setattr(simplices, "join_rows", spy)
     if compose is not None and depth == 0:

@@ -4,10 +4,10 @@ from math import pi
 import numpy as np
 import pytest
 
-from cocyclelab.hamiltonian import (SphereFunction, function_integral,
-                                    hamiltonian_field, pairing_integral,
-                                    poisson, symplectic_cocycle,
-                                    symplectic_form_value)
+from cocyclelab.hamiltonian import (SphereFunction, _exponent_key,
+                                    function_integral, hamiltonian_field,
+                                    pairing_integral, poisson,
+                                    symplectic_cocycle, symplectic_form_value)
 from cocyclelab.quadrature import QuadratureSpec
 
 rng = np.random.default_rng(13)
@@ -196,6 +196,34 @@ def test_exponent_keys_must_be_three_nonnegative_integers():
     # integral values of any numeric type are accepted
     assert SphereFunction({(1.0, 0, 0): 2}) == 2 * X
     assert SphereFunction({(np.int64(1), 0, Fraction(2)): 1}) == X * Z * Z
+
+
+def test_exponent_key_returns_int_tuples_at_once_and_converts_the_rest():
+    # a tuple of three non-negative Python ints is the key itself
+    for key in ((2, 0, 1), (0, 0, 0), (2 ** 70, 0, 3)):
+        assert _exponent_key(key) is key
+    # bools, numpy ints, lists and integral floats and Fractions become a
+    # tuple of Python ints
+    for key, expected in (((True, False, True), (1, 0, 1)),
+                          ((np.uint8(3), np.True_, 0), (3, 1, 0)),
+                          ((np.int64(2), 0, 1), (2, 0, 1)),
+                          ([2, 0, 1], (2, 0, 1)),
+                          ((2.0, 0, Fraction(1)), (2, 0, 1))):
+        out = _exponent_key(key)
+        assert type(out) is tuple and out == expected
+        assert [type(k) for k in out] == [int] * 3
+    # every bad key raises with the key it saw, as a tuple when it is one
+    for key, shown in (((-1, 0, 0), "(-1, 0, 0)"), ((1, 0), "(1, 0)"),
+                       ((1, 0, 0, 0), "(1, 0, 0, 0)"),
+                       ((1.5, 0, 0), "(1.5, 0, 0)"),
+                       ((True, -1, 0), "(True, -1, 0)"),
+                       ((np.int64(-1), 0, 0), repr((np.int64(-1), 0, 0))),
+                       ([1, -2, 0], "(1, -2, 0)"),
+                       ("abc", "('a', 'b', 'c')"), (5, "5")):
+        with pytest.raises(ValueError) as err:
+            _exponent_key(key)
+        assert str(err.value) == \
+            f"exponent key {shown} is not three non-negative integers"
 
 
 def fraction_mul(a, b):

@@ -1,3 +1,4 @@
+from itertools import product
 from math import factorial
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 
 from cocyclelab.errors import QuadratureDiverged
 from cocyclelab.quadrature import (IntegralResult, QuadratureSpec,
-                                   bary_to_cube, cube_to_bary,
-                                   cube_to_bary_jet, gauss_legendre_circle,
-                                   integrate_on_cube)
+                                   _panel_axes, _panel_rule, bary_to_cube,
+                                   cube_to_bary, cube_to_bary_jet,
+                                   gauss_legendre_circle, integrate_on_cube)
 
 rng = np.random.default_rng(2)
 
@@ -192,6 +193,31 @@ def test_panel_depth_refines_consistently():
     v0 = integrate_on_cube(smooth, 2, QuadratureSpec(order=8, depth=0)).value
     v1 = integrate_on_cube(smooth, 2, QuadratureSpec(order=8, depth=1)).value
     assert abs(v0 - v1) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_panel_axes_mesh_to_the_panel_rule(n):
+    # each panel's axes are the Gauss nodes moved into it, and meshing them
+    # lexicographically, last axis fastest, panel after panel, gives the
+    # rule's nodes byte for byte
+    for order in (2, 5, 8):
+        for depth in (0, 1, 2):
+            panels = 2 ** (depth * n)
+            if panels * order ** n > 40000:
+                continue
+            axes = _panel_axes(n, order, depth)
+            assert axes.shape == (panels, n, order)
+            assert not axes.flags.writeable
+            x = (np.polynomial.legendre.leggauss(order)[0] + 1.0) / 2.0
+            mesh = []
+            for grid, offsets in zip(
+                    axes, product(range(2 ** depth), repeat=n)):
+                assert grid.tobytes() == np.array(
+                    [(x + off) * (1.0 / 2 ** depth)
+                     for off in offsets]).tobytes()
+                mesh += product(*grid)
+            assert np.array(mesh).tobytes() == \
+                _panel_rule(n, order, depth)[0].tobytes()
 
 
 def test_circle_rule():
