@@ -1,24 +1,27 @@
 """Invariant differential forms and integration of their pullbacks.
 
 Forms are alternating evaluators ``(points, tangents) -> values`` acting on
-batches.  Pullback integration takes a simplex's points and exact
-tangents from its ``evaluate_cube_jet``, in chunks of nodes.  It projects
-the tangents onto the sphere and integrates in iterated-cone cube
-coordinates with a tensor Gauss-Legendre rule, estimating the error from
-two rule orders and the rounding of the sum.
+batches.  Pullback integration hands a map the tensor grids of each rule
+level, one per quadrature panel, and takes the points and exact tangents
+at their nodes from its ``evaluate_grid_jet``, in blocks of nodes, so the
+map can share work across a grid: a geodesic simplex runs each join once
+per distinct prefix of cube coordinates, and a prism cell evaluates its
+face, the straightening and the log of the chart join once per distinct
+base point.  It projects the tangents onto the sphere and integrates in
+iterated-cone cube coordinates with a tensor Gauss-Legendre rule,
+estimating the error from two rule orders and the rounding of the sum.
 
 ``stacked_pullback_integral`` integrates one form over several geodesic
 simplices of one kind in one join pass, the faces of a batch of
 coboundaries or the terms of a pairing, and sums each simplex on its own.
-It gives ``join_rows`` one tensor grid per simplex and quadrature panel,
-so each join runs once per distinct prefix of cube coordinates.
+It gives ``join_grids`` one tensor grid per simplex and quadrature panel.
 
 Whole-sphere integrals use fixed atlases: the 16 orthant tetrahedra for
 S^3, and the 20 icosahedral triangles for S^2 (scaled by 1/2 for the
 projective-line model).
 
 The 16 orthant cells are the positive orthant reflected by their vertex
-signs, so one join pass per chunk of nodes gives every cell's jet.  A
+signs, so one join pass on a rule level's grids gives every cell's jet.  A
 factored form ``base.times(fn)`` is a function times a fixed form; its
 whole-sphere integrals evaluate the atlas jets once per rule level and
 process, not once per integral.  ``sphere_integral`` keeps, per (sphere,
@@ -30,15 +33,16 @@ cell with ``pullback_integral``.
 from __future__ import annotations
 
 import weakref
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 
 import numpy as np
 
 from .groups import _perm_signs, _qconj, _qmul
-from .quadrature import (IntegralResult, QuadratureSpec, _panel_rule,
-                         integrate_on_cube, integrate_stack_on_cube)
-from .simplices import GeodesicSimplex, ParametrizedMap, join_rows
+from .quadrature import (IntegralResult, QuadratureSpec, _panel_axes,
+                         _panel_rule, integrate_on_cube,
+                         integrate_stack_on_cube)
+from .simplices import GeodesicSimplex, ParametrizedMap, join_grids
 
 # quadrature nodes per jet evaluation: the (N, n, d) tangents and the join
 # kernels' temporaries scale with it, and one batch of 8000 nodes costs
@@ -169,32 +173,48 @@ def _project_tangent(x, t):
     return t - np.einsum("nki,ni->nk", t, xhat)[..., None] * xhat[:, None]
 
 
+def _offsets(blocks):
+    """(first row, points, tangents) of each block of a jet."""
+    lo = 0
+    for x, tangents in blocks:
+        yield lo, x, tangents
+        lo += len(x)
+
+
+def _densities(form, blocks, size):
+    """The form on each block of (points, tangents), the tangents
+    projected to the sphere, written in a row of ``size`` values."""
+    out = np.empty(size)
+    for lo, x, tangents in _offsets(blocks):
+        out[lo:lo + len(x)] = form.evaluate(x, _project_tangent(x, tangents))
+    return out
+
+
 def pullback_integral(form: DifferentialForm, simplex,
                       quad: QuadratureSpec | None = None) -> IntegralResult:
     """Integral of the form over a parametrized simplex.
 
-    ``simplex`` is anything with ``degree`` and a batch
-    ``evaluate_cube_jet`` taking iterated-cone cube coordinates
-    (N, degree) to points (N, d) with their exact tangents (N, degree, d),
-    as ``GeodesicSimplex`` and ``ParametrizedMap`` provide.  The jet is
-    evaluated in chunks of ``_JET_CHUNK`` nodes, and the integral runs in
-    cube coordinates with the tangents projected to the sphere.  The error
-    estimate is the rule-order difference plus the rounding bound of the
-    quadrature sum (``integrate_on_cube``)."""
+    ``simplex`` is anything with ``degree`` and ``evaluate_grid_jet(axes,
+    block)``, as ``GeodesicSimplex`` and ``ParametrizedMap`` provide: it
+    takes the per-panel axes (P, degree, m) of a rule level and yields the
+    points (B, d) and exact tangents (B, degree, d) at its nodes, in
+    ``_panel_rule`` order, in blocks of at most ``_JET_CHUNK`` rows.  So a
+    map can share work across the tensor grid of each panel: a geodesic
+    simplex runs each join once per distinct prefix of cube coordinates,
+    and a prism cell evaluates its face and straightening once per
+    distinct base point.  The integral runs in cube coordinates with the
+    tangents projected to the sphere.  The error estimate is the
+    rule-order difference plus the rounding bound of the quadrature sum
+    (``integrate_on_cube``)."""
     quad = quad or QuadratureSpec()
     n = simplex.degree
     if form.degree != n:
         raise ValueError(
             f"form degree {form.degree} != simplex degree {n}")
-    jet = simplex.evaluate_cube_jet
 
-    def integrand(s):
-        out = np.empty(s.shape[0])
-        for lo in range(0, s.shape[0], _JET_CHUNK):
-            x, tangents = jet(s[lo:lo + _JET_CHUNK])
-            out[lo:lo + _JET_CHUNK] = form.evaluate(
-                x, _project_tangent(x, tangents))
-        return out
+    def integrand(s, axes):
+        return _densities(form, simplex.evaluate_grid_jet(axes, _JET_CHUNK),
+                          s.shape[0])
 
     return integrate_on_cube(integrand, n, quad)
 
@@ -205,7 +225,7 @@ def stacked_pullback_integral(form: DifferentialForm, simplices,
     ``GeodesicSimplex`` of one kind and degree, in one join pass.
 
     Each simplex meets each panel of a rule level as one tensor grid of
-    ``join_rows``, so join k runs once per distinct prefix of k cube
+    ``join_grids``, so join k runs once per distinct prefix of k cube
     coordinates.  The grids are simplex-major, so the rows of the pass are
     too: row r is simplex r // N at cube node r % N of the N nodes of a
     rule level.  A chunk of grids has at most ``_STACK_ROWS`` rows at the
@@ -226,19 +246,8 @@ def stacked_pullback_integral(form: DifferentialForm, simplices,
     varr = np.stack([sx.varr for sx in simplices])
 
     def integrand(s, axes):
-        panels, _, m = axes.shape
-        grids = len(varr) * panels
-        chunk = max(_STACK_ROWS // m ** (n - 1), 1)
-        out = np.empty(len(varr) * s.shape[0])
-        lo = 0
-        for first in range(0, grids, chunk):
-            g = np.arange(first, min(first + chunk, grids))
-            for x, tangents in join_rows(kind, varr[g // panels],
-                                         axes[g % panels], True, _STACK_ROWS):
-                out[lo:lo + len(x)] = form.evaluate(
-                    x, _project_tangent(x, tangents))
-                lo += len(x)
-        return out.reshape(len(varr), s.shape[0])
+        return _densities(form, join_grids(kind, varr, axes, _STACK_ROWS),
+                          len(varr) * s.shape[0]).reshape(len(varr), -1)
 
     return integrate_stack_on_cube(integrand, n, quad)
 
@@ -268,6 +277,13 @@ def _icosahedron_faces():
     return verts, tuple(sorted(faces))
 
 
+def _half_scale(simplex, axes, block):
+    """The grid jet of a simplex on the unit sphere, scaled to the
+    radius-1/2 model of the projective line."""
+    for x, dx in simplex.evaluate_grid_jet(axes, block):
+        yield 0.5 * x, 0.5 * dx
+
+
 @lru_cache(maxsize=None)
 def sphere_atlas(sphere: str):
     """Fixed list of (sign, cell) covering the sphere once.
@@ -288,8 +304,8 @@ def sphere_atlas(sphere: str):
         for tri in faces:
             simplex = GeodesicSimplex([verts[t] for t in tri], "spherical")
             if sphere == "CP1":
-                cell = ParametrizedMap(2, cube_jet=lambda s, _s=simplex: tuple(
-                    0.5 * a for a in _s.evaluate_cube_jet(s)))
+                cell = ParametrizedMap(2, grid_jet=partial(_half_scale,
+                                                           simplex))
             else:
                 cell = simplex
             cells.append((1, cell))
@@ -308,26 +324,31 @@ def _orthant_signs():
     return signs, int(np.flatnonzero(np.all(signs > 0, axis=1))[0])
 
 
-def _atlas_jets(sphere, s):
-    """Each atlas cell's points (N, d) and tangents (N, n, d) at cube nodes
-    ``s`` (N, n), one cell at a time in atlas order.
+def _atlas_jets(sphere, axes):
+    """Each atlas cell's points (B, d) and tangents (B, n, d) at the nodes
+    of the rule level with per-panel axes ``axes``, in blocks of at most
+    ``_JET_CHUNK`` nodes, as (cell index, first node, points, tangents).
 
-    On S^3 the positive orthant's jet is evaluated once, and the cell with
-    vertex signs ``sg``, diag(sg) applied to that orthant, gets ``sg *``
-    it.  The joins treat every coordinate alike, so these are the cell's
-    own points, bitwise, and its own tangents up to the sign of zero
-    entries (a join's 0 - 0 is +0.0 whatever the signs); the forms of this
-    package give bitwise the densities of the cell's own jet.  The CP1 and
-    S2 cells have no bitwise symmetry, and each is evaluated on its
-    own."""
+    On S^3 the positive orthant's grid jet is evaluated once, and per block
+    the cell with vertex signs ``sg``, diag(sg) applied to that orthant,
+    gets ``sg *`` it, cell after cell in atlas order.  The joins treat
+    every coordinate alike, so these are the cell's own points, bitwise,
+    and its own tangents up to the sign of zero entries (a join's 0 - 0 is
+    +0.0 whatever the signs); the forms of this package give bitwise the
+    densities of the cell's own jet.  The CP1 and S2 cells have no bitwise
+    symmetry, and each evaluates its own grid jet, one cell after the
+    other."""
     if sphere != "S3":
-        for _, cell in sphere_atlas(sphere):
-            yield cell.evaluate_cube_jet(s)
+        for i, (_, cell) in enumerate(sphere_atlas(sphere)):
+            for lo, x, dx in _offsets(cell.evaluate_grid_jet(axes,
+                                                             _JET_CHUNK)):
+                yield i, lo, x, dx
         return
     signs, positive = _orthant_signs()
-    x, dx = sphere_atlas("S3")[positive][1].evaluate_cube_jet(s)
-    for sg in signs:
-        yield sg * x, sg * dx
+    orthant = sphere_atlas("S3")[positive][1]
+    for lo, x, dx in _offsets(orthant.evaluate_grid_jet(axes, _JET_CHUNK)):
+        for i, sg in enumerate(signs):
+            yield i, lo, sg * x, sg * dx
 
 
 def _atlas_density(sphere, base, order, depth):
@@ -335,8 +356,7 @@ def _atlas_density(sphere, base, order, depth):
 
     ``cells`` holds, per atlas cell, ``(signs, points, density)``:
     ``density`` (N,) is ``base`` on the cell's jet from ``_atlas_jets``
-    with the tangents projected, in chunks of ``_JET_CHUNK`` nodes, every
-    cell's chunk from one call.  On CP1 ``points`` (N, 3) are the cell's
+    with the tangents projected.  On CP1 ``points`` (N, 3) are the cell's
     and ``table`` is None.  On S^3 ``points`` is None: the points of the
     orthant cell with vertex signs ``signs`` are ``signs * table``,
     bitwise, where ``table`` holds those of the positive orthant, so one
@@ -348,19 +368,18 @@ def _atlas_density(sphere, base, order, depth):
     if key in levels:
         return levels[key]
     atlas = sphere_atlas(sphere)
-    s = _panel_rule(atlas[0][1].degree, order, depth)[0]
+    n = atlas[0][1].degree
     signs, positive = (None,) * len(atlas), None
     if sphere == "S3":
         signs, positive = _orthant_signs()
-    density = np.empty((len(atlas), s.shape[0]))
+    density = np.empty((len(atlas), len(_panel_rule(n, order, depth)[0])))
     kept = [[] for _ in atlas]
-    for lo in range(0, s.shape[0], _JET_CHUNK):
-        jets = _atlas_jets(sphere, s[lo:lo + _JET_CHUNK])
-        for i, (x, tangents) in enumerate(jets):
-            density[i, lo:lo + _JET_CHUNK] = base.evaluate(
-                x, _project_tangent(x, tangents))
-            if positive in (None, i):
-                kept[i].append(x)
+    for i, lo, x, tangents in _atlas_jets(sphere,
+                                          _panel_axes(n, order, depth)):
+        density[i, lo:lo + len(x)] = base.evaluate(
+            x, _project_tangent(x, tangents))
+        if positive in (None, i):
+            kept[i].append(x)
     points = [np.concatenate(chunks) if chunks else None for chunks in kept]
     for a in points + [density]:
         if a is not None:
@@ -373,21 +392,23 @@ def _atlas_density(sphere, base, order, depth):
 
 
 def _cached_values(fn, base, sphere, quad):
-    """``values(s, lo, hi)``: for each atlas cell in turn, the integrand of
-    ``base.times(fn)`` at nodes ``lo:hi`` of the rule level of ``s``,
-    reading the points and the density of ``base`` from
-    ``_atlas_density``."""
+    """``values(s, axes)``: the integrand of ``base.times(fn)`` at the
+    nodes ``s`` of a rule level, as (cell index, first node, values) per
+    cell and chunk of ``_JET_CHUNK`` nodes, reading the points and the
+    density of ``base`` from ``_atlas_density``."""
     # the two rule levels differ in their node counts
     levels = {}
     for order in quad.orders:
         table, cells = _atlas_density(sphere, base, order, quad.depth)
         levels[cells[0][2].shape[0]] = table, cells
 
-    def values(s, lo, hi):
+    def values(s, _):
         table, cells = levels[s.shape[0]]
-        for signs, points, density in cells:
-            x = points[lo:hi] if table is None else signs * table[lo:hi]
-            yield fn(x) * density[lo:hi]
+        for lo in range(0, s.shape[0], _JET_CHUNK):
+            hi = lo + _JET_CHUNK
+            for i, (signs, points, density) in enumerate(cells):
+                x = points[lo:hi] if table is None else signs * table[lo:hi]
+                yield i, lo, fn(x) * density[lo:hi]
 
     return values
 
@@ -404,30 +425,30 @@ def sphere_integral(form: DifferentialForm, sphere: str,
     integral is then that of the form's pullback under the map.
 
     The atlas cells are the rows of one ``integrate_stack_on_cube``.  Its
-    integrand runs in chunks of ``_JET_CHUNK`` nodes and, per chunk, calls
-    the form (and ``compose``) once per cell.  Without ``compose``, a
-    factored form (``base.times(fn)``) reads the atlas points and the
-    density of its base from a per-process cache (see ``_atlas_density``);
-    otherwise the cells' jets come from ``_atlas_jets``, which on S^3
-    reflects one join pass into all 16 cells.  Each cell is summed on its
-    own, so the value, the estimate and ``QuadratureDiverged`` are bitwise
-    those of ``pullback_integral`` cell by cell, summed in atlas order."""
+    integrand fills them in blocks of at most ``_JET_CHUNK`` nodes, and
+    calls the form (and ``compose``) once per cell and block.  Without
+    ``compose``, a factored form (``base.times(fn)``) reads the atlas
+    points and the density of its base from a per-process cache (see
+    ``_atlas_density``); otherwise the cells' jets come from
+    ``_atlas_jets`` on the rule level's grids, which on S^3 reflects one
+    join pass into all 16 cells.  Each cell is summed on its own, so the
+    value, the estimate and ``QuadratureDiverged`` are bitwise those of
+    ``pullback_integral`` cell by cell, summed in atlas order."""
     quad = quad or QuadratureSpec()
     atlas = sphere_atlas(sphere)
     if compose is None and form.factors is not None:
         values = _cached_values(*form.factors, sphere, quad)
     else:
-        def values(s, lo, hi):
-            for x, tangents in _atlas_jets(sphere, s[lo:hi]):
+        def values(_, axes):
+            for i, lo, x, tangents in _atlas_jets(sphere, axes):
                 if compose is not None:
                     x, tangents = compose(x, tangents)
-                yield form.evaluate(x, _project_tangent(x, tangents))
+                yield i, lo, form.evaluate(x, _project_tangent(x, tangents))
 
-    def integrand(s, _):
+    def integrand(s, axes):
         out = np.empty((len(atlas), s.shape[0]))
-        for lo in range(0, s.shape[0], _JET_CHUNK):
-            for row, cell in zip(out, values(s, lo, lo + _JET_CHUNK)):
-                row[lo:lo + _JET_CHUNK] = cell
+        for i, lo, v in values(s, axes):
+            out[i, lo:lo + len(v)] = v
         return out
 
     total = 0.0

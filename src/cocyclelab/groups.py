@@ -148,20 +148,25 @@ def _slerp_jet(x, dx, y, s):
     return out, np.concatenate([d_along, d_s[:, None]], axis=1)
 
 
-def _chart_join_jet(x, dx, y, s, dy=None, ds=None):
-    """Chart arc x * exp(s * log(x^{-1} y)) of rows x, y (N, 4) at s (N,),
-    with tangents laid out as in ``_slerp_jet``.
-
-    ``dy`` (N, m, 4) and ``ds`` (N, m) optionally move the tip and the
-    parameter along the same m parameters as ``dx``; given ``ds``, the
-    derivative along s is part of those m and no column is appended."""
+def _chart_log(x, dx, y, dy):
+    """The parameter-free half of the chart arc from rows x to y (N, 4):
+    z = log(x^{-1} y) (N, 3) and, given ``dx`` (N, m, 4), its tangents
+    (N, m, 3) along the same m parameters, which move the tip too when
+    ``dy`` (N, m, 4) is given; ``dx=None`` gives z and None."""
     dd = None
     if dx is not None:
         # d(x^{-1} y) = dx^{-1} y + x^{-1} dy
         dd = _qmul(_qconj(dx), y[:, None])
         if dy is not None:
             dd += _qmul(_qconj(x)[:, None], dy)
-    z, dz = _qlog_jet(_qmul(_qconj(x), y), dd)
+    return _qlog_jet(_qmul(_qconj(x), y), dd)
+
+
+def _chart_exp(x, dx, z, dz, s, ds):
+    """The chart arc x * exp(s z) at s (N,), with z and ``dz`` from
+    ``_chart_log`` and tangents laid out as in ``_slerp_jet``; ``ds``
+    (N, m) optionally moves s along the m parameters of ``dx``, and then
+    no column is appended."""
     dv = None
     if dx is not None:
         # d(s z) = ds z + s dz
@@ -175,6 +180,17 @@ def _chart_join_jet(x, dx, y, s, dy=None, ds=None):
     dout = _qmul(x[:, None], de)
     dout[:, :dx.shape[1]] += _qmul(dx, e[:, None])
     return out, dout
+
+
+def _chart_join_jet(x, dx, y, s, dy=None, ds=None):
+    """Chart arc x * exp(s * log(x^{-1} y)) of rows x, y (N, 4) at s (N,),
+    with tangents laid out as in ``_slerp_jet``: ``_chart_exp`` of
+    ``_chart_log``.
+
+    ``dy`` (N, m, 4) and ``ds`` (N, m) optionally move the tip and the
+    parameter along the same m parameters as ``dx``; given ``ds``, the
+    derivative along s is part of those m and no column is appended."""
+    return _chart_exp(x, dx, *_chart_log(x, dx, y, dy), s, ds)
 
 
 class UnitQuaternion:

@@ -133,6 +133,16 @@ def _panel_axes(n: int, order: int, depth: int):
     return axes
 
 
+def _grid_nodes(axes, rows):
+    """The nodes (len(rows), n) at row indices ``rows`` of the tensor grids
+    ``axes`` (P, n, m), whose m^n nodes each come grid after grid,
+    lexicographic with the last axis fastest."""
+    n, m = axes.shape[1:]
+    grid, node = np.divmod(rows, m ** n)
+    index = np.stack(np.unravel_index(node, (m,) * n), axis=-1)
+    return axes[grid[:, None], np.arange(n), index]
+
+
 @lru_cache(maxsize=None)
 def _panel_rule(n: int, order: int, depth: int):
     """Tensor Gauss-Legendre nodes/weights on the unit n-cube with
@@ -143,13 +153,9 @@ def _panel_rule(n: int, order: int, depth: int):
     for _ in range(n):
         wt_cell = np.outer(wt_cell, w).ravel()
     wt_cell = wt_cell * (1.0 / 2 ** depth) ** n
-    xs, ws = [], []
-    for grids in _panel_axes(n, order, depth):
-        mesh = np.meshgrid(*grids, indexing="ij")
-        xs.append(np.stack([m.ravel() for m in mesh], axis=-1))
-        ws.append(wt_cell)
-    pts = np.concatenate(xs, axis=0)
-    wts = np.concatenate(ws, axis=0)
+    axes = _panel_axes(n, order, depth)
+    pts = _grid_nodes(axes, np.arange(len(axes) * order ** n))
+    wts = np.tile(wt_cell, len(axes))
     pts.setflags(write=False)
     wts.setflags(write=False)
     return pts, wts
@@ -195,10 +201,11 @@ def integrate_stack_on_cube(integrand, n, spec: QuadratureSpec):
 
 
 def integrate_on_cube(integrand, n, spec: QuadratureSpec) -> IntegralResult:
-    """Two-order integral of ``integrand(s) -> (N,)`` over the unit n-cube:
-    the one-row case of ``integrate_stack_on_cube``."""
-    return integrate_stack_on_cube(lambda s, _: integrand(s)[None], n,
-                                   spec)[0]
+    """Two-order integral of ``integrand(s, axes) -> (N,)`` over the unit
+    n-cube, with the arguments of ``integrate_stack_on_cube``: its
+    one-row case."""
+    return integrate_stack_on_cube(
+        lambda s, axes: integrand(s, axes)[None], n, spec)[0]
 
 
 def gauss_legendre_circle(f, n_points=64):

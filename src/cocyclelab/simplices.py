@@ -9,20 +9,24 @@ construction commutes with the left group action.
 Two join flavours are provided: great-circle arcs on a unit sphere, and
 chart arcs ``x * exp(s * log(x^{-1} y))`` in SU(2).  Both join kernels
 also push tangents forward, so a simplex yields its exact derivatives
-along the cube coordinates together with its points.  The prism homotopy
-is one product cell: the chart join, at the cell's last coordinate, of a
-map and its straightening, whose cube jets are taken at the same
-coordinates.
+along the cube coordinates together with its points.
 
 ``join_rows`` is the one simplex evaluator.  It takes one vertex tuple per
 tensor grid of cube coordinates.  Join k reads only the first k
 coordinates, so it runs once per distinct prefix of them: the
 sum-factorization of tensor-product spectral methods in collapsed
 coordinates (Orszag, J. Comput. Phys. 37, 1980; Karniadakis and Sherwin,
-Spectral/hp Element Methods for CFD, 2nd ed., OUP 2005, ch. 3-4).  A
-simplex on its own is the case of one node per axis per row, its tuple
-repeated on every row; a stack of simplices (the faces of a batch of
-coboundaries) passes one grid per simplex and quadrature panel.
+Spectral/hp Element Methods for CFD, 2nd ed., OUP 2005, ch. 3-4).
+``join_grids`` passes it one grid per simplex and quadrature panel, the
+way ``pullback_integral`` evaluates a simplex and a stack of simplices
+(the faces of a batch of coboundaries) is evaluated.  A row evaluation is
+the case of one node per axis per row.
+
+The prism homotopy is one product cell: the chart join, at the cell's last
+coordinate, from a map to its straightening.  The same sum-factorization
+applies: on a grid, the map, its straightening and the log half of the
+chart join (``groups._chart_log``) run once per distinct base point, and
+only the exp half (``groups._chart_exp``) on every node.
 
 ``in_open_hemisphere`` decides well-conditioned sets of at most d+1
 points by one linear solve, and every other set by an exact subset loop.
@@ -34,9 +38,10 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateConfig, IndexOut
-from .groups import (CHART_RADIUS, UnitQuaternion, _chart_join_jet, _qconj,
-                     _qmul, _slerp_jet)
-from .quadrature import bary_to_cube, cube_to_bary, cube_to_bary_jet
+from .groups import (CHART_RADIUS, UnitQuaternion, _chart_exp,
+                     _chart_join_jet, _chart_log, _qconj, _qmul, _slerp_jet)
+from .quadrature import (_grid_nodes, bary_to_cube, cube_to_bary,
+                         cube_to_bary_jet)
 
 _HULL_TOL = 1e-9  # residual and weight tolerance of in_open_hemisphere
 # in_open_hemisphere decides at most d+1 points by one test when the
@@ -181,43 +186,62 @@ def join_rows(kind, vertices, axes, jet, block):
                              None if dout is None else dout[lo:lo + step]))
 
 
+def join_grids(kind, varr, axes, block):
+    """The jets of S simplices, vertex tuples ``varr`` (S, n+1, d), on each
+    of P tensor grids ``axes`` (P, n, m): ``join_rows`` on the S P grids,
+    simplex-major, in chunks of grids that keep the next-to-last join
+    within ``block`` rows.  Yields points (B, d) and tangents (B, n, d) in
+    blocks of at most ``block`` rows (at least m), in that order."""
+    panels, n, m = axes.shape
+    grids = len(varr) * panels
+    chunk = max(block // m ** (n - 1), 1)
+    for first in range(0, grids, chunk):
+        g = np.arange(first, min(first + chunk, grids))
+        yield from join_rows(kind, varr[g // panels], axes[g % panels], True,
+                             block)
+
+
 class ParametrizedMap:
     """A smooth map from the standard n-simplex, given by one jet.
 
     It implements the simplex protocol that ``pullback_integral`` needs,
-    as ``GeodesicSimplex`` does: ``degree``, a batch ``evaluate_cube``
-    taking iterated-cone cube coordinates (N, n) to points (N, d), and
-    ``evaluate_cube_jet`` returning points (N, d) with their tangents
-    (N, n, d) along the cube coordinates.  The map is given by exactly one
-    of two jets, and anything else raises TypeError:
+    as ``GeodesicSimplex`` does: ``degree``, ``evaluate_grid_jet(axes,
+    block)``, which yields points (B, d) and tangents (B, n, d) along the
+    cube coordinates at the nodes of the tensor grids ``axes`` (P, n, m)
+    (grid after grid, each lexicographic with the last axis fastest) in
+    blocks of at most ``block`` rows, and its row case
+    ``evaluate_cube_jet(s)`` at cube coordinates (N, n), one node per axis
+    per row.  The map is given by exactly one of two jets, and anything
+    else raises TypeError:
 
     * ``jet(bary, dbary)`` takes barycentric coordinates (N, n+1) that
       move with tangents ``dbary`` (N, m, n+1) and returns the points with
       their tangents (N, m, d), or the points and None when ``dbary`` is
-      None.  ``evaluate_cube_jet`` composes it with ``cube_to_bary_jet``.
-    * ``cube_jet(s)`` takes cube coordinates (N, n) and returns the points
-      with their tangents (N, n, d).  Its ``evaluate_jet`` maps
+      None.  ``evaluate_cube_jet`` composes it with ``cube_to_bary_jet``,
+      and ``evaluate_grid_jet`` runs it on the grids' nodes, row by row.
+    * ``grid_jet(axes, block)`` is ``evaluate_grid_jet`` itself, so the
+      map can share work across a grid.  Its ``evaluate_jet`` maps
       barycentric coordinates through ``bary_to_cube`` and returns points
       only: it raises TypeError when asked for tangents.
 
     ``evaluate`` and ``evaluate_cube`` return the jet's points.
     """
 
-    def __init__(self, degree, jet=None, cube_jet=None):
-        if (jet is None) == (cube_jet is None):
+    def __init__(self, degree, jet=None, grid_jet=None):
+        if (jet is None) == (grid_jet is None):
             raise TypeError("ParametrizedMap takes exactly one of jet and "
-                            "cube_jet")
+                            "grid_jet")
         self.degree = degree
         self._jet = jet
-        self._cube_jet = cube_jet
+        self._grid_jet = grid_jet
 
     def evaluate(self, bary):
         return self.evaluate_jet(bary, None)[0]
 
     def evaluate_cube(self, s):
         s = np.atleast_2d(np.asarray(s, dtype=float))
-        if self._cube_jet is not None:
-            return self._cube_jet(s)[0]
+        if self._grid_jet is not None:
+            return self.evaluate_cube_jet(s)[0]
         return self.evaluate(cube_to_bary(s))
 
     def evaluate_jet(self, bary, dbary):
@@ -225,17 +249,25 @@ class ParametrizedMap:
         if self._jet is not None:
             return self._jet(bary, dbary)
         if dbary is not None:
-            raise TypeError("a map given by its cube jet has no barycentric "
+            raise TypeError("a map given by its grid jet has no barycentric "
                             "tangents")
-        return self._cube_jet(bary_to_cube(bary))[0], None
+        return self.evaluate_cube(bary_to_cube(bary)), None
 
     def evaluate_cube_jet(self, s):
         s = np.atleast_2d(np.asarray(s, dtype=float))
-        if self._cube_jet is not None:
-            return self._cube_jet(s)
+        if self._grid_jet is not None:
+            return next(self._grid_jet(s[:, :, None], len(s)))
         eye = np.broadcast_to(np.eye(self.degree),
                               (s.shape[0], self.degree, self.degree))
         return self._jet(*cube_to_bary_jet(s, eye))
+
+    def evaluate_grid_jet(self, axes, block):
+        if self._grid_jet is not None:
+            return self._grid_jet(axes, block)
+        size = len(axes) * axes.shape[2] ** self.degree
+        return (self.evaluate_cube_jet(
+            _grid_nodes(axes, np.arange(lo, min(lo + block, size))))
+            for lo in range(0, size, block))
 
     def corner_vertices(self):
         """Images of the barycentric corners, as quaternions."""
@@ -293,30 +325,32 @@ class GeodesicSimplex:
         return self.evaluate_cube(bary_to_cube(bary))
 
     def evaluate_cube(self, s):
-        """Evaluate in iterated-cone cube coordinates (N, degree).
-
-        This is the one evaluator: ``evaluate`` maps barycentric input
-        through ``bary_to_cube`` first.  In cube coordinates there is no
-        cone division, hence the map is smooth up to the cube boundary.
-        """
-        return self._joins(s, jet=False)[0]
+        """Evaluate in iterated-cone cube coordinates (N, degree): the
+        points of ``evaluate_cube_jet``.  ``evaluate`` maps barycentric
+        input through ``bary_to_cube`` first.  In cube coordinates there
+        is no cone division, hence the map is smooth up to the cube
+        boundary."""
+        return self.evaluate_cube_jet(s)[0]
 
     def evaluate_cube_jet(self, s):
         """Points (N, d) and exact tangents (N, degree, d) at cube
-        coordinates (N, degree); ``tangents[:, k]`` is d/ds_{k+1}.
+        coordinates (N, degree); ``tangents[:, k]`` is d/ds_{k+1}.  This is
+        the grid case of one node per axis per row.
 
         Each join pushes the tangents of the face point forward and adds
         its own derivative along its parameter (forward-mode
-        differentiation); the points are bitwise those of
-        ``evaluate_cube``."""
-        return self._joins(s, jet=True)
-
-    def _joins(self, s, jet):
+        differentiation)."""
         s = np.atleast_2d(np.asarray(s, dtype=float))
         if s.shape[1] != self.degree:
             raise ValueError(f"expected {self.degree} cube coordinates")
-        rows = np.broadcast_to(self.varr, (s.shape[0],) + self.varr.shape)
-        return next(join_rows(self.kind, rows, s[:, :, None], jet, len(s)))
+        return next(self.evaluate_grid_jet(s[:, :, None], len(s)))
+
+    def evaluate_grid_jet(self, axes, block):
+        """Points and tangents at the nodes of the tensor grids ``axes``
+        (P, degree, m), in blocks of at most ``block`` rows: ``join_grids``
+        on this simplex alone, so join k runs once per distinct prefix of
+        k cube coordinates."""
+        return join_grids(self.kind, self.varr[None], axes, block)
 
     def face(self, i):
         return GeodesicSimplex(face(i, self.vertices), self.kind)
@@ -333,23 +367,42 @@ def straighten(f) -> GeodesicSimplex:
     return GeodesicSimplex(verts, "chart")
 
 
+def _whole(blocks):
+    """The points and tangents of a block generator, each concatenated."""
+    points, tangents = zip(*blocks)
+    return np.concatenate(points), np.concatenate(tangents)
+
+
 def prism_cell(f) -> ParametrizedMap:
     """The join homotopy from f to straighten(f) as one (n+1)-map on the
     product cell Delta^n x [0, 1], for a degree-n input.
 
     At cube coordinates (u, t), with u the first n, the point is the chart
-    join at t from f(u) to straighten(f)(u), both cube jets taken at the
-    same u; the join appends the tangent along t as the last column.  The
-    cell carries the orientation of the triangulated prism
-    sum_j (-1)^j [(v_0,0)...(v_j,0),(v_j,1)...(v_n,1)], whose n+1
+    join at t from f(u) to straighten(f)(u); the join appends the tangent
+    along t as the last column.  On a tensor grid the nodes of each u come
+    in a row, one per node of the t axis, so f, straighten(f) and the
+    parameter-free half of the join (``_chart_log``) run once per distinct
+    u, on the grids of the first n axes, and only ``_chart_exp`` runs on
+    the (u, t) rows.  The cell carries the orientation of the triangulated
+    prism sum_j (-1)^j [(v_0,0)...(v_j,0),(v_j,1)...(v_n,1)], whose n+1
     simplices it integrates as one.
     """
     strf = straighten(f)
+    n = f.degree
 
-    def cube_jet(s):
-        u = s[:, :-1]
-        a, da = f.evaluate_cube_jet(u)
-        b, db = strf.evaluate_cube_jet(u)
-        return _chart_join_jet(a, da, b, s[:, -1], dy=db)
+    def grid_jet(axes, block):
+        a, da = _whole(f.evaluate_grid_jet(axes[:, :n], block))
+        b, db = _whole(strf.evaluate_grid_jet(axes[:, :n], block))
+        z, dz = _chart_log(a, da, b, db)
+        m = axes.shape[2]
+        # u-row r is a node of grid r // m^n, and its m (u, t) rows follow
+        # each other, one per node of that grid's t axis
+        t = axes[np.arange(len(a)) // m ** n, n]
+        step = max(block // m, 1)
+        for lo in range(0, len(a), step):
+            rows = slice(lo, lo + step)
+            yield _chart_exp(*(np.repeat(v[rows], m, axis=0)
+                               for v in (a, da, z, dz)),
+                             t[rows].reshape(-1), None)
 
-    return ParametrizedMap(f.degree + 1, cube_jet=cube_jet)
+    return ParametrizedMap(n + 1, grid_jet=grid_jet)

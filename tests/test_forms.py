@@ -11,10 +11,12 @@ from cocyclelab.contact import contact_volume_form
 from cocyclelab.errors import QuadratureDiverged
 from cocyclelab.forms import (_project_tangent, fubini_study_form, mc3_form,
                               pullback_integral, sphere_atlas,
-                              sphere_integral, vol_form)
+                              sphere_integral, stacked_pullback_integral,
+                              vol_form)
 from cocyclelab.groups import QUAT_ONE, _qmul
 from cocyclelab.hamiltonian import SphereFunction
-from cocyclelab.quadrature import IntegralResult, QuadratureSpec, _panel_rule
+from cocyclelab.quadrature import (IntegralResult, QuadratureSpec, _grid_nodes,
+                                   _panel_rule)
 from cocyclelab.simplices import GeodesicSimplex, ParametrizedMap, join_rows
 from cocyclelab.suites import run_suite
 from test_quadrature import barycentric_jet
@@ -309,6 +311,53 @@ def test_chunked_integrand_equals_one_batch(monkeypatch):
         <= 1e-15 * batch.error_estimate
 
 
+def random_simplex(kind, local):
+    """A degree-3 simplex of one kind with vertices near each other."""
+    from cocyclelab.groups import LieVector, quat_exp
+    if kind == "spherical":
+        return GeodesicSimplex(
+            [v / np.linalg.norm(v) for v in
+             np.eye(4) + 0.3 * local.normal(size=(4, 4))], kind)
+    verts = []
+    for _ in range(4):
+        v = local.normal(size=3)
+        v *= local.uniform(0.05, 0.12) / np.linalg.norm(v)
+        verts.append(quat_exp(LieVector("su2", v)))
+    return GeodesicSimplex(verts, kind)
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("order", [6, 7, 8, 9, 10])
+@pytest.mark.parametrize("kind", ["spherical", "chart"])
+def test_simplex_pullback_on_grids_is_bitwise_the_row_path(kind, order,
+                                                           depth):
+    # a geodesic simplex on the level's grids, against the row join loop
+    # at every node in chunks of _JET_CHUNK and against a one-simplex
+    # stack: the same value and estimate, and the same divergence
+    from test_simplices import row_joins
+    sx = random_simplex(kind, np.random.default_rng(order + 10 * depth))
+    rows = row_map(3, lambda s: row_joins(
+        kind, np.broadcast_to(sx.varr, (len(s),) + sx.varr.shape), s, True))
+    form = vol_form("S3", 1.0)
+    quad = QuadratureSpec(order=order, depth=depth, tol=1)
+    got = pullback_integral(form, sx, quad)
+    assert got.value != 0.0
+    assert bits(got) == bits(pullback_integral(form, rows, quad))
+    assert bits(got) == bits(stacked_pullback_integral(form, [sx], quad)[0])
+    # at a coarser level the rule orders differ by more than 10 * tol, so
+    # every path raises, with the same message (at the orders above, the
+    # two rules can agree to the last bit)
+    tight = QuadratureSpec(order=order - 4, depth=depth, tol=1e-30)
+    messages = []
+    for integral in (lambda: pullback_integral(form, sx, tight),
+                     lambda: pullback_integral(form, rows, tight),
+                     lambda: stacked_pullback_integral(form, [sx], tight)):
+        with pytest.raises(QuadratureDiverged) as err:
+            integral()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == messages[2]
+
+
 def test_degree_mismatch_rejected():
     sx = GeodesicSimplex(list(np.eye(4)), "spherical")
     with pytest.raises(ValueError):
@@ -331,6 +380,18 @@ def orthant_atlas():
             for signs in sorted(product((1.0, -1.0), repeat=4))]
 
 
+def row_map(degree, cube_jet):
+    """Reference copy of the row path of ``pullback_integral``: a map whose
+    grid jet evaluates ``cube_jet`` on the grid's nodes, in chunks of
+    ``block`` rows, one node per row."""
+
+    def grid_jet(axes, block):
+        s = _grid_nodes(axes, np.arange(len(axes) * axes.shape[2] ** degree))
+        return (cube_jet(s[lo:lo + block]) for lo in range(0, len(s), block))
+
+    return ParametrizedMap(degree, grid_jet=grid_jet)
+
+
 def cell_by_cell(form, atlas, quad, compose=None):
     """The whole-sphere integral as ``pullback_integral`` of the form over
     every cell of ``atlas``, post-composed with the jet ``compose`` if one
@@ -338,8 +399,8 @@ def cell_by_cell(form, atlas, quad, compose=None):
     total, est = 0.0, 0.0
     for sign, cell in atlas:
         if compose is not None:
-            cell = ParametrizedMap(cell.degree, cube_jet=lambda s, _c=cell:
-                                   compose(*_c.evaluate_cube_jet(s)))
+            cell = row_map(cell.degree, lambda s, _c=cell:
+                           compose(*_c.evaluate_cube_jet(s)))
         res = pullback_integral(form, cell, quad)
         total += sign * res.value
         est += res.error_estimate
@@ -371,7 +432,7 @@ def test_factored_sphere_integral_is_bitwise_the_cell_sum(
     def no_jet(*args):
         raise AssertionError("atlas jet evaluated on a cache hit")
 
-    monkeypatch.setattr(GeodesicSimplex, "evaluate_cube_jet", no_jet)
+    monkeypatch.setattr(GeodesicSimplex, "evaluate_grid_jet", no_jet)
     second = sphere_integral(form, sphere, quad)
     assert bits(second) == bits(first)
 
@@ -386,23 +447,24 @@ def test_uncached_s3_integral_is_bitwise_the_cell_sum(
     form = vol_form("S3", 1.0)
     quad = QuadratureSpec(order=order, depth=depth, tol=1e-4)
     expected = cell_by_cell(form, orthant_atlas(), quad, compose)
-    nodes = []
+    grids = []
 
     def spy(kind, vertices, axes, jet, block):
-        nodes.append(axes.shape[0])
+        grids.append(axes.shape)
         return join_rows(kind, vertices, axes, jet, block)
 
     monkeypatch.setattr(simplices, "join_rows", spy)
     if compose is not None and depth == 0:
         assert degree_of_map(compose, quad) == expected.value
-        nodes.clear()
+        grids.clear()
     assert bits(sphere_integral(form, "S3", quad, compose)) == \
         bits(expected)
-    # one join pass per chunk of nodes per rule level, not one per cell
-    chunks = [min(forms._JET_CHUNK, len(s) - lo)
-              for s, _ in (_panel_rule(3, o, depth) for o in quad.orders)
-              for lo in range(0, len(s), forms._JET_CHUNK)]
-    assert nodes == chunks
+    # the joins run on each panel's grid once per rule level, not once per
+    # cell and not once per node
+    panels = {}
+    for count, _, m in grids:
+        panels[m] = panels.get(m, 0) + count
+    assert panels == {o: 2 ** (3 * depth) for o in quad.orders}
 
 
 @pytest.mark.parametrize("compose", [None, twisted_square_map(QUAT_ONE)])

@@ -6,9 +6,10 @@ import pytest
 
 from cocyclelab.errors import QuadratureDiverged
 from cocyclelab.quadrature import (IntegralResult, QuadratureSpec,
-                                   _panel_axes, _panel_rule, bary_to_cube,
-                                   cube_to_bary, cube_to_bary_jet,
-                                   gauss_legendre_circle, integrate_on_cube)
+                                   _grid_nodes, _panel_axes, _panel_rule,
+                                   bary_to_cube, cube_to_bary,
+                                   cube_to_bary_jet, gauss_legendre_circle,
+                                   integrate_on_cube)
 
 rng = np.random.default_rng(2)
 
@@ -130,7 +131,7 @@ def test_cube_quadrature_exactness_on_polynomials():
     for n in (1, 2, 3):
         exps = rng.integers(0, 6, size=n)
 
-        def integrand(s):
+        def integrand(s, _):
             out = np.ones(s.shape[0])
             for k, e in enumerate(exps):
                 out *= s[:, k] ** e
@@ -145,7 +146,7 @@ def test_simplex_volume_through_cone_map():
     # integrating the cone-map Jacobian reproduces 1/n! (the simplex
     # volume); the Jacobian equals prod_k (1-s_k)^(k-1) analytically
     for n in (2, 3):
-        def jac(s):
+        def jac(s, _):
             out = np.ones(s.shape[0])
             for k in range(2, n + 1):
                 out *= (1.0 - s[:, k - 1]) ** (k - 1)
@@ -156,7 +157,7 @@ def test_simplex_volume_through_cone_map():
 
 
 def test_two_order_error_estimate():
-    def wavy(s):
+    def wavy(s, _):
         return np.sin(3.0 * s[:, 0]) * np.cos(2.0 * s[:, 1])
 
     exact = ((np.cos(0) - np.cos(3.0)) / 3.0) * (np.sin(2.0) / 2.0)
@@ -169,7 +170,7 @@ def test_error_estimate_carries_the_rounding_of_the_sum():
     # both orders integrate an affine function exactly, so only rounding
     # is left; the estimate covers it through gamma_N * sum |w_i f_i| of
     # the fine sum, and sum |w_i f_i| is the integral 1.25 of f > 0
-    def affine(s):
+    def affine(s, _):
         return 1.0 + s[:, 0] - 0.5 * s[:, 2]
 
     res = integrate_on_cube(affine, 3, QuadratureSpec(order=4, depth=2))
@@ -179,7 +180,7 @@ def test_error_estimate_carries_the_rounding_of_the_sum():
 
 
 def test_divergence_guard():
-    def rough(s):
+    def rough(s, _):
         return np.where(s[:, 0] < 0.37, 0.0, 17.0)
 
     with pytest.raises(QuadratureDiverged):
@@ -187,7 +188,7 @@ def test_divergence_guard():
 
 
 def test_panel_depth_refines_consistently():
-    def smooth(s):
+    def smooth(s, _):
         return np.exp(s[:, 0] - s[:, 1] ** 2)
 
     v0 = integrate_on_cube(smooth, 2, QuadratureSpec(order=8, depth=0)).value
@@ -218,6 +219,10 @@ def test_panel_axes_mesh_to_the_panel_rule(n):
                 mesh += product(*grid)
             assert np.array(mesh).tobytes() == \
                 _panel_rule(n, order, depth)[0].tobytes()
+            # any rows of the grids, as a map's blocks of nodes take them
+            rows = np.arange(3, len(mesh), 7)
+            assert _grid_nodes(axes, rows).tobytes() == \
+                np.array(mesh)[rows].tobytes()
 
 
 def test_circle_rule():

@@ -6,8 +6,9 @@ import pytest
 from cocyclelab import cochains, simplices, suites
 from cocyclelab.errors import DegenerateConfig, IndexOut
 from cocyclelab.groups import (QUAT_I, QUAT_ONE, LieVector, UnitQuaternion,
-                               _chart_join_jet, _slerp_jet, cyclic_embed,
-                               quat_exp)
+                               _chart_exp, _chart_join_jet, _chart_log,
+                               _qconj, _qexp_jet, _qlog_jet, _qmul,
+                               _slerp_jet, cyclic_embed, quat_exp)
 from cocyclelab.quadrature import IntegralResult, _panel_axes, _panel_rule
 from cocyclelab.simplices import (GeodesicSimplex, ParametrizedMap, all_faces,
                                   face, in_open_hemisphere, is_chart_small,
@@ -432,10 +433,10 @@ def test_parametrized_map_takes_exactly_one_jet():
     with pytest.raises(TypeError):
         ParametrizedMap(2)
     with pytest.raises(TypeError):
-        ParametrizedMap(2, barycentric_jet(sx), sx.evaluate_cube_jet)
+        ParametrizedMap(2, barycentric_jet(sx), sx.evaluate_grid_jet)
     b = np.random.default_rng(5).dirichlet(np.ones(3), size=20)
     for m in (ParametrizedMap(2, barycentric_jet(sx)),
-              ParametrizedMap(2, cube_jet=sx.evaluate_cube_jet)):
+              ParametrizedMap(2, grid_jet=sx.evaluate_grid_jet)):
         assert np.array_equal(m.evaluate(b), sx.evaluate(b))
 
 
@@ -466,7 +467,7 @@ def test_jet_without_tangents_gives_the_points_alone():
     f = _wiggled_simplex(jet_rng)
     for m in [f] + [f.face(i) for i in range(4)]:
         assert_jet_without_tangents_is_points(m, jet_rng)
-    # a map given by its cube jet has points only at barycentric coordinates
+    # a map given by its grid jet has points only at barycentric coordinates
     for m in [prism_cell(f.face(0))] + [cell for _, cell in
                                         sphere_atlas("CP1")[:2]]:
         b = jet_rng.dirichlet(np.ones(m.degree + 1), size=30)
@@ -604,6 +605,120 @@ def test_prism_cell_integrates_as_the_triangulated_prism(order):
                 assert np.sign(cell.value) == np.sign(total)
                 signed += 1
     assert signed >= 4
+
+
+def reference_chart_join_jet(x, dx, y, s, dy=None, ds=None):
+    """Reference copy of the chart join kernel as one function, before its
+    split into ``_chart_log`` and ``_chart_exp``."""
+    dd = None
+    if dx is not None:
+        dd = _qmul(_qconj(dx), y[:, None])
+        if dy is not None:
+            dd += _qmul(_qconj(x)[:, None], dy)
+    z, dz = _qlog_jet(_qmul(_qconj(x), y), dd)
+    dv = None
+    if dx is not None:
+        dv = s[:, None, None] * dz
+        dv = np.concatenate([dv, z[:, None]], axis=1) if ds is None \
+            else dv + ds[..., None] * z[:, None]
+    e, de = _qexp_jet(s[..., None] * z, dv)
+    out = _qmul(x, e)
+    if dx is None:
+        return out, None
+    dout = _qmul(x[:, None], de)
+    dout[:, :dx.shape[1]] += _qmul(dx, e[:, None])
+    return out, dout
+
+
+def test_chart_exp_of_chart_log_is_bitwise_the_chart_join():
+    # with and without tangents of the tip and of the parameter; rows
+    # that repeat a vertex take the log at the identity
+    for rows in (1, 7, 300):
+        x = np.stack([small_quat().vec for _ in range(rows)])
+        y = np.stack([small_quat().vec for _ in range(rows)])
+        y[::3] = x[::3]
+        s = rng.uniform(size=rows)
+        dx = rng.normal(size=(rows, 2, 4))
+        dy = rng.normal(size=(rows, 2, 4))
+        ds = rng.normal(size=(rows, 2))
+        for args in ((None, None, None), (dx, None, None), (dx, dy, None),
+                     (dx, None, ds), (dx, dy, ds)):
+            d_x, d_y, d_s = args
+            expected = reference_chart_join_jet(x, d_x, y, s, d_y, d_s)
+            split = _chart_exp(x, d_x, *_chart_log(x, d_x, y, d_y), s, d_s)
+            assert same_bytes(split, expected)
+            assert same_bytes(_chart_join_jet(x, d_x, y, s, dy=d_y, ds=d_s),
+                              expected)
+
+
+def row_prism_jet(f, s):
+    """Reference copy of the row-wise cube jet that ``prism_cell`` had: f
+    and straighten(f), through the row join loop, at every (u, t) node,
+    joined there by the chart join."""
+    strf = straighten(f)
+    u = s[:, :-1]
+    a, da = f.evaluate_cube_jet(u)
+    rows = np.broadcast_to(strf.varr, (len(s),) + strf.varr.shape)
+    b, db = row_joins("chart", rows, u, True)
+    return reference_chart_join_jet(a, da, b, s[:, -1], dy=db)
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("order", [6, 8, 10])
+def test_prism_cell_grid_jet_is_bitwise_the_row_jet(order, depth):
+    # the cell on a rule level's grids, in blocks of pullback_integral's
+    # chunk size, against the row jet in chunks of as many nodes; at
+    # order 10 a chunk boundary falls inside the t nodes of one u
+    from cocyclelab.forms import _JET_CHUNK
+    from cocyclelab.suites import _wiggled_simplex
+    axes = _panel_axes(3, order, depth)
+    nodes = _panel_rule(3, order, depth)[0]
+    f = _wiggled_simplex(np.random.default_rng(0x5EED))
+    for i in range(4):
+        face_map = f.face(i)
+        blocks = list(prism_cell(face_map).evaluate_grid_jet(axes,
+                                                             _JET_CHUNK))
+        assert all(len(x) <= _JET_CHUNK for x, _ in blocks)
+        got = tuple(np.concatenate(part) for part in zip(*blocks))
+        expected = tuple(np.concatenate(part) for part in zip(*(
+            row_prism_jet(face_map, nodes[lo:lo + _JET_CHUNK])
+            for lo in range(0, len(nodes), _JET_CHUNK))))
+        assert same_bytes(got, expected)
+
+
+def test_prism_cell_evaluates_its_face_once_per_base_point(monkeypatch):
+    # per rule level, the face's jet and its straightening see the P m^n
+    # base points of the level's grids, and only the second half of the
+    # chart join sees all P m^(n+1) nodes
+    from cocyclelab.forms import pullback_integral, vol_form
+    from cocyclelab.quadrature import QuadratureSpec
+    from cocyclelab.suites import _wiggled_simplex
+    face_map = _wiggled_simplex(np.random.default_rng(3)).face(1)
+    seen = {"face": 0, "straight": 0, "exp": 0}
+
+    def face_jet(bary, dbary):
+        seen["face"] += len(bary)
+        return face_map.evaluate_jet(bary, dbary)
+
+    def joins(kind, vertices, axes, jet, block):
+        seen["straight"] += axes.shape[0] * axes.shape[2] ** axes.shape[1]
+        return real_join_rows(kind, vertices, axes, jet, block)
+
+    def chart_exp(x, *args):
+        seen["exp"] += len(x)
+        return _chart_exp(x, *args)
+
+    real_join_rows = simplices.join_rows
+    cell = prism_cell(ParametrizedMap(2, face_jet))
+    seen["face"] = 0  # straighten evaluated the three corners
+    monkeypatch.setattr(simplices, "join_rows", joins)
+    monkeypatch.setattr(simplices, "_chart_exp", chart_exp)
+    quad = QuadratureSpec(order=6, depth=1, tol=1)
+    pullback_integral(vol_form("S3", 1.0), cell, quad)
+    panels = 2 ** (3 * quad.depth)
+    assert seen == {"face": sum(panels * m ** 2 for m in quad.orders),
+                    "straight": sum(panels * m ** 2 for m in quad.orders),
+                    "exp": sum(panels * m ** 3 for m in quad.orders)}
 
 
 def test_all_faces_signs():

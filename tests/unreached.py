@@ -46,6 +46,9 @@ ALLOWED = {
         "wrapped by bench/tracing.py as simplices.evaluate_cube",
     "simplices.ParametrizedMap.evaluate_cube":
         "wrapped by bench/tracing.py as simplices.evaluate_cube",
+    "simplices.GeodesicSimplex.evaluate_cube_jet":
+        "the row case of evaluate_grid_jet; GeodesicSimplex.evaluate_cube, "
+        "which bench/tracing.py wraps, returns its points",
     "quadrature.bary_to_cube":
         "GeodesicSimplex.evaluate's map from barycentric coordinates",
     "quadrature.cube_to_bary":
