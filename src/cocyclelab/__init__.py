@@ -19,9 +19,9 @@ from .contact import (ContactFunction, contact_bracket, contact_cocycle,
                       contact_field, fiber_period, pullback, reeb_field)
 from .errors import (BadOrder, BadReps, CocycleLabError, ConfigParse,
                      DegenerateConfig, DomainGuard, IndexOut,
-                     KernelObstruction, NotNormal, NotWellConfigured,
-                     PredicateNotFaceClosed, QuadratureDiverged,
-                     StepTooLarge, UnknownSuite)
+                     KernelObstruction, NotAChainMap, NotNormal,
+                     NotWellConfigured, PredicateNotFaceClosed,
+                     QuadratureDiverged, StepTooLarge, UnknownSuite)
 from .finite import (ConfiguredComplex, FiniteGroupTable, HomologySummary,
                      brute_force_free_rank, build_complex, build_retraction,
                      extend_cocycle, homology)

@@ -315,8 +315,6 @@ def conjugate_point_map(base: UnitQuaternion = QUAT_ONE):
     def jet(x, dx):
         conj = _qconj(x)
         y = _qmul(_qmul(x, np.broadcast_to(b, x.shape)), conj)
-        if dx is None:
-            return y, None
         # dy = dx b x^{-1} + x b dx^{-1}, the second term written as
         # conj(dx b^{-1} x^{-1}): for a real base the two products agree
         # and dy stays exactly real, as y does
@@ -336,8 +334,6 @@ def twisted_square_map(base: UnitQuaternion = QUAT_ONE):
     def jet(x, dx):
         xb = _qmul(x, np.broadcast_to(b, x.shape))
         y = _qmul(xb, x)
-        if dx is None:
-            return y, None
         # dy = dx (b x) + (x b) dx
         bx = _qmul(np.broadcast_to(b, x.shape), x)
         return y, _qmul(dx, bx[:, None]) + _qmul(xb[:, None], dx)

@@ -41,6 +41,10 @@ class NotWellConfigured(CocycleLabError):
     """Chain complex is not exact in the degrees a construction requires."""
 
 
+class NotAChainMap(CocycleLabError):
+    """A retraction fails one of the identities a comparison map needs."""
+
+
 class KernelObstruction(CocycleLabError):
     """Cochain does not vanish on a kernel basis vector."""
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 
 from .cochains import HomogeneousChain, HomogeneousCochain, exact
-from .errors import (KernelObstruction, NotWellConfigured,
+from .errors import (KernelObstruction, NotAChainMap, NotWellConfigured,
                      PredicateNotFaceClosed)
 from .groups import UnitQuaternion
 from .simplices import all_faces
@@ -214,7 +214,8 @@ def build_retraction(complex_: ConfiguredComplex, q: int | None = None):
     Returns r_0..r_q, where r_n is a dict from every (n+1)-tuple of group
     elements to its image, a HomogeneousChain of admissible (n+1)-tuples.
     The image of an admissible tuple is the tuple itself, and the boundary
-    of every image is the image of the boundary, both checked exactly.
+    of every image is the image of the boundary, both checked exactly
+    (NotAChainMap otherwise).
     The construction solves integer systems for normalized tuples (first
     entry the identity) and translates their images by the first entry.
     Raises NotWellConfigured when the configured complex is not exact in
@@ -264,16 +265,16 @@ def _verify_retraction(complex_, r, q):
     for n in range(1, q + 1):
         for t in complex_.generators[n]:
             if r[n][t].terms != {t: 1}:
-                raise AssertionError(
+                raise NotAChainMap(
                     "retraction is not the identity on admissible tuples")
         # chain map: boundary . r_n == r_{n-1} . boundary on every tuple
         for t, image in r[n].items():
             if any(s not in complex_.index[n] for s in image.terms):
-                raise AssertionError(
+                raise NotAChainMap(
                     "retraction leaves the configured complex")
             if image.boundary().terms != \
                     _image_of_boundary(r[n - 1], t).terms:
-                raise AssertionError("retraction is not a chain map")
+                raise NotAChainMap("retraction is not a chain map")
 
 
 def extend_cocycle(complex_: ConfiguredComplex, values, retraction=None

@@ -302,12 +302,9 @@ def sphere_atlas(sphere: str):
         verts, faces = _icosahedron_faces()
         cells = []
         for tri in faces:
-            simplex = GeodesicSimplex([verts[t] for t in tri], "spherical")
+            cell = GeodesicSimplex([verts[t] for t in tri], "spherical")
             if sphere == "CP1":
-                cell = ParametrizedMap(2, grid_jet=partial(_half_scale,
-                                                           simplex))
-            else:
-                cell = simplex
+                cell = ParametrizedMap(2, partial(_half_scale, cell))
             cells.append((1, cell))
         return tuple(cells)
     raise ValueError(f"unknown sphere {sphere!r}")
@@ -421,8 +418,8 @@ def sphere_integral(form: DifferentialForm, sphere: str,
     ``compose`` optionally post-composes every atlas cell with a self-map
     of the sphere given as a jet on coordinate batches: ``compose(x, dx)``
     returns the image points (N, d) and the images (N, m, d) of tangents
-    ``dx`` (N, m, d); ``compose(x, None)`` returns the points and None.  The
-    integral is then that of the form's pullback under the map.
+    ``dx`` (N, m, d).  The integral is then that of the form's pullback
+    under the map.
 
     The atlas cells are the rows of one ``integrate_stack_on_cube``.  Its
     integrand fills them in blocks of at most ``_JET_CHUNK`` nodes, and

@@ -6,7 +6,9 @@ Conventions fixed here and relied on everywhere else:
 * ``so4_of(q1, q2)`` is the matrix of ``x -> q1 * x * q2^{-1}`` on R^4;
 * the Hopf map uses the complex pair ``z1 = w + ix``, ``z2 = y + iz`` and
   lands on the radius-1/2 sphere, so it is constant on the left circle
-  fibers ``exp(i*theta) * q``.
+  fibers ``exp(i*theta) * q``;
+* every jet kernel takes tangents (..., m, .) with its points, and a
+  caller with none to carry passes m = 0.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ def _qconj(a):
 
 def _qlog_jet(q, dq):
     """Principal log of quaternions (..., 4) -> (..., 3), with the images
-    (..., m, 3) of tangents ``dq`` (..., m, 4); ``dq=None`` skips them."""
+    (..., m, 3) of tangents ``dq`` (..., m, 4)."""
     w = np.clip(q[..., 0], -1.0, 1.0)
     v = q[..., 1:]
     sv = np.linalg.norm(v, axis=-1)
@@ -64,8 +66,6 @@ def _qlog_jet(q, dq):
         raise DegenerateConfig("chart join hit the antipodal locus")
     scale = np.where(sv < 1e-300, 0.0, th / np.where(sv == 0.0, 1.0, sv))
     z = scale[..., None] * v
-    if dq is None:
-        return z, None
     # z = (th / sv) v with th = atan2(sv, w); the difference dth - scale dsv
     # is O(sv^2) dsv, so dividing it by sv loses no accuracy at small sv
     tiny = sv < 1e-300
@@ -84,13 +84,11 @@ def _qlog_jet(q, dq):
 
 def _qexp_jet(v, dv):
     """Exponential (..., 3) -> unit quaternions (..., 4), with the images
-    (..., m, 4) of tangents ``dv`` (..., m, 3); ``dv=None`` skips them."""
+    (..., m, 4) of tangents ``dv`` (..., m, 3)."""
     th = np.linalg.norm(v, axis=-1)
     sinc = np.where(th < 1e-300, 1.0, np.sin(th) / np.where(th == 0, 1.0, th))
     e = np.concatenate([np.cos(th)[..., None], sinc[..., None] * v],
                        axis=-1)
-    if dv is None:
-        return e, None
     vdv = np.einsum("...i,...ki->...k", v, dv)
     # dsinc = c <v, dv> with c = (cos th - sinc) / th^2 = -1/3 + th^2/30 ...
     th2 = th * th
@@ -107,9 +105,7 @@ def _slerp_jet(x, dx, y, s):
 
     ``dx`` (N, m, d) holds the derivatives of x along m parameters; the
     second result (N, m+1, d) holds the derivatives of the arc point along
-    those parameters and then along s.  ``dx=None`` skips the tangents and
-    returns None in their place.  The points are computed by the same
-    expressions with or without tangents."""
+    those parameters and then along s."""
     dot = np.clip(np.sum(x * y, axis=-1, keepdims=True), -1.0, 1.0)
     if np.any(dot <= -1.0 + _ANTIPODE_TOL):
         raise DegenerateConfig("join hit an antipodal pair of points")
@@ -126,8 +122,6 @@ def _slerp_jet(x, dx, y, s):
         nrm = np.linalg.norm(lin, axis=-1, keepdims=True)
         lin = lin / np.where(nrm == 0.0, 1.0, nrm)
         out[small] = lin[small]
-    if dx is None:
-        return out, None
     # out = A x + B y with A = sin((1-s) th) / sin th, B = sin(s th) / sin th
     # and th = arccos <x, y>, so dth = -<dx, y> / sin th
     a, b = sin_a / sinth, sin_b / sinth
@@ -148,49 +142,34 @@ def _slerp_jet(x, dx, y, s):
     return out, np.concatenate([d_along, d_s[:, None]], axis=1)
 
 
-def _chart_log(x, dx, y, dy):
+def _chart_log(x, dx, y, dy=None):
     """The parameter-free half of the chart arc from rows x to y (N, 4):
-    z = log(x^{-1} y) (N, 3) and, given ``dx`` (N, m, 4), its tangents
-    (N, m, 3) along the same m parameters, which move the tip too when
-    ``dy`` (N, m, 4) is given; ``dx=None`` gives z and None."""
-    dd = None
-    if dx is not None:
-        # d(x^{-1} y) = dx^{-1} y + x^{-1} dy
-        dd = _qmul(_qconj(dx), y[:, None])
-        if dy is not None:
-            dd += _qmul(_qconj(x)[:, None], dy)
+    z = log(x^{-1} y) (N, 3) and its tangents (N, m, 3) along the m
+    parameters of ``dx`` (N, m, 4), which move the tip too when ``dy``
+    (N, m, 4) is given."""
+    # d(x^{-1} y) = dx^{-1} y + x^{-1} dy
+    dd = _qmul(_qconj(dx), y[:, None])
+    if dy is not None:
+        dd += _qmul(_qconj(x)[:, None], dy)
     return _qlog_jet(_qmul(_qconj(x), y), dd)
 
 
-def _chart_exp(x, dx, z, dz, s, ds):
+def _chart_exp(x, dx, z, dz, s):
     """The chart arc x * exp(s z) at s (N,), with z and ``dz`` from
-    ``_chart_log`` and tangents laid out as in ``_slerp_jet``; ``ds``
-    (N, m) optionally moves s along the m parameters of ``dx``, and then
-    no column is appended."""
-    dv = None
-    if dx is not None:
-        # d(s z) = ds z + s dz
-        dv = s[:, None, None] * dz
-        dv = np.concatenate([dv, z[:, None]], axis=1) if ds is None \
-            else dv + ds[..., None] * z[:, None]
+    ``_chart_log`` and tangents laid out as in ``_slerp_jet``."""
+    # d(s z) = s dz, then the column along s is z
+    dv = np.concatenate([s[:, None, None] * dz, z[:, None]], axis=1)
     e, de = _qexp_jet(s[..., None] * z, dv)
-    out = _qmul(x, e)
-    if dx is None:
-        return out, None
     dout = _qmul(x[:, None], de)
     dout[:, :dx.shape[1]] += _qmul(dx, e[:, None])
-    return out, dout
+    return _qmul(x, e), dout
 
 
-def _chart_join_jet(x, dx, y, s, dy=None, ds=None):
+def _chart_join_jet(x, dx, y, s):
     """Chart arc x * exp(s * log(x^{-1} y)) of rows x, y (N, 4) at s (N,),
     with tangents laid out as in ``_slerp_jet``: ``_chart_exp`` of
-    ``_chart_log``.
-
-    ``dy`` (N, m, 4) and ``ds`` (N, m) optionally move the tip and the
-    parameter along the same m parameters as ``dx``; given ``ds``, the
-    derivative along s is part of those m and no column is appended."""
-    return _chart_exp(x, dx, *_chart_log(x, dx, y, dy), s, ds)
+    ``_chart_log``."""
+    return _chart_exp(x, dx, *_chart_log(x, dx, y), s)
 
 
 class UnitQuaternion:

@@ -9,7 +9,10 @@ and the iterated-join simplices of this package are smooth functions of
 the cube coordinates (the barycentric cone division cancels).  Tensor
 Gauss-Legendre panels on the cube therefore converge at high order, where
 simplex rules in barycentric coordinates stall at O(h^2) because of the
-apex singularity of the cone parametrization.
+apex singularity of the cone parametrization.  Face i of the simplex is
+the cube face s_i = 0 for i >= 1 and s_1 = 1 for i = 0, with the other
+coordinates in order (Karniadakis and Sherwin, Spectral/hp Element
+Methods for CFD, 2nd ed., OUP 2005, sec. 3.2).
 
 The error estimate compares two rule orders on the same panel grid and
 adds a bound on the rounding of the quadrature sum; cells are traversed
@@ -69,38 +72,29 @@ class IntegralResult:
             raise ValueError("error estimate must be >= 0")
 
 
-def cube_to_bary(s):
-    """Iterated-cone map [0,1]^n -> standard n-simplex, batched.
-
-    ``s`` has shape (N, n); the result has shape (N, n+1) of barycentric
-    coordinates.  The map is polynomial, hence smooth, and is a bijection
-    away from a measure-zero set.
-    """
-    return cube_to_bary_jet(s, None)[0]
-
-
 def cube_to_bary_jet(s, ds):
-    """``cube_to_bary`` with the images (N, m, n+1) of tangents ``ds``
-    (N, m, n); ``ds=None`` skips them.  The map is polynomial, so the
-    tangents are exact."""
+    """Iterated-cone map [0,1]^n -> standard n-simplex, batched, with
+    tangents: cube coordinates ``s`` (N, n) go to barycentric coordinates
+    (N, n+1), and tangents ``ds`` (N, m, n) to their images (N, m, n+1).
+    The map is polynomial, so it is smooth and its tangents are exact; it
+    is a bijection away from a measure-zero set."""
     s = np.atleast_2d(np.asarray(s, dtype=float))
     n = s.shape[1]
     bary = np.ones((s.shape[0], 1))
-    dbary = None if ds is None else np.zeros((s.shape[0], ds.shape[1], 1))
+    dbary = np.zeros((s.shape[0], ds.shape[1], 1))
     for k in range(n):
         sk = s[:, k:k + 1]
-        if ds is not None:
-            dsk = ds[:, :, k:k + 1]
-            # d(b (1 - s_k)) = db (1 - s_k) - b ds_k
-            dbary = np.concatenate(
-                [dbary * (1.0 - sk)[:, None] - bary[:, None] * dsk, dsk],
-                axis=2)
+        dsk = ds[:, :, k:k + 1]
+        # d(b (1 - s_k)) = db (1 - s_k) - b ds_k
+        dbary = np.concatenate(
+            [dbary * (1.0 - sk)[:, None] - bary[:, None] * dsk, dsk], axis=2)
         bary = np.concatenate([bary * (1.0 - sk), sk], axis=1)
     return bary, dbary
 
 
 def bary_to_cube(bary):
-    """Inverse of ``cube_to_bary``, batched: (N, n+1) -> (N, n).
+    """Inverse of the points of ``cube_to_bary_jet``, batched:
+    (N, n+1) -> (N, n).
 
     Peels the cone off from the top: s_n = b_n and the lower coordinates
     are divided by 1 - s_n.  Where |1 - s_k| < 1e-14 (at the apex e_k) the

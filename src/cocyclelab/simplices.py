@@ -8,8 +8,12 @@ construction commutes with the left group action.
 
 Two join flavours are provided: great-circle arcs on a unit sphere, and
 chart arcs ``x * exp(s * log(x^{-1} y))`` in SU(2).  Both join kernels
-also push tangents forward, so a simplex yields its exact derivatives
+always push tangents forward, so a simplex yields its exact derivatives
 along the cube coordinates together with its points.
+
+A map is its grid jet ``evaluate_grid_jet(axes, block)``, which yields
+(points, tangents) blocks; ``evaluate`` and ``evaluate_cube`` take its
+points, and its faces are faces of the cube (see ``quadrature``).
 
 ``join_rows`` is the one simplex evaluator.  It takes one vertex tuple per
 tensor grid of cube coordinates.  Join k reads only the first k
@@ -40,8 +44,7 @@ import numpy as np
 from .errors import DegenerateConfig, IndexOut
 from .groups import (CHART_RADIUS, UnitQuaternion, _chart_exp,
                      _chart_join_jet, _chart_log, _qconj, _qmul, _slerp_jet)
-from .quadrature import (_grid_nodes, bary_to_cube, cube_to_bary,
-                         cube_to_bary_jet)
+from .quadrature import _grid_nodes, bary_to_cube, cube_to_bary_jet
 
 _HULL_TOL = 1e-9  # residual and weight tolerance of in_open_hemisphere
 # in_open_hemisphere decides at most d+1 points by one test when the
@@ -133,9 +136,8 @@ def _origin_in_hull(aug):
 
 
 def _repeat(a, m):
-    """Each row of ``a`` m times in a row (bitwise copies); None stays
-    None."""
-    return a if a is None or m == 1 else np.repeat(a, m, axis=0)
+    """Each row of ``a`` m times in a row (bitwise copies)."""
+    return a if m == 1 else np.repeat(a, m, axis=0)
 
 
 def _fan_out(vertices, axes, k, lo, out, dout):
@@ -154,7 +156,7 @@ def _fan_out(vertices, axes, k, lo, out, dout):
     return _repeat(out, m), _repeat(dout, m), _repeat(tips, m), s.reshape(-1)
 
 
-def join_rows(kind, vertices, axes, jet, block):
+def join_rows(kind, vertices, axes, block):
     """The iterated joins of one vertex tuple per tensor grid of cube
     coordinates, in blocks of rows.
 
@@ -165,11 +167,11 @@ def join_rows(kind, vertices, axes, jet, block):
     first k coordinates, so it runs once per distinct prefix, on R m^k
     rows, and ``np.repeat`` copies each of its rows m times for join k+1.
     The last join runs in blocks of at most ``block`` rows (at least m):
-    the generator yields each block's points (B, d) and, when ``jet`` is
-    true, their tangents (B, n, d), else None.
+    the generator yields each block's points (B, d) and tangents
+    (B, n, d).
 
-    This is the one simplex evaluator.  A ``GeodesicSimplex`` passes its
-    own vertices with one node per axis per row (m = 1, one block); a
+    This is the one simplex evaluator.  ``evaluate_cube`` passes a
+    simplex's own vertices with one node per axis per row (m = 1); a
     stack of simplices passes a grid per simplex and quadrature panel (see
     ``forms.stacked_pullback_integral``).  Every join acts row by row, so
     a row's values do not depend on the other rows, and a node's values
@@ -177,13 +179,13 @@ def join_rows(kind, vertices, axes, jet, block):
     n, m = axes.shape[1:]
     join = _slerp_jet if kind == "spherical" else _chart_join_jet
     out = vertices[:, 0]
-    dout = np.zeros((len(vertices), 0, vertices.shape[2])) if jet else None
+    dout = np.zeros((len(vertices), 0, vertices.shape[2]))
     for k in range(1, n):
         out, dout = join(*_fan_out(vertices, axes, k, 0, out, dout))
     step = max(block // m, 1)
     for lo in range(0, len(out) or 1, step):
         yield join(*_fan_out(vertices, axes, n, lo, out[lo:lo + step],
-                             None if dout is None else dout[lo:lo + step]))
+                             dout[lo:lo + step]))
 
 
 def join_grids(kind, varr, axes, block):
@@ -197,77 +199,68 @@ def join_grids(kind, varr, axes, block):
     chunk = max(block // m ** (n - 1), 1)
     for first in range(0, grids, chunk):
         g = np.arange(first, min(first + chunk, grids))
-        yield from join_rows(kind, varr[g // panels], axes[g % panels], True,
-                             block)
+        yield from join_rows(kind, varr[g // panels], axes[g % panels], block)
+
+
+def _evaluate(self, bary):
+    """Points at barycentric coordinates (N, degree+1): ``evaluate_cube``
+    after ``bary_to_cube``."""
+    bary = np.atleast_2d(np.asarray(bary, dtype=float))
+    if bary.shape[1] != self.degree + 1:
+        raise ValueError(f"expected {self.degree + 1} barycentric coordinates")
+    return self.evaluate_cube(bary_to_cube(bary))
+
+
+def _evaluate_cube(self, s):
+    """Points at iterated-cone cube coordinates (N, degree), where the map
+    is smooth up to the boundary: the grid jet's, one node per row."""
+    s = np.atleast_2d(np.asarray(s, dtype=float))
+    if s.shape[1] != self.degree:
+        raise ValueError(f"expected {self.degree} cube coordinates")
+    return next(self.evaluate_grid_jet(s[:, :, None], len(s)))[0]
+
+
+def _node_blocks(axes, n, block):
+    """The nodes (B, n) of the tensor grids ``axes`` (P, n, m), grid after
+    grid, in blocks of at most ``block`` rows."""
+    size = len(axes) * axes.shape[2] ** n
+    for lo in range(0, size, block):
+        yield _grid_nodes(axes, np.arange(lo, min(lo + block, size)))
 
 
 class ParametrizedMap:
-    """A smooth map from the standard n-simplex, given by one jet.
+    """A smooth map from the standard n-simplex, given by its grid jet.
 
-    It implements the simplex protocol that ``pullback_integral`` needs,
-    as ``GeodesicSimplex`` does: ``degree``, ``evaluate_grid_jet(axes,
-    block)``, which yields points (B, d) and tangents (B, n, d) along the
-    cube coordinates at the nodes of the tensor grids ``axes`` (P, n, m)
-    (grid after grid, each lexicographic with the last axis fastest) in
-    blocks of at most ``block`` rows, and its row case
-    ``evaluate_cube_jet(s)`` at cube coordinates (N, n), one node per axis
-    per row.  The map is given by exactly one of two jets, and anything
-    else raises TypeError:
-
-    * ``jet(bary, dbary)`` takes barycentric coordinates (N, n+1) that
-      move with tangents ``dbary`` (N, m, n+1) and returns the points with
-      their tangents (N, m, d), or the points and None when ``dbary`` is
-      None.  ``evaluate_cube_jet`` composes it with ``cube_to_bary_jet``,
-      and ``evaluate_grid_jet`` runs it on the grids' nodes, row by row.
-    * ``grid_jet(axes, block)`` is ``evaluate_grid_jet`` itself, so the
-      map can share work across a grid.  Its ``evaluate_jet`` maps
-      barycentric coordinates through ``bary_to_cube`` and returns points
-      only: it raises TypeError when asked for tangents.
-
-    ``evaluate`` and ``evaluate_cube`` return the jet's points.
+    ``evaluate_grid_jet(axes, block)`` is ``grid_jet`` itself: it yields
+    points (B, d) and tangents (B, n, d) along the cube coordinates at the
+    nodes of the tensor grids ``axes`` (P, n, m), grid after grid, each
+    lexicographic with the last axis fastest, in blocks of at most
+    ``block`` rows, so the map can share work across a grid.
     """
 
-    def __init__(self, degree, jet=None, grid_jet=None):
-        if (jet is None) == (grid_jet is None):
-            raise TypeError("ParametrizedMap takes exactly one of jet and "
-                            "grid_jet")
+    # bench/tracing.py wraps these through each class's own __dict__
+    evaluate = _evaluate
+    evaluate_cube = _evaluate_cube
+
+    def __init__(self, degree, grid_jet):
         self.degree = degree
-        self._jet = jet
-        self._grid_jet = grid_jet
+        self.evaluate_grid_jet = grid_jet
 
-    def evaluate(self, bary):
-        return self.evaluate_jet(bary, None)[0]
+    @classmethod
+    def from_barycentric(cls, degree, jet):
+        """The map of ``jet(bary, dbary)``, which takes barycentric
+        coordinates (N, n+1) that move with tangents ``dbary`` (N, m, n+1)
+        and returns the points with their tangents (N, m, d).  Its grid jet
+        runs ``jet`` on the grids' nodes, row by row, through
+        ``cube_to_bary_jet``."""
 
-    def evaluate_cube(self, s):
-        s = np.atleast_2d(np.asarray(s, dtype=float))
-        if self._grid_jet is not None:
-            return self.evaluate_cube_jet(s)[0]
-        return self.evaluate(cube_to_bary(s))
+        def grid_jet(axes, block):
+            for s in _node_blocks(axes, degree, block):
+                eye = np.broadcast_to(np.eye(degree),
+                                      (len(s), degree, degree))
+                yield jet(*cube_to_bary_jet(s, eye))
 
-    def evaluate_jet(self, bary, dbary):
-        bary = np.atleast_2d(np.asarray(bary, dtype=float))
-        if self._jet is not None:
-            return self._jet(bary, dbary)
-        if dbary is not None:
-            raise TypeError("a map given by its grid jet has no barycentric "
-                            "tangents")
-        return self.evaluate_cube(bary_to_cube(bary)), None
-
-    def evaluate_cube_jet(self, s):
-        s = np.atleast_2d(np.asarray(s, dtype=float))
-        if self._grid_jet is not None:
-            return next(self._grid_jet(s[:, :, None], len(s)))
-        eye = np.broadcast_to(np.eye(self.degree),
-                              (s.shape[0], self.degree, self.degree))
-        return self._jet(*cube_to_bary_jet(s, eye))
-
-    def evaluate_grid_jet(self, axes, block):
-        if self._grid_jet is not None:
-            return self._grid_jet(axes, block)
-        size = len(axes) * axes.shape[2] ** self.degree
-        return (self.evaluate_cube_jet(
-            _grid_nodes(axes, np.arange(lo, min(lo + block, size))))
-            for lo in range(0, size, block))
+        return cls(degree, grid_jet)
 
     def corner_vertices(self):
         """Images of the barycentric corners, as quaternions."""
@@ -275,15 +268,23 @@ class ParametrizedMap:
         return tuple(UnitQuaternion(p) for p in pts)
 
     def face(self, i):
+        """Face i as a map of degree n-1: the cube face s_i = 0 for i >= 1,
+        s_1 = 1 for i = 0, with the other coordinates in order (see
+        ``quadrature``).  It evaluates this map on its own nodes with that
+        coordinate inserted, row by row, and drops that tangent column."""
+        if self.degree == 0:
+            raise IndexOut("a degree-0 map has no faces")
         if not 0 <= i <= self.degree:
             raise IndexOut(f"face index {i} out of range")
+        col, value = max(i - 1, 0), float(i == 0)
 
-        def jet(bary, dbary):
-            return self.evaluate_jet(
-                np.insert(bary, i, 0.0, axis=1),
-                None if dbary is None else np.insert(dbary, i, 0.0, axis=2))
+        def grid_jet(axes, block):
+            for s in _node_blocks(axes, self.degree - 1, block):
+                s = np.insert(s, col, value, axis=1)
+                x, dx = next(self.evaluate_grid_jet(s[:, :, None], len(s)))
+                yield x, np.delete(dx, col, axis=1)
 
-        return ParametrizedMap(self.degree - 1, jet)
+        return ParametrizedMap(self.degree - 1, grid_jet)
 
 
 class GeodesicSimplex:
@@ -295,6 +296,9 @@ class GeodesicSimplex:
     evaluation points.  ``varr`` (n+1, d) holds the vertex coordinates the
     joins start from: normalized for a spherical simplex.
     """
+
+    evaluate = _evaluate
+    evaluate_cube = _evaluate_cube
 
     def __init__(self, vertices, kind):
         if kind not in ("spherical", "chart"):
@@ -317,39 +321,14 @@ class GeodesicSimplex:
                 arr.append(vec / np.linalg.norm(vec))
             self.varr = np.array(arr)
 
-    def evaluate(self, bary):
-        bary = np.atleast_2d(np.asarray(bary, dtype=float))
-        if bary.shape[1] != self.degree + 1:
-            raise ValueError(
-                f"expected {self.degree + 1} barycentric coordinates")
-        return self.evaluate_cube(bary_to_cube(bary))
-
-    def evaluate_cube(self, s):
-        """Evaluate in iterated-cone cube coordinates (N, degree): the
-        points of ``evaluate_cube_jet``.  ``evaluate`` maps barycentric
-        input through ``bary_to_cube`` first.  In cube coordinates there
-        is no cone division, hence the map is smooth up to the cube
-        boundary."""
-        return self.evaluate_cube_jet(s)[0]
-
-    def evaluate_cube_jet(self, s):
-        """Points (N, d) and exact tangents (N, degree, d) at cube
-        coordinates (N, degree); ``tangents[:, k]`` is d/ds_{k+1}.  This is
-        the grid case of one node per axis per row.
-
-        Each join pushes the tangents of the face point forward and adds
-        its own derivative along its parameter (forward-mode
-        differentiation)."""
-        s = np.atleast_2d(np.asarray(s, dtype=float))
-        if s.shape[1] != self.degree:
-            raise ValueError(f"expected {self.degree} cube coordinates")
-        return next(self.evaluate_grid_jet(s[:, :, None], len(s)))
-
     def evaluate_grid_jet(self, axes, block):
-        """Points and tangents at the nodes of the tensor grids ``axes``
-        (P, degree, m), in blocks of at most ``block`` rows: ``join_grids``
-        on this simplex alone, so join k runs once per distinct prefix of
-        k cube coordinates."""
+        """Points and exact tangents at the nodes of the tensor grids
+        ``axes`` (P, degree, m), in blocks of at most ``block`` rows;
+        ``tangents[:, k]`` is d/ds_{k+1}.  This is ``join_grids`` on this
+        simplex alone, so join k runs once per distinct prefix of k cube
+        coordinates; each join pushes the tangents of the face point
+        forward and adds its own derivative along its parameter
+        (forward-mode differentiation)."""
         return join_grids(self.kind, self.varr[None], axes, block)
 
     def face(self, i):
@@ -403,6 +382,6 @@ def prism_cell(f) -> ParametrizedMap:
             rows = slice(lo, lo + step)
             yield _chart_exp(*(np.repeat(v[rows], m, axis=0)
                                for v in (a, da, z, dz)),
-                             t[rows].reshape(-1), None)
+                             t[rows].reshape(-1))
 
-    return ParametrizedMap(n + 1, grid_jet=grid_jet)
+    return ParametrizedMap(n + 1, grid_jet)

@@ -503,14 +503,12 @@ def _wiggled_simplex(rng, eps=0.08):
         a, b = np.pi * bary[:, 1:2], np.pi * bary[:, 2:3]
         vec = (bary[:, 1:2] * u[0] + bary[:, 2:3] * u[1]
                + bary[:, 3:4] * u[2] + eps * np.sin(a) * np.sin(b) * u[3])
-        if dbary is None:
-            return _qexp_jet(vec, None)
         dwiggle = eps * np.pi * (np.cos(a) * np.sin(b) * dbary[..., 1]
                                  + np.sin(a) * np.cos(b) * dbary[..., 2])
         return _qexp_jet(vec, dbary[..., 1:] @ u[:3]
                          + dwiggle[..., None] * u[3])
 
-    return ParametrizedMap(3, jet)
+    return ParametrizedMap.from_barycentric(3, jet)
 
 
 def _suite_prism(cfg) -> SuiteReport:

@@ -5,14 +5,17 @@ from math import gcd
 import numpy as np
 import pytest
 
-from cocyclelab.errors import (NotWellConfigured, KernelObstruction,
-                               PredicateNotFaceClosed)
+from cocyclelab import finite
+from cocyclelab.cochains import HomogeneousChain
+from cocyclelab.errors import (NotAChainMap, NotWellConfigured,
+                               KernelObstruction, PredicateNotFaceClosed)
 from cocyclelab.finite import (FiniteGroupTable, brute_force_free_rank,
                                build_complex, build_retraction,
                                extend_cocycle, homology)
 from cocyclelab.simplices import all_faces
 from cocyclelab.snf import (SmithSolver, _pivot, rational_rank,
                             smith_normal_form)
+from cocyclelab.suites import run_suite
 
 rng = np.random.default_rng(31)
 
@@ -339,6 +342,33 @@ def test_retraction_identities():
     # spot check: r_3 is the identity on admissible tuples
     for t in c.generators[3][:10]:
         assert mats[3][t].terms == {t: 1}
+
+
+@pytest.mark.parametrize("t, image, message", [
+    ((0, 1), [(2, (0, 1))], "is not the identity on admissible tuples"),
+    ((0, 0), [(1, (0, 0))], "leaves the configured complex"),
+    ((0, 0), [(1, (0, 1))], "is not a chain map")])
+def test_a_corrupted_retraction_fails_its_check(monkeypatch, t, image,
+                                                message):
+    # one image of r_1 is replaced before the checks: build_retraction
+    # raises NotAChainMap, and the suite reports the failed check and
+    # goes on to the extension
+    checked = finite._verify_retraction
+
+    def corrupted(complex_, r, q):
+        r[1][t] = HomogeneousChain(image)
+        checked(complex_, r, q)
+
+    monkeypatch.setattr(finite, "_verify_retraction", corrupted)
+    c = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
+    with pytest.raises(NotAChainMap, match=message):
+        build_retraction(c)
+    checks = {check.id: check
+              for check in run_suite("configured-homology").checks}
+    failed = checks["conf-z5-retraction-identities"]
+    assert not failed.passed
+    assert failed.error == f"NotAChainMap: retraction {message}"
+    assert "conf-z5-extension-coboundary" in checks
 
 
 def test_extension_has_vanishing_coboundary():

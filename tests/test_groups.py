@@ -16,7 +16,7 @@ def random_quat():
 
 
 def log_of(q):
-    return _qlog_jet(q.vec, None)[0]
+    return _qlog_jet(q.vec, np.zeros((0, 4)))[0]
 
 
 def hopf(q):

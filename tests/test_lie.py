@@ -20,7 +20,7 @@ rng = np.random.default_rng(17)
 
 def log_of(q):
     # principal log of a UnitQuaternion, as su(2) coefficients
-    return _qlog_jet(q.vec, None)[0]
+    return _qlog_jet(q.vec, np.zeros((0, 4)))[0]
 
 
 def random_alternating(dim, degree):

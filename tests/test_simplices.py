@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -9,11 +10,12 @@ from cocyclelab.groups import (QUAT_I, QUAT_ONE, LieVector, UnitQuaternion,
                                _chart_exp, _chart_join_jet, _chart_log,
                                _qconj, _qexp_jet, _qlog_jet, _qmul,
                                _slerp_jet, cyclic_embed, quat_exp)
-from cocyclelab.quadrature import IntegralResult, _panel_axes, _panel_rule
+from cocyclelab.quadrature import (IntegralResult, _panel_axes, _panel_rule,
+                                   bary_to_cube)
 from cocyclelab.simplices import (GeodesicSimplex, ParametrizedMap, all_faces,
                                   face, in_open_hemisphere, is_chart_small,
                                   prism_cell, straighten)
-from test_quadrature import barycentric_jet
+from test_quadrature import barycentric_jet, cube_to_bary, row_jet
 
 rng = np.random.default_rng(7)
 
@@ -104,13 +106,14 @@ def test_open_hemisphere():
 
 
 def slerp_join(x, y, s):
-    # one row of the great-circle join kernel
-    return _slerp_jet(x[None], None, y[None], np.array([float(s)]))[0][0]
+    # one row of the great-circle join kernel, with no tangents to carry
+    return _slerp_jet(x[None], np.zeros((1, 0, len(x))), y[None],
+                      np.array([float(s)]))[0][0]
 
 
 def chart_join(x, y, s):
-    # one row of the chart join kernel
-    out = _chart_join_jet(x.vec[None], None, y.vec[None],
+    # one row of the chart join kernel, with no tangents to carry
+    out = _chart_join_jet(x.vec[None], np.zeros((1, 0, 4)), y.vec[None],
                           np.array([float(s)]))[0]
     return UnitQuaternion(out[0])
 
@@ -211,7 +214,6 @@ def test_cube_and_barycentric_evaluations_agree():
     verts = [v / np.linalg.norm(v) for v in
              np.eye(4) + 0.2 * rng.normal(size=(4, 4))]
     sx = GeodesicSimplex(verts, "spherical")
-    from cocyclelab.quadrature import cube_to_bary
     s = rng.uniform(0.05, 0.95, size=(30, 3))
     assert np.abs(sx.evaluate_cube(s)
                   - sx.evaluate(cube_to_bary(s))).max() < 1e-12
@@ -220,7 +222,6 @@ def test_cube_and_barycentric_evaluations_agree():
 @pytest.mark.parametrize("kind", ["spherical", "chart"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_evaluate_is_evaluate_cube_after_bary_to_cube(kind, n):
-    from cocyclelab.quadrature import bary_to_cube
     if kind == "spherical":
         verts = [v / np.linalg.norm(v) for v in
                  np.eye(n + 1, 4) + 0.2 * rng.normal(size=(n + 1, 4))]
@@ -269,19 +270,19 @@ def test_jet_matches_five_point_tangents(kind, n):
                 verts.append(quat_exp(LieVector("su2", v)))
         sx = GeodesicSimplex(verts, kind)
         s = jet_rng.uniform(0.01, 0.99, size=(50, n))
-        x, t = sx.evaluate_cube_jet(s)
+        x, t = row_jet(sx, s)
         assert t.shape == (50, n, x.shape[1])
         assert np.array_equal(x, sx.evaluate_cube(s))
         fd = five_point_tangents(sx.evaluate_cube, s)
         assert np.abs(projected(x, t) - projected(x, fd)).max() < 1e-8
 
 
-def row_joins(kind, vertices, s, jet):
+def row_joins(kind, vertices, s):
     """Reference copy of the row-wise join loop that the grid evaluator
     replaced: every join runs on every row, one cube node per row."""
     n, d = vertices.shape[1] - 1, vertices.shape[2]
     out = vertices[:, 0].copy()
-    dout = np.zeros((s.shape[0], 0, d)) if jet else None
+    dout = np.zeros((s.shape[0], 0, d))
     join = _slerp_jet if kind == "spherical" else _chart_join_jet
     for k in range(1, n + 1):
         out, dout = join(out, dout, vertices[:, k], s[:, k - 1])
@@ -302,19 +303,14 @@ def random_faces(kind, count):
     return [GeodesicSimplex(v, kind) for v in verts]
 
 
-def joined_blocks(kind, vertices, axes, jet, block):
-    blocks = list(simplices.join_rows(kind, vertices, axes, jet, block))
+def joined_blocks(kind, vertices, axes, block):
+    blocks = list(simplices.join_rows(kind, vertices, axes, block))
     assert all(len(x) <= block for x, _ in blocks)
-    x = np.concatenate([x for x, _ in blocks])
-    if not jet:
-        assert all(dx is None for _, dx in blocks)
-        return x, None
-    return x, np.concatenate([dx for _, dx in blocks])
+    return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 def same_bytes(got, expected):
-    return all((a is None and b is None) or a.tobytes() == b.tobytes()
-               for a, b in zip(got, expected))
+    return all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
 
 
 @pytest.mark.parametrize("kind", ["spherical", "chart"])
@@ -331,12 +327,10 @@ def test_grid_joins_are_bitwise_the_row_loop(kind, order, depth):
         varr = np.stack([sx.varr for sx in random_faces(kind, count)])
         rows = np.arange(count * size)
         grids = np.arange(count * panels)
-        for jet in (True, False):
-            expected = row_joins(kind, varr[rows // size],
-                                 nodes[rows % size], jet)
-            got = joined_blocks(kind, varr[grids // panels],
-                                axes[grids % panels], jet, 1024)
-            assert same_bytes(got, expected)
+        expected = row_joins(kind, varr[rows // size], nodes[rows % size])
+        got = joined_blocks(kind, varr[grids // panels],
+                            axes[grids % panels], 1024)
+        assert same_bytes(got, expected)
 
 
 @pytest.mark.parametrize("kind", ["spherical", "chart"])
@@ -347,14 +341,13 @@ def test_row_wise_joins_are_bitwise_the_row_loop(kind):
         faces = random_faces(kind, count)
         varr = np.stack([sx.varr for sx in faces])
         s = rng.uniform(size=(count, 3))
-        for jet in (True, False):
-            expected = row_joins(kind, varr, s, jet)
-            got = joined_blocks(kind, varr, s[:, :, None], jet, count)
-            assert same_bytes(got, expected)
-            rows = np.broadcast_to(faces[0].varr, varr.shape)
-            own = faces[0].evaluate_cube_jet(s) if jet else \
-                (faces[0].evaluate_cube(s), None)
-            assert same_bytes(own, row_joins(kind, rows, s, jet))
+        expected = row_joins(kind, varr, s)
+        got = joined_blocks(kind, varr, s[:, :, None], count)
+        assert same_bytes(got, expected)
+        rows = np.broadcast_to(faces[0].varr, varr.shape)
+        own = row_jet(faces[0], s)
+        assert same_bytes(own, row_joins(kind, rows, s))
+        assert own[0].tobytes() == faces[0].evaluate_cube(s).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["spherical", "chart"])
@@ -365,13 +358,13 @@ def test_jet_of_repeated_vertices(kind):
     first = QUAT_ONE if kind == "chart" else np.eye(4)[0]
     s = np.random.default_rng(5).uniform(0.01, 0.99, size=(30, 2))
     sx = GeodesicSimplex([first, first, far], kind)
-    x, t = sx.evaluate_cube_jet(s)
+    x, t = row_jet(sx, s)
     assert np.array_equal(x, sx.evaluate_cube(s))
     assert np.abs(t[:, 0]).max() == 0.0
     fd = five_point_tangents(sx.evaluate_cube, s)
     assert np.abs(projected(x, t) - projected(x, fd)).max() < 1e-8
     const = GeodesicSimplex([first] * 3, kind)
-    x, t = const.evaluate_cube_jet(s)
+    x, t = row_jet(const, s)
     assert np.abs(t).max() == 0.0
 
 
@@ -390,9 +383,9 @@ def test_barycentric_jet_matches_five_point_tangents():
         verts = [small_quat() for _ in range(4)]
         jet = barycentric_jet(GeodesicSimplex(verts, kind))
         cmat = rng.dirichlet(np.ones(4), size=4)
-        sub = ParametrizedMap(3, lambda b, db: jet(
-            b @ cmat, None if db is None else db @ cmat))
-        assert_jet_matches_five_point(sub.evaluate_cube_jet, sub.evaluate_cube,
+        sub = ParametrizedMap.from_barycentric(
+            3, lambda b, db: jet(b @ cmat, db @ cmat))
+        assert_jet_matches_five_point(partial(row_jet, sub), sub.evaluate_cube,
                                       rng.uniform(0.01, 0.99, size=(50, 3)))
 
 
@@ -403,12 +396,12 @@ def test_wiggled_simplex_and_its_prism_terms_carry_exact_jets():
     for _ in range(2):
         f = _wiggled_simplex(jet_rng)
         assert_jet_matches_five_point(
-            f.evaluate_cube_jet, f.evaluate_cube,
+            partial(row_jet, f), f.evaluate_cube,
             jet_rng.uniform(0.01, 0.99, size=(50, 3)))
         for i in range(4):
             cell = prism_cell(f.face(i))
             assert_jet_matches_five_point(
-                cell.evaluate_cube_jet, cell.evaluate_cube,
+                partial(row_jet, cell), cell.evaluate_cube,
                 jet_rng.uniform(0.01, 0.99, size=(50, 3)))
 
 
@@ -424,59 +417,134 @@ def test_prism_terms_of_chart_simplices_carry_exact_jets(n):
         cell = prism_cell(GeodesicSimplex(verts, "chart"))
         assert cell.degree == n + 1
         assert_jet_matches_five_point(
-            cell.evaluate_cube_jet, cell.evaluate_cube,
+            partial(row_jet, cell), cell.evaluate_cube,
             jet_rng.uniform(0.01, 0.99, size=(40, n + 1)))
 
 
 def test_parametrized_map_takes_exactly_one_jet():
+    # the grid jet; a barycentric jet goes through from_barycentric
     sx = GeodesicSimplex([np.eye(4)[k] for k in range(3)], "spherical")
     with pytest.raises(TypeError):
         ParametrizedMap(2)
     with pytest.raises(TypeError):
         ParametrizedMap(2, barycentric_jet(sx), sx.evaluate_grid_jet)
+    with pytest.raises(TypeError):
+        ParametrizedMap(2, jet=barycentric_jet(sx))
     b = np.random.default_rng(5).dirichlet(np.ones(3), size=20)
-    for m in (ParametrizedMap(2, barycentric_jet(sx)),
-              ParametrizedMap(2, grid_jet=sx.evaluate_grid_jet)):
-        assert np.array_equal(m.evaluate(b), sx.evaluate(b))
+    grid = ParametrizedMap(2, sx.evaluate_grid_jet)
+    assert np.array_equal(grid.evaluate(b), sx.evaluate(b))
+    # cube -> barycentric -> cube again on the way to the simplex
+    bary = ParametrizedMap.from_barycentric(2, barycentric_jet(sx))
+    assert np.abs(bary.evaluate(b) - sx.evaluate(b)).max() < 1e-14
 
 
-def assert_jet_without_tangents_is_points(f, jet_rng):
-    # jet(b, None) gives (points, None), and the points are bitwise those of
-    # the call with tangents and of evaluate
-    b = jet_rng.dirichlet(np.ones(f.degree + 1), size=30)
-    db = jet_rng.normal(size=(30, 2, f.degree + 1))
-    x, none = f.evaluate_jet(b, None)
-    assert none is None
-    assert np.array_equal(x, f.evaluate_jet(b, db)[0])
-    assert np.array_equal(x, f.evaluate(b))
+def assert_points_are_the_grid_jets(m, jet_rng):
+    # evaluate_cube gives the points of the grid jet at one node per axis
+    # per row, and evaluate is evaluate_cube after bary_to_cube, bitwise
+    s = jet_rng.uniform(size=(30, m.degree))
+    assert np.array_equal(m.evaluate_cube(s), row_jet(m, s)[0])
+    b = jet_rng.dirichlet(np.ones(m.degree + 1), size=30)
+    assert np.array_equal(m.evaluate(b), m.evaluate_cube(bary_to_cube(b)))
 
 
 def test_jet_without_tangents_gives_the_points_alone():
+    # evaluate and evaluate_cube, the calls without tangents, are written
+    # once for every map: the points of its grid jet
     from cocyclelab.forms import sphere_atlas
-    from cocyclelab.quadrature import bary_to_cube
     from cocyclelab.suites import _wiggled_simplex
     jet_rng = np.random.default_rng(0xBEEF)
     for kind in ("spherical", "chart"):
         verts = [quat_exp(LieVector("su2", 0.1 * jet_rng.normal(size=3)))
                  for _ in range(4)]
         sx = GeodesicSimplex(verts, kind)
-        m = ParametrizedMap(3, barycentric_jet(sx))
-        assert_jet_without_tangents_is_points(m, jet_rng)
+        m = ParametrizedMap.from_barycentric(3, barycentric_jet(sx))
+        for f in (sx, sx.face(2), m):
+            assert_points_are_the_grid_jets(f, jet_rng)
         b = jet_rng.dirichlet(np.ones(4), size=30)
-        assert np.array_equal(m.evaluate(b), sx.evaluate(b))
+        assert np.abs(m.evaluate(b) - sx.evaluate(b)).max() < 1e-14
     f = _wiggled_simplex(jet_rng)
-    for m in [f] + [f.face(i) for i in range(4)]:
-        assert_jet_without_tangents_is_points(m, jet_rng)
-    # a map given by its grid jet has points only at barycentric coordinates
-    for m in [prism_cell(f.face(0))] + [cell for _, cell in
-                                        sphere_atlas("CP1")[:2]]:
-        b = jet_rng.dirichlet(np.ones(m.degree + 1), size=30)
-        x, none = m.evaluate_jet(b, None)
-        assert none is None
-        assert np.array_equal(x, m.evaluate(b))
-        assert np.array_equal(x, m.evaluate_cube(bary_to_cube(b)))
-        with pytest.raises(TypeError):
-            m.evaluate_jet(b, jet_rng.normal(size=(30, 2, m.degree + 1)))
+    for m in [f, f.face(1).face(0), prism_cell(f.face(0))] + \
+            [f.face(i) for i in range(4)] + \
+            [cell for _, cell in sphere_atlas("CP1")[:2]]:
+        assert_points_are_the_grid_jets(m, jet_rng)
+
+
+@pytest.mark.parametrize("kind", ["spherical", "chart", "map"])
+def test_maps_check_their_coordinates_and_face_indices(kind):
+    verts = [small_quat() for _ in range(4)]
+    m = GeodesicSimplex(verts, "spherical" if kind == "spherical" else
+                        "chart")
+    if kind == "map":
+        m = ParametrizedMap.from_barycentric(3, barycentric_jet(m))
+    for bad in (np.eye(5), np.eye(3), np.full((2, 3), 0.25)):
+        with pytest.raises(ValueError):
+            m.evaluate(bad)
+    for bad in (np.full((2, 4), 0.5), np.full((2, 2), 0.5), [0.5]):
+        with pytest.raises(ValueError):
+            m.evaluate_cube(bad)
+    for i in (-1, 4):
+        with pytest.raises(IndexOut):
+            m.face(i)
+    point = m.face(0).face(1).face(0)
+    assert point.degree == 0
+    with pytest.raises(IndexOut):
+        point.face(0)
+
+
+def wiggle_jet(rng, eps=0.08):
+    """Test-side copy of the barycentric jet of the prism suite's wiggled
+    simplex, drawing from ``rng`` as ``suites._wiggled_simplex`` does."""
+    u = rng.normal(size=(4, 3))
+    u *= 0.18 / np.linalg.norm(u, axis=1, keepdims=True)
+
+    def jet(bary, dbary):
+        a, b = np.pi * bary[:, 1:2], np.pi * bary[:, 2:3]
+        vec = (bary[:, 1:2] * u[0] + bary[:, 2:3] * u[1]
+               + bary[:, 3:4] * u[2] + eps * np.sin(a) * np.sin(b) * u[3])
+        dwiggle = eps * np.pi * (np.cos(a) * np.sin(b) * dbary[..., 1]
+                                 + np.sin(a) * np.cos(b) * dbary[..., 2])
+        return _qexp_jet(vec, dbary[..., 1:] @ u[:3]
+                         + dwiggle[..., None] * u[3])
+
+    return jet
+
+
+def barycentric_face(jet, degree, i):
+    """Reference copy of the barycentric face that ``ParametrizedMap.face``
+    replaced: the jet of a degree-``degree`` map with 0 inserted at
+    position i into the barycentric coordinates and their tangents."""
+    return ParametrizedMap.from_barycentric(degree - 1, lambda b, db: jet(
+        np.insert(b, i, 0.0, axis=1), np.insert(db, i, 0.0, axis=2)))
+
+
+def grid_blocks(m, axes, block):
+    return tuple(np.concatenate(part)
+                 for part in zip(*m.evaluate_grid_jet(axes, block)))
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("order", [6, 8, 10])
+def test_cube_faces_are_bitwise_the_barycentric_faces(order, depth):
+    # face i is the cube face s_i = 0 (i >= 1) or s_1 = 1 (i = 0): on the
+    # rule level's grids it gives bitwise the points and tangents of the
+    # barycentric face, for the suite's wiggled map and a simplex's jet
+    from cocyclelab.forms import _JET_CHUNK
+    from cocyclelab.suites import _wiggled_simplex
+    face_rng = np.random.default_rng(order + 10 * depth)
+    jet = wiggle_jet(np.random.default_rng(0x5EED))
+    wiggled = _wiggled_simplex(np.random.default_rng(0x5EED))
+    s = face_rng.uniform(size=(40, 3))
+    assert same_bytes(row_jet(wiggled, s),
+                      row_jet(ParametrizedMap.from_barycentric(3, jet), s))
+    sx = GeodesicSimplex([small_quat() for _ in range(4)], "chart")
+    axes = _panel_axes(2, order, depth)
+    for jet in (jet, barycentric_jet(sx)):
+        f = ParametrizedMap.from_barycentric(3, jet)
+        for i in range(4):
+            got = grid_blocks(f.face(i), axes, _JET_CHUNK)
+            assert got[1].shape == (len(axes) * order ** 2, 2, 4)
+            assert same_bytes(got, grid_blocks(barycentric_face(jet, 3, i),
+                                               axes, _JET_CHUNK))
 
 
 @pytest.mark.parametrize("name", ["conjugate", "twisted-square"])
@@ -489,10 +557,11 @@ def test_compose_maps_carry_exact_jets_on_atlas_cells(name):
         jet = make(base)
         for _, cell in sphere_atlas("S3")[::5]:
             # the cell's cube jet composed with the map's, as in
-            # sphere_integral(compose=...)
+            # sphere_integral(compose=...); the points come with no tangents
             assert_jet_matches_five_point(
-                lambda s, _c=cell: jet(*_c.evaluate_cube_jet(s)),
-                lambda s, _c=cell: jet(_c.evaluate_cube(s), None)[0],
+                lambda s, _c=cell: jet(*row_jet(_c, s)),
+                lambda s, _c=cell: jet(_c.evaluate_cube(s),
+                                       np.zeros((len(s), 0, 4)))[0],
                 jet_rng.uniform(0.01, 0.99, size=(40, 3)))
 
 
@@ -513,7 +582,7 @@ def test_straighten_idempotent_and_vertex_preserving():
     pts = rng.dirichlet(np.ones(3), size=30)
     assert np.abs(sx.evaluate(pts) - again.evaluate(pts)).max() < 1e-12
 
-    wig = ParametrizedMap(2, barycentric_jet(sx))
+    wig = ParametrizedMap.from_barycentric(2, barycentric_jet(sx))
     st = straighten(wig)
     for i, v in enumerate(verts):
         assert np.allclose(st.evaluate(corner(2, i))[0], v.vec, atol=1e-12)
@@ -523,8 +592,8 @@ def test_straighten_idempotent_and_vertex_preserving():
     def point(b):
         return np.broadcast_to(g.vec, (b.shape[0], 4)).copy()
 
-    const = ParametrizedMap(2, lambda b, db: (
-        point(b), None if db is None else np.zeros(db.shape[:2] + (4,))))
+    const = ParametrizedMap.from_barycentric(2, lambda b, db: (
+        point(b), np.zeros(db.shape[:2] + (4,))))
     st_const = straighten(const)
     assert np.abs(st_const.evaluate(pts) - g.vec).max() < 1e-12
 
@@ -542,8 +611,7 @@ def prism_chain(f) -> list:
     barycentric jets of f and of straighten(f) and that of the chart
     join."""
     n = f.degree
-    f_jet = f.evaluate_jet if isinstance(f, ParametrizedMap) \
-        else barycentric_jet(f)
+    f_jet = barycentric_jet(f)
     str_jet = barycentric_jet(straighten(f))
 
     terms = []
@@ -556,14 +624,14 @@ def prism_chain(f) -> list:
             tvec[k] = 0.0 if k <= j else 1.0
 
         def jet(bary, dbary, _vmat=vmat, _tvec=tvec):
-            du, dt = (None, None) if dbary is None else \
-                (dbary @ _vmat, dbary @ _tvec)
-            u = bary @ _vmat
+            u, du = bary @ _vmat, dbary @ _vmat
             a, da = f_jet(u, du)
             b, db = str_jet(u, du)
-            return _chart_join_jet(a, da, b, bary @ _tvec, dy=db, ds=dt)
+            return reference_chart_join_jet(a, da, b, bary @ _tvec, dy=db,
+                                            ds=dbary @ _tvec)
 
-        terms.append(((-1) ** j, ParametrizedMap(n + 1, jet)))
+        terms.append(((-1) ** j, ParametrizedMap.from_barycentric(n + 1,
+                                                                   jet)))
     return terms
 
 
@@ -609,46 +677,40 @@ def test_prism_cell_integrates_as_the_triangulated_prism(order):
 
 def reference_chart_join_jet(x, dx, y, s, dy=None, ds=None):
     """Reference copy of the chart join kernel as one function, before its
-    split into ``_chart_log`` and ``_chart_exp``."""
-    dd = None
-    if dx is not None:
-        dd = _qmul(_qconj(dx), y[:, None])
-        if dy is not None:
-            dd += _qmul(_qconj(x)[:, None], dy)
+    split into ``_chart_log`` and ``_chart_exp``.  ``dy`` (N, m, 4) and
+    ``ds`` (N, m) optionally move the tip and the parameter along the m
+    parameters of ``dx``; given ``ds``, the derivative along s is part of
+    those m and no column is appended."""
+    dd = _qmul(_qconj(dx), y[:, None])
+    if dy is not None:
+        dd += _qmul(_qconj(x)[:, None], dy)
     z, dz = _qlog_jet(_qmul(_qconj(x), y), dd)
-    dv = None
-    if dx is not None:
-        dv = s[:, None, None] * dz
-        dv = np.concatenate([dv, z[:, None]], axis=1) if ds is None \
-            else dv + ds[..., None] * z[:, None]
+    dv = s[:, None, None] * dz
+    dv = np.concatenate([dv, z[:, None]], axis=1) if ds is None \
+        else dv + ds[..., None] * z[:, None]
     e, de = _qexp_jet(s[..., None] * z, dv)
     out = _qmul(x, e)
-    if dx is None:
-        return out, None
     dout = _qmul(x[:, None], de)
     dout[:, :dx.shape[1]] += _qmul(dx, e[:, None])
     return out, dout
 
 
 def test_chart_exp_of_chart_log_is_bitwise_the_chart_join():
-    # with and without tangents of the tip and of the parameter; rows
-    # that repeat a vertex take the log at the identity
+    # with and without tangents of the tip, and with no tangents to carry
+    # (m = 0); rows that repeat a vertex take the log at the identity
     for rows in (1, 7, 300):
         x = np.stack([small_quat().vec for _ in range(rows)])
         y = np.stack([small_quat().vec for _ in range(rows)])
         y[::3] = x[::3]
         s = rng.uniform(size=rows)
-        dx = rng.normal(size=(rows, 2, 4))
         dy = rng.normal(size=(rows, 2, 4))
-        ds = rng.normal(size=(rows, 2))
-        for args in ((None, None, None), (dx, None, None), (dx, dy, None),
-                     (dx, None, ds), (dx, dy, ds)):
-            d_x, d_y, d_s = args
-            expected = reference_chart_join_jet(x, d_x, y, s, d_y, d_s)
-            split = _chart_exp(x, d_x, *_chart_log(x, d_x, y, d_y), s, d_s)
-            assert same_bytes(split, expected)
-            assert same_bytes(_chart_join_jet(x, d_x, y, s, dy=d_y, ds=d_s),
-                              expected)
+        for dx in (rng.normal(size=(rows, 2, 4)), np.zeros((rows, 0, 4))):
+            for d_y in (None, dy[:, :dx.shape[1]]):
+                expected = reference_chart_join_jet(x, dx, y, s, d_y)
+                split = _chart_exp(x, dx, *_chart_log(x, dx, y, d_y), s)
+                assert same_bytes(split, expected)
+            assert same_bytes(_chart_join_jet(x, dx, y, s),
+                              reference_chart_join_jet(x, dx, y, s))
 
 
 def row_prism_jet(f, s):
@@ -657,9 +719,9 @@ def row_prism_jet(f, s):
     joined there by the chart join."""
     strf = straighten(f)
     u = s[:, :-1]
-    a, da = f.evaluate_cube_jet(u)
+    a, da = row_jet(f, u)
     rows = np.broadcast_to(strf.varr, (len(s),) + strf.varr.shape)
-    b, db = row_joins("chart", rows, u, True)
+    b, db = row_joins("chart", rows, u)
     return reference_chart_join_jet(a, da, b, s[:, -1], dy=db)
 
 
@@ -696,13 +758,14 @@ def test_prism_cell_evaluates_its_face_once_per_base_point(monkeypatch):
     face_map = _wiggled_simplex(np.random.default_rng(3)).face(1)
     seen = {"face": 0, "straight": 0, "exp": 0}
 
-    def face_jet(bary, dbary):
-        seen["face"] += len(bary)
-        return face_map.evaluate_jet(bary, dbary)
+    def face_jet(axes, block):
+        for x, dx in face_map.evaluate_grid_jet(axes, block):
+            seen["face"] += len(x)
+            yield x, dx
 
-    def joins(kind, vertices, axes, jet, block):
+    def joins(kind, vertices, axes, block):
         seen["straight"] += axes.shape[0] * axes.shape[2] ** axes.shape[1]
-        return real_join_rows(kind, vertices, axes, jet, block)
+        return real_join_rows(kind, vertices, axes, block)
 
     def chart_exp(x, *args):
         seen["exp"] += len(x)

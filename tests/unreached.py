@@ -5,9 +5,10 @@ Runs every ``verify`` suite once through ``run_suite`` at the smallest
 counts under a ``sys.setprofile`` hook, then compares the code objects
 that were entered with every top-level function and class-body method in
 the package's modules.  A name that was never entered and is not on
-``ALLOWED`` below is printed, and the script exits 1; an ``ALLOWED`` entry
-that names nothing in the package exits 1 too.  Run it from the root of a
-source checkout:
+``ALLOWED`` below is printed, and the script exits 1.  An ``ALLOWED``
+entry that names nothing in the package, or a function that the suites do
+enter, exits 1 too, so the list cannot go stale.  Run it from the root of
+a source checkout:
 
     python tests/unreached.py
 
@@ -38,21 +39,6 @@ ALLOWED_MODULES = {
 
 # "module.qualname": why it may stay unreached, one line each
 ALLOWED = {
-    # the benchmark's tracer wraps these through owner.__dict__[attr], so
-    # removing one breaks every traced benchmark run
-    "simplices.GeodesicSimplex.evaluate":
-        "wrapped by bench/tracing.py as simplices.evaluate_bary",
-    "simplices.GeodesicSimplex.evaluate_cube":
-        "wrapped by bench/tracing.py as simplices.evaluate_cube",
-    "simplices.ParametrizedMap.evaluate_cube":
-        "wrapped by bench/tracing.py as simplices.evaluate_cube",
-    "simplices.GeodesicSimplex.evaluate_cube_jet":
-        "the row case of evaluate_grid_jet; GeodesicSimplex.evaluate_cube, "
-        "which bench/tracing.py wraps, returns its points",
-    "quadrature.bary_to_cube":
-        "GeodesicSimplex.evaluate's map from barycentric coordinates",
-    "quadrature.cube_to_bary":
-        "ParametrizedMap.evaluate_cube's map to barycentric coordinates",
     # accessors and small conveniences of the value types
     "groups.UnitQuaternion.w": "coordinate accessor",
     "groups.UnitQuaternion.x": "coordinate accessor",
@@ -140,6 +126,8 @@ def main():
     seen = reached_code()
     known = set(names.values())
     stale = sorted(set(ALLOWED) - known)
+    reached = sorted(qual for key, qual in names.items()
+                     if key in seen and qual in ALLOWED)
     unreached = sorted(
         qual for key, qual in names.items()
         if key not in seen and qual not in ALLOWED
@@ -148,9 +136,11 @@ def main():
         print(f"unreached: {qual}")
     for qual in stale:
         print(f"allowed but not defined: {qual}")
+    for qual in reached:
+        print(f"allowed but reached: {qual}")
     print(f"{len(names)} functions and methods, "
           f"{len(unreached)} unreached and not allowed")
-    return 1 if unreached or stale else 0
+    return 1 if unreached or stale or reached else 0
 
 
 if __name__ == "__main__":
