@@ -47,12 +47,11 @@ def reduce_mod(value, lattice):
     return value % lattice
 
 
-def circle_distance(a, b, lattice=1.0):
-    """Distance between a and b on the circle R / lattice*Z."""
-    if lattice == 0:
-        return abs(a - b)
-    d = (a - b) % lattice
-    return min(d, lattice - d)
+def circle_distance(a, b):
+    """Distance between a and b on the circle R / Z; exact for exact
+    arguments."""
+    d = (a - b) % 1
+    return min(d, 1 - d)
 
 
 class HomogeneousCochain:
@@ -346,5 +345,5 @@ def degree_of_map(map_fn, quad: QuadratureSpec | None = None):
     ``(x, dx) -> (y, dy)``, as the integral of the pulled-back normalized
     volume form."""
     quad = quad or QuadratureSpec(order=10, tol=1e-4)
-    res = sphere_integral(vol_form("S3", 1.0), "S3", quad, compose=map_fn)
+    res = sphere_integral(vol_form(), "S3", quad, compose=map_fn)
     return res.value

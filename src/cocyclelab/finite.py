@@ -36,8 +36,7 @@ class FiniteGroupTable:
         self.elements = tuple(range(self.order))
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
-        if self.order <= 24:
-            self._check_associativity()
+        self._check_associativity()
 
     def _find_identity(self):
         for e in self.elements:
@@ -208,7 +207,7 @@ def _image_of_boundary(r_prev, t) -> HomogeneousChain:
     return out
 
 
-def build_retraction(complex_: ConfiguredComplex, q: int | None = None):
+def build_retraction(complex_: ConfiguredComplex):
     """Chain map from the full tuple complex onto the configured one.
 
     Returns r_0..r_q, where r_n is a dict from every (n+1)-tuple of group
@@ -221,9 +220,7 @@ def build_retraction(complex_: ConfiguredComplex, q: int | None = None):
     Raises NotWellConfigured when the configured complex is not exact in
     the degrees the induction needs.
     """
-    q = complex_.q if q is None else q
-    if q > complex_.q:
-        raise ValueError("retraction degree exceeds the built complex")
+    q = complex_.q
     group = complex_.group
     h0 = homology(complex_, 0)
     if h0.free_rank != 1 or h0.torsion:
@@ -303,7 +300,7 @@ def extend_cocycle(complex_: ConfiguredComplex, values, retraction=None
         if pairing != 0:
             raise KernelObstruction(
                 f"cochain does not vanish on the kernel vector {kvec}")
-    r = build_retraction(complex_, q) if retraction is None else retraction
+    r = build_retraction(complex_) if retraction is None else retraction
     index = complex_.index[q]
     table = {t: sum(c * vals[index[s]] for s, c in image.terms.items())
              for t, image in r[q].items()}

@@ -3,13 +3,14 @@
 Forms are alternating evaluators ``(points, tangents) -> values`` acting on
 batches.  Pullback integration hands a map the tensor grids of each rule
 level, one per quadrature panel, and takes the points and exact tangents
-at their nodes from its ``evaluate_grid_jet``, in blocks of nodes, so the
-map can share work across a grid: a geodesic simplex runs each join once
-per distinct prefix of cube coordinates, and a prism cell evaluates its
-face, the straightening and the log of the chart join once per distinct
-base point.  It projects the tangents onto the sphere and integrates in
-iterated-cone cube coordinates with a tensor Gauss-Legendre rule,
-estimating the error from two rule orders and the rounding of the sum.
+at their nodes from its ``evaluate_grid_jet``, in blocks of at most
+``simplices._BLOCK_ROWS`` nodes, so the map can share work across a
+grid: a geodesic simplex runs each join once per distinct prefix of cube
+coordinates, and a prism cell evaluates its face, the straightening and
+the log of the chart join once per distinct base point.  It projects the
+tangents onto the sphere and integrates in iterated-cone cube coordinates
+with a tensor Gauss-Legendre rule, estimating the error from two rule
+orders and the rounding of the sum.
 
 ``stacked_pullback_integral`` integrates one form over several geodesic
 simplices of one kind in one join pass, the faces of a batch of
@@ -17,8 +18,8 @@ coboundaries or the terms of a pairing, and sums each simplex on its own.
 It gives ``join_grids`` one tensor grid per simplex and quadrature panel.
 
 Whole-sphere integrals use fixed atlases: the 16 orthant tetrahedra for
-S^3, and the 20 icosahedral triangles for S^2 (scaled by 1/2 for the
-projective-line model).
+S^3, and for the projective line CP1 the 20 icosahedral triangles of S^2
+scaled by 1/2 to its radius-1/2 sphere model.
 
 The 16 orthant cells are the positive orthant reflected by their vertex
 signs, so one join pass on a rule level's grids gives every cell's jet.  A
@@ -38,25 +39,12 @@ from itertools import combinations, product
 
 import numpy as np
 
+from . import simplices as _simplices
 from .groups import _perm_signs, _qconj, _qmul
 from .quadrature import (IntegralResult, QuadratureSpec, _panel_axes,
                          _panel_rule, integrate_on_cube,
                          integrate_stack_on_cube)
 from .simplices import GeodesicSimplex, ParametrizedMap, join_grids
-
-# quadrature nodes per jet evaluation: the (N, n, d) tangents and the join
-# kernels' temporaries scale with it, and one batch of 8000 nodes costs
-# several MB of peak memory
-_JET_CHUNK = 2048
-
-# rows per block of stacked_pullback_integral: a chunk of grids has at
-# most this many rows at its next-to-last join, and the last join and the
-# form run in blocks of at most this many.  A face at order 6 has 36 and
-# 64 rows per grid at its second join and 216 and 512 at its last, per
-# rule level.  In process, cocycle-defect at 24 tuples and then cs-pairing
-# peak at 38.9 MB with 512 rows, 39.2 MB with 1024, 40.1 MB with 2048 and
-# 76.4 MB with no cap
-_STACK_ROWS = 1024
 
 # base form -> {(sphere, rule order, depth): (table, cells)}, filled by
 # ``_atlas_density``; weak keys, so the entries of a base that is no
@@ -92,8 +80,6 @@ class DifferentialForm:
     def evaluate(self, points, tangents):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         tangents = np.asarray(tangents, dtype=float)
-        if tangents.ndim == 2:
-            tangents = tangents[None, :, :]
         if tangents.shape[1] != self.degree:
             raise ValueError(
                 f"form of degree {self.degree} got {tangents.shape[1]} "
@@ -105,27 +91,15 @@ def _det_rows(*rows):
     return np.linalg.det(np.stack(rows, axis=-2))
 
 
-def vol_form(sphere: str, total: float) -> DifferentialForm:
-    """Rotation-invariant top form on the unit sphere with the given total
-    integral."""
-    if total <= 0:
-        raise ValueError("total must be positive")
-    if sphere == "S3":
-        factor = total / (2.0 * np.pi ** 2)
+def vol_form() -> DifferentialForm:
+    """Rotation-invariant volume form on the unit 3-sphere, normalized to
+    total integral 1."""
+    factor = 1.0 / (2.0 * np.pi ** 2)
 
-        def ev3(p, t):
-            return factor * _det_rows(p, t[:, 0], t[:, 1], t[:, 2])
+    def ev(p, t):
+        return factor * _det_rows(p, t[:, 0], t[:, 1], t[:, 2])
 
-        return DifferentialForm(3, "S3", ev3)
-    if sphere == "S2":
-        factor = total / (4.0 * np.pi)
-
-        def ev2(p, t):
-            return factor * np.einsum(
-                "ni,ni->n", p, np.cross(t[:, 0], t[:, 1]))
-
-        return DifferentialForm(2, "S2", ev2)
-    raise ValueError(f"unknown sphere {sphere!r}")
+    return DifferentialForm(3, "S3", ev)
 
 
 def symplectic_form_value(points, a, b):
@@ -194,18 +168,17 @@ def pullback_integral(form: DifferentialForm, simplex,
                       quad: QuadratureSpec | None = None) -> IntegralResult:
     """Integral of the form over a parametrized simplex.
 
-    ``simplex`` is anything with ``degree`` and ``evaluate_grid_jet(axes,
-    block)``, as ``GeodesicSimplex`` and ``ParametrizedMap`` provide: it
-    takes the per-panel axes (P, degree, m) of a rule level and yields the
-    points (B, d) and exact tangents (B, degree, d) at its nodes, in
-    ``_panel_rule`` order, in blocks of at most ``_JET_CHUNK`` rows.  So a
-    map can share work across the tensor grid of each panel: a geodesic
-    simplex runs each join once per distinct prefix of cube coordinates,
-    and a prism cell evaluates its face and straightening once per
-    distinct base point.  The integral runs in cube coordinates with the
-    tangents projected to the sphere.  The error estimate is the
-    rule-order difference plus the rounding bound of the quadrature sum
-    (``integrate_on_cube``)."""
+    ``simplex`` is anything with ``degree`` and ``evaluate_grid_jet(axes)``,
+    as ``GeodesicSimplex`` and ``ParametrizedMap`` provide: it takes the
+    per-panel axes (P, degree, m) of a rule level and yields the points
+    (B, d) and exact tangents (B, degree, d) at its nodes, in
+    ``_panel_rule`` order, in blocks of rows.  So a map can share work
+    across the tensor grid of each panel: a geodesic simplex runs each
+    join once per distinct prefix of cube coordinates, and a prism cell
+    evaluates its face and straightening once per distinct base point.
+    The integral runs in cube coordinates with the tangents projected to
+    the sphere.  The error estimate is the rule-order difference plus the
+    rounding bound of the quadrature sum (``integrate_on_cube``)."""
     quad = quad or QuadratureSpec()
     n = simplex.degree
     if form.degree != n:
@@ -213,8 +186,7 @@ def pullback_integral(form: DifferentialForm, simplex,
             f"form degree {form.degree} != simplex degree {n}")
 
     def integrand(s, axes):
-        return _densities(form, simplex.evaluate_grid_jet(axes, _JET_CHUNK),
-                          s.shape[0])
+        return _densities(form, simplex.evaluate_grid_jet(axes), s.shape[0])
 
     return integrate_on_cube(integrand, n, quad)
 
@@ -228,9 +200,8 @@ def stacked_pullback_integral(form: DifferentialForm, simplices,
     ``join_grids``, so join k runs once per distinct prefix of k cube
     coordinates.  The grids are simplex-major, so the rows of the pass are
     too: row r is simplex r // N at cube node r % N of the N nodes of a
-    rule level.  A chunk of grids has at most ``_STACK_ROWS`` rows at the
-    next-to-last join, and the last join and the form run in blocks of at
-    most ``_STACK_ROWS`` rows.  Each simplex's values are then summed on
+    rule level.  The last join and the form run in blocks of rows (see
+    ``simplices._BLOCK_ROWS``).  Each simplex's values are then summed on
     their own (``integrate_stack_on_cube``).  The joins act row by row, so
     for a form that does too, as every form of this module does, each
     result is bitwise the one ``pullback_integral`` gives for that
@@ -246,7 +217,7 @@ def stacked_pullback_integral(form: DifferentialForm, simplices,
     varr = np.stack([sx.varr for sx in simplices])
 
     def integrand(s, axes):
-        return _densities(form, join_grids(kind, varr, axes, _STACK_ROWS),
+        return _densities(form, join_grids(kind, varr, axes),
                           len(varr) * s.shape[0]).reshape(len(varr), -1)
 
     return integrate_stack_on_cube(integrand, n, quad)
@@ -277,10 +248,10 @@ def _icosahedron_faces():
     return verts, tuple(sorted(faces))
 
 
-def _half_scale(simplex, axes, block):
+def _half_scale(simplex, axes):
     """The grid jet of a simplex on the unit sphere, scaled to the
     radius-1/2 model of the projective line."""
-    for x, dx in simplex.evaluate_grid_jet(axes, block):
+    for x, dx in simplex.evaluate_grid_jet(axes):
         yield 0.5 * x, 0.5 * dx
 
 
@@ -298,15 +269,12 @@ def sphere_atlas(sphere: str):
             cells.append((int(np.prod(signs)),
                           GeodesicSimplex(verts, "spherical")))
         return tuple(cells)
-    if sphere in ("S2", "CP1"):
+    if sphere == "CP1":
         verts, faces = _icosahedron_faces()
-        cells = []
-        for tri in faces:
-            cell = GeodesicSimplex([verts[t] for t in tri], "spherical")
-            if sphere == "CP1":
-                cell = ParametrizedMap(2, partial(_half_scale, cell))
-            cells.append((1, cell))
-        return tuple(cells)
+        return tuple(
+            (1, ParametrizedMap(2, partial(_half_scale, GeodesicSimplex(
+                [verts[t] for t in tri], "spherical"))))
+            for tri in faces)
     raise ValueError(f"unknown sphere {sphere!r}")
 
 
@@ -323,8 +291,8 @@ def _orthant_signs():
 
 def _atlas_jets(sphere, axes):
     """Each atlas cell's points (B, d) and tangents (B, n, d) at the nodes
-    of the rule level with per-panel axes ``axes``, in blocks of at most
-    ``_JET_CHUNK`` nodes, as (cell index, first node, points, tangents).
+    of the rule level with per-panel axes ``axes``, in the blocks of the
+    grid jets, as (cell index, first node, points, tangents).
 
     On S^3 the positive orthant's grid jet is evaluated once, and per block
     the cell with vertex signs ``sg``, diag(sg) applied to that orthant,
@@ -332,18 +300,17 @@ def _atlas_jets(sphere, axes):
     every coordinate alike, so these are the cell's own points, bitwise,
     and its own tangents up to the sign of zero entries (a join's 0 - 0 is
     +0.0 whatever the signs); the forms of this package give bitwise the
-    densities of the cell's own jet.  The CP1 and S2 cells have no bitwise
+    densities of the cell's own jet.  The CP1 cells have no bitwise
     symmetry, and each evaluates its own grid jet, one cell after the
     other."""
     if sphere != "S3":
         for i, (_, cell) in enumerate(sphere_atlas(sphere)):
-            for lo, x, dx in _offsets(cell.evaluate_grid_jet(axes,
-                                                             _JET_CHUNK)):
+            for lo, x, dx in _offsets(cell.evaluate_grid_jet(axes)):
                 yield i, lo, x, dx
         return
     signs, positive = _orthant_signs()
     orthant = sphere_atlas("S3")[positive][1]
-    for lo, x, dx in _offsets(orthant.evaluate_grid_jet(axes, _JET_CHUNK)):
+    for lo, x, dx in _offsets(orthant.evaluate_grid_jet(axes)):
         for i, sg in enumerate(signs):
             yield i, lo, sg * x, sg * dx
 
@@ -391,8 +358,8 @@ def _atlas_density(sphere, base, order, depth):
 def _cached_values(fn, base, sphere, quad):
     """``values(s, axes)``: the integrand of ``base.times(fn)`` at the
     nodes ``s`` of a rule level, as (cell index, first node, values) per
-    cell and chunk of ``_JET_CHUNK`` nodes, reading the points and the
-    density of ``base`` from ``_atlas_density``."""
+    cell and chunk of ``simplices._BLOCK_ROWS`` nodes, reading the points
+    and the density of ``base`` from ``_atlas_density``."""
     # the two rule levels differ in their node counts
     levels = {}
     for order in quad.orders:
@@ -401,8 +368,9 @@ def _cached_values(fn, base, sphere, quad):
 
     def values(s, _):
         table, cells = levels[s.shape[0]]
-        for lo in range(0, s.shape[0], _JET_CHUNK):
-            hi = lo + _JET_CHUNK
+        block = _simplices._BLOCK_ROWS
+        for lo in range(0, s.shape[0], block):
+            hi = lo + block
             for i, (signs, points, density) in enumerate(cells):
                 x = points[lo:hi] if table is None else signs * table[lo:hi]
                 yield i, lo, fn(x) * density[lo:hi]
@@ -422,7 +390,7 @@ def sphere_integral(form: DifferentialForm, sphere: str,
     under the map.
 
     The atlas cells are the rows of one ``integrate_stack_on_cube``.  Its
-    integrand fills them in blocks of at most ``_JET_CHUNK`` nodes, and
+    integrand fills them in blocks of nodes, and
     calls the form (and ``compose``) once per cell and block.  Without
     ``compose``, a factored form (``base.times(fn)``) reads the atlas
     points and the density of its base from a per-process cache (see

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadOrder, DegenerateConfig
 
-CHART_RADIUS = 0.5  # default convexity radius (radians) for chart-based joins
+CHART_RADIUS = 0.5  # convexity radius (radians) of the chart-based joins
 _ANTIPODE_TOL = 1e-12
 
 
@@ -31,9 +31,6 @@ def _perm_signs(n):
     return tuple((p, (-1) ** sum(1 for i in range(n) for j in range(i + 1, n)
                                  if p[i] > p[j]))
                  for p in permutations(range(n)))
-
-
-_SU2_BASIS = ("i", "j", "k")
 
 
 def _qmul(a, b):

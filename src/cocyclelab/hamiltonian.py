@@ -22,8 +22,6 @@ from .forms import (fubini_study_form, sphere_integral,
                     symplectic_form_value)
 from .quadrature import QuadratureSpec
 
-SPHERE_RADIUS = 0.5
-
 
 class SphereFunction:
     """Polynomial in the ambient coordinates (x, y, z), restricted to the

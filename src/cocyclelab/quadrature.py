@@ -132,6 +132,8 @@ def _grid_nodes(axes, rows):
     ``axes`` (P, n, m), whose m^n nodes each come grid after grid,
     lexicographic with the last axis fastest."""
     n, m = axes.shape[1:]
+    if n == 0:
+        return np.empty((len(rows), 0))
     grid, node = np.divmod(rows, m ** n)
     index = np.stack(np.unravel_index(node, (m,) * n), axis=-1)
     return axes[grid[:, None], np.arange(n), index]
@@ -202,8 +204,8 @@ def integrate_on_cube(integrand, n, spec: QuadratureSpec) -> IntegralResult:
         lambda s, axes: integrand(s, axes)[None], n, spec)[0]
 
 
-def gauss_legendre_circle(f, n_points=64):
-    """Deterministic line integral of f over [0, 2*pi]."""
-    x, w = np.polynomial.legendre.leggauss(n_points)
+def gauss_legendre_circle(f):
+    """Deterministic line integral of f over [0, 2*pi], at 64 nodes."""
+    x, w = np.polynomial.legendre.leggauss(64)
     t = np.pi * (x + 1.0)
     return float(np.pi * np.dot(w, f(t)))

@@ -11,9 +11,10 @@ chart arcs ``x * exp(s * log(x^{-1} y))`` in SU(2).  Both join kernels
 always push tangents forward, so a simplex yields its exact derivatives
 along the cube coordinates together with its points.
 
-A map is its grid jet ``evaluate_grid_jet(axes, block)``, which yields
-(points, tangents) blocks; ``evaluate`` and ``evaluate_cube`` take its
-points, and its faces are faces of the cube (see ``quadrature``).
+A map is its grid jet ``evaluate_grid_jet(axes)``, which yields one or
+more (points, tangents) blocks of at most ``_BLOCK_ROWS`` rows; ``evaluate``
+and ``evaluate_cube`` take its points, and its faces are faces of the cube
+(see ``quadrature``).
 
 ``join_rows`` is the one simplex evaluator.  It takes one vertex tuple per
 tensor grid of cube coordinates.  Join k reads only the first k
@@ -55,6 +56,10 @@ _HULL_TOL = 1e-9  # residual and weight tolerance of in_open_hemisphere
 # the hull's boundary
 _RANK_TOL = 1e-6
 
+# rows per block of every grid jet, read at call time: the (B, n, d)
+# tangents and the join kernels' temporaries scale with it
+_BLOCK_ROWS = 2048
+
 
 def face(i, vertices):
     """Drop entry i of an ordered tuple; degree-0 tuples have no faces."""
@@ -73,16 +78,14 @@ def all_faces(vertices):
     return [((-1) ** i, face(i, t)) for i in range(len(t))]
 
 
-def is_chart_small(vertices, radius=CHART_RADIUS):
-    """True when all relative differences g_i^{-1} g_j stay within ``radius``
-    of the identity in the log chart.  Left-translation invariant."""
-    if not 0 < radius < np.pi:
-        raise ValueError("radius must lie in (0, pi)")
+def is_chart_small(vertices):
+    """True when all relative differences g_i^{-1} g_j stay within
+    ``CHART_RADIUS`` of the identity in the log chart; left-invariant."""
     qs = [g.vec for g in vertices]
     for i in range(len(qs)):
         for j in range(i + 1, len(qs)):
             d = _qmul(_qconj(qs[i]), qs[j])
-            if np.arctan2(np.linalg.norm(d[1:]), d[0]) >= radius:
+            if np.arctan2(np.linalg.norm(d[1:]), d[0]) >= CHART_RADIUS:
                 return False
     return True
 
@@ -156,7 +159,7 @@ def _fan_out(vertices, axes, k, lo, out, dout):
     return _repeat(out, m), _repeat(dout, m), _repeat(tips, m), s.reshape(-1)
 
 
-def join_rows(kind, vertices, axes, block):
+def join_rows(kind, vertices, axes):
     """The iterated joins of one vertex tuple per tensor grid of cube
     coordinates, in blocks of rows.
 
@@ -166,9 +169,9 @@ def join_rows(kind, vertices, axes, block):
     fastest, and its rows follow grid r - 1's.  Join k reads only the
     first k coordinates, so it runs once per distinct prefix, on R m^k
     rows, and ``np.repeat`` copies each of its rows m times for join k+1.
-    The last join runs in blocks of at most ``block`` rows (at least m):
-    the generator yields each block's points (B, d) and tangents
-    (B, n, d).
+    The last join runs in one or more blocks of at most ``_BLOCK_ROWS``
+    rows (at least m): the generator yields each block's points (B, d)
+    and tangents (B, n, d).  A degree-0 tuple is its point, one block.
 
     This is the one simplex evaluator.  ``evaluate_cube`` passes a
     simplex's own vertices with one node per axis per row (m = 1); a
@@ -180,26 +183,30 @@ def join_rows(kind, vertices, axes, block):
     join = _slerp_jet if kind == "spherical" else _chart_join_jet
     out = vertices[:, 0]
     dout = np.zeros((len(vertices), 0, vertices.shape[2]))
+    if n == 0:
+        yield out, dout
+        return
     for k in range(1, n):
         out, dout = join(*_fan_out(vertices, axes, k, 0, out, dout))
-    step = max(block // m, 1)
+    step = max(_BLOCK_ROWS // m, 1)
     for lo in range(0, len(out) or 1, step):
         yield join(*_fan_out(vertices, axes, n, lo, out[lo:lo + step],
                              dout[lo:lo + step]))
 
 
-def join_grids(kind, varr, axes, block):
+def join_grids(kind, varr, axes):
     """The jets of S simplices, vertex tuples ``varr`` (S, n+1, d), on each
     of P tensor grids ``axes`` (P, n, m): ``join_rows`` on the S P grids,
     simplex-major, in chunks of grids that keep the next-to-last join
-    within ``block`` rows.  Yields points (B, d) and tangents (B, n, d) in
-    blocks of at most ``block`` rows (at least m), in that order."""
+    within ``_BLOCK_ROWS`` rows.  Yields points (B, d) and tangents
+    (B, n, d) in one or more blocks of at most ``_BLOCK_ROWS`` rows (at
+    least m), in that order."""
     panels, n, m = axes.shape
     grids = len(varr) * panels
-    chunk = max(block // m ** (n - 1), 1)
-    for first in range(0, grids, chunk):
+    chunk = max(_BLOCK_ROWS // m ** max(n - 1, 0), 1)
+    for first in range(0, grids or 1, chunk):
         g = np.arange(first, min(first + chunk, grids))
-        yield from join_rows(kind, varr[g // panels], axes[g % panels], block)
+        yield from join_rows(kind, varr[g // panels], axes[g % panels])
 
 
 def _evaluate(self, bary):
@@ -217,25 +224,31 @@ def _evaluate_cube(self, s):
     s = np.atleast_2d(np.asarray(s, dtype=float))
     if s.shape[1] != self.degree:
         raise ValueError(f"expected {self.degree} cube coordinates")
-    return next(self.evaluate_grid_jet(s[:, :, None], len(s)))[0]
+    return _whole(self.evaluate_grid_jet(s[:, :, None]))[0]
 
 
-def _node_blocks(axes, n, block):
+def _whole(blocks):
+    """The points and tangents of a block generator, each concatenated."""
+    points, tangents = zip(*blocks)
+    return np.concatenate(points), np.concatenate(tangents)
+
+
+def _node_blocks(axes, n):
     """The nodes (B, n) of the tensor grids ``axes`` (P, n, m), grid after
-    grid, in blocks of at most ``block`` rows."""
+    grid, in one or more blocks of at most ``_BLOCK_ROWS`` rows."""
     size = len(axes) * axes.shape[2] ** n
-    for lo in range(0, size, block):
-        yield _grid_nodes(axes, np.arange(lo, min(lo + block, size)))
+    for lo in range(0, size or 1, _BLOCK_ROWS):
+        yield _grid_nodes(axes, np.arange(lo, min(lo + _BLOCK_ROWS, size)))
 
 
 class ParametrizedMap:
     """A smooth map from the standard n-simplex, given by its grid jet.
 
-    ``evaluate_grid_jet(axes, block)`` is ``grid_jet`` itself: it yields
-    points (B, d) and tangents (B, n, d) along the cube coordinates at the
-    nodes of the tensor grids ``axes`` (P, n, m), grid after grid, each
-    lexicographic with the last axis fastest, in blocks of at most
-    ``block`` rows, so the map can share work across a grid.
+    ``evaluate_grid_jet(axes)`` is ``grid_jet`` itself: it yields points
+    (B, d) and tangents (B, n, d) along the cube coordinates at the nodes
+    of the tensor grids ``axes`` (P, n, m), grid after grid, each
+    lexicographic with the last axis fastest, in one or more blocks of at
+    most ``_BLOCK_ROWS`` rows, so the map can share work across a grid.
     """
 
     # bench/tracing.py wraps these through each class's own __dict__
@@ -254,8 +267,8 @@ class ParametrizedMap:
         runs ``jet`` on the grids' nodes, row by row, through
         ``cube_to_bary_jet``."""
 
-        def grid_jet(axes, block):
-            for s in _node_blocks(axes, degree, block):
+        def grid_jet(axes):
+            for s in _node_blocks(axes, degree):
                 eye = np.broadcast_to(np.eye(degree),
                                       (len(s), degree, degree))
                 yield jet(*cube_to_bary_jet(s, eye))
@@ -278,10 +291,10 @@ class ParametrizedMap:
             raise IndexOut(f"face index {i} out of range")
         col, value = max(i - 1, 0), float(i == 0)
 
-        def grid_jet(axes, block):
-            for s in _node_blocks(axes, self.degree - 1, block):
+        def grid_jet(axes):
+            for s in _node_blocks(axes, self.degree - 1):
                 s = np.insert(s, col, value, axis=1)
-                x, dx = next(self.evaluate_grid_jet(s[:, :, None], len(s)))
+                x, dx = _whole(self.evaluate_grid_jet(s[:, :, None]))
                 yield x, np.delete(dx, col, axis=1)
 
         return ParametrizedMap(self.degree - 1, grid_jet)
@@ -321,15 +334,15 @@ class GeodesicSimplex:
                 arr.append(vec / np.linalg.norm(vec))
             self.varr = np.array(arr)
 
-    def evaluate_grid_jet(self, axes, block):
+    def evaluate_grid_jet(self, axes):
         """Points and exact tangents at the nodes of the tensor grids
-        ``axes`` (P, degree, m), in blocks of at most ``block`` rows;
+        ``axes`` (P, degree, m), in blocks of at most ``_BLOCK_ROWS`` rows;
         ``tangents[:, k]`` is d/ds_{k+1}.  This is ``join_grids`` on this
         simplex alone, so join k runs once per distinct prefix of k cube
         coordinates; each join pushes the tangents of the face point
         forward and adds its own derivative along its parameter
         (forward-mode differentiation)."""
-        return join_grids(self.kind, self.varr[None], axes, block)
+        return join_grids(self.kind, self.varr[None], axes)
 
     def face(self, i):
         return GeodesicSimplex(face(i, self.vertices), self.kind)
@@ -344,12 +357,6 @@ def straighten(f) -> GeodesicSimplex:
     if not is_chart_small(verts):
         raise DegenerateConfig("vertex tuple of f is not chart-small")
     return GeodesicSimplex(verts, "chart")
-
-
-def _whole(blocks):
-    """The points and tangents of a block generator, each concatenated."""
-    points, tangents = zip(*blocks)
-    return np.concatenate(points), np.concatenate(tangents)
 
 
 def prism_cell(f) -> ParametrizedMap:
@@ -369,16 +376,16 @@ def prism_cell(f) -> ParametrizedMap:
     strf = straighten(f)
     n = f.degree
 
-    def grid_jet(axes, block):
-        a, da = _whole(f.evaluate_grid_jet(axes[:, :n], block))
-        b, db = _whole(strf.evaluate_grid_jet(axes[:, :n], block))
+    def grid_jet(axes):
+        a, da = _whole(f.evaluate_grid_jet(axes[:, :n]))
+        b, db = _whole(strf.evaluate_grid_jet(axes[:, :n]))
         z, dz = _chart_log(a, da, b, db)
         m = axes.shape[2]
         # u-row r is a node of grid r // m^n, and its m (u, t) rows follow
         # each other, one per node of that grid's t axis
         t = axes[np.arange(len(a)) // m ** n, n]
-        step = max(block // m, 1)
-        for lo in range(0, len(a), step):
+        step = max(_BLOCK_ROWS // m, 1)
+        for lo in range(0, len(a) or 1, step):
             rows = slice(lo, lo + step)
             yield _chart_exp(*(np.repeat(v[rows], m, axis=0)
                                for v in (a, da, z, dz)),

@@ -172,7 +172,7 @@ def _suite_cs_pairing(cfg) -> SuiteReport:
     rec = _Recorder()
     base = apply_rotation(generic_rotation(cfg["seed"]), QUAT_ONE)
     cochain = integrated_cochain(
-        vol_form("S3", 1.0), "spherical", 1.0, base_point=base,
+        vol_form(), "spherical", 1.0, base_point=base,
         quad=QuadratureSpec(order=cfg["order"], tol=1e-3))
     for m in (3, 5, 6, 8):
 
@@ -221,7 +221,7 @@ def _suite_cocycle_defect(cfg) -> SuiteReport:
     chart_tuples = [tuple(quat_exp(LieVector("su2", rng.normal(size=3) * 0.05))
                           for _ in range(5)) for _ in range(10)]
     cochain = integrated_cochain(
-        vol_form("S3", 1.0), "spherical", 1.0,
+        vol_form(), "spherical", 1.0,
         quad=QuadratureSpec(order=6, tol=1e-3))
     with rec.check("spherical-defect-ratio-max", 0.0, 1.0) as record:
         worst = 0.0
@@ -472,7 +472,7 @@ def _suite_transfer(cfg) -> SuiteReport:
         for a in sub:
             for b in sub:
                 worst = max(worst, float(circle_distance(
-                    tr((a, b)), 2 * phi((a, b)), 1)))
+                    tr((a, b)), 2 * phi((a, b)))))
         record(worst)
 
     z4 = FiniteGroupTable.cyclic(4)
@@ -482,7 +482,7 @@ def _suite_transfer(cfg) -> SuiteReport:
         worst = 0.0
         for t in product([0, 2], repeat=4):
             worst = max(worst,
-                        float(circle_distance(tr3(t), 2 * phi3(t), 1)))
+                        float(circle_distance(tr3(t), 2 * phi3(t))))
         record(worst)
 
     with rec.check("chain-map", 0.0, 0.0) as record:
@@ -490,7 +490,7 @@ def _suite_transfer(cfg) -> SuiteReport:
         for t in product(range(6), repeat=3):
             a = coboundary(tr)(t)
             b = transfer(coboundary(phi), z6, sub, reps)(t)
-            worst = max(worst, float(circle_distance(a, b, 1)))
+            worst = max(worst, float(circle_distance(a, b)))
         record(worst)
     return SuiteReport("transfer", rec.checks)
 
@@ -514,7 +514,7 @@ def _wiggled_simplex(rng, eps=0.08):
 def _suite_prism(cfg) -> SuiteReport:
     rec = _Recorder()
     rng = np.random.default_rng(cfg["seed"])
-    form = vol_form("S3", 1.0)
+    form = vol_form()
     quad = QuadratureSpec(order=cfg["order"], depth=1, tol=1e-3)
     with rec.check("stokes-ratio-max", 0.0, 1.0) as record:
         worst = 0.0

@@ -89,7 +89,7 @@ def test_double_coboundary_vanishes():
 
 
 def test_integrated_cochain_orthant_value():
-    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
                                  quad=QUAD)
     # rotations sending the base point 1 to 1, i, j, k
     t = (Rotation.identity(4), so4_of(QUAT_I, QUAT_ONE),
@@ -99,7 +99,7 @@ def test_integrated_cochain_orthant_value():
 
 
 def test_integrated_cochain_degenerate_and_invariance():
-    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
                                  quad=QUAD)
     g = small_so4()
     assert circle_distance(cochain((g, g, g, g)), 0.0) < 1e-12
@@ -113,7 +113,7 @@ def test_integrated_cochain_degenerate_and_invariance():
 
 
 def test_integrated_cochain_domain_guard():
-    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
                                  quad=QUAD)
     flip = so4_of(QUAT_I, QUAT_I.inverse())  # sends 1 to i*1*i = -1
     with pytest.raises(DomainGuard):
@@ -122,7 +122,7 @@ def test_integrated_cochain_domain_guard():
 
 
 def test_cocycle_defect_spherical():
-    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
                                  quad=QUAD)
     tuples = [hemispherical_tuple(5) for _ in range(5)]
     for value, est in coboundary(cochain).with_errors(tuples):
@@ -181,7 +181,7 @@ def test_kronecker_pairing_linearity_and_zero():
 
 def test_pairing_invariant_under_translation_of_the_cycle():
     base = apply_rotation(generic_rotation(), QUAT_ONE)
-    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
                                  base_point=base, quad=QUAD)
     m = 5
     g = [so4_of(cyclic_embed(m, a), cyclic_embed(m, -a)) for a in range(m)]
@@ -202,7 +202,7 @@ def test_cyclic_orbit_simplices_are_geodesically_flat():
             so4_of(cyclic_embed(m, a), cyclic_embed(m, -a)), base).vec
             for a in range(m)])
         assert np.linalg.matrix_rank(pts, tol=1e-10) <= 3
-    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
                                  base_point=base, quad=QUAD)
     for m in (3, 5):
         val = kronecker_pair(
@@ -272,7 +272,7 @@ def test_coboundary_checks_each_face_once(monkeypatch):
         calls.append(len(points))
         return in_open_hemisphere(points)
 
-    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
                                  quad=QUAD)
     t = hemispherical_tuple(5)
     monkeypatch.setattr(cochains, "in_open_hemisphere", counted)
@@ -281,7 +281,7 @@ def test_coboundary_checks_each_face_once(monkeypatch):
 
 
 def test_coboundary_inadmissible_face_raises():
-    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
                                  quad=QUAD)
     flip = so4_of(QUAT_I, QUAT_I.inverse())  # sends 1 to i*1*i = -1
     with pytest.raises(DomainGuard):
@@ -308,7 +308,7 @@ def test_stacked_coboundary_is_bitwise_the_face_sum(kind, order, depth):
     # bitwise those of one pullback_integral per face
     quad = QuadratureSpec(order=order, depth=depth, tol=1e-3)
     if kind == "spherical":
-        form, lattice = vol_form("S3", 1.0), 1.0
+        form, lattice = vol_form(), 1.0
         a, b, c, d, e = hemispherical_tuple(5)
     else:
         form, lattice = mc3_form(), 0
@@ -328,7 +328,7 @@ def test_stacked_coboundary_is_bitwise_the_face_sum(kind, order, depth):
 
 
 def test_stacked_faces_raise_for_the_first_diverging_face():
-    form = vol_form("S3", 1.0)
+    form = vol_form()
     simplices = face_simplices("spherical", hemispherical_tuple(5))
     loose = QuadratureSpec(order=2, tol=1.0)
     est = [pullback_integral(form, sx, loose).error_estimate
@@ -359,7 +359,7 @@ def test_coboundary_stacks_its_faces_and_projects_their_vertices(
         stacks.append(len(simplices))
         return stacked_pullback_integral(form, simplices, quad)
 
-    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
                                  quad=QUAD)
     t = hemispherical_tuple(5)
     monkeypatch.setattr(cochains, "apply_rotation", counted_rotation)
@@ -382,7 +382,7 @@ def defect_batches(seed):
                  for _ in range(24)]
     chart = [tuple(quat_exp(LieVector("su2", local.normal(size=3) * 0.05))
                    for _ in range(5)) for _ in range(10)]
-    return [(integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+    return [(integrated_cochain(vol_form(), "spherical", 1.0,
                                 quad=quad), spherical),
             (integrated_cochain(mc3_form(), "chart", 0, quad=quad), chart)]
 
@@ -417,7 +417,7 @@ def test_batched_coboundary_guards_every_face_before_integrating(
         return stacked_pullback_integral(form, simplices, quad)
 
     monkeypatch.setattr(cochains, "stacked_pullback_integral", counted_stack)
-    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
                                  quad=QUAD)
     # the last four points hold the origin in their convex hull and any
     # four of the five span R^4, so face 0 alone leaves the domain
@@ -437,7 +437,7 @@ def test_batched_coboundary_guards_every_face_before_integrating(
 def test_batched_coboundary_diverges_as_the_diverging_tuple_alone():
     cochain, tuples = defect_batches(4)[0]
     tuples = tuples[:4]
-    form = vol_form("S3", 1.0)
+    form = vol_form()
     loose = QuadratureSpec(order=2, tol=1.0)
     est = [pullback_integral(form, sx, loose).error_estimate
            for t in tuples for sx in face_simplices("spherical", t)]
@@ -482,7 +482,7 @@ def test_pairing_checks_every_term_before_evaluating(monkeypatch):
         return stacked_pullback_integral(form, simplices, quad)
 
     monkeypatch.setattr(cochains, "stacked_pullback_integral", counted_stack)
-    cochain = integrated_cochain(vol_form("S3", 1.0), "spherical", 1.0,
+    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
                                  quad=QUAD)
     flip = so4_of(QUAT_I, QUAT_I.inverse())  # sends 1 to -1
     group = [Rotation.identity(4), so4_of(QUAT_J, QUAT_ONE), flip,

@@ -37,14 +37,14 @@ def random_tangents(x, k):
 
 
 def test_s3_volume_normalization():
-    res = sphere_integral(vol_form("S3", 1.0), "S3", QUAD)
+    res = sphere_integral(vol_form(), "S3", QUAD)
     assert abs(res.value - 1.0) < 1e-6
 
 
 def test_hemisphere_is_half():
     # the 8 atlas cells with positive first coordinate tile a hemisphere
     total = 0.0
-    form = vol_form("S3", 1.0)
+    form = vol_form()
     for sign, cell in sphere_atlas("S3"):
         if cell.vertices[0][0] > 0:
             total += sign * pullback_integral(form, cell, QUAD).value
@@ -54,7 +54,7 @@ def test_hemisphere_is_half():
 def test_orthant_tetrahedron_is_sixteenth():
     # oracle: 16 congruent orthant cells tile the 3-sphere
     sx = GeodesicSimplex(list(np.eye(4)), "spherical")
-    res = pullback_integral(vol_form("S3", 1.0), sx, QUAD)
+    res = pullback_integral(vol_form(), sx, QUAD)
     assert abs(res.value - 1.0 / 16.0) < 1e-6
 
 
@@ -63,14 +63,14 @@ def test_orthant_against_monte_carlo_oracle():
     pts = rng.normal(size=(200_000, 4))
     frac = float(np.mean(np.all(pts > 0, axis=1)))
     sx = GeodesicSimplex(list(np.eye(4)), "spherical")
-    val = pullback_integral(vol_form("S3", 1.0), sx, QUAD).value
+    val = pullback_integral(vol_form(), sx, QUAD).value
     assert abs(frac - val) < 5e-3
 
 
 def test_error_estimates_honest_on_orthant():
     sx = GeodesicSimplex(list(np.eye(4)), "spherical")
     for depth in (0, 1, 2):
-        res = pullback_integral(vol_form("S3", 1.0), sx,
+        res = pullback_integral(vol_form(), sx,
                                 QuadratureSpec(order=6, depth=depth,
                                                tol=1e-5))
         assert abs(res.value - 1.0 / 16.0) <= res.error_estimate
@@ -135,7 +135,7 @@ def test_mc3_total_integral_is_unit():
 
 
 def test_form_multilinearity():
-    form = vol_form("S3", 1.0)
+    form = vol_form()
     q = random_unit(4)
     t = random_tangents(q, 3)
     a, b = rng.normal(size=2)
@@ -152,10 +152,10 @@ def test_form_multilinearity():
 
 def test_orientation_sensitivity():
     verts = list(np.eye(4))
-    sx = pullback_integral(vol_form("S3", 1.0),
+    sx = pullback_integral(vol_form(),
                            GeodesicSimplex(verts, "spherical"), QUAD)
     swapped = [verts[1], verts[0], verts[2], verts[3]]
-    sy = pullback_integral(vol_form("S3", 1.0),
+    sy = pullback_integral(vol_form(),
                            GeodesicSimplex(swapped, "spherical"), QUAD)
     assert abs(sx.value + sy.value) <= 2 * (sx.error_estimate
                                             + sy.error_estimate) + 1e-12
@@ -169,7 +169,7 @@ def test_additivity_under_domain_subdivision():
         verts = [random_unit(4) for _ in range(4)]
     sx = GeodesicSimplex(verts, "spherical")
     sx_jet = barycentric_jet(sx)
-    form = vol_form("S3", 1.0)
+    form = vol_form()
     whole = pullback_integral(form, sx, QUAD)
 
     e = np.eye(4)
@@ -206,7 +206,7 @@ def test_constant_map_integrates_to_zero():
 
     const = ParametrizedMap.from_barycentric(3, lambda b, db: (
         point(b), np.zeros(db.shape[:2] + (4,))))
-    res = pullback_integral(vol_form("S3", 1.0), const, QUAD)
+    res = pullback_integral(vol_form(), const, QUAD)
     assert res.value == 0.0
 
 
@@ -221,7 +221,7 @@ def test_prism_of_a_straight_simplex_carries_no_volume():
         v *= rng.uniform(0, 0.12) / np.linalg.norm(v)
         verts.append(quat_exp(LieVector("su2", v)))
     cell = prism_cell(GeodesicSimplex(verts, "chart"))
-    res = pullback_integral(vol_form("S3", 1.0), cell,
+    res = pullback_integral(vol_form(), cell,
                             QuadratureSpec(order=6, tol=1e-3))
     assert abs(res.value) < 1e-12
 
@@ -243,7 +243,7 @@ def test_barycentric_map_integrates_like_its_simplex(kind):
             v *= rng.uniform(0.05, 0.12) / np.linalg.norm(v)
             verts.append(quat_exp(LieVector("su2", v)))
     sx = GeodesicSimplex(verts, kind)
-    form = vol_form("S3", 1.0)
+    form = vol_form()
     direct = pullback_integral(form, sx, QUAD).value
     bary = pullback_integral(
         form, ParametrizedMap.from_barycentric(3, barycentric_jet(sx)),
@@ -273,7 +273,7 @@ def test_jet_error_estimate_is_the_order_difference():
     # order k is the order-(k+2) rule, so spec order 6 gives the coarse
     # value of spec order 8
     orthant = GeodesicSimplex(list(np.eye(4)), "spherical")
-    cases = [(vol_form("S3", 1.0), orthant),
+    cases = [(vol_form(), orthant),
              (fubini_study_form(), sphere_atlas("CP1")[0][1]),
              (mc3_form(), sphere_atlas("S3")[3][1])]
     u = np.finfo(float).eps / 2
@@ -289,27 +289,9 @@ def test_jet_error_estimate_is_the_order_difference():
         assert abs(fine.error_estimate - abs(fine.value - coarse.value)
                    - rounding) <= 1e-3 * rounding
     # the orthant cell converges below the old finite-difference floor
-    form = vol_form("S3", 1.0)
+    form = vol_form()
     quad = QuadratureSpec(order=8, tol=1)
     assert pullback_integral(form, orthant, quad).error_estimate < 3 * 2e-12
-
-
-def test_chunked_integrand_equals_one_batch(monkeypatch):
-    # a degree-3 integral at fine order 10 and depth 1 has 8000 nodes, more
-    # than one chunk; one batch of all of them gives the same integral
-    sx = GeodesicSimplex(
-        [v / np.linalg.norm(v) for v in
-         np.eye(4) + 0.3 * rng.normal(size=(4, 4))], "spherical")
-    form = vol_form("S3", 1.0)
-    quad = QuadratureSpec(order=8, depth=1, tol=1)
-    assert 8000 > forms._JET_CHUNK
-    chunked = pullback_integral(form, sx, quad)
-    monkeypatch.setattr(forms, "_JET_CHUNK", 10 ** 6)
-    batch = pullback_integral(form, sx, quad)
-    assert chunked.value != 0.0
-    assert abs(chunked.value - batch.value) <= 1e-15 * abs(batch.value)
-    assert abs(chunked.error_estimate - batch.error_estimate) \
-        <= 1e-15 * batch.error_estimate
 
 
 def random_simplex(kind, local):
@@ -333,13 +315,13 @@ def random_simplex(kind, local):
 def test_simplex_pullback_on_grids_is_bitwise_the_row_path(kind, order,
                                                            depth):
     # a geodesic simplex on the level's grids, against the row join loop
-    # at every node in chunks of _JET_CHUNK and against a one-simplex
+    # at every node in blocks of rows and against a one-simplex
     # stack: the same value and estimate, and the same divergence
     from test_simplices import row_joins
     sx = random_simplex(kind, np.random.default_rng(order + 10 * depth))
     rows = row_map(3, lambda s: row_joins(
         kind, np.broadcast_to(sx.varr, (len(s),) + sx.varr.shape), s))
-    form = vol_form("S3", 1.0)
+    form = vol_form()
     quad = QuadratureSpec(order=order, depth=depth, tol=1)
     got = pullback_integral(form, sx, quad)
     assert got.value != 0.0
@@ -362,14 +344,7 @@ def test_simplex_pullback_on_grids_is_bitwise_the_row_path(kind, order,
 def test_degree_mismatch_rejected():
     sx = GeodesicSimplex(list(np.eye(4)), "spherical")
     with pytest.raises(ValueError):
-        pullback_integral(vol_form("S2", 1.0), sx, QUAD)
-
-
-def test_vol_form_validation():
-    with pytest.raises(ValueError):
-        vol_form("S3", -1.0)
-    with pytest.raises(ValueError):
-        vol_form("S7", 1.0)
+        pullback_integral(fubini_study_form(), sx, QUAD)
 
 
 def orthant_atlas():
@@ -383,11 +358,12 @@ def orthant_atlas():
 
 def row_map(degree, cube_jet):
     """Reference copy of the row path of ``pullback_integral``: a map whose
-    grid jet evaluates ``cube_jet`` on the grid's nodes, in chunks of
-    ``block`` rows, one node per row."""
+    grid jet evaluates ``cube_jet`` on the grid's nodes, in blocks of
+    ``simplices._BLOCK_ROWS`` rows, one node per row."""
 
-    def grid_jet(axes, block):
+    def grid_jet(axes):
         s = _grid_nodes(axes, np.arange(len(axes) * axes.shape[2] ** degree))
+        block = simplices._BLOCK_ROWS
         return (cube_jet(s[lo:lo + block]) for lo in range(0, len(s), block))
 
     return ParametrizedMap(degree, grid_jet=grid_jet)
@@ -445,14 +421,14 @@ def test_uncached_s3_integral_is_bitwise_the_cell_sum(
         monkeypatch, compose, order, depth):
     # the composed maps of lemma44 and an unfactored form, against the 16
     # orthant cells integrated one by one
-    form = vol_form("S3", 1.0)
+    form = vol_form()
     quad = QuadratureSpec(order=order, depth=depth, tol=1e-4)
     expected = cell_by_cell(form, orthant_atlas(), quad, compose)
     grids = []
 
-    def spy(kind, vertices, axes, block):
+    def spy(kind, vertices, axes):
         grids.append(axes.shape)
-        return join_rows(kind, vertices, axes, block)
+        return join_rows(kind, vertices, axes)
 
     monkeypatch.setattr(simplices, "join_rows", spy)
     if compose is not None and depth == 0:
@@ -472,9 +448,9 @@ def test_uncached_s3_integral_is_bitwise_the_cell_sum(
 def test_uncached_s3_integral_diverges_as_the_cell_sum(compose):
     quad = QuadratureSpec(order=8, tol=1e-18)
     with pytest.raises(QuadratureDiverged) as expected:
-        cell_by_cell(vol_form("S3", 1.0), orthant_atlas(), quad, compose)
+        cell_by_cell(vol_form(), orthant_atlas(), quad, compose)
     with pytest.raises(QuadratureDiverged) as got:
-        sphere_integral(vol_form("S3", 1.0), "S3", quad, compose)
+        sphere_integral(vol_form(), "S3", quad, compose)
     assert str(got.value) == str(expected.value)
 
 
@@ -495,7 +471,7 @@ def test_s3_orthant_points_are_signed_copies_of_the_positive_cell(
     atlas = [cell for _, cell in sphere_atlas("S3")]
     signs = [np.sum(cell.vertices, axis=0) for cell in atlas]
     positive = next(c for c, sg in zip(atlas, signs) if np.all(sg > 0))
-    bases = (contact_volume_form(), vol_form("S3", 1.0), mc3_form())
+    bases = (contact_volume_form(), vol_form(), mc3_form())
     for order in range(8, 15):
         for depth in (0, 1):
             s = _panel_rule(3, order, depth)[0]

@@ -9,6 +9,7 @@ from cocyclelab.quadrature import (IntegralResult, QuadratureSpec,
                                    _grid_nodes, _panel_axes, _panel_rule,
                                    bary_to_cube, cube_to_bary_jet,
                                    gauss_legendre_circle, integrate_on_cube)
+from cocyclelab.simplices import _whole
 
 rng = np.random.default_rng(2)
 
@@ -22,7 +23,7 @@ def cube_to_bary(s):
 def row_jet(m, s):
     """The points and tangents of a map at cube coordinates (N, n): its
     grid jet with one node per axis per row."""
-    return next(m.evaluate_grid_jet(s[:, :, None], len(s)))
+    return _whole(m.evaluate_grid_jet(s[:, :, None]))
 
 
 def bary_to_cube_jet(bary, dbary):

@@ -12,9 +12,9 @@ from cocyclelab.groups import (QUAT_I, QUAT_ONE, LieVector, UnitQuaternion,
                                _slerp_jet, cyclic_embed, quat_exp)
 from cocyclelab.quadrature import (IntegralResult, _panel_axes, _panel_rule,
                                    bary_to_cube)
-from cocyclelab.simplices import (GeodesicSimplex, ParametrizedMap, all_faces,
-                                  face, in_open_hemisphere, is_chart_small,
-                                  prism_cell, straighten)
+from cocyclelab.simplices import (GeodesicSimplex, ParametrizedMap, _whole,
+                                  all_faces, face, in_open_hemisphere,
+                                  is_chart_small, prism_cell, straighten)
 from test_quadrature import barycentric_jet, cube_to_bary, row_jet
 
 rng = np.random.default_rng(7)
@@ -50,9 +50,9 @@ def test_simplicial_identity():
 
 def test_chart_small_predicate():
     g = random_quat()
-    assert is_chart_small((g, g, g), radius=0.01)
+    assert is_chart_small((g, g, g))
     far = quat_exp(LieVector("su2", [0.9 * np.pi, 0, 0]))
-    assert not is_chart_small((QUAT_ONE, far), radius=0.5)
+    assert not is_chart_small((QUAT_ONE, far))
     # left-translation invariance
     for _ in range(10):
         t = tuple(small_quat() for _ in range(3))
@@ -303,9 +303,10 @@ def random_faces(kind, count):
     return [GeodesicSimplex(v, kind) for v in verts]
 
 
-def joined_blocks(kind, vertices, axes, block):
-    blocks = list(simplices.join_rows(kind, vertices, axes, block))
-    assert all(len(x) <= block for x, _ in blocks)
+def joined_blocks(kind, vertices, axes):
+    blocks = list(simplices.join_rows(kind, vertices, axes))
+    assert all(len(x) <= max(simplices._BLOCK_ROWS, axes.shape[2])
+               for x, _ in blocks)
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
@@ -317,7 +318,7 @@ def same_bytes(got, expected):
 @pytest.mark.parametrize("depth", [0, 1, 2])
 @pytest.mark.parametrize("order", range(2, 11))
 def test_grid_joins_are_bitwise_the_row_loop(kind, order, depth):
-    # one grid per face and panel, in blocks of 1024 rows at the last join
+    # one grid per face and panel, in blocks of rows at the last join
     axes = _panel_axes(3, order, depth)
     nodes = _panel_rule(3, order, depth)[0]
     panels, size = len(axes), len(nodes)
@@ -329,7 +330,7 @@ def test_grid_joins_are_bitwise_the_row_loop(kind, order, depth):
         grids = np.arange(count * panels)
         expected = row_joins(kind, varr[rows // size], nodes[rows % size])
         got = joined_blocks(kind, varr[grids // panels],
-                            axes[grids % panels], 1024)
+                            axes[grids % panels])
         assert same_bytes(got, expected)
 
 
@@ -342,7 +343,7 @@ def test_row_wise_joins_are_bitwise_the_row_loop(kind):
         varr = np.stack([sx.varr for sx in faces])
         s = rng.uniform(size=(count, 3))
         expected = row_joins(kind, varr, s)
-        got = joined_blocks(kind, varr, s[:, :, None], count)
+        got = joined_blocks(kind, varr, s[:, :, None])
         assert same_bytes(got, expected)
         rows = np.broadcast_to(faces[0].varr, varr.shape)
         own = row_jet(faces[0], s)
@@ -491,6 +492,54 @@ def test_maps_check_their_coordinates_and_face_indices(kind):
         point.face(0)
 
 
+@pytest.mark.parametrize("kind", ["spherical", "chart"])
+def test_degree_0_simplex_is_its_point(kind):
+    v = small_quat()
+    sx = GeodesicSimplex([v if kind == "chart" else 2.0 * v.vec], kind)
+    x, dx = row_jet(sx, np.empty((2, 0)))
+    assert np.array_equal(x, np.stack([v.vec, v.vec]))
+    assert dx.shape == (2, 0, 4)
+    assert np.array_equal(sx.evaluate(np.ones((2, 1))), x)
+
+
+def test_degree_0_maps_are_their_corner_points():
+    # a barycentric map and its thrice-iterated face, which is the cube
+    # corner (1, 0, 1), the barycentric corner e_3
+    from cocyclelab.suites import _wiggled_simplex
+    sx = GeodesicSimplex([small_quat() for _ in range(4)], "chart")
+    for f in (_wiggled_simplex(np.random.default_rng(1)),
+              ParametrizedMap.from_barycentric(3, barycentric_jet(sx))):
+        corner = f.evaluate(np.eye(4)[3])
+        point = f.face(0).face(1).face(0)
+        x, dx = row_jet(point, np.empty((3, 0)))
+        assert dx.shape == (3, 0, 4)
+        assert np.array_equal(x, np.repeat(corner, 3, axis=0))
+        assert np.array_equal(point.evaluate(np.ones((3, 1))), x)
+        constant = ParametrizedMap.from_barycentric(
+            0, lambda b, db: (np.repeat(corner, len(b), axis=0),
+                              np.zeros((len(b), db.shape[1], 4))))
+        assert np.array_equal(constant.evaluate(np.ones((3, 1))), x)
+
+
+def test_zero_rows_give_one_empty_block():
+    # every grid jet yields at least one block, so evaluate_cube and
+    # evaluate take zero rows to zero points
+    from cocyclelab.forms import sphere_atlas
+    from cocyclelab.suites import _wiggled_simplex
+    f = _wiggled_simplex(np.random.default_rng(2))
+    sx = GeodesicSimplex([small_quat() for _ in range(4)], "chart")
+    for m in (sx, GeodesicSimplex(list(np.eye(4)), "spherical"), f,
+              f.face(2), f.face(0).face(1).face(0), prism_cell(f.face(1)),
+              sphere_atlas("CP1")[0][1]):
+        d = len(m.evaluate(np.eye(m.degree + 1)[:1])[0])
+        blocks = list(m.evaluate_grid_jet(np.empty((0, m.degree, 3))))
+        assert len(blocks) == 1
+        assert blocks[0][0].shape == (0, d)
+        assert blocks[0][1].shape == (0, m.degree, d)
+        assert m.evaluate_cube(np.empty((0, m.degree))).shape == (0, d)
+        assert m.evaluate(np.empty((0, m.degree + 1))).shape == (0, d)
+
+
 def wiggle_jet(rng, eps=0.08):
     """Test-side copy of the barycentric jet of the prism suite's wiggled
     simplex, drawing from ``rng`` as ``suites._wiggled_simplex`` does."""
@@ -517,18 +566,12 @@ def barycentric_face(jet, degree, i):
         np.insert(b, i, 0.0, axis=1), np.insert(db, i, 0.0, axis=2)))
 
 
-def grid_blocks(m, axes, block):
-    return tuple(np.concatenate(part)
-                 for part in zip(*m.evaluate_grid_jet(axes, block)))
-
-
 @pytest.mark.parametrize("depth", [0, 1])
 @pytest.mark.parametrize("order", [6, 8, 10])
 def test_cube_faces_are_bitwise_the_barycentric_faces(order, depth):
     # face i is the cube face s_i = 0 (i >= 1) or s_1 = 1 (i = 0): on the
     # rule level's grids it gives bitwise the points and tangents of the
     # barycentric face, for the suite's wiggled map and a simplex's jet
-    from cocyclelab.forms import _JET_CHUNK
     from cocyclelab.suites import _wiggled_simplex
     face_rng = np.random.default_rng(order + 10 * depth)
     jet = wiggle_jet(np.random.default_rng(0x5EED))
@@ -541,10 +584,10 @@ def test_cube_faces_are_bitwise_the_barycentric_faces(order, depth):
     for jet in (jet, barycentric_jet(sx)):
         f = ParametrizedMap.from_barycentric(3, jet)
         for i in range(4):
-            got = grid_blocks(f.face(i), axes, _JET_CHUNK)
+            got = _whole(f.face(i).evaluate_grid_jet(axes))
             assert got[1].shape == (len(axes) * order ** 2, 2, 4)
-            assert same_bytes(got, grid_blocks(barycentric_face(jet, 3, i),
-                                               axes, _JET_CHUNK))
+            assert same_bytes(got, _whole(
+                barycentric_face(jet, 3, i).evaluate_grid_jet(axes)))
 
 
 @pytest.mark.parametrize("name", ["conjugate", "twisted-square"])
@@ -656,7 +699,7 @@ def test_prism_cell_integrates_as_the_triangulated_prism(order):
     from cocyclelab.forms import pullback_integral, vol_form
     from cocyclelab.quadrature import QuadratureSpec
     from cocyclelab.suites import _wiggled_simplex
-    form = vol_form("S3", 1.0)
+    form = vol_form()
     quad = QuadratureSpec(order=order, depth=1, tol=1e-3)
     prism_rng = np.random.default_rng(0x5EED)
     signed = 0
@@ -728,23 +771,22 @@ def row_prism_jet(f, s):
 @pytest.mark.parametrize("depth", [0, 1])
 @pytest.mark.parametrize("order", [6, 8, 10])
 def test_prism_cell_grid_jet_is_bitwise_the_row_jet(order, depth):
-    # the cell on a rule level's grids, in blocks of pullback_integral's
-    # chunk size, against the row jet in chunks of as many nodes; at
-    # order 10 a chunk boundary falls inside the t nodes of one u
-    from cocyclelab.forms import _JET_CHUNK
+    # the cell on a rule level's grids, in blocks of rows, against the row
+    # jet in chunks of as many nodes; at order 10 a chunk boundary falls
+    # inside the t nodes of one u
     from cocyclelab.suites import _wiggled_simplex
     axes = _panel_axes(3, order, depth)
     nodes = _panel_rule(3, order, depth)[0]
     f = _wiggled_simplex(np.random.default_rng(0x5EED))
+    block = simplices._BLOCK_ROWS
     for i in range(4):
         face_map = f.face(i)
-        blocks = list(prism_cell(face_map).evaluate_grid_jet(axes,
-                                                             _JET_CHUNK))
-        assert all(len(x) <= _JET_CHUNK for x, _ in blocks)
+        blocks = list(prism_cell(face_map).evaluate_grid_jet(axes))
+        assert all(len(x) <= block for x, _ in blocks)
         got = tuple(np.concatenate(part) for part in zip(*blocks))
         expected = tuple(np.concatenate(part) for part in zip(*(
-            row_prism_jet(face_map, nodes[lo:lo + _JET_CHUNK])
-            for lo in range(0, len(nodes), _JET_CHUNK))))
+            row_prism_jet(face_map, nodes[lo:lo + block])
+            for lo in range(0, len(nodes), block))))
         assert same_bytes(got, expected)
 
 
@@ -758,14 +800,14 @@ def test_prism_cell_evaluates_its_face_once_per_base_point(monkeypatch):
     face_map = _wiggled_simplex(np.random.default_rng(3)).face(1)
     seen = {"face": 0, "straight": 0, "exp": 0}
 
-    def face_jet(axes, block):
-        for x, dx in face_map.evaluate_grid_jet(axes, block):
+    def face_jet(axes):
+        for x, dx in face_map.evaluate_grid_jet(axes):
             seen["face"] += len(x)
             yield x, dx
 
-    def joins(kind, vertices, axes, block):
+    def joins(kind, vertices, axes):
         seen["straight"] += axes.shape[0] * axes.shape[2] ** axes.shape[1]
-        return real_join_rows(kind, vertices, axes, block)
+        return real_join_rows(kind, vertices, axes)
 
     def chart_exp(x, *args):
         seen["exp"] += len(x)
@@ -777,7 +819,7 @@ def test_prism_cell_evaluates_its_face_once_per_base_point(monkeypatch):
     monkeypatch.setattr(simplices, "join_rows", joins)
     monkeypatch.setattr(simplices, "_chart_exp", chart_exp)
     quad = QuadratureSpec(order=6, depth=1, tol=1)
-    pullback_integral(vol_form("S3", 1.0), cell, quad)
+    pullback_integral(vol_form(), cell, quad)
     panels = 2 ** (3 * quad.depth)
     assert seen == {"face": sum(panels * m ** 2 for m in quad.orders),
                     "straight": sum(panels * m ** 2 for m in quad.orders),
@@ -896,3 +938,29 @@ def test_hemisphere_test_agrees_on_every_suite_tuple(monkeypatch, seed):
     assert sum(len(pts) == 5 for pts in sets) >= 100
     for pts in sets:
         assert in_open_hemisphere(pts) == (not origin_in_hull_by_subsets(pts))
+
+
+def test_grid_jets_are_bitwise_the_same_at_every_block_size(monkeypatch):
+    # the block size bounds the rows per block and changes no value: every
+    # kind of grid jet gives bitwise its default-size points and tangents
+    from cocyclelab.forms import sphere_atlas
+    from cocyclelab.suites import _wiggled_simplex
+    f = _wiggled_simplex(np.random.default_rng(4))
+    stack = np.stack([sx.varr for sx in random_faces("spherical", 5)])
+    chart = GeodesicSimplex([small_quat() for _ in range(4)], "chart")
+    jets = [
+        (chart.evaluate_grid_jet, 3),
+        (partial(simplices.join_grids, "spherical", stack), 3),
+        (f.evaluate_grid_jet, 3),
+        (f.face(1).evaluate_grid_jet, 2),
+        (f.face(2).face(0).evaluate_grid_jet, 1),
+        (prism_cell(f.face(3)).evaluate_grid_jet, 3),
+        (sphere_atlas("CP1")[0][1].evaluate_grid_jet, 2)]
+    grids = {n: _panel_axes(n, 4, 1) for n in (1, 2, 3)}
+    expected = [_whole(jet(grids[n])) for jet, n in jets]
+    for size in (1, 7, 64):
+        monkeypatch.setattr(simplices, "_BLOCK_ROWS", size)
+        for (jet, n), want in zip(jets, expected):
+            blocks = list(jet(grids[n]))
+            assert all(len(x) <= max(size, 4) for x, _ in blocks)
+            assert same_bytes(_whole(blocks), want)
