@@ -150,15 +150,16 @@ def generic_rotation(seed=0x5EED) -> Rotation:
     return Rotation(q)
 
 
-def integrated_cochain(form: DifferentialForm, kind: str, lattice,
+def integrated_cochain(form: DifferentialForm, kind: str,
                        base_point: UnitQuaternion = QUAT_ONE,
                        quad: QuadratureSpec | None = None
                        ) -> HomogeneousCochain:
     """Cochain t -> integral of the form over the simplex filled on t.
 
     ``kind`` is "spherical" (tuples of 4x4 rotations, projected to the
-    sphere through the base point, guarded by the open-hemisphere test) or
-    "chart" (tuples in SU(2), guarded by chart-smallness).
+    sphere through the base point, guarded by the open-hemisphere test,
+    values in R/Z) or "chart" (tuples in SU(2), guarded by
+    chart-smallness, values in R: lattice 0).
     """
     quad = quad or QuadratureSpec()
 
@@ -177,14 +178,14 @@ def integrated_cochain(form: DifferentialForm, kind: str, lattice,
                 [apply_rotation(g, base_point) for g in t], "spherical")
                 for t in tuples])
 
-        label = "spherical"
+        label, lattice = "spherical", 1.0
     elif kind == "chart":
         guard = is_chart_small
 
         def evaluator(tuples):
             return integrals([GeodesicSimplex(t, "chart") for t in tuples])
 
-        label = "chart"
+        label, lattice = "chart", 0
     else:
         raise ValueError(f"unknown cochain kind {kind!r}")
     return HomogeneousCochain(form.degree, lattice, evaluator, guard=guard,

@@ -7,7 +7,7 @@ at their nodes from its ``evaluate_grid_jet``, in blocks of at most
 ``simplices._BLOCK_ROWS`` nodes, so the map can share work across a
 grid: a geodesic simplex runs each join once per distinct prefix of cube
 coordinates, and a prism cell evaluates its face, the straightening and
-the log of the chart join once per distinct base point.  It projects the
+the head of the chart join once per distinct base point.  It projects the
 tangents onto the sphere and integrates in iterated-cone cube coordinates
 with a tensor Gauss-Legendre rule, estimating the error from two rule
 orders and the rounding of the sum.
@@ -16,6 +16,9 @@ orders and the rounding of the sum.
 simplices of one kind in one join pass, the faces of a batch of
 coboundaries or the terms of a pairing, and sums each simplex on its own.
 It gives ``join_grids`` one tensor grid per simplex and quadrature panel.
+
+The S^3 volume form takes each 4x4 determinant by the Laplace expansion in
+the 2x2 minors of its first two rows and of its last two (``_det_rows``).
 
 Whole-sphere integrals use fixed atlases: the 16 orthant tetrahedra for
 S^3, and for the projective line CP1 the 20 icosahedral triangles of S^2
@@ -87,8 +90,21 @@ class DifferentialForm:
         return self._evaluator(points, tangents)
 
 
-def _det_rows(*rows):
-    return np.linalg.det(np.stack(rows, axis=-2))
+# the column pairs of the 2x2 minors; pair 5 - q is the complement of
+# pair q, and the Laplace expansion of a 4x4 determinant along its first
+# two rows gives the product of minors on pairs q and 5 - q this sign
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_PAIR_SIGNS = (1.0, -1.0, 1.0, 1.0, -1.0, 1.0)
+
+
+def _det_rows(p, a, b, c):
+    """Determinants of the 4x4 matrices with rows p, a, b, c (each (N, 4)):
+    the Laplace expansion by the 2x2 minors of rows (p, a) and (b, c)."""
+    p, a, b, c = p.T, a.T, b.T, c.T
+    upper = [p[i] * a[j] - p[j] * a[i] for i, j in _PAIRS]
+    lower = [b[i] * c[j] - b[j] * c[i] for i, j in _PAIRS]
+    return sum(sign * upper[q] * lower[5 - q]
+               for q, sign in enumerate(_PAIR_SIGNS))
 
 
 def vol_form() -> DifferentialForm:

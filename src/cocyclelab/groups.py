@@ -8,7 +8,13 @@ Conventions fixed here and relied on everywhere else:
   lands on the radius-1/2 sphere, so it is constant on the left circle
   fibers ``exp(i*theta) * q``;
 * every jet kernel takes tangents (..., m, .) with its points, and a
-  caller with none to carry passes m = 0.
+  caller with none to carry passes m = 0;
+* each join kernel, the great-circle arc and the chart arc
+  ``x exp(s log(x^{-1} y))``, is a head and a tail: the head computes
+  all that does not depend on the join parameter s, once per row a join
+  starts from, and the tail takes its rows, repeated once per value of
+  s, to the arc points and their tangents.  The chart tail is closed
+  form, scalar coefficients in s times x, dx, w = x (0, z) and dw.
 """
 from __future__ import annotations
 
@@ -97,12 +103,14 @@ def _qexp_jet(v, dv):
     return e, np.concatenate([de0[..., None], dvec], axis=-1)
 
 
-def _slerp_jet(x, dx, y, s):
-    """Slerp of rows x (N, d) towards y (N, d) at s (N,), with tangents.
+def _slerp_head(x, dx, y):
+    """The parameter-free half of the great-circle arc from rows x to y
+    (N, d), with the tangents ``dx`` (N, m, d) of x along m parameters: the
+    rows and what ``_slerp_tail`` reads of them at every s.
 
-    ``dx`` (N, m, d) holds the derivatives of x along m parameters; the
-    second result (N, m+1, d) holds the derivatives of the arc point along
-    those parameters and then along s."""
+    th = arccos <x, y> (N, 1) with sin th (1 where th < 1e-9, the small-angle
+    rows of the mask ``small``) and cos th, and dth = -<dx, y> / sin th
+    (N, m)."""
     dot = np.clip(np.sum(x * y, axis=-1, keepdims=True), -1.0, 1.0)
     if np.any(dot <= -1.0 + _ANTIPODE_TOL):
         raise DegenerateConfig("join hit an antipodal pair of points")
@@ -110,7 +118,16 @@ def _slerp_jet(x, dx, y, s):
     small = th[..., 0] < 1e-9
     sinth = np.sin(th)
     sinth[small] = 1.0
-    s = np.asarray(s, dtype=float)[..., None]
+    dth = -np.einsum("nki,ni->nk", dx, y) / sinth
+    return x, dx, y, th, sinth, np.cos(th), dth, small
+
+
+def _slerp_tail(x, dx, y, th, sinth, costh, dth, small, s):
+    """Slerp at s (N,) from the rows of ``_slerp_head``, with tangents.
+
+    The second result (N, m+1, d) holds the derivatives of the arc point
+    along the m parameters of ``dx`` and then along s."""
+    s = s[:, None]
     sin_a = np.sin((1.0 - s) * th)
     sin_b = np.sin(s * th)
     out = (sin_a * x + sin_b * y) / sinth
@@ -120,12 +137,10 @@ def _slerp_jet(x, dx, y, s):
         lin = lin / np.where(nrm == 0.0, 1.0, nrm)
         out[small] = lin[small]
     # out = A x + B y with A = sin((1-s) th) / sin th, B = sin(s th) / sin th
-    # and th = arccos <x, y>, so dth = -<dx, y> / sin th
     a, b = sin_a / sinth, sin_b / sinth
-    cos_a, cos_b, costh = np.cos((1.0 - s) * th), np.cos(s * th), np.cos(th)
+    cos_a, cos_b = np.cos((1.0 - s) * th), np.cos(s * th)
     da = ((1.0 - s) * cos_a - a * costh) / sinth
     db = (s * cos_b - b * costh) / sinth
-    dth = -np.einsum("nki,ni->nk", dx, y) / sinth
     d_along = a[:, None] * dx \
         + dth[..., None] * (da * x + db * y)[:, None]
     d_s = th * (cos_b * y - cos_a * x) / sinth
@@ -140,10 +155,9 @@ def _slerp_jet(x, dx, y, s):
 
 
 def _chart_log(x, dx, y, dy=None):
-    """The parameter-free half of the chart arc from rows x to y (N, 4):
-    z = log(x^{-1} y) (N, 3) and its tangents (N, m, 3) along the m
-    parameters of ``dx`` (N, m, 4), which move the tip too when ``dy``
-    (N, m, 4) is given."""
+    """z = log(x^{-1} y) (N, 3) of rows x, y (N, 4), and its tangents
+    (N, m, 3) along the m parameters of ``dx`` (N, m, 4), which move the
+    tip too when ``dy`` (N, m, 4) is given."""
     # d(x^{-1} y) = dx^{-1} y + x^{-1} dy
     dd = _qmul(_qconj(dx), y[:, None])
     if dy is not None:
@@ -151,22 +165,53 @@ def _chart_log(x, dx, y, dy=None):
     return _qlog_jet(_qmul(_qconj(x), y), dd)
 
 
-def _chart_exp(x, dx, z, dz, s):
-    """The chart arc x * exp(s z) at s (N,), with z and ``dz`` from
-    ``_chart_log`` and tangents laid out as in ``_slerp_jet``."""
-    # d(s z) = s dz, then the column along s is z
-    dv = np.concatenate([s[:, None, None] * dz, z[:, None]], axis=1)
-    e, de = _qexp_jet(s[..., None] * z, dv)
-    dout = _qmul(x[:, None], de)
-    dout[:, :dx.shape[1]] += _qmul(dx, e[:, None])
-    return _qmul(x, e), dout
+def _pure(v):
+    """The pure quaternions (..., 4) of vectors (..., 3)."""
+    return np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
 
 
-def _chart_join_jet(x, dx, y, s):
-    """Chart arc x * exp(s * log(x^{-1} y)) of rows x, y (N, 4) at s (N,),
-    with tangents laid out as in ``_slerp_jet``: ``_chart_exp`` of
-    ``_chart_log``."""
-    return _chart_exp(x, dx, *_chart_log(x, dx, y), s)
+def _chart_head(x, dx, y, dy=None):
+    """The parameter-free half of the chart arc x exp(s z), z =
+    log(x^{-1} y), from rows x to y (N, 4), with tangents as in
+    ``_chart_log``: the rows and what ``_chart_tail`` reads of them at
+    every s.
+
+    w = x (0, z) (N, 4) and dw = dx (0, z) + x (0, dz) (N, m, 4), th = |z|
+    and |z|^2 (N,), and <z, dz> (N, m)."""
+    z, dz = _chart_log(x, dx, y, dy)
+    zq = _pure(z)
+    w = _qmul(x, zq)
+    dw = _qmul(dx, zq[:, None]) + _qmul(x[:, None], _pure(dz))
+    zz = np.einsum("ni,ni->n", z, z)
+    return x, dx, w, dw, np.sqrt(zz), zz, np.einsum("ni,nki->nk", z, dz)
+
+
+def _chart_tail(x, dx, w, dw, th, zz, zdz, s):
+    """The chart arc x exp(s z) at s (N,) from the rows of ``_chart_head``,
+    in closed form, with tangents laid out as in ``_slerp_tail``.
+
+    x exp(s z) = C x + K w with C = cos(s th) and K = s sinc(s th).  Along
+    the parameters dC = -s^2 sinc(s th) <z, dz> and dK = s^3 c(s th)
+    <z, dz>, where c(phi) = (cos phi - sinc phi) / phi^2, the series
+    -1/3 + phi^2/30 below 1e-4 as in ``_qexp_jet``; along s the column is
+    -s sinc(s th) |z|^2 x + cos(s th) w.  cos, sinc and c are even, so
+    they are taken at |s| th."""
+    phi = np.abs(s) * th
+    cos = np.cos(phi)
+    sinc = np.where(phi < 1e-300, 1.0,
+                    np.sin(phi) / np.where(phi == 0.0, 1.0, phi))
+    phi2 = phi * phi
+    c = np.where(phi < 1e-4, -1.0 / 3.0 + phi2 / 30.0,
+                 (cos - sinc) / np.where(phi < 1e-4, 1.0, phi2))
+    k = s * sinc
+    # dC x + dK w = <z, dz> (s^3 c w - s^2 sinc x)
+    s2 = s * s
+    v = (s2 * s * c)[:, None] * w - (s2 * sinc)[:, None] * x
+    d_along = cos[:, None, None] * dx + k[:, None, None] * dw \
+        + zdz[..., None] * v[:, None]
+    d_s = cos[:, None] * w - (k * zz)[:, None] * x
+    return cos[:, None] * x + k[:, None] * w, \
+        np.concatenate([d_along, d_s[:, None]], axis=1)
 
 
 class UnitQuaternion:

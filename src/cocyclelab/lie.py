@@ -226,7 +226,7 @@ def derivation_residual(form: DifferentialForm, degree: int,
     """
     quad = quad or QuadratureSpec(order=6, tol=1e-2)
     algebra = LieAlgebraTable.su2()
-    cochain = integrated_cochain(form, "chart", 0, quad=quad)
+    cochain = integrated_cochain(form, "chart", quad=quad)
     deriv = cochain_derivative(cochain, algebra, degree, step)
     target = form_at_identity(form, degree)
     scale = np.abs(target).max()

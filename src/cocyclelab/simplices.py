@@ -7,9 +7,12 @@ therefore agree exactly with the simplices of the face tuples, and the
 construction commutes with the left group action.
 
 Two join flavours are provided: great-circle arcs on a unit sphere, and
-chart arcs ``x * exp(s * log(x^{-1} y))`` in SU(2).  Both join kernels
-always push tangents forward, so a simplex yields its exact derivatives
-along the cube coordinates together with its points.
+chart arcs ``x * exp(s * log(x^{-1} y))`` in SU(2).  Each join kernel is
+a head, all that does not depend on the join parameter s, and a tail,
+which takes s (``groups._slerp_head`` and ``_slerp_tail``,
+``groups._chart_head`` and ``_chart_tail``).  Both always push tangents
+forward, so a simplex yields its exact derivatives along the cube
+coordinates together with its points.
 
 A map is its grid jet ``evaluate_grid_jet(axes)``, which yields one or
 more (points, tangents) blocks of at most ``_BLOCK_ROWS`` rows; ``evaluate``
@@ -21,7 +24,9 @@ tensor grid of cube coordinates.  Join k reads only the first k
 coordinates, so it runs once per distinct prefix of them: the
 sum-factorization of tensor-product spectral methods in collapsed
 coordinates (Orszag, J. Comput. Phys. 37, 1980; Karniadakis and Sherwin,
-Spectral/hp Element Methods for CFD, 2nd ed., OUP 2005, ch. 3-4).
+Spectral/hp Element Methods for CFD, 2nd ed., OUP 2005, ch. 3-4).  Within
+join k the head runs once per prefix of k-1 coordinates, and only the
+tail on each of its m nodes.
 ``join_grids`` passes it one grid per simplex and quadrature panel, the
 way ``pullback_integral`` evaluates a simplex and a stack of simplices
 (the faces of a batch of coboundaries) is evaluated.  A row evaluation is
@@ -29,9 +34,8 @@ the case of one node per axis per row.
 
 The prism homotopy is one product cell: the chart join, at the cell's last
 coordinate, from a map to its straightening.  The same sum-factorization
-applies: on a grid, the map, its straightening and the log half of the
-chart join (``groups._chart_log``) run once per distinct base point, and
-only the exp half (``groups._chart_exp``) on every node.
+applies: on a grid, the map, its straightening and the chart head run
+once per distinct base point, and only the chart tail on every node.
 
 ``in_open_hemisphere`` decides well-conditioned sets of at most d+1
 points by one linear solve, and every other set by an exact subset loop.
@@ -43,8 +47,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateConfig, IndexOut
-from .groups import (CHART_RADIUS, UnitQuaternion, _chart_exp,
-                     _chart_join_jet, _chart_log, _qconj, _qmul, _slerp_jet)
+from .groups import (CHART_RADIUS, UnitQuaternion, _chart_head, _chart_tail,
+                     _qconj, _qmul, _slerp_head, _slerp_tail)
 from .quadrature import _grid_nodes, bary_to_cube, cube_to_bary_jet
 
 _HULL_TOL = 1e-9  # residual and weight tolerance of in_open_hemisphere
@@ -81,13 +85,11 @@ def all_faces(vertices):
 def is_chart_small(vertices):
     """True when all relative differences g_i^{-1} g_j stay within
     ``CHART_RADIUS`` of the identity in the log chart; left-invariant."""
-    qs = [g.vec for g in vertices]
-    for i in range(len(qs)):
-        for j in range(i + 1, len(qs)):
-            d = _qmul(_qconj(qs[i]), qs[j])
-            if np.arctan2(np.linalg.norm(d[1:]), d[0]) >= CHART_RADIUS:
-                return False
-    return True
+    qs = np.array([g.vec for g in vertices]).reshape(-1, 4)
+    i, j = np.triu_indices(len(qs), 1)
+    d = _qmul(_qconj(qs[i]), qs[j])
+    return bool(np.all(np.arctan2(np.linalg.norm(d[:, 1:], axis=-1),
+                                  d[:, 0]) < CHART_RADIUS))
 
 
 def in_open_hemisphere(points):
@@ -143,20 +145,20 @@ def _repeat(a, m):
     return a if m == 1 else np.repeat(a, m, axis=0)
 
 
-def _fan_out(vertices, axes, k, lo, out, dout):
-    """The arguments of join k on the m rows each that the rows lo,
-    lo + 1, ... of join k-1, points ``out`` and tangents ``dout``, fan out
-    to.  Join k-1 has m^(k-1) rows per grid, and the i-th copy of a row
-    takes node i of its grid's axis k.  With one node per axis every
-    argument is a view."""
-    m = axes.shape[2]
-    per_grid = m ** (k - 1)
-    # the grids first..end-1 hold the rows, the first of them at ``skip``
-    first, end = lo // per_grid, -(-(lo + len(out)) // per_grid)
-    skip = lo - first * per_grid
-    tips = _repeat(vertices[first:end, k], per_grid)[skip:skip + len(out)]
-    s = _repeat(axes[first:end, k - 1], per_grid)[skip:skip + len(out)]
-    return _repeat(out, m), _repeat(dout, m), _repeat(tips, m), s.reshape(-1)
+# each join kind as (head, tail): the head runs on the rows a join starts
+# from, the tail on those rows' copies, one per value of the parameter
+_JOINS = {"spherical": (_slerp_head, _slerp_tail),
+          "chart": (_chart_head, _chart_tail)}
+
+
+def _tail_blocks(tail, rows, s, m):
+    """``tail`` on m copies of each row of the head's arrays ``rows``, at
+    the parameters ``s`` of the copies, in one or more blocks of at most
+    ``_BLOCK_ROWS`` rows (at least m)."""
+    step = max(_BLOCK_ROWS // m, 1)
+    for lo in range(0, len(rows[0]) or 1, step):
+        yield tail(*(_repeat(a[lo:lo + step], m) for a in rows),
+                   s[lo * m:(lo + step) * m])
 
 
 def join_rows(kind, vertices, axes):
@@ -167,11 +169,13 @@ def join_rows(kind, vertices, axes):
     ``axes`` (R, n, m) the m nodes of each of its n cube axes; grid r's
     nodes are the product of ``axes[r]``, lexicographic with the last axis
     fastest, and its rows follow grid r - 1's.  Join k reads only the
-    first k coordinates, so it runs once per distinct prefix, on R m^k
-    rows, and ``np.repeat`` copies each of its rows m times for join k+1.
-    The last join runs in one or more blocks of at most ``_BLOCK_ROWS``
-    rows (at least m): the generator yields each block's points (B, d)
-    and tangents (B, n, d).  A degree-0 tuple is its point, one block.
+    first k coordinates, so it runs once per distinct prefix: its head,
+    everything that does not depend on its parameter, on the R m^(k-1)
+    rows of join k-1 and that grid's vertex k, and its tail, on each head
+    row's m copies, one per node of axis k.  The last tail runs in one or
+    more blocks of at most ``_BLOCK_ROWS`` rows (at least m): the
+    generator yields each block's points (B, d) and tangents (B, n, d).  A
+    degree-0 tuple is its point, one block.
 
     This is the one simplex evaluator.  ``evaluate_cube`` passes a
     simplex's own vertices with one node per axis per row (m = 1); a
@@ -180,18 +184,21 @@ def join_rows(kind, vertices, axes):
     a row's values do not depend on the other rows, and a node's values
     are bitwise the same on a grid as on a row of its own."""
     n, m = axes.shape[1:]
-    join = _slerp_jet if kind == "spherical" else _chart_join_jet
+    head, tail = _JOINS[kind]
     out = vertices[:, 0]
     dout = np.zeros((len(vertices), 0, vertices.shape[2]))
     if n == 0:
         yield out, dout
         return
-    for k in range(1, n):
-        out, dout = join(*_fan_out(vertices, axes, k, 0, out, dout))
-    step = max(_BLOCK_ROWS // m, 1)
-    for lo in range(0, len(out) or 1, step):
-        yield join(*_fan_out(vertices, axes, n, lo, out[lo:lo + step],
-                             dout[lo:lo + step]))
+    for k in range(1, n + 1):
+        # head row p is a node of grid p // m^(k-1); its tail rows take
+        # the nodes of that grid's axis k in turn
+        per_grid = m ** (k - 1)
+        rows = head(out, dout, _repeat(vertices[:, k], per_grid))
+        s = _repeat(axes[:, k - 1], per_grid).reshape(-1)
+        if k < n:
+            out, dout = tail(*(_repeat(a, m) for a in rows), s)
+    yield from _tail_blocks(tail, rows, s, m)
 
 
 def join_grids(kind, varr, axes):
@@ -353,10 +360,7 @@ class GeodesicSimplex:
 
 def straighten(f) -> GeodesicSimplex:
     """Replace a parametrized simplex by the chart simplex on its vertices."""
-    verts = f.corner_vertices()
-    if not is_chart_small(verts):
-        raise DegenerateConfig("vertex tuple of f is not chart-small")
-    return GeodesicSimplex(verts, "chart")
+    return GeodesicSimplex(f.corner_vertices(), "chart")
 
 
 def prism_cell(f) -> ParametrizedMap:
@@ -367,9 +371,9 @@ def prism_cell(f) -> ParametrizedMap:
     join at t from f(u) to straighten(f)(u); the join appends the tangent
     along t as the last column.  On a tensor grid the nodes of each u come
     in a row, one per node of the t axis, so f, straighten(f) and the
-    parameter-free half of the join (``_chart_log``) run once per distinct
-    u, on the grids of the first n axes, and only ``_chart_exp`` runs on
-    the (u, t) rows.  The cell carries the orientation of the triangulated
+    head of the join (``_chart_head``) run once per distinct u, on the
+    grids of the first n axes, and only ``_chart_tail`` runs on the
+    (u, t) rows.  The cell carries the orientation of the triangulated
     prism sum_j (-1)^j [(v_0,0)...(v_j,0),(v_j,1)...(v_n,1)], whose n+1
     simplices it integrates as one.
     """
@@ -379,16 +383,11 @@ def prism_cell(f) -> ParametrizedMap:
     def grid_jet(axes):
         a, da = _whole(f.evaluate_grid_jet(axes[:, :n]))
         b, db = _whole(strf.evaluate_grid_jet(axes[:, :n]))
-        z, dz = _chart_log(a, da, b, db)
         m = axes.shape[2]
         # u-row r is a node of grid r // m^n, and its m (u, t) rows follow
         # each other, one per node of that grid's t axis
         t = axes[np.arange(len(a)) // m ** n, n]
-        step = max(_BLOCK_ROWS // m, 1)
-        for lo in range(0, len(a) or 1, step):
-            rows = slice(lo, lo + step)
-            yield _chart_exp(*(np.repeat(v[rows], m, axis=0)
-                               for v in (a, da, z, dz)),
-                             t[rows].reshape(-1))
+        yield from _tail_blocks(_chart_tail, _chart_head(a, da, b, db),
+                                t.reshape(-1), m)
 
     return ParametrizedMap(n + 1, grid_jet)

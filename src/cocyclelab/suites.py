@@ -172,7 +172,7 @@ def _suite_cs_pairing(cfg) -> SuiteReport:
     rec = _Recorder()
     base = apply_rotation(generic_rotation(cfg["seed"]), QUAT_ONE)
     cochain = integrated_cochain(
-        vol_form(), "spherical", 1.0, base_point=base,
+        vol_form(), "spherical", base_point=base,
         quad=QuadratureSpec(order=cfg["order"], tol=1e-3))
     for m in (3, 5, 6, 8):
 
@@ -220,9 +220,8 @@ def _suite_cocycle_defect(cfg) -> SuiteReport:
                         for _ in range(cfg["defect_tuples"])]
     chart_tuples = [tuple(quat_exp(LieVector("su2", rng.normal(size=3) * 0.05))
                           for _ in range(5)) for _ in range(10)]
-    cochain = integrated_cochain(
-        vol_form(), "spherical", 1.0,
-        quad=QuadratureSpec(order=6, tol=1e-3))
+    cochain = integrated_cochain(vol_form(), "spherical",
+                                 quad=QuadratureSpec(order=6, tol=1e-3))
     with rec.check("spherical-defect-ratio-max", 0.0, 1.0) as record:
         worst = 0.0
         for value, est in coboundary(cochain).with_errors(spherical_tuples):
@@ -231,7 +230,7 @@ def _suite_cocycle_defect(cfg) -> SuiteReport:
         record(worst, passed=worst <= 1.0)
 
     # chart case: closed 3-form, values in R (no lattice)
-    chart = integrated_cochain(mc3_form(), "chart", 0,
+    chart = integrated_cochain(mc3_form(), "chart",
                                quad=QuadratureSpec(order=6, tol=1e-3))
     with rec.check("chart-defect-ratio-max", 0.0, 1.0) as record:
         worst = 0.0

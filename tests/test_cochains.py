@@ -89,8 +89,7 @@ def test_double_coboundary_vanishes():
 
 
 def test_integrated_cochain_orthant_value():
-    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
-                                 quad=QUAD)
+    cochain = integrated_cochain(vol_form(), "spherical", quad=QUAD)
     # rotations sending the base point 1 to 1, i, j, k
     t = (Rotation.identity(4), so4_of(QUAT_I, QUAT_ONE),
          so4_of(QUAT_J, QUAT_ONE), so4_of(QUAT_K, QUAT_ONE))
@@ -99,8 +98,7 @@ def test_integrated_cochain_orthant_value():
 
 
 def test_integrated_cochain_degenerate_and_invariance():
-    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
-                                 quad=QUAD)
+    cochain = integrated_cochain(vol_form(), "spherical", quad=QUAD)
     g = small_so4()
     assert circle_distance(cochain((g, g, g, g)), 0.0) < 1e-12
     for _ in range(5):
@@ -113,8 +111,7 @@ def test_integrated_cochain_degenerate_and_invariance():
 
 
 def test_integrated_cochain_domain_guard():
-    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
-                                 quad=QUAD)
+    cochain = integrated_cochain(vol_form(), "spherical", quad=QUAD)
     flip = so4_of(QUAT_I, QUAT_I.inverse())  # sends 1 to i*1*i = -1
     with pytest.raises(DomainGuard):
         cochain((Rotation.identity(4), flip,
@@ -122,8 +119,7 @@ def test_integrated_cochain_domain_guard():
 
 
 def test_cocycle_defect_spherical():
-    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
-                                 quad=QUAD)
+    cochain = integrated_cochain(vol_form(), "spherical", quad=QUAD)
     tuples = [hemispherical_tuple(5) for _ in range(5)]
     for value, est in coboundary(cochain).with_errors(tuples):
         assert circle_distance(value, 0.0) <= max(5 * est, 1e-4)
@@ -134,7 +130,7 @@ def test_cocycle_defect_spherical():
 
 
 def test_cocycle_defect_chart():
-    cochain = integrated_cochain(mc3_form(), "chart", 0, quad=QUAD)
+    cochain = integrated_cochain(mc3_form(), "chart", quad=QUAD)
     tuples = [tuple(quat_exp(LieVector("su2", rng.normal(size=3) * 0.05))
                     for _ in range(5)) for _ in range(3)]
     for value, est in coboundary(cochain).with_errors(tuples):
@@ -142,7 +138,7 @@ def test_cocycle_defect_chart():
 
 
 def test_double_coboundary_of_integrated_cochain():
-    cochain = integrated_cochain(mc3_form(), "chart", 0, quad=QUAD)
+    cochain = integrated_cochain(mc3_form(), "chart", quad=QUAD)
     ddf = coboundary(coboundary(cochain))
     t = tuple(quat_exp(LieVector("su2", rng.normal(size=3) * 0.04))
               for _ in range(6))
@@ -181,7 +177,7 @@ def test_kronecker_pairing_linearity_and_zero():
 
 def test_pairing_invariant_under_translation_of_the_cycle():
     base = apply_rotation(generic_rotation(), QUAT_ONE)
-    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
+    cochain = integrated_cochain(vol_form(), "spherical",
                                  base_point=base, quad=QUAD)
     m = 5
     g = [so4_of(cyclic_embed(m, a), cyclic_embed(m, -a)) for a in range(m)]
@@ -202,7 +198,7 @@ def test_cyclic_orbit_simplices_are_geodesically_flat():
             so4_of(cyclic_embed(m, a), cyclic_embed(m, -a)), base).vec
             for a in range(m)])
         assert np.linalg.matrix_rank(pts, tol=1e-10) <= 3
-    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
+    cochain = integrated_cochain(vol_form(), "spherical",
                                  base_point=base, quad=QUAD)
     for m in (3, 5):
         val = kronecker_pair(
@@ -272,8 +268,7 @@ def test_coboundary_checks_each_face_once(monkeypatch):
         calls.append(len(points))
         return in_open_hemisphere(points)
 
-    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
-                                 quad=QUAD)
+    cochain = integrated_cochain(vol_form(), "spherical", quad=QUAD)
     t = hemispherical_tuple(5)
     monkeypatch.setattr(cochains, "in_open_hemisphere", counted)
     coboundary(cochain).with_errors([t])
@@ -281,8 +276,7 @@ def test_coboundary_checks_each_face_once(monkeypatch):
 
 
 def test_coboundary_inadmissible_face_raises():
-    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
-                                 quad=QUAD)
+    cochain = integrated_cochain(vol_form(), "spherical", quad=QUAD)
     flip = so4_of(QUAT_I, QUAT_I.inverse())  # sends 1 to i*1*i = -1
     with pytest.raises(DomainGuard):
         coboundary(cochain).with_errors([(Rotation.identity(4), flip,
@@ -314,7 +308,8 @@ def test_stacked_coboundary_is_bitwise_the_face_sum(kind, order, depth):
         form, lattice = mc3_form(), 0
         a, b, c, d, e = (quat_exp(LieVector("su2", rng.normal(size=3) * 0.05))
                          for _ in range(5))
-    cochain = integrated_cochain(form, kind, lattice, quad=quad)
+    cochain = integrated_cochain(form, kind, quad=quad)
+    assert cochain.lattice == lattice
     for t in ((a, b, c, d, e), (a, a, b, c, d)):
         simplices = face_simplices(kind, t)
         per_face = [pullback_integral(form, sx, quad) for sx in simplices]
@@ -359,8 +354,7 @@ def test_coboundary_stacks_its_faces_and_projects_their_vertices(
         stacks.append(len(simplices))
         return stacked_pullback_integral(form, simplices, quad)
 
-    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
-                                 quad=QUAD)
+    cochain = integrated_cochain(vol_form(), "spherical", quad=QUAD)
     t = hemispherical_tuple(5)
     monkeypatch.setattr(cochains, "apply_rotation", counted_rotation)
     monkeypatch.setattr(cochains, "stacked_pullback_integral", counted_stack)
@@ -382,9 +376,9 @@ def defect_batches(seed):
                  for _ in range(24)]
     chart = [tuple(quat_exp(LieVector("su2", local.normal(size=3) * 0.05))
                    for _ in range(5)) for _ in range(10)]
-    return [(integrated_cochain(vol_form(), "spherical", 1.0,
+    return [(integrated_cochain(vol_form(), "spherical",
                                 quad=quad), spherical),
-            (integrated_cochain(mc3_form(), "chart", 0, quad=quad), chart)]
+            (integrated_cochain(mc3_form(), "chart", quad=quad), chart)]
 
 
 def hex_pairs(pairs):
@@ -417,8 +411,7 @@ def test_batched_coboundary_guards_every_face_before_integrating(
         return stacked_pullback_integral(form, simplices, quad)
 
     monkeypatch.setattr(cochains, "stacked_pullback_integral", counted_stack)
-    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
-                                 quad=QUAD)
+    cochain = integrated_cochain(vol_form(), "spherical", quad=QUAD)
     # the last four points hold the origin in their convex hull and any
     # four of the five span R^4, so face 0 alone leaves the domain
     e = np.eye(4)
@@ -445,7 +438,7 @@ def test_batched_coboundary_diverges_as_the_diverging_tuple_alone():
     # ten times this tolerance lies between the worst face's rule-order
     # difference and every other face's
     quad = QuadratureSpec(order=2, tol=(max(est) + sorted(est)[-2]) / 20)
-    df = coboundary(integrated_cochain(form, "spherical", 1.0, quad=quad))
+    df = coboundary(integrated_cochain(form, "spherical", quad=quad))
     for k, t in enumerate(tuples):
         if k != worst // 5:
             df.with_error(t)
@@ -482,8 +475,7 @@ def test_pairing_checks_every_term_before_evaluating(monkeypatch):
         return stacked_pullback_integral(form, simplices, quad)
 
     monkeypatch.setattr(cochains, "stacked_pullback_integral", counted_stack)
-    cochain = integrated_cochain(vol_form(), "spherical", 1.0,
-                                 quad=QUAD)
+    cochain = integrated_cochain(vol_form(), "spherical", quad=QUAD)
     flip = so4_of(QUAT_I, QUAT_I.inverse())  # sends 1 to -1
     group = [Rotation.identity(4), so4_of(QUAT_J, QUAT_ONE), flip,
              so4_of(QUAT_K, QUAT_ONE), so4_of(QUAT_ONE, QUAT_I)]

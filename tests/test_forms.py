@@ -150,6 +150,22 @@ def test_form_multilinearity():
     assert abs(lhs - rhs) < 1e-9
 
 
+def test_det_rows_is_the_determinant():
+    # the Laplace expansion by 2x2 minors against a reference copy of the
+    # batched np.linalg.det it replaced, within 1e-13 of the product of the
+    # row norms, Hadamard's bound on the determinant; a frame with two
+    # equal rows in one minor pair gives exactly 0.0
+    local = np.random.default_rng(31)
+    rows = list(local.normal(size=(4, 5000, 4)))
+    expected = np.linalg.det(np.stack(rows, axis=-2))
+    scale = np.prod([np.linalg.norm(r, axis=1) for r in rows], axis=0)
+    assert np.all(np.abs(forms._det_rows(*rows) - expected) <= 1e-13 * scale)
+    for i, j in ((0, 1), (2, 3)):
+        frame = list(rows)
+        frame[j] = frame[i]
+        assert np.all(forms._det_rows(*frame) == 0.0)
+
+
 def test_orientation_sensitivity():
     verts = list(np.eye(4))
     sx = pullback_integral(vol_form(),
@@ -327,10 +343,15 @@ def test_simplex_pullback_on_grids_is_bitwise_the_row_path(kind, order,
     assert got.value != 0.0
     assert bits(got) == bits(pullback_integral(form, rows, quad))
     assert bits(got) == bits(stacked_pullback_integral(form, [sx], quad)[0])
-    # at a coarser level the rule orders differ by more than 10 * tol, so
-    # every path raises, with the same message (at the orders above, the
-    # two rules can agree to the last bit)
-    tight = QuadratureSpec(order=order - 4, depth=depth, tol=1e-30)
+    # the divergence case is the coarsest rule, orders 2 and 4, whose two
+    # sums differ by 1.8e-6 of the value or more for every simplex here,
+    # far above their rounding, so every path raises, with the same
+    # message.  (At finer orders the two rules of a chart simplex can
+    # agree to the last bits, and then no path raises)
+    coarse = pullback_integral(form, sx, QuadratureSpec(order=2, depth=depth,
+                                                        tol=1))
+    assert coarse.error_estimate > 1e-9 * abs(coarse.value)
+    tight = QuadratureSpec(order=2, depth=depth, tol=1e-30)
     messages = []
     for integral in (lambda: pullback_integral(form, sx, tight),
                      lambda: pullback_integral(form, rows, tight),

@@ -269,7 +269,7 @@ def test_derivative_of_coordinate_cochain():
 
 def test_step_too_large():
     su2 = LieAlgebraTable.su2()
-    cochain = integrated_cochain(mc3_form(), "chart", 0,
+    cochain = integrated_cochain(mc3_form(), "chart",
                                  quad=QuadratureSpec(order=3, tol=1e-2))
     with pytest.raises(StepTooLarge):
         cochain_derivative(cochain, su2, 3, step=0.5)
@@ -313,7 +313,7 @@ def test_differential_beyond_degree_four():
 def test_basis_permutation_symmetry():
     # permuting the input basis indices permutes the tensor with sign
     su2 = LieAlgebraTable.su2()
-    cochain = integrated_cochain(mc3_form(), "chart", 0,
+    cochain = integrated_cochain(mc3_form(), "chart",
                                  quad=QuadratureSpec(order=3, tol=1e-2))
     d = cochain_derivative(cochain, su2, 3, step=5e-2)
     assert abs(d.tensor[0, 1, 2] + d.tensor[1, 0, 2]) < 1e-9
@@ -379,7 +379,7 @@ def test_one_call_derivative_is_bitwise_the_per_tuple_loop(which):
         "mc3": (mc3_form(), 3, 5e-2, 4),
         "covector": (DifferentialForm(1, "SU2", covector), 1, 1e-3, 8),
     }[which]
-    cochain = integrated_cochain(form, "chart", 0,
+    cochain = integrated_cochain(form, "chart",
                                  quad=QuadratureSpec(order=order, tol=1e-2))
     got = cochain_derivative(cochain, su2, n, step).tensor
     assert got.tobytes() == \

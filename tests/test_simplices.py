@@ -7,9 +7,10 @@ import pytest
 from cocyclelab import cochains, simplices, suites
 from cocyclelab.errors import DegenerateConfig, IndexOut
 from cocyclelab.groups import (QUAT_I, QUAT_ONE, LieVector, UnitQuaternion,
-                               _chart_exp, _chart_join_jet, _chart_log,
+                               _ANTIPODE_TOL, _chart_head, _chart_tail,
                                _qconj, _qexp_jet, _qlog_jet, _qmul,
-                               _slerp_jet, cyclic_embed, quat_exp)
+                               _slerp_head, _slerp_tail, cyclic_embed,
+                               quat_exp)
 from cocyclelab.quadrature import (IntegralResult, _panel_axes, _panel_rule,
                                    bary_to_cube)
 from cocyclelab.simplices import (GeodesicSimplex, ParametrizedMap, _whole,
@@ -105,16 +106,23 @@ def test_open_hemisphere():
         assert in_open_hemisphere(tri[:i] + tri[i + 1:])
 
 
+def join_jet(kind, x, dx, y, s):
+    """One join on every row: its head and its tail on the same rows."""
+    head, tail = ((_slerp_head, _slerp_tail) if kind == "spherical"
+                  else (_chart_head, _chart_tail))
+    return tail(*head(x, dx, y), s)
+
+
 def slerp_join(x, y, s):
     # one row of the great-circle join kernel, with no tangents to carry
-    return _slerp_jet(x[None], np.zeros((1, 0, len(x))), y[None],
-                      np.array([float(s)]))[0][0]
+    return join_jet("spherical", x[None], np.zeros((1, 0, len(x))), y[None],
+                    np.array([float(s)]))[0][0]
 
 
 def chart_join(x, y, s):
     # one row of the chart join kernel, with no tangents to carry
-    out = _chart_join_jet(x.vec[None], np.zeros((1, 0, 4)), y.vec[None],
-                          np.array([float(s)]))[0]
+    out = join_jet("chart", x.vec[None], np.zeros((1, 0, 4)), y.vec[None],
+                   np.array([float(s)]))[0]
     return UnitQuaternion(out[0])
 
 
@@ -283,9 +291,8 @@ def row_joins(kind, vertices, s):
     n, d = vertices.shape[1] - 1, vertices.shape[2]
     out = vertices[:, 0].copy()
     dout = np.zeros((s.shape[0], 0, d))
-    join = _slerp_jet if kind == "spherical" else _chart_join_jet
     for k in range(1, n + 1):
-        out, dout = join(out, dout, vertices[:, k], s[:, k - 1])
+        out, dout = join_jet(kind, out, dout, vertices[:, k], s[:, k - 1])
     return out, dout
 
 
@@ -720,10 +727,11 @@ def test_prism_cell_integrates_as_the_triangulated_prism(order):
 
 def reference_chart_join_jet(x, dx, y, s, dy=None, ds=None):
     """Reference copy of the chart join kernel as one function, before its
-    split into ``_chart_log`` and ``_chart_exp``.  ``dy`` (N, m, 4) and
-    ``ds`` (N, m) optionally move the tip and the parameter along the m
-    parameters of ``dx``; given ``ds``, the derivative along s is part of
-    those m and no column is appended."""
+    split into a head and a closed-form tail: ``_qexp_jet`` of s times the
+    log, multiplied onto x.  ``dy`` (N, m, 4) and ``ds`` (N, m)
+    optionally move the tip and the parameter along the m parameters of
+    ``dx``; given ``ds``, the derivative along s is part of those m and no
+    column is appended."""
     dd = _qmul(_qconj(dx), y[:, None])
     if dy is not None:
         dd += _qmul(_qconj(x)[:, None], dy)
@@ -738,34 +746,155 @@ def reference_chart_join_jet(x, dx, y, s, dy=None, ds=None):
     return out, dout
 
 
-def test_chart_exp_of_chart_log_is_bitwise_the_chart_join():
-    # with and without tangents of the tip, and with no tangents to carry
-    # (m = 0); rows that repeat a vertex take the log at the identity
-    for rows in (1, 7, 300):
+def reference_slerp_jet(x, dx, y, s):
+    """Reference copy of the great-circle join kernel as one function,
+    before its split into a head and a tail: slerp of rows x (N, d)
+    towards y (N, d) at s (N,), with the tangents (N, m+1, d) along the m
+    parameters of ``dx`` (N, m, d) and then along s."""
+    dot = np.clip(np.sum(x * y, axis=-1, keepdims=True), -1.0, 1.0)
+    if np.any(dot <= -1.0 + _ANTIPODE_TOL):
+        raise DegenerateConfig("join hit an antipodal pair of points")
+    th = np.arccos(dot)
+    small = th[..., 0] < 1e-9
+    sinth = np.sin(th)
+    sinth[small] = 1.0
+    s = np.asarray(s, dtype=float)[..., None]
+    sin_a = np.sin((1.0 - s) * th)
+    sin_b = np.sin(s * th)
+    out = (sin_a * x + sin_b * y) / sinth
+    if np.any(small):
+        lin = (1.0 - s) * x + s * y
+        nrm = np.linalg.norm(lin, axis=-1, keepdims=True)
+        lin = lin / np.where(nrm == 0.0, 1.0, nrm)
+        out[small] = lin[small]
+    a, b = sin_a / sinth, sin_b / sinth
+    cos_a, cos_b, costh = np.cos((1.0 - s) * th), np.cos(s * th), np.cos(th)
+    da = ((1.0 - s) * cos_a - a * costh) / sinth
+    db = (s * cos_b - b * costh) / sinth
+    dth = -np.einsum("nki,ni->nk", dx, y) / sinth
+    d_along = a[:, None] * dx \
+        + dth[..., None] * (da * x + db * y)[:, None]
+    d_s = th * (cos_b * y - cos_a * x) / sinth
+    if np.any(small):
+        def unchord(dl):
+            return (dl - np.einsum("n...i,ni->n...", dl, lin)[..., None]
+                    * lin[:, None]) / nrm[:, None]
+        d_along[small] = unchord((1.0 - s)[:, None] * dx)[small]
+        d_s[small] = unchord((y - x)[:, None])[small, 0]
+    return out, np.concatenate([d_along, d_s[:, None]], axis=1)
+
+
+def kernel_rows(kind, local, rows, m):
+    """Arguments of one join kernel on ``rows`` rows: points x and tips y
+    (within 0.24 rad on a chart, 1 rad on the sphere) with the tangents
+    dx and dy (rows, m, 4) of both, and s = 0, 1e-9 and uniform values in
+    turn.  Every third row joins a point to itself, and on the sphere
+    every fifth to a point within 1e-12, both in the small-angle branch."""
+    if kind == "chart":
         x = np.stack([small_quat().vec for _ in range(rows)])
         y = np.stack([small_quat().vec for _ in range(rows)])
-        y[::3] = x[::3]
-        s = rng.uniform(size=rows)
-        dy = rng.normal(size=(rows, 2, 4))
-        for dx in (rng.normal(size=(rows, 2, 4)), np.zeros((rows, 0, 4))):
-            for d_y in (None, dy[:, :dx.shape[1]]):
-                expected = reference_chart_join_jet(x, dx, y, s, d_y)
-                split = _chart_exp(x, dx, *_chart_log(x, dx, y, d_y), s)
-                assert same_bytes(split, expected)
-            assert same_bytes(_chart_join_jet(x, dx, y, s),
-                              reference_chart_join_jet(x, dx, y, s))
+    else:
+        x = local.normal(size=(rows, 4))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        y = x + 0.5 * local.normal(size=(rows, 4))
+        y[::5] = x[::5] + 1e-12 * local.normal(size=(-(-rows // 5), 4))
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+    y[::3] = x[::3]
+    s = local.uniform(size=rows)
+    s[::3], s[1::3] = 0.0, 1e-9
+    return (x, local.normal(size=(rows, m, 4)), y,
+            local.normal(size=(rows, m, 4)), s)
 
 
-def row_prism_jet(f, s):
+def test_slerp_head_and_tail_are_bitwise_the_slerp_jet():
+    # with two tangents to carry and with none (m = 0)
+    local = np.random.default_rng(21)
+    for m in (2, 0):
+        x, dx, y, _, s = kernel_rows("spherical", local, 5000, m)
+        assert same_bytes(join_jet("spherical", x, dx, y, s),
+                          reference_slerp_jet(x, dx, y, s))
+
+
+# the stated bound of the closed-form chart tail against the reference
+# chart join, set from the dtype: 4 units of roundoff on the unit-norm
+# points, and 8 on tangents, times the largest of them if that exceeds 1
+_EPS = np.finfo(float).eps
+
+
+def assert_close_to_the_chart_join(got, expected):
+    assert np.abs(got[0] - expected[0]).max() <= 4 * _EPS
+    scale = max(np.abs(expected[1]).max(), 1.0)
+    assert np.abs(got[1] - expected[1]).max() <= 8 * _EPS * scale
+
+
+def test_chart_head_and_tail_match_the_chart_join():
+    # with and without tangents of the tip, and with no tangents to carry
+    # (m = 0); rows that repeat a vertex take the log at the identity.  The
+    # head once per row, its rows repeated three times, is bitwise the head
+    # on the repeated rows
+    local = np.random.default_rng(22)
+    for m in (2, 0):
+        x, dx, y, dy, s = kernel_rows("chart", local, 5000, m)
+        for d_y in (None, dy):
+            assert_close_to_the_chart_join(
+                _chart_tail(*_chart_head(x, dx, y, d_y), s),
+                reference_chart_join_jet(x, dx, y, s, d_y))
+            s3 = local.uniform(size=3 * len(x))
+            copies = [None if a is None else np.repeat(a, 3, axis=0)
+                      for a in (x, dx, y, d_y)]
+            heads = [np.repeat(a, 3, axis=0)
+                     for a in _chart_head(x, dx, y, d_y)]
+            assert same_bytes(_chart_tail(*heads, s3),
+                              _chart_tail(*_chart_head(*copies), s3))
+
+
+@pytest.mark.parametrize("kind", ["spherical", "chart"])
+def test_join_kernels_match_five_point_tangents_near_s_0(kind):
+    # x and, on a chart, the tip move with two parameters p; the jet along
+    # (p, s) at s = 0, 1e-9 and uniform values, where the closed-form
+    # chart tail takes its series, against five-point differences
+    local = np.random.default_rng(23)
+    v = 0.1 * local.normal(size=(2, 3, 3))
+
+    def moving(p, i):
+        return _qexp_jet(v[i, 0] + p @ v[i, 1:],
+                         np.broadcast_to(v[i, 1:], (len(p), 2, 3)))
+
+    def jet(c):
+        x, dx = moving(c[:, :2], 0)
+        if kind == "chart":
+            y, dy = moving(c[:, :2], 1)
+            return _chart_tail(*_chart_head(x, dx, y, dy), c[:, 2])
+        y = np.broadcast_to(_qexp_jet(v[1, 0], np.zeros((0, 3)))[0],
+                            x.shape)
+        return join_jet(kind, x, dx, y, c[:, 2])
+
+    c = local.uniform(-0.5, 0.5, size=(60, 3))
+    c[:20, 2], c[20:40, 2] = 0.0, 1e-9
+    x, t = jet(c)
+    fd = five_point_tangents(lambda c: jet(c)[0], c)
+    assert np.abs(t - fd).max() < 1e-8
+
+
+def chart_join_rows(x, dx, y, dy, s):
+    return _chart_tail(*_chart_head(x, dx, y, dy), s)
+
+
+def reference_join_rows(x, dx, y, dy, s):
+    return reference_chart_join_jet(x, dx, y, s, dy=dy)
+
+
+def row_prism_jet(f, s, join=chart_join_rows):
     """Reference copy of the row-wise cube jet that ``prism_cell`` had: f
     and straighten(f), through the row join loop, at every (u, t) node,
-    joined there by the chart join."""
+    joined there by ``join(x, dx, y, dy, t)``, the chart head and tail on
+    every row unless another join is given."""
     strf = straighten(f)
     u = s[:, :-1]
     a, da = row_jet(f, u)
     rows = np.broadcast_to(strf.varr, (len(s),) + strf.varr.shape)
     b, db = row_joins("chart", rows, u)
-    return reference_chart_join_jet(a, da, b, s[:, -1], dy=db)
+    return join(a, da, b, db, s[:, -1])
 
 
 @pytest.mark.parametrize("depth", [0, 1])
@@ -773,7 +902,8 @@ def row_prism_jet(f, s):
 def test_prism_cell_grid_jet_is_bitwise_the_row_jet(order, depth):
     # the cell on a rule level's grids, in blocks of rows, against the row
     # jet in chunks of as many nodes; at order 10 a chunk boundary falls
-    # inside the t nodes of one u
+    # inside the t nodes of one u.  Against the reference chart join at
+    # every node, within its stated bound
     from cocyclelab.suites import _wiggled_simplex
     axes = _panel_axes(3, order, depth)
     nodes = _panel_rule(3, order, depth)[0]
@@ -788,17 +918,19 @@ def test_prism_cell_grid_jet_is_bitwise_the_row_jet(order, depth):
             row_prism_jet(face_map, nodes[lo:lo + block])
             for lo in range(0, len(nodes), block))))
         assert same_bytes(got, expected)
+        assert_close_to_the_chart_join(
+            got, row_prism_jet(face_map, nodes, reference_join_rows))
 
 
 def test_prism_cell_evaluates_its_face_once_per_base_point(monkeypatch):
-    # per rule level, the face's jet and its straightening see the P m^n
-    # base points of the level's grids, and only the second half of the
-    # chart join sees all P m^(n+1) nodes
+    # per rule level, the face's jet, its straightening and the head of the
+    # chart join see the P m^n base points of the level's grids, and only
+    # the tail sees all P m^(n+1) nodes
     from cocyclelab.forms import pullback_integral, vol_form
     from cocyclelab.quadrature import QuadratureSpec
     from cocyclelab.suites import _wiggled_simplex
     face_map = _wiggled_simplex(np.random.default_rng(3)).face(1)
-    seen = {"face": 0, "straight": 0, "exp": 0}
+    seen = {"face": 0, "straight": 0, "head": 0, "tail": 0}
 
     def face_jet(axes):
         for x, dx in face_map.evaluate_grid_jet(axes):
@@ -809,21 +941,26 @@ def test_prism_cell_evaluates_its_face_once_per_base_point(monkeypatch):
         seen["straight"] += axes.shape[0] * axes.shape[2] ** axes.shape[1]
         return real_join_rows(kind, vertices, axes)
 
-    def chart_exp(x, *args):
-        seen["exp"] += len(x)
-        return _chart_exp(x, *args)
+    def chart_head(x, *args):
+        seen["head"] += len(x)
+        return _chart_head(x, *args)
+
+    def chart_tail(x, *args):
+        seen["tail"] += len(x)
+        return _chart_tail(x, *args)
 
     real_join_rows = simplices.join_rows
     cell = prism_cell(ParametrizedMap(2, face_jet))
     seen["face"] = 0  # straighten evaluated the three corners
     monkeypatch.setattr(simplices, "join_rows", joins)
-    monkeypatch.setattr(simplices, "_chart_exp", chart_exp)
+    monkeypatch.setattr(simplices, "_chart_head", chart_head)
+    monkeypatch.setattr(simplices, "_chart_tail", chart_tail)
     quad = QuadratureSpec(order=6, depth=1, tol=1)
     pullback_integral(vol_form(), cell, quad)
     panels = 2 ** (3 * quad.depth)
-    assert seen == {"face": sum(panels * m ** 2 for m in quad.orders),
-                    "straight": sum(panels * m ** 2 for m in quad.orders),
-                    "exp": sum(panels * m ** 3 for m in quad.orders)}
+    base = sum(panels * m ** 2 for m in quad.orders)
+    assert seen == {"face": base, "straight": base, "head": base,
+                    "tail": sum(panels * m ** 3 for m in quad.orders)}
 
 
 def test_all_faces_signs():
