@@ -18,20 +18,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import DifferentialForm, sphere_integral
+from .forms import DifferentialForm, PowerTable, sphere_integral
 from .groups import _qmul, hopf_arr, hopf_jacobian
 from .hamiltonian import SphereFunction, hamiltonian_field, poisson
 from .quadrature import QuadratureSpec, gauss_legendre_circle
 
-_I = np.array([0.0, 1.0, 0.0, 0.0])
+
+def _i_times(q):
+    """The quaternion product i q = (-x, w, -z, y) of q = (w, x, y, z) on
+    batches (..., 4), in closed form; it differs from the Hamilton product
+    with i = (0, 1, 0, 0) at most in the sign of a zero."""
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.stack([-x, w, -z, y], axis=-1)
 
 
 def reeb_field():
     """The field q -> i q; alpha(R) = 1 and dalpha(R, .) = 0."""
 
     def field(points):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return _qmul(np.broadcast_to(_I, p.shape), p)
+        return _i_times(np.atleast_2d(np.asarray(points, dtype=float)))
 
     return field
 
@@ -40,8 +45,7 @@ def alpha_value(points, tangents):
     """alpha_q(v) = <i q, v> on batches."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
     v = np.atleast_2d(np.asarray(tangents, dtype=float))
-    iq = _qmul(np.broadcast_to(_I, p.shape), p)
-    return np.einsum("ni,ni->n", iq, v)
+    return np.einsum("ni,ni->n", _i_times(p), v)
 
 
 def dalpha_value(u, v):
@@ -53,10 +57,16 @@ def dalpha_value(u, v):
 
 
 def volume_density(points, t1, t2, t3):
-    """mu = alpha ^ d(alpha) on three tangent batches."""
-    return (alpha_value(points, t1) * dalpha_value(t2, t3)
-            - alpha_value(points, t2) * dalpha_value(t1, t3)
-            + alpha_value(points, t3) * dalpha_value(t1, t2))
+    """mu = alpha ^ d(alpha) on three tangent batches, with i q computed
+    once."""
+    iq = _i_times(points)
+
+    def alpha(t):
+        return np.einsum("ni,ni->n", iq, t)
+
+    return (alpha(t1) * dalpha_value(t2, t3)
+            - alpha(t2) * dalpha_value(t1, t3)
+            + alpha(t3) * dalpha_value(t1, t2))
 
 
 @lru_cache(maxsize=None)
@@ -93,16 +103,16 @@ def pullback(f: SphereFunction) -> ContactFunction:
 def contact_field(f: ContactFunction):
     """Unique field X with alpha(X) = f and contraction of d(alpha) equal
     to -df: the horizontal lift of the downstairs Hamiltonian field plus
-    f times the Reeb field."""
+    f times the Reeb field.  The base and its gradient share one power
+    table of the Hopf images."""
     base = f.base
+    downstairs = hamiltonian_field(base)
 
     def field(points):
         q = np.atleast_2d(np.asarray(points, dtype=float))
-        p = hopf_arr(q)
-        lift = np.einsum("nkj,nk->nj", hopf_jacobian(q),
-                         hamiltonian_field(base)(p))
-        iq = _qmul(np.broadcast_to(_I, q.shape), q)
-        return lift + base.evaluate(p)[:, None] * iq
+        p = PowerTable.of(hopf_arr(q))
+        lift = np.einsum("nkj,nk->nj", hopf_jacobian(q), downstairs(p))
+        return lift + base.evaluate(p)[:, None] * _i_times(q)
 
     return field
 
@@ -124,7 +134,7 @@ def fiber_period(seed=5) -> float:
         u = np.stack([np.cos(thetas), np.sin(thetas),
                       np.zeros_like(thetas), np.zeros_like(thetas)], axis=1)
         pts = _qmul(u, np.broadcast_to(q, u.shape))
-        vel = _qmul(np.broadcast_to(_I, u.shape), pts)
+        vel = _i_times(pts)
         return alpha_value(pts, vel)
 
     return gauss_legendre_circle(integrand)
@@ -141,12 +151,19 @@ def contact_pairing(f: ContactFunction, g: ContactFunction,
                     quad: QuadratureSpec | None = None) -> float:
     """<f, g> = integral of f*g against alpha ^ d(alpha); the form's
     density over the atlas comes from ``sphere_integral``'s cache.  Both
-    functions are pulled back from one Hopf image of the nodes."""
+    functions are pulled back from one Hopf image of each block of nodes,
+    and evaluated on one power table of it.  The tables are not cached (at
+    orders 12 and 14 they would take about 7 MB), but each starts from the
+    previous one: the orthant cells of a block come one after the other,
+    and their third Hopf coordinate (w^2 + x^2 - y^2 - z^2) / 2 is bitwise
+    the same, since squares drop the signs."""
     quad = quad or QuadratureSpec(order=8, tol=1e-4)
+    last = None
 
     def fg(p):
-        h = hopf_arr(p)
-        return f.base.evaluate(h) * g.base.evaluate(h)
+        nonlocal last
+        last = PowerTable(hopf_arr(p), last)
+        return f.base.evaluate(last) * g.base.evaluate(last)
 
     return sphere_integral(contact_volume_form().times(fg), "S3", quad).value
 

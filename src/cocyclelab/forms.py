@@ -30,9 +30,14 @@ factored form ``base.times(fn)`` is a function times a fixed form; its
 whole-sphere integrals evaluate the atlas jets once per rule level and
 process, not once per integral.  ``sphere_integral`` keeps, per (sphere,
 base, rule order, depth), the density of ``base`` at every node of every
-cell and the nodes' points, and multiplies by ``fn`` at those points.  The
-values and estimates are bitwise those of integrating the form cell by
-cell with ``pullback_integral``.
+cell and the nodes' points, and multiplies by ``fn`` at those points.  A
+polynomial factor on CP1 (``times(f)`` for a ``SphereFunction`` f) is
+evaluated on a ``PowerTable`` of each cell's points, the powers
+``points[:, axis] ** e`` grown lazily to the highest exponent asked for.
+The tables are kept per rule level and cell in their own cache beside the
+densities, so every CP1 integral after the first at a level computes no
+power.  The values and estimates are bitwise those of integrating the form
+cell by cell with ``pullback_integral``.
 """
 from __future__ import annotations
 
@@ -53,6 +58,52 @@ from .simplices import GeodesicSimplex, ParametrizedMap, join_grids
 # ``_atlas_density``; weak keys, so the entries of a base that is no
 # longer referenced go with it
 _DENSITY_CACHE = weakref.WeakKeyDictionary()
+# base form -> {(sphere, rule order, depth): one PowerTable per CP1 cell},
+# filled by ``_power_tables`` on the cells' points in ``_DENSITY_CACHE``
+_POWER_CACHE = weakref.WeakKeyDictionary()
+
+
+class PowerTable:
+    """The powers ``points[:, axis] ** e`` of a point set (N, d), shared by
+    every polynomial evaluated on it (``SphereFunction.evaluate``).
+
+    Each power is computed with a scalar exponent, as ``points[:, axis]
+    ** e`` is, and kept: ``powers(axis, top)`` grows an axis's table up to
+    the highest exponent asked for.  The tables are read-only, so a table
+    built with a ``previous`` one starts each axis whose column is bitwise
+    the previous one's from the powers that table holds."""
+
+    def __init__(self, points, previous=None):
+        self.points = points
+        self._powers = [np.empty((0, len(points)))] * points.shape[1]
+        if previous is not None and previous.points.shape == points.shape:
+            for axis, col in enumerate(points.T):
+                # bitwise: +0.0 and -0.0 compare equal as floats
+                if np.array_equal(col.view(np.int64),
+                                  previous.points[:, axis].view(np.int64)):
+                    self._powers[axis] = previous._powers[axis]
+
+    @classmethod
+    def of(cls, points):
+        """``points`` if it is a table, else a fresh table of the points
+        (N, d) or of the one point (d,)."""
+        if isinstance(points, cls):
+            return points
+        return cls(np.atleast_2d(np.asarray(points, dtype=float)))
+
+    def powers(self, axis, top):
+        """The (E, N) table of ``points[:, axis] ** e`` for e < E, with
+        E > ``top``."""
+        have = self._powers[axis]
+        if len(have) <= top:
+            grown = np.empty((top + 1, len(self.points)))
+            grown[:len(have)] = have
+            col = self.points[:, axis]
+            for e in range(len(have), top + 1):
+                grown[e] = col ** e
+            grown.setflags(write=False)
+            self._powers[axis] = have = grown
+        return have
 
 
 class DifferentialForm:
@@ -69,14 +120,18 @@ class DifferentialForm:
         self.factors = None
 
     def times(self, fn):
-        """The form ``fn(p) * self(p, t)`` for a function ``fn`` of points
-        (N, d) -> (N,), evaluated in that order.  It keeps
-        ``factors = (fn, self)``, so ``sphere_integral`` can read the
-        density of ``self`` from its cache; ``self`` should then be one
-        object per process, such as ``fubini_study_form()``."""
+        """The form ``fn(p) * self(p, t)``, evaluated in that order, for a
+        function ``fn`` of points (N, d) -> (N,) or a polynomial: an object
+        whose ``evaluate`` takes points or a ``PowerTable`` of them, such as
+        a ``SphereFunction``.  It keeps ``factors = (fn, self)``, so
+        ``sphere_integral`` can read the density of ``self`` from its
+        cache, and evaluate a polynomial on CP1 on cached power tables;
+        ``self`` should then be one object per process, such as
+        ``fubini_study_form()``."""
         base = self._evaluator
+        evaluate = getattr(fn, "evaluate", fn)
         out = DifferentialForm(self.degree, self.ambient,
-                               lambda p, t: fn(p) * base(p, t))
+                               lambda p, t: evaluate(p) * base(p, t))
         out.factors = (fn, self)
         return out
 
@@ -371,25 +426,51 @@ def _atlas_density(sphere, base, order, depth):
     return levels[key]
 
 
+def _power_tables(base, key, cells):
+    """One ``PowerTable`` per CP1 atlas cell at one rule level, on the
+    points that ``_atlas_density`` keeps for that cell; kept in
+    ``_POWER_CACHE`` and grown by every polynomial evaluated on them.
+    Each table holds its points, and the tables are built afresh when a
+    cell's points are not those (a replaced ``_DENSITY_CACHE``), so a
+    table never meets other points."""
+    levels = _POWER_CACHE.setdefault(base, {})
+    tables = levels.get(key)
+    if tables is None or any(t.points is not x
+                             for t, (_, x, _) in zip(tables, cells)):
+        tables = levels[key] = tuple(PowerTable(x) for _, x, _ in cells)
+    return tables
+
+
 def _cached_values(fn, base, sphere, quad):
     """``values(s, axes)``: the integrand of ``base.times(fn)`` at the
-    nodes ``s`` of a rule level, as (cell index, first node, values) per
-    cell and chunk of ``simplices._BLOCK_ROWS`` nodes, reading the points
-    and the density of ``base`` from ``_atlas_density``."""
+    nodes ``s`` of a rule level, as (cell index, first node, values),
+    reading the points and the density of ``base`` from
+    ``_atlas_density``.  A polynomial ``fn`` on CP1 is evaluated on each
+    cell's cached ``PowerTable`` (``_power_tables``), on all of the cell's
+    nodes at once; otherwise ``fn`` runs per cell and chunk of
+    ``simplices._BLOCK_ROWS`` nodes."""
+    evaluate = getattr(fn, "evaluate", fn)
     # the two rule levels differ in their node counts
     levels = {}
     for order in quad.orders:
         table, cells = _atlas_density(sphere, base, order, quad.depth)
-        levels[cells[0][2].shape[0]] = table, cells
+        tables = None
+        if sphere == "CP1" and hasattr(fn, "evaluate"):
+            tables = _power_tables(base, (sphere, order, quad.depth), cells)
+        levels[cells[0][2].shape[0]] = table, cells, tables
 
     def values(s, _):
-        table, cells = levels[s.shape[0]]
+        table, cells, tables = levels[s.shape[0]]
+        if tables is not None:
+            for i, (powers, (_, _, density)) in enumerate(zip(tables, cells)):
+                yield i, 0, evaluate(powers) * density
+            return
         block = _simplices._BLOCK_ROWS
         for lo in range(0, s.shape[0], block):
             hi = lo + block
             for i, (signs, points, density) in enumerate(cells):
                 x = points[lo:hi] if table is None else signs * table[lo:hi]
-                yield i, lo, fn(x) * density[lo:hi]
+                yield i, lo, evaluate(x) * density[lo:hi]
 
     return values
 

@@ -7,6 +7,10 @@ ints where they are integral, Fractions only where a denominator is not
 brackets have closed forms (the bracket of two polynomials is again a
 polynomial, via the ambient determinant identity
 {f,g} = det[p, grad f, grad g]).
+A polynomial is evaluated from a ``forms.PowerTable`` of its points, the
+arrays ``p[:, axis] ** e`` per axis and exponent: points get a fresh
+table, and polynomials that meet the same points share one (the three
+partials of a gradient, or the cached table of each atlas cell).
 Integrals run over the icosahedral atlas.
 """
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from .cochains import exact
 # symplectic_form_value stays importable from here with the rest of the
 # calculus on the projective line
-from .forms import (fubini_study_form, sphere_integral,
+from .forms import (PowerTable, fubini_study_form, sphere_integral,
                     symplectic_form_value)
 from .quadrature import QuadratureSpec
 
@@ -56,20 +60,25 @@ class SphereFunction:
                 np.array([float(c) for c in self.coeffs.values()]))
 
     def evaluate(self, points):
-        """Sum over terms, in dict order, of c * x^a * y^b * z^c, with each
-        power read from a table of ``p[:, axis] ** k``."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
+        """Sum over terms, in dict order, of c * x^a * y^b * z^c at points
+        (N, 3) or on a ``PowerTable`` of them, with each power read from
+        the table; points get a fresh table."""
+        table = PowerTable.of(points)
         exps, coeffs = self._compiled
-        terms = np.repeat(coeffs[:, None], len(p), axis=1)
-        for axis in range(3):
+        k = exps[:, 0]
+        terms = table.powers(0, k.max(initial=0))[k]
+        # ((c * x^a) * y^b) * z^c; x^a * c is bitwise c * x^a
+        terms *= coeffs[:, None]
+        for axis in (1, 2):
             k = exps[:, axis]
-            powers = np.stack([p[:, axis] ** e
-                               for e in range(k.max(initial=0) + 1)])
-            terms *= powers[k]
+            terms *= table.powers(axis, k.max(initial=0))[k]
         return np.add.reduce(terms, axis=0, initial=0.0)
 
     def gradient(self, points):
-        return np.stack([self.partial(axis).evaluate(points)
+        """The three partials at points (N, 3), or on a ``PowerTable``,
+        from one table."""
+        table = PowerTable.of(points)
+        return np.stack([self.partial(axis).evaluate(table)
                          for axis in range(3)], axis=1)
 
     def __add__(self, other):
@@ -137,12 +146,13 @@ def hamiltonian_field(f: SphereFunction):
     """Field with contraction against the symplectic form equal to -df.
 
     With the 2*pi-normalized form on the radius-1/2 sphere this is simply
-    X_f(p) = p x grad f(p); constants give the zero field.
+    X_f(p) = p x grad f(p); constants give the zero field.  The field
+    takes points (N, 3) or a ``PowerTable`` of them.
     """
 
     def field(points):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.cross(p, f.gradient(p))
+        table = PowerTable.of(points)
+        return np.cross(table.points, f.gradient(table))
 
     return field
 
@@ -159,11 +169,10 @@ def poisson(f: SphereFunction, g: SphereFunction) -> SphereFunction:
 def function_integral(f: SphereFunction,
                       quad: QuadratureSpec | None = None):
     """Integral of f against the symplectic area 2-form, with estimate;
-    the form's density over the atlas comes from ``sphere_integral``'s
-    cache."""
+    the form's density over the atlas, and the powers of the atlas points,
+    come from ``sphere_integral``'s caches."""
     quad = quad or QuadratureSpec(order=8, tol=1e-6)
-    return sphere_integral(fubini_study_form().times(f.evaluate), "CP1",
-                           quad)
+    return sphere_integral(fubini_study_form().times(f), "CP1", quad)
 
 
 def pairing_integral(f: SphereFunction, g: SphereFunction,

@@ -3,11 +3,12 @@ from math import pi
 import numpy as np
 import pytest
 
-from cocyclelab.contact import (alpha_value, contact_bracket,
+from cocyclelab.contact import (_i_times, alpha_value, contact_bracket,
                                 contact_cocycle, contact_field,
                                 contact_pairing, dalpha_value, fiber_period,
-                                pullback, reeb_field, volume_density)
-from cocyclelab.forms import DifferentialForm, sphere_integral
+                                contact_volume_form, pullback, reeb_field,
+                                volume_density)
+from cocyclelab.forms import DifferentialForm, PowerTable, sphere_integral
 from cocyclelab.groups import _qmul, hopf_arr, hopf_jacobian
 from cocyclelab.hamiltonian import (SphereFunction, hamiltonian_field,
                                     poisson, symplectic_cocycle)
@@ -158,3 +159,69 @@ def test_dalpha_is_pullback_of_symplectic_form():
     dv = np.einsum("nkj,nj->nk", jac, v)
     pulled = 4.0 * np.einsum("ni,ni->n", hopf_arr(q), np.cross(du, dv))
     assert np.abs(dalpha_value(u, v) - pulled).max() < 1e-12
+
+
+I_UNIT = np.array([0.0, 1.0, 0.0, 0.0])
+
+
+def test_i_times_is_the_product_with_i_but_for_the_sign_of_zero():
+    q = random_sphere_points(60)
+    q[:20, :2] = 0.0
+    q[20:40, 2:] = -0.0
+    product_with_i = _qmul(np.broadcast_to(I_UNIT, q.shape), q)
+    got = _i_times(q)
+    assert (got + 0.0).tobytes() == (product_with_i + 0.0).tobytes()
+    # same layout, so alpha sums its products in the same order
+    v = tangents_at(q)
+    assert alpha_value(q, v).tobytes() == \
+        np.einsum("ni,ni->n", product_with_i, v).tobytes()
+    t1, t2, t3 = (tangents_at(q) for _ in range(3))
+    assert volume_density(q, t1, t2, t3).tobytes() == (
+        alpha_value(q, t1) * dalpha_value(t2, t3)
+        - alpha_value(q, t2) * dalpha_value(t1, t3)
+        + alpha_value(q, t3) * dalpha_value(t1, t2)).tobytes()
+
+
+def test_contact_field_is_bitwise_the_formula_with_fresh_tables():
+    # the base and its gradient share one power table of the Hopf images
+    local = np.random.default_rng(71)
+    q = random_sphere_points(80)
+    p = hopf_arr(q)
+    for _ in range(3):
+        base = SphereFunction({(a, b, c): int(local.integers(-4, 5))
+                               for a in range(4) for b in range(4)
+                               for c in range(4) if local.random() < 0.3})
+        grad = np.stack([base.partial(axis).evaluate(p) for axis in range(3)],
+                        axis=1)
+        lift = np.einsum("nkj,nk->nj", hopf_jacobian(q), np.cross(p, grad))
+        expected = lift + base.evaluate(p)[:, None] * \
+            _qmul(np.broadcast_to(I_UNIT, q.shape), q)
+        assert contact_field(pullback(base))(q).tobytes() == \
+            expected.tobytes()
+
+
+def test_contact_pairing_is_bitwise_the_product_on_fresh_points(monkeypatch):
+    # both factors on one table per block and cell, each table starting
+    # from the previous cell's: bitwise the two functions evaluated on the
+    # Hopf images on their own
+    f = pullback(SphereFunction({(3, 0, 1): 2, (0, 2, 0): -1, (0, 0, 3): 5}))
+    g = pullback(SphereFunction({(1, 1, 1): 3, (0, 0, 2): 1, (2, 0, 0): -4}))
+    quad = QuadratureSpec(order=8, tol=1)
+
+    def fg(p):
+        return f.base.evaluate(hopf_arr(p)) * g.base.evaluate(hopf_arr(p))
+
+    expected = sphere_integral(contact_volume_form().times(fg), "S3", quad)
+    grown, original = [0, 0, 0], PowerTable.powers
+
+    def spy(self, axis, top):
+        grown[axis] += len(self._powers[axis]) <= top
+        return original(self, axis, top)
+
+    monkeypatch.setattr(PowerTable, "powers", spy)
+    assert contact_pairing(f, g, quad).hex() == expected.value.hex()
+    # 16 cells in one block per rule level: the third Hopf coordinate grows
+    # its powers once per block, the first two in most cells (a cell shares
+    # them only where its signs give the previous cell's coordinate)
+    assert grown[2] == 2
+    assert grown[0] >= 16 and grown[1] >= 16

@@ -9,12 +9,13 @@ from cocyclelab.cochains import (conjugate_point_map, degree_of_map,
                                  twisted_square_map)
 from cocyclelab.contact import contact_volume_form
 from cocyclelab.errors import QuadratureDiverged
-from cocyclelab.forms import (_project_tangent, fubini_study_form, mc3_form,
+from cocyclelab.forms import (PowerTable, _project_tangent,
+                              fubini_study_form, mc3_form,
                               pullback_integral, sphere_atlas,
                               sphere_integral, stacked_pullback_integral,
                               vol_form)
 from cocyclelab.groups import QUAT_ONE, _qmul
-from cocyclelab.hamiltonian import SphereFunction
+from cocyclelab.hamiltonian import SphereFunction, function_integral
 from cocyclelab.quadrature import (IntegralResult, QuadratureSpec, _grid_nodes,
                                    _panel_rule)
 from cocyclelab.simplices import GeodesicSimplex, ParametrizedMap, join_rows
@@ -435,6 +436,93 @@ def test_factored_sphere_integral_is_bitwise_the_cell_sum(
     assert bits(second) == bits(first)
 
 
+FACTOR = SphereFunction({(2, 1, 0): 3, (0, 0, 3): -2, (1, 0, 0): 1,
+                         (0, 0, 0): 0.25, (4, 0, 2): 5})
+
+
+def fresh_caches(monkeypatch):
+    monkeypatch.setattr(forms, "_DENSITY_CACHE", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(forms, "_POWER_CACHE", weakref.WeakKeyDictionary())
+
+
+@pytest.mark.parametrize("order, depth", [(8, 0), (8, 1), (11, 0)])
+def test_factored_sphere_integral_of_a_polynomial_is_bitwise_the_cell_sum(
+        monkeypatch, order, depth):
+    # the SphereFunction itself as the factor: sphere_integral evaluates it
+    # on each CP1 cell's cached power table, the cell sum on the cell's
+    # points
+    fresh_caches(monkeypatch)
+    form = fubini_study_form().times(FACTOR)
+    quad = QuadratureSpec(order=order, depth=depth, tol=1)
+    expected = cell_by_cell(form, sphere_atlas("CP1"), quad)
+    first = sphere_integral(form, "CP1", quad)
+    assert bits(first) == bits(expected)
+    tables = forms._POWER_CACHE[fubini_study_form()]
+    assert sorted(tables) == [("CP1", o, depth) for o in quad.orders]
+    assert all(len(cells) == 20 for cells in tables.values())
+
+    def no_jet(*args):
+        raise AssertionError("atlas jet evaluated on a cache hit")
+
+    monkeypatch.setattr(GeodesicSimplex, "evaluate_grid_jet", no_jet)
+    assert bits(sphere_integral(form, "CP1", quad)) == bits(first)
+
+
+def test_second_integral_at_a_level_computes_no_power(monkeypatch):
+    fresh_caches(monkeypatch)
+    quad = QuadratureSpec(order=8, tol=1)
+    function_integral(FACTOR, quad)
+    tables = [t for cells in forms._POWER_CACHE[fubini_study_form()].values()
+              for t in cells]
+    assert len(tables) == 40
+    grown, original = [], PowerTable.powers
+
+    def spy(self, axis, top):
+        if len(self._powers[axis]) <= top:
+            grown.append((axis, top))
+        return original(self, axis, top)
+
+    def no_table(*args):
+        raise AssertionError("power table built on a cache hit")
+
+    monkeypatch.setattr(PowerTable, "powers", spy)
+    monkeypatch.setattr(PowerTable, "__init__", no_table)
+    # again, and another polynomial of no higher degree in any coordinate
+    other = SphereFunction({(3, 1, 1): 2, (0, 1, 2): -1, (4, 0, 0): 7})
+    for f in (FACTOR, other):
+        function_integral(f, quad)
+    assert grown == []
+
+
+def test_a_replaced_density_cache_never_meets_old_tables(monkeypatch):
+    # after the density cache is replaced, new points may sit where freed
+    # ones sat; each table holds its points, so none is read against others
+    fresh_caches(monkeypatch)
+    base, quad = fubini_study_form(), QuadratureSpec(order=8, tol=1)
+    first = function_integral(FACTOR, quad)
+    old = dict(forms._POWER_CACHE[base])
+    # a new cache whose points differ from the ones the tables were built on
+    monkeypatch.setattr(forms, "_DENSITY_CACHE", weakref.WeakKeyDictionary())
+    for key in old:
+        table, cells = forms._atlas_density(*key[:1], base, *key[1:])
+        moved = []
+        for signs, points, density in cells:
+            points = np.ascontiguousarray(points[::-1])
+            points.setflags(write=False)
+            moved.append((signs, points, density))
+        forms._DENSITY_CACHE[base][key] = table, tuple(moved)
+    got = function_integral(FACTOR, quad)
+    # the same cache read through the points, with no table
+    assert bits(got) == bits(sphere_integral(
+        base.times(lambda p: FACTOR.evaluate(p)), "CP1", quad))
+    assert bits(got) != bits(first)
+    for key, stale in old.items():
+        tables = forms._POWER_CACHE[base][key]
+        cells = forms._DENSITY_CACHE[base][key][1]
+        assert all(t.points is points and t is not s
+                   for t, (_, points, _), s in zip(tables, cells, stale))
+
+
 @pytest.mark.parametrize("compose", [
     None, conjugate_point_map(QUAT_ONE), twisted_square_map(QUAT_ONE)])
 @pytest.mark.parametrize("order, depth", [(8, 0), (10, 0), (8, 1)])
@@ -530,3 +618,16 @@ def test_density_cache_stays_small_after_the_sphere_suites(monkeypatch):
                 if a is not None:
                     arrays[id(a)] = a
     assert 0 < sum(a.nbytes for a in arrays.values()) <= 1.2e6
+
+
+def test_power_table_cache_stays_small_after_the_sphere_suites(monkeypatch):
+    # 0.71 MB: per CP1 level (orders 8 and 10) and cell, the powers 0 to 8
+    # of each axis; the S^3 tables are per block of nodes and not kept
+    fresh_caches(monkeypatch)
+    for suite in ("symplectic", "contact"):
+        assert run_suite(suite).passed
+    levels = forms._POWER_CACHE[fubini_study_form()]
+    assert sorted(levels) == [("CP1", 8, 0), ("CP1", 10, 0)]
+    size = sum(a.nbytes for tables in levels.values() for t in tables
+               for a in t._powers)
+    assert 0 < size <= 7.2e5

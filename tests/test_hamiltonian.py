@@ -4,6 +4,7 @@ from math import pi
 import numpy as np
 import pytest
 
+from cocyclelab.forms import PowerTable
 from cocyclelab.hamiltonian import (SphereFunction, _exponent_key,
                                     function_integral, hamiltonian_field,
                                     pairing_integral, poisson,
@@ -185,6 +186,103 @@ def test_evaluate_matches_the_per_term_sum():
                     * p[:, 2] ** c
             assert fgh.evaluate(p).tobytes() == expected.tobytes()
     assert SphereFunction().evaluate(random_points(3)).tolist() == [0.0] * 3
+
+
+def reference_evaluate(f, points):
+    """A copy of ``SphereFunction.evaluate`` before power tables: per call
+    and axis a fresh stack of ``p[:, axis] ** e``, the coefficients
+    repeated over the rows, the terms multiplied in and summed in dict
+    order."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    exps = np.array(list(f.coeffs), dtype=int).reshape(-1, 3)
+    coeffs = np.array([float(c) for c in f.coeffs.values()])
+    terms = np.repeat(coeffs[:, None], len(p), axis=1)
+    for axis in range(3):
+        k = exps[:, axis]
+        powers = np.stack([p[:, axis] ** e
+                           for e in range(k.max(initial=0) + 1)])
+        terms *= powers[k]
+    return np.add.reduce(terms, axis=0, initial=0.0)
+
+
+def polynomial_of_degree(local, degree):
+    """Random terms of degree <= ``degree``, one of them of that degree,
+    with coefficients in thirds."""
+    keys = [(a, b, c) for a in range(degree + 1)
+            for b in range(degree + 1 - a) for c in range(degree + 1 - a - b)]
+    coeffs = {key: Fraction(int(local.integers(-9, 10)), 3)
+              for key in keys if local.random() < 0.3}
+    top = keys[int(local.integers(len(keys)))]
+    while sum(top) != degree:
+        top = keys[int(local.integers(len(keys)))]
+    coeffs[top] = Fraction(1, 3)
+    return SphereFunction(coeffs)
+
+
+def test_table_evaluation_is_bitwise_the_reference_in_any_order():
+    # polynomials of degree 0 to 8 that share one table, evaluated in a
+    # random order, so each axis's table grows in steps of every size
+    local = np.random.default_rng(61)
+    for points in (random_points(130), local.normal(size=(40, 3)),
+                   np.array([0.1, -0.2, 0.3]), np.zeros((0, 3))):
+        for _ in range(4):
+            polys = [polynomial_of_degree(local, d) for d in range(9)]
+            table = PowerTable.of(points)
+            for i in local.permutation(len(polys)):
+                expected = reference_evaluate(polys[i], points)
+                assert polys[i].evaluate(table).tobytes() == \
+                    expected.tobytes()
+                assert polys[i].evaluate(points).tobytes() == \
+                    expected.tobytes()
+            # the table holds each power up to the highest exponent asked
+            # for, computed with a scalar exponent
+            p = np.atleast_2d(points)
+            for axis in range(3):
+                powers = table.powers(axis, 0)
+                assert len(powers) == 1 + max(key[axis] for f in polys
+                                              for key in f.coeffs)
+                for e, row in enumerate(powers):
+                    assert row.tobytes() == (p[:, axis] ** e).tobytes()
+
+
+def test_a_table_starts_from_the_previous_one_where_a_column_is_equal():
+    local = np.random.default_rng(73)
+    f = polynomial_of_degree(local, 6)
+    first = random_points(50)
+    first[:5, 1] = 0.0
+    previous = PowerTable.of(first)
+    f.evaluate(previous)
+    second = first.copy()
+    second[:, 0] = -second[:, 0]       # another column
+    second[:5, 1] = -0.0               # equal as floats, not bitwise
+    table = PowerTable(second, previous)
+    # only the third column is bitwise the previous one's
+    assert table.powers(2, 0) is previous.powers(2, 0)
+    assert table._powers[0].size == table._powers[1].size == 0
+    assert f.evaluate(table).tobytes() == \
+        reference_evaluate(f, second).tobytes()
+    # growing a shared axis leaves the previous table as it was
+    rows = len(previous.powers(2, 0))
+    assert len(table.powers(2, rows + 2)) == rows + 3
+    assert len(previous.powers(2, 0)) == rows
+    # points of another shape share nothing
+    other = PowerTable(random_points(49), previous)
+    assert all(a.size == 0 for a in other._powers)
+
+
+def test_gradient_and_field_share_one_table_bitwise():
+    local = np.random.default_rng(67)
+    p = random_points(90)
+    for degree in range(5):
+        f = polynomial_of_degree(local, degree)
+        expected = np.stack([reference_evaluate(f.partial(axis), p)
+                             for axis in range(3)], axis=1)
+        table = PowerTable.of(p)
+        assert f.gradient(table).tobytes() == expected.tobytes()
+        assert f.gradient(p).tobytes() == expected.tobytes()
+        field = np.cross(p, expected).tobytes()
+        assert hamiltonian_field(f)(table).tobytes() == field
+        assert hamiltonian_field(f)(p).tobytes() == field
 
 
 def test_exponent_keys_must_be_three_nonnegative_integers():
