@@ -10,7 +10,7 @@ is an explicit coisometry.  Every contact function is such a pullback of a
 polynomial, so fields and brackets need no finite differences.  The
 ``contact`` suite checks the field's defining identities: alpha(X_f) = f,
 X_f is tangent to the sphere, and the field of the constant 1 is the Reeb
-field.
+field.  ``contact_pairings`` integrates all pairs of a check in one pass.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import DifferentialForm, PowerTable, sphere_integral
+from .forms import DifferentialForm, PowerTable, sphere_products
 from .groups import _qmul, hopf_arr, hopf_jacobian
 from .hamiltonian import SphereFunction, hamiltonian_field, poisson
 from .quadrature import QuadratureSpec, gauss_legendre_circle
@@ -72,7 +72,7 @@ def volume_density(points, t1, t2, t3):
 @lru_cache(maxsize=None)
 def contact_volume_form() -> DifferentialForm:
     """The 3-form alpha ^ d(alpha) on S^3 (``volume_density``); one object
-    per process, the base of ``contact_pairing``'s factored forms."""
+    per process, the base of ``contact_pairings``' products."""
 
     def ev(p, t):
         return volume_density(p, t[:, 0], t[:, 1], t[:, 2])
@@ -147,23 +147,18 @@ def contact_cocycle(f: ContactFunction, g: ContactFunction,
     return 3.0 / np.pi ** 3 * contact_pairing(f, contact_bracket(g, h), quad)
 
 
+def contact_pairings(pairs, quad: QuadratureSpec | None = None) -> list:
+    """<f, g> = integral of f*g against alpha ^ d(alpha) for each pair of
+    ``ContactFunction``: ``forms.sphere_products`` of their bases on
+    tables of the Hopf images, whose third coordinate is bitwise the same
+    on all 16 orthant cells (squares drop signs), so it is shared."""
+    quad = quad or QuadratureSpec(order=8, tol=1e-4)
+    return [res.value for res in sphere_products(
+        contact_volume_form(), "S3", [(f.base, g.base) for f, g in pairs],
+        quad, lift=hopf_arr)]
+
+
 def contact_pairing(f: ContactFunction, g: ContactFunction,
                     quad: QuadratureSpec | None = None) -> float:
-    """<f, g> = integral of f*g against alpha ^ d(alpha); the form's
-    density over the atlas comes from ``sphere_integral``'s cache.  Both
-    functions are pulled back from one Hopf image of each block of nodes,
-    and evaluated on one power table of it.  The tables are not cached (at
-    orders 12 and 14 they would take about 7 MB), but each starts from the
-    previous one: the orthant cells of a block come one after the other,
-    and their third Hopf coordinate (w^2 + x^2 - y^2 - z^2) / 2 is bitwise
-    the same, since squares drop the signs."""
-    quad = quad or QuadratureSpec(order=8, tol=1e-4)
-    last = None
-
-    def fg(p):
-        nonlocal last
-        last = PowerTable(hopf_arr(p), last)
-        return f.base.evaluate(last) * g.base.evaluate(last)
-
-    return sphere_integral(contact_volume_form().times(fg), "S3", quad).value
-
+    """<f, g>: the one-pair call of ``contact_pairings``."""
+    return contact_pairings([(f, g)], quad)[0]

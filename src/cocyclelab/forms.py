@@ -25,22 +25,19 @@ S^3, and for the projective line CP1 the 20 icosahedral triangles of S^2
 scaled by 1/2 to its radius-1/2 sphere model.
 
 The 16 orthant cells are the positive orthant reflected by their vertex
-signs, so one join pass on a rule level's grids gives every cell's jet.  A
-factored form ``base.times(fn)`` is a function times a fixed form; its
-whole-sphere integrals evaluate the atlas jets once per rule level and
-process, not once per integral.  ``sphere_integral`` keeps, per (sphere,
-base, rule order, depth), the density of ``base`` at every node of every
-cell and the nodes' points, and multiplies by ``fn`` at those points.  A
-polynomial factor on CP1 (``times(f)`` for a ``SphereFunction`` f) is
-evaluated on a ``PowerTable`` of each cell's points, the powers
+signs, so one join pass on a rule level's grids gives every cell's jet.
+``sphere_products`` integrates products of polynomials against a fixed
+form ``base``: ``_atlas_density`` keeps, per (sphere, base, rule order,
+depth), the density of ``base`` at every node of every cell and the
+nodes' points, and every factor of every product of a call is evaluated
+on one ``PowerTable`` of each cell's points, the powers
 ``points[:, axis] ** e`` grown lazily to the highest exponent asked for.
-The tables are kept per rule level and cell in their own cache beside the
-densities, so every CP1 integral after the first at a level computes no
-power.  The values and estimates are bitwise those of integrating the form
-cell by cell with ``pullback_integral``.
+On CP1 the tables are kept per rule level and cell beside the densities,
+so every CP1 integral after the first at a level computes no power.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from functools import lru_cache, partial
 from itertools import combinations, product
@@ -117,23 +114,6 @@ class DifferentialForm:
         self.degree = degree
         self.ambient = ambient
         self._evaluator = evaluator
-        self.factors = None
-
-    def times(self, fn):
-        """The form ``fn(p) * self(p, t)``, evaluated in that order, for a
-        function ``fn`` of points (N, d) -> (N,) or a polynomial: an object
-        whose ``evaluate`` takes points or a ``PowerTable`` of them, such as
-        a ``SphereFunction``.  It keeps ``factors = (fn, self)``, so
-        ``sphere_integral`` can read the density of ``self`` from its
-        cache, and evaluate a polynomial on CP1 on cached power tables;
-        ``self`` should then be one object per process, such as
-        ``fubini_study_form()``."""
-        base = self._evaluator
-        evaluate = getattr(fn, "evaluate", fn)
-        out = DifferentialForm(self.degree, self.ambient,
-                               lambda p, t: evaluate(p) * base(p, t))
-        out.factors = (fn, self)
-        return out
 
     def evaluate(self, points, tangents):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -184,7 +164,7 @@ def symplectic_form_value(points, a, b):
 def fubini_study_form() -> DifferentialForm:
     """Symplectic 2-form on the radius-1/2 sphere model of the projective
     line, normalized to total integral 2*pi; one object per process, the
-    base of ``function_integral``'s factored forms.
+    base of ``function_integral``'s and ``pairing_integrals``' products.
 
     With this scaling the coordinate brackets come out as {x,y} = z etc.,
     and points satisfy x^2 + y^2 + z^2 = 1/4.
@@ -441,38 +421,63 @@ def _power_tables(base, key, cells):
     return tables
 
 
-def _cached_values(fn, base, sphere, quad):
-    """``values(s, axes)``: the integrand of ``base.times(fn)`` at the
-    nodes ``s`` of a rule level, as (cell index, first node, values),
-    reading the points and the density of ``base`` from
-    ``_atlas_density``.  A polynomial ``fn`` on CP1 is evaluated on each
-    cell's cached ``PowerTable`` (``_power_tables``), on all of the cell's
-    nodes at once; otherwise ``fn`` runs per cell and chunk of
-    ``simplices._BLOCK_ROWS`` nodes."""
-    evaluate = getattr(fn, "evaluate", fn)
-    # the two rule levels differ in their node counts
-    levels = {}
-    for order in quad.orders:
-        table, cells = _atlas_density(sphere, base, order, quad.depth)
-        tables = None
-        if sphere == "CP1" and hasattr(fn, "evaluate"):
-            tables = _power_tables(base, (sphere, order, quad.depth), cells)
-        levels[cells[0][2].shape[0]] = table, cells, tables
+def sphere_products(base: DifferentialForm, sphere: str, products,
+                    quad: QuadratureSpec | None = None, lift=None) -> list:
+    """Whole-sphere integrals of products of polynomials against ``base``
+    (one object per process, such as ``fubini_study_form()``): one
+    ``IntegralResult`` per entry of ``products``, a tuple of anything whose
+    ``evaluate`` takes a ``PowerTable``, such as a ``SphereFunction``.  An
+    entry's integrand is its factors evaluated on one table and multiplied
+    in order, times the density of ``base`` (``_atlas_density``).
 
-    def values(s, _):
-        table, cells, tables = levels[s.shape[0]]
-        if tables is not None:
-            for i, (powers, (_, _, density)) in enumerate(zip(tables, cells)):
-                yield i, 0, evaluate(powers) * density
-            return
-        block = _simplices._BLOCK_ROWS
-        for lo in range(0, s.shape[0], block):
-            hi = lo + block
-            for i, (signs, points, density) in enumerate(cells):
-                x = points[lo:hi] if table is None else signs * table[lo:hi]
-                yield i, lo, evaluate(x) * density[lo:hi]
+    Each cell's table serves every factor of every entry: on CP1 the
+    cell's cached table (``_power_tables``); on S^3 one per block of
+    ``simplices._BLOCK_ROWS`` nodes on ``lift(signs * table)``, started
+    from the previous cell's table of that block (not cached: at orders 12
+    and 14 they would take about 7 MB).  All entries and cells of a level
+    are the rows of one ``integrate_stack_on_cube``, yielded cell by cell;
+    each entry's cells are summed with their signs in atlas order."""
+    quad = quad or QuadratureSpec()
+    if lift is not None and sphere != "S3":
+        raise ValueError("only the S^3 atlas points take a lift")
+    if not products:
+        return []
+    atlas, block = sphere_atlas(sphere), _simplices._BLOCK_ROWS
 
-    return values
+    def rows(s, axes):
+        key = (sphere, axes.shape[2], quad.depth)  # axes (P, n, order)
+        table, cells = _atlas_density(sphere, base, *key[1:])
+        cached = _power_tables(base, key, cells) if table is None else None
+        # a row is summed before the next is asked for: cells share rows
+        out, tables = np.empty((len(products), s.shape[0])), {}
+        for i, (signs, _, density) in enumerate(cells):
+            if cached is not None:
+                tables = {0: cached[i]}
+            else:  # first row -> this cell's table, from the previous cell's
+                for lo in range(0, len(table), block):
+                    x = signs * table[lo:lo + block]
+                    tables[lo] = PowerTable(x if lift is None else lift(x),
+                                            tables.get(lo))
+            for lo, powers in tables.items():
+                hi = lo + len(powers.points)
+                for row, factors in zip(out, products):
+                    np.multiply(math.prod(fn.evaluate(powers)
+                                          for fn in factors),
+                                density[lo:hi], out=row[lo:hi])
+            yield from out
+
+    results = integrate_stack_on_cube(rows, atlas[0][1].degree, quad)
+    return [_atlas_sum(atlas, results[e::len(products)])
+            for e in range(len(products))]
+
+
+def _atlas_sum(atlas, results):
+    """The atlas cells' results, summed with their signs in atlas order."""
+    total = est = 0.0
+    for (sign, _), res in zip(atlas, results):
+        total += sign * res.value
+        est += res.error_estimate
+    return IntegralResult(value=total, error_estimate=est)
 
 
 def sphere_integral(form: DifferentialForm, sphere: str,
@@ -487,36 +492,23 @@ def sphere_integral(form: DifferentialForm, sphere: str,
     under the map.
 
     The atlas cells are the rows of one ``integrate_stack_on_cube``.  Its
-    integrand fills them in blocks of nodes, and
-    calls the form (and ``compose``) once per cell and block.  Without
-    ``compose``, a factored form (``base.times(fn)``) reads the atlas
-    points and the density of its base from a per-process cache (see
-    ``_atlas_density``); otherwise the cells' jets come from
+    integrand fills them in blocks of nodes, and calls the form (and
+    ``compose``) once per cell and block, on the cells' jets from
     ``_atlas_jets`` on the rule level's grids, which on S^3 reflects one
     join pass into all 16 cells.  Each cell is summed on its own, so the
     value, the estimate and ``QuadratureDiverged`` are bitwise those of
     ``pullback_integral`` cell by cell, summed in atlas order."""
     quad = quad or QuadratureSpec()
     atlas = sphere_atlas(sphere)
-    if compose is None and form.factors is not None:
-        values = _cached_values(*form.factors, sphere, quad)
-    else:
-        def values(_, axes):
-            for i, lo, x, tangents in _atlas_jets(sphere, axes):
-                if compose is not None:
-                    x, tangents = compose(x, tangents)
-                yield i, lo, form.evaluate(x, _project_tangent(x, tangents))
 
     def integrand(s, axes):
         out = np.empty((len(atlas), s.shape[0]))
-        for i, lo, v in values(s, axes):
-            out[i, lo:lo + len(v)] = v
+        for i, lo, x, tangents in _atlas_jets(sphere, axes):
+            if compose is not None:
+                x, tangents = compose(x, tangents)
+            out[i, lo:lo + len(x)] = form.evaluate(
+                x, _project_tangent(x, tangents))
         return out
 
-    total = 0.0
-    est = 0.0
-    results = integrate_stack_on_cube(integrand, atlas[0][1].degree, quad)
-    for (sign, _), res in zip(atlas, results):
-        total += sign * res.value
-        est += res.error_estimate
-    return IntegralResult(value=total, error_estimate=est)
+    return _atlas_sum(atlas, integrate_stack_on_cube(
+        integrand, atlas[0][1].degree, quad))

@@ -11,7 +11,7 @@ A polynomial is evaluated from a ``forms.PowerTable`` of its points, the
 arrays ``p[:, axis] ** e`` per axis and exponent: points get a fresh
 table, and polynomials that meet the same points share one (the three
 partials of a gradient, or the cached table of each atlas cell).
-Integrals run over the icosahedral atlas.
+Integrals run over the icosahedral atlas, many pairings in one pass.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 from .cochains import exact
 # symplectic_form_value stays importable from here with the rest of the
 # calculus on the projective line
-from .forms import (PowerTable, fubini_study_form, sphere_integral,
+from .forms import (PowerTable, fubini_study_form, sphere_products,
                     symplectic_form_value)
 from .quadrature import QuadratureSpec
 
@@ -31,12 +31,19 @@ class SphereFunction:
     """Polynomial in the ambient coordinates (x, y, z), restricted to the
     radius-1/2 sphere.  Coefficients are exact rationals (``exact``: ints,
     or Fractions where a denominator is not 1) keyed by exponent triples; a
-    key that is not three non-negative integers raises ValueError."""
+    key that is not three non-negative integers raises ValueError, and so
+    does a coefficient that is not a finite rational (an infinity, a NaN),
+    naming its key and itself."""
 
     def __init__(self, coeffs=None):
         self.coeffs = {}
         for key, c in (coeffs or {}).items():
-            key, c = _exponent_key(key), exact(c)
+            key = _exponent_key(key)
+            try:
+                c = exact(c)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"coefficient {c!r} of {key!r} is not a "
+                                 "finite rational") from None
             if c != 0:
                 self.coeffs[key] = self.coeffs.get(key, 0) + c
         self.coeffs = {k: v for k, v in self.coeffs.items() if v != 0}
@@ -55,8 +62,9 @@ class SphereFunction:
 
     @cached_property
     def _compiled(self):
-        """Exponent rows (T, 3) and float coefficients (T,) in dict order."""
-        return (np.array(list(self.coeffs), dtype=int).reshape(-1, 3),
+        """Per axis the exponents (T,) and their top; coefficients (T,)."""
+        exps = np.array(list(self.coeffs), dtype=int).reshape(-1, 3)
+        return ([(k, int(k.max(initial=0))) for k in exps.T],
                 np.array([float(c) for c in self.coeffs.values()]))
 
     def evaluate(self, points):
@@ -64,14 +72,14 @@ class SphereFunction:
         (N, 3) or on a ``PowerTable`` of them, with each power read from
         the table; points get a fresh table."""
         table = PowerTable.of(points)
-        exps, coeffs = self._compiled
-        k = exps[:, 0]
-        terms = table.powers(0, k.max(initial=0))[k]
+        axes, coeffs = self._compiled
+        k, top = axes[0]
+        terms = table.powers(0, top)[k]
         # ((c * x^a) * y^b) * z^c; x^a * c is bitwise c * x^a
         terms *= coeffs[:, None]
         for axis in (1, 2):
-            k = exps[:, axis]
-            terms *= table.powers(axis, k.max(initial=0))[k]
+            k, top = axes[axis]
+            terms *= table.powers(axis, top)[k]
         return np.add.reduce(terms, axis=0, initial=0.0)
 
     def gradient(self, points):
@@ -166,19 +174,26 @@ def poisson(f: SphereFunction, g: SphereFunction) -> SphereFunction:
             + z * (fx * gy - fy * gx))
 
 
-def function_integral(f: SphereFunction,
-                      quad: QuadratureSpec | None = None):
-    """Integral of f against the symplectic area 2-form, with estimate;
-    the form's density over the atlas, and the powers of the atlas points,
-    come from ``sphere_integral``'s caches."""
+def function_integral(f, quad: QuadratureSpec | None = None):
+    """Integral of f against the symplectic area 2-form, with estimate; f
+    is a polynomial or a tuple of them, an entry of ``sphere_products``."""
     quad = quad or QuadratureSpec(order=8, tol=1e-6)
-    return sphere_integral(fubini_study_form().times(f), "CP1", quad)
+    factors = f if isinstance(f, tuple) else (f,)
+    return sphere_products(fubini_study_form(), "CP1", [factors], quad)[0]
+
+
+def pairing_integrals(pairs, quad: QuadratureSpec | None = None) -> list:
+    """<f, g> = integral of f(x) * g(x) against the symplectic form, for
+    each pair (f, g), in one stacked pass (``forms.sphere_products``)."""
+    quad = quad or QuadratureSpec(order=8, tol=1e-6)
+    return [res.value for res in
+            sphere_products(fubini_study_form(), "CP1", pairs, quad)]
 
 
 def pairing_integral(f: SphereFunction, g: SphereFunction,
                      quad: QuadratureSpec | None = None) -> float:
-    """<f, g> = integral of f*g against the symplectic form."""
-    return function_integral(f * g, quad).value
+    """<f, g>, one pair: ``function_integral((f, g))``."""
+    return function_integral((f, g), quad).value
 
 
 def symplectic_cocycle(f: SphereFunction, g: SphereFunction,

@@ -158,12 +158,12 @@ def _panel_rule(n: int, order: int, depth: int):
 
 
 def _level_values(integrand, n, order, depth):
-    """Per row of ``integrand``'s values (F, N), the rule's sum
-    ``np.dot(wts, row)`` with the bound gamma_N * sum |w_i f_i| on its
-    rounding error for N nodes (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., SIAM 2002, ch. 3 and 4).  Each row is
-    reduced on its own: a matrix-vector product would sum in another
-    order."""
+    """Per row of ``integrand``'s values, an array (F, N) or rows (N,)
+    yielded one at a time, the rule's sum ``np.dot(wts, row)`` with the
+    bound gamma_N * sum |w_i f_i| on its rounding error for N nodes
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    SIAM 2002, ch. 3 and 4).  Each row is reduced on its own, as it
+    comes: a matrix-vector product would sum in another order."""
     pts, wts = _panel_rule(n, order, depth)
     nu = len(wts) * _UNIT_ROUNDOFF
     return [(float(np.dot(wts, values)),
@@ -172,9 +172,10 @@ def _level_values(integrand, n, order, depth):
 
 
 def integrate_stack_on_cube(integrand, n, spec: QuadratureSpec):
-    """Two-order integrals over the unit n-cube of the F rows of
-    ``integrand(s, axes) -> (F, N)``, as a list of F results.  A rule
-    level passes its N nodes ``s`` (N, n) and their per-panel axes
+    """Two-order integrals over the unit n-cube of the F rows (N,) that
+    ``integrand(s, axes)`` returns as an array or yields one at a time,
+    each summed before the next is asked for, as a list of F results.  A
+    rule level passes its N nodes ``s`` (N, n) and their per-panel axes
     ``axes`` (P, n, m) from ``_panel_axes``, the same grid twice.
 
     Each value is taken at ``spec.order + 2`` points per axis.  Its

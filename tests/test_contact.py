@@ -1,3 +1,4 @@
+import tracemalloc
 from math import pi
 
 import numpy as np
@@ -5,14 +6,17 @@ import pytest
 
 from cocyclelab.contact import (_i_times, alpha_value, contact_bracket,
                                 contact_cocycle, contact_field,
-                                contact_pairing, dalpha_value, fiber_period,
+                                contact_pairing, contact_pairings,
+                                dalpha_value, fiber_period,
                                 contact_volume_form, pullback, reeb_field,
                                 volume_density)
-from cocyclelab.forms import DifferentialForm, PowerTable, sphere_integral
+from cocyclelab.forms import PowerTable, sphere_integral
 from cocyclelab.groups import _qmul, hopf_arr, hopf_jacobian
 from cocyclelab.hamiltonian import (SphereFunction, hamiltonian_field,
                                     poisson, symplectic_cocycle)
 from cocyclelab.quadrature import QuadratureSpec
+from cocyclelab.suites import _random_polynomial
+from test_forms import product_form
 from test_hamiltonian import degree_at_most_4, monomial_form_integral
 
 rng = np.random.default_rng(23)
@@ -207,11 +211,8 @@ def test_contact_pairing_is_bitwise_the_product_on_fresh_points(monkeypatch):
     f = pullback(SphereFunction({(3, 0, 1): 2, (0, 2, 0): -1, (0, 0, 3): 5}))
     g = pullback(SphereFunction({(1, 1, 1): 3, (0, 0, 2): 1, (2, 0, 0): -4}))
     quad = QuadratureSpec(order=8, tol=1)
-
-    def fg(p):
-        return f.base.evaluate(hopf_arr(p)) * g.base.evaluate(hopf_arr(p))
-
-    expected = sphere_integral(contact_volume_form().times(fg), "S3", quad)
+    expected = sphere_integral(product_form(
+        contact_volume_form(), (f.base, g.base), hopf_arr), "S3", quad)
     grown, original = [0, 0, 0], PowerTable.powers
 
     def spy(self, axis, top):
@@ -225,3 +226,42 @@ def test_contact_pairing_is_bitwise_the_product_on_fresh_points(monkeypatch):
     # them only where its signs give the previous cell's coordinate)
     assert grown[2] == 2
     assert grown[0] >= 16 and grown[1] >= 16
+
+
+def ad_invariance_pairs(count, seed=3):
+    """Pairs as the ``contact-ad-invariance`` check draws them, two for
+    each of ``count`` random triples."""
+    local = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        F, G, H = (pullback(_random_polynomial(local, 2)) for _ in range(3))
+        pairs += [(contact_bracket(F, G), H), (G, contact_bracket(F, H))]
+    return pairs
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_contact_pairings_hold_one_cell_of_rows_at_a_time():
+    # the 10 pairs of the check at order 12, against the largest peak of
+    # each pair on its own (set by the power tables and term arrays of its
+    # polynomials): the stack may add one cell's rows, 10 rows of the fine
+    # level's 2744 nodes (220 KB), and 64 KB of slack, far below every
+    # cell's rows at once (3.5 MB)
+    quad = QuadratureSpec(order=12, tol=1e-4)
+    pairs = ad_invariance_pairs(5)
+    contact_pairings(pairs, quad)  # fill the density cache first
+    one = max(traced_peak(lambda: contact_pairings([pair], quad))
+              for pair in pairs)
+    batch = traced_peak(lambda: contact_pairings(pairs, quad))
+    assert batch - one <= len(pairs) * 14 ** 3 * 8 + 64 * 1024
+
+
+def test_empty_pairings_are_empty():
+    assert contact_pairings([]) == []

@@ -9,12 +9,12 @@ from cocyclelab.cochains import (conjugate_point_map, degree_of_map,
                                  twisted_square_map)
 from cocyclelab.contact import contact_volume_form
 from cocyclelab.errors import QuadratureDiverged
-from cocyclelab.forms import (PowerTable, _project_tangent,
+from cocyclelab.forms import (DifferentialForm, PowerTable, _project_tangent,
                               fubini_study_form, mc3_form,
                               pullback_integral, sphere_atlas,
-                              sphere_integral, stacked_pullback_integral,
-                              vol_form)
-from cocyclelab.groups import QUAT_ONE, _qmul
+                              sphere_integral, sphere_products,
+                              stacked_pullback_integral, vol_form)
+from cocyclelab.groups import QUAT_ONE, _qmul, hopf_arr
 from cocyclelab.hamiltonian import SphereFunction, function_integral
 from cocyclelab.quadrature import (IntegralResult, QuadratureSpec, _grid_nodes,
                                    _panel_rule)
@@ -410,34 +410,26 @@ def bits(res):
     return res.value.hex(), res.error_estimate.hex()
 
 
-@pytest.mark.parametrize("sphere, order, depth", [
-    ("CP1", 8, 0), ("CP1", 8, 1), ("S3", 8, 0), ("S3", 8, 1),
-    ("S3", 12, 0), ("S3", 12, 1)])
-def test_factored_sphere_integral_is_bitwise_the_cell_sum(
-        monkeypatch, sphere, order, depth):
-    monkeypatch.setattr(forms, "_DENSITY_CACHE", weakref.WeakKeyDictionary())
-    if sphere == "CP1":
-        poly = SphereFunction({(2, 1, 0): 3, (0, 0, 3): -2, (1, 0, 0): 1,
-                               (0, 0, 0): 0.25})
-        form = fubini_study_form().times(poly.evaluate)
-    else:
-        form = contact_volume_form().times(
-            lambda p: 1.0 + p[:, 0] * p[:, 1] ** 2 - 3.0 * p[:, 3] ** 3)
-    quad = QuadratureSpec(order=order, depth=depth, tol=1)
-    expected = cell_by_cell(form, sphere_atlas(sphere), quad)
-    first = sphere_integral(form, sphere, quad)
-    assert bits(first) == bits(expected)
-    # the second call reads every cell from the cache: no jet is evaluated
-    def no_jet(*args):
-        raise AssertionError("atlas jet evaluated on a cache hit")
+def product_form(base, factors, lift=None):
+    """Reference copy of the integrand of ``sphere_products``: the form
+    ``f_1(p) * ... * f_k(p) * base(p, t)``, each factor evaluated on the
+    points (or on their ``lift``) on its own, multiplied in order."""
 
-    monkeypatch.setattr(GeodesicSimplex, "evaluate_grid_jet", no_jet)
-    second = sphere_integral(form, sphere, quad)
-    assert bits(second) == bits(first)
+    def ev(p, t):
+        x = p if lift is None else lift(p)
+        value = factors[0].evaluate(x)
+        for fn in factors[1:]:
+            value = value * fn.evaluate(x)
+        return value * base.evaluate(p, t)
+
+    return DifferentialForm(base.degree, base.ambient, ev)
 
 
 FACTOR = SphereFunction({(2, 1, 0): 3, (0, 0, 3): -2, (1, 0, 0): 1,
                          (0, 0, 0): 0.25, (4, 0, 2): 5})
+# the base form and the lift of each sphere's products
+PRODUCT_BASES = {"CP1": (fubini_study_form(), None),
+                 "S3": (contact_volume_form(), hopf_arr)}
 
 
 def fresh_caches(monkeypatch):
@@ -445,27 +437,102 @@ def fresh_caches(monkeypatch):
     monkeypatch.setattr(forms, "_POWER_CACHE", weakref.WeakKeyDictionary())
 
 
+def no_jet(*args):
+    raise AssertionError("atlas jet evaluated on a cache hit")
+
+
+@pytest.mark.parametrize("sphere, order, depth", [
+    ("CP1", 8, 0), ("CP1", 8, 1), ("S3", 8, 0), ("S3", 8, 1),
+    ("S3", 12, 0), ("S3", 12, 1)])
+def test_factored_sphere_integral_is_bitwise_the_cell_sum(
+        monkeypatch, sphere, order, depth):
+    # a product of two polynomials against a cached density, against its
+    # form integrated cell by cell
+    fresh_caches(monkeypatch)
+    base, lift = PRODUCT_BASES[sphere]
+    other = SphereFunction({(1, 1, 0): -2, (0, 0, 2): 1, (0, 0, 0): 0.5})
+    quad = QuadratureSpec(order=order, depth=depth, tol=1)
+    expected = cell_by_cell(product_form(base, (FACTOR, other), lift),
+                            sphere_atlas(sphere), quad)
+    first = sphere_products(base, sphere, [(FACTOR, other)], quad, lift)
+    assert bits(first[0]) == bits(expected)
+    # the second call reads every cell from the cache: no jet is evaluated
+    monkeypatch.setattr(GeodesicSimplex, "evaluate_grid_jet", no_jet)
+    second = sphere_products(base, sphere, [(FACTOR, other)], quad, lift)
+    assert bits(second[0]) == bits(first[0])
+
+
 @pytest.mark.parametrize("order, depth", [(8, 0), (8, 1), (11, 0)])
 def test_factored_sphere_integral_of_a_polynomial_is_bitwise_the_cell_sum(
         monkeypatch, order, depth):
-    # the SphereFunction itself as the factor: sphere_integral evaluates it
-    # on each CP1 cell's cached power table, the cell sum on the cell's
-    # points
+    # function_integral evaluates its polynomial on each CP1 cell's cached
+    # power table; the reference form evaluates it on the points of each
+    # block of sphere_integral's jet path
     fresh_caches(monkeypatch)
-    form = fubini_study_form().times(FACTOR)
+    base = fubini_study_form()
     quad = QuadratureSpec(order=order, depth=depth, tol=1)
-    expected = cell_by_cell(form, sphere_atlas("CP1"), quad)
-    first = sphere_integral(form, "CP1", quad)
+    expected = sphere_integral(product_form(base, (FACTOR,)), "CP1", quad)
+    first = function_integral(FACTOR, quad)
     assert bits(first) == bits(expected)
-    tables = forms._POWER_CACHE[fubini_study_form()]
+    tables = forms._POWER_CACHE[base]
     assert sorted(tables) == [("CP1", o, depth) for o in quad.orders]
     assert all(len(cells) == 20 for cells in tables.values())
-
-    def no_jet(*args):
-        raise AssertionError("atlas jet evaluated on a cache hit")
-
     monkeypatch.setattr(GeodesicSimplex, "evaluate_grid_jet", no_jet)
-    assert bits(sphere_integral(form, "CP1", quad)) == bits(first)
+    assert bits(function_integral(FACTOR, quad)) == bits(first)
+
+
+def random_entries(local, count):
+    """``count`` products of one to three random polynomials."""
+    def poly():
+        return SphereFunction({
+            (a, b, c): int(local.integers(-3, 4))
+            for a in range(4) for b in range(4) for c in range(4)
+            if a + b + c <= 3 and local.random() < 0.3})
+
+    return [tuple(poly() for _ in range(1 + k % 3)) for k in range(count)]
+
+
+@pytest.mark.parametrize("sphere, order", [
+    ("CP1", 8), ("S3", 8), ("S3", 12)])
+def test_a_batch_is_bitwise_its_entries_one_at_a_time(
+        monkeypatch, sphere, order):
+    # at order 12 the fine level's 14^3 = 2744 nodes span two blocks of
+    # rows, so each S^3 cell meets two tables
+    fresh_caches(monkeypatch)
+    if order == 12:
+        assert len(_panel_rule(3, 14, 0)[1]) > simplices._BLOCK_ROWS
+    base, lift = PRODUCT_BASES[sphere]
+    entries = random_entries(np.random.default_rng(order), 7)
+    quad = QuadratureSpec(order=order, tol=1)
+    batch = sphere_products(base, sphere, entries, quad, lift)
+    assert len(batch) == len(entries)
+    for entry, got in zip(entries, batch):
+        alone = sphere_products(base, sphere, [entry], quad, lift)
+        assert bits(got) == bits(alone[0])
+
+
+def test_an_empty_batch_integrates_nothing(monkeypatch):
+    fresh_caches(monkeypatch)
+    for sphere, (base, lift) in PRODUCT_BASES.items():
+        assert sphere_products(base, sphere, [], QUAD, lift) == []
+    assert forms._DENSITY_CACHE.get(fubini_study_form()) is None
+
+
+def test_a_diverging_entry_raises_for_the_batch():
+    # the zero polynomial's rows agree at both orders; FACTOR's do not at
+    # orders 2 and 4
+    base, zero = fubini_study_form(), SphereFunction()
+    tight = QuadratureSpec(order=2, tol=1e-12)
+    assert sphere_products(base, "CP1", [(zero,)], tight)[0].value == 0.0
+    with pytest.raises(QuadratureDiverged):
+        sphere_products(base, "CP1", [(zero,), (FACTOR, zero), (FACTOR,)],
+                        tight)
+
+
+def test_only_the_s3_atlas_takes_a_lift():
+    with pytest.raises(ValueError):
+        sphere_products(fubini_study_form(), "CP1", [(FACTOR,)], QUAD,
+                        hopf_arr)
 
 
 def test_second_integral_at_a_level_computes_no_power(monkeypatch):
@@ -512,15 +579,15 @@ def test_a_replaced_density_cache_never_meets_old_tables(monkeypatch):
             moved.append((signs, points, density))
         forms._DENSITY_CACHE[base][key] = table, tuple(moved)
     got = function_integral(FACTOR, quad)
-    # the same cache read through the points, with no table
-    assert bits(got) == bits(sphere_integral(
-        base.times(lambda p: FACTOR.evaluate(p)), "CP1", quad))
     assert bits(got) != bits(first)
     for key, stale in old.items():
         tables = forms._POWER_CACHE[base][key]
         cells = forms._DENSITY_CACHE[base][key][1]
         assert all(t.points is points and t is not s
                    for t, (_, points, _), s in zip(tables, cells, stale))
+    # the same cache read through tables built afresh on its points
+    monkeypatch.setattr(forms, "_POWER_CACHE", weakref.WeakKeyDictionary())
+    assert bits(function_integral(FACTOR, quad)) == bits(got)
 
 
 @pytest.mark.parametrize("compose", [

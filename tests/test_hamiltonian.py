@@ -7,8 +7,9 @@ import pytest
 from cocyclelab.forms import PowerTable
 from cocyclelab.hamiltonian import (SphereFunction, _exponent_key,
                                     function_integral, hamiltonian_field,
-                                    pairing_integral, poisson,
-                                    symplectic_cocycle, symplectic_form_value)
+                                    pairing_integral, pairing_integrals,
+                                    poisson, symplectic_cocycle,
+                                    symplectic_form_value)
 from cocyclelab.quadrature import QuadratureSpec
 
 rng = np.random.default_rng(13)
@@ -147,6 +148,57 @@ def test_ad_invariance_of_the_pairing():
         lhs = pairing_integral(poisson(f, g), h, QUAD) \
             + pairing_integral(g, poisson(f, h), QUAD)
         assert abs(lhs) < 1e-7
+
+
+def test_pairing_integrals_are_bitwise_their_pairs_one_at_a_time():
+    pairs = [(random_polynomial(), random_polynomial()) for _ in range(4)]
+    assert pairing_integrals(pairs, QUAD) == \
+        [pairing_integral(f, g, QUAD) for f, g in pairs]
+    assert pairing_integrals([], QUAD) == []
+
+
+def exact_terms(coeffs, x):
+    """The terms c x^a y^b z^c of a polynomial at the float point x (3,),
+    each an exact Fraction."""
+    p = [Fraction(float(v)) for v in x]
+    return [Fraction(c) * p[0] ** a * p[1] ** b * p[2] ** e
+            for (a, b, e), c in coeffs.items()]
+
+
+def test_the_pointwise_product_is_within_its_rounding_bound_of_the_exact():
+    # f(x) * g(x) from one power table, as the pairings integrate it,
+    # against the exact product polynomial f*g at the same float points.
+    # A term c * x^a * y^b * z^c takes at most 10 roundings of unit
+    # roundoff u (float(c), 2 per power for pow's 1 ulp, 3 products), a sum
+    # of T terms T - 1 more and the product of the two values one, so the
+    # error is at most gamma_K * A_f * A_g with K = T_f + T_g + 19,
+    # gamma_K = K u / (1 - K u) and A the sum of |terms| (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 2nd ed., ch. 3)
+    u = np.finfo(np.float64).eps / 2
+    local = np.random.default_rng(29)
+    points = random_points(30)
+    for _ in range(6):
+        f, g = (SphereFunction({key: Fraction(int(local.integers(-9, 10)), 3)
+                                for key in degree_at_most_4()
+                                if sum(key) <= 3 and local.random() < 0.4})
+                for _ in range(2))
+        table = PowerTable.of(points)
+        got = f.evaluate(table) * g.evaluate(table)
+        k = len(f.coeffs) + len(g.coeffs) + 19
+        gamma = k * u / (1 - k * u)
+        for x, value in zip(points, got):
+            exact = sum(exact_terms((f * g).coeffs, x), Fraction(0))
+            bound = gamma * float(sum(map(abs, exact_terms(f.coeffs, x)))
+                                  * sum(map(abs, exact_terms(g.coeffs, x))))
+            assert abs(float(Fraction(float(value)) - exact)) <= bound
+
+
+@pytest.mark.parametrize("c", [float("inf"), float("-inf"), float("nan")])
+def test_a_non_finite_coefficient_raises_value_error_naming_it(c):
+    with pytest.raises(ValueError) as err:
+        SphereFunction({(1, 0, 0): 1, (0, 2, 1): c})
+    assert str(err.value) == \
+        f"coefficient {c!r} of (0, 2, 1) is not a finite rational"
 
 
 def test_liouville_integrals_vanish():
