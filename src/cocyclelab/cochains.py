@@ -47,6 +47,15 @@ def reduce_mod(value, lattice):
     return value % lattice
 
 
+def _reduced(value, est, lattice):
+    """``value`` reduced mod ``lattice``, and ``est`` plus the rounding of
+    that reduction: u * lattice (u = eps / 2) for a float and a nonzero
+    lattice, whose representative in [0, lattice) is rounded once."""
+    if lattice and isinstance(value, float):
+        est += np.finfo(float).eps / 2 * lattice
+    return reduce_mod(value, lattice), est
+
+
 def circle_distance(a, b):
     """Distance between a and b on the circle R / Z; exact for exact
     arguments."""
@@ -104,13 +113,13 @@ class HomogeneousCochain:
         order, so the first inadmissible one raises DomainGuard before any
         is evaluated; a stacked evaluator then takes them all at once."""
         tuples = [self._checked(t) for t in tuples]
-        return [(reduce_mod(value, self.lattice), est)
+        return [_reduced(value, est, self.lattice)
                 for value, est in self._values(tuples)]
 
     def with_error(self, t):
-        """Reduced value together with an accumulated error estimate."""
-        value, est = self._value(self._checked(t))
-        return reduce_mod(value, self.lattice), est
+        """Reduced value together with an accumulated error estimate, which
+        includes the rounding of the reduction (``_reduced``)."""
+        return _reduced(*self._value(self._checked(t)), self.lattice)
 
     def __call__(self, t):
         return self.with_error(t)[0]
@@ -243,7 +252,8 @@ def kronecker_pair(f: HomogeneousCochain, chain, embed=None,
     group element in the domain of f.  Every term passes f's guard before
     any is evaluated, and the first that fails raises DomainGuard naming
     it; the terms are then evaluated together, like the faces of a
-    coboundary, and summed in order.
+    coboundary, and summed in order.  The estimate adds the rounding of
+    each term's reduction and of the total's (``_reduced``).
     """
     terms = chain.items()
     checked = []
@@ -255,9 +265,10 @@ def kronecker_pair(f: HomogeneousCochain, chain, embed=None,
             raise DomainGuard(f"inadmissible tuple {t} in pairing") from exc
     total, est = 0, 0.0
     for (_, coeff), (v, e) in zip(terms, f._values(checked)):
-        total = total + coeff * reduce_mod(v, f.lattice)
+        v, e = _reduced(v, e, f.lattice)
+        total = total + coeff * v
         est += abs(coeff) * e
-    total = reduce_mod(total, f.lattice)
+    total, est = _reduced(total, est, f.lattice)
     return (total, est) if with_error else total
 
 

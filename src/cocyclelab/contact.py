@@ -150,8 +150,8 @@ def contact_cocycle(f: ContactFunction, g: ContactFunction,
 def contact_pairings(pairs, quad: QuadratureSpec | None = None) -> list:
     """<f, g> = integral of f*g against alpha ^ d(alpha) for each pair of
     ``ContactFunction``: ``forms.sphere_products`` of their bases on
-    tables of the Hopf images, whose third coordinate is bitwise the same
-    on all 16 orthant cells (squares drop signs), so it is shared."""
+    power tables of the Hopf images, one per block of each orthant cell,
+    shared by every factor of every pair."""
     quad = quad or QuadratureSpec(order=8, tol=1e-4)
     return [res.value for res in sphere_products(
         contact_volume_form(), "S3", [(f.base, g.base) for f, g in pairs],

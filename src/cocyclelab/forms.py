@@ -7,10 +7,16 @@ at their nodes from its ``evaluate_grid_jet``, in blocks of at most
 ``simplices._BLOCK_ROWS`` nodes, so the map can share work across a
 grid: a geodesic simplex runs each join once per distinct prefix of cube
 coordinates, and a prism cell evaluates its face, the straightening and
-the head of the chart join once per distinct base point.  It projects the
-tangents onto the sphere and integrates in iterated-cone cube coordinates
-with a tensor Gauss-Legendre rule, estimating the error from two rule
-orders and the rounding of the sum.
+the head of the chart join once per distinct base point.  It integrates in
+iterated-cone cube coordinates with a tensor Gauss-Legendre rule,
+estimating the error from two rule orders and the rounding of the sum.
+
+Every form reads the jet's tangents as given.  The jets are tangent to
+the sphere up to rounding, and every form here annihilates the radial
+direction: the S^3 volume form is det(p, ...), the symplectic form
+4 <p, a x b>, alpha ^ d(alpha) has alpha(p) = 0 and d(alpha)(p, .) =
+2 alpha, and in Tr(w^3) and the covector the real part of p^-1 t cancels
+or is not read.
 
 ``stacked_pullback_integral`` integrates one form over several geodesic
 simplices of one kind in one join pass, the faces of a batch of
@@ -30,10 +36,8 @@ signs, so one join pass on a rule level's grids gives every cell's jet.
 form ``base``: ``_atlas_density`` keeps, per (sphere, base, rule order,
 depth), the density of ``base`` at every node of every cell and the
 nodes' points, and every factor of every product of a call is evaluated
-on one ``PowerTable`` of each cell's points, the powers
+on one ``PowerTable`` per block of each cell's points, the powers
 ``points[:, axis] ** e`` grown lazily to the highest exponent asked for.
-On CP1 the tables are kept per rule level and cell beside the densities,
-so every CP1 integral after the first at a level computes no power.
 """
 from __future__ import annotations
 
@@ -55,9 +59,6 @@ from .simplices import GeodesicSimplex, ParametrizedMap, join_grids
 # ``_atlas_density``; weak keys, so the entries of a base that is no
 # longer referenced go with it
 _DENSITY_CACHE = weakref.WeakKeyDictionary()
-# base form -> {(sphere, rule order, depth): one PowerTable per CP1 cell},
-# filled by ``_power_tables`` on the cells' points in ``_DENSITY_CACHE``
-_POWER_CACHE = weakref.WeakKeyDictionary()
 
 
 class PowerTable:
@@ -66,19 +67,11 @@ class PowerTable:
 
     Each power is computed with a scalar exponent, as ``points[:, axis]
     ** e`` is, and kept: ``powers(axis, top)`` grows an axis's table up to
-    the highest exponent asked for.  The tables are read-only, so a table
-    built with a ``previous`` one starts each axis whose column is bitwise
-    the previous one's from the powers that table holds."""
+    the highest exponent asked for."""
 
-    def __init__(self, points, previous=None):
+    def __init__(self, points):
         self.points = points
         self._powers = [np.empty((0, len(points)))] * points.shape[1]
-        if previous is not None and previous.points.shape == points.shape:
-            for axis, col in enumerate(points.T):
-                # bitwise: +0.0 and -0.0 compare equal as floats
-                if np.array_equal(col.view(np.int64),
-                                  previous.points[:, axis].view(np.int64)):
-                    self._powers[axis] = previous._powers[axis]
 
     @classmethod
     def of(cls, points):
@@ -192,12 +185,6 @@ def mc3_form() -> DifferentialForm:
     return DifferentialForm(3, "SU2", ev)
 
 
-def _project_tangent(x, t):
-    """Tangents t (N, k, d) at points x (N, d), projected to the sphere."""
-    xhat = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    return t - np.einsum("nki,ni->nk", t, xhat)[..., None] * xhat[:, None]
-
-
 def _offsets(blocks):
     """(first row, points, tangents) of each block of a jet."""
     lo = 0
@@ -207,11 +194,11 @@ def _offsets(blocks):
 
 
 def _densities(form, blocks, size):
-    """The form on each block of (points, tangents), the tangents
-    projected to the sphere, written in a row of ``size`` values."""
+    """The form on each block of (points, tangents), written in a row of
+    ``size`` values."""
     out = np.empty(size)
     for lo, x, tangents in _offsets(blocks):
-        out[lo:lo + len(x)] = form.evaluate(x, _project_tangent(x, tangents))
+        out[lo:lo + len(x)] = form.evaluate(x, tangents)
     return out
 
 
@@ -227,9 +214,9 @@ def pullback_integral(form: DifferentialForm, simplex,
     across the tensor grid of each panel: a geodesic simplex runs each
     join once per distinct prefix of cube coordinates, and a prism cell
     evaluates its face and straightening once per distinct base point.
-    The integral runs in cube coordinates with the tangents projected to
-    the sphere.  The error estimate is the rule-order difference plus the
-    rounding bound of the quadrature sum (``integrate_on_cube``)."""
+    The integral runs in cube coordinates.  The error estimate is the
+    rule-order difference plus the rounding bound of the quadrature sum
+    (``integrate_on_cube``)."""
     quad = quad or QuadratureSpec()
     n = simplex.degree
     if form.degree != n:
@@ -370,14 +357,14 @@ def _atlas_density(sphere, base, order, depth):
     """``(table, cells)`` at the nodes of one rule level of the atlas.
 
     ``cells`` holds, per atlas cell, ``(signs, points, density)``:
-    ``density`` (N,) is ``base`` on the cell's jet from ``_atlas_jets``
-    with the tangents projected.  On CP1 ``points`` (N, 3) are the cell's
-    and ``table`` is None.  On S^3 ``points`` is None: the points of the
-    orthant cell with vertex signs ``signs`` are ``signs * table``,
-    bitwise, where ``table`` holds those of the positive orthant, so one
-    table serves all 16 cells.  Built once per (sphere, base, order,
-    depth) and kept in ``_DENSITY_CACHE``; the arrays are read-only,
-    because every later integral reads them."""
+    ``density`` (N,) is ``base`` on the cell's jet from ``_atlas_jets``.
+    On CP1 ``points`` (N, 3) are the cell's and ``table`` is None.  On
+    S^3 ``points`` is None: the points of the orthant cell with vertex
+    signs ``signs`` are ``signs * table``, bitwise, where ``table`` holds
+    those of the positive orthant, so one table serves all 16 cells.
+    Built once per (sphere, base, order, depth) and kept in
+    ``_DENSITY_CACHE``; the arrays are read-only, because every later
+    integral reads them."""
     levels = _DENSITY_CACHE.setdefault(base, {})
     key = (sphere, order, depth)
     if key in levels:
@@ -391,8 +378,7 @@ def _atlas_density(sphere, base, order, depth):
     kept = [[] for _ in atlas]
     for i, lo, x, tangents in _atlas_jets(sphere,
                                           _panel_axes(n, order, depth)):
-        density[i, lo:lo + len(x)] = base.evaluate(
-            x, _project_tangent(x, tangents))
+        density[i, lo:lo + len(x)] = base.evaluate(x, tangents)
         if positive in (None, i):
             kept[i].append(x)
     points = [np.concatenate(chunks) if chunks else None for chunks in kept]
@@ -406,21 +392,6 @@ def _atlas_density(sphere, base, order, depth):
     return levels[key]
 
 
-def _power_tables(base, key, cells):
-    """One ``PowerTable`` per CP1 atlas cell at one rule level, on the
-    points that ``_atlas_density`` keeps for that cell; kept in
-    ``_POWER_CACHE`` and grown by every polynomial evaluated on them.
-    Each table holds its points, and the tables are built afresh when a
-    cell's points are not those (a replaced ``_DENSITY_CACHE``), so a
-    table never meets other points."""
-    levels = _POWER_CACHE.setdefault(base, {})
-    tables = levels.get(key)
-    if tables is None or any(t.points is not x
-                             for t, (_, x, _) in zip(tables, cells)):
-        tables = levels[key] = tuple(PowerTable(x) for _, x, _ in cells)
-    return tables
-
-
 def sphere_products(base: DifferentialForm, sphere: str, products,
                     quad: QuadratureSpec | None = None, lift=None) -> list:
     """Whole-sphere integrals of products of polynomials against ``base``
@@ -430,13 +401,12 @@ def sphere_products(base: DifferentialForm, sphere: str, products,
     entry's integrand is its factors evaluated on one table and multiplied
     in order, times the density of ``base`` (``_atlas_density``).
 
-    Each cell's table serves every factor of every entry: on CP1 the
-    cell's cached table (``_power_tables``); on S^3 one per block of
-    ``simplices._BLOCK_ROWS`` nodes on ``lift(signs * table)``, started
-    from the previous cell's table of that block (not cached: at orders 12
-    and 14 they would take about 7 MB).  All entries and cells of a level
-    are the rows of one ``integrate_stack_on_cube``, yielded cell by cell;
-    each entry's cells are summed with their signs in atlas order."""
+    Each block of ``simplices._BLOCK_ROWS`` nodes of a cell gets one fresh
+    table, which serves every factor of every entry, on the cell's points:
+    on CP1 those ``_atlas_density`` keeps, on S^3 ``signs * table``, each
+    passed through ``lift`` when one is given.  All entries and cells of a
+    level are the rows of one ``integrate_stack_on_cube``, yielded cell by
+    cell; each entry's cells are summed with their signs in atlas order."""
     quad = quad or QuadratureSpec()
     if lift is not None and sphere != "S3":
         raise ValueError("only the S^3 atlas points take a lift")
@@ -444,22 +414,17 @@ def sphere_products(base: DifferentialForm, sphere: str, products,
         return []
     atlas, block = sphere_atlas(sphere), _simplices._BLOCK_ROWS
 
-    def rows(s, axes):
-        key = (sphere, axes.shape[2], quad.depth)  # axes (P, n, order)
-        table, cells = _atlas_density(sphere, base, *key[1:])
-        cached = _power_tables(base, key, cells) if table is None else None
+    def rows(s, axes):  # axes (P, n, order)
+        table, cells = _atlas_density(sphere, base, axes.shape[2], quad.depth)
         # a row is summed before the next is asked for: cells share rows
-        out, tables = np.empty((len(products), s.shape[0])), {}
-        for i, (signs, _, density) in enumerate(cells):
-            if cached is not None:
-                tables = {0: cached[i]}
-            else:  # first row -> this cell's table, from the previous cell's
-                for lo in range(0, len(table), block):
-                    x = signs * table[lo:lo + block]
-                    tables[lo] = PowerTable(x if lift is None else lift(x),
-                                            tables.get(lo))
-            for lo, powers in tables.items():
-                hi = lo + len(powers.points)
+        out = np.empty((len(products), s.shape[0]))
+        for signs, points, density in cells:
+            if points is None:
+                points = signs * table
+            for lo in range(0, len(points), block):
+                x = points[lo:lo + block]
+                powers = PowerTable(x if lift is None else lift(x))
+                hi = lo + len(x)
                 for row, factors in zip(out, products):
                     np.multiply(math.prod(fn.evaluate(powers)
                                           for fn in factors),
@@ -506,8 +471,7 @@ def sphere_integral(form: DifferentialForm, sphere: str,
         for i, lo, x, tangents in _atlas_jets(sphere, axes):
             if compose is not None:
                 x, tangents = compose(x, tangents)
-            out[i, lo:lo + len(x)] = form.evaluate(
-                x, _project_tangent(x, tangents))
+            out[i, lo:lo + len(x)] = form.evaluate(x, tangents)
         return out
 
     return _atlas_sum(atlas, integrate_stack_on_cube(

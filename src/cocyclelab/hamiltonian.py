@@ -10,7 +10,8 @@ polynomial, via the ambient determinant identity
 A polynomial is evaluated from a ``forms.PowerTable`` of its points, the
 arrays ``p[:, axis] ** e`` per axis and exponent: points get a fresh
 table, and polynomials that meet the same points share one (the three
-partials of a gradient, or the cached table of each atlas cell).
+partials of a gradient, or every factor of a pass on one block of an
+atlas cell).
 Integrals run over the icosahedral atlas, many pairings in one pass.
 """
 from __future__ import annotations
@@ -99,8 +100,14 @@ class SphereFunction:
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        return SphereFunction({k: exact(scalar) * v
-                               for k, v in self.coeffs.items()})
+        """``scalar * self``; a scalar that is not a finite rational (an
+        infinity, a NaN) raises ValueError naming it."""
+        try:
+            scalar = exact(scalar)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"scalar {scalar!r} is not a finite "
+                             "rational") from None
+        return SphereFunction({k: scalar * v for k, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, SphereFunction):

@@ -1,0 +1,151 @@
+"""Replay the recorded mutants: each must fail the tests said to catch it.
+
+Every entry of ``MUTANTS`` is (id, file under ``src/cocyclelab``, exact old
+text, new text, test ids).  For each entry the script copies ``src/`` to a
+temporary directory, replaces the old text, which must occur exactly once,
+by the new one, and runs pytest on the named tests against the copy.  The
+mutant is killed when every named test fails (for a parametrized test, at
+least one of its cases).  The named tests first run once on the tree as
+it is, where they must all pass, so no test is counted as a kill that
+fails anyway.  A named test that fails there, a surviving mutant, an old
+text that does not occur exactly once (a stale entry) or a run that
+pytest cannot complete is printed, and the script exits 1 (about 35 s).
+Run it from anywhere:
+
+    python tests/mutants.py
+
+pytest does not collect this file (its name does not start with
+``test_``), so it is not part of the unit tests.  A change that claims a
+test catches a mutant adds its entry here.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+MUTANTS = [
+    ("normalize-on-the-right", "finite.py",
+     "group.mul(g0inv, x) for x in t",
+     "group.mul(x, g0inv) for x in t",
+     ["tests/test_finite.py::test_q8_conf_distinct_retraction_and_extension"]),
+    ("snf-no-divisibility-step", "snf.py",
+     "        if bad is None:\n            k += 1\n",
+     "        if True:\n            k += 1\n",
+     ["tests/test_finite.py::test_snf_diagonal_is_the_invariant_factors",
+      "tests/test_finite.py::test_snf_against_rational_rank_oracle"]),
+    ("solve-truncated-v-rows", "snf.py",
+     "for j, c in enumerate(row[:self.rank]) if c]",
+     "for j, c in enumerate(row[:self.rank - 1]) if c]",
+     ["tests/test_finite.py::test_sparse_solve_matches_dense_transforms"]),
+    ("solve-no-rank-check", "snf.py",
+     "        if any(y[self.rank:]):\n            return None\n",
+     "",
+     ["tests/test_finite.py::test_sparse_solve_matches_dense_transforms"]),
+    ("bareiss-no-row-swap", "snf.py",
+     "        a[r], a[piv] = a[piv], a[r]\n",
+     "",
+     ["tests/test_finite.py::test_rational_rank_of_boundary_matrices"]),
+    ("bareiss-skips-a-row", "snf.py",
+     "        for i in range(r + 1, m):\n",
+     "        for i in range(r + 2, m):\n",
+     ["tests/test_finite.py::test_rational_rank_of_boundary_matrices"]),
+    ("hemisphere-sigma-of-the-augmented-matrix", "simplices.py",
+     "np.linalg.svd(aug if square else unit,",
+     "np.linalg.svd(aug,",
+     ["tests/test_simplices.py::"
+      "test_hemisphere_decides_well_conditioned_sets_in_one_test"]),
+    ("hemisphere-weight-threshold", "simplices.py",
+     "return not lam.min() >= -_HULL_TOL",
+     "return not lam.min() >= 0.1",
+     ["tests/test_simplices.py::"
+      "test_hemisphere_test_agrees_with_the_subset_loop"]),
+    ("powers-by-repeated-multiplication", "forms.py",
+     "                grown[e] = col ** e\n",
+     "                grown[e] = col ** e if e < 3 else grown[e - 1] * col\n",
+     ["tests/test_hamiltonian.py::"
+      "test_table_evaluation_is_bitwise_the_reference_in_any_order"]),
+    ("i-times-by-fancy-indexing", "contact.py",
+     "    return np.stack([-x, w, -z, y], axis=-1)\n",
+     "    return q[..., [1, 0, 3, 2]] * np.array([-1.0, 1.0, -1.0, 1.0])\n",
+     ["tests/test_contact.py::"
+      "test_i_times_is_the_product_with_i_but_for_the_sign_of_zero"]),
+    ("contact-rows-allocated-per-cell", "forms.py",
+     "        out = np.empty((len(products), s.shape[0]))\n"
+     "        for signs, points, density in cells:\n",
+     "        for signs, points, density in cells:\n"
+     "            out = np.empty((len(products), s.shape[0]))\n",
+     ["tests/test_contact.py::"
+      "test_contact_pairings_hold_one_cell_of_rows_at_a_time"]),
+    ("no-rounding-term-of-the-reduction", "cochains.py",
+     "    if lattice and isinstance(value, float):\n",
+     "    if False:\n",
+     ["tests/test_cochains.py::"
+      "test_cocycle_defect_passes_with_no_padding_floor",
+      "tests/test_cochains.py::"
+      "test_stacked_coboundary_is_bitwise_the_face_sum"]),
+]
+
+
+def failed_ids(output):
+    """The node ids of pytest's ``FAILED`` summary lines."""
+    prefix = "FAILED "
+    return [line[len(prefix):].split(" - ")[0]
+            for line in output.splitlines() if line.startswith(prefix)]
+
+
+def pytest(src, tests):
+    """pytest's exit code and output on ``tests`` with the package
+    imported from ``src``."""
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p",
+         "no:cacheprovider", "-o", f"pythonpath={src}", *tests],
+        cwd=ROOT, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    return run.returncode, run.stdout
+
+
+def replay(file, old, new, tests):
+    """"killed", "survived" (with the named tests that passed), "stale" or
+    "error" for one mutant."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(SRC, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        path = copy / "cocyclelab" / file
+        text = path.read_text()
+        if text.count(old) != 1:
+            return f"stale: the old text occurs {text.count(old)} times"
+        path.write_text(text.replace(old, new))
+        code, output = pytest(copy, tests)
+    if code not in (0, 1):
+        return f"error: pytest exited {code}\n{output[-2000:]}"
+    failed = failed_ids(output)
+    alive = [t for t in tests
+             if not any(f == t or f.startswith(t + "[") for f in failed)]
+    return f"survived: {' '.join(alive)} passed" if alive else "killed"
+
+
+def main():
+    named = sorted({t for *_, tests in MUTANTS for t in tests})
+    code, output = pytest(SRC, named)
+    if code != 0:
+        print(f"the named tests do not pass on the tree itself:\n{output}")
+        return 1
+    bad = 0
+    for mutant, file, old, new, tests in MUTANTS:
+        verdict = replay(file, old, new, tests)
+        bad += verdict != "killed"
+        print(f"{mutant}: {verdict}", flush=True)
+    print(f"{len(MUTANTS)} mutants, {len(MUTANTS) - bad} killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,12 +9,11 @@ from cocyclelab.cochains import (conjugate_point_map, degree_of_map,
                                  twisted_square_map)
 from cocyclelab.contact import contact_volume_form
 from cocyclelab.errors import QuadratureDiverged
-from cocyclelab.forms import (DifferentialForm, PowerTable, _project_tangent,
-                              fubini_study_form, mc3_form,
+from cocyclelab.forms import (DifferentialForm, fubini_study_form, mc3_form,
                               pullback_integral, sphere_atlas,
                               sphere_integral, sphere_products,
                               stacked_pullback_integral, vol_form)
-from cocyclelab.groups import QUAT_ONE, _qmul, hopf_arr
+from cocyclelab.groups import QUAT_ONE, _qconj, _qmul, hopf_arr
 from cocyclelab.hamiltonian import SphereFunction, function_integral
 from cocyclelab.quadrature import (IntegralResult, QuadratureSpec, _grid_nodes,
                                    _panel_rule)
@@ -149,6 +148,35 @@ def test_form_multilinearity():
     rhs = a * form.evaluate(q[None], t[None])[0] \
         + b * form.evaluate(q[None], t2[None])[0]
     assert abs(lhs - rhs) < 1e-9
+
+
+def gf_covector():
+    """A copy of the covector that the gf-derivation suite integrates: the
+    i-component of p^-1 t."""
+    return DifferentialForm(1, "SU2",
+                            lambda p, t: _qmul(_qconj(p), t[:, 0])[:, 1])
+
+
+@pytest.mark.parametrize("form, radius", [
+    (vol_form(), 1.0), (mc3_form(), 1.0), (contact_volume_form(), 1.0),
+    (fubini_study_form(), 0.5), (gf_covector(), 1.0)])
+def test_a_radial_part_in_any_tangent_changes_no_form(form, radius):
+    # every form integrates the jets' tangents as given, which are tangent
+    # only up to rounding: adding a multiple of the point to any one tangent
+    # moves each value by rounding alone (about 1e-14 at most, against
+    # values up to about 30)
+    local = np.random.default_rng(17)
+    d = 3 if form.ambient == "CP1" else 4
+    p = local.normal(size=(2000, d))
+    p *= radius / np.linalg.norm(p, axis=1, keepdims=True)
+    t = local.normal(size=(2000, form.degree, d))
+    t -= np.einsum("nki,ni->nk", t, p)[..., None] * p[:, None] / radius ** 2
+    values = form.evaluate(p, t)
+    bound = 64 * np.finfo(float).eps * (1.0 + np.abs(values))
+    for k in range(form.degree):
+        moved = t.copy()
+        moved[:, k] += local.normal(size=(2000, 1)) * p
+        assert np.all(np.abs(form.evaluate(p, moved) - values) <= bound)
 
 
 def test_det_rows_is_the_determinant():
@@ -299,7 +327,7 @@ def test_jet_error_estimate_is_the_order_difference():
         coarse = pullback_integral(form, cell, QuadratureSpec(order=6, tol=1))
         pts, wts = _panel_rule(cell.degree, 10, 0)
         x, t = row_jet(cell, pts)
-        f = form.evaluate(x, _project_tangent(x, t))
+        f = form.evaluate(x, t)
         nu = len(wts) * u
         rounding = nu / (1 - nu) * np.dot(wts, np.abs(f))
         assert rounding > 0.0
@@ -434,7 +462,6 @@ PRODUCT_BASES = {"CP1": (fubini_study_form(), None),
 
 def fresh_caches(monkeypatch):
     monkeypatch.setattr(forms, "_DENSITY_CACHE", weakref.WeakKeyDictionary())
-    monkeypatch.setattr(forms, "_POWER_CACHE", weakref.WeakKeyDictionary())
 
 
 def no_jet(*args):
@@ -465,18 +492,15 @@ def test_factored_sphere_integral_is_bitwise_the_cell_sum(
 @pytest.mark.parametrize("order, depth", [(8, 0), (8, 1), (11, 0)])
 def test_factored_sphere_integral_of_a_polynomial_is_bitwise_the_cell_sum(
         monkeypatch, order, depth):
-    # function_integral evaluates its polynomial on each CP1 cell's cached
-    # power table; the reference form evaluates it on the points of each
-    # block of sphere_integral's jet path
+    # function_integral evaluates its polynomial on a power table of each
+    # CP1 cell's cached points; the reference form evaluates it on the
+    # points of each block of sphere_integral's jet path
     fresh_caches(monkeypatch)
     base = fubini_study_form()
     quad = QuadratureSpec(order=order, depth=depth, tol=1)
     expected = sphere_integral(product_form(base, (FACTOR,)), "CP1", quad)
     first = function_integral(FACTOR, quad)
     assert bits(first) == bits(expected)
-    tables = forms._POWER_CACHE[base]
-    assert sorted(tables) == [("CP1", o, depth) for o in quad.orders]
-    assert all(len(cells) == 20 for cells in tables.values())
     monkeypatch.setattr(GeodesicSimplex, "evaluate_grid_jet", no_jet)
     assert bits(function_integral(FACTOR, quad)) == bits(first)
 
@@ -535,61 +559,6 @@ def test_only_the_s3_atlas_takes_a_lift():
                         hopf_arr)
 
 
-def test_second_integral_at_a_level_computes_no_power(monkeypatch):
-    fresh_caches(monkeypatch)
-    quad = QuadratureSpec(order=8, tol=1)
-    function_integral(FACTOR, quad)
-    tables = [t for cells in forms._POWER_CACHE[fubini_study_form()].values()
-              for t in cells]
-    assert len(tables) == 40
-    grown, original = [], PowerTable.powers
-
-    def spy(self, axis, top):
-        if len(self._powers[axis]) <= top:
-            grown.append((axis, top))
-        return original(self, axis, top)
-
-    def no_table(*args):
-        raise AssertionError("power table built on a cache hit")
-
-    monkeypatch.setattr(PowerTable, "powers", spy)
-    monkeypatch.setattr(PowerTable, "__init__", no_table)
-    # again, and another polynomial of no higher degree in any coordinate
-    other = SphereFunction({(3, 1, 1): 2, (0, 1, 2): -1, (4, 0, 0): 7})
-    for f in (FACTOR, other):
-        function_integral(f, quad)
-    assert grown == []
-
-
-def test_a_replaced_density_cache_never_meets_old_tables(monkeypatch):
-    # after the density cache is replaced, new points may sit where freed
-    # ones sat; each table holds its points, so none is read against others
-    fresh_caches(monkeypatch)
-    base, quad = fubini_study_form(), QuadratureSpec(order=8, tol=1)
-    first = function_integral(FACTOR, quad)
-    old = dict(forms._POWER_CACHE[base])
-    # a new cache whose points differ from the ones the tables were built on
-    monkeypatch.setattr(forms, "_DENSITY_CACHE", weakref.WeakKeyDictionary())
-    for key in old:
-        table, cells = forms._atlas_density(*key[:1], base, *key[1:])
-        moved = []
-        for signs, points, density in cells:
-            points = np.ascontiguousarray(points[::-1])
-            points.setflags(write=False)
-            moved.append((signs, points, density))
-        forms._DENSITY_CACHE[base][key] = table, tuple(moved)
-    got = function_integral(FACTOR, quad)
-    assert bits(got) != bits(first)
-    for key, stale in old.items():
-        tables = forms._POWER_CACHE[base][key]
-        cells = forms._DENSITY_CACHE[base][key][1]
-        assert all(t.points is points and t is not s
-                   for t, (_, points, _), s in zip(tables, cells, stale))
-    # the same cache read through tables built afresh on its points
-    monkeypatch.setattr(forms, "_POWER_CACHE", weakref.WeakKeyDictionary())
-    assert bits(function_integral(FACTOR, quad)) == bits(got)
-
-
 @pytest.mark.parametrize("compose", [
     None, conjugate_point_map(QUAT_ONE), twisted_square_map(QUAT_ONE)])
 @pytest.mark.parametrize("order, depth", [(8, 0), (10, 0), (8, 1)])
@@ -639,8 +608,8 @@ def unsigned_zeros(a):
 def test_s3_orthant_points_are_signed_copies_of_the_positive_cell(
         monkeypatch):
     # every S^3 cell's points are its vertex signs times the positive
-    # orthant's, bitwise, and so are its tangents and projected tangents
-    # but for the sign of zero entries (0 - 0 is +0.0 whatever the signs).
+    # orthant's, bitwise, and so are its tangents but for the sign of zero
+    # entries (0 - 0 is +0.0 whatever the signs).
     # The cached densities, computed from the reflected jets, are bitwise
     # those of each cell's own jet, and one point table serves all 16 cells
     monkeypatch.setattr(forms, "_DENSITY_CACHE", weakref.WeakKeyDictionary())
@@ -652,7 +621,6 @@ def test_s3_orthant_points_are_signed_copies_of_the_positive_cell(
         for depth in (0, 1):
             s = _panel_rule(3, order, depth)[0]
             x, dx = row_jet(positive, s)
-            projected = _project_tangent(x, dx)
             # densities at the levels the suites integrate at (even orders
             # at depth 0) and at one level of depth 1
             dense = order % 2 == 0 and (depth == 0 or order == 8)
@@ -662,13 +630,11 @@ def test_s3_orthant_points_are_signed_copies_of_the_positive_cell(
                 own_x, own_dx = row_jet(cell, s)
                 assert own_x.tobytes() == (sg * x).tobytes()
                 assert unsigned_zeros(own_dx) == unsigned_zeros(sg * dx)
-                own = _project_tangent(own_x, own_dx)
-                assert unsigned_zeros(own) == unsigned_zeros(sg * projected)
                 for base, (table, cells) in zip(bases, cached):
                     assert table.tobytes() == x.tobytes()
                     assert cells[i][1] is None
                     assert cells[i][2].tobytes() == \
-                        base.evaluate(own_x, own).tobytes()
+                        base.evaluate(own_x, own_dx).tobytes()
 
 
 def test_density_cache_stays_small_after_the_sphere_suites(monkeypatch):
@@ -685,16 +651,3 @@ def test_density_cache_stays_small_after_the_sphere_suites(monkeypatch):
                 if a is not None:
                     arrays[id(a)] = a
     assert 0 < sum(a.nbytes for a in arrays.values()) <= 1.2e6
-
-
-def test_power_table_cache_stays_small_after_the_sphere_suites(monkeypatch):
-    # 0.71 MB: per CP1 level (orders 8 and 10) and cell, the powers 0 to 8
-    # of each axis; the S^3 tables are per block of nodes and not kept
-    fresh_caches(monkeypatch)
-    for suite in ("symplectic", "contact"):
-        assert run_suite(suite).passed
-    levels = forms._POWER_CACHE[fubini_study_form()]
-    assert sorted(levels) == [("CP1", 8, 0), ("CP1", 10, 0)]
-    size = sum(a.nbytes for tables in levels.values() for t in tables
-               for a in t._powers)
-    assert 0 < size <= 7.2e5

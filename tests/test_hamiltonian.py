@@ -201,6 +201,17 @@ def test_a_non_finite_coefficient_raises_value_error_naming_it(c):
         f"coefficient {c!r} of (0, 2, 1) is not a finite rational"
 
 
+@pytest.mark.parametrize("c", [float("inf"), float("-inf"), float("nan")])
+def test_a_non_finite_scalar_raises_value_error_naming_it(c):
+    f = SphereFunction({(1, 0, 0): 1, (0, 2, 1): Fraction(1, 3)})
+    with pytest.raises(ValueError) as err:
+        c * f
+    assert str(err.value) == f"scalar {c!r} is not a finite rational"
+    # a finite float is read exactly, as a coefficient is
+    assert 0.5 * f == SphereFunction({(1, 0, 0): Fraction(1, 2),
+                                      (0, 2, 1): Fraction(1, 6)})
+
+
 def test_liouville_integrals_vanish():
     for _ in range(5):
         f, phi = random_polynomial(), random_polynomial()
@@ -295,31 +306,6 @@ def test_table_evaluation_is_bitwise_the_reference_in_any_order():
                                               for key in f.coeffs)
                 for e, row in enumerate(powers):
                     assert row.tobytes() == (p[:, axis] ** e).tobytes()
-
-
-def test_a_table_starts_from_the_previous_one_where_a_column_is_equal():
-    local = np.random.default_rng(73)
-    f = polynomial_of_degree(local, 6)
-    first = random_points(50)
-    first[:5, 1] = 0.0
-    previous = PowerTable.of(first)
-    f.evaluate(previous)
-    second = first.copy()
-    second[:, 0] = -second[:, 0]       # another column
-    second[:5, 1] = -0.0               # equal as floats, not bitwise
-    table = PowerTable(second, previous)
-    # only the third column is bitwise the previous one's
-    assert table.powers(2, 0) is previous.powers(2, 0)
-    assert table._powers[0].size == table._powers[1].size == 0
-    assert f.evaluate(table).tobytes() == \
-        reference_evaluate(f, second).tobytes()
-    # growing a shared axis leaves the previous table as it was
-    rows = len(previous.powers(2, 0))
-    assert len(table.powers(2, rows + 2)) == rows + 3
-    assert len(previous.powers(2, 0)) == rows
-    # points of another shape share nothing
-    other = PowerTable(random_points(49), previous)
-    assert all(a.size == 0 for a in other._powers)
 
 
 def test_gradient_and_field_share_one_table_bitwise():
