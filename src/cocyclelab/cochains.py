@@ -9,7 +9,7 @@ are integral and Fractions only where a denominator is not 1 (``exact``).
 Coboundaries and pairings evaluate their tuples together through
 ``HomogeneousCochain.with_errors``: every guard runs first, in order, and
 an integrated cochain then integrates all the simplices in one stacked
-join pass (``forms.stacked_pullback_integral``).  A coboundary is a
+join pass (``forms.pullback_integral``).  A coboundary is a
 stacked cochain itself: its ``with_errors`` hands the faces of all its
 tuples, a whole cocycle-defect batch, to one ``with_errors`` call of the
 cochain, and then sums each tuple's faces in order.  Every value and
@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadOrder, BadReps, DomainGuard, NotNormal
-from .forms import DifferentialForm, sphere_integral, \
-    stacked_pullback_integral, vol_form
+from .forms import DifferentialForm, pullback_integral, sphere_integral, \
+    vol_form
 from .groups import (QUAT_ONE, Rotation, UnitQuaternion, _qconj, _qmul,
                      apply_rotation)
 from .quadrature import QuadratureSpec
@@ -174,7 +174,7 @@ def integrated_cochain(form: DifferentialForm, kind: str,
 
     def integrals(simplices):
         return [(res.value, res.error_estimate) for res in
-                stacked_pullback_integral(form, simplices, quad)]
+                pullback_integral(form, simplices, quad)]
 
     if kind == "spherical":
 

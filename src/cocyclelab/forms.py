@@ -18,10 +18,12 @@ direction: the S^3 volume form is det(p, ...), the symplectic form
 2 alpha, and in Tr(w^3) and the covector the real part of p^-1 t cancels
 or is not read.
 
-``stacked_pullback_integral`` integrates one form over several geodesic
-simplices of one kind in one join pass, the faces of a batch of
-coboundaries or the terms of a pairing, and sums each simplex on its own.
-It gives ``join_grids`` one tensor grid per simplex and quadrature panel.
+``pullback_integral`` integrates one form over a list of maps of one
+degree and sums each map on its own.  Geodesic simplices of one kind, the
+faces of a batch of coboundaries or the terms of a pairing, go through
+one join pass: ``join_grids`` gets one tensor grid per simplex and
+quadrature panel.  Any other list, such as a prism check's map, its
+straightening and its prism cells, is evaluated map after map.
 
 The S^3 volume form takes each 4x4 determinant by the Laplace expansion in
 the 2x2 minors of its first two rows and of its last two (``_det_rows``).
@@ -51,8 +53,7 @@ import numpy as np
 from . import simplices as _simplices
 from .groups import _perm_signs, _qconj, _qmul
 from .quadrature import (IntegralResult, QuadratureSpec, _panel_axes,
-                         _panel_rule, integrate_on_cube,
-                         integrate_stack_on_cube)
+                         _panel_rule, integrate_on_cube)
 from .simplices import GeodesicSimplex, ParametrizedMap, join_grids
 
 # base form -> {(sphere, rule order, depth): (table, cells)}, filled by
@@ -202,63 +203,54 @@ def _densities(form, blocks, size):
     return out
 
 
-def pullback_integral(form: DifferentialForm, simplex,
-                      quad: QuadratureSpec | None = None) -> IntegralResult:
-    """Integral of the form over a parametrized simplex.
+def pullback_integral(form: DifferentialForm, maps,
+                      quad: QuadratureSpec | None = None) -> list:
+    """Integrals of the form over parametrized simplices of one degree:
+    one ``IntegralResult`` per entry of ``maps``, in order.
 
-    ``simplex`` is anything with ``degree`` and ``evaluate_grid_jet(axes)``,
-    as ``GeodesicSimplex`` and ``ParametrizedMap`` provide: it takes the
+    A map is anything with ``degree`` and ``evaluate_grid_jet(axes)``, as
+    ``GeodesicSimplex`` and ``ParametrizedMap`` provide: it takes the
     per-panel axes (P, degree, m) of a rule level and yields the points
     (B, d) and exact tangents (B, degree, d) at its nodes, in
     ``_panel_rule`` order, in blocks of rows.  So a map can share work
     across the tensor grid of each panel: a geodesic simplex runs each
     join once per distinct prefix of cube coordinates, and a prism cell
     evaluates its face and straightening once per distinct base point.
-    The integral runs in cube coordinates.  The error estimate is the
-    rule-order difference plus the rounding bound of the quadrature sum
-    (``integrate_on_cube``)."""
+
+    When every map is a ``GeodesicSimplex`` of one kind, all of them go
+    through one ``join_grids`` pass: each simplex meets each panel as one
+    tensor grid, simplex-major, so row r is simplex r // N at cube node
+    r % N of the N nodes of a rule level.  Otherwise each map's row comes
+    from its own grid jet, after the previous row is summed.  Either way
+    each map's values are summed on their own (``integrate_on_cube``): the
+    joins act row by row, so for a form that does too, as every form of
+    this module does, each result is bitwise that of the map alone.  The
+    estimate is the rule-order difference plus the rounding bound of the
+    sum.  Raises QuadratureDiverged for the first map, in list order,
+    whose rule orders disagree."""
     quad = quad or QuadratureSpec()
-    n = simplex.degree
+    if not maps:
+        return []
+    n = maps[0].degree
+    if any(f.degree != n for f in maps):
+        raise ValueError("pullback_integral takes maps of one degree")
     if form.degree != n:
         raise ValueError(
             f"form degree {form.degree} != simplex degree {n}")
+    if all(isinstance(f, GeodesicSimplex) and f.kind == maps[0].kind
+           for f in maps):
+        kind = maps[0].kind
+        varr = np.stack([f.varr for f in maps])
 
-    def integrand(s, axes):
-        return _densities(form, simplex.evaluate_grid_jet(axes), s.shape[0])
+        def integrand(s, axes):
+            return _densities(form, join_grids(kind, varr, axes),
+                              len(varr) * s.shape[0]).reshape(len(varr), -1)
+    else:
+        def integrand(s, axes):
+            for f in maps:
+                yield _densities(form, f.evaluate_grid_jet(axes), s.shape[0])
 
     return integrate_on_cube(integrand, n, quad)
-
-
-def stacked_pullback_integral(form: DifferentialForm, simplices,
-                              quad: QuadratureSpec | None = None) -> list:
-    """``pullback_integral`` of one form over each of several
-    ``GeodesicSimplex`` of one kind and degree, in one join pass.
-
-    Each simplex meets each panel of a rule level as one tensor grid of
-    ``join_grids``, so join k runs once per distinct prefix of k cube
-    coordinates.  The grids are simplex-major, so the rows of the pass are
-    too: row r is simplex r // N at cube node r % N of the N nodes of a
-    rule level.  The last join and the form run in blocks of rows (see
-    ``simplices._BLOCK_ROWS``).  Each simplex's values are then summed on
-    their own (``integrate_stack_on_cube``).  The joins act row by row, so
-    for a form that does too, as every form of this module does, each
-    result is bitwise the one ``pullback_integral`` gives for that
-    simplex.  Raises QuadratureDiverged for the first simplex whose rule
-    orders disagree."""
-    quad = quad or QuadratureSpec()
-    kind, n = simplices[0].kind, simplices[0].degree
-    if any(sx.kind != kind or sx.degree != n for sx in simplices):
-        raise ValueError("a stack takes simplices of one kind and degree")
-    if form.degree != n:
-        raise ValueError(
-            f"form degree {form.degree} != simplex degree {n}")
-    varr = np.stack([sx.varr for sx in simplices])
-
-    def integrand(s, axes):
-        return _densities(form, join_grids(kind, varr, axes),
-                          len(varr) * s.shape[0]).reshape(len(varr), -1)
-
-    return integrate_stack_on_cube(integrand, n, quad)
 
 
 @lru_cache(maxsize=None)
@@ -405,7 +397,7 @@ def sphere_products(base: DifferentialForm, sphere: str, products,
     table, which serves every factor of every entry, on the cell's points:
     on CP1 those ``_atlas_density`` keeps, on S^3 ``signs * table``, each
     passed through ``lift`` when one is given.  All entries and cells of a
-    level are the rows of one ``integrate_stack_on_cube``, yielded cell by
+    level are the rows of one ``integrate_on_cube``, yielded cell by
     cell; each entry's cells are summed with their signs in atlas order."""
     quad = quad or QuadratureSpec()
     if lift is not None and sphere != "S3":
@@ -431,7 +423,7 @@ def sphere_products(base: DifferentialForm, sphere: str, products,
                                 density[lo:hi], out=row[lo:hi])
             yield from out
 
-    results = integrate_stack_on_cube(rows, atlas[0][1].degree, quad)
+    results = integrate_on_cube(rows, atlas[0][1].degree, quad)
     return [_atlas_sum(atlas, results[e::len(products)])
             for e in range(len(products))]
 
@@ -456,13 +448,13 @@ def sphere_integral(form: DifferentialForm, sphere: str,
     ``dx`` (N, m, d).  The integral is then that of the form's pullback
     under the map.
 
-    The atlas cells are the rows of one ``integrate_stack_on_cube``.  Its
+    The atlas cells are the rows of one ``integrate_on_cube``.  Its
     integrand fills them in blocks of nodes, and calls the form (and
     ``compose``) once per cell and block, on the cells' jets from
     ``_atlas_jets`` on the rule level's grids, which on S^3 reflects one
     join pass into all 16 cells.  Each cell is summed on its own, so the
     value, the estimate and ``QuadratureDiverged`` are bitwise those of
-    ``pullback_integral`` cell by cell, summed in atlas order."""
+    ``pullback_integral`` over the atlas cells, summed in atlas order."""
     quad = quad or QuadratureSpec()
     atlas = sphere_atlas(sphere)
 
@@ -474,5 +466,5 @@ def sphere_integral(form: DifferentialForm, sphere: str,
             out[i, lo:lo + len(x)] = form.evaluate(x, tangents)
         return out
 
-    return _atlas_sum(atlas, integrate_stack_on_cube(
+    return _atlas_sum(atlas, integrate_on_cube(
         integrand, atlas[0][1].degree, quad))

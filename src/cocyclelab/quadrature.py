@@ -14,15 +14,18 @@ the cube face s_i = 0 for i >= 1 and s_1 = 1 for i = 0, with the other
 coordinates in order (Karniadakis and Sherwin, Spectral/hp Element
 Methods for CFD, 2nd ed., OUP 2005, sec. 3.2).
 
-The error estimate compares two rule orders on the same panel grid and
-adds a bound on the rounding of the quadrature sum; cells are traversed
-in a fixed lexicographic order so results are reproducible.
+``integrate_on_cube`` integrates a stack of rows over the cube, one
+value per row, each row summed on its own as it comes.  The error
+estimate compares two rule orders on the same panel grid and adds a
+bound on the rounding of the quadrature sum; cells are traversed in a
+fixed lexicographic order so results are reproducible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from numbers import Integral
 
 import numpy as np
 
@@ -45,12 +48,15 @@ class QuadratureSpec:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.order < 2:
-            raise ValueError("order must be >= 2")
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        for field, least in (("order", 2), ("depth", 0)):
+            value = getattr(self, field)
+            if not isinstance(value, Integral) or value < least:
+                raise ValueError(
+                    f"{field} must be an integer >= {least}, got {value!r}")
+        # not tol > 0, so that a NaN, which would pass every divergence
+        # test, is rejected too
+        if not self.tol > 0:
+            raise ValueError(f"tol must be > 0, got {self.tol!r}")
 
     @property
     def orders(self):
@@ -171,7 +177,7 @@ def _level_values(integrand, n, order, depth):
             for values in integrand(pts, _panel_axes(n, order, depth))]
 
 
-def integrate_stack_on_cube(integrand, n, spec: QuadratureSpec):
+def integrate_on_cube(integrand, n, spec: QuadratureSpec) -> list:
     """Two-order integrals over the unit n-cube of the F rows (N,) that
     ``integrand(s, axes)`` returns as an array or yields one at a time,
     each summed before the next is asked for, as a list of F results.  A
@@ -195,14 +201,6 @@ def integrate_stack_on_cube(integrand, n, spec: QuadratureSpec):
                 f"{10 * spec.tol:.3e}")
         out.append(IntegralResult(value=value, error_estimate=diff + rounding))
     return out
-
-
-def integrate_on_cube(integrand, n, spec: QuadratureSpec) -> IntegralResult:
-    """Two-order integral of ``integrand(s, axes) -> (N,)`` over the unit
-    n-cube, with the arguments of ``integrate_stack_on_cube``: its
-    one-row case."""
-    return integrate_stack_on_cube(
-        lambda s, axes: integrand(s, axes)[None], n, spec)[0]
 
 
 def gauss_legendre_circle(f):

@@ -28,9 +28,9 @@ Spectral/hp Element Methods for CFD, 2nd ed., OUP 2005, ch. 3-4).  Within
 join k the head runs once per prefix of k-1 coordinates, and only the
 tail on each of its m nodes.
 ``join_grids`` passes it one grid per simplex and quadrature panel, the
-way ``pullback_integral`` evaluates a simplex and a stack of simplices
-(the faces of a batch of coboundaries) is evaluated.  A row evaluation is
-the case of one node per axis per row.
+way ``pullback_integral`` evaluates a list of simplices of one kind (the
+faces of a batch of coboundaries, or one simplex alone).  A row
+evaluation is the case of one node per axis per row.
 
 The prism homotopy is one product cell: the chart join, at the cell's last
 coordinate, from a map to its straightening.  The same sum-factorization
@@ -180,7 +180,7 @@ def join_rows(kind, vertices, axes):
     This is the one simplex evaluator.  ``evaluate_cube`` passes a
     simplex's own vertices with one node per axis per row (m = 1); a
     stack of simplices passes a grid per simplex and quadrature panel (see
-    ``forms.stacked_pullback_integral``).  Every join acts row by row, so
+    ``forms.pullback_integral``).  Every join acts row by row, so
     a row's values do not depend on the other rows, and a node's values
     are bitwise the same on a grid as on a row of its own."""
     n, m = axes.shape[1:]

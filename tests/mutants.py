@@ -90,6 +90,11 @@ MUTANTS = [
       "test_cocycle_defect_passes_with_no_padding_floor",
       "tests/test_cochains.py::"
       "test_stacked_coboundary_is_bitwise_the_face_sum"]),
+    ("pullback-rows-all-of-the-first-map", "forms.py",
+     "yield _densities(form, f.evaluate_grid_jet(axes), s.shape[0])",
+     "yield _densities(form, maps[0].evaluate_grid_jet(axes), s.shape[0])",
+     ["tests/test_forms.py::"
+      "test_pullback_of_a_mixed_list_is_bitwise_each_map_alone"]),
 ]
 
 

@@ -88,9 +88,9 @@ def test_prism_ratio_at_a_zero_estimate(monkeypatch, straight_value, ratio):
     from cocyclelab.quadrature import IntegralResult
     from cocyclelab.simplices import GeodesicSimplex
 
-    def exact(form, simplex, quad):
-        straight = isinstance(simplex, GeodesicSimplex)
-        return IntegralResult(straight_value if straight else 0.0, 0.0)
+    def exact(form, maps, quad):
+        return [IntegralResult(straight_value if isinstance(
+            f, GeodesicSimplex) else 0.0, 0.0) for f in maps]
 
     monkeypatch.setattr(suites, "pullback_integral", exact)
     (check,) = run_suite("prism", {"prism_simplices": 1}).checks

@@ -11,8 +11,7 @@ from cocyclelab.contact import contact_volume_form
 from cocyclelab.errors import QuadratureDiverged
 from cocyclelab.forms import (DifferentialForm, fubini_study_form, mc3_form,
                               pullback_integral, sphere_atlas,
-                              sphere_integral, sphere_products,
-                              stacked_pullback_integral, vol_form)
+                              sphere_integral, sphere_products, vol_form)
 from cocyclelab.groups import QUAT_ONE, _qconj, _qmul, hopf_arr
 from cocyclelab.hamiltonian import SphereFunction, function_integral
 from cocyclelab.quadrature import (IntegralResult, QuadratureSpec, _grid_nodes,
@@ -47,14 +46,14 @@ def test_hemisphere_is_half():
     form = vol_form()
     for sign, cell in sphere_atlas("S3"):
         if cell.vertices[0][0] > 0:
-            total += sign * pullback_integral(form, cell, QUAD).value
+            total += sign * pullback_integral(form, [cell], QUAD)[0].value
     assert abs(total - 0.5) < 1e-6
 
 
 def test_orthant_tetrahedron_is_sixteenth():
     # oracle: 16 congruent orthant cells tile the 3-sphere
     sx = GeodesicSimplex(list(np.eye(4)), "spherical")
-    res = pullback_integral(vol_form(), sx, QUAD)
+    [res] = pullback_integral(vol_form(), [sx], QUAD)
     assert abs(res.value - 1.0 / 16.0) < 1e-6
 
 
@@ -63,16 +62,16 @@ def test_orthant_against_monte_carlo_oracle():
     pts = rng.normal(size=(200_000, 4))
     frac = float(np.mean(np.all(pts > 0, axis=1)))
     sx = GeodesicSimplex(list(np.eye(4)), "spherical")
-    val = pullback_integral(vol_form(), sx, QUAD).value
+    val = pullback_integral(vol_form(), [sx], QUAD)[0].value
     assert abs(frac - val) < 5e-3
 
 
 def test_error_estimates_honest_on_orthant():
     sx = GeodesicSimplex(list(np.eye(4)), "spherical")
     for depth in (0, 1, 2):
-        res = pullback_integral(vol_form(), sx,
-                                QuadratureSpec(order=6, depth=depth,
-                                               tol=1e-5))
+        [res] = pullback_integral(vol_form(), [sx],
+                                  QuadratureSpec(order=6, depth=depth,
+                                                 tol=1e-5))
         assert abs(res.value - 1.0 / 16.0) <= res.error_estimate
 
 
@@ -110,8 +109,7 @@ def test_fubini_study_rotation_invariance_on_caps():
         q[:, 0] = -q[:, 0]
     rot = GeodesicSimplex([q @ v for v in verts], "spherical")
     cell_rot = half_scale(rot)
-    a = pullback_integral(form, cell, QUAD).value
-    b = pullback_integral(form, cell_rot, QUAD).value
+    a, b = (r.value for r in pullback_integral(form, [cell, cell_rot], QUAD))
     assert abs(a - b) < 1e-8
 
 
@@ -197,11 +195,10 @@ def test_det_rows_is_the_determinant():
 
 def test_orientation_sensitivity():
     verts = list(np.eye(4))
-    sx = pullback_integral(vol_form(),
-                           GeodesicSimplex(verts, "spherical"), QUAD)
     swapped = [verts[1], verts[0], verts[2], verts[3]]
-    sy = pullback_integral(vol_form(),
-                           GeodesicSimplex(swapped, "spherical"), QUAD)
+    sx, sy = pullback_integral(vol_form(),
+                               [GeodesicSimplex(verts, "spherical"),
+                                GeodesicSimplex(swapped, "spherical")], QUAD)
     assert abs(sx.value + sy.value) <= 2 * (sx.error_estimate
                                             + sy.error_estimate) + 1e-12
 
@@ -215,7 +212,7 @@ def test_additivity_under_domain_subdivision():
     sx = GeodesicSimplex(verts, "spherical")
     sx_jet = barycentric_jet(sx)
     form = vol_form()
-    whole = pullback_integral(form, sx, QUAD)
+    [whole] = pullback_integral(form, [sx], QUAD)
 
     e = np.eye(4)
     mid = {(i, j): (e[i] + e[j]) / 2 for i in range(4)
@@ -239,7 +236,7 @@ def test_additivity_under_domain_subdivision():
         cmat = np.stack(cell)
         sub = ParametrizedMap.from_barycentric(
             3, lambda b, db, _c=cmat: sx_jet(b @ _c, db @ _c))
-        res = pullback_integral(form, sub, QUAD)
+        [res] = pullback_integral(form, [sub], QUAD)
         total += res.value
         est += res.error_estimate
     assert abs(total - whole.value) <= 2 * est + 1e-10
@@ -251,7 +248,7 @@ def test_constant_map_integrates_to_zero():
 
     const = ParametrizedMap.from_barycentric(3, lambda b, db: (
         point(b), np.zeros(db.shape[:2] + (4,))))
-    res = pullback_integral(vol_form(), const, QUAD)
+    [res] = pullback_integral(vol_form(), [const], QUAD)
     assert res.value == 0.0
 
 
@@ -266,8 +263,8 @@ def test_prism_of_a_straight_simplex_carries_no_volume():
         v *= rng.uniform(0, 0.12) / np.linalg.norm(v)
         verts.append(quat_exp(LieVector("su2", v)))
     cell = prism_cell(GeodesicSimplex(verts, "chart"))
-    res = pullback_integral(vol_form(), cell,
-                            QuadratureSpec(order=6, tol=1e-3))
+    [res] = pullback_integral(vol_form(), [cell],
+                              QuadratureSpec(order=6, tol=1e-3))
     assert abs(res.value) < 1e-12
 
 
@@ -289,10 +286,10 @@ def test_barycentric_map_integrates_like_its_simplex(kind):
             verts.append(quat_exp(LieVector("su2", v)))
     sx = GeodesicSimplex(verts, kind)
     form = vol_form()
-    direct = pullback_integral(form, sx, QUAD).value
+    direct = pullback_integral(form, [sx], QUAD)[0].value
     bary = pullback_integral(
-        form, ParametrizedMap.from_barycentric(3, barycentric_jet(sx)),
-        QUAD).value
+        form, [ParametrizedMap.from_barycentric(3, barycentric_jet(sx))],
+        QUAD)[0].value
     assert direct != 0.0
     assert abs(bary - direct) < 1e-12
 
@@ -323,8 +320,10 @@ def test_jet_error_estimate_is_the_order_difference():
              (mc3_form(), sphere_atlas("S3")[3][1])]
     u = np.finfo(float).eps / 2
     for form, cell in cases:
-        fine = pullback_integral(form, cell, QuadratureSpec(order=8, tol=1))
-        coarse = pullback_integral(form, cell, QuadratureSpec(order=6, tol=1))
+        [fine] = pullback_integral(form, [cell],
+                                   QuadratureSpec(order=8, tol=1))
+        [coarse] = pullback_integral(form, [cell],
+                                     QuadratureSpec(order=6, tol=1))
         pts, wts = _panel_rule(cell.degree, 10, 0)
         x, t = row_jet(cell, pts)
         f = form.evaluate(x, t)
@@ -336,7 +335,8 @@ def test_jet_error_estimate_is_the_order_difference():
     # the orthant cell converges below the old finite-difference floor
     form = vol_form()
     quad = QuadratureSpec(order=8, tol=1)
-    assert pullback_integral(form, orthant, quad).error_estimate < 3 * 2e-12
+    assert pullback_integral(form, [orthant], quad)[0].error_estimate \
+        < 3 * 2e-12
 
 
 def random_simplex(kind, local):
@@ -360,41 +360,88 @@ def random_simplex(kind, local):
 def test_simplex_pullback_on_grids_is_bitwise_the_row_path(kind, order,
                                                            depth):
     # a geodesic simplex on the level's grids, against the row join loop
-    # at every node in blocks of rows and against a one-simplex
-    # stack: the same value and estimate, and the same divergence
+    # at every node in blocks of rows: the same value and estimate, and
+    # the same divergence
     from test_simplices import row_joins
     sx = random_simplex(kind, np.random.default_rng(order + 10 * depth))
     rows = row_map(3, lambda s: row_joins(
         kind, np.broadcast_to(sx.varr, (len(s),) + sx.varr.shape), s))
     form = vol_form()
     quad = QuadratureSpec(order=order, depth=depth, tol=1)
-    got = pullback_integral(form, sx, quad)
+    [got] = pullback_integral(form, [sx], quad)
     assert got.value != 0.0
-    assert bits(got) == bits(pullback_integral(form, rows, quad))
-    assert bits(got) == bits(stacked_pullback_integral(form, [sx], quad)[0])
+    assert bits(got) == bits(pullback_integral(form, [rows], quad)[0])
     # the divergence case is the coarsest rule, orders 2 and 4, whose two
     # sums differ by 1.8e-6 of the value or more for every simplex here,
-    # far above their rounding, so every path raises, with the same
+    # far above their rounding, so both paths raise, with the same
     # message.  (At finer orders the two rules of a chart simplex can
     # agree to the last bits, and then no path raises)
-    coarse = pullback_integral(form, sx, QuadratureSpec(order=2, depth=depth,
-                                                        tol=1))
+    [coarse] = pullback_integral(form, [sx], QuadratureSpec(
+        order=2, depth=depth, tol=1))
     assert coarse.error_estimate > 1e-9 * abs(coarse.value)
     tight = QuadratureSpec(order=2, depth=depth, tol=1e-30)
     messages = []
-    for integral in (lambda: pullback_integral(form, sx, tight),
-                     lambda: pullback_integral(form, rows, tight),
-                     lambda: stacked_pullback_integral(form, [sx], tight)):
+    for f in (sx, rows):
         with pytest.raises(QuadratureDiverged) as err:
-            integral()
+            pullback_integral(form, [f], tight)
         messages.append(str(err.value))
-    assert messages[0] == messages[1] == messages[2]
+    assert messages[0] == messages[1]
+
+
+def mixed_maps():
+    """Degree-3 maps of every kind the prism suite integrates, and a
+    spherical simplex: a chart simplex, a barycentric map, its
+    straightening and two of its prism cells."""
+    from cocyclelab.simplices import prism_cell, straighten
+    from cocyclelab.suites import _wiggled_simplex
+    f = _wiggled_simplex(np.random.default_rng(12))
+    local = np.random.default_rng(13)
+    return [random_simplex("chart", local), f, straighten(f),
+            random_simplex("spherical", local), prism_cell(f.face(0)),
+            prism_cell(f.face(2))]
+
+
+def test_pullback_of_a_mixed_list_is_bitwise_each_map_alone():
+    form = vol_form()
+    quad = QuadratureSpec(order=6, depth=1, tol=1)
+    maps = mixed_maps()
+    got = pullback_integral(form, maps, quad)
+    assert len(got) == len(maps)
+    alone = [pullback_integral(form, [f], quad)[0] for f in maps]
+    assert [bits(r) for r in got] == [bits(r) for r in alone]
+    assert len({r.value for r in got}) == len(maps)
+
+
+def test_pullback_of_a_list_raises_for_its_first_diverging_map():
+    # at tol 1e-30 every map diverges, each by its own rule-order
+    # difference, so the message tells which map raised
+    form = vol_form()
+    tight = QuadratureSpec(order=2, tol=1e-30)
+    maps = mixed_maps()
+    messages = []
+    for f in maps:
+        with pytest.raises(QuadratureDiverged) as err:
+            pullback_integral(form, [f], tight)
+        messages.append(str(err.value))
+    assert len(set(messages)) == len(maps)
+    for first in range(len(maps)):
+        with pytest.raises(QuadratureDiverged) as err:
+            pullback_integral(form, maps[first:] + maps[:first], tight)
+        assert str(err.value) == messages[first]
+
+
+def test_pullback_of_no_maps_and_of_mixed_degrees():
+    form = vol_form()
+    assert pullback_integral(form, []) == []
+    f = mixed_maps()[1]
+    with pytest.raises(ValueError, match="one degree"):
+        pullback_integral(form, [f, f.face(0)])
 
 
 def test_degree_mismatch_rejected():
     sx = GeodesicSimplex(list(np.eye(4)), "spherical")
     with pytest.raises(ValueError):
-        pullback_integral(fubini_study_form(), sx, QUAD)
+        pullback_integral(fubini_study_form(), [sx], QUAD)
 
 
 def orthant_atlas():
@@ -428,7 +475,7 @@ def cell_by_cell(form, atlas, quad, compose=None):
         if compose is not None:
             cell = row_map(cell.degree, lambda s, _c=cell:
                            compose(*row_jet(_c, s)))
-        res = pullback_integral(form, cell, quad)
+        [res] = pullback_integral(form, [cell], quad)
         total += sign * res.value
         est += res.error_estimate
     return IntegralResult(value=total, error_estimate=est)

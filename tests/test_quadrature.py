@@ -140,10 +140,10 @@ def test_cube_quadrature_exactness_on_polynomials():
             out = np.ones(s.shape[0])
             for k, e in enumerate(exps):
                 out *= s[:, k] ** e
-            return out
+            yield out
 
         exact = np.prod([1.0 / (e + 1) for e in exps])
-        res = integrate_on_cube(integrand, n, QuadratureSpec(order=6))
+        [res] = integrate_on_cube(integrand, n, QuadratureSpec(order=6))
         assert abs(res.value - exact) < 1e-14
 
 
@@ -155,18 +155,18 @@ def test_simplex_volume_through_cone_map():
             out = np.ones(s.shape[0])
             for k in range(2, n + 1):
                 out *= (1.0 - s[:, k - 1]) ** (k - 1)
-            return out
+            yield out
 
-        res = integrate_on_cube(jac, n, QuadratureSpec(order=8))
+        [res] = integrate_on_cube(jac, n, QuadratureSpec(order=8))
         assert abs(res.value - 1.0 / factorial(n)) < 1e-14
 
 
 def test_two_order_error_estimate():
     def wavy(s, _):
-        return np.sin(3.0 * s[:, 0]) * np.cos(2.0 * s[:, 1])
+        yield np.sin(3.0 * s[:, 0]) * np.cos(2.0 * s[:, 1])
 
     exact = ((np.cos(0) - np.cos(3.0)) / 3.0) * (np.sin(2.0) / 2.0)
-    res = integrate_on_cube(wavy, 2, QuadratureSpec(order=6, tol=1e-3))
+    [res] = integrate_on_cube(wavy, 2, QuadratureSpec(order=6, tol=1e-3))
     assert isinstance(res, IntegralResult)
     assert abs(res.value - exact) <= max(res.error_estimate, 1e-12)
 
@@ -176,9 +176,9 @@ def test_error_estimate_carries_the_rounding_of_the_sum():
     # is left; the estimate covers it through gamma_N * sum |w_i f_i| of
     # the fine sum, and sum |w_i f_i| is the integral 1.25 of f > 0
     def affine(s, _):
-        return 1.0 + s[:, 0] - 0.5 * s[:, 2]
+        yield 1.0 + s[:, 0] - 0.5 * s[:, 2]
 
-    res = integrate_on_cube(affine, 3, QuadratureSpec(order=4, depth=2))
+    [res] = integrate_on_cube(affine, 3, QuadratureSpec(order=4, depth=2))
     nu = (4 * 6) ** 3 * np.finfo(float).eps / 2
     assert res.error_estimate >= 0.99 * nu / (1 - nu) * 1.25
     assert abs(res.value - 1.25) <= res.error_estimate
@@ -186,7 +186,7 @@ def test_error_estimate_carries_the_rounding_of_the_sum():
 
 def test_divergence_guard():
     def rough(s, _):
-        return np.where(s[:, 0] < 0.37, 0.0, 17.0)
+        yield np.where(s[:, 0] < 0.37, 0.0, 17.0)
 
     with pytest.raises(QuadratureDiverged):
         integrate_on_cube(rough, 1, QuadratureSpec(order=3, tol=1e-9))
@@ -194,11 +194,11 @@ def test_divergence_guard():
 
 def test_panel_depth_refines_consistently():
     def smooth(s, _):
-        return np.exp(s[:, 0] - s[:, 1] ** 2)
+        yield np.exp(s[:, 0] - s[:, 1] ** 2)
 
-    v0 = integrate_on_cube(smooth, 2, QuadratureSpec(order=8, depth=0)).value
-    v1 = integrate_on_cube(smooth, 2, QuadratureSpec(order=8, depth=1)).value
-    assert abs(v0 - v1) < 1e-12
+    [v0] = integrate_on_cube(smooth, 2, QuadratureSpec(order=8, depth=0))
+    [v1] = integrate_on_cube(smooth, 2, QuadratureSpec(order=8, depth=1))
+    assert abs(v0.value - v1.value) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -242,3 +242,15 @@ def test_spec_validation():
         QuadratureSpec(depth=-1)
     with pytest.raises(ValueError):
         IntegralResult(1.0, -1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol", float("nan")), ("tol", 0.0), ("order", 2.5), ("order", 8.0),
+    ("depth", 0.5), ("depth", 1.0)])
+def test_spec_rejects_a_nan_tolerance_and_non_integer_sizes(field, value):
+    # a NaN tolerance would turn the divergence guard off: no difference
+    # compares greater than 10 * nan
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        QuadratureSpec(**{field: value})
+    assert QuadratureSpec(order=np.int64(3), depth=np.int64(1)).orders == \
+        (3, 5)

@@ -713,9 +713,10 @@ def test_prism_cell_integrates_as_the_triangulated_prism(order):
     for _ in range(2):
         f = _wiggled_simplex(prism_rng)
         for i in range(4):
-            cell = pullback_integral(form, prism_cell(f.face(i)), quad)
-            chain = [(sign, pullback_integral(form, term, quad))
-                     for sign, term in prism_chain(f.face(i))]
+            [cell] = pullback_integral(form, [prism_cell(f.face(i))], quad)
+            signs, terms = zip(*prism_chain(f.face(i)))
+            chain = list(zip(signs, pullback_integral(form, list(terms),
+                                                      quad)))
             total = sum(sign * r.value for sign, r in chain)
             est = sum(r.error_estimate for _, r in chain)
             assert abs(cell.value - total) <= cell.error_estimate + est
@@ -956,7 +957,7 @@ def test_prism_cell_evaluates_its_face_once_per_base_point(monkeypatch):
     monkeypatch.setattr(simplices, "_chart_head", chart_head)
     monkeypatch.setattr(simplices, "_chart_tail", chart_tail)
     quad = QuadratureSpec(order=6, depth=1, tol=1)
-    pullback_integral(vol_form(), cell, quad)
+    pullback_integral(vol_form(), [cell], quad)
     panels = 2 ** (3 * quad.depth)
     base = sum(panels * m ** 2 for m in quad.orders)
     assert seen == {"face": base, "straight": base, "head": base,
@@ -1068,7 +1069,7 @@ def test_hemisphere_test_agrees_on_every_suite_tuple(monkeypatch, seed):
     monkeypatch.setattr(suites, "in_open_hemisphere", recorded)
     monkeypatch.setattr(cochains, "in_open_hemisphere", recorded)
     with monkeypatch.context() as patch:
-        patch.setattr(cochains, "stacked_pullback_integral", guards_only)
+        patch.setattr(cochains, "pullback_integral", guards_only)
         suites.run_suite("cocycle-defect", {"seed": seed})
     suites.run_suite("cs-pairing", {"seed": seed})
     assert len(sets) > 600
