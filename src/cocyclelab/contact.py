@@ -10,7 +10,9 @@ is an explicit coisometry.  Every contact function is such a pullback of a
 polynomial, so fields and brackets need no finite differences.  The
 ``contact`` suite checks the field's defining identities: alpha(X_f) = f,
 X_f is tangent to the sphere, and the field of the constant 1 is the Reeb
-field.  ``contact_pairings`` integrates all pairs of a check in one pass.
+field.  ``contact_pairings`` integrates all pairs of a check in one pass
+of ``forms.sphere_products``, and the 3-cocycle of one triple is its
+one-pair call.
 """
 from __future__ import annotations
 
@@ -144,7 +146,8 @@ def contact_cocycle(f: ContactFunction, g: ContactFunction,
                     h: ContactFunction,
                     quad: QuadratureSpec | None = None) -> float:
     """(3/pi^3) * integral over S^3 of f {g, h} against alpha ^ d(alpha)."""
-    return 3.0 / np.pi ** 3 * contact_pairing(f, contact_bracket(g, h), quad)
+    return 3.0 / np.pi ** 3 * contact_pairings(
+        [(f, contact_bracket(g, h))], quad)[0]
 
 
 def contact_pairings(pairs, quad: QuadratureSpec | None = None) -> list:
@@ -157,8 +160,3 @@ def contact_pairings(pairs, quad: QuadratureSpec | None = None) -> list:
         contact_volume_form(), "S3", [(f.base, g.base) for f, g in pairs],
         quad, lift=hopf_arr)]
 
-
-def contact_pairing(f: ContactFunction, g: ContactFunction,
-                    quad: QuadratureSpec | None = None) -> float:
-    """<f, g>: the one-pair call of ``contact_pairings``."""
-    return contact_pairings([(f, g)], quad)[0]

@@ -34,12 +34,15 @@ scaled by 1/2 to its radius-1/2 sphere model.
 
 The 16 orthant cells are the positive orthant reflected by their vertex
 signs, so one join pass on a rule level's grids gives every cell's jet.
-``sphere_products`` integrates products of polynomials against a fixed
-form ``base``: ``_atlas_density`` keeps, per (sphere, base, rule order,
-depth), the density of ``base`` at every node of every cell and the
-nodes' points, and every factor of every product of a call is evaluated
-on one ``PowerTable`` per block of each cell's points, the powers
-``points[:, axis] ** e`` grown lazily to the highest exponent asked for.
+``sphere_products`` is the one integrator over an atlas: it integrates
+products of polynomials against a form ``base``.  ``_atlas_density``
+keeps, per (sphere, base, rule order, depth), the density of ``base`` at
+every node of every cell and the nodes' points, and every factor of every
+product of a call is evaluated on one ``PowerTable`` per block of each
+cell's points, the powers ``points[:, axis] ** e`` grown lazily to the
+highest exponent asked for.  ``sphere_integral`` is its empty product
+against one form, or against the form's pullback under a self-map of the
+sphere, a base that lives for that one call.
 """
 from __future__ import annotations
 
@@ -158,7 +161,7 @@ def symplectic_form_value(points, a, b):
 def fubini_study_form() -> DifferentialForm:
     """Symplectic 2-form on the radius-1/2 sphere model of the projective
     line, normalized to total integral 2*pi; one object per process, the
-    base of ``function_integral``'s and ``pairing_integrals``' products.
+    base of ``pairing_integrals``' products.
 
     With this scaling the coordinate brackets come out as {x,y} = z etc.,
     and points satisfy x^2 + y^2 + z^2 = 1/4.
@@ -386,19 +389,24 @@ def _atlas_density(sphere, base, order, depth):
 
 def sphere_products(base: DifferentialForm, sphere: str, products,
                     quad: QuadratureSpec | None = None, lift=None) -> list:
-    """Whole-sphere integrals of products of polynomials against ``base``
-    (one object per process, such as ``fubini_study_form()``): one
-    ``IntegralResult`` per entry of ``products``, a tuple of anything whose
-    ``evaluate`` takes a ``PowerTable``, such as a ``SphereFunction``.  An
-    entry's integrand is its factors evaluated on one table and multiplied
-    in order, times the density of ``base`` (``_atlas_density``).
+    """Whole-sphere integrals of products of polynomials against ``base``:
+    one ``IntegralResult`` per entry of ``products``, a tuple of anything
+    whose ``evaluate`` takes a ``PowerTable``, such as a ``SphereFunction``.
+    An entry's integrand is its factors evaluated on one table and
+    multiplied in order, times the density of ``base`` (``_atlas_density``,
+    kept while ``base`` lives, so a base that serves many calls is one
+    object per process, such as ``fubini_study_form()``).  The empty
+    product ``()`` is the integral of ``base`` itself (``sphere_integral``).
 
     Each block of ``simplices._BLOCK_ROWS`` nodes of a cell gets one fresh
     table, which serves every factor of every entry, on the cell's points:
     on CP1 those ``_atlas_density`` keeps, on S^3 ``signs * table``, each
     passed through ``lift`` when one is given.  All entries and cells of a
     level are the rows of one ``integrate_on_cube``, yielded cell by
-    cell; each entry's cells are summed with their signs in atlas order."""
+    cell; each entry's cells are summed on their own, then with their
+    signs in atlas order.  So for the empty product the value, the
+    estimate and ``QuadratureDiverged`` are bitwise those of
+    ``pullback_integral`` over the atlas cells, summed in atlas order."""
     quad = quad or QuadratureSpec()
     if lift is not None and sphere != "S3":
         raise ValueError("only the S^3 atlas points take a lift")
@@ -424,47 +432,32 @@ def sphere_products(base: DifferentialForm, sphere: str, products,
             yield from out
 
     results = integrate_on_cube(rows, atlas[0][1].degree, quad)
-    return [_atlas_sum(atlas, results[e::len(products)])
-            for e in range(len(products))]
-
-
-def _atlas_sum(atlas, results):
-    """The atlas cells' results, summed with their signs in atlas order."""
-    total = est = 0.0
-    for (sign, _), res in zip(atlas, results):
-        total += sign * res.value
-        est += res.error_estimate
-    return IntegralResult(value=total, error_estimate=est)
+    totals = []
+    for e in range(len(products)):
+        total = est = 0.0
+        for (sign, _), res in zip(atlas, results[e::len(products)]):
+            total += sign * res.value
+            est += res.error_estimate
+        totals.append(IntegralResult(value=total, error_estimate=est))
+    return totals
 
 
 def sphere_integral(form: DifferentialForm, sphere: str,
                     quad: QuadratureSpec | None = None,
                     compose=None) -> IntegralResult:
-    """Integral over the whole sphere via the fixed simplex atlas.
+    """Integral over the whole sphere via the fixed simplex atlas: the
+    empty product against ``form`` in ``sphere_products``, whose product
+    ``math.prod(()) == 1`` leaves each density row bitwise as it is.
 
     ``compose`` optionally post-composes every atlas cell with a self-map
     of the sphere given as a jet on coordinate batches: ``compose(x, dx)``
     returns the image points (N, d) and the images (N, m, d) of tangents
     ``dx`` (N, m, d).  The integral is then that of the form's pullback
-    under the map.
-
-    The atlas cells are the rows of one ``integrate_on_cube``.  Its
-    integrand fills them in blocks of nodes, and calls the form (and
-    ``compose``) once per cell and block, on the cells' jets from
-    ``_atlas_jets`` on the rule level's grids, which on S^3 reflects one
-    join pass into all 16 cells.  Each cell is summed on its own, so the
-    value, the estimate and ``QuadratureDiverged`` are bitwise those of
-    ``pullback_integral`` over the atlas cells, summed in atlas order."""
-    quad = quad or QuadratureSpec()
-    atlas = sphere_atlas(sphere)
-
-    def integrand(s, axes):
-        out = np.empty((len(atlas), s.shape[0]))
-        for i, lo, x, tangents in _atlas_jets(sphere, axes):
-            if compose is not None:
-                x, tangents = compose(x, tangents)
-            out[i, lo:lo + len(x)] = form.evaluate(x, tangents)
-        return out
-
-    return _atlas_sum(atlas, integrate_on_cube(
-        integrand, atlas[0][1].degree, quad))
+    under the map, which is the base the call passes instead; its
+    densities leave ``_DENSITY_CACHE`` when the call returns."""
+    if compose is not None:
+        outer = form
+        form = DifferentialForm(
+            outer.degree, outer.ambient,
+            lambda p, t: outer.evaluate(*compose(p, t)))
+    return sphere_products(form, sphere, [()], quad)[0]

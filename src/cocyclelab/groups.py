@@ -290,7 +290,9 @@ class Rotation:
         m = np.asarray(matrix, dtype=float)
         if m.shape not in ((3, 3), (4, 4)):
             raise ValueError(f"expected a 3x3 or 4x4 matrix, got {m.shape}")
-        if np.abs(m.T @ m - np.eye(m.shape[0])).max() > 1e-6:
+        # not (... <= tol): a NaN or infinite entry can make the residual
+        # NaN, which compares False with every bound
+        if not np.abs(m.T @ m - np.eye(m.shape[0])).max() <= 1e-6:
             raise ValueError("matrix is far from orthogonal")
         m = _gram_schmidt(m)
         if np.linalg.det(m) < 0:
@@ -347,6 +349,8 @@ class LieVector:
             raise ValueError(
                 f"{algebra} expects {self._DIMS[algebra]} coefficients, "
                 f"got shape {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError(f"{algebra} coefficients must be finite, got {c}")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", c)
         self.coeffs.setflags(write=False)

@@ -12,7 +12,9 @@ arrays ``p[:, axis] ** e`` per axis and exponent: points get a fresh
 table, and polynomials that meet the same points share one (the three
 partials of a gradient, or every factor of a pass on one block of an
 atlas cell).
-Integrals run over the icosahedral atlas, many pairings in one pass.
+Integrals run over the icosahedral atlas: ``pairing_integrals`` hands all
+pairs of a check to ``forms.sphere_products`` in one pass, and the 3-cocycle
+of one triple is its one-pair call.
 """
 from __future__ import annotations
 
@@ -21,10 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .cochains import exact
-# symplectic_form_value stays importable from here with the rest of the
-# calculus on the projective line
-from .forms import (PowerTable, fubini_study_form, sphere_products,
-                    symplectic_form_value)
+from .forms import PowerTable, fubini_study_form, sphere_products
 from .quadrature import QuadratureSpec
 
 
@@ -181,26 +180,12 @@ def poisson(f: SphereFunction, g: SphereFunction) -> SphereFunction:
             + z * (fx * gy - fy * gx))
 
 
-def function_integral(f, quad: QuadratureSpec | None = None):
-    """Integral of f against the symplectic area 2-form, with estimate; f
-    is a polynomial or a tuple of them, an entry of ``sphere_products``."""
-    quad = quad or QuadratureSpec(order=8, tol=1e-6)
-    factors = f if isinstance(f, tuple) else (f,)
-    return sphere_products(fubini_study_form(), "CP1", [factors], quad)[0]
-
-
 def pairing_integrals(pairs, quad: QuadratureSpec | None = None) -> list:
     """<f, g> = integral of f(x) * g(x) against the symplectic form, for
     each pair (f, g), in one stacked pass (``forms.sphere_products``)."""
     quad = quad or QuadratureSpec(order=8, tol=1e-6)
     return [res.value for res in
             sphere_products(fubini_study_form(), "CP1", pairs, quad)]
-
-
-def pairing_integral(f: SphereFunction, g: SphereFunction,
-                     quad: QuadratureSpec | None = None) -> float:
-    """<f, g>, one pair: ``function_integral((f, g))``."""
-    return function_integral((f, g), quad).value
 
 
 def symplectic_cocycle(f: SphereFunction, g: SphereFunction,
@@ -211,4 +196,5 @@ def symplectic_cocycle(f: SphereFunction, g: SphereFunction,
     On the coordinate functions this evaluates to 1/(2 pi^2), the
     normalization that makes the associated cocycle integral against the
     fundamental class an integer multiple."""
-    return 3.0 / np.pi ** 3 * pairing_integral(f, poisson(g, h), quad)
+    return 3.0 / np.pi ** 3 * pairing_integrals([(f, poisson(g, h))],
+                                                 quad)[0]

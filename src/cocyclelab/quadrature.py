@@ -22,6 +22,7 @@ fixed lexicographic order so results are reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -50,13 +51,15 @@ class QuadratureSpec:
     def __post_init__(self):
         for field, least in (("order", 2), ("depth", 0)):
             value = getattr(self, field)
-            if not isinstance(value, Integral) or value < least:
+            # a bool is an Integral, but True is no size
+            if isinstance(value, bool) or not isinstance(value, Integral) \
+                    or value < least:
                 raise ValueError(
                     f"{field} must be an integer >= {least}, got {value!r}")
-        # not tol > 0, so that a NaN, which would pass every divergence
-        # test, is rejected too
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol!r}")
+        # a NaN or an infinite tolerance would pass every divergence test;
+        # every comparison with a NaN is False, so it fails this one
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
 
     @property
     def orders(self):

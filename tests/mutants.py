@@ -90,6 +90,11 @@ MUTANTS = [
       "test_cocycle_defect_passes_with_no_padding_floor",
       "tests/test_cochains.py::"
       "test_stacked_coboundary_is_bitwise_the_face_sum"]),
+    ("sphere-integral-drops-compose", "forms.py",
+     "lambda p, t: outer.evaluate(*compose(p, t)))",
+     "lambda p, t: outer.evaluate(p, t))",
+     ["tests/test_forms.py::"
+      "test_uncached_s3_integral_is_bitwise_the_cell_sum"]),
     ("pullback-rows-all-of-the-first-map", "forms.py",
      "yield _densities(form, f.evaluate_grid_jet(axes), s.shape[0])",
      "yield _densities(form, maps[0].evaluate_grid_jet(axes), s.shape[0])",

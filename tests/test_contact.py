@@ -6,18 +6,19 @@ import pytest
 
 from cocyclelab.contact import (_i_times, alpha_value, contact_bracket,
                                 contact_cocycle, contact_field,
-                                contact_pairing, contact_pairings,
+                                contact_pairings,
                                 dalpha_value, fiber_period,
                                 contact_volume_form, pullback, reeb_field,
                                 volume_density)
-from cocyclelab.forms import sphere_integral
+from cocyclelab.forms import sphere_atlas
 from cocyclelab.groups import _qmul, hopf_arr, hopf_jacobian
 from cocyclelab.hamiltonian import (SphereFunction, hamiltonian_field,
                                     poisson, symplectic_cocycle)
 from cocyclelab.quadrature import QuadratureSpec
 from cocyclelab.suites import _random_polynomial
-from test_forms import product_form
-from test_hamiltonian import degree_at_most_4, monomial_form_integral
+from test_forms import cell_by_cell, product_form
+from test_hamiltonian import (area_integral, degree_at_most_4,
+                              monomial_form_integral)
 
 rng = np.random.default_rng(23)
 X, Y, Z = (SphereFunction.coordinate(n) for n in "xyz")
@@ -135,13 +136,11 @@ def test_cocycle_antisymmetry():
 def test_fiber_integration_identity():
     # integrating a pulled-back function against alpha ^ d(alpha) equals
     # 2*pi times the downstairs integral against the symplectic form
-    from cocyclelab.hamiltonian import function_integral
     for f in (X * X, Z, X * Y + Z * Z):
-        upstairs = contact_pairing(pullback(f),
-                                   pullback(SphereFunction.constant(1)),
-                                   QUAD)
-        downstairs = function_integral(f, QuadratureSpec(order=10,
-                                                         tol=1e-6)).value
+        [upstairs] = contact_pairings(
+            [(pullback(f), pullback(SphereFunction.constant(1)))], QUAD)
+        downstairs = area_integral(f, QuadratureSpec(order=10,
+                                                     tol=1e-6)).value
         assert abs(upstairs - 2.0 * pi * downstairs) < 1e-5
 
 
@@ -151,7 +150,8 @@ def test_pairings_of_monomials_match_the_exact_integrals():
     one = pullback(SphereFunction.constant(1))
     quad = QuadratureSpec(order=12, tol=1e-4)
     for key in degree_at_most_4():
-        got = contact_pairing(pullback(SphereFunction({key: 1})), one, quad)
+        [got] = contact_pairings([(pullback(SphereFunction({key: 1})), one)],
+                                 quad)
         assert abs(got - 2.0 * pi * monomial_form_integral(*key)) < 1e-12
 
 
@@ -210,9 +210,11 @@ def test_contact_pairing_is_bitwise_the_product_on_fresh_points():
     f = pullback(SphereFunction({(3, 0, 1): 2, (0, 2, 0): -1, (0, 0, 3): 5}))
     g = pullback(SphereFunction({(1, 1, 1): 3, (0, 0, 2): 1, (2, 0, 0): -4}))
     quad = QuadratureSpec(order=8, tol=1)
-    expected = sphere_integral(product_form(
-        contact_volume_form(), (f.base, g.base), hopf_arr), "S3", quad)
-    assert contact_pairing(f, g, quad).hex() == expected.value.hex()
+    expected = cell_by_cell(product_form(
+        contact_volume_form(), (f.base, g.base), hopf_arr),
+        sphere_atlas("S3"), quad)
+    assert contact_pairings([(f, g)], quad)[0].hex() == \
+        expected.value.hex()
 
 
 def ad_invariance_pairs(count, seed=3):

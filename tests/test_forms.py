@@ -13,7 +13,7 @@ from cocyclelab.forms import (DifferentialForm, fubini_study_form, mc3_form,
                               pullback_integral, sphere_atlas,
                               sphere_integral, sphere_products, vol_form)
 from cocyclelab.groups import QUAT_ONE, _qconj, _qmul, hopf_arr
-from cocyclelab.hamiltonian import SphereFunction, function_integral
+from cocyclelab.hamiltonian import SphereFunction
 from cocyclelab.quadrature import (IntegralResult, QuadratureSpec, _grid_nodes,
                                    _panel_rule)
 from cocyclelab.simplices import GeodesicSimplex, ParametrizedMap, join_rows
@@ -539,17 +539,19 @@ def test_factored_sphere_integral_is_bitwise_the_cell_sum(
 @pytest.mark.parametrize("order, depth", [(8, 0), (8, 1), (11, 0)])
 def test_factored_sphere_integral_of_a_polynomial_is_bitwise_the_cell_sum(
         monkeypatch, order, depth):
-    # function_integral evaluates its polynomial on a power table of each
+    # sphere_products evaluates its one factor on a power table of each
     # CP1 cell's cached points; the reference form evaluates it on the
-    # points of each block of sphere_integral's jet path
+    # points of each block of each cell's own grid jet
     fresh_caches(monkeypatch)
     base = fubini_study_form()
     quad = QuadratureSpec(order=order, depth=depth, tol=1)
-    expected = sphere_integral(product_form(base, (FACTOR,)), "CP1", quad)
-    first = function_integral(FACTOR, quad)
+    expected = cell_by_cell(product_form(base, (FACTOR,)),
+                            sphere_atlas("CP1"), quad)
+    [first] = sphere_products(base, "CP1", [(FACTOR,)], quad)
     assert bits(first) == bits(expected)
     monkeypatch.setattr(GeodesicSimplex, "evaluate_grid_jet", no_jet)
-    assert bits(function_integral(FACTOR, quad)) == bits(first)
+    assert bits(sphere_products(base, "CP1", [(FACTOR,)], quad)[0]) == \
+        bits(first)
 
 
 def random_entries(local, count):
@@ -644,6 +646,26 @@ def test_uncached_s3_integral_diverges_as_the_cell_sum(compose):
     with pytest.raises(QuadratureDiverged) as got:
         sphere_integral(vol_form(), "S3", quad, compose)
     assert str(got.value) == str(expected.value)
+
+
+def test_a_composed_integral_leaves_the_density_cache_as_it_found_it(
+        monkeypatch):
+    # the pulled-back form of a composed call is a base of its own, which
+    # goes with its densities when the call returns; the form's own
+    # densities, kept by a call without a map, stay as they were
+    fresh_caches(monkeypatch)
+    form, quad = vol_form(), QuadratureSpec(order=8, tol=1e-4)
+    sphere_integral(form, "S3", quad)
+    levels = forms._DENSITY_CACHE[form]
+    kept = dict(levels)
+    for compose in (twisted_square_map(QUAT_ONE),
+                    conjugate_point_map(QUAT_ONE)):
+        sphere_integral(form, "S3", quad, compose)
+        degree_of_map(compose, quad)
+        assert list(forms._DENSITY_CACHE.keys()) == [form]
+        assert forms._DENSITY_CACHE[form] is levels
+        assert levels.keys() == kept.keys()
+        assert all(levels[key] is kept[key] for key in kept)
 
 
 def unsigned_zeros(a):

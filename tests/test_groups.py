@@ -183,6 +183,11 @@ def test_lie_vector_validation():
         LieVector("so4", [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         LieVector("nope", [1.0, 2.0, 3.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            LieVector("su2", [0.0, bad, 0.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            LieVector("so4", [0.0, 0.0, 0.0, 0.0, 0.0, bad])
 
 
 def test_rotation_validation():
@@ -190,3 +195,14 @@ def test_rotation_validation():
         Rotation(np.diag([1.0, 1.0, -1.0]))
     with pytest.raises(ValueError):
         Rotation(2.0 * np.eye(3))
+    # a NaN or infinite entry makes the orthogonality residual NaN, which
+    # compares neither above nor below the tolerance
+    with np.errstate(invalid="ignore"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="far from orthogonal"):
+                Rotation(np.full((4, 4), bad))
+            for dim in (3, 4):
+                m = np.eye(dim)
+                m[0, 0] = bad
+                with pytest.raises(ValueError, match="far from orthogonal"):
+                    Rotation(m)

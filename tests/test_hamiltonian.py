@@ -4,17 +4,22 @@ from math import pi
 import numpy as np
 import pytest
 
-from cocyclelab.forms import PowerTable
+from cocyclelab.forms import (PowerTable, fubini_study_form,
+                              sphere_products, symplectic_form_value)
 from cocyclelab.hamiltonian import (SphereFunction, _exponent_key,
-                                    function_integral, hamiltonian_field,
-                                    pairing_integral, pairing_integrals,
-                                    poisson, symplectic_cocycle,
-                                    symplectic_form_value)
+                                    hamiltonian_field, pairing_integrals,
+                                    poisson, symplectic_cocycle)
 from cocyclelab.quadrature import QuadratureSpec
 
 rng = np.random.default_rng(13)
 X, Y, Z = (SphereFunction.coordinate(n) for n in "xyz")
 QUAD = QuadratureSpec(order=10, tol=1e-6)
+
+
+def area_integral(f, quad=None):
+    """The integral of f against the symplectic form: the one-factor
+    product of ``sphere_products``."""
+    return sphere_products(fubini_study_form(), "CP1", [(f,)], quad)[0]
 
 
 def double_factorial(n):
@@ -63,21 +68,21 @@ def test_monomial_integral_oracle_matches_quadrature():
     for a, b, c in [(0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 0, 0), (2, 2, 0),
                     (0, 0, 4), (1, 1, 2)]:
         f = SphereFunction({(a, b, c): 1})
-        got = function_integral(f, QUAD).value
+        got = area_integral(f, QUAD).value
         assert abs(got - monomial_form_integral(a, b, c)) < 1e-10
 
 
 def test_every_low_degree_monomial_matches_the_exact_integral():
-    # Folland's closed form, at function_integral's default order 8
+    # Folland's closed form, at sphere_products' default order 8
     keys = degree_at_most_4()
     assert len(keys) == 35
     for key in keys:
-        got = function_integral(SphereFunction({key: 1})).value
+        got = area_integral(SphereFunction({key: 1})).value
         assert abs(got - monomial_form_integral(*key)) < 1e-12
 
 
 def test_total_form_mass_is_two_pi():
-    got = function_integral(SphereFunction.constant(1), QUAD).value
+    got = area_integral(SphereFunction.constant(1), QUAD).value
     assert abs(got - 2.0 * pi) < 1e-10
 
 
@@ -145,15 +150,15 @@ def test_cocycle_total_antisymmetry():
 def test_ad_invariance_of_the_pairing():
     for _ in range(5):
         f, g, h = (random_polynomial() for _ in range(3))
-        lhs = pairing_integral(poisson(f, g), h, QUAD) \
-            + pairing_integral(g, poisson(f, h), QUAD)
-        assert abs(lhs) < 1e-7
+        [a] = pairing_integrals([(poisson(f, g), h)], QUAD)
+        [b] = pairing_integrals([(g, poisson(f, h))], QUAD)
+        assert abs(a + b) < 1e-7
 
 
 def test_pairing_integrals_are_bitwise_their_pairs_one_at_a_time():
     pairs = [(random_polynomial(), random_polynomial()) for _ in range(4)]
     assert pairing_integrals(pairs, QUAD) == \
-        [pairing_integral(f, g, QUAD) for f, g in pairs]
+        [pairing_integrals([(f, g)], QUAD)[0] for f, g in pairs]
     assert pairing_integrals([], QUAD) == []
 
 
@@ -215,7 +220,7 @@ def test_a_non_finite_scalar_raises_value_error_naming_it(c):
 def test_liouville_integrals_vanish():
     for _ in range(5):
         f, phi = random_polynomial(), random_polynomial()
-        assert abs(function_integral(poisson(f, phi), QUAD).value) < 1e-8
+        assert abs(area_integral(poisson(f, phi), QUAD).value) < 1e-8
 
 
 def test_gradient_consistency_spot_check():

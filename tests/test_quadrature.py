@@ -246,10 +246,12 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("tol", float("nan")), ("tol", 0.0), ("order", 2.5), ("order", 8.0),
-    ("depth", 0.5), ("depth", 1.0)])
+    ("depth", 0.5), ("depth", 1.0), ("tol", float("inf")), ("order", True),
+    ("depth", True), ("depth", False)])
 def test_spec_rejects_a_nan_tolerance_and_non_integer_sizes(field, value):
-    # a NaN tolerance would turn the divergence guard off: no difference
-    # compares greater than 10 * nan
+    # a NaN or an infinite tolerance would turn the divergence guard off:
+    # no difference compares greater than 10 * nan or 10 * inf; a bool is
+    # an Integral, but no size
     with pytest.raises(ValueError, match=f"^{field} must be"):
         QuadratureSpec(**{field: value})
     assert QuadratureSpec(order=np.int64(3), depth=np.int64(1)).orders == \
