@@ -40,20 +40,14 @@ def exact(value):
     return int(f.numerator) if f.denominator == 1 else f
 
 
-def reduce_mod(value, lattice):
-    """Representative of ``value`` in [0, lattice); lattice 0 means none."""
-    if lattice == 0:
-        return value
-    return value % lattice
-
-
 def _reduced(value, est, lattice):
-    """``value`` reduced mod ``lattice``, and ``est`` plus the rounding of
-    that reduction: u * lattice (u = eps / 2) for a float and a nonzero
-    lattice, whose representative in [0, lattice) is rounded once."""
+    """``value`` reduced to its representative in [0, lattice) (lattice 0
+    means none), and ``est`` plus the rounding of that reduction: u *
+    lattice (u = eps / 2) for a float and a nonzero lattice, whose
+    representative is rounded once."""
     if lattice and isinstance(value, float):
         est += np.finfo(float).eps / 2 * lattice
-    return reduce_mod(value, lattice), est
+    return (value % lattice if lattice else value), est
 
 
 def circle_distance(a, b):
@@ -301,15 +295,15 @@ def transfer(phi: HomogeneousCochain, gamma, subgroup, reps
         if len(hits) != 1:
             raise BadReps(f"element {x} lies in {len(hits)} cosets of reps")
         rep_of[x] = hits[0]
+    # moves[k][g] = (s_k g) rep(s_k g)^-1 for the k-th representative s_k
+    moves = [[gamma.mul(sg, gamma.inv(rep_of[sg]))
+              for sg in (gamma.mul(s, g) for g in gamma.elements)]
+             for s in reps]
 
     def evaluator(t):
         total, est = 0, 0.0
-        for s in reps:
-            arg = []
-            for g in t:
-                sg = gamma.mul(s, g)
-                arg.append(gamma.mul(sg, gamma.inv(rep_of[sg])))
-            v, e = phi.with_error(tuple(arg))
+        for move in moves:
+            v, e = phi.with_error(tuple(move[g] for g in t))
             total = total + v
             est += e
         return total, est

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from numbers import Integral
 
 from .cochains import HomogeneousChain, HomogeneousCochain, exact
 from .errors import (KernelObstruction, NotAChainMap, NotWellConfigured,
@@ -31,8 +32,18 @@ class FiniteGroupTable:
     0..order-1."""
 
     def __init__(self, table):
-        self.table = [list(map(int, row)) for row in table]
-        self.order = len(self.table)
+        rows = [list(row) for row in table]
+        self.order = len(rows)
+        for row in rows:
+            if len(row) != self.order:
+                raise ValueError(f"multiplication table is not square: a "
+                                 f"row of {len(row)} in {self.order} rows")
+            for x in row:
+                if type(x) is bool or not isinstance(x, Integral) \
+                        or not 0 <= x < self.order:
+                    raise ValueError(
+                        f"table entry {x!r} is not in 0..{self.order - 1}")
+        self.table = [list(map(int, row)) for row in rows]
         self.elements = tuple(range(self.order))
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
@@ -198,13 +209,20 @@ def _normalize(group: FiniteGroupTable, t):
     return tuple(group.mul(g0inv, x) for x in t)
 
 
-def _image_of_boundary(r_prev, t) -> HomogeneousChain:
-    """sum_i (-1)^i r(d_i t) for the degree-(n-1) images ``r_prev``."""
-    out = HomogeneousChain()
+def _image_of_boundary(r_prev, t):
+    """sum_i (-1)^i r(d_i t), a dict of nonzero terms, for the degree-(n-1)
+    images ``r_prev``."""
+    out = {}
     for sign, ft in all_faces(t):
         for s, c in r_prev[ft].terms.items():
-            out.add(sign * c, s)
-    return out
+            out[s] = out.get(s, 0) + sign * c
+    return {s: c for s, c in out.items() if c}
+
+
+def _chain(terms):  # a HomogeneousChain of a dict of nonzero terms
+    chain = HomogeneousChain()
+    chain.terms = terms
+    return chain
 
 
 def build_retraction(complex_: ConfiguredComplex):
@@ -237,22 +255,24 @@ def build_retraction(complex_: ConfiguredComplex):
         for rest in product(group.elements, repeat=n):
             t = (group.identity,) + rest
             if t in complex_.index[n]:
-                normalized[t] = HomogeneousChain([(1, t)])
+                normalized[t] = {t: 1}
                 continue
             z = _image_of_boundary(r[n - 1], t)
-            if n == 1 and sum(z.terms.values()) != 0:
+            if n == 1 and sum(z.values()) != 0:
                 # boundaries of pairs land in augmentation-zero chains
                 raise NotWellConfigured("augmentation obstruction in degree 0")
             col = complex_.solver(n).solve(
-                [z.terms.get(s, 0) for s in complex_.generators[n - 1]])
+                [z.get(s, 0) for s in complex_.generators[n - 1]])
             if col is None:
                 raise NotWellConfigured(
                     f"no integral filling for the boundary of {t}")
-            normalized[t] = HomogeneousChain(zip(col, complex_.generators[n]))
+            normalized[t] = {s: c for c, s in zip(col, complex_.generators[n])
+                             if c}
+        # left translation by full[0] is a bijection, so no terms merge
         r.append({
-            full: HomogeneousChain(
-                (c, tuple(group.mul(full[0], x) for x in s))
-                for s, c in normalized[_normalize(group, full)].terms.items())
+            full: _chain({tuple(group.table[full[0]][x] for x in s): c
+                          for s, c in normalized[_normalize(group, full)]
+                          .items()})
             for full in product(group.elements, repeat=n + 1)})
     _verify_retraction(complex_, r, q)
     return r
@@ -269,8 +289,7 @@ def _verify_retraction(complex_, r, q):
             if any(s not in complex_.index[n] for s in image.terms):
                 raise NotAChainMap(
                     "retraction leaves the configured complex")
-            if image.boundary().terms != \
-                    _image_of_boundary(r[n - 1], t).terms:
+            if image.boundary().terms != _image_of_boundary(r[n - 1], t):
                 raise NotAChainMap("retraction is not a chain map")
 
 

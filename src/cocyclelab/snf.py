@@ -3,18 +3,19 @@ transforms, integer linear solves, kernels, and a rational-rank oracle.
 
 Everything runs over Python integers (arbitrary precision), so ranks and
 torsion are exact.  The Smith normal form is one pivot loop (Cohen, A
-Course in Computational Algebraic Number Theory, GTM 138, section 2.4) on
-the block matrix [[A, I_m], [I_n, 0]]: a row operation on its first m
-rows carries U along with S, and a column operation on its first n
-columns carries V; a column operation adds only into the rows where its
-source column is nonzero.  Each step pivots on the first nonzero entry
-of least magnitude, clears its column and then its row by quotient
-operations, and runs again while a remainder is left or while a later
-row is not divisible by the pivot.  U and V are sparse for boundary
-matrices (every entry of a tuple boundary is +-1), so a solver keeps each
-of their rows as the list of its nonzeros and a solve sums over those
-only.  The rank oracle is Bareiss's fraction-free elimination, whose
-every division is exact, and shares no code with the Smith normal form.
+Course in Computational Algebraic Number Theory, GTM 138, section 2.4)
+on S as dense rows, U as dense rows that take the row operations only,
+and V as columns, dicts of their nonzeros, that take the column
+operations only; each operation adds over the nonzeros of its source row
+or column.  Each step pivots on the first nonzero entry of least
+magnitude, clears its column and then its row by quotient operations, and
+runs again while a remainder is left or while a later row is not
+divisible by the pivot.  U and V are sparse for tuple boundaries (every
+entry is +-1), so a solve reads only the columns of U where the
+right-hand side is nonzero and the columns of V where the solution of the
+diagonal system is.  The rank oracle is Bareiss's fraction-free
+elimination, whose every division is exact, and shares no code with the
+Smith normal form.
 """
 from __future__ import annotations
 
@@ -37,56 +38,72 @@ def _pivot(b, k, m, n):
     return best
 
 
+def _nonzeros(seq):
+    """The pairs (i, x) of the nonzero entries x = seq[i]."""
+    return [(i, x) for i, x in enumerate(seq) if x]
+
+
 def smith_normal_form(mat):
     """Return (U, S, V) with U @ mat @ V = S diagonal, U and V unimodular,
     and the diagonal entries nonnegative with each dividing the next."""
     m = len(mat)
     n = len(mat[0]) if m else 0
-    # b = [[S, U], [V, 0]], from S = A, U = I_m and V = I_n
-    b = [list(row) + [int(i == r) for i in range(m)]
-         for r, row in enumerate(mat)]
-    b += [[int(i == r) for i in range(n)] + [0] * m for r in range(n)]
+    s = [list(row) for row in mat]
+    u = [[int(i == r) for i in range(m)] for r in range(m)]
+    v = [{j: 1} for j in range(n)]  # the columns of V
 
-    def add_row(src, dst, f):
-        b[dst] = [x + f * y for x, y in zip(b[dst], b[src])]
-
-    def add_col(src, dst, f):
-        for row in b:
-            if row[src]:
-                row[dst] += f * row[src]
+    def add_row(src, dst, f):  # src: the nonzeros of a row of S and of U
+        for target, nonzeros in zip((s, u), src):
+            row = target[dst]
+            for j, x in nonzeros:
+                row[j] += f * x
 
     k = 0
     while k < min(m, n):
-        pivot = _pivot(b, k, m, n)
+        pivot = _pivot(s, k, m, n)
         if pivot is None:
             break
         pi, pj = pivot
-        b[pi], b[k] = b[k], b[pi]
+        s[pi], s[k], u[pi], u[k] = s[k], s[pi], u[k], u[pi]
         if pj != k:
-            for row in b:
+            for row in s[k:]:  # rows before k are 0 past column k - 1
                 row[pj], row[k] = row[k], row[pj]
-        if b[k][k] < 0:
-            b[k] = [-x for x in b[k]]
-        p = b[k][k]
+            v[pj], v[k] = v[k], v[pj]
+        if s[k][k] < 0:
+            s[k], u[k] = [-x for x in s[k]], [-x for x in u[k]]
+        p = s[k][k]
+        # row k and column k stay fixed while they clear the later ones
+        top = (_nonzeros(s[k]), _nonzeros(u[k]))
         below = range(k + 1, m)
         for i in below:
-            if b[i][k]:
-                add_row(k, i, -(b[i][k] // p))
-        for j in range(k + 1, n):
-            if b[k][j]:
-                add_col(k, j, -(b[k][j] // p))
-        if any(b[i][k] for i in below) or any(b[k][k + 1:n]):
+            if s[i][k]:
+                add_row(top, i, -(s[i][k] // p))
+        rows = [row for row in s[k:] if row[k]]
+        for j, x in top[0]:
+            if j > k:
+                f = -(x // p)
+                for row in rows:
+                    row[j] += f * row[k]
+                col = v[j]
+                for i, c in v[k].items():
+                    col[i] = col.get(i, 0) + f * c
+                    if not col[i]:
+                        del col[i]
+        if any(s[i][k] for i in below) or any(s[k][k + 1:n]):
             continue  # a remainder below p is left: the step runs again
         # p must divide every later entry; a row where it does not is
         # added to row k, whose next pass leaves a remainder
         bad = next((i for i in below
-                    if p > 1 and any(x % p for x in b[i][k + 1:n])), None)
+                    if p > 1 and any(x % p for x in s[i][k + 1:n])), None)
         if bad is None:
             k += 1
         else:
-            add_row(bad, k, 1)
-    return ([row[n:] for row in b[:m]], [row[:n] for row in b[:m]],
-            [row[:n] for row in b[m:]])
+            add_row((_nonzeros(s[bad]), _nonzeros(u[bad])), k, 1)
+    dense = [[0] * n for _ in range(n)]
+    for j, col in enumerate(v):
+        for i, c in col.items():
+            dense[i][j] = c
+    return u, s, dense
 
 
 class SmithSolver:
@@ -95,43 +112,50 @@ class SmithSolver:
     def __init__(self, mat):
         self.m = len(mat)
         self.n = len(mat[0]) if self.m else 0
-        self.u, self.s, self.v = smith_normal_form(mat)
-        self.diag = [self.s[i][i] for i in range(min(self.m, self.n))]
+        u, s, v = smith_normal_form(mat)
+        self.diag = [s[i][i] for i in range(min(self.m, self.n))]
         self.rank = sum(1 for d in self.diag if d)
-        # the nonzeros (j, c) of each row of U, and of each row of V in
-        # its first rank columns, the only entries of x = S^-1 U b that
-        # can be nonzero
-        self._u_rows = [[(j, c) for j, c in enumerate(row) if c]
-                        for row in self.u]
-        self._v_rows = [[(j, c) for j, c in enumerate(row[:self.rank]) if c]
-                        for row in self.v]
+        # the nonzeros (i, c) of each column of U, and of V's first rank
+        # columns, the only ones that x = S^-1 U b can weight
+        self._u_cols = [_nonzeros(col) for col in zip(*u)]
+        v_cols = list(zip(*v))
+        self._v_cols = [_nonzeros(col) for col in v_cols[:self.rank]]
+        self._kernel = v_cols[self.rank:]
 
     def solve(self, b):
         """An integer solution of A x = b, or None when none exists: V x
         with x_i = (U b)_i / d_i, where U b vanishes past the rank."""
-        y = [sum(c * b[j] for j, c in row) for row in self._u_rows]
+        if len(b) != self.m:
+            raise ValueError(f"b has {len(b)} entries, not {self.m}")
+        y = [0] * self.m
+        for j, bj in enumerate(b):
+            if bj:
+                for i, c in self._u_cols[j]:
+                    y[i] += c * bj
         if any(y[self.rank:]):
             return None
-        x = []
-        for yi, d in zip(y, self.diag[:self.rank]):
+        out = [0] * self.n
+        for yi, d, col in zip(y, self.diag, self._v_cols):
             xi, rem = divmod(yi, d)
             if rem:
                 return None
-            x.append(xi)
-        return [sum(c * x[j] for j, c in row) for row in self._v_rows]
+            if xi:
+                for i, c in col:
+                    out[i] += c * xi
+        return out
 
     def kernel_basis(self):
         """Integer basis of the kernel: trailing columns of V."""
-        return [[self.v[i][j] for i in range(self.n)]
-                for j in range(self.rank, self.n)]
+        return [list(col) for col in self._kernel]
 
 
 def rational_rank(mat):
     """Rank over Q by fraction-free (Bareiss) elimination over the
     integers, an independent cross-check for the Smith-normal-form
     pipeline.  By Sylvester's identity every entry below the pivots is a
-    minor of ``mat``, so each division by the previous pivot is exact.
-    Entries must be integers."""
+    minor of ``mat``, so each division by the previous pivot is exact.  A
+    step rewrites the rows below the pivot from column col on (they are 0
+    before it), but not a row it leaves as it is.  Entries are integers."""
     a = [list(map(operator.index, row)) for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
@@ -142,10 +166,13 @@ def rational_rank(mat):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
+        top = a[r][col:]
+        p = top[0]
         for i in range(r + 1, m):
             f = a[i][col]
-            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[r])]
+            if f or p != prev:
+                a[i][col:] = [(p * x - f * y) // prev
+                              for x, y in zip(a[i][col:], top)]
         prev = p
         r += 1
         if r == m:

@@ -480,11 +480,11 @@ def _suite_transfer(cfg) -> SuiteReport:
         record(worst)
 
     with rec.check("chain-map", 0.0, 0.0) as record:
+        d_tr = coboundary(tr)
+        tr_d = transfer(coboundary(phi), z6, sub, reps)
         worst = 0.0
         for t in product(range(6), repeat=3):
-            a = coboundary(tr)(t)
-            b = transfer(coboundary(phi), z6, sub, reps)(t)
-            worst = max(worst, float(circle_distance(a, b)))
+            worst = max(worst, float(circle_distance(d_tr(t), tr_d(t))))
         record(worst)
     return SuiteReport("transfer", rec.checks)
 

@@ -9,7 +9,7 @@ least one of its cases).  The named tests first run once on the tree as
 it is, where they must all pass, so no test is counted as a kill that
 fails anyway.  A named test that fails there, a surviving mutant, an old
 text that does not occur exactly once (a stale entry) or a run that
-pytest cannot complete is printed, and the script exits 1 (about 35 s).
+pytest cannot complete is printed, and the script exits 1 (about 60 s).
 Run it from anywhere:
 
     python tests/mutants.py
@@ -40,10 +40,14 @@ MUTANTS = [
      "        if True:\n            k += 1\n",
      ["tests/test_finite.py::test_snf_diagonal_is_the_invariant_factors",
       "tests/test_finite.py::test_snf_against_rational_rank_oracle"]),
-    ("solve-truncated-v-rows", "snf.py",
-     "for j, c in enumerate(row[:self.rank]) if c]",
-     "for j, c in enumerate(row[:self.rank - 1]) if c]",
+    ("solve-truncated-v-columns", "snf.py",
+     "for col in v_cols[:self.rank]]",
+     "for col in v_cols[:self.rank - 1]]",
      ["tests/test_finite.py::test_sparse_solve_matches_dense_transforms"]),
+    ("solve-reads-u-by-rows", "snf.py",
+     "for col in zip(*u)]",
+     "for col in u]",
+     ["tests/test_finite.py::test_snf_solver_roundtrip_and_kernel"]),
     ("solve-no-rank-check", "snf.py",
      "        if any(y[self.rank:]):\n            return None\n",
      "",
@@ -56,6 +60,11 @@ MUTANTS = [
      "        for i in range(r + 1, m):\n",
      "        for i in range(r + 2, m):\n",
      ["tests/test_finite.py::test_rational_rank_of_boundary_matrices"]),
+    ("bareiss-skips-every-zero-row", "snf.py",
+     "            if f or p != prev:\n",
+     "            if f:\n",
+     ["tests/test_finite.py::"
+      "test_rational_rank_rescales_a_zero_row_under_a_new_pivot"]),
     ("hemisphere-sigma-of-the-augmented-matrix", "simplices.py",
      "np.linalg.svd(aug if square else unit,",
      "np.linalg.svd(aug,",

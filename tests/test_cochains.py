@@ -319,10 +319,11 @@ def test_stacked_coboundary_is_bitwise_the_face_sum(kind, order, depth):
         assert pullback_integral(form, simplices, quad) == per_face
         total, est = 0, 0.0
         for (sign, _), res in zip(all_faces(t), per_face):
-            total = total + sign * cochains.reduce_mod(res.value, lattice)
+            value = res.value % lattice if lattice else res.value
+            total = total + sign * value
             est += res.error_estimate + rounding
         assert coboundary(cochain).with_errors([t]) == \
-            [(cochains.reduce_mod(total, lattice), est + rounding)]
+            [(total % lattice if lattice else total, est + rounding)]
 
 
 def test_stacked_faces_raise_for_the_first_diverging_face():
@@ -500,7 +501,7 @@ def test_pairing_checks_every_term_before_evaluating(monkeypatch):
         v, e = cochain.with_error(tuple(group[a] for a in t))
         total = total + coeff * v
         total_est += abs(coeff) * e
-    assert (value, est) == (cochains.reduce_mod(total, 1.0),
+    assert (value, est) == (total % 1.0,
                             total_est + np.finfo(float).eps / 2)
     # an empty chain pairs to 0 without evaluating anything
     stacks.clear()

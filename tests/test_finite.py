@@ -167,11 +167,17 @@ def reference_smith_normal_form(mat):
 
 
 def test_column_add_over_nonzero_rows_is_the_full_loop():
-    # skipping the rows where the source column is 0 adds only zeros, so
-    # (U, S, V) is the reference's on tuple boundaries and random matrices
-    for m in (5, 6, 7):
-        c = build_complex(FiniteGroupTable.cyclic(m), "conf-distinct", 3)
-        for n in (1, 2, 3):
+    # adding over the nonzeros of the source row or column adds only
+    # zeros elsewhere, so (U, S, V) is the reference's on tuple boundaries
+    # (conf-distinct and all-tuples, cyclic and Q8) and random matrices
+    complexes = [build_complex(FiniteGroupTable.cyclic(m), "conf-distinct", 3)
+                 for m in (5, 6, 7)]
+    complexes += [build_complex(FiniteGroupTable.cyclic(m), "all-tuples", 3)
+                  for m in (2, 3)]
+    complexes.append(build_complex(FiniteGroupTable.quaternion8(),
+                                   "conf-distinct", 2))
+    for c in complexes:
+        for n in range(1, c.q + 1):
             a = c.boundaries[n]
             assert smith_normal_form(a) == reference_smith_normal_form(a)
     local = np.random.default_rng(37)
@@ -216,6 +222,15 @@ def test_rational_rank_of_rank_deficient_products():
     assert rational_rank([]) == 0
 
 
+def test_rational_rank_rescales_a_zero_row_under_a_new_pivot():
+    # the last row's entry under the second pivot is 0, but the pivot (6)
+    # differs from the first (3), so Bareiss must still rescale that row:
+    # skipping it leaves a row that is not a minor, and a rank of 3
+    a = [[0, 3, 0, 4, -3], [-9, 9, 6, 12, -9], [0, -3, -2, -4, 3],
+         [3, -3, -2, 0, 3]]
+    assert rational_rank(a) == fraction_rank(a) == 4
+
+
 def test_rational_rank_of_boundary_matrices():
     conf = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
     full = build_complex(FiniteGroupTable.cyclic(3), "all-tuples", 3)
@@ -225,13 +240,15 @@ def test_rational_rank_of_boundary_matrices():
                 fraction_rank(c.boundaries[n]) == c.solver(n).rank
 
 
-def dense_solve(solver, b):
-    """Reference solve: x = V y / diag with y = U b, in dense loops."""
-    m, n = solver.m, solver.n
-    y = [sum(solver.u[i][j] * b[j] for j in range(m)) for i in range(m)]
+def dense_solve(a, b):
+    """Reference solve: x = V y / diag with y = U b, in dense loops over
+    the transforms of ``smith_normal_form(a)``."""
+    u, s, v = smith_normal_form(a)
+    m, n = len(a), len(a[0])
+    y = [sum(u[i][j] * b[j] for j in range(m)) for i in range(m)]
     x = [0] * n
     for i in range(m):
-        d = solver.diag[i] if i < len(solver.diag) else 0
+        d = s[i][i] if i < n else 0
         if d == 0:
             if y[i] != 0:
                 return None
@@ -239,28 +256,39 @@ def dense_solve(solver, b):
             return None
         else:
             x[i] = y[i] // d
-    return [sum(solver.v[i][j] * x[j] for j in range(n)) for i in range(n)]
+    return [sum(v[i][j] * x[j] for j in range(n)) for i in range(n)]
 
 
 def test_sparse_solve_matches_dense_transforms():
-    c = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
-    for n in (1, 2, 3):
-        a = c.boundaries[n]
-        solver = c.solver(n)
-        for _ in range(4):
-            x = rng.integers(-3, 4, size=solver.n).tolist()
-            b = [sum(aij * xj for aij, xj in zip(row, x)) for row in a]
-            sol = solver.solve(b)
-            assert sol == dense_solve(solver, b)
-            assert [sum(aij * xj for aij, xj in zip(row, sol))
-                    for row in a] == b
-            # a random right-hand side: both agree, None included
-            b = rng.integers(-2, 3, size=solver.m).tolist()
-            assert solver.solve(b) == dense_solve(solver, b)
-    # a 0-chain of nonzero augmentation is no boundary of 1-chains
-    b = [1] + [0] * (len(c.generators[0]) - 1)
-    assert c.solver(1).solve(b) is None
-    assert dense_solve(c.solver(1), b) is None
+    # Z/5 at q = 3, and Q8, the nonabelian group, at q = 2
+    for c in (build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3),
+              build_complex(FiniteGroupTable.quaternion8(), "conf-distinct",
+                            2)):
+        for n in range(1, c.q + 1):
+            a = c.boundaries[n]
+            solver = c.solver(n)
+            for _ in range(4):
+                x = rng.integers(-3, 4, size=solver.n).tolist()
+                b = [sum(aij * xj for aij, xj in zip(row, x)) for row in a]
+                sol = solver.solve(b)
+                assert sol == dense_solve(a, b)
+                assert [sum(aij * xj for aij, xj in zip(row, sol))
+                        for row in a] == b
+                # a random right-hand side: both agree, None included
+                b = rng.integers(-2, 3, size=solver.m).tolist()
+                assert solver.solve(b) == dense_solve(a, b)
+        # a 0-chain of nonzero augmentation is no boundary of 1-chains
+        b = [1] + [0] * (len(c.generators[0]) - 1)
+        assert c.solver(1).solve(b) is None
+        assert dense_solve(c.boundaries[1], b) is None
+
+
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    solver = SmithSolver([[1, 0], [0, 1]])
+    assert solver.solve([1, 2]) == [1, 2]
+    for b in ([1, 2, 99], [1]):
+        with pytest.raises(ValueError, match=f"b has {len(b)} entries, not 2"):
+            solver.solve(b)
 
 
 def test_group_table_validation():
@@ -270,6 +298,25 @@ def test_group_table_validation():
     assert q8.order == 8
     with pytest.raises(ValueError):
         FiniteGroupTable([[0, 1], [1, 1]])  # no inverse row
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1]], "not square: a row of 2 in 1 rows"),
+    ([[0, 1], [1, 0], [0, 1]], "not square: a row of 2 in 3 rows"),
+    ([[0, 1], [1]], "not square: a row of 1 in 2 rows"),
+    ([[0.5]], "table entry 0.5 is not in 0..0"),
+    ([[0, 1], [1, 2]], "table entry 2 is not in 0..1"),
+    ([[0, 1], [1, -1]], "table entry -1 is not in 0..1"),
+    ([[True]], "table entry True is not in 0..0")])
+def test_group_table_rejects_a_bad_table(table, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteGroupTable(table)
+
+
+def test_group_table_takes_integer_entries_of_any_integer_type():
+    table = FiniteGroupTable(np.array([[0, 1], [1, 0]]))
+    assert table.table == [[0, 1], [1, 0]]
+    assert all(type(x) is int for row in table.table for x in row)
 
 
 def generator_counts(c):
