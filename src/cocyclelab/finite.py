@@ -112,6 +112,11 @@ class HomologySummary:
     torsion: tuple
 
     def __post_init__(self):
+        for t in self.torsion:
+            # a bool is an Integral, but no torsion coefficient
+            if isinstance(t, bool) or not isinstance(t, Integral) or t < 2:
+                raise ValueError(
+                    f"torsion coefficients must be integers >= 2, got {t!r}")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion coefficients must divide in turn")

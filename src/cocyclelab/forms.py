@@ -55,8 +55,8 @@ import numpy as np
 
 from . import simplices as _simplices
 from .groups import _perm_signs, _qconj, _qmul
-from .quadrature import (IntegralResult, QuadratureSpec, _panel_axes,
-                         _panel_rule, integrate_on_cube)
+from .quadrature import (IntegralResult, QuadratureSpec, _rule_level,
+                         integrate_on_cube)
 from .simplices import GeodesicSimplex, ParametrizedMap, join_grids
 
 # base form -> {(sphere, rule order, depth): (table, cells)}, filled by
@@ -189,21 +189,10 @@ def mc3_form() -> DifferentialForm:
     return DifferentialForm(3, "SU2", ev)
 
 
-def _offsets(blocks):
-    """(first row, points, tangents) of each block of a jet."""
-    lo = 0
-    for x, tangents in blocks:
-        yield lo, x, tangents
-        lo += len(x)
-
-
-def _densities(form, blocks, size):
-    """The form on each block of (points, tangents), written in a row of
-    ``size`` values."""
-    out = np.empty(size)
-    for lo, x, tangents in _offsets(blocks):
-        out[lo:lo + len(x)] = form.evaluate(x, tangents)
-    return out
+def _densities(form, blocks):
+    """The form on each block of (points, tangents) of a jet, in one row."""
+    return np.concatenate([form.evaluate(x, tangents)
+                           for x, tangents in blocks])
 
 
 def pullback_integral(form: DifferentialForm, maps,
@@ -214,11 +203,11 @@ def pullback_integral(form: DifferentialForm, maps,
     A map is anything with ``degree`` and ``evaluate_grid_jet(axes)``, as
     ``GeodesicSimplex`` and ``ParametrizedMap`` provide: it takes the
     per-panel axes (P, degree, m) of a rule level and yields the points
-    (B, d) and exact tangents (B, degree, d) at its nodes, in
-    ``_panel_rule`` order, in blocks of rows.  So a map can share work
-    across the tensor grid of each panel: a geodesic simplex runs each
-    join once per distinct prefix of cube coordinates, and a prism cell
-    evaluates its face and straightening once per distinct base point.
+    (B, d) and exact tangents (B, degree, d) at its nodes, panel after
+    panel, in blocks of rows.  So a map can share work across the tensor
+    grid of each panel: a geodesic simplex runs each join once per
+    distinct prefix of cube coordinates, and a prism cell evaluates its
+    face and straightening once per distinct base point.
 
     When every map is a ``GeodesicSimplex`` of one kind, all of them go
     through one ``join_grids`` pass: each simplex meets each panel as one
@@ -245,13 +234,13 @@ def pullback_integral(form: DifferentialForm, maps,
         kind = maps[0].kind
         varr = np.stack([f.varr for f in maps])
 
-        def integrand(s, axes):
-            return _densities(form, join_grids(kind, varr, axes),
-                              len(varr) * s.shape[0]).reshape(len(varr), -1)
+        def integrand(axes):
+            return _densities(form, join_grids(kind, varr, axes)).reshape(
+                len(varr), -1)
     else:
-        def integrand(s, axes):
+        def integrand(axes):
             for f in maps:
-                yield _densities(form, f.evaluate_grid_jet(axes), s.shape[0])
+                yield _densities(form, f.evaluate_grid_jet(axes))
 
     return integrate_on_cube(integrand, n, quad)
 
@@ -325,7 +314,7 @@ def _orthant_signs():
 def _atlas_jets(sphere, axes):
     """Each atlas cell's points (B, d) and tangents (B, n, d) at the nodes
     of the rule level with per-panel axes ``axes``, in the blocks of the
-    grid jets, as (cell index, first node, points, tangents).
+    grid jets, as (cell index, points, tangents).
 
     On S^3 the positive orthant's grid jet is evaluated once, and per block
     the cell with vertex signs ``sg``, diag(sg) applied to that orthant,
@@ -338,14 +327,14 @@ def _atlas_jets(sphere, axes):
     other."""
     if sphere != "S3":
         for i, (_, cell) in enumerate(sphere_atlas(sphere)):
-            for lo, x, dx in _offsets(cell.evaluate_grid_jet(axes)):
-                yield i, lo, x, dx
+            for x, dx in cell.evaluate_grid_jet(axes):
+                yield i, x, dx
         return
     signs, positive = _orthant_signs()
     orthant = sphere_atlas("S3")[positive][1]
-    for lo, x, dx in _offsets(orthant.evaluate_grid_jet(axes)):
+    for x, dx in orthant.evaluate_grid_jet(axes):
         for i, sg in enumerate(signs):
-            yield i, lo, sg * x, sg * dx
+            yield i, sg * x, sg * dx
 
 
 def _atlas_density(sphere, base, order, depth):
@@ -365,19 +354,18 @@ def _atlas_density(sphere, base, order, depth):
     if key in levels:
         return levels[key]
     atlas = sphere_atlas(sphere)
-    n = atlas[0][1].degree
     signs, positive = (None,) * len(atlas), None
     if sphere == "S3":
         signs, positive = _orthant_signs()
-    density = np.empty((len(atlas), len(_panel_rule(n, order, depth)[0])))
-    kept = [[] for _ in atlas]
-    for i, lo, x, tangents in _atlas_jets(sphere,
-                                          _panel_axes(n, order, depth)):
-        density[i, lo:lo + len(x)] = base.evaluate(x, tangents)
+    axes = _rule_level(atlas[0][1].degree, order, depth)[0]
+    kept, values = [[] for _ in atlas], [[] for _ in atlas]
+    for i, x, tangents in _atlas_jets(sphere, axes):
+        values[i].append(base.evaluate(x, tangents))
         if positive in (None, i):
             kept[i].append(x)
     points = [np.concatenate(chunks) if chunks else None for chunks in kept]
-    for a in points + [density]:
+    density = [np.concatenate(chunks) for chunks in values]
+    for a in points + density:
         if a is not None:
             a.setflags(write=False)
     table = None
@@ -414,10 +402,10 @@ def sphere_products(base: DifferentialForm, sphere: str, products,
         return []
     atlas, block = sphere_atlas(sphere), _simplices._BLOCK_ROWS
 
-    def rows(s, axes):  # axes (P, n, order)
+    def rows(axes):  # axes (P, n, order)
         table, cells = _atlas_density(sphere, base, axes.shape[2], quad.depth)
         # a row is summed before the next is asked for: cells share rows
-        out = np.empty((len(products), s.shape[0]))
+        out = np.empty((len(products), len(cells[0][2])))
         for signs, points, density in cells:
             if points is None:
                 points = signs * table

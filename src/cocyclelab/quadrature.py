@@ -15,7 +15,9 @@ coordinates in order (Karniadakis and Sherwin, Spectral/hp Element
 Methods for CFD, 2nd ed., OUP 2005, sec. 3.2).
 
 ``integrate_on_cube`` integrates a stack of rows over the cube, one
-value per row, each row summed on its own as it comes.  The error
+value per row, each row summed on its own as it comes.  A rule level is
+its per-panel axes and its weights (``_rule_level``): the integrand gets
+the axes alone, and no node array is built for a level.  The error
 estimate compares two rule orders on the same panel grid and adds a
 bound on the rounding of the quadrature sum; cells are traversed in a
 fixed lexicographic order so results are reproducible.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from numbers import Integral
 
@@ -77,7 +79,8 @@ class IntegralResult:
     error_estimate: float
 
     def __post_init__(self):
-        if self.error_estimate < 0:
+        # a NaN estimate passes ``< 0``; it fails ``>= 0``
+        if not self.error_estimate >= 0:
             raise ValueError("error estimate must be >= 0")
 
 
@@ -123,17 +126,22 @@ def bary_to_cube(bary):
 
 
 @lru_cache(maxsize=None)
-def _panel_axes(n: int, order: int, depth: int):
-    """The per-panel axes (P, n, order) of ``_panel_rule``'s level: the
-    nodes of panel p are the product of the n axes ``axes[p]``,
-    lexicographic with the last axis fastest, and the P = 2**(depth n)
-    panels come in ``_panel_rule``'s order."""
-    x = (np.polynomial.legendre.leggauss(order)[0] + 1.0) / 2.0
+def _rule_level(n: int, order: int, depth: int):
+    """Tensor Gauss-Legendre level on the unit n-cube with 2**depth panels
+    per axis, as (axes, weights): the P = 2**(depth n) panels come in
+    lexicographic order, panel p's nodes are the product of its n axes
+    ``axes[p]`` (P, n, order), lexicographic with the last axis fastest,
+    and ``weights`` (P order^n,) are the nodes' weights in that order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = (x + 1.0) / 2.0, w / 2.0
     width = 1.0 / 2 ** depth
     axes = np.array([[(x + off) * width for off in offsets]
                      for offsets in product(range(2 ** depth), repeat=n)])
+    cell = reduce(np.outer, [w] * n, np.ones(1)).ravel()
+    weights = np.tile(cell * width ** n, len(axes))
     axes.setflags(write=False)
-    return axes
+    weights.setflags(write=False)
+    return axes, weights
 
 
 def _grid_nodes(axes, rows):
@@ -148,49 +156,32 @@ def _grid_nodes(axes, rows):
     return axes[grid[:, None], np.arange(n), index]
 
 
-@lru_cache(maxsize=None)
-def _panel_rule(n: int, order: int, depth: int):
-    """Tensor Gauss-Legendre nodes/weights on the unit n-cube with
-    2**depth panels per axis, in fixed lexicographic panel order: the
-    nodes of each panel mesh its axes from ``_panel_axes``."""
-    w = np.polynomial.legendre.leggauss(order)[1] / 2.0
-    wt_cell = np.ones(1)
-    for _ in range(n):
-        wt_cell = np.outer(wt_cell, w).ravel()
-    wt_cell = wt_cell * (1.0 / 2 ** depth) ** n
-    axes = _panel_axes(n, order, depth)
-    pts = _grid_nodes(axes, np.arange(len(axes) * order ** n))
-    wts = np.tile(wt_cell, len(axes))
-    pts.setflags(write=False)
-    wts.setflags(write=False)
-    return pts, wts
-
-
 def _level_values(integrand, n, order, depth):
     """Per row of ``integrand``'s values, an array (F, N) or rows (N,)
-    yielded one at a time, the rule's sum ``np.dot(wts, row)`` with the
-    bound gamma_N * sum |w_i f_i| on its rounding error for N nodes
+    yielded one at a time, the rule's sum ``np.dot(weights, row)`` with
+    the bound gamma_N * sum |w_i f_i| on its rounding error for N nodes
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     SIAM 2002, ch. 3 and 4).  Each row is reduced on its own, as it
     comes: a matrix-vector product would sum in another order."""
-    pts, wts = _panel_rule(n, order, depth)
-    nu = len(wts) * _UNIT_ROUNDOFF
-    return [(float(np.dot(wts, values)),
-             nu / (1.0 - nu) * float(np.dot(wts, np.abs(values))))
-            for values in integrand(pts, _panel_axes(n, order, depth))]
+    axes, weights = _rule_level(n, order, depth)
+    nu = len(weights) * _UNIT_ROUNDOFF
+    return [(float(np.dot(weights, values)),
+             nu / (1.0 - nu) * float(np.dot(weights, np.abs(values))))
+            for values in integrand(axes)]
 
 
 def integrate_on_cube(integrand, n, spec: QuadratureSpec) -> list:
     """Two-order integrals over the unit n-cube of the F rows (N,) that
-    ``integrand(s, axes)`` returns as an array or yields one at a time,
-    each summed before the next is asked for, as a list of F results.  A
-    rule level passes its N nodes ``s`` (N, n) and their per-panel axes
-    ``axes`` (P, n, m) from ``_panel_axes``, the same grid twice.
+    ``integrand(axes)`` returns as an array or yields one at a time, each
+    summed before the next is asked for, as a list of F results: a rule
+    level passes its axes (P, n, m) from ``_rule_level``, and a row holds
+    the values at the level's N nodes, in its order.
 
     Each value is taken at ``spec.order + 2`` points per axis.  Its
     estimate is its difference from the ``spec.order`` run plus the
     rounding bound of its own sum.  Raises QuadratureDiverged for the
-    first row whose two orders disagree by more than 10x tolerance.
+    first row whose two orders disagree by more than 10x tolerance, or
+    whose values are not finite.
     """
     coarse_order, fine_order = spec.orders
     coarse = _level_values(integrand, n, coarse_order, spec.depth)
@@ -198,7 +189,8 @@ def integrate_on_cube(integrand, n, spec: QuadratureSpec) -> list:
     out = []
     for (low, _), (value, rounding) in zip(coarse, fine):
         diff = abs(value - low)
-        if diff > 10.0 * spec.tol:
+        # a NaN difference fails every comparison, so it fails this one
+        if not diff <= 10.0 * spec.tol:
             raise QuadratureDiverged(
                 f"rule orders disagree by {diff:.3e} > 10 * tol = "
                 f"{10 * spec.tol:.3e}")

@@ -140,11 +140,6 @@ def _origin_in_hull(aug):
     return False
 
 
-def _repeat(a, m):
-    """Each row of ``a`` m times in a row (bitwise copies)."""
-    return a if m == 1 else np.repeat(a, m, axis=0)
-
-
 # each join kind as (head, tail): the head runs on the rows a join starts
 # from, the tail on those rows' copies, one per value of the parameter
 _JOINS = {"spherical": (_slerp_head, _slerp_tail),
@@ -157,7 +152,7 @@ def _tail_blocks(tail, rows, s, m):
     ``_BLOCK_ROWS`` rows (at least m)."""
     step = max(_BLOCK_ROWS // m, 1)
     for lo in range(0, len(rows[0]) or 1, step):
-        yield tail(*(_repeat(a[lo:lo + step], m) for a in rows),
+        yield tail(*(np.repeat(a[lo:lo + step], m, axis=0) for a in rows),
                    s[lo * m:(lo + step) * m])
 
 
@@ -194,10 +189,10 @@ def join_rows(kind, vertices, axes):
         # head row p is a node of grid p // m^(k-1); its tail rows take
         # the nodes of that grid's axis k in turn
         per_grid = m ** (k - 1)
-        rows = head(out, dout, _repeat(vertices[:, k], per_grid))
-        s = _repeat(axes[:, k - 1], per_grid).reshape(-1)
+        rows = head(out, dout, np.repeat(vertices[:, k], per_grid, axis=0))
+        s = np.repeat(axes[:, k - 1], per_grid, axis=0).reshape(-1)
         if k < n:
-            out, dout = tail(*(_repeat(a, m) for a in rows), s)
+            out, dout = tail(*(np.repeat(a, m, axis=0) for a in rows), s)
     yield from _tail_blocks(tail, rows, s, m)
 
 
@@ -240,10 +235,10 @@ def _whole(blocks):
     return np.concatenate(points), np.concatenate(tangents)
 
 
-def _node_blocks(axes, n):
+def _node_blocks(axes):
     """The nodes (B, n) of the tensor grids ``axes`` (P, n, m), grid after
     grid, in one or more blocks of at most ``_BLOCK_ROWS`` rows."""
-    size = len(axes) * axes.shape[2] ** n
+    size = len(axes) * axes.shape[2] ** axes.shape[1]
     for lo in range(0, size or 1, _BLOCK_ROWS):
         yield _grid_nodes(axes, np.arange(lo, min(lo + _BLOCK_ROWS, size)))
 
@@ -275,7 +270,7 @@ class ParametrizedMap:
         ``cube_to_bary_jet``."""
 
         def grid_jet(axes):
-            for s in _node_blocks(axes, degree):
+            for s in _node_blocks(axes):
                 eye = np.broadcast_to(np.eye(degree),
                                       (len(s), degree, degree))
                 yield jet(*cube_to_bary_jet(s, eye))
@@ -299,7 +294,7 @@ class ParametrizedMap:
         col, value = max(i - 1, 0), float(i == 0)
 
         def grid_jet(axes):
-            for s in _node_blocks(axes, self.degree - 1):
+            for s in _node_blocks(axes):
                 s = np.insert(s, col, value, axis=1)
                 x, dx = _whole(self.evaluate_grid_jet(s[:, :, None]))
                 yield x, np.delete(dx, col, axis=1)
@@ -335,10 +330,15 @@ class GeodesicSimplex:
             self.varr = np.array([v.vec for v in self.vertices])
         else:
             arr = []
-            for v in self.vertices:
+            for i, v in enumerate(self.vertices):
                 vec = v.vec if isinstance(v, UnitQuaternion) else \
                     np.asarray(v, dtype=float)
-                arr.append(vec / np.linalg.norm(vec))
+                norm = np.linalg.norm(vec)
+                # a NaN norm fails this test too
+                if not 0 < norm < np.inf:
+                    raise ValueError(f"spherical vertex {i} must be finite "
+                                     f"and nonzero, got {v!r}")
+                arr.append(vec / norm)
             self.varr = np.array(arr)
 
     def evaluate_grid_jet(self, axes):

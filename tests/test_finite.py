@@ -9,9 +9,9 @@ from cocyclelab import finite
 from cocyclelab.cochains import HomogeneousChain
 from cocyclelab.errors import (NotAChainMap, NotWellConfigured,
                                KernelObstruction, PredicateNotFaceClosed)
-from cocyclelab.finite import (FiniteGroupTable, brute_force_free_rank,
-                               build_complex, build_retraction,
-                               extend_cocycle, homology)
+from cocyclelab.finite import (FiniteGroupTable, HomologySummary,
+                               brute_force_free_rank, build_complex,
+                               build_retraction, extend_cocycle, homology)
 from cocyclelab.simplices import all_faces
 from cocyclelab.snf import (SmithSolver, _pivot, rational_rank,
                             smith_normal_form)
@@ -352,6 +352,16 @@ def test_conf_z5_homology():
     assert h1.is_trivial() and h2.is_trivial()
     for n in (0, 1, 2):
         assert homology(c, n).free_rank == brute_force_free_rank(c, n)
+
+
+@pytest.mark.parametrize("torsion", [
+    (0, 2), (-2, 4), (1,), (1, 3), (2.0,), (True,), (Fraction(3),)])
+def test_homology_summary_takes_torsion_coefficients_of_at_least_2(torsion):
+    # a coefficient 0 or 1 is no torsion, and a negative one divides its
+    # successor as well as its absolute value does
+    with pytest.raises(ValueError, match="torsion coefficients must be"):
+        HomologySummary(degree=1, free_rank=0, torsion=torsion)
+    assert HomologySummary(1, 0, (2, 4, np.int64(8))).torsion[-1] == 8
 
 
 def test_all_tuples_acyclic():

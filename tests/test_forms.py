@@ -14,11 +14,10 @@ from cocyclelab.forms import (DifferentialForm, fubini_study_form, mc3_form,
                               sphere_integral, sphere_products, vol_form)
 from cocyclelab.groups import QUAT_ONE, _qconj, _qmul, hopf_arr
 from cocyclelab.hamiltonian import SphereFunction
-from cocyclelab.quadrature import (IntegralResult, QuadratureSpec, _grid_nodes,
-                                   _panel_rule)
+from cocyclelab.quadrature import IntegralResult, QuadratureSpec, _rule_level
 from cocyclelab.simplices import GeodesicSimplex, ParametrizedMap, join_rows
 from cocyclelab.suites import run_suite
-from test_quadrature import barycentric_jet, row_jet
+from test_quadrature import barycentric_jet, level_nodes, row_jet
 
 rng = np.random.default_rng(11)
 QUAD = QuadratureSpec(order=8, tol=1e-5)
@@ -324,7 +323,8 @@ def test_jet_error_estimate_is_the_order_difference():
                                    QuadratureSpec(order=8, tol=1))
         [coarse] = pullback_integral(form, [cell],
                                      QuadratureSpec(order=6, tol=1))
-        pts, wts = _panel_rule(cell.degree, 10, 0)
+        axes, wts = _rule_level(cell.degree, 10, 0)
+        pts = level_nodes(axes)
         x, t = row_jet(cell, pts)
         f = form.evaluate(x, t)
         nu = len(wts) * u
@@ -459,7 +459,7 @@ def row_map(degree, cube_jet):
     ``simplices._BLOCK_ROWS`` rows, one node per row."""
 
     def grid_jet(axes):
-        s = _grid_nodes(axes, np.arange(len(axes) * axes.shape[2] ** degree))
+        s = level_nodes(axes)
         block = simplices._BLOCK_ROWS
         return (cube_jet(s[lo:lo + block]) for lo in range(0, len(s), block))
 
@@ -573,7 +573,7 @@ def test_a_batch_is_bitwise_its_entries_one_at_a_time(
     # rows, so each S^3 cell meets two tables
     fresh_caches(monkeypatch)
     if order == 12:
-        assert len(_panel_rule(3, 14, 0)[1]) > simplices._BLOCK_ROWS
+        assert len(_rule_level(3, 14, 0)[1]) > simplices._BLOCK_ROWS
     base, lift = PRODUCT_BASES[sphere]
     entries = random_entries(np.random.default_rng(order), 7)
     quad = QuadratureSpec(order=order, tol=1)
@@ -688,7 +688,7 @@ def test_s3_orthant_points_are_signed_copies_of_the_positive_cell(
     bases = (contact_volume_form(), vol_form(), mc3_form())
     for order in range(8, 15):
         for depth in (0, 1):
-            s = _panel_rule(3, order, depth)[0]
+            s = level_nodes(_rule_level(3, order, depth)[0])
             x, dx = row_jet(positive, s)
             # densities at the levels the suites integrate at (even orders
             # at depth 0) and at one level of depth 1

@@ -6,12 +6,19 @@ import pytest
 
 from cocyclelab.errors import QuadratureDiverged
 from cocyclelab.quadrature import (IntegralResult, QuadratureSpec,
-                                   _grid_nodes, _panel_axes, _panel_rule,
-                                   bary_to_cube, cube_to_bary_jet,
-                                   gauss_legendre_circle, integrate_on_cube)
+                                   _grid_nodes, _rule_level, bary_to_cube,
+                                   cube_to_bary_jet, gauss_legendre_circle,
+                                   integrate_on_cube)
 from cocyclelab.simplices import _whole
 
 rng = np.random.default_rng(2)
+
+
+def level_nodes(axes):
+    """The nodes (N, n) of the tensor grids ``axes`` (P, n, m) of a rule
+    level, in the order of its weights and of an integrand's rows."""
+    return _grid_nodes(
+        axes, np.arange(len(axes) * axes.shape[2] ** axes.shape[1]))
 
 
 def cube_to_bary(s):
@@ -136,7 +143,8 @@ def test_cube_quadrature_exactness_on_polynomials():
     for n in (1, 2, 3):
         exps = rng.integers(0, 6, size=n)
 
-        def integrand(s, _):
+        def integrand(axes):
+            s = level_nodes(axes)
             out = np.ones(s.shape[0])
             for k, e in enumerate(exps):
                 out *= s[:, k] ** e
@@ -151,7 +159,8 @@ def test_simplex_volume_through_cone_map():
     # integrating the cone-map Jacobian reproduces 1/n! (the simplex
     # volume); the Jacobian equals prod_k (1-s_k)^(k-1) analytically
     for n in (2, 3):
-        def jac(s, _):
+        def jac(axes):
+            s = level_nodes(axes)
             out = np.ones(s.shape[0])
             for k in range(2, n + 1):
                 out *= (1.0 - s[:, k - 1]) ** (k - 1)
@@ -162,7 +171,8 @@ def test_simplex_volume_through_cone_map():
 
 
 def test_two_order_error_estimate():
-    def wavy(s, _):
+    def wavy(axes):
+        s = level_nodes(axes)
         yield np.sin(3.0 * s[:, 0]) * np.cos(2.0 * s[:, 1])
 
     exact = ((np.cos(0) - np.cos(3.0)) / 3.0) * (np.sin(2.0) / 2.0)
@@ -175,7 +185,8 @@ def test_error_estimate_carries_the_rounding_of_the_sum():
     # both orders integrate an affine function exactly, so only rounding
     # is left; the estimate covers it through gamma_N * sum |w_i f_i| of
     # the fine sum, and sum |w_i f_i| is the integral 1.25 of f > 0
-    def affine(s, _):
+    def affine(axes):
+        s = level_nodes(axes)
         yield 1.0 + s[:, 0] - 0.5 * s[:, 2]
 
     [res] = integrate_on_cube(affine, 3, QuadratureSpec(order=4, depth=2))
@@ -185,15 +196,30 @@ def test_error_estimate_carries_the_rounding_of_the_sum():
 
 
 def test_divergence_guard():
-    def rough(s, _):
-        yield np.where(s[:, 0] < 0.37, 0.0, 17.0)
+    def rough(axes):
+        yield np.where(level_nodes(axes)[:, 0] < 0.37, 0.0, 17.0)
 
     with pytest.raises(QuadratureDiverged):
         integrate_on_cube(rough, 1, QuadratureSpec(order=3, tol=1e-9))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_divergence_guard_catches_values_that_are_not_finite(bad):
+    # a NaN difference of the two orders fails every comparison, so a
+    # guard written as ``diff > 10 * tol`` let a NaN or infinite row
+    # through as IntegralResult(nan, nan)
+    def spoiled(axes):
+        s = level_nodes(axes)
+        yield np.ones(len(s))
+        yield np.where(s[:, 0] < 0.5, 1.0, bad)
+
+    with pytest.raises(QuadratureDiverged):
+        integrate_on_cube(spoiled, 2, QuadratureSpec(order=4))
+
+
 def test_panel_depth_refines_consistently():
-    def smooth(s, _):
+    def smooth(axes):
+        s = level_nodes(axes)
         yield np.exp(s[:, 0] - s[:, 1] ** 2)
 
     [v0] = integrate_on_cube(smooth, 2, QuadratureSpec(order=8, depth=0))
@@ -202,28 +228,35 @@ def test_panel_depth_refines_consistently():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_panel_axes_mesh_to_the_panel_rule(n):
-    # each panel's axes are the Gauss nodes moved into it, and meshing them
+def test_rule_level_is_its_axes_and_the_weights_of_their_mesh(n):
+    # each panel's axes are the Gauss nodes moved into it; meshing them
     # lexicographically, last axis fastest, panel after panel, gives the
-    # rule's nodes byte for byte
+    # level's nodes, and the weight of each node is the product of its
+    # axes' Gauss weights, scaled to the panel, byte for byte
     for order in (2, 5, 8):
         for depth in (0, 1, 2):
             panels = 2 ** (depth * n)
             if panels * order ** n > 40000:
                 continue
-            axes = _panel_axes(n, order, depth)
+            axes, weights = _rule_level(n, order, depth)
             assert axes.shape == (panels, n, order)
+            assert weights.shape == (panels * order ** n,)
             assert not axes.flags.writeable
-            x = (np.polynomial.legendre.leggauss(order)[0] + 1.0) / 2.0
-            mesh = []
+            assert not weights.flags.writeable
+            x, w = np.polynomial.legendre.leggauss(order)
+            x, width = (x + 1.0) / 2.0, 1.0 / 2 ** depth
+            mesh, mesh_weights = [], []
             for grid, offsets in zip(
                     axes, product(range(2 ** depth), repeat=n)):
                 assert grid.tobytes() == np.array(
-                    [(x + off) * (1.0 / 2 ** depth)
-                     for off in offsets]).tobytes()
+                    [(x + off) * width for off in offsets]).tobytes()
                 mesh += product(*grid)
-            assert np.array(mesh).tobytes() == \
-                _panel_rule(n, order, depth)[0].tobytes()
+                mesh_weights += [np.prod([w[i] / 2.0 for i in index])
+                                 * width ** n for index in
+                                 product(range(order), repeat=n)]
+            assert level_nodes(axes).tobytes() == np.array(mesh).tobytes()
+            assert weights.tobytes() == np.array(mesh_weights).tobytes()
+            assert abs(weights.sum() - 1.0) < 1e-13
             # any rows of the grids, as a map's blocks of nodes take them
             rows = np.arange(3, len(mesh), 7)
             assert _grid_nodes(axes, rows).tobytes() == \
@@ -242,6 +275,13 @@ def test_spec_validation():
         QuadratureSpec(depth=-1)
     with pytest.raises(ValueError):
         IntegralResult(1.0, -1.0)
+
+
+def test_integral_result_rejects_a_nan_estimate():
+    # a NaN estimate passes ``estimate < 0``
+    with pytest.raises(ValueError, match="error estimate must be >= 0"):
+        IntegralResult(1.0, np.nan)
+    assert IntegralResult(1.0, np.inf).error_estimate == np.inf
 
 
 @pytest.mark.parametrize("field, value", [

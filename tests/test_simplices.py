@@ -11,12 +11,12 @@ from cocyclelab.groups import (QUAT_I, QUAT_ONE, LieVector, UnitQuaternion,
                                _qconj, _qexp_jet, _qlog_jet, _qmul,
                                _slerp_head, _slerp_tail, cyclic_embed,
                                quat_exp)
-from cocyclelab.quadrature import (IntegralResult, _panel_axes, _panel_rule,
-                                   bary_to_cube)
+from cocyclelab.quadrature import IntegralResult, _rule_level, bary_to_cube
 from cocyclelab.simplices import (GeodesicSimplex, ParametrizedMap, _whole,
                                   all_faces, face, in_open_hemisphere,
                                   is_chart_small, prism_cell, straighten)
-from test_quadrature import barycentric_jet, cube_to_bary, row_jet
+from test_quadrature import (barycentric_jet, cube_to_bary, level_nodes,
+                             row_jet)
 
 rng = np.random.default_rng(7)
 
@@ -326,8 +326,8 @@ def same_bytes(got, expected):
 @pytest.mark.parametrize("order", range(2, 11))
 def test_grid_joins_are_bitwise_the_row_loop(kind, order, depth):
     # one grid per face and panel, in blocks of rows at the last join
-    axes = _panel_axes(3, order, depth)
-    nodes = _panel_rule(3, order, depth)[0]
+    axes = _rule_level(3, order, depth)[0]
+    nodes = level_nodes(axes)
     panels, size = len(axes), len(nodes)
     for count in (1, 5, 120):
         if count > 1 and count * size > 40000:
@@ -427,6 +427,21 @@ def test_prism_terms_of_chart_simplices_carry_exact_jets(n):
         assert_jet_matches_five_point(
             partial(row_jet, cell), cell.evaluate_cube,
             jet_rng.uniform(0.01, 0.99, size=(40, n + 1)))
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros(4), np.array([np.nan, 0.0, 0.0, 1.0]),
+    np.array([0.0, np.inf, 0.0, 0.0])])
+def test_spherical_simplex_rejects_a_zero_or_non_finite_vertex(bad):
+    # dividing by the norm of such a vertex gave NaN coordinates, and a
+    # pullback integral over the simplex a NaN value with a NaN estimate
+    good = [np.eye(4)[k] for k in range(3)]
+    for i in range(3):
+        verts = good[:i] + [bad] + good[i + 1:]
+        with pytest.raises(ValueError, match=f"spherical vertex {i} "):
+            GeodesicSimplex(verts, "spherical")
+    assert GeodesicSimplex(good, "spherical").varr.tobytes() == \
+        np.eye(4)[:3].tobytes()
 
 
 def test_parametrized_map_takes_exactly_one_jet():
@@ -587,7 +602,7 @@ def test_cube_faces_are_bitwise_the_barycentric_faces(order, depth):
     assert same_bytes(row_jet(wiggled, s),
                       row_jet(ParametrizedMap.from_barycentric(3, jet), s))
     sx = GeodesicSimplex([small_quat() for _ in range(4)], "chart")
-    axes = _panel_axes(2, order, depth)
+    axes = _rule_level(2, order, depth)[0]
     for jet in (jet, barycentric_jet(sx)):
         f = ParametrizedMap.from_barycentric(3, jet)
         for i in range(4):
@@ -906,8 +921,8 @@ def test_prism_cell_grid_jet_is_bitwise_the_row_jet(order, depth):
     # inside the t nodes of one u.  Against the reference chart join at
     # every node, within its stated bound
     from cocyclelab.suites import _wiggled_simplex
-    axes = _panel_axes(3, order, depth)
-    nodes = _panel_rule(3, order, depth)[0]
+    axes = _rule_level(3, order, depth)[0]
+    nodes = level_nodes(axes)
     f = _wiggled_simplex(np.random.default_rng(0x5EED))
     block = simplices._BLOCK_ROWS
     for i in range(4):
@@ -1094,7 +1109,7 @@ def test_grid_jets_are_bitwise_the_same_at_every_block_size(monkeypatch):
         (f.face(2).face(0).evaluate_grid_jet, 1),
         (prism_cell(f.face(3)).evaluate_grid_jet, 3),
         (sphere_atlas("CP1")[0][1].evaluate_grid_jet, 2)]
-    grids = {n: _panel_axes(n, 4, 1) for n in (1, 2, 3)}
+    grids = {n: _rule_level(n, 4, 1)[0] for n in (1, 2, 3)}
     expected = [_whole(jet(grids[n])) for jet, n in jets]
     for size in (1, 7, 64):
         monkeypatch.setattr(simplices, "_BLOCK_ROWS", size)
