@@ -6,14 +6,16 @@ integrate an invariant form over the iterated-join simplex attached to a
 tuple; finite-group cochains carry exact values, Python ints where they
 are integral and Fractions only where a denominator is not 1 (``exact``).
 
-Coboundaries and pairings evaluate their tuples together through
-``HomogeneousCochain.with_errors``: every guard runs first, in order, and
-an integrated cochain then integrates all the simplices in one stacked
-join pass (``forms.pullback_integral``).  A coboundary is a
-stacked cochain itself: its ``with_errors`` hands the faces of all its
-tuples, a whole cocycle-defect batch, to one ``with_errors`` call of the
-cochain, and then sums each tuple's faces in order.  Every value and
-estimate is bitwise that of integrating each simplex on its own.
+Every operation that evaluates a cochain on chains goes through
+``signed_sums``: a coboundary on its tuples' faces, a Kronecker pairing
+on its chain's terms, a transfer on its tuples' coset moves and the
+derivation map (``lie.cochain_derivative``) on its corners.  All the
+tuples go to one ``HomogeneousCochain.with_errors`` call, where every
+guard runs first, in order, and an integrated cochain integrates all the
+simplices in one stacked join pass (``forms.pullback_integral``); each
+list of signed tuples is then summed in order.  Coboundaries and
+transfers are stacked cochains themselves.  Every value and estimate is
+bitwise that of integrating each simplex on its own.
 """
 from __future__ import annotations
 
@@ -90,14 +92,6 @@ class HomogeneousCochain:
                 f"tuple outside the domain of cochain {self.label!r}")
         return t
 
-    def _values(self, tuples):
-        """Unreduced (value, error_estimate) of each checked tuple.  A
-        stacked evaluator takes them all in one call, which an empty list
-        does not reach."""
-        if self._stacked and tuples:
-            return self._evaluator(tuples)
-        return [self._value(t) for t in tuples]
-
     def _value(self, t):
         out = self._evaluator([t])[0] if self._stacked else self._evaluator(t)
         return out if isinstance(out, tuple) else (out, 0.0)
@@ -105,10 +99,14 @@ class HomogeneousCochain:
     def with_errors(self, tuples):
         """``with_error`` of each tuple.  Every tuple is checked first, in
         order, so the first inadmissible one raises DomainGuard before any
-        is evaluated; a stacked evaluator then takes them all at once."""
+        is evaluated; a stacked evaluator then takes them all at once,
+        which an empty list does not reach."""
         tuples = [self._checked(t) for t in tuples]
-        return [_reduced(value, est, self.lattice)
-                for value, est in self._values(tuples)]
+        if self._stacked and tuples:
+            values = self._evaluator(tuples)
+        else:
+            values = [self._value(t) for t in tuples]
+        return [_reduced(v, e, self.lattice) for v, e in values]
 
     def with_error(self, t):
         """Reduced value together with an accumulated error estimate, which
@@ -119,25 +117,32 @@ class HomogeneousCochain:
         return self.with_error(t)[0]
 
 
-def coboundary(f: HomogeneousCochain) -> HomogeneousCochain:
-    """Alternating face sum: (df)(t) = sum_i (-1)^i f(d_i t), a stacked
-    cochain.  The faces of all the tuples it is given go to one
+def signed_sums(f: HomogeneousCochain, rows) -> list:
+    """The (total, estimate) of each row of ``(coefficient, tuple)`` pairs:
+    sum_i c_i f(t_i) over the reduced values of f, with the estimate
+    sum_i |c_i| e_i.  The tuples of all the rows go to one
     ``f.with_errors`` call, so each passes f's guard once, in order, and
     the first outside f's domain raises DomainGuard before any is
-    evaluated; each tuple's faces are then summed in order."""
+    evaluated; each row is then summed in order from the int 0, which
+    keeps int and Fraction values exact."""
+    values = iter(f.with_errors([t for row in rows for _, t in row]))
+    out = []
+    for row in rows:
+        total, est = 0, 0.0
+        for (coeff, _), (v, e) in zip(row, values):
+            total = total + coeff * v
+            est += abs(coeff) * e
+        out.append((total, est))
+    return out
+
+
+def coboundary(f: HomogeneousCochain) -> HomogeneousCochain:
+    """Alternating face sum: (df)(t) = sum_i (-1)^i f(d_i t), a stacked
+    cochain whose evaluator is the ``signed_sums`` of the faces of all the
+    tuples it is given."""
 
     def evaluator(tuples):
-        faces = [all_faces(t) for t in tuples]
-        values = iter(f.with_errors(
-            [face_t for signed in faces for _, face_t in signed]))
-        out = []
-        for signed in faces:
-            total, est = 0, 0.0  # int start keeps int and Fraction exact
-            for (sign, _), (v, e) in zip(signed, values):
-                total = total + sign * v
-                est += e
-            out.append((total, est))
-        return out
+        return signed_sums(f, [all_faces(t) for t in tuples])
 
     return HomogeneousCochain(f.degree + 1, f.lattice, evaluator,
                               label=f"d({f.label})", stacked=True)
@@ -243,25 +248,25 @@ def kronecker_pair(f: HomogeneousCochain, chain, embed=None,
     """Evaluation pairing sum_t coeff(t) * f(embed(t)).
 
     ``chain`` is a HomogeneousChain; ``embed`` maps a tuple entry to a
-    group element in the domain of f.  Every term passes f's guard before
-    any is evaluated, and the first that fails raises DomainGuard naming
-    it; the terms are then evaluated together, like the faces of a
-    coboundary, and summed in order.  The estimate adds the rounding of
-    each term's reduction and of the total's (``_reduced``).
+    group element in the domain of f.  The terms are one row of
+    ``signed_sums``: every term passes f's guard before any is evaluated,
+    and the first that fails raises DomainGuard naming the chain's tuple.
+    The estimate adds the rounding of each term's reduction and of the
+    total's (``_reduced``).
     """
     terms = chain.items()
-    checked = []
-    for t, _ in terms:
-        emb = t if embed is None else tuple(embed(a) for a in t)
-        try:
-            checked.append(f._checked(emb))
-        except DomainGuard as exc:
-            raise DomainGuard(f"inadmissible tuple {t} in pairing") from exc
-    total, est = 0, 0.0
-    for (_, coeff), (v, e) in zip(terms, f._values(checked)):
-        v, e = _reduced(v, e, f.lattice)
-        total = total + coeff * v
-        est += abs(coeff) * e
+    row = [(coeff, t if embed is None else tuple(embed(a) for a in t))
+           for t, coeff in terms]
+    try:
+        [(total, est)] = signed_sums(f, [row])
+    except DomainGuard as exc:
+        # name the chain's own tuple if a term fails f's guard; a
+        # DomainGuard raised while evaluating passes through as it is
+        for (t, _), (_, emb) in zip(terms, row):
+            if not f.admissible(emb):
+                raise DomainGuard(
+                    f"inadmissible tuple {t} in pairing") from exc
+        raise
     total, est = _reduced(total, est, f.lattice)
     return (total, est) if with_error else total
 
@@ -274,6 +279,8 @@ def transfer(phi: HomogeneousCochain, gamma, subgroup, reps
     indices forming a normal subgroup, ``reps`` right-coset
     representatives containing the identity.  The result restricted to
     subgroup tuples equals index * phi for conjugation-invariant phi.
+    It is a stacked cochain: the ``signed_sums`` of the moves of all the
+    tuples it is given, with coefficient 1.
     """
     sub = set(subgroup)
     if gamma.identity not in sub:
@@ -300,16 +307,12 @@ def transfer(phi: HomogeneousCochain, gamma, subgroup, reps
               for sg in (gamma.mul(s, g) for g in gamma.elements)]
              for s in reps]
 
-    def evaluator(t):
-        total, est = 0, 0.0
-        for move in moves:
-            v, e = phi.with_error(tuple(move[g] for g in t))
-            total = total + v
-            est += e
-        return total, est
+    def evaluator(tuples):
+        return signed_sums(phi, [[(1, tuple(move[g] for g in t))
+                                  for move in moves] for t in tuples])
 
     return HomogeneousCochain(phi.degree, phi.lattice, evaluator,
-                              label=f"transfer({phi.label})")
+                              label=f"transfer({phi.label})", stacked=True)
 
 
 def conjugate_point_map(base: UnitQuaternion = QUAT_ONE):

@@ -64,6 +64,12 @@ from .simplices import GeodesicSimplex, ParametrizedMap, join_grids
 # longer referenced go with it
 _DENSITY_CACHE = weakref.WeakKeyDictionary()
 
+# the vertex signs (16, 4) of the S^3 atlas cells, in atlas order: the
+# cell with signs ``sg`` is diag(sg) applied to the positive orthant, the
+# last cell
+_ORTHANT_SIGNS = np.array(sorted(product((1.0, -1.0), repeat=4)))
+_ORTHANT_SIGNS.setflags(write=False)
+
 
 class PowerTable:
     """The powers ``points[:, axis] ** e`` of a point set (N, d), shared by
@@ -285,12 +291,9 @@ def sphere_atlas(sphere: str):
     the global orientation (standard basis order).
     """
     if sphere == "S3":
-        cells = []
-        for signs in sorted(product((1.0, -1.0), repeat=4)):
-            verts = [s * e for s, e in zip(signs, np.eye(4))]
-            cells.append((int(np.prod(signs)),
-                          GeodesicSimplex(verts, "spherical")))
-        return tuple(cells)
+        return tuple((int(np.prod(sg)), GeodesicSimplex(
+            [s * e for s, e in zip(sg, np.eye(4))], "spherical"))
+            for sg in _ORTHANT_SIGNS)
     if sphere == "CP1":
         verts, faces = _icosahedron_faces()
         return tuple(
@@ -298,17 +301,6 @@ def sphere_atlas(sphere: str):
                 [verts[t] for t in tri], "spherical"))))
             for tri in faces)
     raise ValueError(f"unknown sphere {sphere!r}")
-
-
-@lru_cache(maxsize=None)
-def _orthant_signs():
-    """The vertex signs (16, 4) of the S^3 atlas cells, in atlas order, and
-    the index of the positive orthant: the cell with signs ``sg`` is
-    diag(sg) applied to it."""
-    signs = np.array([np.sum(cell.vertices, axis=0)
-                      for _, cell in sphere_atlas("S3")])
-    signs.setflags(write=False)
-    return signs, int(np.flatnonzero(np.all(signs > 0, axis=1))[0])
 
 
 def _atlas_jets(sphere, axes):
@@ -330,10 +322,9 @@ def _atlas_jets(sphere, axes):
             for x, dx in cell.evaluate_grid_jet(axes):
                 yield i, x, dx
         return
-    signs, positive = _orthant_signs()
-    orthant = sphere_atlas("S3")[positive][1]
+    orthant = sphere_atlas("S3")[-1][1]
     for x, dx in orthant.evaluate_grid_jet(axes):
-        for i, sg in enumerate(signs):
+        for i, sg in enumerate(_ORTHANT_SIGNS):
             yield i, sg * x, sg * dx
 
 
@@ -356,7 +347,7 @@ def _atlas_density(sphere, base, order, depth):
     atlas = sphere_atlas(sphere)
     signs, positive = (None,) * len(atlas), None
     if sphere == "S3":
-        signs, positive = _orthant_signs()
+        signs, positive = _ORTHANT_SIGNS, len(atlas) - 1
     axes = _rule_level(atlas[0][1].degree, order, depth)[0]
     kept, values = [[] for _ in atlas], [[] for _ in atlas]
     for i, x, tangents in _atlas_jets(sphere, axes):

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
-from .cochains import HomogeneousCochain, exact, integrated_cochain
+from .cochains import (HomogeneousCochain, exact, integrated_cochain,
+                       signed_sums)
 from .errors import DomainGuard, StepTooLarge
 from .forms import DifferentialForm
 from .groups import LieVector, UnitQuaternion, _perm_signs, quat_exp
@@ -173,9 +174,11 @@ def cochain_derivative(f: HomogeneousCochain, algebra: LieAlgebraTable,
     The degree-n derivative evaluates f, for n distinct basis vectors
     X_1..X_n, on tuples (e, exp(t_1 X_1), exp(t_1 X_1) exp(t_2 X_2), ...)
     over the corner signs t_i = +-step and divides by (2 step)^n, then
-    antisymmetrizes; entries with a repeated basis vector are 0.  All the
-    tuples go to ``f.with_errors`` in one call, so an integrated cochain
-    integrates them in one stacked pass.
+    antisymmetrizes; entries with a repeated basis vector are 0.  Each
+    entry's corners are one row of ``signed_sums``, with the product of
+    their signs as coefficients, so all the tuples go to ``f.with_errors``
+    in one call and an integrated cochain integrates them in one stacked
+    pass.
     """
     if f.degree != n:
         raise ValueError("cochain degree must match the derivative order")
@@ -184,25 +187,24 @@ def cochain_derivative(f: HomogeneousCochain, algebra: LieAlgebraTable,
     entries = [idx for idx in product(range(dim), repeat=n)
                if len(set(idx)) == n]
     corners = list(product((-1.0, 1.0), repeat=n))
-    tuples = []
+    rows = []
     for idx in entries:
+        row = []
         for signs in corners:
             steps = []
             for s, i in zip(signs, idx):
                 coeffs = [0.0] * dim
                 coeffs[i] = s * step
                 steps.append(coeffs)
-            tuples.append(_group_tuple(algebra, steps))
+            row.append((prod(signs), _group_tuple(algebra, steps)))
+        rows.append(row)
     try:
-        values = iter(f.with_errors(tuples))
+        sums = signed_sums(f, rows)
     except DomainGuard as exc:
         raise StepTooLarge(f"step {step} leaves the cochain domain") from exc
     raw = np.zeros((dim,) * n)
-    for idx in entries:
-        acc = 0.0
-        for signs in corners:
-            acc += np.prod(signs) * float(next(values)[0])
-        raw[idx] = acc / (2.0 * step) ** n
+    for idx, (total, _) in zip(entries, sums):
+        raw[idx] = total / (2.0 * step) ** n
     return MultilinearCochain(n, dim, alternation(raw, n), tag=algebra.tag)
 
 

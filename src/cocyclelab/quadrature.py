@@ -135,8 +135,10 @@ def _rule_level(n: int, order: int, depth: int):
     x, w = np.polynomial.legendre.leggauss(order)
     x, w = (x + 1.0) / 2.0, w / 2.0
     width = 1.0 / 2 ** depth
+    # an explicit shape, so n = 0 gives (1, 0, order): one panel, no axis
     axes = np.array([[(x + off) * width for off in offsets]
-                     for offsets in product(range(2 ** depth), repeat=n)])
+                     for offsets in product(range(2 ** depth), repeat=n)]
+                    ).reshape(2 ** (depth * n), n, order)
     cell = reduce(np.outer, [w] * n, np.ones(1)).ravel()
     weights = np.tile(cell * width ** n, len(axes))
     axes.setflags(write=False)

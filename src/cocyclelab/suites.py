@@ -1,11 +1,12 @@
 """Named verification suites with machine-readable reports.
 
 Each suite runs a fixed list of quantitative checks with pinned
-tolerances and returns a SuiteReport; reports are deterministic for a
-given configuration (fixed seeds, ordered reductions) apart from the
-recorded runtimes.  A check whose computation raises a CocycleLabError is
-reported as failed with the error, and the suite goes on with its next
-check.
+tolerances into the recorder that ``run_suite`` hands it, and
+``run_suite`` returns them as a SuiteReport under the suite's name in
+``_SUITES``.  Reports are deterministic for a given configuration (fixed
+seeds, ordered reductions) apart from the recorded runtimes.  A check
+whose computation raises a CocycleLabError is reported as failed with
+the error, and the suite goes on with its next check.
 """
 from __future__ import annotations
 
@@ -168,8 +169,7 @@ def _merged(config):
     return cfg
 
 
-def _suite_cs_pairing(cfg) -> SuiteReport:
-    rec = _Recorder()
+def _suite_cs_pairing(rec, cfg):
     base = apply_rotation(generic_rotation(cfg["seed"]), QUAT_ONE)
     cochain = integrated_cochain(
         vol_form(), "spherical", base_point=base,
@@ -186,17 +186,14 @@ def _suite_cs_pairing(cfg) -> SuiteReport:
             # the representative in [-1/2, 1/2): a value just below 1 and
             # one just above 0 are the same point of the circle
             record((value + 0.5) % 1.0 - 0.5, passed=dist <= 2e-3)
-    return SuiteReport("cs-pairing", rec.checks)
 
 
-def _suite_lemma44(cfg) -> SuiteReport:
-    rec = _Recorder()
+def _suite_lemma44(rec, cfg):
     quad = QuadratureSpec(order=cfg["order"], tol=1e-4)
     with rec.check("degree-c1", 0.0, 1e-2) as record:
         record(degree_of_map(conjugate_point_map(QUAT_ONE), quad))
     with rec.check("degree-c2", 2.0, 1e-2) as record:
         record(degree_of_map(twisted_square_map(QUAT_ONE), quad))
-    return SuiteReport("lemma44", rec.checks)
 
 
 def _random_hemispherical_tuple(rng, base):
@@ -211,10 +208,9 @@ def _random_hemispherical_tuple(rng, base):
             return tuple(t)
 
 
-def _suite_cocycle_defect(cfg) -> SuiteReport:
+def _suite_cocycle_defect(rec, cfg):
     # every tuple is drawn first; each batch's coboundary is then one
     # stacked pass over the faces of all its tuples
-    rec = _Recorder()
     rng = np.random.default_rng(cfg["seed"])
     spherical_tuples = [_random_hemispherical_tuple(rng, QUAT_ONE)
                         for _ in range(cfg["defect_tuples"])]
@@ -236,11 +232,9 @@ def _suite_cocycle_defect(cfg) -> SuiteReport:
         for value, est in coboundary(chart).with_errors(chart_tuples):
             worst = max(worst, abs(value) / (5.0 * est))
         record(worst, passed=worst <= 1.0)
-    return SuiteReport("cocycle-defect", rec.checks)
 
 
-def _suite_gf_derivation(cfg) -> SuiteReport:
-    rec = _Recorder()
+def _suite_gf_derivation(rec, cfg):
     with rec.check("mc3-degree3-residual", 0.0, 5e-2) as record:
         record(derivation_residual(mc3_form(), 3,
                                    step=cfg["derivation_step"],
@@ -268,7 +262,6 @@ def _suite_gf_derivation(cfg) -> SuiteReport:
     with rec.check("cartan-closed-so4", 0.0, 0.0) as record:
         so4 = LieAlgebraTable.so4()
         record(ce_differential(cartan_cocycle(so4), so4).norm_max())
-    return SuiteReport("gf-derivation", rec.checks)
 
 
 def _random_polynomial(rng, max_degree=3):
@@ -281,8 +274,7 @@ def _random_polynomial(rng, max_degree=3):
     return SphereFunction(coeffs)
 
 
-def _suite_symplectic(cfg) -> SuiteReport:
-    rec = _Recorder()
+def _suite_symplectic(rec, cfg):
     x, y, z = (SphereFunction.coordinate(n) for n in "xyz")
     quad = QuadratureSpec(order=cfg["order"], tol=1e-6)
 
@@ -306,7 +298,6 @@ def _suite_symplectic(cfg) -> SuiteReport:
             pairs += [(poisson(f, g), h), (g, poisson(f, h))]
         v = pairing_integrals(pairs, quad)
         record(max(abs(a + b) for a, b in zip(v[::2], v[1::2])))
-    return SuiteReport("symplectic", rec.checks)
 
 
 def _dalpha_fd(q, u, v, h=1e-5):
@@ -340,8 +331,7 @@ def _dalpha_fd(q, u, v, h=1e-5):
     return d_s - d_t
 
 
-def _suite_contact(cfg) -> SuiteReport:
-    rec = _Recorder()
+def _suite_contact(rec, cfg):
     with rec.check("fiber-period", 2.0 * np.pi, 1e-9) as record:
         record(fiber_period(seed=cfg["seed"]))
 
@@ -391,7 +381,6 @@ def _suite_contact(cfg) -> SuiteReport:
             float(np.abs(alpha_value(q, xf) - f.evaluate(q)).max()),
             float(np.abs(np.einsum("ni,ni->n", xf, q)).max()),
             float(np.abs(contact_field(one)(q) - reeb_field()(q)).max())))
-    return SuiteReport("contact", rec.checks)
 
 
 def _summary_checks(rec, prefix, conf, n, expect_rank, expect_torsion):
@@ -404,8 +393,7 @@ def _summary_checks(rec, prefix, conf, n, expect_rank, expect_torsion):
         record(len((summary or homology(conf, n)).torsion))
 
 
-def _suite_configured_homology(cfg) -> SuiteReport:
-    rec = _Recorder()
+def _suite_configured_homology(rec, cfg):
     conf = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
     for n, rank in ((0, 1), (1, 0), (2, 0)):
         _summary_checks(rec, f"conf-z5-H{n}", conf, n, rank, 0)
@@ -437,7 +425,6 @@ def _suite_configured_homology(cfg) -> SuiteReport:
             if sum(s * cocycle(ft) for s, ft in all_faces(t)) != 0:
                 bad += 1
         record(bad)
-    return SuiteReport("configured-homology", rec.checks)
 
 
 def _carry_cochain(m: int, subgroup_stride: int):
@@ -453,8 +440,14 @@ def _carry_cochain(m: int, subgroup_stride: int):
     return HomogeneousCochain(3, 1, evaluator, label=f"carry-z{m}")
 
 
-def _suite_transfer(cfg) -> SuiteReport:
-    rec = _Recorder()
+def _worst_distance(f, g, tuples, scale=1):
+    """max over ``tuples`` of the circle distance of f(t) to scale * g(t),
+    each cochain evaluated on all the tuples in one call."""
+    return max(float(circle_distance(v, scale * w)) for (v, _), (w, _)
+               in zip(f.with_errors(tuples), g.with_errors(tuples)))
+
+
+def _suite_transfer(rec, cfg):
     z6 = FiniteGroupTable.cyclic(6)
     sub = [0, 2, 4]
     reps = [0, 1]
@@ -462,31 +455,19 @@ def _suite_transfer(cfg) -> SuiteReport:
         1, 1, lambda t: Fraction((t[1] - t[0]) % 6, 6), label="z3-slope")
     tr = transfer(phi, z6, sub, reps)
     with rec.check("z3-in-z6-restriction", 0.0, 0.0) as record:
-        worst = 0.0
-        for a in sub:
-            for b in sub:
-                worst = max(worst, float(circle_distance(
-                    tr((a, b)), 2 * phi((a, b)))))
-        record(worst)
+        record(_worst_distance(tr, phi, list(product(sub, repeat=2)), 2))
 
     z4 = FiniteGroupTable.cyclic(4)
     phi3 = _carry_cochain(2, 2)
     with rec.check("z2-in-z4-threecocycle-restriction", 0.0, 0.0) as record:
         tr3 = transfer(phi3, z4, [0, 2], [0, 1])
-        worst = 0.0
-        for t in product([0, 2], repeat=4):
-            worst = max(worst,
-                        float(circle_distance(tr3(t), 2 * phi3(t))))
-        record(worst)
+        record(_worst_distance(tr3, phi3, list(product([0, 2], repeat=4)),
+                               2))
 
     with rec.check("chain-map", 0.0, 0.0) as record:
-        d_tr = coboundary(tr)
-        tr_d = transfer(coboundary(phi), z6, sub, reps)
-        worst = 0.0
-        for t in product(range(6), repeat=3):
-            worst = max(worst, float(circle_distance(d_tr(t), tr_d(t))))
-        record(worst)
-    return SuiteReport("transfer", rec.checks)
+        record(_worst_distance(coboundary(tr),
+                               transfer(coboundary(phi), z6, sub, reps),
+                               list(product(range(6), repeat=3))))
 
 
 def _wiggled_simplex(rng, eps=0.08):
@@ -505,8 +486,7 @@ def _wiggled_simplex(rng, eps=0.08):
     return ParametrizedMap.from_barycentric(3, jet)
 
 
-def _suite_prism(cfg) -> SuiteReport:
-    rec = _Recorder()
+def _suite_prism(rec, cfg):
     rng = np.random.default_rng(cfg["seed"])
     form = vol_form()
     quad = QuadratureSpec(order=cfg["order"], depth=1, tol=1e-3)
@@ -529,7 +509,6 @@ def _suite_prism(cfg) -> SuiteReport:
                 ratio = 0.0 if lhs == rhs else float("inf")
             worst = max(worst, ratio)
         record(worst, passed=worst <= 1.0)
-    return SuiteReport("prism", rec.checks)
 
 
 _SUITES = {
@@ -576,4 +555,6 @@ def run_suite(name: str, config: dict | None = None) -> SuiteReport:
         raise UnknownSuite(
             f"unknown suite {name!r}; available: {', '.join(_SUITES)}")
     cfg = _merged(config)
-    return _SUITES[name][0](cfg)
+    rec = _Recorder()
+    _SUITES[name][0](rec, cfg)
+    return SuiteReport(name, rec.checks)

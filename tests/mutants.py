@@ -99,6 +99,11 @@ MUTANTS = [
       "test_cocycle_defect_passes_with_no_padding_floor",
       "tests/test_cochains.py::"
       "test_stacked_coboundary_is_bitwise_the_face_sum"]),
+    ("signed-sum-drops-the-coefficient-size", "cochains.py",
+     "            est += abs(coeff) * e\n",
+     "            est += e\n",
+     ["tests/test_cochains.py::"
+      "test_pairing_checks_every_term_before_evaluating"]),
     ("sphere-integral-drops-compose", "forms.py",
      "lambda p, t: outer.evaluate(*compose(p, t)))",
      "lambda p, t: outer.evaluate(p, t))",

@@ -260,6 +260,36 @@ def test_transfer_is_a_chain_map():
         assert (lhs(t) - rhs(t)) % 1 == 0
 
 
+def test_transfer_of_a_stacked_cochain_is_one_call_per_batch():
+    z6 = FiniteGroupTable.cyclic(6)
+    sub, reps = [0, 2, 4], [0, 1]
+    calls = []
+
+    def slope(t):
+        return Fraction((t[1] - t[0]) % 6, 6)
+
+    def stacked(tuples):
+        calls.append(len(tuples))
+        return [(slope(t), 0.0) for t in tuples]
+
+    tr = transfer(HomogeneousCochain(1, 1, stacked, stacked=True), z6, sub,
+                  reps)
+    plain = transfer(HomogeneousCochain(1, 1, slope), z6, sub, reps)
+    from itertools import product
+    pairs = list(product(range(6), repeat=2))
+    # the moves of every tuple go to the cochain in one call
+    assert tr.with_errors(pairs) == plain.with_errors(pairs)
+    assert calls == [len(reps) * len(pairs)]
+    calls.clear()
+    triples = list(product(range(6), repeat=3))
+    assert coboundary(tr).with_errors(triples) == \
+        coboundary(plain).with_errors(triples)
+    assert calls == [3 * len(reps) * len(triples)]
+    calls.clear()
+    assert tr.with_errors([]) == []
+    assert calls == []
+
+
 def test_coboundary_checks_each_face_once(monkeypatch):
     calls = []
 
@@ -508,6 +538,27 @@ def test_pairing_checks_every_term_before_evaluating(monkeypatch):
     assert kronecker_pair(cochain, HomogeneousChain(), with_error=True) == \
         (0, 0.0)
     assert stacks == []
+
+
+def test_pairing_runs_each_guard_once_and_passes_face_guards_through():
+    guarded = []
+
+    def guard(t):
+        guarded.append(t)
+        return t != (2, 3)
+
+    g = HomogeneousCochain(1, 1, lambda t: Fraction(t[1] - t[0], 7),
+                           guard=guard, label="g")
+    chain = HomogeneousChain([(1, (0, 1)), (2, (1, 2)), (-1, (0, 2))])
+    assert kronecker_pair(g, chain) == Fraction(1, 7)
+    assert guarded == [(0, 1), (0, 2), (1, 2)]
+    # (1, 2, 3) lies in the domain of d(g), which has no guard, but its
+    # face (2, 3) does not lie in g's: that DomainGuard is g's own
+    with pytest.raises(DomainGuard) as err:
+        kronecker_pair(coboundary(g), HomogeneousChain([(1, (0, 1, 2)),
+                                                        (1, (1, 2, 3))]))
+    assert str(err.value) == "tuple outside the domain of cochain 'g'"
+    assert err.value.__cause__ is None
 
 
 @pytest.mark.parametrize("seed", [1, 8, 10])

@@ -438,6 +438,26 @@ def test_pullback_of_no_maps_and_of_mixed_degrees():
         pullback_integral(form, [f, f.face(0)])
 
 
+@pytest.mark.parametrize("depth", [0, 1])
+def test_a_degree_0_form_over_a_point_is_its_value_there(depth):
+    # a degree-0 rule level is one panel with no axis and the weight 1, so
+    # the integral over a one-vertex simplex or a degree-0 barycentric map
+    # is the form's value at its point
+    form = DifferentialForm(0, "S3", lambda p, t: 3.0 * p[:, 0] - p[:, 1] ** 2
+                            + 7.0)
+    point = np.full(4, 0.5)
+
+    def jet(bary, dbary):
+        return np.tile(point, (len(bary), 1)), np.zeros((len(bary), 0, 4))
+
+    maps = [GeodesicSimplex([point], "spherical"),
+            ParametrizedMap.from_barycentric(0, jet)]
+    quad = QuadratureSpec(order=4, depth=depth)
+    for res in pullback_integral(form, maps, quad):
+        assert res.value == 8.25
+        assert res.error_estimate < 1e-14
+
+
 def test_degree_mismatch_rejected():
     sx = GeodesicSimplex(list(np.eye(4)), "spherical")
     with pytest.raises(ValueError):
@@ -685,6 +705,9 @@ def test_s3_orthant_points_are_signed_copies_of_the_positive_cell(
     atlas = [cell for _, cell in sphere_atlas("S3")]
     signs = [np.sum(cell.vertices, axis=0) for cell in atlas]
     positive = next(c for c, sg in zip(atlas, signs) if np.all(sg > 0))
+    # the atlas is built from its signs, the positive orthant last
+    assert np.array_equal(forms._ORTHANT_SIGNS, signs)
+    assert positive is atlas[-1]
     bases = (contact_volume_form(), vol_form(), mc3_form())
     for order in range(8, 15):
         for depth in (0, 1):
