@@ -32,17 +32,20 @@ Whole-sphere integrals use fixed atlases: the 16 orthant tetrahedra for
 S^3, and for the projective line CP1 the 20 icosahedral triangles of S^2
 scaled by 1/2 to its radius-1/2 sphere model.
 
-The 16 orthant cells are the positive orthant reflected by their vertex
-signs, so one join pass on a rule level's grids gives every cell's jet.
 ``sphere_products`` is the one integrator over an atlas: it integrates
 products of polynomials against a form ``base``.  ``_atlas_density``
-keeps, per (sphere, base, rule order, depth), the density of ``base`` at
-every node of every cell and the nodes' points, and every factor of every
-product of a call is evaluated on one ``PowerTable`` per block of each
-cell's points, the powers ``points[:, axis] ** e`` grown lazily to the
-highest exponent asked for.  ``sphere_integral`` is its empty product
-against one form, or against the form's pullback under a self-map of the
-sphere, a base that lives for that one call.
+keeps, per (sphere, base, rule order, depth), one ``(signs, points,
+density)`` per cell: the density of ``base`` at every node of the cell,
+whose points are ``signs * points``.  The 16 orthant cells are the
+positive orthant reflected by their vertex signs, so one join pass on a
+rule level's grids gives every cell's jet, and the cells share that
+orthant's points with their own signs; each CP1 cell keeps its own points,
+with signs 1.0.  Every factor of every product of a call is evaluated on
+one ``PowerTable`` per block of each cell's points, the powers
+``points[:, axis] ** e`` grown lazily to the highest exponent asked for.
+``sphere_integral`` is its empty product against one form, or against the
+form's pullback under a self-map of the sphere, a base that lives for that
+one call.
 """
 from __future__ import annotations
 
@@ -59,7 +62,7 @@ from .quadrature import (IntegralResult, QuadratureSpec, _rule_level,
                          integrate_on_cube)
 from .simplices import GeodesicSimplex, ParametrizedMap, join_grids
 
-# base form -> {(sphere, rule order, depth): (table, cells)}, filled by
+# base form -> {(sphere, rule order, depth): cells}, filled by
 # ``_atlas_density``; weak keys, so the entries of a base that is no
 # longer referenced go with it
 _DENSITY_CACHE = weakref.WeakKeyDictionary()
@@ -251,7 +254,6 @@ def pullback_integral(form: DifferentialForm, maps,
     return integrate_on_cube(integrand, n, quad)
 
 
-@lru_cache(maxsize=None)
 def _icosahedron_faces():
     """Vertices and outward-oriented faces of the unit icosahedron."""
     phi = (1.0 + np.sqrt(5.0)) / 2.0
@@ -303,66 +305,47 @@ def sphere_atlas(sphere: str):
     raise ValueError(f"unknown sphere {sphere!r}")
 
 
-def _atlas_jets(sphere, axes):
-    """Each atlas cell's points (B, d) and tangents (B, n, d) at the nodes
-    of the rule level with per-panel axes ``axes``, in the blocks of the
-    grid jets, as (cell index, points, tangents).
-
-    On S^3 the positive orthant's grid jet is evaluated once, and per block
-    the cell with vertex signs ``sg``, diag(sg) applied to that orthant,
-    gets ``sg *`` it, cell after cell in atlas order.  The joins treat
-    every coordinate alike, so these are the cell's own points, bitwise,
-    and its own tangents up to the sign of zero entries (a join's 0 - 0 is
-    +0.0 whatever the signs); the forms of this package give bitwise the
-    densities of the cell's own jet.  The CP1 cells have no bitwise
-    symmetry, and each evaluates its own grid jet, one cell after the
-    other."""
-    if sphere != "S3":
-        for i, (_, cell) in enumerate(sphere_atlas(sphere)):
-            for x, dx in cell.evaluate_grid_jet(axes):
-                yield i, x, dx
-        return
-    orthant = sphere_atlas("S3")[-1][1]
-    for x, dx in orthant.evaluate_grid_jet(axes):
-        for i, sg in enumerate(_ORTHANT_SIGNS):
-            yield i, sg * x, sg * dx
-
-
 def _atlas_density(sphere, base, order, depth):
-    """``(table, cells)`` at the nodes of one rule level of the atlas.
+    """The atlas cells' ``(signs, points, density)`` at the nodes of one
+    rule level, in atlas order: the cell's points are ``signs * points``
+    (N, d) and ``density`` (N,) is ``base`` on the cell's jet.
 
-    ``cells`` holds, per atlas cell, ``(signs, points, density)``:
-    ``density`` (N,) is ``base`` on the cell's jet from ``_atlas_jets``.
-    On CP1 ``points`` (N, 3) are the cell's and ``table`` is None.  On
-    S^3 ``points`` is None: the points of the orthant cell with vertex
-    signs ``signs`` are ``signs * table``, bitwise, where ``table`` holds
-    those of the positive orthant, so one table serves all 16 cells.
-    Built once per (sphere, base, order, depth) and kept in
-    ``_DENSITY_CACHE``; the arrays are read-only, because every later
-    integral reads them."""
+    One loop runs over the grid jets that cells share.  On S^3 the
+    positive orthant's grid jet is evaluated once, and the cell with vertex
+    signs ``signs``, diag(signs) applied to that orthant, gets ``signs *``
+    it, so the 16 cells share one points array.  The joins treat every
+    coordinate alike, so these are the cell's own points, bitwise, and its
+    own tangents up to the sign of zero entries (a join's 0 - 0 is +0.0
+    whatever the signs); the forms of this package give bitwise the
+    densities of the cell's own jet.  The CP1 cells have no bitwise
+    symmetry: each evaluates its own grid jet and keeps its own points,
+    with ``signs`` 1.0.  Built once per (sphere, base, order, depth) and
+    kept in ``_DENSITY_CACHE``; the arrays are read-only, because every
+    later integral reads them."""
     levels = _DENSITY_CACHE.setdefault(base, {})
     key = (sphere, order, depth)
     if key in levels:
         return levels[key]
     atlas = sphere_atlas(sphere)
-    signs, positive = (None,) * len(atlas), None
-    if sphere == "S3":
-        signs, positive = _ORTHANT_SIGNS, len(atlas) - 1
     axes = _rule_level(atlas[0][1].degree, order, depth)[0]
-    kept, values = [[] for _ in atlas], [[] for _ in atlas]
-    for i, x, tangents in _atlas_jets(sphere, axes):
-        values[i].append(base.evaluate(x, tangents))
-        if positive in (None, i):
-            kept[i].append(x)
-    points = [np.concatenate(chunks) if chunks else None for chunks in kept]
-    density = [np.concatenate(chunks) for chunks in values]
-    for a in points + density:
-        if a is not None:
-            a.setflags(write=False)
-    table = None
-    if positive is not None:
-        table, points = points[positive], (None,) * len(atlas)
-    levels[key] = (table, tuple(zip(signs, points, density)))
+    if sphere == "S3":
+        jets = [(atlas[-1][1], _ORTHANT_SIGNS)]
+    else:
+        jets = [(cell, (1.0,)) for _, cell in atlas]
+    cells = []
+    for cell, signs in jets:
+        kept, values = [], [[] for _ in signs]
+        for x, tangents in cell.evaluate_grid_jet(axes):
+            kept.append(x)
+            for chunks, sg in zip(values, signs):
+                chunks.append(base.evaluate(sg * x, sg * tangents))
+        points = np.concatenate(kept)
+        points.setflags(write=False)
+        for sg, chunks in zip(signs, values):
+            density = np.concatenate(chunks)
+            density.setflags(write=False)
+            cells.append((sg, points, density))
+    levels[key] = tuple(cells)
     return levels[key]
 
 
@@ -378,12 +361,11 @@ def sphere_products(base: DifferentialForm, sphere: str, products,
     product ``()`` is the integral of ``base`` itself (``sphere_integral``).
 
     Each block of ``simplices._BLOCK_ROWS`` nodes of a cell gets one fresh
-    table, which serves every factor of every entry, on the cell's points:
-    on CP1 those ``_atlas_density`` keeps, on S^3 ``signs * table``, each
-    passed through ``lift`` when one is given.  All entries and cells of a
-    level are the rows of one ``integrate_on_cube``, yielded cell by
-    cell; each entry's cells are summed on their own, then with their
-    signs in atlas order.  So for the empty product the value, the
+    table, which serves every factor of every entry, on the cell's points
+    ``signs * points`` from ``_atlas_density``, passed through ``lift`` when
+    one is given.  All entries and cells of a level are the rows of one
+    ``integrate_on_cube``, yielded cell by cell; each entry's cells are
+    summed on their own, then with their signs in atlas order.  So for the empty product the value, the
     estimate and ``QuadratureDiverged`` are bitwise those of
     ``pullback_integral`` over the atlas cells, summed in atlas order."""
     quad = quad or QuadratureSpec()
@@ -394,14 +376,12 @@ def sphere_products(base: DifferentialForm, sphere: str, products,
     atlas, block = sphere_atlas(sphere), _simplices._BLOCK_ROWS
 
     def rows(axes):  # axes (P, n, order)
-        table, cells = _atlas_density(sphere, base, axes.shape[2], quad.depth)
+        cells = _atlas_density(sphere, base, axes.shape[2], quad.depth)
         # a row is summed before the next is asked for: cells share rows
         out = np.empty((len(products), len(cells[0][2])))
         for signs, points, density in cells:
-            if points is None:
-                points = signs * table
             for lo in range(0, len(points), block):
-                x = points[lo:lo + block]
+                x = signs * points[lo:lo + block]
                 powers = PowerTable(x if lift is None else lift(x))
                 hi = lo + len(x)
                 for row, factors in zip(out, products):

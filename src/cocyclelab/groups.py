@@ -239,22 +239,6 @@ class UnitQuaternion:
     def __setattr__(self, name, value):
         raise AttributeError("UnitQuaternion is immutable")
 
-    @property
-    def w(self):
-        return self.vec[0]
-
-    @property
-    def x(self):
-        return self.vec[1]
-
-    @property
-    def y(self):
-        return self.vec[2]
-
-    @property
-    def z(self):
-        return self.vec[3]
-
     def __mul__(self, other):
         return UnitQuaternion(_qmul(self.vec, other.vec))
 
@@ -271,11 +255,8 @@ class UnitQuaternion:
         return "UnitQuaternion({:+.6f}, {:+.6f}, {:+.6f}, {:+.6f})".format(
             *self.vec)
 
-    IDENTITY: "UnitQuaternion"
 
-
-UnitQuaternion.IDENTITY = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
-QUAT_ONE = UnitQuaternion.IDENTITY
+QUAT_ONE = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
 QUAT_I = UnitQuaternion(0.0, 1.0, 0.0, 0.0)
 QUAT_J = UnitQuaternion(0.0, 0.0, 1.0, 0.0)
 QUAT_K = UnitQuaternion(0.0, 0.0, 0.0, 1.0)
@@ -358,9 +339,6 @@ class LieVector:
     def __setattr__(self, name, value):
         raise AttributeError("LieVector is immutable")
 
-    def norm(self):
-        return float(np.linalg.norm(self.coeffs))
-
     def __repr__(self):
         return f"LieVector({self.algebra}, {self.coeffs})"
 
@@ -372,7 +350,7 @@ def quat_exp(X: LieVector) -> UnitQuaternion:
     v = X.coeffs
     th = np.linalg.norm(v)
     if th < 1e-300:
-        return UnitQuaternion.IDENTITY
+        return QUAT_ONE
     u = v / th
     return UnitQuaternion(np.concatenate([[np.cos(th)], np.sin(th) * u]))
 

@@ -23,7 +23,7 @@ from .cochains import (HomogeneousCochain, exact, integrated_cochain,
                        signed_sums)
 from .errors import DomainGuard, StepTooLarge
 from .forms import DifferentialForm
-from .groups import LieVector, UnitQuaternion, _perm_signs, quat_exp
+from .groups import QUAT_ONE, LieVector, _perm_signs, quat_exp
 from .quadrature import QuadratureSpec
 
 
@@ -160,7 +160,7 @@ def cartan_cocycle(algebra: LieAlgebraTable) -> MultilinearCochain:
 
 def _group_tuple(algebra: LieAlgebraTable, steps):
     """(e, exp(Y_1), exp(Y_1)exp(Y_2), ...) for algebra elements Y_i."""
-    out = [UnitQuaternion.IDENTITY]
+    out = [QUAT_ONE]
     for y in steps:
         out.append(out[-1] * algebra.exp(y))
     return tuple(out)

@@ -29,7 +29,8 @@ from .contact import (alpha_value, contact_bracket, contact_cocycle,
 from .errors import CocycleLabError, ConfigParse, UnknownSuite
 from .finite import (FiniteGroupTable, brute_force_free_rank, build_complex,
                      build_retraction, extend_cocycle, homology)
-from .forms import DifferentialForm, mc3_form, pullback_integral, vol_form
+from .forms import (DifferentialForm, mc3_form, pullback_integral,
+                    symplectic_form_value, vol_form)
 from .groups import (QUAT_ONE, LieVector, _qconj, _qexp_jet, _qmul,
                      apply_rotation, cyclic_embed, hopf_arr, hopf_jacobian,
                      quat_exp, so4_of)
@@ -347,7 +348,7 @@ def _suite_contact(rec, cfg):
         jac = hopf_jacobian(q)
         du = np.einsum("nkj,nj->nk", jac, u)
         dv = np.einsum("nkj,nj->nk", jac, v)
-        pulled = 4.0 * np.einsum("ni,ni->n", hopf_arr(q), np.cross(du, dv))
+        pulled = symplectic_form_value(hopf_arr(q), du, dv)
         fd = _dalpha_fd(q, u, v)
         record(float(np.abs(fd - pulled).max()))
 

@@ -9,7 +9,7 @@ least one of its cases).  The named tests first run once on the tree as
 it is, where they must all pass, so no test is counted as a kill that
 fails anyway.  A named test that fails there, a surviving mutant, an old
 text that does not occur exactly once (a stale entry) or a run that
-pytest cannot complete is printed, and the script exits 1 (about 60 s).
+pytest cannot complete is printed, and the script exits 1 (about 50 s).
 Run it from anywhere:
 
     python tests/mutants.py
@@ -104,6 +104,16 @@ MUTANTS = [
      "            est += e\n",
      ["tests/test_cochains.py::"
       "test_pairing_checks_every_term_before_evaluating"]),
+    ("atlas-cells-drop-their-signs", "forms.py",
+     "x = signs * points[lo:lo + block]",
+     "x = points[lo:lo + block]",
+     ["tests/test_forms.py::"
+      "test_factored_sphere_integral_is_bitwise_the_cell_sum"]),
+    ("lift-taken-on-cp1", "forms.py",
+     '    if lift is not None and sphere != "S3":\n'
+     '        raise ValueError("only the S^3 atlas points take a lift")\n',
+     "",
+     ["tests/test_forms.py::test_only_the_s3_atlas_takes_a_lift"]),
     ("sphere-integral-drops-compose", "forms.py",
      "lambda p, t: outer.evaluate(*compose(p, t)))",
      "lambda p, t: outer.evaluate(p, t))",

@@ -623,7 +623,7 @@ def test_a_diverging_entry_raises_for_the_batch():
 
 
 def test_only_the_s3_atlas_takes_a_lift():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="only the S\\^3 atlas"):
         sphere_products(fubini_study_form(), "CP1", [(FACTOR,)], QUAD,
                         hopf_arr)
 
@@ -694,52 +694,65 @@ def unsigned_zeros(a):
     return (a + 0.0).tobytes()
 
 
-def test_s3_orthant_points_are_signed_copies_of_the_positive_cell(
-        monkeypatch):
-    # every S^3 cell's points are its vertex signs times the positive
-    # orthant's, bitwise, and so are its tangents but for the sign of zero
-    # entries (0 - 0 is +0.0 whatever the signs).
-    # The cached densities, computed from the reflected jets, are bitwise
-    # those of each cell's own jet, and one point table serves all 16 cells
+# the bases whose densities each sphere's atlas keeps
+DENSITY_BASES = {"S3": (contact_volume_form(), vol_form(), mc3_form()),
+                 "CP1": (fubini_study_form(),)}
+
+
+@pytest.mark.parametrize("sphere", ["S3", "CP1"])
+def test_cached_cells_are_bitwise_their_own_grid_jets(monkeypatch, sphere):
+    # every cached cell's points, signs * points, and its density are
+    # bitwise its own grid jet's points, one node per row, and base on its
+    # jet.  Every S^3 cell's jet is its vertex signs times the positive
+    # orthant's, the tangents but for the sign of zero entries (0 - 0 is
+    # +0.0 whatever the signs), and the 16 cells share the orthant's
+    # points; each CP1 cell keeps its own points, with signs 1.0
     monkeypatch.setattr(forms, "_DENSITY_CACHE", weakref.WeakKeyDictionary())
-    atlas = [cell for _, cell in sphere_atlas("S3")]
-    signs = [np.sum(cell.vertices, axis=0) for cell in atlas]
-    positive = next(c for c, sg in zip(atlas, signs) if np.all(sg > 0))
-    # the atlas is built from its signs, the positive orthant last
-    assert np.array_equal(forms._ORTHANT_SIGNS, signs)
-    assert positive is atlas[-1]
-    bases = (contact_volume_form(), vol_form(), mc3_form())
+    atlas = [cell for _, cell in sphere_atlas(sphere)]
+    if sphere == "S3":
+        signs = [np.sum(cell.vertices, axis=0) for cell in atlas]
+        # the atlas is built from its signs, the positive orthant last
+        assert np.array_equal(forms._ORTHANT_SIGNS, signs)
+        assert np.all(signs[-1] > 0)
     for order in range(8, 15):
         for depth in (0, 1):
-            s = level_nodes(_rule_level(3, order, depth)[0])
-            x, dx = row_jet(positive, s)
+            s = level_nodes(_rule_level(atlas[0].degree, order, depth)[0])
+            jets = [row_jet(cell, s) for cell in atlas]
+            if sphere == "S3":
+                x, dx = jets[-1]
+                for sg, (own_x, own_dx) in zip(signs, jets):
+                    assert own_x.tobytes() == (sg * x).tobytes()
+                    assert unsigned_zeros(own_dx) == unsigned_zeros(sg * dx)
             # densities at the levels the suites integrate at (even orders
             # at depth 0) and at one level of depth 1
-            dense = order % 2 == 0 and (depth == 0 or order == 8)
-            cached = [forms._atlas_density("S3", base, order, depth)
-                      for base in bases] if dense else []
-            for i, (cell, sg) in enumerate(zip(atlas, signs)):
-                own_x, own_dx = row_jet(cell, s)
-                assert own_x.tobytes() == (sg * x).tobytes()
-                assert unsigned_zeros(own_dx) == unsigned_zeros(sg * dx)
-                for base, (table, cells) in zip(bases, cached):
-                    assert table.tobytes() == x.tobytes()
-                    assert cells[i][1] is None
-                    assert cells[i][2].tobytes() == \
+            if order % 2 or (depth and order != 8):
+                continue
+            for base in DENSITY_BASES[sphere]:
+                cells = forms._atlas_density(sphere, base, order, depth)
+                assert len(cells) == len(atlas)
+                for (sg, points, density), (own_x, own_dx) in zip(cells,
+                                                                   jets):
+                    assert (sg * points).tobytes() == own_x.tobytes()
+                    assert density.tobytes() == \
                         base.evaluate(own_x, own_dx).tobytes()
+                if sphere == "S3":
+                    assert all(points is cells[0][1]
+                               for _, points, _ in cells)
+                else:
+                    assert all(sg == 1.0 for sg, _, _ in cells)
 
 
 def test_density_cache_stays_small_after_the_sphere_suites(monkeypatch):
-    # 1.06 MB: per level the S^3 density of every cell and one point
-    # table, and the CP1 density and points of every cell; per-cell S^3
-    # points or cached tangents would go over the bound
+    # 1.06 MB: per level the S^3 density of every cell and the points its
+    # 16 cells share, and the CP1 density and points of every cell;
+    # per-cell S^3 points or cached tangents would go over the bound
     monkeypatch.setattr(forms, "_DENSITY_CACHE", weakref.WeakKeyDictionary())
     for suite in ("symplectic", "contact"):
         assert run_suite(suite).passed
     arrays = {}
     for levels in forms._DENSITY_CACHE.values():
-        for table, cells in levels.values():
-            for a in (table, *(a for cell in cells for a in cell)):
-                if a is not None:
+        for cells in levels.values():
+            for a in (a for cell in cells for a in cell):
+                if isinstance(a, np.ndarray):
                     arrays[id(a)] = a
     assert 0 < sum(a.nbytes for a in arrays.values()) <= 1.2e6

@@ -40,16 +40,11 @@ ALLOWED_MODULES = {
 # "module.qualname": why it may stay unreached, one line each
 ALLOWED = {
     # accessors and small conveniences of the value types
-    "groups.UnitQuaternion.w": "coordinate accessor",
-    "groups.UnitQuaternion.x": "coordinate accessor",
-    "groups.UnitQuaternion.y": "coordinate accessor",
-    "groups.UnitQuaternion.z": "coordinate accessor",
     "groups.UnitQuaternion.inverse": "group inverse of the value type",
     "groups.UnitQuaternion.isclose": "comparison of the value type",
     "groups.Rotation.identity": "identity of the value type",
     "groups.Rotation.inverse": "group inverse of the value type",
     "groups.Rotation.isclose": "comparison of the value type",
-    "groups.LieVector.norm": "norm accessor",
     "hamiltonian.SphereFunction.degree": "degree accessor",
     "simplices.GeodesicSimplex.face":
         "simplex protocol, as ParametrizedMap.face, which prism reaches",
