@@ -13,9 +13,11 @@ derivation map (``lie.cochain_derivative``) on its corners.  All the
 tuples go to one ``HomogeneousCochain.with_errors`` call, where every
 guard runs first, in order, and an integrated cochain integrates all the
 simplices in one stacked join pass (``forms.pullback_integral``); each
-list of signed tuples is then summed in order.  Coboundaries and
-transfers are stacked cochains themselves.  Every value and estimate is
-bitwise that of integrating each simplex on its own.
+list of signed tuples is then summed in order.  Every cochain's
+evaluator, a coboundary's and a transfer's included, takes a list of
+tuples and returns a (value, estimate) pair per tuple, so one tuple is a
+list of one.  Every value and estimate is bitwise that of integrating
+each simplex on its own.
 """
 from __future__ import annotations
 
@@ -62,19 +64,17 @@ def circle_distance(a, b):
 class HomogeneousCochain:
     """Function on (n+1)-tuples of group elements, valued in R mod lattice.
 
-    ``evaluator(t)`` may return a number or a (value, error_estimate)
-    pair; ``guard(t)`` decides which tuples are admissible.  With
-    ``stacked`` true, ``evaluator`` takes a list of admissible tuples at
-    once and returns a (value, error_estimate) pair per tuple.
+    ``evaluator(tuples)`` takes a nonempty list of admissible tuples and
+    returns a (value, error_estimate) pair per tuple, in order; an exact
+    cochain gives the estimate 0.0.  ``guard(t)`` decides which tuples are
+    admissible.
     """
 
-    def __init__(self, degree, lattice, evaluator, guard=None, label="",
-                 stacked=False):
+    def __init__(self, degree, lattice, evaluator, guard=None, label=""):
         self.degree = degree
         self.lattice = lattice
         self._evaluator = evaluator
         self._guard = guard
-        self._stacked = stacked
         self.label = label
 
     def admissible(self, t):
@@ -92,26 +92,19 @@ class HomogeneousCochain:
                 f"tuple outside the domain of cochain {self.label!r}")
         return t
 
-    def _value(self, t):
-        out = self._evaluator([t])[0] if self._stacked else self._evaluator(t)
-        return out if isinstance(out, tuple) else (out, 0.0)
-
     def with_errors(self, tuples):
         """``with_error`` of each tuple.  Every tuple is checked first, in
         order, so the first inadmissible one raises DomainGuard before any
-        is evaluated; a stacked evaluator then takes them all at once,
-        which an empty list does not reach."""
+        is evaluated; the evaluator then takes them all at once, which an
+        empty list does not reach."""
         tuples = [self._checked(t) for t in tuples]
-        if self._stacked and tuples:
-            values = self._evaluator(tuples)
-        else:
-            values = [self._value(t) for t in tuples]
+        values = self._evaluator(tuples) if tuples else []
         return [_reduced(v, e, self.lattice) for v, e in values]
 
     def with_error(self, t):
         """Reduced value together with an accumulated error estimate, which
         includes the rounding of the reduction (``_reduced``)."""
-        return _reduced(*self._value(self._checked(t)), self.lattice)
+        return self.with_errors([t])[0]
 
     def __call__(self, t):
         return self.with_error(t)[0]
@@ -137,15 +130,15 @@ def signed_sums(f: HomogeneousCochain, rows) -> list:
 
 
 def coboundary(f: HomogeneousCochain) -> HomogeneousCochain:
-    """Alternating face sum: (df)(t) = sum_i (-1)^i f(d_i t), a stacked
-    cochain whose evaluator is the ``signed_sums`` of the faces of all the
-    tuples it is given."""
+    """Alternating face sum: (df)(t) = sum_i (-1)^i f(d_i t), a cochain
+    whose evaluator is the ``signed_sums`` of the faces of all the tuples
+    it is given."""
 
     def evaluator(tuples):
         return signed_sums(f, [all_faces(t) for t in tuples])
 
     return HomogeneousCochain(f.degree + 1, f.lattice, evaluator,
-                              label=f"d({f.label})", stacked=True)
+                              label=f"d({f.label})")
 
 
 def generic_rotation(seed=0x5EED) -> Rotation:
@@ -197,7 +190,7 @@ def integrated_cochain(form: DifferentialForm, kind: str,
     else:
         raise ValueError(f"unknown cochain kind {kind!r}")
     return HomogeneousCochain(form.degree, lattice, evaluator, guard=guard,
-                              label=f"{label}({form.ambient})", stacked=True)
+                              label=f"{label}({form.ambient})")
 
 
 class HomogeneousChain:
@@ -279,8 +272,8 @@ def transfer(phi: HomogeneousCochain, gamma, subgroup, reps
     indices forming a normal subgroup, ``reps`` right-coset
     representatives containing the identity.  The result restricted to
     subgroup tuples equals index * phi for conjugation-invariant phi.
-    It is a stacked cochain: the ``signed_sums`` of the moves of all the
-    tuples it is given, with coefficient 1.
+    Its evaluator is the ``signed_sums`` of the moves of all the tuples
+    it is given, with coefficient 1.
     """
     sub = set(subgroup)
     if gamma.identity not in sub:
@@ -312,7 +305,7 @@ def transfer(phi: HomogeneousCochain, gamma, subgroup, reps
                                   for move in moves] for t in tuples])
 
     return HomogeneousCochain(phi.degree, phi.lattice, evaluator,
-                              label=f"transfer({phi.label})", stacked=True)
+                              label=f"transfer({phi.label})")
 
 
 def conjugate_point_map(base: UnitQuaternion = QUAT_ONE):

@@ -328,7 +328,7 @@ def extend_cocycle(complex_: ConfiguredComplex, values, retraction=None
     index = complex_.index[q]
     table = {t: sum(c * vals[index[s]] for s, c in image.terms.items())
              for t, image in r[q].items()}
-    return HomogeneousCochain(q, 0, table.__getitem__,
+    return HomogeneousCochain(q, 0, lambda ts: [(table[t], 0.0) for t in ts],
                               label=f"extended({complex_.predicate})")
 
 

@@ -124,6 +124,10 @@ MUTANTS = [
      "yield _densities(form, maps[0].evaluate_grid_jet(axes))",
      ["tests/test_forms.py::"
       "test_pullback_of_a_mixed_list_is_bitwise_each_map_alone"]),
+    ("extension-check-drops-face-signs", "suites.py",
+     "s * value[ft]",
+     "value[ft]",
+     ["tests/test_acceptance.py::test_criterion_08_retraction_extension"]),
     ("guard-lets-nan-through", "quadrature.py",
      "        if not diff <= 10.0 * spec.tol:\n",
      "        if diff > 10.0 * spec.tol:\n",

@@ -12,7 +12,7 @@ from cocyclelab.cochains import (HomogeneousChain, HomogeneousCochain,
                                  transfer, twisted_square_map)
 from cocyclelab.errors import (BadOrder, BadReps, DomainGuard, NotNormal,
                                QuadratureDiverged)
-from cocyclelab.finite import FiniteGroupTable
+from cocyclelab.finite import FiniteGroupTable, build_complex, extend_cocycle
 from cocyclelab.forms import mc3_form, pullback_integral, vol_form
 from cocyclelab.groups import (QUAT_I, QUAT_J, QUAT_K, QUAT_ONE, LieVector,
                                Rotation, UnitQuaternion, apply_rotation,
@@ -34,6 +34,12 @@ def small_so4(scale=0.25):
     v1 = LieVector("su2", rng.normal(size=3) * scale)
     v2 = LieVector("su2", rng.normal(size=3) * scale)
     return so4_of(quat_exp(v1), quat_exp(v2))
+
+
+def listwise(value):
+    """A list evaluator: ``value(t)`` with the estimate 0.0 for each
+    tuple t."""
+    return lambda tuples: [(value(t), 0.0) for t in tuples]
 
 
 def hemispherical_tuple(size):
@@ -60,7 +66,7 @@ def test_exact_is_an_int_unless_a_denominator_is_not_1():
 
 def test_circle_valued_slope_is_a_cocycle():
     # phi(g, h) = h - g on the circle group, values mod 1
-    phi = HomogeneousCochain(1, 1.0, lambda t: t[1] - t[0])
+    phi = HomogeneousCochain(1, 1.0, listwise(lambda t: t[1] - t[0]))
     for _ in range(50):
         g = rng.uniform(0, 1, size=3)
         val = coboundary(phi)((g[0], g[1], g[2]))
@@ -69,7 +75,7 @@ def test_circle_valued_slope_is_a_cocycle():
 
 def test_constant_cochain_coboundary_parity():
     for degree, expect_zero in ((2, True), (1, False)):
-        c = HomogeneousCochain(degree, 0, lambda t: 1.25)
+        c = HomogeneousCochain(degree, 0, listwise(lambda t: 1.25))
         val = coboundary(c)(tuple(range(degree + 2)))
         assert (abs(val) < 1e-15) == expect_zero
 
@@ -80,7 +86,7 @@ def test_double_coboundary_vanishes():
     def ev(t):
         return values.setdefault(t, rng.normal())
 
-    f = HomogeneousCochain(1, 0, ev)
+    f = HomogeneousCochain(1, 0, listwise(ev))
     ddf = coboundary(coboundary(f))
     for _ in range(10):
         t = tuple(rng.integers(0, 5, size=4))
@@ -163,11 +169,11 @@ def test_cyclic_cycle_shape():
 
 
 def test_kronecker_pairing_linearity_and_zero():
-    zero = HomogeneousCochain(1, 0, lambda t: 0.0)
+    zero = HomogeneousCochain(1, 0, listwise(lambda t: 0.0))
     chain = HomogeneousChain([(2, (0, 1)), (-1, (1, 3))])
     assert kronecker_pair(zero, chain) == 0.0
 
-    f = HomogeneousCochain(1, 0, lambda t: float(t[1] - t[0]))
+    f = HomogeneousCochain(1, 0, listwise(lambda t: float(t[1] - t[0])))
     other = HomogeneousChain([(1, (0, 2))])
     combined = HomogeneousChain([(2, (0, 1)), (-1, (1, 3)), (1, (0, 2))])
     assert kronecker_pair(f, combined) == pytest.approx(
@@ -219,8 +225,8 @@ def test_degree_of_maps():
 
 def test_transfer_restriction_and_errors():
     z6 = FiniteGroupTable.cyclic(6)
-    phi = HomogeneousCochain(1, 1,
-                             lambda t: Fraction((t[1] - t[0]) % 6, 6))
+    phi = HomogeneousCochain(
+        1, 1, listwise(lambda t: Fraction((t[1] - t[0]) % 6, 6)))
     tr = transfer(phi, z6, [0, 2, 4], [0, 1])
     for a in (0, 2, 4):
         for b in (0, 2, 4):
@@ -232,7 +238,7 @@ def test_transfer_restriction_and_errors():
         t = tuple(int(x) for x in rng.integers(0, 6, size=2))
         assert tr1(t) == phi(t)
 
-    zero = HomogeneousCochain(1, 1, lambda t: Fraction(0))
+    zero = HomogeneousCochain(1, 1, listwise(lambda t: Fraction(0)))
     trz = transfer(zero, z6, [0, 2, 4], [0, 1])
     assert trz((1, 5)) == 0
 
@@ -252,7 +258,7 @@ def test_transfer_is_a_chain_map():
     def ev(t):
         return values.setdefault(t, Fraction(int(rng.integers(-6, 7)), 12))
 
-    phi = HomogeneousCochain(1, 1, ev)
+    phi = HomogeneousCochain(1, 1, listwise(ev))
     lhs = coboundary(transfer(phi, z6, sub, reps))
     rhs = transfer(coboundary(phi), z6, sub, reps)
     from itertools import product
@@ -272,9 +278,9 @@ def test_transfer_of_a_stacked_cochain_is_one_call_per_batch():
         calls.append(len(tuples))
         return [(slope(t), 0.0) for t in tuples]
 
-    tr = transfer(HomogeneousCochain(1, 1, stacked, stacked=True), z6, sub,
-                  reps)
-    plain = transfer(HomogeneousCochain(1, 1, slope), z6, sub, reps)
+    tr = transfer(HomogeneousCochain(1, 1, stacked), z6, sub, reps)
+    plain = transfer(HomogeneousCochain(1, 1, listwise(slope)), z6, sub,
+                     reps)
     from itertools import product
     pairs = list(product(range(6), repeat=2))
     # the moves of every tuple go to the cochain in one call
@@ -417,6 +423,23 @@ def hex_pairs(pairs):
     return [(float(v).hex(), float(e).hex()) for v, e in pairs]
 
 
+def exact_batches():
+    """A transfer on Z/6 with its 36 pairs, and a cocycle extended from
+    the conf-distinct complex of Z/5 with its 625 4-tuples."""
+    from itertools import product
+    slope = HomogeneousCochain(
+        1, 1, listwise(lambda t: Fraction((t[1] - t[0]) % 6, 6)))
+    tr = transfer(slope, FiniteGroupTable.cyclic(6), [0, 2, 4], [0, 1])
+    conf = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
+    g_vals = [int(v) for v in rng.integers(-3, 4, len(conf.generators[2]))]
+    f_vals = [Fraction(sum(g * row[j] for g, row in
+                           zip(g_vals, conf.boundaries[3])), 7)
+              for j in range(len(conf.generators[3]))]
+    return [(tr, list(product(range(6), repeat=2))),
+            (extend_cocycle(conf, f_vals),
+             list(product(range(5), repeat=4)))]
+
+
 def test_batched_coboundary_is_bitwise_each_tuple_alone(monkeypatch):
     stacks = []
 
@@ -425,13 +448,19 @@ def test_batched_coboundary_is_bitwise_each_tuple_alone(monkeypatch):
         return pullback_integral(form, simplices, quad)
 
     monkeypatch.setattr(cochains, "pullback_integral", counted_stack)
-    for cochain, tuples in defect_batches(3):
-        df = coboundary(cochain)
+    batches = [(coboundary(cochain), tuples, [5 * len(tuples)])
+               for cochain, tuples in defect_batches(3)]
+    batches += [(f, tuples, []) for f, tuples in exact_batches()]
+    for f, tuples, stacked in batches:
         stacks.clear()
-        batch = df.with_errors(tuples)
-        # the faces of every tuple in one stack
-        assert stacks == [5 * len(tuples)]
-        assert hex_pairs(batch) == hex_pairs(df.with_error(t) for t in tuples)
+        batch = f.with_errors(tuples)
+        # a coboundary's faces of every tuple in one stack; the exact
+        # cochains integrate nothing
+        assert stacks == stacked
+        # one evaluation path: a tuple alone, in a list of one or in the
+        # batch gives bitwise the same pair
+        assert hex_pairs(batch) == hex_pairs(map(f.with_error, tuples)) == \
+            hex_pairs(f.with_errors([t])[0] for t in tuples)
 
 
 def test_batched_coboundary_guards_every_face_before_integrating(
@@ -489,8 +518,8 @@ def test_batched_coboundary_of_an_exact_cochain_stays_exact():
         # an int on every tuple of the subgroup but (2, 4), a third there
         return Fraction(1, 3) if t == (2, 4) else t[0] * t[1] % 5
 
-    df = coboundary(transfer(HomogeneousCochain(1, 0, ev), z6, [0, 2, 4],
-                             [0, 1]))
+    df = coboundary(transfer(HomogeneousCochain(1, 0, listwise(ev)), z6,
+                             [0, 2, 4], [0, 1]))
     from itertools import product
     tuples = list(product(range(6), repeat=3))
     batch = [(type(v), v, e) for v, e in df.with_errors(tuples)]
@@ -547,7 +576,7 @@ def test_pairing_runs_each_guard_once_and_passes_face_guards_through():
         guarded.append(t)
         return t != (2, 3)
 
-    g = HomogeneousCochain(1, 1, lambda t: Fraction(t[1] - t[0], 7),
+    g = HomogeneousCochain(1, 1, listwise(lambda t: Fraction(t[1] - t[0], 7)),
                            guard=guard, label="g")
     chain = HomogeneousChain([(1, (0, 1)), (2, (1, 2)), (-1, (0, 2))])
     assert kronecker_pair(g, chain) == Fraction(1, 7)

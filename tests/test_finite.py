@@ -5,7 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from cocyclelab import finite
+from cocyclelab import finite, suites
 from cocyclelab.cochains import HomogeneousChain
 from cocyclelab.errors import (NotAChainMap, NotWellConfigured,
                                KernelObstruction, PredicateNotFaceClosed)
@@ -426,6 +426,30 @@ def test_a_corrupted_retraction_fails_its_check(monkeypatch, t, image,
     assert not failed.passed
     assert failed.error == f"NotAChainMap: retraction {message}"
     assert "conf-z5-extension-coboundary" in checks
+
+
+def test_extension_check_reads_each_4_tuple_once(monkeypatch):
+    # conf-z5-extension-coboundary evaluates the extended cocycle on each
+    # 4-tuple once, in one table, and reads the faces of the 3125
+    # 5-tuples from there
+    received = []
+
+    def counted(*args, **kwargs):
+        cocycle = extend_cocycle(*args, **kwargs)
+        evaluate = cocycle._evaluator
+
+        def evaluator(tuples):
+            received.extend(tuples)
+            return evaluate(tuples)
+
+        cocycle._evaluator = evaluator
+        return cocycle
+
+    monkeypatch.setattr(suites, "extend_cocycle", counted)
+    checks = {check.id: check
+              for check in run_suite("configured-homology").checks}
+    assert checks["conf-z5-extension-coboundary"].passed
+    assert received == list(product(range(5), repeat=4))
 
 
 def test_extension_has_vanishing_coboundary():

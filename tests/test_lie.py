@@ -23,6 +23,12 @@ def log_of(q):
     return _qlog_jet(q.vec, np.zeros((0, 4)))[0]
 
 
+def listwise(value):
+    """A list evaluator: ``value(t)`` with the estimate 0.0 for each
+    tuple t."""
+    return lambda tuples: [(value(t), 0.0) for t in tuples]
+
+
 def random_alternating(dim, degree):
     raw = np.empty((dim,) * degree, dtype=object)
     for idx in product(range(dim), repeat=degree):
@@ -229,7 +235,7 @@ def test_cartan_requires_ad_invariance():
 
 def test_derivative_of_zero_and_linearity():
     su2 = LieAlgebraTable.su2()
-    zero = HomogeneousCochain(1, 0, lambda t: 0.0)
+    zero = HomogeneousCochain(1, 0, listwise(lambda t: 0.0))
     assert cochain_derivative(zero, su2, 1).norm_max() == 0.0
 
     def smooth_a(t):
@@ -239,10 +245,10 @@ def test_derivative_of_zero_and_linearity():
         v = log_of(t[0].inverse() * t[1])
         return float(v[1] + 0.5 * v[2] ** 2)
 
-    fa = HomogeneousCochain(1, 0, smooth_a)
-    fb = HomogeneousCochain(1, 0, smooth_b)
+    fa = HomogeneousCochain(1, 0, listwise(smooth_a))
+    fb = HomogeneousCochain(1, 0, listwise(smooth_b))
     combo = HomogeneousCochain(
-        1, 0, lambda t: 2.0 * smooth_a(t) - 3.0 * smooth_b(t))
+        1, 0, listwise(lambda t: 2.0 * smooth_a(t) - 3.0 * smooth_b(t)))
     da = cochain_derivative(fa, su2, 1, step=1e-3).tensor
     db = cochain_derivative(fb, su2, 1, step=1e-3).tensor
     dc = cochain_derivative(combo, su2, 1, step=1e-3).tensor
@@ -251,7 +257,7 @@ def test_derivative_of_zero_and_linearity():
 
 def test_derivative_needs_the_su2_exponential():
     # the so(4) table carries structure constants but no exponential
-    f = HomogeneousCochain(1, 0, lambda t: 0.0)
+    f = HomogeneousCochain(1, 0, listwise(lambda t: 0.0))
     so4 = LieAlgebraTable.so4()
     with pytest.raises(ValueError):
         so4.exp([0.0] * so4.dim)
@@ -262,7 +268,7 @@ def test_derivative_needs_the_su2_exponential():
 def test_derivative_of_coordinate_cochain():
     su2 = LieAlgebraTable.su2()
     f = HomogeneousCochain(
-        1, 0, lambda t: log_of(t[0].inverse() * t[1])[0])
+        1, 0, listwise(lambda t: log_of(t[0].inverse() * t[1])[0]))
     d = cochain_derivative(f, su2, 1, step=1e-3)
     assert np.abs(d.tensor - np.array([1.0, 0.0, 0.0])).max() < 1e-7
 
@@ -279,16 +285,16 @@ def test_derivative_evaluates_distinct_indices_only():
     # entries with a repeated basis index cancel in the alternation, so a
     # degree-3 derivative over su2 needs 3! index tuples x 8 sign corners
     su2 = LieAlgebraTable.su2()
-    calls = []
+    tuples = []
 
     def smooth(t):
-        calls.append(t)
+        tuples.append(t)
         v = [log_of(t[0].inverse() * g) for g in t[1:]]
         return float(v[0][0] * v[1][1] * v[2][2] + v[0][1] ** 2 * v[2][0])
 
-    d = cochain_derivative(HomogeneousCochain(3, 0, smooth), su2, 3,
-                           step=1e-2)
-    assert len(calls) == 48
+    d = cochain_derivative(HomogeneousCochain(3, 0, listwise(smooth)), su2,
+                           3, step=1e-2)
+    assert len(tuples) == 48
     assert d.norm_max() > 0.0
     for idx in product(range(3), repeat=3):
         if len(set(idx)) < 3:
@@ -399,7 +405,7 @@ def test_derivative_checks_every_guard_before_evaluating():
     def guard(t):
         return not log_of(t[1])[1:].any()
 
-    f = HomogeneousCochain(1, 0, value, guard=guard)
+    f = HomogeneousCochain(1, 0, listwise(value), guard=guard)
     with pytest.raises(StepTooLarge) as info:
         cochain_derivative(f, su2, 1, step=1e-2)
     assert isinstance(info.value.__cause__, DomainGuard)
