@@ -48,10 +48,18 @@ def _reduced(value, est, lattice):
     """``value`` reduced to its representative in [0, lattice) (lattice 0
     means none), and ``est`` plus the rounding of that reduction: u *
     lattice (u = eps / 2) for a float and a nonzero lattice, whose
-    representative is rounded once."""
-    if lattice and isinstance(value, float):
-        est += np.finfo(float).eps / 2 * lattice
-    return (value % lattice if lattice else value), est
+    representative is rounded once.  An int or Fraction value already in
+    [0, lattice) is returned as it is when ``value % lattice`` would keep
+    its type: for an int lattice, or a Fraction value and lattice."""
+    if not lattice:
+        return value, est
+    if isinstance(value, float):
+        return value % lattice, est + np.finfo(float).eps / 2 * lattice
+    kind = type(value)
+    if (kind is int or kind is Fraction) and type(lattice) in (int, kind) \
+            and 0 <= value < lattice:
+        return value, est
+    return value % lattice, est
 
 
 def circle_distance(a, b):
@@ -123,8 +131,13 @@ def signed_sums(f: HomogeneousCochain, rows) -> list:
     for row in rows:
         total, est = 0, 0.0
         for (coeff, _), (v, e) in zip(row, values):
-            total = total + coeff * v
-            est += abs(coeff) * e
+            if type(coeff) is int and (coeff == 1 or coeff == -1):
+                # bitwise total + coeff * v, without the multiply
+                total = total + v if coeff == 1 else total - v
+                est += e
+            else:
+                total = total + coeff * v
+                est += abs(coeff) * e
         out.append((total, est))
     return out
 

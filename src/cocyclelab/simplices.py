@@ -77,9 +77,14 @@ def face(i, vertices):
 
 
 def all_faces(vertices):
-    """Signed face list [(+1, d_0 t), (-1, d_1 t), ...]."""
+    """Signed face list [(+1, d_0 t), (-1, d_1 t), ...], [] for the empty
+    tuple.  d_0 t goes through ``face``, so a single-entry tuple raises
+    its error; the later faces are slices of the same tuple."""
     t = tuple(vertices)
-    return [((-1) ** i, face(i, t)) for i in range(len(t))]
+    if not t:
+        return []
+    return [(1, face(0, t))] + [(1 - 2 * (i & 1), t[:i] + t[i + 1:])
+                                for i in range(1, len(t))]
 
 
 def is_chart_small(vertices):

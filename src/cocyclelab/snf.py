@@ -13,13 +13,14 @@ runs again while a remainder is left or while a later row is not
 divisible by the pivot.  U and V are sparse for tuple boundaries (every
 entry is +-1), so a solve reads only the columns of U where the
 right-hand side is nonzero and the columns of V where the solution of the
-diagonal system is.  The rank oracle is Bareiss's fraction-free
-elimination, whose every division is exact, and shares no code with the
-Smith normal form.
+diagonal system is.  The rank oracle is integer row elimination over Q,
+which rewrites only the rows that are nonzero in the pivot column and
+shares no code with the Smith normal form.
 """
 from __future__ import annotations
 
 import operator
+from math import gcd
 
 
 def _pivot(b, k, m, n):
@@ -150,31 +151,31 @@ class SmithSolver:
 
 
 def rational_rank(mat):
-    """Rank over Q by fraction-free (Bareiss) elimination over the
-    integers, an independent cross-check for the Smith-normal-form
-    pipeline.  By Sylvester's identity every entry below the pivots is a
-    minor of ``mat``, so each division by the previous pivot is exact.  A
-    step rewrites the rows below the pivot from column col on (they are 0
-    before it), but not a row it leaves as it is.  Entries are integers."""
-    a = [list(map(operator.index, row)) for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    r = 0
-    prev = 1
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col]), None)
-        if piv is None:
+    """Rank over Q by integer row elimination, an independent cross-check
+    for the Smith-normal-form pipeline.  The rows left to eliminate form a
+    pool, each zero before the current column.  A column with a nonzero
+    entry in the pool takes its first such row as pivot row ``top`` (out
+    of the pool) and rewrites only the other rows nonzero there, as
+    ``p * row - f * top`` with p the pivot and f the row's entry: a
+    nonzero multiple of the row plus a multiple of ``top``, so the rank
+    over Q is kept.  Each rewritten row is divided by its content, the
+    gcd of its entries, and a row that becomes zero leaves the pool.  The
+    rank is the number of pivots.  Entries are integers."""
+    pool = [row for row in (list(map(operator.index, r)) for r in mat)
+            if any(row)]
+    rank = 0
+    for col in range(len(pool[0]) if pool else 0):
+        hits = [row for row in pool if row[col]]
+        if not hits:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        top = a[r][col:]
-        p = top[0]
-        for i in range(r + 1, m):
-            f = a[i][col]
-            if f or p != prev:
-                a[i][col:] = [(p * x - f * y) // prev
-                              for x, y in zip(a[i][col:], top)]
-        prev = p
-        r += 1
-        if r == m:
-            break
-    return r
+        pool = [row for row in pool if not row[col]]
+        top, *rest = hits
+        p = top[col]
+        for row in rest:
+            f = row[col]
+            new = [p * x - f * y for x, y in zip(row, top)]
+            g = gcd(*new)
+            if g:
+                pool.append(new if g == 1 else [x // g for x in new])
+        rank += 1
+    return rank

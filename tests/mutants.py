@@ -52,19 +52,30 @@ MUTANTS = [
      "        if any(y[self.rank:]):\n            return None\n",
      "",
      ["tests/test_finite.py::test_sparse_solve_matches_dense_transforms"]),
-    ("bareiss-no-row-swap", "snf.py",
-     "        a[r], a[piv] = a[piv], a[r]\n",
-     "",
-     ["tests/test_finite.py::test_rational_rank_of_boundary_matrices"]),
-    ("bareiss-skips-a-row", "snf.py",
-     "        for i in range(r + 1, m):\n",
-     "        for i in range(r + 2, m):\n",
-     ["tests/test_finite.py::test_rational_rank_of_boundary_matrices"]),
-    ("bareiss-skips-every-zero-row", "snf.py",
-     "            if f or p != prev:\n",
-     "            if f:\n",
-     ["tests/test_finite.py::"
-      "test_rational_rank_rescales_a_zero_row_under_a_new_pivot"]),
+    ("rank-pivot-row-left-in-the-pool", "snf.py",
+     "        pool = [row for row in pool if not row[col]]\n"
+     "        top, *rest = hits\n",
+     "        top, *rest = hits\n"
+     "        pool = [row for row in pool if not row[col] or row is top]\n",
+     ["tests/test_finite.py::test_rational_rank_of_larger_dense_matrices",
+      "tests/test_finite.py::"
+      "test_rational_rank_is_the_smith_rank_of_every_boundary"]),
+    ("rank-update-skips-a-row", "snf.py",
+     "        for row in rest:\n",
+     "        for row in rest[1:]:\n",
+     ["tests/test_finite.py::test_rational_rank_of_larger_dense_matrices",
+      "tests/test_finite.py::"
+      "test_rational_rank_of_rank_deficient_products"]),
+    ("rank-update-drops-the-pivot-factor", "snf.py",
+     "new = [p * x - f * y for x, y in zip(row, top)]",
+     "new = [x - f * y for x, y in zip(row, top)]",
+     ["tests/test_finite.py::test_rational_rank_of_larger_dense_matrices",
+      "tests/test_finite.py::"
+      "test_rational_rank_of_rank_deficient_products"]),
+    ("all-faces-signs-by-parity-alone", "simplices.py",
+     "(1 - 2 * (i & 1), t[:i] + t[i + 1:])",
+     "(1 - (i & 1), t[:i] + t[i + 1:])",
+     ["tests/test_simplices.py::test_all_faces_is_the_list_of_faces"]),
     ("hemisphere-sigma-of-the-augmented-matrix", "simplices.py",
      "np.linalg.svd(aug if square else unit,",
      "np.linalg.svd(aug,",
@@ -93,12 +104,35 @@ MUTANTS = [
      ["tests/test_contact.py::"
       "test_contact_pairings_hold_one_cell_of_rows_at_a_time"]),
     ("no-rounding-term-of-the-reduction", "cochains.py",
-     "    if lattice and isinstance(value, float):\n",
-     "    if False:\n",
+     "        return value % lattice, "
+     "est + np.finfo(float).eps / 2 * lattice\n",
+     "        return value % lattice, est\n",
      ["tests/test_cochains.py::"
       "test_cocycle_defect_passes_with_no_padding_floor",
       "tests/test_cochains.py::"
-      "test_stacked_coboundary_is_bitwise_the_face_sum"]),
+      "test_stacked_coboundary_is_bitwise_the_face_sum",
+      "tests/test_cochains.py::"
+      "test_reduction_is_bitwise_the_modulo_for_every_value_type"]),
+    ("reduction-shortcut-taken-for-a-float", "cochains.py",
+     "    if isinstance(value, float):\n",
+     "    if isinstance(value, float) and 0 <= value < lattice:\n"
+     "        return value, est\n"
+     "    if isinstance(value, float):\n",
+     ["tests/test_cochains.py::"
+      "test_reduction_is_bitwise_the_modulo_for_every_value_type",
+      "tests/test_cochains.py::"
+      "test_signed_sums_are_bitwise_the_coefficient_products"]),
+    ("reduction-shortcut-for-an-int-under-a-fraction-lattice", "cochains.py",
+     "type(lattice) in (int, kind)",
+     "type(lattice) in (int, Fraction)",
+     ["tests/test_cochains.py::"
+      "test_reduction_is_bitwise_the_modulo_for_every_value_type"]),
+    ("signed-sum-drops-the-unit-sign", "cochains.py",
+     "total = total + v if coeff == 1 else total - v",
+     "total = total + v",
+     ["tests/test_cochains.py::"
+      "test_signed_sums_are_bitwise_the_coefficient_products",
+      "tests/test_cochains.py::test_double_coboundary_vanishes"]),
     ("signed-sum-drops-the-coefficient-size", "cochains.py",
      "            est += abs(coeff) * e\n",
      "            est += e\n",

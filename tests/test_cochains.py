@@ -64,6 +64,64 @@ def test_exact_is_an_int_unless_a_denominator_is_not_1():
         exact(float("nan"))
 
 
+def reference_reduced(value, est, lattice):
+    """The reduction as one formula for every value: ``value % lattice``,
+    plus the rounding term u * lattice for a float."""
+    if lattice and isinstance(value, float):
+        est += np.finfo(float).eps / 2 * lattice
+    return (value % lattice if lattice else value), est
+
+
+def bitwise(a, b):
+    """Same type and same bits: repr tells -0.0 from 0.0."""
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+VALUES = [0, 3, -2, 7, Fraction(1, 3), Fraction(-1, 3), Fraction(7, 2),
+          Fraction(-9, 4), 0.25, 0.0, -0.0, 1.5, -0.75, 1e-17, -1e-17,
+          np.float64(0.5), np.float64(-0.0)]
+LATTICES = [0, 1, 2, Fraction(1, 2), Fraction(3, 2), 1.0, 0.5]
+
+
+def test_reduction_is_bitwise_the_modulo_for_every_value_type():
+    for value in VALUES:
+        for lattice in LATTICES:
+            for est in (0.0, 1e-3):
+                got = cochains._reduced(value, est, lattice)
+                want = reference_reduced(value, est, lattice)
+                assert bitwise(got[0], want[0]), (value, lattice)
+                assert bitwise(got[1], want[1]), (value, lattice)
+    # a float lattice turns an exact value in range into a float, and a
+    # Fraction lattice turns an int into a Fraction
+    assert bitwise(cochains._reduced(0, 0.0, 1.0)[0], 0.0)
+    assert bitwise(cochains._reduced(1, 0.0, Fraction(3, 2))[0],
+                   Fraction(1))
+    assert bitwise(cochains._reduced(-0.0, 0.0, 1)[0], 0.0)
+
+
+@pytest.mark.parametrize("lattice", [0, 1, Fraction(1, 2), 1.0])
+def test_signed_sums_are_bitwise_the_coefficient_products(lattice):
+    local = np.random.default_rng(5)
+    table = {(i,): (v, float(local.uniform(0, 1e-3)))
+             for i, v in enumerate(VALUES)}
+    f = HomogeneousCochain(0, lattice, lambda ts: [table[t] for t in ts])
+    coefficients = [1, -1, 2, -3, 0, Fraction(1, 2), Fraction(-1),
+                    np.float64(1.0), np.float64(-2.5), np.int64(-1)]
+    rows = [[(coefficients[int(local.integers(len(coefficients)))],
+              (int(local.integers(len(VALUES))),))
+             for _ in range(int(local.integers(1, 5)))]
+            for _ in range(300)]
+    rows += [[(c, (i,))] for c in coefficients for i in range(len(VALUES))]
+    for row, (total, est) in zip(rows, cochains.signed_sums(f, rows)):
+        want, want_est = 0, 0.0
+        for coeff, t in row:
+            v, e = reference_reduced(*table[t], lattice)
+            want = want + coeff * v
+            want_est += abs(coeff) * e
+        assert bitwise(total, want), row
+        assert bitwise(est, want_est), row
+
+
 def test_circle_valued_slope_is_a_cocycle():
     # phi(g, h) = h - g on the circle group, values mod 1
     phi = HomogeneousCochain(1, 1.0, listwise(lambda t: t[1] - t[0]))

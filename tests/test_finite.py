@@ -222,13 +222,66 @@ def test_rational_rank_of_rank_deficient_products():
     assert rational_rank([]) == 0
 
 
-def test_rational_rank_rescales_a_zero_row_under_a_new_pivot():
-    # the last row's entry under the second pivot is 0, but the pivot (6)
-    # differs from the first (3), so Bareiss must still rescale that row:
-    # skipping it leaves a row that is not a minor, and a rank of 3
+def test_rational_rank_leaves_a_row_that_is_zero_under_the_pivot():
+    # the last row's entry under the second pivot is 0 while the pivots
+    # differ (3, then 6): the elimination leaves that row as it is
     a = [[0, 3, 0, 4, -3], [-9, 9, 6, 12, -9], [0, -3, -2, -4, 3],
          [3, -3, -2, 0, 3]]
     assert rational_rank(a) == fraction_rank(a) == 4
+
+
+def test_rational_rank_of_larger_dense_matrices():
+    local = np.random.default_rng(34)
+    for _ in range(40):
+        m, n = (int(x) for x in local.integers(1, [21, 31]))
+        if local.random() < 0.5:
+            a = local.integers(-9, 10, size=(m, n))
+        else:  # a product of rank at most k
+            k = int(local.integers(0, min(m, n) + 1))
+            a = local.integers(-4, 5, size=(m, k)) @ local.integers(
+                -4, 5, size=(k, n))
+        a[local.random(m) < 0.15, :] = 0
+        mat = a.tolist()
+        assert rational_rank(mat) == fraction_rank(mat)
+    # an entry of any integer type, a numpy array; a float entry is refused
+    assert rational_rank([[np.int64(2), True], [4, 2]]) == 1
+    assert rational_rank(np.array([[1, 2, 0], [2, 4, 0]])) == 1
+    assert rational_rank(np.zeros((0, 3), dtype=int)) == 0
+    with pytest.raises(TypeError):
+        rational_rank([[1.0, 2]])
+
+
+@pytest.mark.parametrize("group", [FiniteGroupTable.cyclic(5),
+                                   FiniteGroupTable.cyclic(6),
+                                   FiniteGroupTable.quaternion8()],
+                         ids=["z5", "z6", "q8"])
+def test_rational_rank_is_the_smith_rank_of_every_boundary(group):
+    c = build_complex(group, "conf-distinct", 3)
+    for n in (1, 2, 3):
+        assert rational_rank(c.boundaries[n]) == c.solver(n).rank
+
+
+def test_rational_crosscheck_ranks_each_boundary_once(monkeypatch):
+    # conf-z5-rational-crosscheck ranks d_1, d_2 and d_3 over Q once each,
+    # not d_1 and d_2 again for H_1 and H_2
+    ranked = []
+
+    def counted(mat):
+        ranked.append(mat)
+        return rational_rank(mat)
+
+    for module in (finite, suites):
+        if hasattr(module, "rational_rank"):
+            monkeypatch.setattr(module, "rational_rank", counted)
+    conf = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
+    monkeypatch.setattr(suites, "build_complex",
+                        lambda *args: conf if args[1] == "conf-distinct"
+                        else build_complex(*args))
+    checks = {check.id: check
+              for check in run_suite("configured-homology").checks}
+    assert checks["conf-z5-rational-crosscheck"].passed
+    assert len(ranked) == 3
+    assert sorted(map(id, ranked)) == sorted(map(id, conf.boundaries[1:]))
 
 
 def test_rational_rank_of_boundary_matrices():

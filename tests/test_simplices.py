@@ -40,6 +40,23 @@ def test_face_drops_entry():
         face(3, ("a", "b", "c"))
 
 
+@pytest.mark.parametrize("length", range(7))
+def test_all_faces_is_the_list_of_faces(length):
+    t = tuple(range(10, 10 + length))
+    if length == 1:
+        with pytest.raises(IndexOut,
+                           match="a single-entry tuple has no faces"):
+            face(0, t)
+        with pytest.raises(IndexOut,
+                           match="a single-entry tuple has no faces"):
+            all_faces(list(t))
+        return
+    expected = [((-1) ** i, face(i, t)) for i in range(length)]
+    for got in (all_faces(t), all_faces(list(t)), all_faces(iter(t))):
+        assert got == expected
+        assert all(type(s) is int and type(f) is tuple for s, f in got)
+
+
 def test_simplicial_identity():
     t = tuple(rng.integers(0, 100, size=5))
     for j in range(1, 5):
