@@ -13,11 +13,13 @@ derivation map (``lie.cochain_derivative``) on its corners.  All the
 tuples go to one ``HomogeneousCochain.with_errors`` call, where every
 guard runs first, in order, and an integrated cochain integrates all the
 simplices in one stacked join pass (``forms.pullback_integral``); each
-list of signed tuples is then summed in order.  Every cochain's
-evaluator, a coboundary's and a transfer's included, takes a list of
-tuples and returns a (value, estimate) pair per tuple, so one tuple is a
-list of one.  Every value and estimate is bitwise that of integrating
-each simplex on its own.
+list of signed tuples is then summed in order.  A guard checks a tuple
+and builds the evaluator's item for it in one pass: ``guard(t)`` returns
+the item, an integrated cochain's the tuple's ``GeodesicSimplex``, or a
+false value outside the domain.  Every evaluator takes a list of items
+and returns a (value, estimate) pair per item, so one tuple is a list of
+one.  Every value and estimate is bitwise that of integrating each
+simplex on its own.
 """
 from __future__ import annotations
 
@@ -25,14 +27,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadOrder, BadReps, DomainGuard, NotNormal
+from .errors import BadOrder, BadReps, DegenerateConfig, DomainGuard, \
+    NotNormal
 from .forms import DifferentialForm, pullback_integral, sphere_integral, \
     vol_form
 from .groups import (QUAT_ONE, Rotation, UnitQuaternion, _qconj, _qmul,
                      apply_rotation)
 from .quadrature import QuadratureSpec
-from .simplices import (GeodesicSimplex, all_faces, in_open_hemisphere,
-                        is_chart_small)
+from .simplices import GeodesicSimplex, all_faces, in_open_hemisphere
 
 
 def exact(value):
@@ -72,10 +74,11 @@ def circle_distance(a, b):
 class HomogeneousCochain:
     """Function on (n+1)-tuples of group elements, valued in R mod lattice.
 
-    ``evaluator(tuples)`` takes a nonempty list of admissible tuples and
-    returns a (value, error_estimate) pair per tuple, in order; an exact
-    cochain gives the estimate 0.0.  ``guard(t)`` decides which tuples are
-    admissible.
+    ``guard(t)`` returns the item the evaluator takes for the tuple ``t``,
+    or a false value outside the domain; without a guard the item is ``t``.
+    ``evaluator(items)`` takes a nonempty list of items and returns a
+    (value, error_estimate) pair per item, in order; an exact cochain
+    gives the estimate 0.0.
     """
 
     def __init__(self, degree, lattice, evaluator, guard=None, label=""):
@@ -86,27 +89,28 @@ class HomogeneousCochain:
         self.label = label
 
     def admissible(self, t):
-        return True if self._guard is None else bool(self._guard(tuple(t)))
+        return tuple(t) if self._guard is None else self._guard(tuple(t))
 
     def _checked(self, t):
-        """``t`` as a tuple; raises unless it has the cochain's length and
-        passes its guard."""
+        """The evaluator's item for ``t``; raises unless ``t`` has the
+        cochain's length and passes its guard."""
         t = tuple(t)
         if len(t) != self.degree + 1:
             raise ValueError(
                 f"degree-{self.degree} cochain takes {self.degree + 1}-tuples")
-        if not self.admissible(t):
+        item = self.admissible(t)
+        if not item:
             raise DomainGuard(
                 f"tuple outside the domain of cochain {self.label!r}")
-        return t
+        return item
 
     def with_errors(self, tuples):
         """``with_error`` of each tuple.  Every tuple is checked first, in
         order, so the first inadmissible one raises DomainGuard before any
-        is evaluated; the evaluator then takes them all at once, which an
-        empty list does not reach."""
-        tuples = [self._checked(t) for t in tuples]
-        values = self._evaluator(tuples) if tuples else []
+        is evaluated; the evaluator then takes all their items at once,
+        which an empty list does not reach."""
+        items = [self._checked(t) for t in tuples]
+        values = self._evaluator(items) if items else []
         return [_reduced(v, e, self.lattice) for v, e in values]
 
     def with_error(self, t):
@@ -173,35 +177,37 @@ def integrated_cochain(form: DifferentialForm, kind: str,
     ``kind`` is "spherical" (tuples of 4x4 rotations, projected to the
     sphere through the base point, guarded by the open-hemisphere test,
     values in R/Z) or "chart" (tuples in SU(2), guarded by
-    chart-smallness, values in R: lattice 0).
+    chart-smallness, values in R: lattice 0).  The guard returns the
+    tuple's ``GeodesicSimplex``, so each entry is projected once, and a
+    chart simplex checks chart-smallness once, in its constructor, whose
+    ``DegenerateConfig`` means "not admissible".
     """
     quad = quad or QuadratureSpec()
-
-    def integrals(simplices):
-        return [(res.value, res.error_estimate) for res in
-                pullback_integral(form, simplices, quad)]
-
     if kind == "spherical":
 
         def guard(t):
-            return in_open_hemisphere(
-                [apply_rotation(g, base_point).vec for g in t])
-
-        def evaluator(tuples):
-            return integrals([GeodesicSimplex(
-                [apply_rotation(g, base_point) for g in t], "spherical")
-                for t in tuples])
+            points = [apply_rotation(g, base_point) for g in t]
+            if in_open_hemisphere([p.vec for p in points]):
+                return GeodesicSimplex(points, "spherical")
+            return None
 
         label, lattice = "spherical", 1.0
     elif kind == "chart":
-        guard = is_chart_small
 
-        def evaluator(tuples):
-            return integrals([GeodesicSimplex(t, "chart") for t in tuples])
+        def guard(t):
+            try:
+                return GeodesicSimplex(t, "chart")
+            except DegenerateConfig:
+                return None
 
         label, lattice = "chart", 0
     else:
         raise ValueError(f"unknown cochain kind {kind!r}")
+
+    def evaluator(simplices):
+        return [(res.value, res.error_estimate) for res in
+                pullback_integral(form, simplices, quad)]
+
     return HomogeneousCochain(form.degree, lattice, evaluator, guard=guard,
                               label=f"{label}({form.ambient})")
 

@@ -21,24 +21,17 @@ from functools import lru_cache
 import numpy as np
 
 from .forms import DifferentialForm, PowerTable, sphere_products
-from .groups import _qmul, hopf_arr, hopf_jacobian
+from .groups import QUAT_I, _qmul, hopf_arr, hopf_jacobian
 from .hamiltonian import SphereFunction, hamiltonian_field, poisson
 from .quadrature import QuadratureSpec, gauss_legendre_circle
-
-
-def _i_times(q):
-    """The quaternion product i q = (-x, w, -z, y) of q = (w, x, y, z) on
-    batches (..., 4), in closed form; it differs from the Hamilton product
-    with i = (0, 1, 0, 0) at most in the sign of a zero."""
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack([-x, w, -z, y], axis=-1)
 
 
 def reeb_field():
     """The field q -> i q; alpha(R) = 1 and dalpha(R, .) = 0."""
 
     def field(points):
-        return _i_times(np.atleast_2d(np.asarray(points, dtype=float)))
+        return _qmul(QUAT_I.vec,
+                     np.atleast_2d(np.asarray(points, dtype=float)))
 
     return field
 
@@ -47,7 +40,7 @@ def alpha_value(points, tangents):
     """alpha_q(v) = <i q, v> on batches."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
     v = np.atleast_2d(np.asarray(tangents, dtype=float))
-    return np.einsum("ni,ni->n", _i_times(p), v)
+    return np.einsum("ni,ni->n", _qmul(QUAT_I.vec, p), v)
 
 
 def dalpha_value(u, v):
@@ -61,7 +54,7 @@ def dalpha_value(u, v):
 def volume_density(points, t1, t2, t3):
     """mu = alpha ^ d(alpha) on three tangent batches, with i q computed
     once."""
-    iq = _i_times(points)
+    iq = _qmul(QUAT_I.vec, points)
 
     def alpha(t):
         return np.einsum("ni,ni->n", iq, t)
@@ -114,7 +107,7 @@ def contact_field(f: ContactFunction):
         q = np.atleast_2d(np.asarray(points, dtype=float))
         p = PowerTable.of(hopf_arr(q))
         lift = np.einsum("nkj,nk->nj", hopf_jacobian(q), downstairs(p))
-        return lift + base.evaluate(p)[:, None] * _i_times(q)
+        return lift + base.evaluate(p)[:, None] * _qmul(QUAT_I.vec, q)
 
     return field
 
@@ -136,7 +129,7 @@ def fiber_period(seed=5) -> float:
         u = np.stack([np.cos(thetas), np.sin(thetas),
                       np.zeros_like(thetas), np.zeros_like(thetas)], axis=1)
         pts = _qmul(u, np.broadcast_to(q, u.shape))
-        vel = _i_times(pts)
+        vel = _qmul(QUAT_I.vec, pts)
         return alpha_value(pts, vel)
 
     return gauss_legendre_circle(integrand)

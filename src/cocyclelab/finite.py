@@ -157,31 +157,26 @@ class ConfiguredComplex:
                     if self._admit(t)]
             self.generators.append(gens)
             self.index.append({t: i for i, t in enumerate(gens)})
-        self._check_closure()
         self.boundaries = [None] + [self._boundary_matrix(n)
                                     for n in range(1, q + 1)]
         self._solvers = {}
 
-    def _check_closure(self):
-        for n in range(1, self.q + 1):
-            for t in self.generators[n]:
-                for _, ft in all_faces(t):
-                    if ft not in self.index[n - 1]:
-                        raise PredicateNotFaceClosed(
-                            f"face {ft} of admissible {t} is not admissible")
-                for g in self.group.elements:
-                    shifted = tuple(self.group.mul(g, x) for x in t)
-                    if shifted not in self.index[n]:
-                        raise PredicateNotFaceClosed(
-                            f"diagonal translate of {t} is not admissible")
-
     def _boundary_matrix(self, n):
-        rows = len(self.generators[n - 1])
-        cols = len(self.generators[n])
-        mat = [[0] * cols for _ in range(rows)]
+        """The boundary of degree n, built in the pass that checks each
+        tuple's faces, then its diagonal translates, for admissibility."""
+        faces, index = self.index[n - 1], self.index[n]
+        mat = [[0] * len(index) for _ in range(len(faces))]
         for j, t in enumerate(self.generators[n]):
             for sign, ft in all_faces(t):
-                mat[self.index[n - 1][ft]][j] += sign
+                i = faces.get(ft)
+                if i is None:
+                    raise PredicateNotFaceClosed(
+                        f"face {ft} of admissible {t} is not admissible")
+                mat[i][j] += sign
+            for g in self.group.elements:
+                if tuple(self.group.mul(g, x) for x in t) not in index:
+                    raise PredicateNotFaceClosed(
+                        f"diagonal translate of {t} is not admissible")
         return mat
 
     def solver(self, n) -> SmithSolver:

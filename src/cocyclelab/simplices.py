@@ -99,7 +99,8 @@ def is_chart_small(vertices):
 
 def in_open_hemisphere(points):
     """True when some u has <u, x_i> > 0 for every point, i.e. when the
-    origin lies outside the convex hull; a zero vector answers False.
+    origin lies outside the convex hull; a zero vector answers False, and
+    a point that is not finite raises ValueError.
 
     At most d+1 nonzero points whose matrix has its smallest singular value
     above ``_RANK_TOL`` are decided by one test (Gordan's alternative:
@@ -112,6 +113,10 @@ def in_open_hemisphere(points):
     pts = np.array([np.asarray(p, dtype=float) for p in points])
     if pts.ndim != 2:
         raise ValueError("expected a list of coordinate vectors")
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"point {i} must be finite, got {pts[i]!r}")
     m, d = pts.shape
     norms = np.linalg.norm(pts, axis=1, keepdims=True)
     unit = np.divide(pts, norms, out=np.zeros_like(pts), where=norms > 0)

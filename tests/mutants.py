@@ -91,11 +91,6 @@ MUTANTS = [
      "                grown[e] = col ** e if e < 3 else grown[e - 1] * col\n",
      ["tests/test_hamiltonian.py::"
       "test_table_evaluation_is_bitwise_the_reference_in_any_order"]),
-    ("i-times-by-fancy-indexing", "contact.py",
-     "    return np.stack([-x, w, -z, y], axis=-1)\n",
-     "    return q[..., [1, 0, 3, 2]] * np.array([-1.0, 1.0, -1.0, 1.0])\n",
-     ["tests/test_contact.py::"
-      "test_i_times_is_the_product_with_i_but_for_the_sign_of_zero"]),
     ("contact-rows-allocated-per-cell", "forms.py",
      "        out = np.empty((len(products), len(cells[0][2])))\n"
      "        for signs, points, density in cells:\n",
@@ -162,6 +157,33 @@ MUTANTS = [
      "s * value[ft]",
      "value[ft]",
      ["tests/test_acceptance.py::test_criterion_08_retraction_extension"]),
+    ("spherical-guard-skips-the-hemisphere-test", "cochains.py",
+     "            if in_open_hemisphere([p.vec for p in points]):\n",
+     "            if True:\n",
+     ["tests/test_cochains.py::"
+      "test_batched_coboundary_guards_every_face_before_integrating",
+      "tests/test_cochains.py::test_integrated_cochain_domain_guard"]),
+    ("chart-guard-admits-a-tuple-whose-simplex-raised", "cochains.py",
+     "            except DegenerateConfig:\n                return None\n",
+     "            except DegenerateConfig:\n                return t\n",
+     ["tests/test_cochains.py::"
+      "test_chart_cochain_checks_each_face_for_chart_smallness_once"]),
+    ("boundary-build-skips-the-face-check", "finite.py",
+     "                if i is None:\n",
+     "                if False:\n",
+     ["tests/test_finite.py::"
+      "test_closure_errors_come_degree_by_degree_faces_first",
+      "tests/test_finite.py::test_custom_predicate_face_closure_error"]),
+    ("boundary-build-skips-the-translate-check", "finite.py",
+     "for x in t) not in index:",
+     "for x in t) in ():",
+     ["tests/test_finite.py::"
+      "test_closure_errors_come_degree_by_degree_faces_first"]),
+    ("hemisphere-lets-a-point-that-is-not-finite-through", "simplices.py",
+     "    if bad.any():\n",
+     "    if False:\n",
+     ["tests/test_simplices.py::"
+      "test_hemisphere_rejects_a_point_that_is_not_finite"]),
     ("guard-lets-nan-through", "quadrature.py",
      "        if not diff <= 10.0 * spec.tol:\n",
      "        if diff > 10.0 * spec.tol:\n",

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,8 @@ from cocyclelab.groups import (QUAT_I, QUAT_J, QUAT_K, QUAT_ONE, LieVector,
                                Rotation, UnitQuaternion, apply_rotation,
                                cyclic_embed, quat_exp, so4_of)
 from cocyclelab.quadrature import QuadratureSpec
-from cocyclelab.simplices import GeodesicSimplex, all_faces, in_open_hemisphere
+from cocyclelab.simplices import (GeodesicSimplex, all_faces,
+                                  in_open_hemisphere, is_chart_small)
 from cocyclelab.suites import _random_hemispherical_tuple, run_suite
 
 rng = np.random.default_rng(99)
@@ -455,11 +457,12 @@ def test_coboundary_stacks_its_faces_and_projects_their_vertices(
     monkeypatch.setattr(cochains, "apply_rotation", counted_rotation)
     monkeypatch.setattr(cochains, "pullback_integral", counted_stack)
     coboundary(cochain).with_errors([t])
-    # the five guards project their four vertices each, and so does the
-    # one stacked evaluation of the five faces
+    # the five guards project their four vertices each, face by face, and
+    # the one stacked evaluation of the five faces integrates the guards'
+    # simplices without projecting again
     assert stacks == [5]
-    assert len(projected) == 5 * 4 + 5 * 4
-    assert [id(g) for g in projected[20:]] == \
+    assert len(projected) == 5 * 4
+    assert [id(g) for g in projected] == \
         [id(g) for _, face_t in all_faces(t) for g in face_t]
 
 
@@ -537,8 +540,10 @@ def test_batched_coboundary_guards_every_face_before_integrating(
     points = [e[3], e[0], e[1], e[2], -(e[0] + e[1] + e[2])]
     bad = tuple(so4_of(UnitQuaternion(p / np.linalg.norm(p)), QUAT_ONE)
                 for p in points)
-    assert [cochain.admissible(face_t) for _, face_t in all_faces(bad)] == \
-        [False, True, True, True, True]
+    items = [cochain.admissible(face_t) for _, face_t in all_faces(bad)]
+    assert items[0] is None
+    assert [(type(sx), sx.kind) for sx in items[1:]] == \
+        [(GeodesicSimplex, "spherical")] * 4
     good = [hemispherical_tuple(5) for _ in range(3)]
     for k in range(3):
         with pytest.raises(DomainGuard):
@@ -632,7 +637,7 @@ def test_pairing_runs_each_guard_once_and_passes_face_guards_through():
 
     def guard(t):
         guarded.append(t)
-        return t != (2, 3)
+        return t if t != (2, 3) else None
 
     g = HomogeneousCochain(1, 1, listwise(lambda t: Fraction(t[1] - t[0], 7)),
                            guard=guard, label="g")
@@ -646,6 +651,42 @@ def test_pairing_runs_each_guard_once_and_passes_face_guards_through():
                                                         (1, (1, 2, 3))]))
     assert str(err.value) == "tuple outside the domain of cochain 'g'"
     assert err.value.__cause__ is None
+
+
+def test_chart_cochain_checks_each_face_for_chart_smallness_once(
+        monkeypatch):
+    checks, stacks = [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is is_chart_small.__code__:
+            checks.append(len(frame.f_locals["vertices"]))
+
+    def counted_stack(form, simplices, quad):
+        stacks.append(len(simplices))
+        return pullback_integral(form, simplices, quad)
+
+    monkeypatch.setattr(cochains, "pullback_integral", counted_stack)
+    cochain = integrated_cochain(mc3_form(), "chart", quad=QUAD)
+    t = tuple(quat_exp(LieVector("su2", rng.normal(size=3) * 0.05))
+              for _ in range(5))
+    sys.setprofile(profile)
+    try:
+        coboundary(cochain).with_errors([t])
+    finally:
+        sys.setprofile(None)
+    # one check per face, in the constructor of the simplex that the
+    # guard hands the evaluator
+    assert checks == [4] * 5
+    assert stacks == [5]
+    # past the chart radius the simplex raises, so the guard's item is
+    # None and the tuple raises DomainGuard before anything is integrated
+    far = (QUAT_ONE, quat_exp(LieVector("su2", [1.0, 0.0, 0.0])),
+           QUAT_ONE, QUAT_ONE)
+    stacks.clear()
+    assert cochain.admissible(far) is None
+    with pytest.raises(DomainGuard):
+        cochain.with_errors([t[:4], far])
+    assert stacks == []
 
 
 @pytest.mark.parametrize("seed", [1, 8, 10])

@@ -441,6 +441,38 @@ def test_custom_predicate_face_closure_error():
         build_complex(FiniteGroupTable.cyclic(3), not_closed, 2)
 
 
+@pytest.mark.parametrize("order, predicate, q, message", [
+    # face-closed on Z/4, but the translate (1, 1) of (0, 0) is odd
+    (4, lambda t: len(t) == 1 or all(x % 2 == 0 for x in t), 2,
+     "diagonal translate of (0, 0) is not admissible"),
+    # (0, 0, 0) fails on its faces and on its translates: faces first
+    (3, lambda t: len(t) == 1 or len(t) == 3 and t[0] == 0, 2,
+     "face (0, 0) of admissible (0, 0, 0) is not admissible"),
+    # (0, 0) fails on a translate before (0, 0, 1) fails on a face:
+    # degree by degree
+    (4, lambda t: len(t) != 2 or all(x % 2 == 0 for x in t), 2,
+     "diagonal translate of (0, 0) is not admissible"),
+])
+def test_closure_errors_come_degree_by_degree_faces_first(order, predicate,
+                                                          q, message):
+    with pytest.raises(PredicateNotFaceClosed) as err:
+        build_complex(FiniteGroupTable.cyclic(order), predicate, q)
+    assert str(err.value) == message
+
+
+def test_build_complex_takes_each_generators_faces_once(monkeypatch):
+    seen = []
+
+    def counted(t):
+        seen.append(t)
+        return all_faces(t)
+
+    monkeypatch.setattr(finite, "all_faces", counted)
+    conf = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
+    # the faces that build the boundaries are the ones checked for closure
+    assert seen == [t for n in (1, 2, 3) for t in conf.generators[n]]
+
+
 def test_retraction_identities():
     c = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
     mats = build_retraction(c)  # verification happens inside

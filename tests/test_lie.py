@@ -403,7 +403,7 @@ def test_derivative_checks_every_guard_before_evaluating():
         return 0.0
 
     def guard(t):
-        return not log_of(t[1])[1:].any()
+        return None if log_of(t[1])[1:].any() else t
 
     f = HomogeneousCochain(1, 0, listwise(value), guard=guard)
     with pytest.raises(StepTooLarge) as info:

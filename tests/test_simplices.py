@@ -123,6 +123,18 @@ def test_open_hemisphere():
         assert in_open_hemisphere(tri[:i] + tri[i + 1:])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_hemisphere_rejects_a_point_that_is_not_finite(bad):
+    # an infinite entry used to stop the SVD, and a NaN answered False
+    for points, k in (([[bad, 0, 0, 0], [1, 0, 0, 0]], 0),
+                      ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, bad, 0]], 2),
+                      ([[0, 1, 0, 0], [0, bad, 0, 0]], 1)):
+        with pytest.raises(ValueError, match=rf"^point {k} must be finite"):
+            in_open_hemisphere(points)
+    # a zero vector is finite and still answers False
+    assert in_open_hemisphere([np.zeros(4), np.eye(4)[0]]) is False
+
+
 def join_jet(kind, x, dx, y, s):
     """One join on every row: its head and its tail on the same rows."""
     head, tail = ((_slerp_head, _slerp_tail) if kind == "spherical"
