@@ -28,8 +28,8 @@ from .finite import (ConfiguredComplex, FiniteGroupTable, HomologySummary,
 from .forms import (DifferentialForm, fubini_study_form, mc3_form,
                     pullback_integral, sphere_atlas, sphere_integral,
                     vol_form)
-from .groups import (LieVector, Rotation, UnitQuaternion, apply_rotation,
-                     cyclic_embed, quat_exp, so4_of)
+from .groups import (Rotation, UnitQuaternion, apply_rotation, cyclic_embed,
+                     quat_exp, so4_of)
 from .hamiltonian import (SphereFunction, hamiltonian_field, poisson,
                           symplectic_cocycle)
 from .lie import (LieAlgebraTable, MultilinearCochain, cartan_cocycle,

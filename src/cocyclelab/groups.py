@@ -263,14 +263,14 @@ QUAT_K = UnitQuaternion(0.0, 0.0, 0.0, 1.0)
 
 
 class Rotation:
-    """Special orthogonal matrix of size 3 or 4, re-orthonormalized on build."""
+    """Element of SO(4), re-orthonormalized on build."""
 
-    __slots__ = ("matrix", "dim")
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
-        if m.shape not in ((3, 3), (4, 4)):
-            raise ValueError(f"expected a 3x3 or 4x4 matrix, got {m.shape}")
+        if m.shape != (4, 4):
+            raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
         # not (... <= tol): a NaN or infinite entry can make the residual
         # NaN, which compares False with every bound
         if not np.abs(m.T @ m - np.eye(m.shape[0])).max() <= 1e-6:
@@ -279,7 +279,6 @@ class Rotation:
         if np.linalg.det(m) < 0:
             raise ValueError("matrix has determinant -1, not a rotation")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dim", m.shape[0])
         self.matrix.setflags(write=False)
 
     def __setattr__(self, name, value):
@@ -297,11 +296,11 @@ class Rotation:
         return bool(np.abs(self.matrix - other.matrix).max() <= tol)
 
     def __repr__(self):
-        return f"Rotation(dim={self.dim})"
+        return "Rotation()"
 
     @staticmethod
-    def identity(dim):
-        return Rotation(np.eye(dim))
+    def identity():
+        return Rotation(np.eye(4))
 
 
 def _gram_schmidt(m):
@@ -315,39 +314,14 @@ def _gram_schmidt(m):
     return q
 
 
-class LieVector:
-    """Element of su(2) or so(4) in a fixed ordered basis."""
-
-    __slots__ = ("algebra", "coeffs")
-
-    _DIMS = {"su2": 3, "so4": 6}
-
-    def __init__(self, algebra, coeffs):
-        if algebra not in self._DIMS:
-            raise ValueError(f"unknown algebra tag {algebra!r}")
-        c = np.asarray(coeffs, dtype=float)
-        if c.shape != (self._DIMS[algebra],):
-            raise ValueError(
-                f"{algebra} expects {self._DIMS[algebra]} coefficients, "
-                f"got shape {c.shape}")
-        if not np.isfinite(c).all():
-            raise ValueError(f"{algebra} coefficients must be finite, got {c}")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coeffs", c)
-        self.coeffs.setflags(write=False)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieVector is immutable")
-
-    def __repr__(self):
-        return f"LieVector({self.algebra}, {self.coeffs})"
-
-
-def quat_exp(X: LieVector) -> UnitQuaternion:
-    """Exponential su(2) -> SU(2): exp(v) = cos|v| + sin|v| * v/|v|."""
-    if X.algebra != "su2":
-        raise ValueError("quat_exp expects an su2 vector")
-    v = X.coeffs
+def quat_exp(coeffs) -> UnitQuaternion:
+    """Exponential su(2) -> SU(2) of the coefficients (3,) of i, j and k:
+    exp(v) = cos|v| + sin|v| * v/|v|."""
+    v = np.asarray(coeffs, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"su2 expects 3 coefficients, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"su2 coefficients must be finite, got {v}")
     th = np.linalg.norm(v)
     if th < 1e-300:
         return QUAT_ONE
@@ -397,6 +371,4 @@ def cyclic_embed(m: int, a: int) -> UnitQuaternion:
 
 def apply_rotation(rot: Rotation, point: UnitQuaternion) -> UnitQuaternion:
     """SO(4) acting on S^3; the result is renormalized."""
-    if rot.dim != 4:
-        raise ValueError("apply_rotation expects a 4x4 rotation")
     return UnitQuaternion(rot.matrix @ point.vec)

@@ -23,7 +23,7 @@ from .cochains import (HomogeneousCochain, exact, integrated_cochain,
                        signed_sums)
 from .errors import DomainGuard, StepTooLarge
 from .forms import DifferentialForm
-from .groups import QUAT_ONE, LieVector, _perm_signs, quat_exp
+from .groups import QUAT_ONE, _perm_signs, quat_exp
 from .quadrature import QuadratureSpec
 
 
@@ -77,7 +77,7 @@ class LieAlgebraTable:
         if self.tag != "su2":
             raise ValueError(f"no exponential for {self.tag}; only su2 "
                              "tables exponentiate")
-        return quat_exp(LieVector("su2", coeffs))
+        return quat_exp(coeffs)
 
 
 def _epsilon3():

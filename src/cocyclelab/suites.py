@@ -31,9 +31,9 @@ from .finite import (FiniteGroupTable, brute_force_free_rank, build_complex,
                      build_retraction, extend_cocycle, homology)
 from .forms import (DifferentialForm, mc3_form, pullback_integral,
                     symplectic_form_value, vol_form)
-from .groups import (QUAT_ONE, LieVector, _qconj, _qexp_jet, _qmul,
-                     apply_rotation, cyclic_embed, hopf_arr, hopf_jacobian,
-                     quat_exp, so4_of)
+from .groups import (QUAT_ONE, _qconj, _qexp_jet, _qmul, apply_rotation,
+                     cyclic_embed, hopf_arr, hopf_jacobian, quat_exp,
+                     so4_of)
 from .hamiltonian import (SphereFunction, pairing_integrals, poisson,
                           symplectic_cocycle)
 from .lie import (LieAlgebraTable, cartan_cocycle, ce_differential,
@@ -202,9 +202,8 @@ def _random_hemispherical_tuple(rng, base):
     while True:
         t = []
         for _ in range(5):
-            v1 = LieVector("su2", rng.normal(size=3) * 0.25)
-            v2 = LieVector("su2", rng.normal(size=3) * 0.25)
-            t.append(so4_of(quat_exp(v1), quat_exp(v2)))
+            t.append(so4_of(quat_exp(rng.normal(size=3) * 0.25),
+                            quat_exp(rng.normal(size=3) * 0.25)))
         pts = [apply_rotation(g, base).vec for g in t]
         if in_open_hemisphere(pts):
             return tuple(t)
@@ -216,7 +215,7 @@ def _suite_cocycle_defect(rec, cfg):
     rng = np.random.default_rng(cfg["seed"])
     spherical_tuples = [_random_hemispherical_tuple(rng, QUAT_ONE)
                         for _ in range(cfg["defect_tuples"])]
-    chart_tuples = [tuple(quat_exp(LieVector("su2", rng.normal(size=3) * 0.05))
+    chart_tuples = [tuple(quat_exp(rng.normal(size=3) * 0.05)
                           for _ in range(5)) for _ in range(10)]
     cochain = integrated_cochain(vol_form(), "spherical",
                                  quad=QuadratureSpec(order=6, tol=1e-3))
@@ -501,7 +500,7 @@ def _suite_prism(rec, cfg):
     form = vol_form()
     quad = QuadratureSpec(order=cfg["order"], depth=1, tol=1e-3)
     with rec.check("stokes-ratio-max", 0.0, 1.0) as record:
-        worst = 0.0
+        worst, vacuous = 0.0, False
         for _ in range(cfg["prism_simplices"]):
             f = _wiggled_simplex(rng)
             res_straight, res_f, *cells = pullback_integral(
@@ -518,7 +517,10 @@ def _suite_prism(rec, cfg):
             else:
                 ratio = 0.0 if lhs == rhs else float("inf")
             worst = max(worst, ratio)
-        record(worst, passed=worst <= 1.0)
+            # an identity whose sides are not well above their estimate
+            # says nothing, as when both collapse to 0
+            vacuous |= not abs(lhs) > 1e3 * est
+        record(worst, passed=worst <= 1.0 and not vacuous)
 
 
 _SUITES = {

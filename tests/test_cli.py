@@ -82,8 +82,9 @@ def test_configured_homology_report_entries():
 @pytest.mark.parametrize("straight_value, ratio",
                          [(0.0, 0.0), (1e-3, float("inf"))])
 def test_prism_ratio_at_a_zero_estimate(monkeypatch, straight_value, ratio):
-    # with every error estimate 0, equal sides give ratio 0 (a pass) and
-    # unequal sides give inf (a fail), where the division would raise
+    # with every error estimate 0, equal sides give ratio 0 and unequal
+    # sides give inf, where the division would raise; both fail: equal
+    # sides at 0 with estimate 0 are the vacuous identity
     from cocyclelab import suites
     from cocyclelab.quadrature import IntegralResult
     from cocyclelab.simplices import GeodesicSimplex
@@ -96,7 +97,27 @@ def test_prism_ratio_at_a_zero_estimate(monkeypatch, straight_value, ratio):
     (check,) = run_suite("prism", {"prism_simplices": 1}).checks
     assert check.error is None
     assert check.computed == ratio
-    assert check.passed == (ratio <= 1.0)
+    assert not check.passed
+
+
+@pytest.mark.parametrize("est, passed", [(1e-7, True), (1e-6, False)])
+def test_prism_fails_where_its_sides_are_not_above_the_estimate(
+        monkeypatch, est, passed):
+    # the straightening and the first prism cell carry 1e-3, the rest 0,
+    # so both sides are 1e-3 and the ratio is 0; the six terms' summed
+    # estimate is 6 est, and the check passes only while 1e-3 > 1e3 * 6 est
+    from cocyclelab import suites
+    from cocyclelab.quadrature import IntegralResult
+
+    def exact(form, maps, quad):
+        return [IntegralResult(v, est)
+                for v in (1e-3, 0.0, 1e-3, 0.0, 0.0, 0.0)]
+
+    monkeypatch.setattr(suites, "pullback_integral", exact)
+    (check,) = run_suite("prism", {"prism_simplices": 1}).checks
+    assert check.error is None
+    assert check.computed == 0.0
+    assert check.passed == passed
 
 
 def _run_python(*args):

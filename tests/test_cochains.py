@@ -15,9 +15,9 @@ from cocyclelab.errors import (BadOrder, BadReps, DomainGuard, NotNormal,
                                QuadratureDiverged)
 from cocyclelab.finite import FiniteGroupTable, build_complex, extend_cocycle
 from cocyclelab.forms import mc3_form, pullback_integral, vol_form
-from cocyclelab.groups import (QUAT_I, QUAT_J, QUAT_K, QUAT_ONE, LieVector,
-                               Rotation, UnitQuaternion, apply_rotation,
-                               cyclic_embed, quat_exp, so4_of)
+from cocyclelab.groups import (QUAT_I, QUAT_J, QUAT_K, QUAT_ONE, Rotation,
+                               UnitQuaternion, apply_rotation, cyclic_embed,
+                               quat_exp, so4_of)
 from cocyclelab.quadrature import QuadratureSpec
 from cocyclelab.simplices import (GeodesicSimplex, all_faces,
                                   in_open_hemisphere, is_chart_small)
@@ -33,9 +33,8 @@ def random_quat():
 
 
 def small_so4(scale=0.25):
-    v1 = LieVector("su2", rng.normal(size=3) * scale)
-    v2 = LieVector("su2", rng.normal(size=3) * scale)
-    return so4_of(quat_exp(v1), quat_exp(v2))
+    return so4_of(quat_exp(rng.normal(size=3) * scale),
+                  quat_exp(rng.normal(size=3) * scale))
 
 
 def listwise(value):
@@ -156,7 +155,7 @@ def test_double_coboundary_vanishes():
 def test_integrated_cochain_orthant_value():
     cochain = integrated_cochain(vol_form(), "spherical", quad=QUAD)
     # rotations sending the base point 1 to 1, i, j, k
-    t = (Rotation.identity(4), so4_of(QUAT_I, QUAT_ONE),
+    t = (Rotation.identity(), so4_of(QUAT_I, QUAT_ONE),
          so4_of(QUAT_J, QUAT_ONE), so4_of(QUAT_K, QUAT_ONE))
     value = cochain(t)
     assert circle_distance(value, 1.0 / 16.0) < 1e-6
@@ -179,7 +178,7 @@ def test_integrated_cochain_domain_guard():
     cochain = integrated_cochain(vol_form(), "spherical", quad=QUAD)
     flip = so4_of(QUAT_I, QUAT_I.inverse())  # sends 1 to i*1*i = -1
     with pytest.raises(DomainGuard):
-        cochain((Rotation.identity(4), flip,
+        cochain((Rotation.identity(), flip,
                  so4_of(QUAT_J, QUAT_ONE), so4_of(QUAT_K, QUAT_ONE)))
 
 
@@ -196,7 +195,7 @@ def test_cocycle_defect_spherical():
 
 def test_cocycle_defect_chart():
     cochain = integrated_cochain(mc3_form(), "chart", quad=QUAD)
-    tuples = [tuple(quat_exp(LieVector("su2", rng.normal(size=3) * 0.05))
+    tuples = [tuple(quat_exp(rng.normal(size=3) * 0.05)
                     for _ in range(5)) for _ in range(3)]
     for value, est in coboundary(cochain).with_errors(tuples):
         assert abs(value) <= 5 * est
@@ -205,7 +204,7 @@ def test_cocycle_defect_chart():
 def test_double_coboundary_of_integrated_cochain():
     cochain = integrated_cochain(mc3_form(), "chart", quad=QUAD)
     ddf = coboundary(coboundary(cochain))
-    t = tuple(quat_exp(LieVector("su2", rng.normal(size=3) * 0.04))
+    t = tuple(quat_exp(rng.normal(size=3) * 0.04)
               for _ in range(6))
     value, est = ddf.with_error(t)
     # the alternating sum telescopes: exact cancellation up to roundoff
@@ -374,7 +373,7 @@ def test_coboundary_inadmissible_face_raises():
     cochain = integrated_cochain(vol_form(), "spherical", quad=QUAD)
     flip = so4_of(QUAT_I, QUAT_I.inverse())  # sends 1 to i*1*i = -1
     with pytest.raises(DomainGuard):
-        coboundary(cochain).with_errors([(Rotation.identity(4), flip,
+        coboundary(cochain).with_errors([(Rotation.identity(), flip,
                                           so4_of(QUAT_J, QUAT_ONE),
                                           so4_of(QUAT_K, QUAT_ONE),
                                           so4_of(QUAT_ONE, QUAT_J))])
@@ -403,7 +402,7 @@ def test_stacked_coboundary_is_bitwise_the_face_sum(kind, order, depth):
         a, b, c, d, e = hemispherical_tuple(5)
     else:
         form, lattice = mc3_form(), 0
-        a, b, c, d, e = (quat_exp(LieVector("su2", rng.normal(size=3) * 0.05))
+        a, b, c, d, e = (quat_exp(rng.normal(size=3) * 0.05)
                          for _ in range(5))
     cochain = integrated_cochain(form, kind, quad=quad)
     assert cochain.lattice == lattice
@@ -473,7 +472,7 @@ def defect_batches(seed):
     quad = QuadratureSpec(order=6, tol=1e-3)
     spherical = [_random_hemispherical_tuple(local, QUAT_ONE)
                  for _ in range(24)]
-    chart = [tuple(quat_exp(LieVector("su2", local.normal(size=3) * 0.05))
+    chart = [tuple(quat_exp(local.normal(size=3) * 0.05)
                    for _ in range(5)) for _ in range(10)]
     return [(integrated_cochain(vol_form(), "spherical",
                                 quad=quad), spherical),
@@ -602,7 +601,7 @@ def test_pairing_checks_every_term_before_evaluating(monkeypatch):
     monkeypatch.setattr(cochains, "pullback_integral", counted_stack)
     cochain = integrated_cochain(vol_form(), "spherical", quad=QUAD)
     flip = so4_of(QUAT_I, QUAT_I.inverse())  # sends 1 to -1
-    group = [Rotation.identity(4), so4_of(QUAT_J, QUAT_ONE), flip,
+    group = [Rotation.identity(), so4_of(QUAT_J, QUAT_ONE), flip,
              so4_of(QUAT_K, QUAT_ONE), so4_of(QUAT_ONE, QUAT_I)]
     # the terms of the 4-cycle in order: (0, 1, 0, 1) is admissible and
     # (0, 1, 1, 2) is the first to meet the antipode of 1
@@ -667,7 +666,7 @@ def test_chart_cochain_checks_each_face_for_chart_smallness_once(
 
     monkeypatch.setattr(cochains, "pullback_integral", counted_stack)
     cochain = integrated_cochain(mc3_form(), "chart", quad=QUAD)
-    t = tuple(quat_exp(LieVector("su2", rng.normal(size=3) * 0.05))
+    t = tuple(quat_exp(rng.normal(size=3) * 0.05)
               for _ in range(5))
     sys.setprofile(profile)
     try:
@@ -680,7 +679,7 @@ def test_chart_cochain_checks_each_face_for_chart_smallness_once(
     assert stacks == [5]
     # past the chart radius the simplex raises, so the guard's item is
     # None and the tuple raises DomainGuard before anything is integrated
-    far = (QUAT_ONE, quat_exp(LieVector("su2", [1.0, 0.0, 0.0])),
+    far = (QUAT_ONE, quat_exp([1.0, 0.0, 0.0]),
            QUAT_ONE, QUAT_ONE)
     stacks.clear()
     assert cochain.admissible(far) is None

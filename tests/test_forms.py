@@ -254,13 +254,13 @@ def test_constant_map_integrates_to_zero():
 def test_prism_of_a_straight_simplex_carries_no_volume():
     # when the input is already straight the homotopy is constant in time
     # and the prism cell is rank-deficient
-    from cocyclelab.groups import LieVector, quat_exp
+    from cocyclelab.groups import quat_exp
     from cocyclelab.simplices import prism_cell
     verts = []
     for _ in range(3):
         v = rng.normal(size=3)
         v *= rng.uniform(0, 0.12) / np.linalg.norm(v)
-        verts.append(quat_exp(LieVector("su2", v)))
+        verts.append(quat_exp(v))
     cell = prism_cell(GeodesicSimplex(verts, "chart"))
     [res] = pullback_integral(vol_form(), [cell],
                               QuadratureSpec(order=6, tol=1e-3))
@@ -273,7 +273,7 @@ def test_barycentric_map_integrates_like_its_simplex(kind):
     # and the barycentric jet, here the simplex's cube jet through the
     # reference bary_to_cube_jet; it must agree with the simplex's own cube
     # path
-    from cocyclelab.groups import LieVector, quat_exp
+    from cocyclelab.groups import quat_exp
     if kind == "spherical":
         verts = [v / np.linalg.norm(v) for v in
                  np.eye(4) + 0.3 * rng.normal(size=(4, 4))]
@@ -282,7 +282,7 @@ def test_barycentric_map_integrates_like_its_simplex(kind):
         for _ in range(4):
             v = rng.normal(size=3)
             v *= rng.uniform(0.05, 0.12) / np.linalg.norm(v)
-            verts.append(quat_exp(LieVector("su2", v)))
+            verts.append(quat_exp(v))
     sx = GeodesicSimplex(verts, kind)
     form = vol_form()
     direct = pullback_integral(form, [sx], QUAD)[0].value
@@ -341,7 +341,7 @@ def test_jet_error_estimate_is_the_order_difference():
 
 def random_simplex(kind, local):
     """A degree-3 simplex of one kind with vertices near each other."""
-    from cocyclelab.groups import LieVector, quat_exp
+    from cocyclelab.groups import quat_exp
     if kind == "spherical":
         return GeodesicSimplex(
             [v / np.linalg.norm(v) for v in
@@ -350,7 +350,7 @@ def random_simplex(kind, local):
     for _ in range(4):
         v = local.normal(size=3)
         v *= local.uniform(0.05, 0.12) / np.linalg.norm(v)
-        verts.append(quat_exp(LieVector("su2", v)))
+        verts.append(quat_exp(v))
     return GeodesicSimplex(verts, kind)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from cocyclelab import cochains, simplices, suites
 from cocyclelab.errors import DegenerateConfig, IndexOut
-from cocyclelab.groups import (QUAT_I, QUAT_ONE, LieVector, UnitQuaternion,
+from cocyclelab.groups import (QUAT_I, QUAT_ONE, UnitQuaternion,
                                _ANTIPODE_TOL, _chart_head, _chart_tail,
                                _qconj, _qexp_jet, _qlog_jet, _qmul,
                                _slerp_head, _slerp_tail, cyclic_embed,
@@ -29,7 +29,7 @@ def random_quat():
 def small_quat(radius=0.12):
     v = rng.normal(size=3)
     v *= rng.uniform(0, radius) / np.linalg.norm(v)
-    return quat_exp(LieVector("su2", v))
+    return quat_exp(v)
 
 
 def test_face_drops_entry():
@@ -69,7 +69,7 @@ def test_simplicial_identity():
 def test_chart_small_predicate():
     g = random_quat()
     assert is_chart_small((g, g, g))
-    far = quat_exp(LieVector("su2", [0.9 * np.pi, 0, 0]))
+    far = quat_exp([0.9 * np.pi, 0, 0])
     assert not is_chart_small((QUAT_ONE, far))
     # left-translation invariance
     for _ in range(10):
@@ -304,7 +304,7 @@ def test_jet_matches_five_point_tangents(kind, n):
             for _ in range(n + 1):
                 v = jet_rng.normal(size=3)
                 v *= jet_rng.uniform(0.02, 0.12) / np.linalg.norm(v)
-                verts.append(quat_exp(LieVector("su2", v)))
+                verts.append(quat_exp(v))
         sx = GeodesicSimplex(verts, kind)
         s = jet_rng.uniform(0.01, 0.99, size=(50, n))
         x, t = row_jet(sx, s)
@@ -391,7 +391,7 @@ def test_row_wise_joins_are_bitwise_the_row_loop(kind):
 def test_jet_of_repeated_vertices(kind):
     # a repeated vertex joins a point to itself: the small-angle branch of
     # slerp and the log at the identity carry their own jets
-    far = quat_exp(LieVector("su2", [0.03, -0.05, 0.08]))
+    far = quat_exp([0.03, -0.05, 0.08])
     first = QUAT_ONE if kind == "chart" else np.eye(4)[0]
     s = np.random.default_rng(5).uniform(0.01, 0.99, size=(30, 2))
     sx = GeodesicSimplex([first, first, far], kind)
@@ -450,7 +450,7 @@ def test_prism_terms_of_chart_simplices_carry_exact_jets(n):
         for _ in range(n + 1):
             v = jet_rng.normal(size=3)
             v *= jet_rng.uniform(0.02, 0.12) / np.linalg.norm(v)
-            verts.append(quat_exp(LieVector("su2", v)))
+            verts.append(quat_exp(v))
         cell = prism_cell(GeodesicSimplex(verts, "chart"))
         assert cell.degree == n + 1
         assert_jet_matches_five_point(
@@ -506,7 +506,7 @@ def test_jet_without_tangents_gives_the_points_alone():
     from cocyclelab.suites import _wiggled_simplex
     jet_rng = np.random.default_rng(0xBEEF)
     for kind in ("spherical", "chart"):
-        verts = [quat_exp(LieVector("su2", 0.1 * jet_rng.normal(size=3)))
+        verts = [quat_exp(0.1 * jet_rng.normal(size=3))
                  for _ in range(4)]
         sx = GeodesicSimplex(verts, kind)
         m = ParametrizedMap.from_barycentric(3, barycentric_jet(sx))
@@ -664,7 +664,7 @@ def test_build_simplex_guards():
     sx = GeodesicSimplex([x, -x, np.eye(4)[1], np.eye(4)[2]], "spherical")
     with pytest.raises(DegenerateConfig):
         sx.evaluate(rng.dirichlet(np.ones(4), size=5))
-    far = quat_exp(LieVector("su2", [1.2, 0, 0]))
+    far = quat_exp([1.2, 0, 0])
     with pytest.raises(DegenerateConfig):
         GeodesicSimplex([QUAT_ONE, far], "chart")
 
