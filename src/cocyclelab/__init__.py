@@ -17,7 +17,7 @@ from .cochains import (HomogeneousChain, HomogeneousCochain,
                        twisted_square_map)
 from .contact import (ContactFunction, contact_bracket, contact_cocycle,
                       contact_field, fiber_period, pullback, reeb_field)
-from .errors import (BadOrder, BadReps, CocycleLabError, ConfigParse,
+from .errors import (BadOrder, CocycleLabError, ConfigParse,
                      DegenerateConfig, DomainGuard, IndexOut,
                      KernelObstruction, NotAChainMap, NotNormal,
                      NotWellConfigured, PredicateNotFaceClosed,

@@ -27,8 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadOrder, BadReps, DegenerateConfig, DomainGuard, \
-    NotNormal
+from .errors import BadOrder, DegenerateConfig, DomainGuard, NotNormal
 from .forms import DifferentialForm, pullback_integral, sphere_integral, \
     vol_form
 from .groups import (QUAT_ONE, Rotation, UnitQuaternion, _qconj, _qmul,
@@ -283,14 +282,14 @@ def kronecker_pair(f: HomogeneousCochain, chain, embed=None,
     return (total, est) if with_error else total
 
 
-def transfer(phi: HomogeneousCochain, gamma, subgroup, reps
-             ) -> HomogeneousCochain:
+def transfer(phi: HomogeneousCochain, gamma, subgroup) -> HomogeneousCochain:
     """Corestriction of a cochain on a finite-index normal subgroup.
 
-    ``gamma`` is a finite group table, ``subgroup`` a list of its element
-    indices forming a normal subgroup, ``reps`` right-coset
-    representatives containing the identity.  The result restricted to
-    subgroup tuples equals index * phi for conjugation-invariant phi.
+    ``gamma`` is a finite group table and ``subgroup`` a list of its
+    element indices forming a normal subgroup.  The identity represents
+    the subgroup, and the least element of each other right coset
+    represents that coset.  The result restricted to subgroup tuples
+    equals index * phi for conjugation-invariant phi.
     Its evaluator is the ``signed_sums`` of the moves of all the tuples
     it is given, with coefficient 1.
     """
@@ -306,14 +305,12 @@ def transfer(phi: HomogeneousCochain, gamma, subgroup, reps
         for x in gamma.elements:
             if gamma.mul(gamma.mul(x, g), gamma.inv(x)) not in sub:
                 raise NotNormal(f"conjugate of {g} by {x} leaves the subgroup")
-    if gamma.identity not in reps:
-        raise BadReps("representatives must contain the identity")
     rep_of = {}
     for x in gamma.elements:
-        hits = [t for t in reps if gamma.mul(x, gamma.inv(t)) in sub]
-        if len(hits) != 1:
-            raise BadReps(f"element {x} lies in {len(hits)} cosets of reps")
-        rep_of[x] = hits[0]
+        if x not in rep_of:
+            rep = gamma.identity if x in sub else x
+            rep_of.update((gamma.mul(h, x), rep) for h in sub)
+    reps = sorted(set(rep_of.values()))
     # moves[k][g] = (s_k g) rep(s_k g)^-1 for the k-th representative s_k
     moves = [[gamma.mul(sg, gamma.inv(rep_of[sg]))
               for sg in (gamma.mul(s, g) for g in gamma.elements)]

@@ -29,10 +29,6 @@ class NotNormal(CocycleLabError):
     """Subgroup is not normal in the ambient group."""
 
 
-class BadReps(CocycleLabError):
-    """Coset representatives do not represent each coset exactly once."""
-
-
 class PredicateNotFaceClosed(CocycleLabError):
     """A tuple predicate admits a tuple but rejects one of its faces."""
 

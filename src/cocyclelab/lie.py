@@ -36,8 +36,7 @@ class LieAlgebraTable:
     identity is verified exactly at construction.
     """
 
-    def __init__(self, tag, structure, pairing):
-        self.tag = tag
+    def __init__(self, structure, pairing):
         self.dim = len(structure)
         to_exact = np.frompyfunc(exact, 1, 1)
         self.structure = to_exact(np.asarray(structure, dtype=object))
@@ -56,7 +55,7 @@ class LieAlgebraTable:
     def su2(cls):
         """Quaternion basis (i, j, k): [e_i, e_j] = 2 e_k cyclic; pairing
         is the dot product (-Tr(AB)/2 in the defining representation)."""
-        return cls("su2", 2 * _epsilon3(), np.eye(3, dtype=int))
+        return cls(2 * _epsilon3(), np.eye(3, dtype=int))
 
     @classmethod
     def so4(cls):
@@ -69,15 +68,7 @@ class LieAlgebraTable:
         prod = basis[:, None] @ basis[None]
         # E_ab has coordinate m[a, b] in a combination m of the basis
         structure = (prod - prod.transpose(1, 0, 2, 3))[:, :, rows, cols]
-        return cls("so4", structure, np.eye(6, dtype=int))
-
-    def exp(self, coeffs):
-        """Group element exp(sum_i coeffs_i X_i) of SU(2); the so(4) table
-        carries no exponential and raises ValueError."""
-        if self.tag != "su2":
-            raise ValueError(f"no exponential for {self.tag}; only su2 "
-                             "tables exponentiate")
-        return quat_exp(coeffs)
+        return cls(structure, np.eye(6, dtype=int))
 
 
 def _epsilon3():
@@ -88,22 +79,20 @@ def _epsilon3():
 
 
 class MultilinearCochain:
-    """Fully antisymmetric coefficient tensor over the algebra basis."""
+    """Fully antisymmetric coefficient tensor over the algebra basis; its
+    degree is the number of axes, which must all have the same length."""
 
-    def __init__(self, degree, dim, tensor, tag=""):
-        self.degree = degree
-        self.dim = dim
-        self.tag = tag
+    def __init__(self, tensor):
         arr = np.asarray(tensor)
-        if arr.shape != (dim,) * degree:
-            raise ValueError(f"tensor shape {arr.shape} does not match "
-                             f"degree {degree} over dimension {dim}")
+        self.degree = arr.ndim
+        if len(set(arr.shape)) > 1:
+            raise ValueError(f"tensor shape {arr.shape} is not square")
         self.tensor = arr
         # adjacent transpositions generate S_n; object entries compare
         # exactly, float entries must be finite and agree to 1e-9 (1 + |a|)
         a = arr if arr.dtype == object else arr.astype(float)
         ok = a.dtype == object or np.isfinite(a).all()
-        for k in range(degree - 1):
+        for k in range(arr.ndim - 1):
             s = np.swapaxes(a, k, k + 1)
             ok = ok and (s == -a if a.dtype == object else
                          np.abs(a + s) <= 1e-9 * (1.0 + np.abs(a))).all()
@@ -114,10 +103,11 @@ class MultilinearCochain:
         return float(np.abs(self.tensor.astype(float)).max(initial=0.0))
 
 
-def alternation(tensor, degree):
+def alternation(tensor):
     """Antisymmetrize a tensor exactly (object arrays, whose factor 1/n! is
     a Fraction, never an int division) or in floats."""
     arr = np.asarray(tensor)
+    degree = arr.ndim
     fac = Fraction(1, factorial(degree)) if arr.dtype == object \
         else 1.0 / factorial(degree)
     # entry idx of the permutation's term is arr[idx[perm[0]], ...], so the
@@ -143,7 +133,7 @@ def ce_differential(omega: MultilinearCochain,
         t = np.tensordot(c, omega.tensor, ([2], [0]))
         out = sum((-1) ** (a + b) * np.moveaxis(t, (0, 1), (a, b))
                   for a, b in combinations(range(n + 1), 2))
-    return MultilinearCochain(n + 1, dim, out, tag=algebra.tag)
+    return MultilinearCochain(out)
 
 
 def cartan_cocycle(algebra: LieAlgebraTable) -> MultilinearCochain:
@@ -154,35 +144,32 @@ def cartan_cocycle(algebra: LieAlgebraTable) -> MultilinearCochain:
     if (np.tensordot(c, b, ([2], [0]))
             + np.tensordot(c, b, ([2], [1])).transpose(0, 2, 1) != 0).any():
         raise ValueError("pairing is not ad-invariant")
-    return MultilinearCochain(3, algebra.dim,
-                              np.tensordot(b, c, ([1], [2])), tag=algebra.tag)
+    return MultilinearCochain(np.tensordot(b, c, ([1], [2])))
 
 
-def _group_tuple(algebra: LieAlgebraTable, steps):
-    """(e, exp(Y_1), exp(Y_1)exp(Y_2), ...) for algebra elements Y_i."""
+def _group_tuple(steps):
+    """(e, exp(Y_1), exp(Y_1)exp(Y_2), ...) for su(2) elements Y_i."""
     out = [QUAT_ONE]
     for y in steps:
-        out.append(out[-1] * algebra.exp(y))
+        out.append(out[-1] * quat_exp(y))
     return tuple(out)
 
 
-def cochain_derivative(f: HomogeneousCochain, algebra: LieAlgebraTable,
-                       n: int, step: float = 5e-2) -> MultilinearCochain:
-    """Alternated mixed partial derivatives of a group cochain at the
-    identity along exponential coordinates.
+def cochain_derivative(f: HomogeneousCochain,
+                       step: float = 5e-2) -> MultilinearCochain:
+    """Alternated mixed partial derivatives of a group cochain on SU(2) at
+    the identity along exponential coordinates of su(2).
 
-    The degree-n derivative evaluates f, for n distinct basis vectors
-    X_1..X_n, on tuples (e, exp(t_1 X_1), exp(t_1 X_1) exp(t_2 X_2), ...)
-    over the corner signs t_i = +-step and divides by (2 step)^n, then
-    antisymmetrizes; entries with a repeated basis vector are 0.  Each
-    entry's corners are one row of ``signed_sums``, with the product of
-    their signs as coefficients, so all the tuples go to ``f.with_errors``
-    in one call and an integrated cochain integrates them in one stacked
-    pass.
+    The derivative of a degree-n cochain f evaluates f, for n distinct
+    basis vectors X_1..X_n, on tuples (e, exp(t_1 X_1), exp(t_1 X_1)
+    exp(t_2 X_2), ...) over the corner signs t_i = +-step and divides by
+    (2 step)^n, then antisymmetrizes; entries with a repeated basis vector
+    are 0.  Each entry's corners are one row of ``signed_sums``, with the
+    product of their signs as coefficients, so all the tuples go to
+    ``f.with_errors`` in one call and an integrated cochain integrates them
+    in one stacked pass.
     """
-    if f.degree != n:
-        raise ValueError("cochain degree must match the derivative order")
-    dim = algebra.dim
+    n, dim = f.degree, 3
     # an entry with a repeated basis vector cancels in the alternation
     entries = [idx for idx in product(range(dim), repeat=n)
                if len(set(idx)) == n]
@@ -196,7 +183,7 @@ def cochain_derivative(f: HomogeneousCochain, algebra: LieAlgebraTable,
                 coeffs = [0.0] * dim
                 coeffs[i] = s * step
                 steps.append(coeffs)
-            row.append((prod(signs), _group_tuple(algebra, steps)))
+            row.append((prod(signs), _group_tuple(steps)))
         rows.append(row)
     try:
         sums = signed_sums(f, rows)
@@ -205,20 +192,20 @@ def cochain_derivative(f: HomogeneousCochain, algebra: LieAlgebraTable,
     raw = np.zeros((dim,) * n)
     for idx, (total, _) in zip(entries, sums):
         raw[idx] = total / (2.0 * step) ** n
-    return MultilinearCochain(n, dim, alternation(raw, n), tag=algebra.tag)
+    return MultilinearCochain(alternation(raw))
 
 
-def form_at_identity(form: DifferentialForm, degree: int) -> np.ndarray:
+def form_at_identity(form: DifferentialForm) -> np.ndarray:
     """Coefficient tensor of a form on SU(2) at the identity, in the
     quaternion basis (i, j, k)."""
+    degree = form.degree
     basis = np.eye(4)[1:]
     idx = np.indices((3,) * degree).reshape(degree, 3 ** degree).T
     points = np.repeat([[1.0, 0.0, 0.0, 0.0]], len(idx), axis=0)
     return form.evaluate(points, basis[idx]).reshape((3,) * degree)
 
 
-def derivation_residual(form: DifferentialForm, degree: int,
-                        step: float = 5e-2,
+def derivation_residual(form: DifferentialForm, step: float = 5e-2,
                         quad: QuadratureSpec | None = None) -> float:
     """Relative defect of ``degree! * derivative(integrated cochain)``
     against the form itself at the identity of SU(2).
@@ -227,10 +214,10 @@ def derivation_residual(form: DifferentialForm, degree: int,
     O(step^2) differencing error with the quadrature error.
     """
     quad = quad or QuadratureSpec(order=6, tol=1e-2)
-    algebra = LieAlgebraTable.su2()
+    degree = form.degree
     cochain = integrated_cochain(form, "chart", quad=quad)
-    deriv = cochain_derivative(cochain, algebra, degree, step)
-    target = form_at_identity(form, degree)
+    deriv = cochain_derivative(cochain, step)
+    target = form_at_identity(form)
     scale = np.abs(target).max()
     if scale == 0.0:
         return factorial(degree) * deriv.norm_max()

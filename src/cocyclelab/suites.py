@@ -10,7 +10,6 @@ the error, and the suite goes on with its next check.
 """
 from __future__ import annotations
 
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -48,7 +47,6 @@ DEFAULT_CONFIG = {
     "order": 8,
     "defect_tuples": 100,
     "prism_simplices": 10,
-    "derivation_step": 5e-2,
     "adinv_triples": 20,
     "contact_samples": 50,
 }
@@ -121,7 +119,8 @@ class _Recorder:
 
 
 def parse_config(text: str) -> dict:
-    """Flat KEY=VALUE lines; '#' starts a comment."""
+    """Flat KEY=VALUE lines; '#' starts a comment.  A value that reads as
+    an int is one, any other stays a string."""
     out = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -135,29 +134,21 @@ def parse_config(text: str) -> dict:
         try:
             out[key] = int(value)
         except ValueError:
-            try:
-                out[key] = float(value)
-            except ValueError:
-                out[key] = value
+            out[key] = value
     return out
 
 
 def _merged(config):
     """DEFAULT_CONFIG overridden by ``config``; raises ConfigParse on a key
-    that is not in DEFAULT_CONFIG, a value of the wrong type (an int where
-    the default is an int, a finite number where it is a float), order < 2,
-    seed < 0, a count key below 1 or derivation_step <= 0."""
+    that is not in DEFAULT_CONFIG, a value that is not an int, order < 2,
+    seed < 0 or a count key below 1."""
     cfg = dict(DEFAULT_CONFIG)
     for key, value in (config or {}).items():
         if key not in DEFAULT_CONFIG:
             raise ConfigParse(f"unknown config key {key!r}; known keys: "
                               f"{', '.join(DEFAULT_CONFIG)}")
-        number = isinstance(DEFAULT_CONFIG[key], float)
-        kind = "a finite number" if number else "an integer"
-        if isinstance(value, bool) or not isinstance(
-                value, (int, float) if number else int) or (
-                isinstance(value, float) and not math.isfinite(value)):
-            raise ConfigParse(f"config key {key!r} takes {kind}, "
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigParse(f"config key {key!r} takes an integer, "
                               f"got {value!r}")
         cfg[key] = value
     for key, least in [("order", 2), ("seed", 0)] + [
@@ -165,9 +156,6 @@ def _merged(config):
         if cfg[key] < least:
             raise ConfigParse(f"config key {key!r} must be >= {least}, "
                               f"got {cfg[key]}")
-    if cfg["derivation_step"] <= 0:
-        raise ConfigParse("config key 'derivation_step' must be > 0, "
-                          f"got {cfg['derivation_step']}")
     return cfg
 
 
@@ -237,8 +225,7 @@ def _suite_cocycle_defect(rec, cfg):
 
 def _suite_gf_derivation(rec, cfg):
     with rec.check("mc3-degree3-residual", 0.0, 5e-2) as record:
-        record(derivation_residual(mc3_form(), 3,
-                                   step=cfg["derivation_step"],
+        record(derivation_residual(mc3_form(),
                                    quad=QuadratureSpec(order=4, tol=1e-2)))
 
     def covector(p, t):
@@ -246,7 +233,7 @@ def _suite_gf_derivation(rec, cfg):
 
     cov = DifferentialForm(1, "SU2", covector)
     with rec.check("covector-degree1-residual", 0.0, 1e-4) as record:
-        record(derivation_residual(cov, 1, step=1e-3,
+        record(derivation_residual(cov, step=1e-3,
                                    quad=QuadratureSpec(order=8, tol=1e-2)))
 
     # the last link of the chain: the form at the identity is the Cartan
@@ -255,7 +242,7 @@ def _suite_gf_derivation(rec, cfg):
         su2 = LieAlgebraTable.su2()
         cartan = cartan_cocycle(su2)
         target = -cartan.tensor.astype(float) / (4.0 * np.pi ** 2)
-        dev = np.abs(form_at_identity(mc3_form(), 3) - target).max() \
+        dev = np.abs(form_at_identity(mc3_form()) - target).max() \
             / np.abs(target).max()
         closed = ce_differential(cartan, su2).norm_max() == 0.0
         record(dev, passed=dev <= 1e-14 and closed)
@@ -301,7 +288,7 @@ def _suite_symplectic(rec, cfg):
         record(max(abs(a + b) for a, b in zip(v[::2], v[1::2])))
 
 
-def _dalpha_fd(q, u, v, h=1e-5):
+def _dalpha_fd(q, u, v):
     """Exterior derivative of the contact form by central differences of
     line-element values over a small coordinate surface.
 
@@ -325,6 +312,7 @@ def _dalpha_fd(q, u, v, h=1e-5):
     def a_of_s(s, t):
         return alpha_value(surface(s, t), partial(s, t, u))
 
+    h = 1e-5
     zero = np.zeros(q.shape[0])
     hh = np.full(q.shape[0], h)
     d_s = (a_of_t(hh, zero) - a_of_t(-hh, zero)) / (2 * h)
@@ -384,20 +372,20 @@ def _suite_contact(rec, cfg):
             float(np.abs(contact_field(one)(q) - reeb_field()(q)).max())))
 
 
-def _summary_checks(rec, prefix, conf, n, expect_rank, expect_torsion):
+def _summary_checks(rec, prefix, conf, n, expect_rank):
+    """H_n of ``conf`` has free rank ``expect_rank`` and no torsion."""
     summary = None
     with rec.check(f"{prefix}-rank", expect_rank, 0.0) as record:
         summary = homology(conf, n)
         record(summary.free_rank)
-    with rec.check(f"{prefix}-torsion-count", expect_torsion,
-                   0.0) as record:
+    with rec.check(f"{prefix}-torsion-count", 0.0, 0.0) as record:
         record(len((summary or homology(conf, n)).torsion))
 
 
 def _suite_configured_homology(rec, cfg):
     conf = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
     for n, rank in ((0, 1), (1, 0), (2, 0)):
-        _summary_checks(rec, f"conf-z5-H{n}", conf, n, rank, 0)
+        _summary_checks(rec, f"conf-z5-H{n}", conf, n, rank)
     with rec.check("conf-z5-rational-crosscheck", 0.0, 0.0) as record:
         # each boundary is ranked over Q once: d_1 in H_0's free rank, d_2
         # and d_3 against their Smith ranks; equal ranks of d_1, d_2 and
@@ -458,28 +446,28 @@ def _worst_distance(f, g, tuples, scale=1):
 def _suite_transfer(rec, cfg):
     z6 = FiniteGroupTable.cyclic(6)
     sub = [0, 2, 4]
-    reps = [0, 1]
     phi = HomogeneousCochain(
         1, 1, lambda ts: [(Fraction((t[1] - t[0]) % 6, 6), 0.0) for t in ts],
         label="z3-slope")
-    tr = transfer(phi, z6, sub, reps)
+    tr = transfer(phi, z6, sub)
     with rec.check("z3-in-z6-restriction", 0.0, 0.0) as record:
         record(_worst_distance(tr, phi, list(product(sub, repeat=2)), 2))
 
     z4 = FiniteGroupTable.cyclic(4)
     phi3 = _carry_cochain(2, 2)
     with rec.check("z2-in-z4-threecocycle-restriction", 0.0, 0.0) as record:
-        tr3 = transfer(phi3, z4, [0, 2], [0, 1])
+        tr3 = transfer(phi3, z4, [0, 2])
         record(_worst_distance(tr3, phi3, list(product([0, 2], repeat=4)),
                                2))
 
     with rec.check("chain-map", 0.0, 0.0) as record:
         record(_worst_distance(coboundary(tr),
-                               transfer(coboundary(phi), z6, sub, reps),
+                               transfer(coboundary(phi), z6, sub),
                                list(product(range(6), repeat=3))))
 
 
-def _wiggled_simplex(rng, eps=0.08):
+def _wiggled_simplex(rng):
+    eps = 0.08
     u = rng.normal(size=(4, 3))
     u *= 0.18 / np.linalg.norm(u, axis=1, keepdims=True)
 

@@ -23,7 +23,7 @@ at its default config.
 A named test that fails on the tree, a surviving mutant, suite reds that
 differ from the recorded ones, an old text that does not occur exactly
 once (a stale entry) or a run that pytest or the suites cannot complete is
-printed, and the script exits 1 (about 90 s).  Run it from anywhere:
+printed, and the script exits 1 (about 2 min).  Run it from anywhere:
 
     python tests/mutants.py
 
@@ -271,6 +271,36 @@ MUTANTS = [
      ["tests/test_oracles.py::"
       "test_symplectic_pairs_lie_within_their_estimates"],
      "unit tests only: value moves within tolerance"),
+    ("transfer-represents-the-subgroup-by-its-least-element", "cochains.py",
+     "rep = gamma.identity if x in sub else x",
+     "rep = x",
+     ["tests/test_cochains.py::"
+      "test_transfer_on_a_normal_subgroup_that_the_identity_does_not_lead"],
+     "unit tests only: bitwise"),
+    ("transfer-skips-the-conjugation-check", "cochains.py",
+     "        for x in gamma.elements:\n"
+     "            if gamma.mul(gamma.mul(x, g), gamma.inv(x)) not in sub:\n",
+     "        for x in ():\n"
+     "            if gamma.mul(gamma.mul(x, g), gamma.inv(x)) not in sub:\n",
+     ["tests/test_cochains.py::"
+      "test_transfer_checks_that_the_subgroup_is_normal"],
+     "unit tests only: input guard"),
+    ("multilinear-admits-a-non-square-tensor", "lie.py",
+     "        if len(set(arr.shape)) > 1:\n",
+     "        if False:\n",
+     ["tests/test_lie.py::test_multilinear_degree_is_the_number_of_axes"],
+     "unit tests only: input guard"),
+    ("solve-drops-the-remainder-check", "snf.py",
+     "            if rem:\n                return None\n",
+     "            if False:\n                return None\n",
+     ["tests/test_finite.py::"
+      "test_solve_needs_an_integer_quotient_of_each_invariant_factor"],
+     "unit tests only: input guard"),
+    ("group-table-skips-the-associativity-check", "finite.py",
+     "        self._check_associativity()\n",
+     "",
+     ["tests/test_finite.py::test_group_table_rejects_a_bad_table"],
+     "unit tests only: input guard"),
 ]
 
 

@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from cocyclelab.cochains import (HomogeneousChain, HomogeneousCochain,
                                  degree_of_map, exact, generic_rotation,
                                  integrated_cochain, kronecker_pair,
                                  transfer, twisted_square_map)
-from cocyclelab.errors import (BadOrder, BadReps, DomainGuard, NotNormal,
+from cocyclelab.errors import (BadOrder, DomainGuard, NotNormal,
                                QuadratureDiverged)
 from cocyclelab.finite import FiniteGroupTable, build_complex, extend_cocycle
 from cocyclelab.forms import mc3_form, pullback_integral, vol_form
@@ -175,6 +176,8 @@ def test_integrated_cochain_degenerate_and_invariance():
 
 
 def test_integrated_cochain_domain_guard():
+    with pytest.raises(ValueError, match="unknown cochain kind 'flat'"):
+        integrated_cochain(vol_form(), "flat", quad=QUAD)
     cochain = integrated_cochain(vol_form(), "spherical", quad=QUAD)
     flip = so4_of(QUAT_I, QUAT_I.inverse())  # sends 1 to i*1*i = -1
     with pytest.raises(DomainGuard):
@@ -286,48 +289,91 @@ def test_transfer_restriction_and_errors():
     z6 = FiniteGroupTable.cyclic(6)
     phi = HomogeneousCochain(
         1, 1, listwise(lambda t: Fraction((t[1] - t[0]) % 6, 6)))
-    tr = transfer(phi, z6, [0, 2, 4], [0, 1])
+    tr = transfer(phi, z6, [0, 2, 4])
     for a in (0, 2, 4):
         for b in (0, 2, 4):
             assert (tr((a, b)) - 2 * phi((a, b))) % 1 == 0
 
     # index 1: the transfer is the cochain itself
-    tr1 = transfer(phi, z6, list(range(6)), [0])
+    tr1 = transfer(phi, z6, list(range(6)))
     for _ in range(10):
         t = tuple(int(x) for x in rng.integers(0, 6, size=2))
         assert tr1(t) == phi(t)
 
     zero = HomogeneousCochain(1, 1, listwise(lambda t: Fraction(0)))
-    trz = transfer(zero, z6, [0, 2, 4], [0, 1])
+    trz = transfer(zero, z6, [0, 2, 4])
     assert trz((1, 5)) == 0
 
-    with pytest.raises(NotNormal):
-        transfer(phi, z6, [0, 2], [0, 1])
-    with pytest.raises(BadReps):
-        transfer(phi, z6, [0, 2, 4], [0, 2])
-    with pytest.raises(BadReps):
-        transfer(phi, z6, [0, 2, 4], [1, 2])
+    for sub, message in (([0, 2], "inverse of 2"),
+                         ([2, 4], "must contain the identity"),
+                         ([0, 1, 5], "product 1\\*1")):
+        with pytest.raises(NotNormal, match=message):
+            transfer(phi, z6, sub)
+
+
+def s3_table(perms):
+    """S3 on the labels of ``perms``: label a times label b is the label
+    of the composite perms[a] o perms[b]."""
+    perms = list(perms)
+    return FiniteGroupTable([[perms.index(tuple(p[i] for i in q))
+                              for q in perms] for p in perms])
+
+
+def test_transfer_on_a_normal_subgroup_that_the_identity_does_not_lead():
+    # in this labelling the identity is 5 and A3 is {1, 2, 5}; the
+    # identity represents A3 and 0, the least of {0, 3, 4}, the other
+    # coset, which is the formula with the representatives [5, 0]
+    s3 = s3_table(sorted(permutations(range(3)), reverse=True))
+    assert s3.identity == 5
+    sub, reps = [1, 2, 5], [5, 0]
+    local = np.random.default_rng(5)
+    values = {t: Fraction(int(local.integers(-6, 7)), 12)
+              for t in product(range(6), repeat=2)}
+    phi = HomogeneousCochain(1, 1, listwise(values.__getitem__))
+
+    def by_reps(t):
+        # sum over s in reps of phi on the tuple of (s g) r(s g)^-1, where
+        # r(x) is the representative whose coset holds x
+        def rep(x):
+            return next(r for r in reps if s3.mul(x, s3.inv(r)) in sub)
+
+        def move(x):
+            return s3.mul(x, s3.inv(rep(x)))
+
+        return sum(phi(tuple(move(s3.mul(s, g)) for g in t)) for s in reps)
+
+    tr = transfer(phi, s3, sub)
+    # phi is not a class function, so another choice of representatives
+    # moves these values
+    assert all((tr(t) - by_reps(t)) % 1 == 0 for t in values)
+
+
+def test_transfer_checks_that_the_subgroup_is_normal():
+    # {e, (0 1)} is a subgroup of S3 that conjugation by (1 2) moves
+    s3 = s3_table(permutations(range(3)))
+    phi = HomogeneousCochain(1, 1, listwise(lambda t: Fraction(0)))
+    with pytest.raises(NotNormal, match="conjugate of 2 by 1 "):
+        transfer(phi, s3, [0, 2])
 
 
 def test_transfer_is_a_chain_map():
     z6 = FiniteGroupTable.cyclic(6)
-    sub, reps = [0, 2, 4], [0, 1]
+    sub = [0, 2, 4]
     values = {}
 
     def ev(t):
         return values.setdefault(t, Fraction(int(rng.integers(-6, 7)), 12))
 
     phi = HomogeneousCochain(1, 1, listwise(ev))
-    lhs = coboundary(transfer(phi, z6, sub, reps))
-    rhs = transfer(coboundary(phi), z6, sub, reps)
-    from itertools import product
+    lhs = coboundary(transfer(phi, z6, sub))
+    rhs = transfer(coboundary(phi), z6, sub)
     for t in product(range(6), repeat=3):
         assert (lhs(t) - rhs(t)) % 1 == 0
 
 
 def test_transfer_of_a_stacked_cochain_is_one_call_per_batch():
     z6 = FiniteGroupTable.cyclic(6)
-    sub, reps = [0, 2, 4], [0, 1]
+    sub = [0, 2, 4]
     calls = []
 
     def slope(t):
@@ -337,19 +383,18 @@ def test_transfer_of_a_stacked_cochain_is_one_call_per_batch():
         calls.append(len(tuples))
         return [(slope(t), 0.0) for t in tuples]
 
-    tr = transfer(HomogeneousCochain(1, 1, stacked), z6, sub, reps)
-    plain = transfer(HomogeneousCochain(1, 1, listwise(slope)), z6, sub,
-                     reps)
-    from itertools import product
+    tr = transfer(HomogeneousCochain(1, 1, stacked), z6, sub)
+    plain = transfer(HomogeneousCochain(1, 1, listwise(slope)), z6, sub)
     pairs = list(product(range(6), repeat=2))
-    # the moves of every tuple go to the cochain in one call
+    # the moves of every tuple go to the cochain in one call; the index is
+    # 2, so each tuple has two moves
     assert tr.with_errors(pairs) == plain.with_errors(pairs)
-    assert calls == [len(reps) * len(pairs)]
+    assert calls == [2 * len(pairs)]
     calls.clear()
     triples = list(product(range(6), repeat=3))
     assert coboundary(tr).with_errors(triples) == \
         coboundary(plain).with_errors(triples)
-    assert calls == [3 * len(reps) * len(triples)]
+    assert calls == [3 * 2 * len(triples)]
     calls.clear()
     assert tr.with_errors([]) == []
     assert calls == []
@@ -486,10 +531,9 @@ def hex_pairs(pairs):
 def exact_batches():
     """A transfer on Z/6 with its 36 pairs, and a cocycle extended from
     the conf-distinct complex of Z/5 with its 625 4-tuples."""
-    from itertools import product
     slope = HomogeneousCochain(
         1, 1, listwise(lambda t: Fraction((t[1] - t[0]) % 6, 6)))
-    tr = transfer(slope, FiniteGroupTable.cyclic(6), [0, 2, 4], [0, 1])
+    tr = transfer(slope, FiniteGroupTable.cyclic(6), [0, 2, 4])
     conf = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
     g_vals = [int(v) for v in rng.integers(-3, 4, len(conf.generators[2]))]
     f_vals = [Fraction(sum(g * row[j] for g, row in
@@ -581,8 +625,7 @@ def test_batched_coboundary_of_an_exact_cochain_stays_exact():
         return Fraction(1, 3) if t == (2, 4) else t[0] * t[1] % 5
 
     df = coboundary(transfer(HomogeneousCochain(1, 0, listwise(ev)), z6,
-                             [0, 2, 4], [0, 1]))
-    from itertools import product
+                             [0, 2, 4]))
     tuples = list(product(range(6), repeat=3))
     batch = [(type(v), v, e) for v, e in df.with_errors(tuples)]
     assert batch == [(type(v), v, e) for v, e in map(df.with_error, tuples)]

@@ -344,6 +344,12 @@ def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
             solver.solve(b)
 
 
+def test_solve_needs_an_integer_quotient_of_each_invariant_factor():
+    # 2 x = 1 has a rational solution and no integer one
+    assert SmithSolver([[2]]).solve([1]) is None
+    assert SmithSolver([[2]]).solve([4]) == [2]
+
+
 def test_group_table_validation():
     z6 = FiniteGroupTable.cyclic(6)
     assert z6.identity == 0 and z6.inv(2) == 4
@@ -360,7 +366,11 @@ def test_group_table_validation():
     ([[0.5]], "table entry 0.5 is not in 0..0"),
     ([[0, 1], [1, 2]], "table entry 2 is not in 0..1"),
     ([[0, 1], [1, -1]], "table entry -1 is not in 0..1"),
-    ([[True]], "table entry True is not in 0..0")])
+    ([[True]], "table entry True is not in 0..0"),
+    ([[1, 0], [1, 0]], "has no identity"),
+    # an identity and unique inverses, but (2 * 2) * 1 = 0 and 2 * (2 * 1)
+    # = 2
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 2]], "not associative")])
 def test_group_table_rejects_a_bad_table(table, message):
     with pytest.raises(ValueError, match=message):
         FiniteGroupTable(table)
@@ -417,12 +427,48 @@ def test_homology_summary_takes_torsion_coefficients_of_at_least_2(torsion):
     assert HomologySummary(1, 0, (2, 4, np.int64(8))).torsion[-1] == 8
 
 
+def test_homology_summary_torsion_divides_in_turn():
+    with pytest.raises(ValueError, match="must divide in turn"):
+        HomologySummary(1, 0, (2, 3))
+
+
 def test_all_tuples_acyclic():
     for m in (2, 3):
         c = build_complex(FiniteGroupTable.cyclic(m), "all-tuples", 3)
         assert homology(c, 0).free_rank == 1
         assert homology(c, 1).is_trivial()
         assert homology(c, 2).is_trivial()
+
+
+@pytest.mark.parametrize("predicate, q, error, message", [
+    ("distinct", 2, ValueError, "unknown predicate 'distinct'"),
+    ("conf-distinct", 0, ValueError, "maximal degree must be >= 1"),
+    (lambda t: t != (1,), 2, PredicateNotFaceClosed,
+     "every single-element tuple must be admissible")])
+def test_build_complex_rejects_a_bad_request(predicate, q, error, message):
+    with pytest.raises(error, match=message):
+        build_complex(FiniteGroupTable.cyclic(3), predicate, q)
+
+
+def test_homology_takes_the_degrees_below_q():
+    c = build_complex(FiniteGroupTable.cyclic(3), "all-tuples", 2)
+    for n in (-1, 2):
+        with pytest.raises(ValueError, match="need 0 <= n <= 1"):
+            homology(c, n)
+
+
+def test_extension_takes_one_value_per_top_generator():
+    c = build_complex(FiniteGroupTable.cyclic(3), "conf-distinct", 2)
+    with pytest.raises(ValueError, match="expected 6 values"):
+        extend_cocycle(c, [0] * 5)
+
+
+def test_complex_with_a_one_cycle_is_not_well_configured():
+    # the distinct pairs of Z/2 are (0, 1) and (1, 0), whose sum is a
+    # cycle, and there are no distinct triples to bound it: H_1 = Z
+    c = build_complex(FiniteGroupTable.cyclic(2), "conf-distinct", 2)
+    with pytest.raises(NotWellConfigured, match="H_1 = "):
+        build_retraction(c)
 
 
 def test_complex_without_pairs_is_not_well_configured():

@@ -462,6 +462,13 @@ def test_degree_mismatch_rejected():
     sx = GeodesicSimplex(list(np.eye(4)), "spherical")
     with pytest.raises(ValueError):
         pullback_integral(fubini_study_form(), [sx], QUAD)
+    with pytest.raises(ValueError, match="form of degree 3 got 2 tangent"):
+        mc3_form().evaluate(np.eye(4)[:1], np.eye(4)[None, 1:3])
+
+
+def test_sphere_atlas_takes_s3_or_cp1():
+    with pytest.raises(ValueError, match="unknown sphere 'S2'"):
+        sphere_atlas("S2")
 
 
 def orthant_atlas():

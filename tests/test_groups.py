@@ -187,6 +187,13 @@ def test_quat_exp_validation():
             quat_exp([0.0, bad, 0.0])
 
 
+def test_unit_quaternion_validation():
+    with pytest.raises(ValueError, match=r"4 components, got shape \(3,\)"):
+        UnitQuaternion([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="not close to a unit quaternion"):
+        UnitQuaternion(3.0, 0.0, 0.0, 0.0)
+
+
 def test_rotation_validation():
     with pytest.raises(ValueError, match="determinant -1"):
         Rotation(np.diag([1.0, 1.0, 1.0, -1.0]))

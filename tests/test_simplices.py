@@ -133,6 +133,9 @@ def test_hemisphere_rejects_a_point_that_is_not_finite(bad):
             in_open_hemisphere(points)
     # a zero vector is finite and still answers False
     assert in_open_hemisphere([np.zeros(4), np.eye(4)[0]]) is False
+    # a list of numbers is no list of points
+    with pytest.raises(ValueError, match="list of coordinate vectors"):
+        in_open_hemisphere([1.0, 2.0])
 
 
 def join_jet(kind, x, dx, y, s):
@@ -471,6 +474,13 @@ def test_spherical_simplex_rejects_a_zero_or_non_finite_vertex(bad):
             GeodesicSimplex(verts, "spherical")
     assert GeodesicSimplex(good, "spherical").varr.tobytes() == \
         np.eye(4)[:3].tobytes()
+
+
+def test_simplex_takes_a_known_kind_and_chart_vertices_that_are_quaternions():
+    with pytest.raises(ValueError, match="unknown simplex kind 'flat'"):
+        GeodesicSimplex(list(np.eye(4)), "flat")
+    with pytest.raises(TypeError, match="take UnitQuaternion vertices"):
+        GeodesicSimplex([QUAT_ONE, np.eye(4)[1]], "chart")
 
 
 def test_parametrized_map_takes_exactly_one_jet():
