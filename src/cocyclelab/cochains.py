@@ -32,7 +32,7 @@ from .forms import DifferentialForm, pullback_integral, sphere_integral, \
     vol_form
 from .groups import (QUAT_ONE, Rotation, UnitQuaternion, _qconj, _qmul,
                      apply_rotation)
-from .quadrature import QuadratureSpec
+from .quadrature import IntegralResult, QuadratureSpec
 from .simplices import GeodesicSimplex, all_faces, in_open_hemisphere
 
 
@@ -168,8 +168,8 @@ def generic_rotation(seed=0x5EED) -> Rotation:
 
 
 def integrated_cochain(form: DifferentialForm, kind: str,
-                       base_point: UnitQuaternion = QUAT_ONE,
-                       quad: QuadratureSpec | None = None
+                       quad: QuadratureSpec,
+                       base_point: UnitQuaternion = QUAT_ONE
                        ) -> HomogeneousCochain:
     """Cochain t -> integral of the form over the simplex filled on t.
 
@@ -181,7 +181,6 @@ def integrated_cochain(form: DifferentialForm, kind: str,
     chart simplex checks chart-smallness once, in its constructor, whose
     ``DegenerateConfig`` means "not admissible".
     """
-    quad = quad or QuadratureSpec()
     if kind == "spherical":
 
         def guard(t):
@@ -254,9 +253,9 @@ def cyclic_cycle(m: int) -> HomogeneousChain:
         (1, (0, 1, i % m, (i + 1) % m)) for i in range(1, m + 1))
 
 
-def kronecker_pair(f: HomogeneousCochain, chain, embed=None,
-                   with_error=False):
-    """Evaluation pairing sum_t coeff(t) * f(embed(t)).
+def kronecker_pair(f: HomogeneousCochain, chain, embed=None) -> IntegralResult:
+    """Evaluation pairing sum_t coeff(t) * f(embed(t)), as an
+    ``IntegralResult``: the sum reduced mod f's lattice, and its estimate.
 
     ``chain`` is a HomogeneousChain; ``embed`` maps a tuple entry to a
     group element in the domain of f.  The terms are one row of
@@ -278,22 +277,21 @@ def kronecker_pair(f: HomogeneousCochain, chain, embed=None,
                 raise DomainGuard(
                     f"inadmissible tuple {t} in pairing") from exc
         raise
-    total, est = _reduced(total, est, f.lattice)
-    return (total, est) if with_error else total
+    return IntegralResult(*_reduced(total, est, f.lattice))
 
 
 def transfer(phi: HomogeneousCochain, gamma, subgroup) -> HomogeneousCochain:
     """Corestriction of a cochain on a finite-index normal subgroup.
 
     ``gamma`` is a finite group table and ``subgroup`` a list of its
-    element indices forming a normal subgroup.  The identity represents
-    the subgroup, and the least element of each other right coset
-    represents that coset.  The result restricted to subgroup tuples
-    equals index * phi for conjugation-invariant phi.
+    elements (``FiniteGroupTable.element``) forming a normal subgroup.
+    The identity represents the subgroup, and the least element of each
+    other right coset represents that coset.  The result restricted to
+    subgroup tuples equals index * phi for conjugation-invariant phi.
     Its evaluator is the ``signed_sums`` of the moves of all the tuples
     it is given, with coefficient 1.
     """
-    sub = set(subgroup)
+    sub = {gamma.element(x, "subgroup entry") for x in subgroup}
     if gamma.identity not in sub:
         raise NotNormal("subgroup must contain the identity")
     for g in sub:
@@ -358,10 +356,8 @@ def twisted_square_map(base: UnitQuaternion = QUAT_ONE):
     return jet
 
 
-def degree_of_map(map_fn, quad: QuadratureSpec | None = None):
+def degree_of_map(map_fn, quad: QuadratureSpec) -> IntegralResult:
     """Mapping degree of a smooth map SU(2) -> S^3, given as a jet
     ``(x, dx) -> (y, dy)``, as the integral of the pulled-back normalized
     volume form."""
-    quad = quad or QuadratureSpec(order=10, tol=1e-4)
-    res = sphere_integral(vol_form(), "S3", quad, compose=map_fn)
-    return res.value
+    return sphere_integral(vol_form(), "S3", quad, compose=map_fn)

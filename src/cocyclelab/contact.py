@@ -23,7 +23,7 @@ import numpy as np
 from .forms import DifferentialForm, PowerTable, sphere_products
 from .groups import QUAT_I, _qmul, hopf_arr, hopf_jacobian
 from .hamiltonian import SphereFunction, hamiltonian_field, poisson
-from .quadrature import QuadratureSpec, gauss_legendre_circle
+from .quadrature import IntegralResult, QuadratureSpec, gauss_legendre_circle
 
 
 def reeb_field():
@@ -137,19 +137,21 @@ def fiber_period(seed=5) -> float:
 
 def contact_cocycle(f: ContactFunction, g: ContactFunction,
                     h: ContactFunction,
-                    quad: QuadratureSpec | None = None) -> float:
-    """(3/pi^3) * integral over S^3 of f {g, h} against alpha ^ d(alpha)."""
-    return 3.0 / np.pi ** 3 * contact_pairings(
-        [(f, contact_bracket(g, h))], quad)[0]
+                    quad: QuadratureSpec) -> IntegralResult:
+    """(3/pi^3) * integral over S^3 of f {g, h} against alpha ^ d(alpha),
+    with the pairing's estimate scaled alike."""
+    [res] = contact_pairings([(f, contact_bracket(g, h))], quad)
+    k = 3.0 / np.pi ** 3
+    return IntegralResult(k * res.value, k * res.error_estimate)
 
 
-def contact_pairings(pairs, quad: QuadratureSpec | None = None) -> list:
+def contact_pairings(pairs, quad: QuadratureSpec) -> list:
     """<f, g> = integral of f*g against alpha ^ d(alpha) for each pair of
-    ``ContactFunction``: ``forms.sphere_products`` of their bases on
-    power tables of the Hopf images, one per block of each orthant cell,
-    shared by every factor of every pair."""
-    quad = quad or QuadratureSpec(order=8, tol=1e-4)
-    return [res.value for res in sphere_products(
+    ``ContactFunction``, one ``IntegralResult`` per pair:
+    ``forms.sphere_products`` of their bases on power tables of the Hopf
+    images, one per block of each orthant cell, shared by every factor of
+    every pair."""
+    return sphere_products(
         contact_volume_form(), "S3", [(f.base, g.base) for f, g in pairs],
-        quad, lift=hopf_arr)]
+        quad, lift=hopf_arr)
 

@@ -34,20 +34,24 @@ class FiniteGroupTable:
     def __init__(self, table):
         rows = [list(row) for row in table]
         self.order = len(rows)
+        self.table = []
         for row in rows:
             if len(row) != self.order:
                 raise ValueError(f"multiplication table is not square: a "
                                  f"row of {len(row)} in {self.order} rows")
-            for x in row:
-                if type(x) is bool or not isinstance(x, Integral) \
-                        or not 0 <= x < self.order:
-                    raise ValueError(
-                        f"table entry {x!r} is not in 0..{self.order - 1}")
-        self.table = [list(map(int, row)) for row in rows]
+            self.table.append([self.element(x, "table entry") for x in row])
         self.elements = tuple(range(self.order))
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
         self._check_associativity()
+
+    def element(self, x, what):
+        """``x`` as an int when it is an element, an integer (not a bool)
+        in 0..order-1; otherwise ValueError, naming x as ``what``."""
+        if type(x) is bool or not isinstance(x, Integral) \
+                or not 0 <= x < self.order:
+            raise ValueError(f"{what} {x!r} is not in 0..{self.order - 1}")
+        return int(x)
 
     def _find_identity(self):
         for e in self.elements:
@@ -258,9 +262,6 @@ def build_retraction(complex_: ConfiguredComplex):
                 normalized[t] = {t: 1}
                 continue
             z = _image_of_boundary(r[n - 1], t)
-            if n == 1 and sum(z.values()) != 0:
-                # boundaries of pairs land in augmentation-zero chains
-                raise NotWellConfigured("augmentation obstruction in degree 0")
             col = complex_.solver(n).solve(
                 [z.get(s, 0) for s in complex_.generators[n - 1]])
             if col is None:

@@ -205,7 +205,7 @@ def _densities(form, blocks):
 
 
 def pullback_integral(form: DifferentialForm, maps,
-                      quad: QuadratureSpec | None = None) -> list:
+                      quad: QuadratureSpec) -> list:
     """Integrals of the form over parametrized simplices of one degree:
     one ``IntegralResult`` per entry of ``maps``, in order.
 
@@ -229,7 +229,6 @@ def pullback_integral(form: DifferentialForm, maps,
     estimate is the rule-order difference plus the rounding bound of the
     sum.  Raises QuadratureDiverged for the first map, in list order,
     whose rule orders disagree."""
-    quad = quad or QuadratureSpec()
     if not maps:
         return []
     n = maps[0].degree
@@ -350,7 +349,7 @@ def _atlas_density(sphere, base, order, depth):
 
 
 def sphere_products(base: DifferentialForm, sphere: str, products,
-                    quad: QuadratureSpec | None = None, lift=None) -> list:
+                    quad: QuadratureSpec, lift=None) -> list:
     """Whole-sphere integrals of products of polynomials against ``base``:
     one ``IntegralResult`` per entry of ``products``, a tuple of anything
     whose ``evaluate`` takes a ``PowerTable``, such as a ``SphereFunction``.
@@ -368,7 +367,6 @@ def sphere_products(base: DifferentialForm, sphere: str, products,
     summed on their own, then with their signs in atlas order.  So for the empty product the value, the
     estimate and ``QuadratureDiverged`` are bitwise those of
     ``pullback_integral`` over the atlas cells, summed in atlas order."""
-    quad = quad or QuadratureSpec()
     if lift is not None and sphere != "S3":
         raise ValueError("only the S^3 atlas points take a lift")
     if not products:
@@ -402,8 +400,7 @@ def sphere_products(base: DifferentialForm, sphere: str, products,
 
 
 def sphere_integral(form: DifferentialForm, sphere: str,
-                    quad: QuadratureSpec | None = None,
-                    compose=None) -> IntegralResult:
+                    quad: QuadratureSpec, compose=None) -> IntegralResult:
     """Integral over the whole sphere via the fixed simplex atlas: the
     empty product against ``form`` in ``sphere_products``, whose product
     ``math.prod(()) == 1`` leaves each density row bitwise as it is.

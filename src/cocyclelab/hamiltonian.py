@@ -24,7 +24,7 @@ import numpy as np
 
 from .cochains import exact
 from .forms import PowerTable, fubini_study_form, sphere_products
-from .quadrature import QuadratureSpec
+from .quadrature import IntegralResult, QuadratureSpec
 
 
 class SphereFunction:
@@ -180,21 +180,21 @@ def poisson(f: SphereFunction, g: SphereFunction) -> SphereFunction:
             + z * (fx * gy - fy * gx))
 
 
-def pairing_integrals(pairs, quad: QuadratureSpec | None = None) -> list:
+def pairing_integrals(pairs, quad: QuadratureSpec) -> list:
     """<f, g> = integral of f(x) * g(x) against the symplectic form, for
-    each pair (f, g), in one stacked pass (``forms.sphere_products``)."""
-    quad = quad or QuadratureSpec(order=8, tol=1e-6)
-    return [res.value for res in
-            sphere_products(fubini_study_form(), "CP1", pairs, quad)]
+    each pair (f, g), in one stacked pass: one ``IntegralResult`` per
+    pair (``forms.sphere_products``)."""
+    return sphere_products(fubini_study_form(), "CP1", pairs, quad)
 
 
 def symplectic_cocycle(f: SphereFunction, g: SphereFunction,
                        h: SphereFunction,
-                       quad: QuadratureSpec | None = None) -> float:
-    """(3/pi^3) * integral of f {g, h} over the sphere.
+                       quad: QuadratureSpec) -> IntegralResult:
+    """(3/pi^3) * the integral of f {g, h} over the sphere and its estimate.
 
     On the coordinate functions this evaluates to 1/(2 pi^2), the
     normalization that makes the associated cocycle integral against the
     fundamental class an integer multiple."""
-    return 3.0 / np.pi ** 3 * pairing_integrals([(f, poisson(g, h))],
-                                                 quad)[0]
+    [res] = pairing_integrals([(f, poisson(g, h))], quad)
+    k = 3.0 / np.pi ** 3
+    return IntegralResult(k * res.value, k * res.error_estimate)

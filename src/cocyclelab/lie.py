@@ -205,15 +205,14 @@ def form_at_identity(form: DifferentialForm) -> np.ndarray:
     return form.evaluate(points, basis[idx]).reshape((3,) * degree)
 
 
-def derivation_residual(form: DifferentialForm, step: float = 5e-2,
-                        quad: QuadratureSpec | None = None) -> float:
+def derivation_residual(form: DifferentialForm, quad: QuadratureSpec,
+                        step: float = 5e-2) -> float:
     """Relative defect of ``degree! * derivative(integrated cochain)``
     against the form itself at the identity of SU(2).
 
     Exact calculus gives equality; the numerical residual combines the
     O(step^2) differencing error with the quadrature error.
     """
-    quad = quad or QuadratureSpec(order=6, tol=1e-2)
     degree = form.degree
     cochain = integrated_cochain(form, "chart", quad=quad)
     deriv = cochain_derivative(cochain, step)

@@ -46,10 +46,11 @@ def _nonzeros(seq):
 
 def smith_normal_form(mat):
     """Return (U, S, V) with U @ mat @ V = S diagonal, U and V unimodular,
-    and the diagonal entries nonnegative with each dividing the next."""
+    and the diagonal entries nonnegative with each dividing the next.
+    Entries are integers (``operator.index``: a float raises TypeError)."""
     m = len(mat)
     n = len(mat[0]) if m else 0
-    s = [list(row) for row in mat]
+    s = [list(map(operator.index, row)) for row in mat]
     u = [[int(i == r) for i in range(m)] for r in range(m)]
     v = [{j: 1} for j in range(n)]  # the columns of V
 
@@ -129,7 +130,7 @@ class SmithSolver:
         if len(b) != self.m:
             raise ValueError(f"b has {len(b)} entries, not {self.m}")
         y = [0] * self.m
-        for j, bj in enumerate(b):
+        for j, bj in enumerate(map(operator.index, b)):
             if bj:
                 for i, c in self._u_cols[j]:
                     y[i] += c * bj

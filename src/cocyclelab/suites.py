@@ -170,7 +170,8 @@ def _suite_cs_pairing(rec, cfg):
             return so4_of(cyclic_embed(_m, a), cyclic_embed(_m, -a))
 
         with rec.check(f"pairing-m{m}", (4.0 / m) % 1.0, 2e-3) as record:
-            value = kronecker_pair(cochain, cyclic_cycle(m), embed=embed)
+            value = kronecker_pair(cochain, cyclic_cycle(m),
+                                   embed=embed).value
             dist = min(circle_distance(value, 4.0 / m),
                        circle_distance(value, -4.0 / m))
             # the representative in [-1/2, 1/2): a value just below 1 and
@@ -181,9 +182,9 @@ def _suite_cs_pairing(rec, cfg):
 def _suite_lemma44(rec, cfg):
     quad = QuadratureSpec(order=cfg["order"], tol=1e-4)
     with rec.check("degree-c1", 0.0, 1e-2) as record:
-        record(degree_of_map(conjugate_point_map(QUAT_ONE), quad))
+        record(degree_of_map(conjugate_point_map(QUAT_ONE), quad).value)
     with rec.check("degree-c2", 2.0, 1e-2) as record:
-        record(degree_of_map(twisted_square_map(QUAT_ONE), quad))
+        record(degree_of_map(twisted_square_map(QUAT_ONE), quad).value)
 
 
 def _random_hemispherical_tuple(rng, base):
@@ -267,7 +268,7 @@ def _suite_symplectic(rec, cfg):
     quad = QuadratureSpec(order=cfg["order"], tol=1e-6)
 
     with rec.check("beta-xyz", 1.0 / (2.0 * np.pi ** 2), 1e-8) as record:
-        record(symplectic_cocycle(x, y, z, quad))
+        record(symplectic_cocycle(x, y, z, quad).value)
 
     rng = np.random.default_rng(cfg["seed"])
     with rec.check("poisson-relations", 0.0, 1e-9) as record:
@@ -284,7 +285,7 @@ def _suite_symplectic(rec, cfg):
         for _ in range(cfg["adinv_triples"]):
             f, g, h = (_random_polynomial(rng) for _ in range(3))
             pairs += [(poisson(f, g), h), (g, poisson(f, h))]
-        v = pairing_integrals(pairs, quad)
+        v = [res.value for res in pairing_integrals(pairs, quad)]
         record(max(abs(a + b) for a, b in zip(v[::2], v[1::2])))
 
 
@@ -346,7 +347,7 @@ def _suite_contact(rec, cfg):
         b3 = contact_cocycle(pullback(x), pullback(y), pullback(z), quad3)
         b2 = symplectic_cocycle(x, y, z, QuadratureSpec(order=cfg["order"],
                                                         tol=1e-6))
-        record(b3 - 2.0 * np.pi * b2)
+        record(b3.value - 2.0 * np.pi * b2.value)
 
     with rec.check("contact-ad-invariance", 0.0, 1e-6) as record:
         quad_fine = QuadratureSpec(order=max(12, cfg["order"]), tol=1e-4)
@@ -354,7 +355,7 @@ def _suite_contact(rec, cfg):
         for _ in range(5):
             F, G, H = (pullback(_random_polynomial(rng, 2)) for _ in range(3))
             pairs += [(contact_bracket(F, G), H), (G, contact_bracket(F, H))]
-        v = contact_pairings(pairs, quad_fine)
+        v = [res.value for res in contact_pairings(pairs, quad_fine)]
         record(max(abs(a + b) for a, b in zip(v[::2], v[1::2])))
 
     # last, on its own generator, so the checks above draw what they drew

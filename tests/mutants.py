@@ -301,6 +301,29 @@ MUTANTS = [
      "",
      ["tests/test_finite.py::test_group_table_rejects_a_bad_table"],
      "unit tests only: input guard"),
+    ("transfer-takes-any-subgroup-entry", "cochains.py",
+     '    sub = {gamma.element(x, "subgroup entry") for x in subgroup}\n',
+     "    sub = set(subgroup)\n",
+     ["tests/test_cochains.py::"
+      "test_transfer_refuses_a_subgroup_entry_that_is_no_element"],
+     "unit tests only: input guard"),
+    ("smith-takes-float-entries", "snf.py",
+     "    s = [list(map(operator.index, row)) for row in mat]\n",
+     "    s = [list(row) for row in mat]\n",
+     ["tests/test_finite.py::test_smith_entries_are_integers"],
+     "unit tests only: input guard"),
+    ("symplectic-cocycle-leaves-its-estimate-unscaled", "hamiltonian.py",
+     "IntegralResult(k * res.value, k * res.error_estimate)",
+     "IntegralResult(k * res.value, res.error_estimate)",
+     ["tests/test_forms.py::"
+      "test_integrals_take_their_rule_and_return_their_estimate"],
+     "unit tests only: estimate only"),
+    ("contact-cocycle-leaves-its-estimate-unscaled", "contact.py",
+     "IntegralResult(k * res.value, k * res.error_estimate)",
+     "IntegralResult(k * res.value, res.error_estimate)",
+     ["tests/test_forms.py::"
+      "test_integrals_take_their_rule_and_return_their_estimate"],
+     "unit tests only: estimate only"),
 ]
 
 

@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 from itertools import permutations, product
@@ -19,7 +20,7 @@ from cocyclelab.forms import mc3_form, pullback_integral, vol_form
 from cocyclelab.groups import (QUAT_I, QUAT_J, QUAT_K, QUAT_ONE, Rotation,
                                UnitQuaternion, apply_rotation, cyclic_embed,
                                quat_exp, so4_of)
-from cocyclelab.quadrature import QuadratureSpec
+from cocyclelab.quadrature import IntegralResult, QuadratureSpec
 from cocyclelab.simplices import (GeodesicSimplex, all_faces,
                                   in_open_hemisphere, is_chart_small)
 from cocyclelab.suites import _random_hemispherical_tuple, run_suite
@@ -233,13 +234,14 @@ def test_cyclic_cycle_shape():
 def test_kronecker_pairing_linearity_and_zero():
     zero = HomogeneousCochain(1, 0, listwise(lambda t: 0.0))
     chain = HomogeneousChain([(2, (0, 1)), (-1, (1, 3))])
-    assert kronecker_pair(zero, chain) == 0.0
+    assert kronecker_pair(zero, chain).value == 0.0
 
     f = HomogeneousCochain(1, 0, listwise(lambda t: float(t[1] - t[0])))
     other = HomogeneousChain([(1, (0, 2))])
     combined = HomogeneousChain([(2, (0, 1)), (-1, (1, 3)), (1, (0, 2))])
-    assert kronecker_pair(f, combined) == pytest.approx(
-        kronecker_pair(f, chain) + kronecker_pair(f, other), abs=1e-14)
+    assert kronecker_pair(f, combined).value == pytest.approx(
+        kronecker_pair(f, chain).value + kronecker_pair(f, other).value,
+        abs=1e-14)
 
 
 def test_pairing_invariant_under_translation_of_the_cycle():
@@ -249,10 +251,10 @@ def test_pairing_invariant_under_translation_of_the_cycle():
     m = 5
     g = [so4_of(cyclic_embed(m, a), cyclic_embed(m, -a)) for a in range(m)]
     val = kronecker_pair(cochain, cyclic_cycle(m),
-                         embed=lambda a: g[a % m])
+                         embed=lambda a: g[a % m]).value
     shift = g[2]
     val2 = kronecker_pair(cochain, cyclic_cycle(m),
-                          embed=lambda a: shift @ g[a % m])
+                          embed=lambda a: shift @ g[a % m]).value
     assert circle_distance(val, val2) < 1e-8
 
 
@@ -271,18 +273,18 @@ def test_cyclic_orbit_simplices_are_geodesically_flat():
         val = kronecker_pair(
             cochain, cyclic_cycle(m),
             embed=lambda a, _m=m: so4_of(cyclic_embed(_m, a),
-                                         cyclic_embed(_m, -a)))
+                                         cyclic_embed(_m, -a))).value
         assert circle_distance(val, 0.0) < 1e-8
 
 
 def test_degree_of_maps():
     quad = QuadratureSpec(order=8, tol=1e-4)
-    assert degree_of_map(conjugate_point_map(QUAT_ONE), quad) == 0.0
-    assert abs(degree_of_map(twisted_square_map(QUAT_ONE), quad) - 2.0) \
-        < 1e-2
+    assert degree_of_map(conjugate_point_map(QUAT_ONE), quad).value == 0.0
+    assert abs(degree_of_map(twisted_square_map(QUAT_ONE), quad).value
+               - 2.0) < 1e-2
     # conjugation with a generic base point: image is 2-dimensional
-    assert abs(degree_of_map(conjugate_point_map(random_quat()), quad)) \
-        < 1e-2
+    assert abs(degree_of_map(conjugate_point_map(random_quat()),
+                             quad).value) < 1e-2
 
 
 def test_transfer_restriction_and_errors():
@@ -309,6 +311,17 @@ def test_transfer_restriction_and_errors():
                          ([0, 1, 5], "product 1\\*1")):
         with pytest.raises(NotNormal, match=message):
             transfer(phi, z6, sub)
+
+
+@pytest.mark.parametrize("entry", [7, -6, 2.0])
+def test_transfer_refuses_a_subgroup_entry_that_is_no_element(entry):
+    # -6 would alias 0 through negative indexing, and 2.0 equals 2
+    z6 = FiniteGroupTable.cyclic(6)
+    phi = HomogeneousCochain(
+        1, 1, listwise(lambda t: Fraction((t[1] - t[0]) % 6, 6)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"subgroup entry {entry!r} is not in 0..5")):
+        transfer(phi, z6, [0, 2, 4, entry])
 
 
 def s3_table(perms):
@@ -657,20 +670,19 @@ def test_pairing_checks_every_term_before_evaluating(monkeypatch):
     # the rounding u of the total's reduction to the terms' estimates
     chain = HomogeneousChain([(1, (0, 1, 3, 4)), (-2, (1, 0, 4, 3)),
                               (3, (0, 0, 1, 3))])
-    value, est = kronecker_pair(cochain, chain, embed=lambda a: group[a],
-                                with_error=True)
+    res = kronecker_pair(cochain, chain, embed=lambda a: group[a])
     assert stacks == [3]
     total, total_est = 0, 0.0
     for t, coeff in chain.items():
         v, e = cochain.with_error(tuple(group[a] for a in t))
         total = total + coeff * v
         total_est += abs(coeff) * e
-    assert (value, est) == (total % 1.0,
-                            total_est + np.finfo(float).eps / 2)
+    assert res == IntegralResult(total % 1.0,
+                                 total_est + np.finfo(float).eps / 2)
     # an empty chain pairs to 0 without evaluating anything
     stacks.clear()
-    assert kronecker_pair(cochain, HomogeneousChain(), with_error=True) == \
-        (0, 0.0)
+    assert kronecker_pair(cochain, HomogeneousChain()) == \
+        IntegralResult(0, 0.0)
     assert stacks == []
 
 
@@ -684,7 +696,7 @@ def test_pairing_runs_each_guard_once_and_passes_face_guards_through():
     g = HomogeneousCochain(1, 1, listwise(lambda t: Fraction(t[1] - t[0], 7)),
                            guard=guard, label="g")
     chain = HomogeneousChain([(1, (0, 1)), (2, (1, 2)), (-1, (0, 2))])
-    assert kronecker_pair(g, chain) == Fraction(1, 7)
+    assert kronecker_pair(g, chain).value == Fraction(1, 7)
     assert guarded == [(0, 1), (0, 2), (1, 2)]
     # (1, 2, 3) lies in the domain of d(g), which has no guard, but its
     # face (2, 3) does not lie in g's: that DomainGuard is g's own

@@ -350,6 +350,25 @@ def test_solve_needs_an_integer_quotient_of_each_invariant_factor():
     assert SmithSolver([[2]]).solve([4]) == [2]
 
 
+def test_smith_entries_are_integers():
+    # a float is refused, as rational_rank refuses it; numpy ints and
+    # bools are integers
+    for bad in (1.5, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            SmithSolver([[bad, 0], [0, 2]])
+        with pytest.raises(TypeError):
+            smith_normal_form([[1, 0], [0, bad]])
+        with pytest.raises(TypeError):
+            SmithSolver([[1, 0], [0, 2]]).solve([2, bad])
+    solver = SmithSolver(np.array([[2, 0], [0, 3]], dtype=np.int64))
+    assert solver.diag == [1, 6]
+    x = solver.solve(np.array([4, 3], dtype=np.int64))
+    assert x == [2, 1] and all(type(c) is int for c in x)
+    flags = SmithSolver([[True, False], [True, True]])
+    assert flags.diag == [1, 1]
+    assert flags.solve([True, False]) == [1, -1]
+
+
 def test_group_table_validation():
     z6 = FiniteGroupTable.cyclic(6)
     assert z6.identity == 0 and z6.inv(2) == 4

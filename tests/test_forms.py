@@ -1,3 +1,4 @@
+import inspect
 import weakref
 from itertools import product
 
@@ -5,15 +6,22 @@ import numpy as np
 import pytest
 
 from cocyclelab import forms, simplices
-from cocyclelab.cochains import (conjugate_point_map, degree_of_map,
+from cocyclelab.cochains import (HomogeneousChain, HomogeneousCochain,
+                                 _reduced, conjugate_point_map,
+                                 degree_of_map, integrated_cochain,
+                                 kronecker_pair, signed_sums,
                                  twisted_square_map)
-from cocyclelab.contact import contact_volume_form
+from cocyclelab.contact import (contact_bracket, contact_cocycle,
+                                contact_pairings, contact_volume_form,
+                                pullback)
 from cocyclelab.errors import QuadratureDiverged
 from cocyclelab.forms import (DifferentialForm, fubini_study_form, mc3_form,
                               pullback_integral, sphere_atlas,
                               sphere_integral, sphere_products, vol_form)
 from cocyclelab.groups import QUAT_ONE, _qconj, _qmul, hopf_arr
-from cocyclelab.hamiltonian import SphereFunction
+from cocyclelab.hamiltonian import (SphereFunction, pairing_integrals,
+                                    poisson, symplectic_cocycle)
+from cocyclelab.lie import derivation_residual
 from cocyclelab.quadrature import IntegralResult, QuadratureSpec, _rule_level
 from cocyclelab.simplices import GeodesicSimplex, ParametrizedMap, join_rows
 from cocyclelab.suites import run_suite
@@ -432,10 +440,10 @@ def test_pullback_of_a_list_raises_for_its_first_diverging_map():
 
 def test_pullback_of_no_maps_and_of_mixed_degrees():
     form = vol_form()
-    assert pullback_integral(form, []) == []
+    assert pullback_integral(form, [], QUAD) == []
     f = mixed_maps()[1]
     with pytest.raises(ValueError, match="one degree"):
-        pullback_integral(form, [f, f.face(0)])
+        pullback_integral(form, [f, f.face(0)], QUAD)
 
 
 @pytest.mark.parametrize("depth", [0, 1])
@@ -653,7 +661,7 @@ def test_uncached_s3_integral_is_bitwise_the_cell_sum(
 
     monkeypatch.setattr(simplices, "join_rows", spy)
     if compose is not None and depth == 0:
-        assert degree_of_map(compose, quad) == expected.value
+        assert bits(degree_of_map(compose, quad)) == bits(expected)
         grids.clear()
     assert bits(sphere_integral(form, "S3", quad, compose)) == \
         bits(expected)
@@ -763,3 +771,49 @@ def test_density_cache_stays_small_after_the_sphere_suites(monkeypatch):
                 if isinstance(a, np.ndarray):
                     arrays[id(a)] = a
     assert 0 < sum(a.nbytes for a in arrays.values()) <= 1.2e6
+
+
+def test_integrals_take_their_rule_and_return_their_estimate():
+    # every entry point that integrates takes its rule from the caller
+    for fn in (pullback_integral, sphere_products, sphere_integral,
+               integrated_cochain, degree_of_map, pairing_integrals,
+               symplectic_cocycle, contact_pairings, contact_cocycle,
+               derivation_residual):
+        quad = inspect.signature(fn).parameters["quad"]
+        assert quad.default is inspect.Parameter.empty, fn.__name__
+    assert "with_error" not in inspect.signature(kronecker_pair).parameters
+
+    # and returns IntegralResults, each bitwise the integral it wraps
+    quad = QuadratureSpec(order=8, tol=1e-2)
+    x, y, z = (SphereFunction.coordinate(n) for n in "xyz")
+    pairs = [(x, y * z), (x * x, z), (x, poisson(y, z))]
+    pairings = pairing_integrals(pairs, quad)
+    assert [bits(r) for r in pairings] == [bits(r) for r in sphere_products(
+        fubini_study_form(), "CP1", pairs, quad)]
+    lifted = [(pullback(f), pullback(g)) for f, g in pairs]
+    contact = contact_pairings(lifted, quad)
+    assert [bits(r) for r in contact] == [bits(r) for r in sphere_products(
+        contact_volume_form(), "S3", [(f.base, g.base) for f, g in lifted],
+        quad, lift=hopf_arr)]
+    compose = twisted_square_map(QUAT_ONE)
+    assert bits(degree_of_map(compose, quad)) == \
+        bits(sphere_integral(vol_form(), "S3", quad, compose))
+
+    # the cocycles scale their pairing's value and estimate by 3 / pi^3
+    k = 3.0 / np.pi ** 3
+    symplectic = symplectic_cocycle(x, y, z, quad)
+    assert symplectic.value == k * pairings[2].value
+    assert symplectic.error_estimate == k * pairings[2].error_estimate
+    F, G, H = (pullback(f) for f in (x, y, z))
+    [upstairs] = contact_pairings([(F, contact_bracket(G, H))], quad)
+    cocycle = contact_cocycle(F, G, H, quad)
+    assert cocycle.value == k * upstairs.value
+    assert cocycle.error_estimate == k * upstairs.error_estimate
+
+    # a pairing is the reduced signed sum of its terms, with its estimate
+    f = HomogeneousCochain(1, 1, lambda ts: [(0.375 * (t[1] - t[0]), 0.25)
+                                             for t in ts])
+    chain = HomogeneousChain([(2, (0, 1)), (-1, (1, 3)), (3, (2, 0))])
+    [(total, est)] = signed_sums(f, [[(c, t) for t, c in chain.items()]])
+    assert bits(kronecker_pair(f, chain)) == \
+        bits(IntegralResult(*_reduced(total, est, 1)))

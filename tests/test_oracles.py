@@ -3,9 +3,9 @@
 Each integral must lie within its own error estimate of the closed form:
 the seeded pairs of ``symplectic``'s and ``contact``'s ad-invariance
 checks, drawn as those suites draw them, at their rule orders, and every
-atlas cell.  The estimates come from ``forms.sphere_products`` and
-``pullback_integral``, since ``pairing_integrals`` and
-``contact_pairings`` return bare values.
+atlas cell.  The pairings and their estimates come from
+``pairing_integrals`` and ``contact_pairings``, the cells' from
+``pullback_integral``.
 """
 import math
 from fractions import Fraction
@@ -13,11 +13,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cocyclelab.contact import contact_volume_form
+from cocyclelab.contact import contact_pairings, pullback
 from cocyclelab.forms import (fubini_study_form, pullback_integral,
                               sphere_atlas, sphere_products, vol_form)
-from cocyclelab.groups import hopf_arr
-from cocyclelab.hamiltonian import SphereFunction, poisson
+from cocyclelab.hamiltonian import SphereFunction, pairing_integrals, poisson
 from cocyclelab.quadrature import QuadratureSpec
 from cocyclelab.suites import DEFAULT_CONFIG, _random_polynomial, run_suite
 from oracles import (CP1_CELL, S3_CELL, cp1_monomial, cp1_pairing,
@@ -93,8 +92,7 @@ def test_symplectic_pairs_lie_within_their_estimates(seed):
     exact = [cp1_pairing(f, g) for f, g in pairs]
     # the check's premise: each ad-invariance sum is exactly 0
     assert not any(a + b for a, b in zip(exact[0::2], exact[1::2]))
-    results = sphere_products(fubini_study_form(), "CP1", pairs,
-                              QuadratureSpec(order=8, tol=1e-6))
+    results = pairing_integrals(pairs, QuadratureSpec(order=8, tol=1e-6))
     assert not within_estimates(results, [math.pi * e for e in exact])
 
 
@@ -103,9 +101,9 @@ def test_contact_pairs_lie_within_their_estimates(seed):
     pairs = contact_pairs(seed)
     exact = [s3_pairing(f, g) for f, g in pairs]
     assert not any(a + b for a, b in zip(exact[0::2], exact[1::2]))
-    results = sphere_products(contact_volume_form(), "S3", pairs,
-                              QuadratureSpec(order=12, tol=1e-4),
-                              lift=hopf_arr)
+    results = contact_pairings([(pullback(f), pullback(g))
+                                for f, g in pairs],
+                               QuadratureSpec(order=12, tol=1e-4))
     assert not within_estimates(results,
                                 [math.pi ** 2 * e for e in exact])
 
