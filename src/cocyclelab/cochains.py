@@ -38,10 +38,15 @@ from .simplices import GeodesicSimplex, all_faces, in_open_hemisphere
 
 def exact(value):
     """``value`` as an exact rational: ``Fraction(value)``, returned as
-    its numerator, a Python int, when its denominator is 1."""
+    its numerator, a Python int, when its denominator is 1.  Anything that
+    is not a finite rational (an infinity, a NaN, None) raises ValueError
+    naming it."""
     if type(value) is int:
         return value
-    f = Fraction(value)
+    try:
+        f = Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{value!r} is not a finite rational") from None
     return int(f.numerator) if f.denominator == 1 else f
 
 

@@ -7,13 +7,13 @@ the full tuple complex (identity on admissible tuples) is constructed
 degree by degree through integer solves, mirroring the acyclicity
 induction.  The predicates are "all-tuples", "conf-distinct" (pairwise
 distinct entries) and any face-closed, translation-invariant callable.
-An extended cochain is exact: integer values stay Python ints, and a
-Fraction appears only where a value has a denominator other than 1.
+An extended cochain is exact: its values go through ``exact``, so integer
+values stay Python ints, and a Fraction appears only where a value has a
+denominator other than 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from numbers import Integral
 
@@ -164,6 +164,7 @@ class ConfiguredComplex:
         self.boundaries = [None] + [self._boundary_matrix(n)
                                     for n in range(1, q + 1)]
         self._solvers = {}
+        self._retraction = None
 
     def _boundary_matrix(self, n):
         """The boundary of degree n, built in the pass that checks each
@@ -230,7 +231,8 @@ def _chain(terms):  # a HomogeneousChain of a dict of nonzero terms
 
 
 def build_retraction(complex_: ConfiguredComplex):
-    """Chain map from the full tuple complex onto the configured one.
+    """Chain map from the full tuple complex onto the configured one,
+    built and verified once per complex, which keeps it.
 
     Returns r_0..r_q, where r_n is a dict from every (n+1)-tuple of group
     elements to its image, a HomogeneousChain of admissible (n+1)-tuples.
@@ -242,6 +244,8 @@ def build_retraction(complex_: ConfiguredComplex):
     Raises NotWellConfigured when the configured complex is not exact in
     the degrees the induction needs.
     """
+    if complex_._retraction is not None:
+        return complex_._retraction
     q = complex_.q
     group = complex_.group
     h0 = homology(complex_, 0)
@@ -275,12 +279,13 @@ def build_retraction(complex_: ConfiguredComplex):
                           for s, c in normalized[_normalize(group, full)]
                           .items()})
             for full in product(group.elements, repeat=n + 1)})
-    _verify_retraction(complex_, r, q)
+    _verify_retraction(complex_, r)
+    complex_._retraction = r
     return r
 
 
-def _verify_retraction(complex_, r, q):
-    for n in range(1, q + 1):
+def _verify_retraction(complex_, r):
+    for n in range(1, complex_.q + 1):
         for t in complex_.generators[n]:
             if r[n][t].terms != {t: 1}:
                 raise NotAChainMap(
@@ -294,36 +299,31 @@ def _verify_retraction(complex_, r, q):
                 raise NotAChainMap("retraction is not a chain map")
 
 
-def extend_cocycle(complex_: ConfiguredComplex, values, retraction=None
-                   ) -> HomogeneousCochain:
+def extend_cocycle(complex_: ConfiguredComplex, values) -> HomogeneousCochain:
     """Extend a top-degree cochain through the comparison chain map.
 
-    ``values`` assigns a number to every degree-q generator; an int,
-    Fraction or float is kept as given and any other number becomes
-    ``exact(value)``, so integer values sum as Python ints.  The cochain
-    must vanish on the kernel of the top boundary map (checked against an
-    exact kernel basis); the result is defined on all (q+1)-tuples and has
-    identically vanishing coboundary.  Its value on each tuple is summed
-    once, from the tuple's image, into a table.  ``retraction`` is the
-    list of images returned by ``build_retraction(complex_)``, which is
-    called when it is None.
+    ``values`` assigns a number to every degree-q generator, taken as
+    ``exact(value)``, so integer values sum as Python ints (ValueError for
+    a value that is not a finite rational).  The cochain must vanish on
+    the kernel of the top boundary map (checked against an exact kernel
+    basis); the result is defined on all (q+1)-tuples and has identically
+    vanishing coboundary.  Its value on each tuple is summed once, from
+    the tuple's image under ``build_retraction(complex_)``, into a table.
     """
     q = complex_.q
     gens = complex_.generators[q]
     if len(values) != len(gens):
         raise ValueError(f"expected {len(gens)} values")
-    vals = [v if isinstance(v, (int, Fraction, float)) else exact(v)
-            for v in values]
+    vals = [exact(v) for v in values]
     solver = complex_.solver(q)
     for kvec in solver.kernel_basis():
         pairing = sum(c * v for c, v in zip(kvec, vals) if c)
         if pairing != 0:
             raise KernelObstruction(
                 f"cochain does not vanish on the kernel vector {kvec}")
-    r = build_retraction(complex_) if retraction is None else retraction
     index = complex_.index[q]
     table = {t: sum(c * vals[index[s]] for s, c in image.terms.items())
-             for t, image in r[q].items()}
+             for t, image in build_retraction(complex_)[q].items()}
     return HomogeneousCochain(q, 0, lambda ts: [(table[t], 0.0) for t in ts],
                               label=f"extended({complex_.predicate})")
 

@@ -41,7 +41,7 @@ class SphereFunction:
             key = _exponent_key(key)
             try:
                 c = exact(c)
-            except (TypeError, ValueError, OverflowError):
+            except ValueError:
                 raise ValueError(f"coefficient {c!r} of {key!r} is not a "
                                  "finite rational") from None
             if c != 0:
@@ -103,7 +103,7 @@ class SphereFunction:
         infinity, a NaN) raises ValueError naming it."""
         try:
             scalar = exact(scalar)
-        except (TypeError, ValueError, OverflowError):
+        except ValueError:
             raise ValueError(f"scalar {scalar!r} is not a finite "
                              "rational") from None
         return SphereFunction({k: scalar * v for k, v in self.coeffs.items()})

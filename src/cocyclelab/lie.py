@@ -1,19 +1,19 @@
 """Alternating Lie-algebra cochains and the derivation map from group
 cochains.
 
-Structure constants are exact rationals (Python ints where they are
-integral, Fractions only where a denominator is not 1), and so are the
-Chevalley-Eilenberg differential and the invariant trilinear (Cartan)
-cocycle <x, [y, z]>; only the derivation map (mixed central differences
-of a locally smooth group cochain along exponential coordinates) is
-floating point.  The ``gf-derivation`` suite runs the whole chain: the
-derivative of the integrated cochain of a form is the form at the
-identity, and for the Maurer-Cartan 3-form that is a multiple of the
-Cartan cocycle of su(2), which the differential sends to zero.
+Structure constants and Lie-algebra cochains are exact rationals (Python
+ints where they are integral, Fractions only where a denominator is not
+1), and so are the Chevalley-Eilenberg differential and the invariant
+trilinear (Cartan) cocycle <x, [y, z]>; only the derivation map (mixed
+central differences of a locally smooth group cochain along exponential
+coordinates) is floating point, a float array.  The ``gf-derivation``
+suite runs the whole chain: the derivative of the integrated cochain of a
+form is the form at the identity, and for the Maurer-Cartan 3-form that
+is a multiple of the Cartan cocycle of su(2), which the differential
+sends to zero.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, prod
 
@@ -38,9 +38,8 @@ class LieAlgebraTable:
 
     def __init__(self, structure, pairing):
         self.dim = len(structure)
-        to_exact = np.frompyfunc(exact, 1, 1)
-        self.structure = to_exact(np.asarray(structure, dtype=object))
-        self.pairing = to_exact(np.asarray(pairing, dtype=object))
+        self.structure = _exact_array(structure)
+        self.pairing = _exact_array(pairing)
         c = self.structure
         if (c != -c.transpose(1, 0, 2)).any():
             raise ValueError("structure constants not antisymmetric")
@@ -71,6 +70,12 @@ class LieAlgebraTable:
         return cls(structure, np.eye(6, dtype=int))
 
 
+def _exact_array(values):
+    """``values`` as an object array, each entry taken through ``exact``."""
+    to_exact = np.vectorize(exact, otypes=[object])
+    return to_exact(np.asarray(values, dtype=object))
+
+
 def _epsilon3():
     eps = np.zeros((3, 3, 3), dtype=int)
     for perm, sign in _perm_signs(3):
@@ -79,43 +84,35 @@ def _epsilon3():
 
 
 class MultilinearCochain:
-    """Fully antisymmetric coefficient tensor over the algebra basis; its
-    degree is the number of axes, which must all have the same length."""
+    """Fully antisymmetric coefficient tensor over the algebra basis, an
+    object array of ``exact`` entries; its degree is the number of axes,
+    which must all have the same length."""
 
     def __init__(self, tensor):
-        arr = np.asarray(tensor)
+        arr = _exact_array(tensor)
         self.degree = arr.ndim
         if len(set(arr.shape)) > 1:
             raise ValueError(f"tensor shape {arr.shape} is not square")
         self.tensor = arr
-        # adjacent transpositions generate S_n; object entries compare
-        # exactly, float entries must be finite and agree to 1e-9 (1 + |a|)
-        a = arr if arr.dtype == object else arr.astype(float)
-        ok = a.dtype == object or np.isfinite(a).all()
+        # adjacent transpositions generate S_n
         for k in range(arr.ndim - 1):
-            s = np.swapaxes(a, k, k + 1)
-            ok = ok and (s == -a if a.dtype == object else
-                         np.abs(a + s) <= 1e-9 * (1.0 + np.abs(a))).all()
-        if not ok:
-            raise ValueError("tensor is not alternating")
+            if (np.swapaxes(arr, k, k + 1) != -arr).any():
+                raise ValueError("tensor is not alternating")
 
     def norm_max(self):
         return float(np.abs(self.tensor.astype(float)).max(initial=0.0))
 
 
 def alternation(tensor):
-    """Antisymmetrize a tensor exactly (object arrays, whose factor 1/n! is
-    a Fraction, never an int division) or in floats."""
-    arr = np.asarray(tensor)
+    """Antisymmetrize a tensor in floats."""
+    arr = np.asarray(tensor, dtype=float)
     degree = arr.ndim
-    fac = Fraction(1, factorial(degree)) if arr.dtype == object \
-        else 1.0 / factorial(degree)
     # entry idx of the permutation's term is arr[idx[perm[0]], ...], so the
     # axes are those of the inverse permutation
     total = 0
     for perm, sign in _perm_signs(degree):
         total = total + sign * np.transpose(arr, np.argsort(perm))
-    return np.asarray(total * fac)
+    return np.asarray(total * (1.0 / factorial(degree)))
 
 
 def ce_differential(omega: MultilinearCochain,
@@ -123,14 +120,12 @@ def ce_differential(omega: MultilinearCochain,
     """Chevalley-Eilenberg differential via the bracket-insertion sum
     (d w)(x_0..x_n) = sum_{a<b} (-1)^(a+b) w([x_a, x_b], x_0..^a..^b..x_n).
     """
-    n, dim = omega.degree, algebra.dim
-    is_exact = omega.tensor.dtype == object
-    c = algebra.structure if is_exact else algebra.structure.astype(float)
+    n = omega.degree
     if n == 0:  # constants: the insertion sum is empty
-        out = np.full(dim, 0 if is_exact else 0.0, dtype=c.dtype)
+        out = [0] * algebra.dim
     else:
         # t[p, q, rest] = w([X_p, X_q], rest), moved to slots a and b
-        t = np.tensordot(c, omega.tensor, ([2], [0]))
+        t = np.tensordot(algebra.structure, omega.tensor, ([2], [0]))
         out = sum((-1) ** (a + b) * np.moveaxis(t, (0, 1), (a, b))
                   for a, b in combinations(range(n + 1), 2))
     return MultilinearCochain(out)
@@ -156,9 +151,10 @@ def _group_tuple(steps):
 
 
 def cochain_derivative(f: HomogeneousCochain,
-                       step: float = 5e-2) -> MultilinearCochain:
+                       step: float = 5e-2) -> np.ndarray:
     """Alternated mixed partial derivatives of a group cochain on SU(2) at
-    the identity along exponential coordinates of su(2).
+    the identity along exponential coordinates of su(2), a float array of
+    shape (3,) * degree.
 
     The derivative of a degree-n cochain f evaluates f, for n distinct
     basis vectors X_1..X_n, on tuples (e, exp(t_1 X_1), exp(t_1 X_1)
@@ -192,7 +188,7 @@ def cochain_derivative(f: HomogeneousCochain,
     raw = np.zeros((dim,) * n)
     for idx, (total, _) in zip(entries, sums):
         raw[idx] = total / (2.0 * step) ** n
-    return MultilinearCochain(alternation(raw))
+    return alternation(raw)
 
 
 def form_at_identity(form: DifferentialForm) -> np.ndarray:
@@ -213,11 +209,9 @@ def derivation_residual(form: DifferentialForm, quad: QuadratureSpec,
     Exact calculus gives equality; the numerical residual combines the
     O(step^2) differencing error with the quadrature error.
     """
-    degree = form.degree
-    cochain = integrated_cochain(form, "chart", quad=quad)
-    deriv = cochain_derivative(cochain, step)
+    deriv = factorial(form.degree) * cochain_derivative(
+        integrated_cochain(form, "chart", quad=quad), step)
     target = form_at_identity(form)
+    # relative to the form's largest entry; absolute for a zero form
     scale = np.abs(target).max()
-    if scale == 0.0:
-        return factorial(degree) * deriv.norm_max()
-    return np.abs(factorial(degree) * deriv.tensor - target).max() / scale
+    return np.abs(deriv - target).max() / (scale if scale else 1.0)

@@ -46,9 +46,9 @@ class QuadratureSpec:
     raises when its two rule orders differ by more than 10 * ``tol``.
     """
 
-    order: int = 8
+    order: int
+    tol: float
     depth: int = 0
-    tol: float = 1e-6
 
     def __post_init__(self):
         for field, least in (("order", 2), ("depth", 0)):

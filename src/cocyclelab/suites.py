@@ -405,9 +405,8 @@ def _suite_configured_homology(rec, cfg):
 
     # comparison chain map: identity on admissible tuples, boundary
     # compatibility, and an extension with exhaustively zero coboundary
-    mats = None  # extend_cocycle builds its own when this check fails
     with rec.check("conf-z5-retraction-identities", 1.0, 0.0) as record:
-        mats = build_retraction(conf)   # raises unless both identities hold
+        build_retraction(conf)   # raises unless both identities hold
         record(1.0)
     with rec.check("conf-z5-extension-coboundary", 0.0, 0.0) as record:
         rng = np.random.default_rng(cfg["seed"])
@@ -415,7 +414,7 @@ def _suite_configured_homology(rec, cfg):
         bd3 = conf.boundaries[3]
         f_vals = [sum(g_vals[i] * bd3[i][j] for i in range(len(g_vals)))
                   for j in range(len(conf.generators[3]))]
-        cocycle = extend_cocycle(conf, f_vals, retraction=mats)
+        cocycle = extend_cocycle(conf, f_vals)
         # the 15625 faces of the 5-tuples are 625 distinct 4-tuples, so
         # each is evaluated once and the face sums read the table
         value = {t: cocycle(t) for t in product(range(5), repeat=4)}

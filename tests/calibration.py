@@ -20,7 +20,9 @@ It asserts nothing.  Run it from the root of a source checkout (about
     python tests/calibration.py
 
 pytest does not collect this file (its name does not start with
-``test_``), so it is not part of the unit tests.
+``test_``).  A kind that integrates many draws takes ``take``, a slice of
+them (all by default); ``test_calibration.py`` runs each kind on a small
+slice at the default seed and asserts that every ratio is at most 1.
 """
 from __future__ import annotations
 
@@ -88,14 +90,14 @@ def cochain_values(form, kind, quad, batches):
     return out
 
 
-def cs_pairing(seed):
+def cs_pairing(seed, take=slice(None)):
     quad = QuadratureSpec(order=ORDER, tol=1e-3)
     base = apply_rotation(generic_rotation(seed), QUAT_ONE)
     coarse, fine = (integrated_cochain(vol_form(), "spherical", q,
                                        base_point=base)
                     for q in (quad, finer(quad)))
     results, references = [], []
-    for m in (3, 5, 6, 8):
+    for m in (3, 5, 6, 8)[take]:
 
         def embed(a, _m=m):
             return so4_of(cyclic_embed(_m, a), cyclic_embed(_m, -a))
@@ -127,17 +129,18 @@ def _faces(tuples):
     return [[face for _, face in all_faces(t)] for t in tuples]
 
 
-def defect_spherical(seed):
+def defect_spherical(seed, take=slice(None)):
     quad = QuadratureSpec(order=6, tol=1e-3)
     spherical, _ = _defect_tuples(seed)
     return quad, cochain_values(vol_form(), "spherical", quad,
-                                _faces(spherical))
+                                _faces(spherical[take]))
 
 
-def defect_chart(seed):
+def defect_chart(seed, take=slice(None)):
     quad = QuadratureSpec(order=6, tol=1e-3)
     _, chart = _defect_tuples(seed)
-    return quad, cochain_values(mc3_form(), "chart", quad, _faces(chart))
+    return quad, cochain_values(mc3_form(), "chart", quad,
+                                _faces(chart[take]))
 
 
 def _corners(degree, step):
@@ -152,10 +155,10 @@ def _corners(degree, step):
     return seen
 
 
-def derivation_mc3(seed):
+def derivation_mc3(seed, take=slice(None)):
     quad = QuadratureSpec(order=4, tol=1e-2)
     return quad, cochain_values(mc3_form(), "chart", quad,
-                                [_corners(3, 5e-2)])
+                                [_corners(3, 5e-2)[take]])
 
 
 def derivation_covector(seed):
@@ -208,14 +211,16 @@ def atlas_cells(seed):
     return quad, out
 
 
-def _prism(seed, cells):
+def _prism(seed, cells, take):
     """The maps of ``stokes-ratio-max``, drawn as the suite draws them:
-    the straightened and the wiggled simplex, or the four prism cells."""
+    the straightened and the wiggled simplex, or the four prism cells, of
+    the simplices in ``take``."""
     quad = QuadratureSpec(order=ORDER, depth=1, tol=1e-3)
     rng = np.random.default_rng(seed)
+    drawn = [_wiggled_simplex(rng)
+             for _ in range(DEFAULT_CONFIG["prism_simplices"])]
     out = []
-    for _ in range(DEFAULT_CONFIG["prism_simplices"]):
-        f = _wiggled_simplex(rng)
+    for f in drawn[take]:
         maps = [prism_cell(f.face(i)) for i in range(4)] if cells \
             else [straighten(f), f]
         out += against(pullback_integral(vol_form(), maps, quad),
@@ -224,12 +229,12 @@ def _prism(seed, cells):
     return quad, out
 
 
-def prism_simplices(seed):
-    return _prism(seed, cells=False)
+def prism_simplices(seed, take=slice(None)):
+    return _prism(seed, False, take)
 
 
-def prism_cells(seed):
-    return _prism(seed, cells=True)
+def prism_cells(seed, take=slice(None)):
+    return _prism(seed, True, take)
 
 
 KINDS = [

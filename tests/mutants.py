@@ -324,6 +324,18 @@ MUTANTS = [
      ["tests/test_forms.py::"
       "test_integrals_take_their_rule_and_return_their_estimate"],
      "unit tests only: estimate only"),
+    ("retraction-built-again-for-every-call", "finite.py",
+     "    if complex_._retraction is not None:\n"
+     "        return complex_._retraction\n",
+     "",
+     ["tests/test_finite.py::test_a_complex_builds_its_retraction_once"],
+     "unit tests only: bitwise"),
+    ("extension-keeps-a-raw-value", "finite.py",
+     "vals = [exact(v) for v in values]",
+     "vals = [v for v in values]",
+     ["tests/test_finite.py::"
+      "test_extension_values_that_are_not_finite_rationals_raise"],
+     "unit tests only: input guard"),
 ]
 
 

@@ -63,8 +63,12 @@ def test_exact_is_an_int_unless_a_denominator_is_not_1():
                             (np.float64(-0.5), Fraction(-1, 2))):
         got = exact(value)
         assert type(got) is Fraction and got == expected
-    with pytest.raises((TypeError, ValueError)):
-        exact(float("nan"))
+    # anything that is not a finite rational raises one ValueError that
+    # names it
+    for value in (float("inf"), float("-inf"), float("nan"), None):
+        with pytest.raises(ValueError) as err:
+            exact(value)
+        assert str(err.value) == f"{value!r} is not a finite rational"
 
 
 def reference_reduced(value, est, lattice):

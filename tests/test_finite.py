@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from cocyclelab import finite, suites
-from cocyclelab.cochains import HomogeneousChain
+from cocyclelab.cochains import HomogeneousChain, exact
 from cocyclelab.errors import (NotAChainMap, NotWellConfigured,
                                KernelObstruction, PredicateNotFaceClosed)
 from cocyclelab.finite import (FiniteGroupTable, HomologySummary,
@@ -562,9 +563,9 @@ def test_a_corrupted_retraction_fails_its_check(monkeypatch, t, image,
     # goes on to the extension
     checked = finite._verify_retraction
 
-    def corrupted(complex_, r, q):
+    def corrupted(complex_, r):
         r[1][t] = HomogeneousChain(image)
-        checked(complex_, r, q)
+        checked(complex_, r)
 
     monkeypatch.setattr(finite, "_verify_retraction", corrupted)
     c = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
@@ -604,13 +605,12 @@ def test_extension_check_reads_each_4_tuple_once(monkeypatch):
 
 def test_extension_has_vanishing_coboundary():
     c = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
-    mats = build_retraction(c)
     g_vals = [int(rng.integers(-3, 4)) for _ in c.generators[2]]
     bd3 = c.boundaries[3]
     f_vals = [sum(g_vals[i] * bd3[i][j] for i in range(len(g_vals)))
               for j in range(len(c.generators[3]))]
     assert any(f_vals)
-    cocycle = extend_cocycle(c, f_vals, retraction=mats)
+    cocycle = extend_cocycle(c, f_vals)
     # extension agrees with the input on admissible tuples
     for j, t in enumerate(c.generators[3][:20]):
         assert cocycle(t) == f_vals[j]
@@ -625,15 +625,18 @@ def test_extension_table_matches_image_sums():
     bd3 = c.boundaries[3]
     f_vals = [sum(g_vals[i] * bd3[i][j] for i in range(len(g_vals)))
               for j in range(len(c.generators[3]))]
-    # Python ints stay ints, Fractions stay Fractions, floats stay floats
+    # every value goes through ``exact``: ints stay ints, Fractions stay
+    # Fractions (ints where the denominator is 1), and a float is read as
+    # the rational it is, so no value of the table is a float
     for vals in (list(f_vals), [Fraction(v, 7) for v in f_vals],
                  [v / 8 for v in f_vals]):
-        cocycle = extend_cocycle(c, vals, retraction=mats)
+        cocycle = extend_cocycle(c, vals)
         for t in product(range(5), repeat=4):
-            expected = sum(k * vals[c.index[3][s]]
+            expected = sum(k * exact(vals[c.index[3][s]])
                            for s, k in mats[3][t].terms.items())
             value = cocycle(t)
             assert type(value) is type(expected) and value == expected
+            assert type(value) in (int, Fraction)
         with pytest.raises(ValueError):
             cocycle((0, 1, 2))
 
@@ -661,15 +664,14 @@ def test_q8_conf_distinct_retraction_and_extension():
     f_vals = [sum(g_vals[i] * bd2[i][j] for i in range(len(g_vals)))
               for j in range(len(c.generators[2]))]
     assert any(f_vals)
-    cocycle = extend_cocycle(c, f_vals, retraction=mats)
+    cocycle = extend_cocycle(c, f_vals)
     for t in product(range(8), repeat=4):
         assert sum(s * cocycle(ft) for s, ft in all_faces(t)) == 0
 
 
 def test_extension_zero_cochain():
     c = build_complex(FiniteGroupTable.cyclic(3), "all-tuples", 2)
-    mats = build_retraction(c)
-    cocycle = extend_cocycle(c, [0] * len(c.generators[2]), retraction=mats)
+    cocycle = extend_cocycle(c, [0] * len(c.generators[2]))
     assert cocycle((0, 1, 2)) == 0
 
 
@@ -682,7 +684,7 @@ def test_extension_of_a_pulled_back_coboundary():
     bd3 = c.boundaries[3]
     f_vals = [sum(g_vals[i] * bd3[i][j] for i in range(len(g_vals)))
               for j in range(len(c.generators[3]))]
-    cocycle = extend_cocycle(c, f_vals, retraction=mats)
+    cocycle = extend_cocycle(c, f_vals)
 
     def g_through_r(t):
         return sum(k * g_vals[c.index[2][s]]
@@ -719,4 +721,38 @@ def test_extension_kernel_obstruction():
     # a functional that sees the kernel vector
     values = [int(v) for v in kvec]
     with pytest.raises(KernelObstruction):
-        extend_cocycle(c, values, retraction=None)
+        extend_cocycle(c, values)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"),
+                                 float("nan"), None])
+def test_extension_values_that_are_not_finite_rationals_raise(bad):
+    # every value goes through ``exact``, whose one error names it: a NaN
+    # does not read as a kernel obstruction, nor reach the table
+    c = build_complex(FiniteGroupTable.cyclic(3), "all-tuples", 2)
+    values = [0] * len(c.generators[2])
+    values[5] = bad
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(repr(bad))} is not a finite "
+                             "rational$"):
+        extend_cocycle(c, values)
+
+
+def test_a_complex_builds_its_retraction_once(monkeypatch):
+    # the verified comparison map stays on the complex, as its Smith
+    # solvers do: a second build and an extension return it with no solve
+    solves = []
+    solve = SmithSolver.solve
+
+    def counted(self, rhs):
+        solves.append(rhs)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(SmithSolver, "solve", counted)
+    c = build_complex(FiniteGroupTable.cyclic(5), "conf-distinct", 3)
+    first = build_retraction(c)
+    assert solves
+    solves.clear()
+    assert build_retraction(c) is first
+    extend_cocycle(c, [0] * len(c.generators[3]))
+    assert solves == []

@@ -151,7 +151,8 @@ def test_cube_quadrature_exactness_on_polynomials():
             yield out
 
         exact = np.prod([1.0 / (e + 1) for e in exps])
-        [res] = integrate_on_cube(integrand, n, QuadratureSpec(order=6))
+        [res] = integrate_on_cube(integrand, n,
+                                       QuadratureSpec(order=6, tol=1e-6))
         assert abs(res.value - exact) < 1e-14
 
 
@@ -166,7 +167,7 @@ def test_simplex_volume_through_cone_map():
                 out *= (1.0 - s[:, k - 1]) ** (k - 1)
             yield out
 
-        [res] = integrate_on_cube(jac, n, QuadratureSpec(order=8))
+        [res] = integrate_on_cube(jac, n, QuadratureSpec(order=8, tol=1e-6))
         assert abs(res.value - 1.0 / factorial(n)) < 1e-14
 
 
@@ -189,7 +190,8 @@ def test_error_estimate_carries_the_rounding_of_the_sum():
         s = level_nodes(axes)
         yield 1.0 + s[:, 0] - 0.5 * s[:, 2]
 
-    [res] = integrate_on_cube(affine, 3, QuadratureSpec(order=4, depth=2))
+    [res] = integrate_on_cube(affine, 3, QuadratureSpec(order=4, depth=2,
+                                                          tol=1e-6))
     nu = (4 * 6) ** 3 * np.finfo(float).eps / 2
     assert res.error_estimate >= 0.99 * nu / (1 - nu) * 1.25
     assert abs(res.value - 1.25) <= res.error_estimate
@@ -214,7 +216,7 @@ def test_divergence_guard_catches_values_that_are_not_finite(bad):
         yield np.where(s[:, 0] < 0.5, 1.0, bad)
 
     with pytest.raises(QuadratureDiverged):
-        integrate_on_cube(spoiled, 2, QuadratureSpec(order=4))
+        integrate_on_cube(spoiled, 2, QuadratureSpec(order=4, tol=1e-6))
 
 
 def test_panel_depth_refines_consistently():
@@ -222,8 +224,10 @@ def test_panel_depth_refines_consistently():
         s = level_nodes(axes)
         yield np.exp(s[:, 0] - s[:, 1] ** 2)
 
-    [v0] = integrate_on_cube(smooth, 2, QuadratureSpec(order=8, depth=0))
-    [v1] = integrate_on_cube(smooth, 2, QuadratureSpec(order=8, depth=1))
+    [v0] = integrate_on_cube(smooth, 2, QuadratureSpec(order=8, depth=0,
+                                                         tol=1e-6))
+    [v1] = integrate_on_cube(smooth, 2, QuadratureSpec(order=8, depth=1,
+                                                         tol=1e-6))
     assert abs(v0.value - v1.value) < 1e-12
 
 
@@ -269,10 +273,16 @@ def test_circle_rule():
 
 
 def test_spec_validation():
+    # the rule is the caller's: order and tol have no default, depth 0
+    with pytest.raises(TypeError):
+        QuadratureSpec()
+    with pytest.raises(TypeError):
+        QuadratureSpec(order=8)
+    assert QuadratureSpec(order=8, tol=1e-6).depth == 0
     with pytest.raises(ValueError):
-        QuadratureSpec(tol=-1.0)
+        QuadratureSpec(order=8, tol=-1.0)
     with pytest.raises(ValueError):
-        QuadratureSpec(depth=-1)
+        QuadratureSpec(order=8, tol=1e-6, depth=-1)
     with pytest.raises(ValueError):
         IntegralResult(1.0, -1.0)
 
@@ -293,6 +303,6 @@ def test_spec_rejects_a_nan_tolerance_and_non_integer_sizes(field, value):
     # no difference compares greater than 10 * nan or 10 * inf; a bool is
     # an Integral, but no size
     with pytest.raises(ValueError, match=f"^{field} must be"):
-        QuadratureSpec(**{field: value})
-    assert QuadratureSpec(order=np.int64(3), depth=np.int64(1)).orders == \
-        (3, 5)
+        QuadratureSpec(**{"order": 8, "tol": 1e-6, field: value})
+    assert QuadratureSpec(order=np.int64(3), tol=1e-6,
+                          depth=np.int64(1)).orders == (3, 5)
